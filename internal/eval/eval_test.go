@@ -111,6 +111,33 @@ func TestSweepTables(t *testing.T) {
 	}
 }
 
+// Runner copies — the ablation sweeps' `rr := *r` — share the model's
+// lemma table: one table over the corpus, built once, whichever copy
+// searches first, and not grown by the searches that read it.
+func TestRunnerCopiesShareLemmaTable(t *testing.T) {
+	r, c := runner(t)
+	rr := *r
+	rr.Width = 4
+	lt := rr.lemmaTable()
+	if lt == nil || r.lemmaTable() != lt {
+		t.Fatal("runner copies built separate lemma tables")
+	}
+	if lt.Len() != len(c.Env.Lemmas) {
+		t.Fatalf("lemma table holds %d lemmas, corpus has %d", lt.Len(), len(c.Env.Lemmas))
+	}
+	ths := rr.TestSet()
+	if len(ths) > 12 {
+		ths = ths[:12]
+	}
+	rr.RunSweep(model.GPT4o, prompt.Hint, ths)
+	if rr.lemmaTable() != lt || r.lemmaTable() != lt {
+		t.Fatal("a sweep rebuilt the lemma table")
+	}
+	if lt.Len() != len(c.Env.Lemmas) {
+		t.Fatalf("lemma table grew to %d lemmas after a sweep", lt.Len())
+	}
+}
+
 func TestBins(t *testing.T) {
 	cases := map[int]int{0: 0, 15: 0, 16: 1, 31: 1, 32: 2, 63: 2, 64: 3, 512: 6, 9999: 6}
 	for tokens, want := range cases {

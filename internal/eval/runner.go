@@ -104,10 +104,15 @@ type Runner struct {
 	// Runner (width/fuel/algorithm changes never affect a memoized Try)
 	// keep sharing one cache.
 	trymemo *tryIndex
-	// retrIdx shares the model's retrieval indexes across every search of
-	// the grid (pure per-(prompt, n-gram, profile) data; see
-	// model.RetrCache).
-	retrIdx *model.RetrCache
+	// lemmas holds the model's lemma table: the goal-independent analysis
+	// of every corpus lemma statement, built once on the first search and
+	// shared read-only by every search of every Runner copy (see
+	// model.LemmaTable). It is keyed on nothing per unit on purpose: every
+	// unit builds a fresh prompt, so a cache keyed on the prompt pointer
+	// hits 0 times in the 2,860 searches of a seed-2025 -all run while
+	// holding every entry until exit (paper-cold peak RSS 354 MB against
+	// 95 MB with the table; DESIGN.md §7).
+	lemmas *lemmaIndex
 	// persist holds the persistence fingerprints and the env registry for
 	// the end-of-run Try drain (see store.go).
 	persist *persistIndex
@@ -132,6 +137,12 @@ type promptIndex struct {
 	cache *prompt.Cache
 }
 
+// lemmaIndex caches the model's lemma table the same way.
+type lemmaIndex struct {
+	once  sync.Once
+	table *model.LemmaTable
+}
+
 // NewRunner builds a runner with the paper's hyperparameters and the fixed
 // 50% hint split.
 func NewRunner(c *corpus.Corpus, seed int64) *Runner {
@@ -145,7 +156,7 @@ func NewRunner(c *corpus.Corpus, seed int64) *Runner {
 		prompts:    &promptIndex{},
 		ngrams:     &sync.Map{},
 		trymemo:    &tryIndex{},
-		retrIdx:    model.NewRetrCache(),
+		lemmas:     &lemmaIndex{},
 		persist:    newPersistIndex(),
 	}
 }
@@ -321,6 +332,28 @@ func (r *Runner) jobSeed(thName, modelName, setting string) int64 {
 	return r.Seed ^ int64(h.Sum64())
 }
 
+// newModel binds a profile to a restricted environment, sharing the
+// runner's lemma table when it has one (a zero-value Runner's models
+// analyze their prompts' lemmas privately).
+func (r *Runner) newModel(prof model.Profile, env *kernel.Env) *model.Model {
+	if lt := r.lemmaTable(); lt != nil {
+		return model.NewWithLemmas(prof, env, lt)
+	}
+	return model.New(prof, env)
+}
+
+// lemmaTable returns the shared lemma table, building it on first use (nil
+// for a zero-value Runner).
+func (r *Runner) lemmaTable() *model.LemmaTable {
+	if r.lemmas == nil {
+		return nil
+	}
+	r.lemmas.once.Do(func() {
+		r.lemmas.table = model.NewLemmaTable(r.Corpus.Env)
+	})
+	return r.lemmas.table
+}
+
 // builder assembles a prompt.Builder for one model/setting, wired to the
 // shared item cache when the runner has one.
 func (r *Runner) builder(prof model.Profile, setting prompt.Setting) prompt.Builder {
@@ -395,8 +428,7 @@ func (r *Runner) runWithPrompt(prof model.Profile, setting prompt.Setting, th *c
 	}
 
 	ng := r.ngramFor(pr)
-	mdl := model.New(prof, env)
-	mdl.Retr = r.retrIdx
+	mdl := r.newModel(prof, env)
 	rng := rand.New(rand.NewSource(r.jobSeed(th.Name, prof.Name, setting.String())))
 
 	cfg := core.Config{
@@ -500,8 +532,7 @@ func (r *Runner) RunWholeProof(prof model.Profile, setting prompt.Setting, th *c
 	b := r.builder(prof, setting)
 	pr := b.Build(th)
 	ng := r.ngramFor(pr)
-	mdl := model.New(prof, env)
-	mdl.Retr = r.retrIdx
+	mdl := r.newModel(prof, env)
 	rng := rand.New(rand.NewSource(r.jobSeed(th.Name, prof.Name, setting.String()+"/whole")))
 
 	out := Outcome{

@@ -492,8 +492,8 @@ var (
 	typeArena [arenaShards]typeShard
 )
 
-func termInterned(t *Term) bool { return t == nil || t.interned }
-func formInterned(f *Form) bool { return f == nil || f.interned }
+func termInterned(t *Term) bool  { return t == nil || t.interned }
+func formInterned(f *Form) bool  { return f == nil || f.interned }
 func typeInterned(ty *Type) bool { return ty == nil || ty.interned }
 
 // sameTermShallow compares two hashed nodes by children POINTER equality.

@@ -173,7 +173,7 @@ func TestFingerprintKeyMatchesTextual(t *testing.T) {
 func TestFingerprintKeySeeded(t *testing.T) {
 	cases := []*Form{
 		Pred("le", V("n"), V("m")),
-		Forall("n", Ty("nat"), Pred("le", V("n"), V("m"))),  // binder shadows a renamed free var
+		Forall("n", Ty("nat"), Pred("le", V("n"), V("m"))),   // binder shadows a renamed free var
 		Forall("v0", Ty("nat"), Pred("le", V("v0"), V("n"))), // binder equals a replacement name
 		Impl(Eq(V("n"), A("O")), Exists("k", Ty("nat"), Eq(V("m"), V("k")))),
 	}

@@ -7,12 +7,10 @@ import (
 	"sort"
 	"strings"
 
-	"llmfscq/internal/corpus"
 	"llmfscq/internal/kernel"
 	"llmfscq/internal/prompt"
 	"llmfscq/internal/tactic"
 	"llmfscq/internal/textmetrics"
-	"sync"
 )
 
 // Candidate is one proposed next tactic with its log-probability (the
@@ -24,19 +22,20 @@ type Candidate struct {
 
 // Model is a simulated LLM: a capability profile bound to an environment
 // (used only to parse the lemma statements that are visible in the prompt).
-// A Model is owned by one proof search at a time: the retrieval index is a
-// per-(prompt, n-gram) memo and is not safe for concurrent Propose calls
-// on the same Model (grid workers each build their own).
+// A Model is owned by one proof search at a time: its retrieval view and
+// scratch space are per-search memos and are not safe for concurrent
+// Propose calls on the same Model (grid workers each build their own).
 type Model struct {
 	Profile Profile
 	Env     *kernel.Env
-	// Retr, when set, shares retrieval indexes across the searches of a
-	// sweep (the runner owns one). A Model is per-search, but the index is
-	// a pure function of (prompt, n-gram, profile) — all pointer-stable
-	// across a runner — so rebuilding it per search only burned allocation.
-	Retr *RetrCache
-	retr *retrIndex
-	norm map[string]string // candidate text -> dedup key memo
+	// lemmas is the lemma-statement analysis retrieval reads: the corpus
+	// table shared by a sweep (NewWithLemmas), or a private table over the
+	// prompt's lemmas built on first use. view pairs the visible lemmas
+	// with their prompt- and n-gram-dependent weights; it lives and dies
+	// with this Model, so memory does not grow with the searches run.
+	lemmas *LemmaTable
+	view   *retrView
+	norm   map[string]string // candidate text -> dedup key memo
 	// scoreParts caches the candidate-local terms of NGram.Score (the
 	// unigram and head-word components, which depend only on the candidate
 	// text); the prev-dependent bigram row is hoisted out of the candidate
@@ -55,9 +54,15 @@ type Model struct {
 	// only the per-query candidates layered over a memoized slate, so a
 	// memo-hit query clears a map holding a handful of entries instead of
 	// one sized for the whole pool.
-	byText, overlay   map[string]int
-	goalSyms, hypSyms map[string]bool
-	hypSymScratch     map[string]bool
+	byText, overlay map[string]int
+	// Per-query retrieval marks, indexed by table symbol id: a symbol is in
+	// the goal (hypotheses) when goalMark (hypMark) holds the query's epoch,
+	// and hypFirst is then the first hypothesis mentioning it. hypHeads are
+	// the hypotheses' heads. See markSymbols.
+	goalMark, hypMark []uint32
+	hypFirst          []int32
+	epoch             uint32
+	hypHeads          []head
 	// scoreBuf packs the softmax lanes (utilities | probabilities | Gumbel
 	// keys) into one struct-of-arrays buffer: a single grow per slate size
 	// instead of three, and the lanes stay on the same cache lines.
@@ -77,8 +82,18 @@ type slateEntry struct {
 	byText map[string]int
 }
 
-// New binds a profile to an environment.
+// New binds a profile to an environment. The model analyzes the lemma
+// statements its prompt shows on first use; NewWithLemmas shares that
+// analysis across models instead.
 func New(p Profile, env *kernel.Env) *Model { return &Model{Profile: p, Env: env} }
+
+// NewWithLemmas binds a profile to an environment and a shared lemma table,
+// built by NewLemmaTable over the environment env was restricted from. A
+// lemma the table analyzed with another statement than env's makes the
+// model fall back to a private table, so results never depend on sharing.
+func NewWithLemmas(p Profile, env *kernel.Env, lt *LemmaTable) *Model {
+	return &Model{Profile: p, Env: env, lemmas: lt}
+}
 
 // scorePart holds the memoized candidate-local terms of NGram.Score,
 // pre-scaled but kept separate so the final sum adds them in the same
@@ -89,10 +104,11 @@ type scorePart struct {
 
 // scored is an internal candidate with its utility components.
 type scored struct {
-	text string
-	h    float64 // goal-directed heuristic (scaled by HeuristicSkill)
-	r    float64 // retrieval relevance (already skill-scaled)
-	j    float64 // raw utility (noise candidates compete unscaled)
+	text  string
+	h     float64 // goal-directed heuristic (scaled by HeuristicSkill)
+	r     float64 // retrieval relevance (already skill-scaled)
+	j     float64 // raw utility (noise candidates compete unscaled)
+	keyed bool    // text is already its dedup key (lemma-table candidates)
 }
 
 // Propose generates up to MaxOutputs tactic candidates for the focused goal
@@ -167,11 +183,11 @@ func (m *Model) Propose(p *prompt.Prompt, st *tactic.State, path []string, ng *N
 	// compounds) and the capability noise (corrupted names and junk tactics
 	// competing with real candidates). Merge order matches a single deduped
 	// pool exactly, so slates are byte-identical to the memo-free path.
-	if ng != nil {
-		for _, cont := range ng.Continuations(prev, 3) {
+	if nx := ng.nextOf(prev); nx != nil {
+		for _, cont := range nx.conts {
 			uniq = m.fold(uniq, over, base, scored{text: cont, h: 0.9})
 		}
-		for _, pair := range ng.ContinuationPairs(prev, 3) {
+		for _, pair := range nx.pairs {
 			uniq = m.fold(uniq, over, base, scored{text: pair.Text, h: 1.1 + 0.25*math.Log1p(pair.Count)})
 		}
 	}
@@ -339,19 +355,19 @@ func gumbel(rng *rand.Rand) float64 {
 // ---------------------------------------------------------------------------
 // Goal-directed enumeration
 
-// symbolsOf collects function, predicate, and constructor names in a form.
-func symbolsOf(f *kernel.Form, out map[string]bool) {
+// forEachSymbol calls fn for every applied function, predicate, and
+// constructor name in f, in a deterministic walk order, repeats included.
+func forEachSymbol(f *kernel.Form, fn func(string)) {
 	if f == nil {
 		return
 	}
-	var term func(t *kernel.Term)
-	term = func(t *kernel.Term) {
+	term := func(t *kernel.Term) {
 		if t == nil {
 			return
 		}
 		t.Subterms(func(u *kernel.Term) bool {
 			if u.IsApp() && u.Fun != "" {
-				out[u.Fun] = true
+				fn(u.Fun)
 			}
 			return true
 		})
@@ -361,68 +377,33 @@ func symbolsOf(f *kernel.Form, out map[string]bool) {
 		term(f.T1)
 		term(f.T2)
 	case kernel.FPred:
-		out[f.Pred] = true
+		fn(f.Pred)
 		for _, a := range f.Args {
 			term(a)
 		}
 	case kernel.FNot:
-		symbolsOf(f.L, out)
+		forEachSymbol(f.L, fn)
 	case kernel.FAnd, kernel.FOr, kernel.FImpl, kernel.FIff:
-		symbolsOf(f.L, out)
-		symbolsOf(f.R, out)
+		forEachSymbol(f.L, fn)
+		forEachSymbol(f.R, fn)
 	case kernel.FForall, kernel.FExists:
-		symbolsOf(f.Body, out)
+		forEachSymbol(f.Body, fn)
 	}
 }
 
-// orderedSymbols returns the unique applied symbols of f in deterministic
-// first-encounter order. The retrieval index stores symbol lists (a map
-// range would sum the overlap score in randomized order), so the walk
-// order here is the iteration order of the cached scoring loop.
+// orderedSymbols returns the unique applied symbols of f in first-encounter
+// order. The lemma table stores symbol lists (a map range would sum the
+// overlap score in randomized order), so the walk order here is the
+// iteration order of the scoring loop.
 func orderedSymbols(f *kernel.Form) []string {
 	seen := map[string]bool{}
 	var out []string
-	add := func(s string) {
+	forEachSymbol(f, func(s string) {
 		if !seen[s] {
 			seen[s] = true
 			out = append(out, s)
 		}
-	}
-	var walk func(f *kernel.Form)
-	walk = func(f *kernel.Form) {
-		if f == nil {
-			return
-		}
-		term := func(t *kernel.Term) {
-			if t == nil {
-				return
-			}
-			t.Subterms(func(u *kernel.Term) bool {
-				if u.IsApp() && u.Fun != "" {
-					add(u.Fun)
-				}
-				return true
-			})
-		}
-		switch f.Kind {
-		case kernel.FEq:
-			term(f.T1)
-			term(f.T2)
-		case kernel.FPred:
-			add(f.Pred)
-			for _, a := range f.Args {
-				term(a)
-			}
-		case kernel.FNot:
-			walk(f.L)
-		case kernel.FAnd, kernel.FOr, kernel.FImpl, kernel.FIff:
-			walk(f.L)
-			walk(f.R)
-		case kernel.FForall, kernel.FExists:
-			walk(f.Body)
-		}
-	}
-	walk(f)
+	})
 	return out
 }
 
@@ -519,14 +500,19 @@ func looksArith(f *kernel.Form) bool {
 // score per component for repeated keys. over is the per-query overlay
 // index; base, when non-nil, is a memoized slateEntry's read-only index
 // (its entries address the copied prefix of uniq, so merging through it is
-// safe — only uniq is mutated). Normalization is memoized per text: it is
-// a pure string function and candidate texts repeat heavily across the
+// safe — only uniq is mutated). Lemma-table candidates arrive keyed;
+// other texts are normalized through a per-model memo: normalization is a
+// pure string function and candidate texts repeat heavily across the
 // queries of a search.
 func (m *Model) fold(uniq []scored, over map[string]int, base map[string]int, c scored) []scored {
-	key, ok := m.norm[c.text]
-	if !ok {
-		key = strings.TrimSuffix(textmetrics.NormalizeScript(c.text), ".")
-		m.norm[c.text] = key
+	key := c.text
+	if !c.keyed {
+		k, ok := m.norm[c.text]
+		if !ok {
+			k = dedupKey(c.text)
+			m.norm[c.text] = k
+		}
+		key = k
 	}
 	if key == "" {
 		return uniq
@@ -731,13 +717,14 @@ func (m *Model) structural(out []scored, g *tactic.Goal) []scored {
 	}
 
 	// simpl when computation is visible.
-	syms := map[string]bool{}
-	symbolsOf(c, syms)
-	for s := range syms {
+	computes := false
+	forEachSymbol(c, func(s string) {
 		if _, isFun := m.Env.Funs[s]; isFun {
-			add("simpl.", 1.3)
-			break
+			computes = true
 		}
+	})
+	if computes {
+		add("simpl.", 1.3)
 	}
 
 	// Stuck matches invite case analysis on the scrutinee (the
@@ -901,197 +888,6 @@ func (m *Model) recursiveArgVars(f *kernel.Form) map[string]bool {
 	}
 	walk(f)
 	return out
-}
-
-// ---------------------------------------------------------------------------
-// Retrieval from the visible prompt
-
-// lemRecord is the goal-independent analysis of one lemma visible in a
-// prompt: statement symbols, position decay, hint-proof usage, conclusion
-// shape, and the pre-rendered candidate texts. A search queries the model
-// up to fuel times against the same prompt, so this is computed once per
-// (prompt, n-gram) pair instead of per query.
-type lemRecord struct {
-	name                               string
-	syms                               []string // unique statement symbols, deterministic walk order
-	sqrtN                              float64  // sqrt(len(syms)), the overlap normalizer
-	quality                            float64  // RetrievalSkill * position decay
-	usage                              float64  // log1p(hint-proof usage count)
-	isEq                               bool
-	lhsHead                            string // head symbol of the equation LHS ("" if none)
-	concl                              string // goal head of the conclusion
-	premHead                           string // goal head of the first premise ("" if no premises)
-	hasPrems                           bool
-	rewrite, rewriteRev, apply, eapply string
-}
-
-type retrIndex struct {
-	prompt *prompt.Prompt
-	ng     *NGram
-	lems   []lemRecord
-}
-
-// RetrCache shares immutable retrieval indexes across searches. Entries are
-// read-only after construction and the build is deterministic, so a racing
-// duplicate build stores an identical index; results cannot depend on which
-// one wins.
-type RetrCache struct{ m sync.Map } // retrCacheKey -> []lemRecord
-
-// NewRetrCache builds an empty shared retrieval-index cache.
-func NewRetrCache() *RetrCache { return &RetrCache{} }
-
-// retrCacheKey keys a shared index. The profile name stands in for the
-// profile's retrieval parameters (skill, distraction half-life), which are
-// fixed per named profile.
-type retrCacheKey struct {
-	prompt  *prompt.Prompt
-	ng      *NGram
-	profile string
-}
-
-// retrIndexFor returns the per-prompt retrieval index, rebuilding it only
-// when the (prompt, n-gram) pair changes.
-func (m *Model) retrIndexFor(p *prompt.Prompt, ng *NGram) []lemRecord {
-	if m.retr != nil && m.retr.prompt == p && m.retr.ng == ng {
-		return m.retr.lems
-	}
-	var ck retrCacheKey
-	if m.Retr != nil {
-		ck = retrCacheKey{prompt: p, ng: ng, profile: m.Profile.Name}
-		if v, ok := m.Retr.m.Load(ck); ok {
-			lems := v.([]lemRecord)
-			m.retr = &retrIndex{prompt: p, ng: ng, lems: lems}
-			return lems
-		}
-	}
-	prof := m.Profile
-	n := len(p.Items)
-	var lems []lemRecord
-	for i, it := range p.Items {
-		if it.Kind != corpus.ItemLemma {
-			continue
-		}
-		lem, ok := m.Env.Lemmas[it.Name]
-		if !ok {
-			continue
-		}
-		dist := float64(n - 1 - i)
-		decay := math.Exp2(-dist / prof.DistractionHalfLife)
-		rec := lemRecord{
-			name:       it.Name,
-			quality:    prof.RetrievalSkill * decay,
-			rewrite:    "rewrite " + it.Name + ".",
-			rewriteRev: "rewrite <- " + it.Name + ".",
-			apply:      "apply " + it.Name + ".",
-			eapply:     "eapply " + it.Name + ".",
-		}
-		// Usage statistics from hint proofs: lemmas the humans applied
-		// often are much easier for the model to surface.
-		if ng != nil {
-			rec.usage = math.Log1p(ng.NameUsage(it.Name))
-		}
-		_, matrix := lem.Stmt.StripForalls()
-		prems, concl := matrix.StripImpls()
-		rec.syms = orderedSymbols(lem.Stmt)
-		rec.sqrtN = math.Sqrt(float64(len(rec.syms)))
-		rec.isEq = concl.Kind == kernel.FEq
-		if rec.isEq && concl.T1.IsApp() {
-			rec.lhsHead = concl.T1.Fun
-		}
-		rec.concl = goalHead(concl)
-		rec.hasPrems = len(prems) > 0
-		if rec.hasPrems {
-			rec.premHead = goalHead(stripQuant(prems[0]))
-		}
-		lems = append(lems, rec)
-	}
-	if m.Retr != nil {
-		if v, loaded := m.Retr.m.LoadOrStore(ck, lems); loaded {
-			lems = v.([]lemRecord)
-		}
-	}
-	m.retr = &retrIndex{prompt: p, ng: ng, lems: lems}
-	return lems
-}
-
-func (m *Model) retrieval(out []scored, p *prompt.Prompt, g *tactic.Goal, ng *NGram) []scored {
-	if m.goalSyms == nil {
-		m.goalSyms, m.hypSyms = map[string]bool{}, map[string]bool{}
-	} else {
-		clear(m.goalSyms)
-		clear(m.hypSyms)
-	}
-	goalSyms, hypSyms := m.goalSyms, m.hypSyms
-	symbolsOf(g.Concl, goalSyms)
-	for _, h := range g.Hyps {
-		symbolsOf(h.Form, hypSyms)
-	}
-	gh := goalHead(g.Concl)
-
-	for i := range m.retrIndexFor(p, ng) {
-		rec := &m.retr.lems[i]
-		overlap := 0.0
-		for _, s := range rec.syms {
-			if goalSyms[s] {
-				overlap += 1.0
-			} else if hypSyms[s] {
-				overlap += 0.4
-			}
-		}
-		if len(rec.syms) > 0 {
-			overlap /= rec.sqrtN
-		}
-
-		rel := (overlap + 1.6*rec.usage) * rec.quality
-		if rec.isEq {
-			// Equation: rewriting material.
-			w := rel
-			if rec.lhsHead != "" && goalSyms[rec.lhsHead] {
-				w += 1.3 * rec.quality
-			}
-			out = append(out, scored{text: rec.rewrite, r: w})
-			out = append(out, scored{text: rec.rewriteRev, r: 0.4 * w})
-			if rec.lhsHead != "" && hypSyms[rec.lhsHead] {
-				if m.hypSymScratch == nil {
-					m.hypSymScratch = map[string]bool{}
-				}
-				for _, h := range g.Hyps {
-					clear(m.hypSymScratch)
-					symbolsOf(h.Form, m.hypSymScratch)
-					if m.hypSymScratch[rec.lhsHead] {
-						out = append(out, scored{text: "rewrite " + rec.name + " in " + h.Name + ".", r: 0.8 * w})
-						break
-					}
-				}
-			}
-		}
-		if rec.concl == gh {
-			w := rel + 1.1*rec.quality
-			out = append(out, scored{text: rec.apply, r: w})
-			if rec.hasPrems {
-				out = append(out, scored{text: rec.eapply, r: 0.7 * w})
-			}
-		} else if overlap > 0.5 {
-			out = append(out, scored{text: rec.apply, r: 0.3 * rel})
-		}
-		// Forward chaining into a matching hypothesis.
-		if rec.hasPrems && rec.premHead != "?" {
-			for _, h := range g.Hyps {
-				if goalHead(h.Form) == rec.premHead {
-					out = append(out, scored{text: "apply " + rec.name + " in " + h.Name + ".", r: 0.5 * rel})
-					break
-				}
-			}
-		}
-	}
-	return out
-}
-
-func stripQuant(f *kernel.Form) *kernel.Form {
-	for f != nil && f.Kind == kernel.FForall {
-		f = f.Body
-	}
-	return f
 }
 
 // ---------------------------------------------------------------------------

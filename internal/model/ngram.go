@@ -23,6 +23,20 @@ type NGram struct {
 	// argument across the visible hint proofs (the usage-statistics signal
 	// that boosts retrieval of frequently-applied lemmas).
 	nameFreq map[string]float64
+	// next holds what Propose folds in per predecessor — its top
+	// proposeConts continuations and the two-step pairs built from them —
+	// computed once when the n-gram is mined instead of sorted per query.
+	next map[string]*nextSteps
+}
+
+// proposeConts is how many continuations (and pairs) Propose folds in.
+const proposeConts = 3
+
+// nextSteps is one predecessor's precomputed Continuations(prev,
+// proposeConts) and ContinuationPairs(prev, proposeConts).
+type nextSteps struct {
+	conts []string
+	pairs []WeightedCont
 }
 
 // BuildNGram mines the hint proofs of a prompt.
@@ -58,7 +72,43 @@ func BuildNGram(p *prompt.Prompt) *NGram {
 			ng.total++
 		}
 	}
+	ng.next = make(map[string]*nextSteps, len(ng.bi))
+	for prev := range ng.bi {
+		ng.next[prev] = &nextSteps{conts: ng.Continuations(prev, proposeConts)}
+	}
+	for _, nx := range ng.next {
+		nx.pairs = ng.pairsOf(nx.conts)
+	}
 	return ng
+}
+
+// pairsOf builds the two-step idioms of ContinuationPairs from the ranked
+// continuations of a predecessor, reading each one's own top successor
+// from the precomputed table instead of re-sorting its row.
+func (ng *NGram) pairsOf(conts []string) []WeightedCont {
+	var out []WeightedCont
+	for _, a := range conts {
+		nx := ng.next[a]
+		if nx == nil {
+			continue
+		}
+		b := nx.conts[0]
+		cnt := ng.bi[a][b]
+		if cnt < 2 {
+			continue
+		}
+		out = append(out, WeightedCont{Text: a + "; " + b, Count: cnt})
+	}
+	return out
+}
+
+// nextOf returns the precomputed proposals after prev (nil when there are
+// none or ng is nil).
+func (ng *NGram) nextOf(prev string) *nextSteps {
+	if ng == nil {
+		return nil
+	}
+	return ng.next[prev]
 }
 
 // countNames accumulates identifier-argument usage in a tactic expression.

@@ -112,12 +112,12 @@ type Coordinator struct {
 	Stats Stats
 
 	mu        sync.Mutex
-	queues    [][]int           // per-worker shard deques of unit indices
-	flights   []*flight         // in-flight units, unordered
-	flightPos map[int]int       // unit index -> position in flights
-	completed []bool            // merged units
-	remaining int               // units not yet merged
-	wake      chan struct{}     // closed+replaced on every merge
+	queues    [][]int       // per-worker shard deques of unit indices
+	flights   []*flight     // in-flight units, unordered
+	flightPos map[int]int   // unit index -> position in flights
+	completed []bool        // merged units
+	remaining int           // units not yet merged
+	wake      chan struct{} // closed+replaced on every merge
 }
 
 // New builds a coordinator over a runner and a fleet.

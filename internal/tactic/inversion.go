@@ -39,9 +39,12 @@ func tacInversion(env *kernel.Env, g *Goal, hname string, clear bool) ([]*Goal, 
 			}
 			args[i] = na
 		}
+		// The in-scope names are the same for every rule: compute them
+		// once and let each rule borrow them (see invertRule).
+		used := base.usedNames()
 		var out []*Goal
 		for i := range p.Rules {
-			sub, err := invertRule(env, base, &p.Rules[i], args)
+			sub, err := invertRule(env, base, &p.Rules[i], args, used)
 			if err != nil {
 				return nil, err
 			}
@@ -67,26 +70,23 @@ type invEq struct{ lhs, rhs *kernel.Term }
 
 // invertRule matches one rule's conclusion against the hypothesis arguments.
 // Returns (nil, nil) when the rule is impossible (constructor clash).
-func invertRule(env *kernel.Env, g *Goal, r *kernel.Rule, hypArgs []*kernel.Term) (*Goal, error) {
+//
+// used is g's in-scope name set (g.usedNames()), shared by all the rules of
+// one inversion. A rule overlays the names it adds — its fresh variables,
+// then its hypotheses' names — and removes them again before returning, so
+// every rule sees exactly g's names and none copies the set.
+func invertRule(env *kernel.Env, g *Goal, r *kernel.Rule, hypArgs []*kernel.Term, used map[string]bool) (*Goal, error) {
 	if len(r.ConclArgs) != len(hypArgs) {
 		return nil, fmt.Errorf("tactic: arity mismatch inverting rule %s", r.Name)
 	}
-	// Freshen rule variables against goal names.
-	used := g.usedNames()
-	ren := map[string]string{}
-	var freshVars []kernel.TypedVar
+	// Freshen rule variables against goal names; flex holds the fresh
+	// variables, the names decompose may bind.
+	flex := make([]kernel.TypedVar, 0, len(r.Vars))
+	renSub := make(kernel.Subst, len(r.Vars))
 	for _, v := range r.Vars {
 		f := kernel.FreshName(v.Name, used)
-		ren[v.Name] = f
-		freshVars = append(freshVars, kernel.TypedVar{Name: f, Type: v.Type})
-	}
-	flex := map[string]bool{}
-	for _, v := range freshVars {
-		flex[v.Name] = true
-	}
-	renSub := make(kernel.Subst, len(ren))
-	for k, v := range ren {
-		renSub[k] = kernel.V(v)
+		renSub[v.Name] = kernel.V(f)
+		flex = append(flex, kernel.TypedVar{Name: f, Type: v.Type})
 	}
 
 	sub := kernel.Subst{}
@@ -102,7 +102,7 @@ func invertRule(env *kernel.Env, g *Goal, r *kernel.Rule, hypArgs []*kernel.Term
 		a = kernel.Resolve(a, sub)
 		b = kernel.Resolve(b, sub)
 		switch {
-		case a.IsVar() && flex[a.Var]:
+		case a.IsVar() && declares(flex, a.Var):
 			sub[a.Var] = b
 		case a.IsVar() && b.IsVar() && a.Var == b.Var:
 			// identical rigid variables
@@ -124,21 +124,26 @@ func invertRule(env *kernel.Env, g *Goal, r *kernel.Rule, hypArgs []*kernel.Term
 	for i := range hypArgs {
 		decompose(r.ConclArgs[i].ApplySubst(renSub), hypArgs[i])
 		if impossible {
+			forgetVars(used, flex)
 			return nil, nil
 		}
 	}
 
 	ng := g.Clone()
-	// Add the rule variables that remained unbound.
-	for _, v := range freshVars {
+	// Add the rule variables that remained unbound. The new goal's names
+	// are g's plus exactly those, so the bound ones leave the overlay
+	// before hypotheses are named.
+	for _, v := range flex {
 		if _, bound := sub[v.Name]; !bound {
 			ng.Vars = append(ng.Vars, v)
+		} else {
+			delete(used, v.Name)
 		}
 	}
-	usedH := ng.usedNames()
+	firstNew := len(ng.Hyps)
 	for _, prem := range r.Prems {
 		f := kernel.FullResolveForm(prem.SubstTerm(renSub), sub)
-		ng.Hyps = append(ng.Hyps, Hyp{Name: ng.FreshHypName(usedH), Form: f})
+		ng.Hyps = append(ng.Hyps, Hyp{Name: ng.FreshHypName(used), Form: f})
 	}
 	for _, eq := range leftovers {
 		l := kernel.FullResolve(eq.lhs, sub)
@@ -146,9 +151,31 @@ func invertRule(env *kernel.Env, g *Goal, r *kernel.Rule, hypArgs []*kernel.Term
 		if l.Equal(rr) {
 			continue
 		}
-		ng.Hyps = append(ng.Hyps, Hyp{Name: ng.FreshHypName(usedH), Form: kernel.Eq(l, rr)})
+		ng.Hyps = append(ng.Hyps, Hyp{Name: ng.FreshHypName(used), Form: kernel.Eq(l, rr)})
+	}
+	// Hand used back as it came.
+	forgetVars(used, flex)
+	for _, h := range ng.Hyps[firstNew:] {
+		delete(used, h.Name)
 	}
 	return ng, nil
+}
+
+// declares reports whether vars declares name.
+func declares(vars []kernel.TypedVar, name string) bool {
+	for _, v := range vars {
+		if v.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// forgetVars removes vars' names from used.
+func forgetVars(used map[string]bool, vars []kernel.TypedVar) {
+	for _, v := range vars {
+		delete(used, v.Name)
+	}
 }
 
 // invertEquality performs injection/discrimination on an equality

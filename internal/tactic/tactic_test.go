@@ -28,6 +28,10 @@ Inductive In (A : Type) : A -> list A -> Prop :=
 | In_head : forall (x : A) (l : list A), In x (cons x l)
 | In_tail : forall (x y : A) (l : list A), In x l -> In x (cons y l).
 Definition lt (n m : nat) : Prop := le (S n) m.
+Inductive twice : nat -> Prop :=
+| twice_succ : forall (m : nat), twice (S m)
+| twice_refl : forall (m H : nat), le H H -> le O H -> twice H
+| twice_zero : forall (m n : nat), le m n -> le n m -> twice O.
 Hint Constructors le.
 Hint Constructors In.
 `
@@ -248,6 +252,34 @@ func TestInversion(t *testing.T) {
 	// Rule premises become hypotheses.
 	proves(t, env, "forall (A : Type) (x y : A) (l : list A), In x (cons y l) -> x = y \\/ In x l",
 		"intros. inversion H. subst. left. reflexivity. right. assumption.")
+}
+
+// Inversion freshens every rule against the goal's own names: no rule
+// sees the variables or hypothesis names an earlier rule added, whether
+// that rule was impossible (twice_succ's m) or survived (twice_refl's m
+// and H0), and a rule variable substituted away leaves the scope before
+// the rule's hypotheses are named (twice_refl's H).
+func TestInversionRulesFreshenIndependently(t *testing.T) {
+	env := buildEnv(t)
+	st := NewState(env, stmt(t, env, "forall (k : nat), twice O -> le k k"))
+	for _, sentence := range []string{"intros.", "inversion_clear H."} {
+		var err error
+		if st, err = ApplySentence(st, sentence); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{
+		"k : nat\nm : nat\nH : le 0 0\nH0 : le 0 0\n============================\nle k k",
+		"k : nat\nm : nat\nn : nat\nH : le m n\nH0 : le n m\n============================\nle k k",
+	}
+	if len(st.Goals) != len(want) {
+		t.Fatalf("%d goals after inversion, want %d", len(st.Goals), len(want))
+	}
+	for i, g := range st.Goals {
+		if got := strings.TrimSpace(g.String()); got != want[i] {
+			t.Errorf("goal %d:\n%s\nwant:\n%s", i, got, want[i])
+		}
+	}
 }
 
 func TestRuleInduction(t *testing.T) {
