@@ -25,6 +25,13 @@ type Candidate struct {
 // A Model is owned by one proof search at a time: its retrieval view and
 // scratch space are per-search memos and are not safe for concurrent
 // Propose calls on the same Model (grid workers each build their own).
+//
+// Propose names every candidate by an integer id, one per dedup key, from
+// two spaces: a key the lemma table yields keeps the table's id (below
+// nt), and any other key gets a local id, from nt up, the first time the
+// Model sees it. Dedup, the n-gram terms and the bigram bonus are then
+// loads from id-indexed state, and a text is looked up only for the
+// candidates Propose returns.
 type Model struct {
 	Profile Profile
 	Env     *kernel.Env
@@ -35,26 +42,38 @@ type Model struct {
 	// with this Model, so memory does not grow with the searches run.
 	lemmas *LemmaTable
 	view   *retrView
-	norm   map[string]string // candidate text -> dedup key memo
-	// scoreParts caches the candidate-local terms of NGram.Score (the
-	// unigram and head-word components, which depend only on the candidate
-	// text); the prev-dependent bigram row is hoisted out of the candidate
-	// loop instead of being memoized, which keeps the memo's cardinality at
-	// the candidate vocabulary rather than its product with every prev.
-	// Cleared when the n-gram changes.
-	scoreNG    *NGram
-	scoreParts map[string]scorePart
+
+	// The candidate vocabulary, numbered under idsOf (a new table renumbers
+	// it; see viewFor). vocab resolves a candidate text to its key's id (-1
+	// for an empty key, which is dropped); local resolves a local key, and
+	// keys lists the local keys (id nt+i is keys[i]).
+	idsOf *LemmaTable
+	nt    int32
+	vocab map[string]int32
+	local map[string]int32
+	keys  []string
+	// Per-id state, one array per id space so that each grows with the ids
+	// this search touches rather than with the table: tab is indexed by
+	// table id, loc by local id - nt.
+	tab, loc []idState
+	qep      uint32 // query epoch: the stamps in idState that equal it are this query's
+	// scoreGen versions the n-gram terms in idState; it moves when the
+	// n-gram does.
+	scoreNG  *NGram
+	scoreGen uint32
 
 	// Propose scratch space, reused across the queries of a search. The
 	// sweep spends most of its time in Propose, and per-query maps and
 	// slices were the dominant allocation source.
-	pool, uniq, jpool []scored
-	slate             map[[2]uint64]*slateEntry
-	// byText indexes full-pool folds (slate-miss queries); overlay indexes
-	// only the per-query candidates layered over a memoized slate, so a
-	// memo-hit query clears a map holding a handful of entries instead of
-	// one sized for the whole pool.
-	byText, overlay map[string]int
+	texts      []textCand
+	pool, uniq []scored
+	// slate memoizes the deduplicated structural + retrieval pool per
+	// focused goal. A Model serves one search, so its prompt and n-gram
+	// are fixed for its lifetime (viewFor drops the memo otherwise) and an
+	// entry depends on the goal identity alone; only the prev-dependent
+	// continuations and the rng-driven noise are folded in per query. A
+	// nil entry marks a goal seen once.
+	slate map[[2]uint64][]scored
 	// Per-query retrieval marks, indexed by table symbol id: a symbol is in
 	// the goal (hypotheses) when goalMark (hypMark) holds the query's epoch,
 	// and hypFirst is then the first hypothesis mentioning it. hypHeads are
@@ -71,15 +90,20 @@ type Model struct {
 	out      []Candidate
 }
 
-// slateEntry is the memoized deterministic slate for one focused goal: the
-// structural + retrieval pool, already normalized and deduplicated. A Model
-// serves one search, so its prompt and n-gram are fixed for its lifetime
-// and the entry depends on the goal identity alone; only the prev-dependent
-// continuations and the rng-driven noise are folded in per query. byText
-// maps dedup key -> index into uniq and is read-only after construction.
-type slateEntry struct {
-	uniq   []scored
-	byText map[string]int
+// idState is what a Model tracks per candidate id. Stamps replace
+// clearing: an entry's slate position is current only while seen equals
+// the query epoch, its bigram bonus only while biEp does, and its n-gram
+// terms only while gen equals the score generation.
+type idState struct {
+	seen uint32 // query epoch in which the id entered the slate...
+	pos  int32  // ...at this index
+	biEp uint32
+	gen  uint32
+	// The terms of NGram.Score, pre-scaled but kept apart so the sum adds
+	// them in Score's order (floating-point addition does not reassociate):
+	// the bonus for following the query's predecessor, then the unigram
+	// and head-word terms, which depend on the key alone.
+	bi, u12, h05 float64
 }
 
 // New binds a profile to an environment. The model analyzes the lemma
@@ -95,20 +119,21 @@ func NewWithLemmas(p Profile, env *kernel.Env, lt *LemmaTable) *Model {
 	return &Model{Profile: p, Env: env, lemmas: lt}
 }
 
-// scorePart holds the memoized candidate-local terms of NGram.Score,
-// pre-scaled but kept separate so the final sum adds them in the same
-// order as Score itself (floating-point addition does not reassociate).
-type scorePart struct {
-	u12, h05 float64
+// scored is an internal candidate with its utility components. It names
+// its dedup key by id, so the scratch slices holding it carry no pointers
+// and appending to them pays no GC write barrier.
+type scored struct {
+	h  float64 // goal-directed heuristic (scaled by HeuristicSkill)
+	r  float64 // retrieval relevance (already skill-scaled)
+	j  float64 // raw utility (noise candidates compete unscaled)
+	id int32   // candidate id; -1 (an empty key) is dropped by fold
 }
 
-// scored is an internal candidate with its utility components.
-type scored struct {
-	text  string
-	h     float64 // goal-directed heuristic (scaled by HeuristicSkill)
-	r     float64 // retrieval relevance (already skill-scaled)
-	j     float64 // raw utility (noise candidates compete unscaled)
-	keyed bool    // text is already its dedup key (lemma-table candidates)
+// textCand is a generated candidate still named by its text: structural
+// sets its heuristic h, junk its raw utility j.
+type textCand struct {
+	text string
+	h, j float64
 }
 
 // Propose generates up to MaxOutputs tactic candidates for the focused goal
@@ -129,53 +154,48 @@ func (m *Model) Propose(p *prompt.Prompt, st *tactic.State, path []string, ng *N
 	if len(path) > 0 {
 		prev = textmetrics.NormalizeScript(path[len(path)-1])
 	}
+	// Settle the lemma table before resolving any id: viewFor may fall back
+	// to a private table, which renumbers the vocabulary.
+	m.viewFor(p, ng)
+	ep := m.nextEpoch()
 
 	// The deterministic slate (structural + retrieval, deduplicated) is a
 	// pure function of the goal for this Model's fixed prompt and n-gram;
 	// searches revisit the same focused goal across queries (repeat's
 	// progress loops, siblings sharing unfocused goals), and the memo keys
 	// on StrictKey because candidate texts mention concrete names.
-	if m.norm == nil {
-		m.norm = map[string]string{}
-		m.byText = map[string]int{}
-		m.overlay = map[string]int{}
-	}
 	if m.slate == nil {
-		m.slate = map[[2]uint64]*slateEntry{}
+		m.slate = map[[2]uint64][]scored{}
 	}
 	gk := goal.StrictKey()
-	ent, revisit := m.slate[gk]
-	var uniq []scored
-	var over map[string]int
-	var base map[string]int
-	if ent != nil {
-		clear(m.overlay)
-		over = m.overlay
-		uniq = append(m.uniq[:0], ent.uniq...)
-		base = ent.byText
+	memo, revisit := m.slate[gk]
+	uniq := m.uniq[:0]
+	if memo != nil {
+		// Re-stamp the copied prefix so the per-query candidates below
+		// merge into it.
+		uniq = append(uniq, memo...)
+		for i, c := range uniq {
+			s := m.state(c.id)
+			s.seen, s.pos = ep, int32(i)
+		}
 	} else {
-		clear(m.byText)
-		over = m.byText
-		pool := m.structural(m.pool[:0], goal)
+		m.texts = m.structural(m.texts[:0], goal)
+		pool := m.pool[:0]
+		for _, c := range m.texts {
+			pool = append(pool, scored{id: m.idOf(c.text), h: c.h})
+		}
 		pool = m.retrieval(pool, p, goal, ng)
 		m.pool = pool
+		for _, c := range pool {
+			uniq = m.fold(uniq, ep, c)
+		}
 		if revisit {
 			// Second sighting: this goal does recur, so the entry will pay
 			// for itself (first sightings — most goals in a search — stay
 			// in scratch and allocate nothing per query).
-			ent = &slateEntry{byText: make(map[string]int, len(pool))}
-			for _, c := range pool {
-				ent.uniq = m.fold(ent.uniq, ent.byText, nil, c)
-			}
-			m.slate[gk] = ent
-			uniq = append(m.uniq[:0], ent.uniq...)
-			base = ent.byText
+			m.slate[gk] = append([]scored(nil), uniq...)
 		} else {
 			m.slate[gk] = nil
-			uniq = m.uniq[:0]
-			for _, c := range pool {
-				uniq = m.fold(uniq, over, nil, c)
-			}
 		}
 	}
 	// Fold the per-query candidates on top: the idiomatic continuations
@@ -185,15 +205,15 @@ func (m *Model) Propose(p *prompt.Prompt, st *tactic.State, path []string, ng *N
 	// pool exactly, so slates are byte-identical to the memo-free path.
 	if nx := ng.nextOf(prev); nx != nil {
 		for _, cont := range nx.conts {
-			uniq = m.fold(uniq, over, base, scored{text: cont, h: 0.9})
+			uniq = m.fold(uniq, ep, scored{id: m.idOf(cont), h: 0.9})
 		}
 		for _, pair := range nx.pairs {
-			uniq = m.fold(uniq, over, base, scored{text: pair.Text, h: 1.1 + 0.25*math.Log1p(pair.Count)})
+			uniq = m.fold(uniq, ep, scored{id: m.idOf(pair.Text), h: 1.1 + 0.25*math.Log1p(pair.Count)})
 		}
 	}
-	m.jpool = m.junk(m.jpool[:0], goal, p, rng)
-	for _, c := range m.jpool {
-		uniq = m.fold(uniq, over, base, c)
+	m.texts = m.junk(m.texts[:0], goal, p, rng)
+	for _, c := range m.texts {
+		uniq = m.fold(uniq, ep, scored{id: m.idOf(c.text), j: c.j})
 	}
 	m.uniq = uniq
 	if len(uniq) == 0 {
@@ -205,49 +225,31 @@ func (m *Model) Propose(p *prompt.Prompt, st *tactic.State, path []string, ng *N
 	// a confident model emits duplicates, shrinking the effective search
 	// width — the reason the paper sees far more "stuck" than "fuelout".
 	prof := m.Profile
-	lanes := resize(&m.scoreBuf, 3*len(uniq))
-	utils := lanes[:len(uniq):len(uniq)]
+	n := len(uniq)
+	lanes := resize(&m.scoreBuf, 3*n)
+	utils := lanes[:n:n]
 	maxU := math.Inf(-1)
-	var biRow map[string]float64
 	scoreable := ng != nil && ng.total != 0
 	if scoreable {
-		if m.scoreNG != ng {
-			m.scoreNG = ng
-			if m.scoreParts == nil {
-				m.scoreParts = map[string]scorePart{}
-			} else {
-				clear(m.scoreParts)
-			}
-		}
-		biRow = ng.bi[prev]
+		m.stampBigrams(ng, prev, ep)
 	}
 	for i, c := range uniq {
-		// Open-coded ng.Score(prev, c.text): c.text is the dedup key, so
-		// it is already whitespace-normalized and Score's NormalizeScript
-		// would be the identity; the candidate-local terms come from the
-		// memo and the bigram row lookup is hoisted above the loop. The
-		// terms are summed in Score's order so the result is bit-identical.
+		// Open-coded ng.Score(prev, key): the key is already
+		// whitespace-normalized, so Score's NormalizeScript would be the
+		// identity; the key-local terms come from the id's state and the
+		// bigram row was stamped above. The terms are summed in Score's
+		// order so the result is bit-identical.
 		g := 0.0
 		if scoreable {
-			pt, ok := m.scoreParts[c.text]
-			if !ok {
-				// Log1p(0) is exactly 0, so the zero-count fast paths are
-				// bit-identical; most candidates miss the n-gram tables.
-				if n := ng.uni[c.text]; n != 0 {
-					pt.u12 = 0.12 * math.Log1p(n)
-				}
-				if n := ng.headUN[headOf(c.text)]; n != 0 {
-					pt.h05 = 0.05 * math.Log1p(n)
-				}
-				m.scoreParts[c.text] = pt
+			s := m.state(c.id)
+			if s.gen != m.scoreGen {
+				m.scoreTerms(s, c.id, ng)
 			}
-			if biRow != nil {
-				if n := biRow[c.text]; n != 0 {
-					g = 0.6 * math.Log1p(n)
-				}
+			if s.biEp == ep {
+				g = s.bi
 			}
-			g += pt.u12
-			g += pt.h05
+			g += s.u12
+			g += s.h05
 			if g > 2.0 {
 				g = 2.0
 			}
@@ -262,46 +264,12 @@ func (m *Model) Propose(p *prompt.Prompt, st *tactic.State, path []string, ng *N
 	if temp <= 0 {
 		temp = 0.01
 	}
-	probs := lanes[len(uniq) : 2*len(uniq) : 2*len(uniq)]
-	var z float64
-	for i, u := range utils {
-		probs[i] = math.Exp((u - maxU) / temp)
-		z += probs[i]
-	}
-	for i := range probs {
-		probs[i] /= z
-	}
 	// Gumbel-top-k selects MaxOutputs distinct candidates proportionally;
 	// confidence pruning then drops candidates far below the mode — a
 	// confident model's k samples concentrate and return fewer distinct
 	// tactics (why the paper sees more "stuck" than "fuelout").
-	keys := lanes[2*len(uniq):]
-	for i, p := range probs {
-		keys[i] = math.Log(p) + gumbel(rng)
-	}
-	// Stable top-k selection, equivalent to a full stable sort by key
-	// descending followed by order[:k] (k is MaxOutputs, at most 8, while
-	// the slate runs to hundreds): an insertion beats an equal key never —
-	// later indices stay after earlier ones, exactly the stable-sort order.
-	k := prof.MaxOutputs
-	if k > len(uniq) {
-		k = len(uniq)
-	}
-	order := resizeInt(&m.order, len(uniq))[:0]
-	for i := range keys {
-		n := len(order)
-		if n < k {
-			order = append(order, i)
-			n++
-		} else if keys[i] > keys[order[n-1]] {
-			order[n-1] = i
-		} else {
-			continue
-		}
-		for j := n - 1; j > 0 && keys[order[j]] > keys[order[j-1]]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
+	order := gumbelTopK(resizeInt(&m.order, n)[:0], lanes, maxU, temp, min(prof.MaxOutputs, n), rng)
+	probs := lanes[n : 2*n : 2*n]
 	pMax := 0.0
 	for _, idx := range order {
 		if probs[idx] > pMax {
@@ -318,11 +286,257 @@ func (m *Model) Propose(p *prompt.Prompt, st *tactic.State, path []string, ng *N
 		if rank >= minSlate && probs[idx] < confidencePrune*pMax {
 			continue
 		}
-		out = append(out, Candidate{Tactic: uniq[idx].text, LogProb: math.Log(probs[idx])})
+		out = append(out, Candidate{Tactic: m.keyText(uniq[idx].id), LogProb: math.Log(probs[idx])})
 	}
 	sort.SliceStable(out, func(a, b int) bool { return out[a].LogProb > out[b].LogProb })
 	m.out = out
 	return out
+}
+
+// ---------------------------------------------------------------------------
+// Candidate ids
+
+// resetIDs numbers the vocabulary afresh under the current lemma table.
+func (m *Model) resetIDs() {
+	m.idsOf = m.lemmas
+	m.nt = int32(len(m.lemmas.keys))
+	m.vocab = map[string]int32{}
+	m.local = map[string]int32{}
+	m.keys = m.keys[:0]
+	m.tab = m.tab[:0]
+	m.loc = m.loc[:0]
+}
+
+// growTab extends the table-id state to cover id.
+func (m *Model) growTab(id int32) {
+	if n := int(id) + 1; n > len(m.tab) {
+		m.tab = append(m.tab, make([]idState, n-len(m.tab))...)
+	}
+}
+
+// idOf resolves a candidate text to the id of its dedup key, numbering a
+// new local key. The memo is per text: normalization is a pure string
+// function and candidate texts repeat heavily across the queries of a
+// search.
+func (m *Model) idOf(text string) int32 {
+	if id, ok := m.vocab[text]; ok {
+		return id
+	}
+	id := int32(-1)
+	if key := dedupKey(text); key != "" {
+		id = m.keyID(key)
+		switch {
+		case id < 0:
+			id = m.nt + int32(len(m.keys))
+			m.keys = append(m.keys, key)
+			m.local[key] = id
+			m.loc = append(m.loc, idState{})
+		case id < m.nt:
+			m.growTab(id)
+		}
+	}
+	m.vocab[text] = id
+	return id
+}
+
+// keyID returns the id of a dedup key, or -1 if no candidate has had it.
+func (m *Model) keyID(key string) int32 {
+	if id, ok := m.idsOf.keyID[key]; ok {
+		return id
+	}
+	if id, ok := m.local[key]; ok {
+		return id
+	}
+	return -1
+}
+
+// keyText returns the dedup key an id names.
+func (m *Model) keyText(id int32) string {
+	if id < m.nt {
+		return m.idsOf.keys[id]
+	}
+	return m.keys[id-m.nt]
+}
+
+// state returns the per-id state of an id idOf or the view handed out.
+func (m *Model) state(id int32) *idState {
+	if id < m.nt {
+		return &m.tab[id]
+	}
+	return &m.loc[id-m.nt]
+}
+
+// nextEpoch starts a query: stamps from earlier queries stop matching.
+func (m *Model) nextEpoch() uint32 {
+	m.qep++
+	if m.qep == 0 {
+		clear(m.tab)
+		clear(m.loc)
+		m.qep = 1
+	}
+	return m.qep
+}
+
+// fold merges one candidate into the deduplicated slate, keeping the best
+// score per component for a repeated key. An id is in the slate when its
+// state was stamped with this query's epoch ep, at index pos.
+func (m *Model) fold(uniq []scored, ep uint32, c scored) []scored {
+	if c.id < 0 {
+		return uniq
+	}
+	s := m.state(c.id)
+	if s.seen == ep {
+		u := &uniq[s.pos]
+		if c.h > u.h {
+			u.h = c.h
+		}
+		if c.r > u.r {
+			u.r = c.r
+		}
+		if c.j > u.j {
+			u.j = c.j
+		}
+		return uniq
+	}
+	s.seen, s.pos = ep, int32(len(uniq))
+	return append(uniq, c)
+}
+
+// stampBigrams brings the n-gram terms to ng's generation and stamps, for
+// query ep, the bigram bonus of every mined successor of prev that is a
+// candidate key: one pass over a short row instead of a row lookup per
+// candidate.
+func (m *Model) stampBigrams(ng *NGram, prev string, ep uint32) {
+	if m.scoreNG != ng {
+		m.scoreNG = ng
+		m.scoreGen++
+		if m.scoreGen == 0 {
+			clear(m.tab)
+			clear(m.loc)
+			m.scoreGen = 1
+		}
+	}
+	for next, n := range ng.bi[prev] {
+		id := m.keyID(next)
+		if id < 0 || (id < m.nt && int(id) >= len(m.tab)) {
+			continue // no candidate has this key
+		}
+		s := m.state(id)
+		s.biEp, s.bi = ep, 0.6*math.Log1p(n)
+	}
+}
+
+// scoreTerms computes the key-local terms of NGram.Score for id.
+func (m *Model) scoreTerms(s *idState, id int32, ng *NGram) {
+	key := m.keyText(id)
+	// Log1p(0) is exactly 0, so the zero-count fast paths are bit-identical;
+	// most candidates miss the n-gram tables.
+	s.u12, s.h05 = 0, 0
+	if n := ng.uni[key]; n != 0 {
+		s.u12 = 0.12 * math.Log1p(n)
+	}
+	if n := ng.headUN[headOf(key)]; n != 0 {
+		s.h05 = 0.05 * math.Log1p(n)
+	}
+	s.gen = m.scoreGen
+}
+
+// ---------------------------------------------------------------------------
+// Lazy Gumbel top-k
+//
+// A candidate's Gumbel key is Log(p) + G(u), with G(u) = -Log(-Log(u)) for
+// a uniform u; the k largest keys sample k distinct candidates in
+// proportion to p. Only they matter, and once k candidates are held most
+// keys cannot beat the k-th, so gumbelTopK computes a key only when a
+// certified upper bound exceeds it:
+//
+//	Log(p) <= max(a - Log(z), Log(2^-1022)) up to rounding, where p = e^a/z
+//	         (a subnormal or zero p is below the smallest normal),
+//	G(u)   <= gumbelCeil[bucket of u] up to rounding (G rises with u),
+//
+// and gumbelMargin covers the rounding, which is below 1e-12 for keys of
+// magnitude below 800. The last bucket reaches u = 1, where G is
+// unbounded, so its ceiling is +Inf and it is never skipped. Insertion
+// needs a key strictly above the k-th, so a skipped candidate could never
+// have entered: the selection, and every float reaching the output, is
+// bit-identical to computing every key.
+
+const (
+	// gumbelBuckets is a power of two, so u*gumbelBuckets is exact and
+	// the bucket index is floor(u*gumbelBuckets) with no rounding.
+	gumbelBuckets = 1 << 10
+	gumbelMargin  = 1e-9
+)
+
+var (
+	// gumbelCeil[b] is G at the upper edge of bucket b, (b+1)/gumbelBuckets.
+	gumbelCeil = func() (t [gumbelBuckets]float64) {
+		for b := range t[:gumbelBuckets-1] {
+			t[b] = -math.Log(-math.Log(float64(b+1) / gumbelBuckets))
+		}
+		t[gumbelBuckets-1] = math.Inf(1)
+		return t
+	}()
+	logMinNormal = math.Log(0x1p-1022)
+)
+
+// gumbelTopK samples the slate from the utilities in the first third of
+// lanes (maxU is their maximum): it appends to order the indices of the k
+// largest Gumbel keys, largest first, ties in index order — a stable sort
+// by key, descending, cut to k. The second third of lanes receives the
+// softmax probabilities, normalized for every candidate whose key is
+// computed (all of order's), and the last third the keys, each holding the
+// candidate's softmax exponent until its key replaces it. One uniform is
+// drawn per candidate (zeros redrawn), key or not, so the RNG stream does
+// not depend on the bound.
+func gumbelTopK(order []int, lanes []float64, maxU, temp float64, k int, rng *rand.Rand) []int {
+	n := len(lanes) / 3
+	utils, probs, keys := lanes[:n:n], lanes[n:2*n:2*n], lanes[2*n:]
+	var z float64
+	for i, u := range utils {
+		a := (u - maxU) / temp
+		keys[i] = a
+		probs[i] = math.Exp(a)
+		z += probs[i]
+	}
+	logZ := math.Log(z)
+	for i := range keys {
+		u := rng.Float64()
+		for u == 0 {
+			u = rng.Float64()
+		}
+		held := len(order)
+		if held == k {
+			if k == 0 {
+				continue
+			}
+			lp := keys[i] - logZ
+			if lp < logMinNormal {
+				lp = logMinNormal
+			}
+			if lp+gumbelCeil[int(u*gumbelBuckets)]+gumbelMargin <= keys[order[k-1]] {
+				continue
+			}
+		}
+		p := probs[i] / z
+		probs[i] = p
+		keys[i] = math.Log(p) + -math.Log(-math.Log(u))
+		// Stable top-k insertion: an insertion never beats an equal key, so
+		// later indices stay after earlier ones, exactly the stable-sort
+		// order.
+		if held < k {
+			order = append(order, i)
+			held++
+		} else if keys[i] > keys[order[k-1]] {
+			order[k-1] = i
+		} else {
+			continue
+		}
+		for j := held - 1; j > 0 && keys[order[j]] > keys[order[j-1]]; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	return order
 }
 
 // resize returns *buf with length n, growing the backing array only when
@@ -341,15 +555,6 @@ func resizeInt(buf *[]int, n int) []int {
 	}
 	*buf = (*buf)[:n]
 	return *buf
-}
-
-// gumbel draws a standard Gumbel variate.
-func gumbel(rng *rand.Rand) float64 {
-	u := rng.Float64()
-	for u == 0 {
-		u = rng.Float64()
-	}
-	return -math.Log(-math.Log(u))
 }
 
 // ---------------------------------------------------------------------------
@@ -496,51 +701,10 @@ func looksArith(f *kernel.Form) bool {
 	return false
 }
 
-// fold merges one candidate into the deduplicated slate, keeping the best
-// score per component for repeated keys. over is the per-query overlay
-// index; base, when non-nil, is a memoized slateEntry's read-only index
-// (its entries address the copied prefix of uniq, so merging through it is
-// safe — only uniq is mutated). Lemma-table candidates arrive keyed;
-// other texts are normalized through a per-model memo: normalization is a
-// pure string function and candidate texts repeat heavily across the
-// queries of a search.
-func (m *Model) fold(uniq []scored, over map[string]int, base map[string]int, c scored) []scored {
-	key := c.text
-	if !c.keyed {
-		k, ok := m.norm[c.text]
-		if !ok {
-			k = dedupKey(c.text)
-			m.norm[c.text] = k
-		}
-		key = k
-	}
-	if key == "" {
-		return uniq
-	}
-	idx, ok := over[key]
-	if !ok && base != nil {
-		idx, ok = base[key]
-	}
-	if ok {
-		if c.h > uniq[idx].h {
-			uniq[idx].h = c.h
-		}
-		if c.r > uniq[idx].r {
-			uniq[idx].r = c.r
-		}
-		if c.j > uniq[idx].j {
-			uniq[idx].j = c.j
-		}
-		return uniq
-	}
-	over[key] = len(uniq)
-	return append(uniq, scored{text: key, h: c.h, r: c.r, j: c.j})
-}
-
 // structural appends the goal-shape candidate pool: a pure function of
 // (goal, env), memoized at the slate level in Propose.
-func (m *Model) structural(out []scored, g *tactic.Goal) []scored {
-	add := func(text string, h float64) { out = append(out, scored{text: text, h: h}) }
+func (m *Model) structural(out []textCand, g *tactic.Goal) []textCand {
+	add := func(text string, h float64) { out = append(out, textCand{text: text, h: h}) }
 	c := g.Concl
 
 	switch c.Kind {
@@ -606,6 +770,10 @@ func (m *Model) structural(out []scored, g *tactic.Goal) []scored {
 	// Hypothesis-directed moves.
 	substUseful := false
 	gh := goalHead(c)
+	var ck [2]uint64 // the conclusion's fingerprint, for assumption
+	if len(g.Hyps) > 0 {
+		ck = c.FingerprintKey()
+	}
 	for _, h := range g.Hyps {
 		switch h.Form.Kind {
 		case kernel.FFalse:
@@ -668,7 +836,7 @@ func (m *Model) structural(out []scored, g *tactic.Goal) []scored {
 				add("apply "+h.Name+".", 2.0)
 			}
 		}
-		if h.Form.FingerprintKey() == c.FingerprintKey() {
+		if h.Form.FingerprintKey() == ck {
 			add("assumption.", 3.2)
 		}
 	}
@@ -907,7 +1075,7 @@ var junkHypApply = func() [9]string {
 	return t
 }()
 
-func (m *Model) junk(out []scored, g *tactic.Goal, p *prompt.Prompt, rng *rand.Rand) []scored {
+func (m *Model) junk(out []textCand, g *tactic.Goal, p *prompt.Prompt, rng *rand.Rand) []textCand {
 	prof := m.Profile
 	nJunk := int(math.Round(prof.NoiseRate * 10))
 	level := 3.4 * prof.NoiseRate
@@ -915,19 +1083,19 @@ func (m *Model) junk(out []scored, g *tactic.Goal, p *prompt.Prompt, rng *rand.R
 		u := (0.4 + rng.Float64()) * level
 		switch rng.Intn(4) {
 		case 0:
-			out = append(out, scored{text: junkTactics[rng.Intn(len(junkTactics))], j: u})
+			out = append(out, textCand{text: junkTactics[rng.Intn(len(junkTactics))], j: u})
 		case 1:
 			// Apply a random visible lemma regardless of relevance.
 			if name := randomLemma(p, rng); name != "" {
-				out = append(out, scored{text: "apply " + name + ".", j: u})
+				out = append(out, textCand{text: "apply " + name + ".", j: u})
 			}
 		case 2:
 			if name := randomLemma(p, rng); name != "" {
-				out = append(out, scored{text: "rewrite " + name + ".", j: u})
+				out = append(out, textCand{text: "rewrite " + name + ".", j: u})
 			}
 		default:
 			// Reference a plausible but possibly absent hypothesis.
-			out = append(out, scored{text: junkHypApply[rng.Intn(9)], j: u})
+			out = append(out, textCand{text: junkHypApply[rng.Intn(9)], j: u})
 		}
 	}
 	return out

@@ -26,14 +26,19 @@ import (
 // LemmaTable is the goal-independent analysis of lemma statements: each
 // lemma's symbols as small-integer ids, its overlap normalizer, the heads
 // of its equation, conclusion and first premise, and the dedup keys of the
-// candidates it yields. A row depends on the statement alone — not on the
-// prompt, n-gram, or profile — so one table built over a corpus
-// environment serves every search of a sweep. It is immutable after
-// construction and safe for concurrent use.
+// candidates it yields, numbered as candidate ids. A row depends on the
+// statement alone — not on the prompt, n-gram, or profile — so one table
+// built over a corpus environment serves every search of a sweep. It is
+// immutable after construction and safe for concurrent use.
 type LemmaTable struct {
 	byName map[string]int32 // lemma name -> index into lems
 	lems   []lemEntry
 	symID  map[string]int32 // applied symbol -> id, in first-encounter order
+	// keys lists the candidate dedup keys the rows yield; a key's index is
+	// its candidate id, and keyID inverts it. Models number every other
+	// key after these (see Model).
+	keys  []string
+	keyID map[string]int32
 }
 
 // lemEntry is one lemma's row of a LemmaTable.
@@ -47,10 +52,10 @@ type lemEntry struct {
 	concl    head  // head of the conclusion
 	premHead head  // head of the first premise (meaningful when hasPrems)
 	hasPrems bool
-	// Dedup keys (fold's normalized form) of the candidates "rewrite L.",
-	// "rewrite <- L.", "apply L." and "eapply L.": rendered and normalized
-	// once here instead of per query.
-	rewrite, rewriteRev, apply, eapply string
+	// Candidate ids of "rewrite L.", "rewrite <- L.", "apply L." and
+	// "eapply L.": rendered, normalized and numbered once here instead of
+	// per query.
+	rewrite, rewriteRev, apply, eapply int32
 }
 
 // head is goalHead as an integer: the connectives are small constants and
@@ -108,6 +113,8 @@ func newLemmaTable(n int) *LemmaTable {
 		byName: make(map[string]int32, n),
 		lems:   make([]lemEntry, 0, n),
 		symID:  map[string]int32{},
+		keys:   make([]string, 0, 4*n),
+		keyID:  make(map[string]int32, 4*n),
 	}
 }
 
@@ -141,10 +148,10 @@ func (t *LemmaTable) add(lem *kernel.Lemma) {
 		lhsHead:    -1,
 		concl:      t.internHead(concl),
 		hasPrems:   len(prems) > 0,
-		rewrite:    dedupKey("rewrite " + lem.Name + "."),
-		rewriteRev: dedupKey("rewrite <- " + lem.Name + "."),
-		apply:      dedupKey("apply " + lem.Name + "."),
-		eapply:     dedupKey("eapply " + lem.Name + "."),
+		rewrite:    t.internKey("rewrite " + lem.Name + "."),
+		rewriteRev: t.internKey("rewrite <- " + lem.Name + "."),
+		apply:      t.internKey("apply " + lem.Name + "."),
+		eapply:     t.internKey("eapply " + lem.Name + "."),
 	}
 	for i, s := range syms {
 		e.syms[i] = t.intern(s)
@@ -164,6 +171,18 @@ func (t *LemmaTable) intern(s string) int32 {
 	if !ok {
 		id = int32(len(t.symID))
 		t.symID[s] = id
+	}
+	return id
+}
+
+// internKey numbers the dedup key of a candidate text.
+func (t *LemmaTable) internKey(text string) int32 {
+	key := dedupKey(text)
+	id, ok := t.keyID[key]
+	if !ok {
+		id = int32(len(t.keys))
+		t.keys = append(t.keys, key)
+		t.keyID[key] = id
 	}
 	return id
 }
@@ -230,7 +249,10 @@ type retrView struct {
 }
 
 // viewFor returns the visible lemmas of p, rebuilding the view only when
-// the (prompt, n-gram) pair changes — once per search in a sweep.
+// the (prompt, n-gram) pair changes — once per search in a sweep. It
+// settles the lemma table, so Propose calls it before resolving any
+// candidate id: a table change renumbers the vocabulary, and a new view
+// drops the slate memo, whose retrieval half it invalidates.
 func (m *Model) viewFor(p *prompt.Prompt, ng *NGram) []lemView {
 	if m.view != nil && m.view.prompt == p && m.view.ng == ng {
 		return m.view.lems
@@ -243,6 +265,17 @@ func (m *Model) viewFor(p *prompt.Prompt, ng *NGram) []lemView {
 		lems, _ = m.buildView(p, ng)
 	}
 	m.view = &retrView{prompt: p, ng: ng, lems: lems}
+	if m.idsOf != m.lemmas {
+		m.resetIDs()
+	}
+	clear(m.slate)
+	// Retrieval emits the view's table ids without a vocabulary lookup, so
+	// their state must exist before the first query.
+	top := int32(-1)
+	for i := range lems {
+		top = max(top, lems[i].rewrite, lems[i].rewriteRev, lems[i].apply, lems[i].eapply)
+	}
+	m.growTab(top)
 	return lems
 }
 
@@ -347,27 +380,27 @@ func (m *Model) retrieval(out []scored, p *prompt.Prompt, g *tactic.Goal, ng *NG
 			if rec.lhsHead >= 0 && goalMark[rec.lhsHead] == ep {
 				w += 1.3 * rec.quality
 			}
-			out = append(out, scored{text: rec.rewrite, r: w, keyed: true})
-			out = append(out, scored{text: rec.rewriteRev, r: 0.4 * w, keyed: true})
+			out = append(out, scored{id: rec.rewrite, r: w})
+			out = append(out, scored{id: rec.rewriteRev, r: 0.4 * w})
 			if rec.lhsHead >= 0 && hypMark[rec.lhsHead] == ep {
 				h := g.Hyps[m.hypFirst[rec.lhsHead]]
-				out = append(out, scored{text: "rewrite " + rec.name + " in " + h.Name + ".", r: 0.8 * w})
+				out = append(out, scored{id: m.idOf("rewrite " + rec.name + " in " + h.Name + "."), r: 0.8 * w})
 			}
 		}
 		if rec.concl == gh {
 			w := rel + 1.1*rec.quality
-			out = append(out, scored{text: rec.apply, r: w, keyed: true})
+			out = append(out, scored{id: rec.apply, r: w})
 			if rec.hasPrems {
-				out = append(out, scored{text: rec.eapply, r: 0.7 * w, keyed: true})
+				out = append(out, scored{id: rec.eapply, r: 0.7 * w})
 			}
 		} else if overlap > 0.5 {
-			out = append(out, scored{text: rec.apply, r: 0.3 * rel, keyed: true})
+			out = append(out, scored{id: rec.apply, r: 0.3 * rel})
 		}
 		// Forward chaining into a matching hypothesis.
 		if rec.hasPrems && rec.premHead != headUnknown {
 			for j, hh := range hypHeads {
 				if hh == rec.premHead {
-					out = append(out, scored{text: "apply " + rec.name + " in " + g.Hyps[j].Name + ".", r: 0.5 * rel})
+					out = append(out, scored{id: m.idOf("apply " + rec.name + " in " + g.Hyps[j].Name + "."), r: 0.5 * rel})
 					break
 				}
 			}

@@ -163,7 +163,7 @@ func TestNGramPrecomputedContinuations(t *testing.T) {
 // refRetrieval is the retrieval pass written directly from lemma
 // statements and strings, re-analyzing every visible lemma per query: the
 // specification the table, view and symbol marks must reproduce.
-func refRetrieval(m *Model, p *prompt.Prompt, g *tactic.Goal, ng *NGram) []scored {
+func refRetrieval(m *Model, p *prompt.Prompt, g *tactic.Goal, ng *NGram) []refCand {
 	symsOf := func(f *kernel.Form) map[string]bool {
 		out := map[string]bool{}
 		forEachSymbol(f, func(s string) { out[s] = true })
@@ -177,7 +177,7 @@ func refRetrieval(m *Model, p *prompt.Prompt, g *tactic.Goal, ng *NGram) []score
 		}
 	}
 	gh := goalHead(g.Concl)
-	var out []scored
+	var out []refCand
 	n := len(p.Items)
 	for i, it := range p.Items {
 		if it.Kind != corpus.ItemLemma {
@@ -216,12 +216,12 @@ func refRetrieval(m *Model, p *prompt.Prompt, g *tactic.Goal, ng *NGram) []score
 			if lhs != "" && goalSyms[lhs] {
 				w += 1.3 * quality
 			}
-			out = append(out, scored{text: "rewrite " + it.Name + ".", r: w})
-			out = append(out, scored{text: "rewrite <- " + it.Name + ".", r: 0.4 * w})
+			out = append(out, refCand{text: "rewrite " + it.Name + ".", r: w})
+			out = append(out, refCand{text: "rewrite <- " + it.Name + ".", r: 0.4 * w})
 			if lhs != "" && hypSyms[lhs] {
 				for _, h := range g.Hyps {
 					if symsOf(h.Form)[lhs] {
-						out = append(out, scored{text: "rewrite " + it.Name + " in " + h.Name + ".", r: 0.8 * w})
+						out = append(out, refCand{text: "rewrite " + it.Name + " in " + h.Name + ".", r: 0.8 * w})
 						break
 					}
 				}
@@ -229,18 +229,18 @@ func refRetrieval(m *Model, p *prompt.Prompt, g *tactic.Goal, ng *NGram) []score
 		}
 		if goalHead(concl) == gh {
 			w := rel + 1.1*quality
-			out = append(out, scored{text: "apply " + it.Name + ".", r: w})
+			out = append(out, refCand{text: "apply " + it.Name + ".", r: w})
 			if len(prems) > 0 {
-				out = append(out, scored{text: "eapply " + it.Name + ".", r: 0.7 * w})
+				out = append(out, refCand{text: "eapply " + it.Name + ".", r: 0.7 * w})
 			}
 		} else if overlap > 0.5 {
-			out = append(out, scored{text: "apply " + it.Name + ".", r: 0.3 * rel})
+			out = append(out, refCand{text: "apply " + it.Name + ".", r: 0.3 * rel})
 		}
 		if len(prems) > 0 {
 			if ph := goalHead(stripQuant(prems[0])); ph != "?" {
 				for _, h := range g.Hyps {
 					if goalHead(h.Form) == ph {
-						out = append(out, scored{text: "apply " + it.Name + " in " + h.Name + ".", r: 0.5 * rel})
+						out = append(out, refCand{text: "apply " + it.Name + " in " + h.Name + ".", r: 0.5 * rel})
 						break
 					}
 				}
@@ -275,13 +275,10 @@ func TestRetrievalMatchesReference(t *testing.T) {
 					t.Fatalf("%s/%s step %d: %d candidates, want %d", setting, th.Name, step, len(got), len(want))
 				}
 				for i := range got {
-					key := got[i].text
-					if !got[i].keyed {
-						key = dedupKey(key)
-					}
+					key := m.keyText(got[i].id)
 					if key != dedupKey(want[i].text) || math.Float64bits(got[i].r) != math.Float64bits(want[i].r) {
 						t.Fatalf("%s/%s step %d: candidate %d is %q r=%v, want %q r=%v",
-							setting, th.Name, step, i, got[i].text, got[i].r, want[i].text, want[i].r)
+							setting, th.Name, step, i, key, got[i].r, want[i].text, want[i].r)
 					}
 				}
 				goals++
