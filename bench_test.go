@@ -10,14 +10,12 @@ import (
 	"testing"
 
 	"llmfscq/internal/analysis"
-	"llmfscq/internal/checker"
 	"llmfscq/internal/core"
 	"llmfscq/internal/corpus"
 	"llmfscq/internal/eval"
 	"llmfscq/internal/kernel"
 	"llmfscq/internal/model"
 	"llmfscq/internal/prompt"
-	"llmfscq/internal/protocol"
 	"llmfscq/internal/remote"
 	"llmfscq/internal/store"
 	"llmfscq/internal/sweep"
@@ -226,30 +224,6 @@ func BenchmarkAblationWidth(b *testing.B) {
 	}
 }
 
-// BenchmarkBestFirstExpand compares a sweep with serial versus pooled
-// candidate execution inside each expansion. Grid parallelism is pinned to
-// 1 so the expansion pool is the only variable; the Try memo is off so
-// every candidate actually executes. Coverage must match across the two —
-// the pool changes scheduling, never results.
-func BenchmarkBestFirstExpand(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		par  int
-	}{{"serial", 1}, {"parallel", 4}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			r := eval.NewRunner(loadCorpus(b), 2025)
-			r.Parallelism = 1
-			r.SearchParallelism = bc.par
-			ths := slice(r, 20)
-			for i := 0; i < b.N; i++ {
-				outs := r.RunSweep(model.GPT4o, prompt.Hint, ths)
-				b.ReportMetric(coveragePct(outs), "cov-%")
-			}
-		})
-	}
-}
-
 // BenchmarkTryCache measures the cross-search Try memo on repeated sweeps:
 // "off" pays full tactic execution every iteration, "on" resolves repeat
 // candidates from the shared cache (the runner, and so the cache, persists
@@ -283,9 +257,9 @@ func BenchmarkTryCache(b *testing.B) {
 // BenchmarkWarmSweep measures the persistent proof cache end to end:
 // "cold" sweeps into an empty store (paying the search plus the
 // write-behind appends), "warm" re-sweeps a primed store with a fresh
-// runner per iteration, so every outcome answers from disk and the Try
-// records pre-warm the in-memory cache. Warm reports the outcome hit rate;
-// coverage must match cold — the store changes latency, never tables.
+// runner per iteration, so every outcome answers from disk. Warm reports
+// the outcome hit rate; coverage must match cold — the store changes
+// latency, never tables.
 func BenchmarkWarmSweep(b *testing.B) {
 	files, err := corpus.Sources()
 	if err != nil {
@@ -341,61 +315,7 @@ func BenchmarkWarmSweep(b *testing.B) {
 		if h, m := last.OutcomeHits, last.OutcomeMisses; h+m > 0 {
 			b.ReportMetric(100*float64(h)/float64(h+m), "hit-%")
 		}
-		b.ReportMetric(float64(last.TryWarmed), "try-warmed")
 	})
-}
-
-// BenchmarkRemoteExpand measures one eight-candidate expansion against a
-// loopback checkerd: "lockstep" pays one round trip per sentence, "batched"
-// sends the whole expansion as a single ExecBatch. Both paths mirror
-// locally and cross-check every answer.
-func BenchmarkRemoteExpand(b *testing.B) {
-	c := loadCorpus(b)
-	srv := protocol.NewServer(c.Env)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go srv.Serve() //nolint:errcheck
-	defer srv.Close()
-	lem := c.Env.Lemmas["app_nil_r"]
-	sentences := []string{
-		"intros.", "simpl.", "induction l.", "reflexivity.",
-		"symmetry.", "auto.", "rewrite nope.", "intros. simpl.",
-	}
-	for _, bc := range []struct {
-		name  string
-		batch bool
-	}{{"lockstep", false}, {"batched", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			be := remote.New(addr, remote.DefaultPolicy())
-			be.Batch = bc.batch
-			doc, err := be.NewDoc(c.Env, lem.Stmt, "app_nil_r")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer doc.Close()
-			root := doc.Root()
-			bd, _ := doc.(checker.BatchDoc)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if bd != nil {
-					if steps := bd.TryBatch(root, nil, sentences); len(steps) != len(sentences) {
-						b.Fatal("short batch")
-					}
-				} else {
-					for _, s := range sentences {
-						doc.Try(root, nil, s)
-					}
-				}
-			}
-			b.StopTimer()
-			if be.Stats.WireChecks.Load() == 0 || be.Stats.Mismatches.Load() != 0 {
-				b.Fatalf("wire unhealthy: %s", be.Stats.Snapshot())
-			}
-		})
-	}
 }
 
 // BenchmarkProofCheck measures the raw proof-checking throughput of the
@@ -509,40 +429,6 @@ func BenchmarkRestrictEnv(b *testing.B) {
 				b.Fatal("nil env")
 			}
 		}
-	}
-}
-
-// BenchmarkInternTerm measures node construction through the hash-consing
-// arena against plain allocation, on a term mix shaped like search traffic
-// (shallow applications over a small name pool, so the arena hit rate is
-// high — the interned leg reports it via kernel.InternStats).
-func BenchmarkInternTerm(b *testing.B) {
-	build := func() {
-		for i := 0; i < 64; i++ {
-			n := kernel.V("n")
-			t := kernel.A("plus", n, kernel.A("S", kernel.A("O")))
-			_ = kernel.A("mult", t, kernel.A("S", n))
-			_ = kernel.Eq(t, kernel.A("plus", kernel.A("S", kernel.A("O")), n))
-		}
-	}
-	for _, bc := range []struct {
-		name string
-		on   bool
-	}{{"plain", false}, {"interned", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			kernel.SetInterning(bc.on)
-			defer kernel.SetInterning(true)
-			h0, m0 := kernel.InternStats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				build()
-			}
-			b.StopTimer()
-			if h1, m1 := kernel.InternStats(); bc.on && h1-h0+m1-m0 > 0 {
-				b.ReportMetric(100*float64(h1-h0)/float64(h1-h0+m1-m0), "intern-hit-%")
-			}
-		})
 	}
 }
 
@@ -678,7 +564,7 @@ func BenchmarkDistributedSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer fleet.Close()
-		workers := fleet.Workers(sweep.WorkerOptions{Policy: remote.DefaultPolicy(), Batch: true, Slots: 1})
+		workers := fleet.Workers(sweep.WorkerOptions{Policy: remote.DefaultPolicy(), Slots: 1})
 		defer sweep.CloseWorkers(workers) //nolint:errcheck
 		co := sweep.New(r, workers)
 		b.ResetTimer()

@@ -44,15 +44,11 @@ func main() {
 		seed             = flag.Int64("seed", 2025, "experiment seed")
 		queryLimit       = flag.Int("fuel", 128, "model query limit")
 		width            = flag.Int("width", 8, "search width")
-		par              = flag.Int("par", runtime.NumCPU(), "parallel searches (alias of -parallelism)")
-		parallelism      = flag.Int("parallelism", 0, "bound on concurrent searches across the whole grid (overrides -par; 0 = use -par)")
-		searchPar        = flag.Int("search-parallelism", 1, "concurrent candidate executions within one expansion (1 = serial; tables are identical at every setting)")
+		parallelism      = flag.Int("parallelism", runtime.NumCPU(), "bound on concurrent searches across the whole grid")
 		tryCache         = flag.Bool("try-cache", false, "share a cross-search Try memoization cache across the grid (tables are identical either way)")
-		proofCache       = flag.String("proof-cache", "", "directory of the persistent proof/Try result store: warm re-runs at the same corpus/seed/hyperparameters skip whole searches (tables are byte-identical warm or cold)")
+		proofCache       = flag.String("proof-cache", "", "directory of the persistent proof-outcome store: warm re-runs at the same corpus/seed/hyperparameters skip whole searches (tables are byte-identical warm or cold)")
 		proofCacheRO     = flag.Bool("proof-cache-readonly", false, "serve warm results from -proof-cache but record nothing")
 		proofCacheMirror = flag.Int("proof-cache-mirror", 16, "cross-check roughly one in N warm proof-cache hits against a live recomputation (0 disables; any mismatch aborts the run)")
-		intern           = flag.Bool("intern", true, "hash-cons kernel terms and formulas in a shared arena (tables are identical either way; off disables only the pointer dedup)")
-		searchArena      = flag.Bool("search-arena", true, "recycle tactic-interpreter buffers in per-search scratch arenas (tables are identical either way; off restores per-call allocation)")
 		cpuprofile       = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile       = flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
 		paperSamp        = flag.Bool("paper-sampling", false, "evaluate large models on a 10% subsample, as the paper does for budget reasons")
@@ -64,14 +60,12 @@ func main() {
 		faults      = flag.String("faults", "", "fault-injection schedule for -backend=remote, e.g. \"drop-conn=0.05,stall=0.02\" (sites: "+faultSites()+")")
 		faultSeed   = flag.Int64("fault-seed", 1, "seed for the deterministic fault schedule")
 		wireTimeout = flag.Duration("wire-timeout", 5*time.Second, "per-request deadline for -backend=remote (the paper's per-tactic budget); injected stalls block for twice this")
-		wireBatch   = flag.Bool("wire-batch", true, "cross-check remote expansions with batched ExecBatch round trips instead of lockstep Exec (-backend=remote)")
 
 		workers     = flag.Int("workers", 0, "distributed sweep: spawn this many in-process checkerd workers and shard the grid across them (0 = off; tables are byte-identical at every fleet size)")
 		workerAddrs = flag.String("worker-addrs", "", "distributed sweep: comma-separated checkerd addresses to shard the grid across (overrides -workers)")
 		straggler   = flag.Duration("straggler", sweep.DefaultStragglerAfter, "distributed sweep: duplicate a unit still in flight after this long on an idle worker (negative: never)")
 	)
 	flag.Parse()
-	kernel.SetInterning(*intern)
 	if !(*fig1a || *fig1b || *table1 || *table2 || *fig2 || *probe || *whole || *ablate) {
 		*all = true
 	}
@@ -116,13 +110,8 @@ func main() {
 	r := eval.NewRunner(c, *seed)
 	r.QueryLimit = *queryLimit
 	r.Width = *width
-	r.Parallelism = *par
-	if *parallelism > 0 {
-		r.Parallelism = *parallelism
-	}
-	r.SearchParallelism = *searchPar
+	r.Parallelism = *parallelism
 	r.TryCache = *tryCache
-	r.NoScratchArena = !*searchArena
 	var pc *store.Cache
 	if *proofCache != "" {
 		files, err := corpus.Sources()
@@ -146,15 +135,14 @@ func main() {
 		if *backend == "remote" {
 			log.Fatalf("-workers/-worker-addrs and -backend=remote are mutually exclusive (a fleet IS remote backends)")
 		}
-		runGrid, finishBackend = setupDistributed(r, *workers, *workerAddrs, *straggler, *faults, *faultSeed, *wireTimeout, *wireBatch)
+		runGrid, finishBackend = setupDistributed(r, *workers, *workerAddrs, *straggler, *faults, *faultSeed, *wireTimeout)
 	} else {
-		finishBackend = setupBackend(r, *backend, *checkerd, *faults, *faultSeed, *wireTimeout, *wireBatch)
+		finishBackend = setupBackend(r, *backend, *checkerd, *faults, *faultSeed, *wireTimeout)
 	}
 	defer finishBackend()
 	defer func() {
 		// One structured cache-stats line covers both tiers (in-memory
-		// TryCache and persistent store); bench.sh scrapes it by the
-		// "cache-stats" event tag.
+		// TryCache and persistent store).
 		r.FlushProofStore()
 		if line := r.CacheStatsJSON(); line != "" {
 			fmt.Fprintln(os.Stderr, line)
@@ -244,7 +232,7 @@ func faultSites() string {
 // the process if any semantic wire/mirror mismatch was confirmed — faults
 // may be injected, but the two checkers disagreeing about logic must never
 // pass silently.
-func setupBackend(r *eval.Runner, kind, checkerdAddr, faultSpec string, faultSeed int64, wireTimeout time.Duration, wireBatch bool) func() {
+func setupBackend(r *eval.Runner, kind, checkerdAddr, faultSpec string, faultSeed int64, wireTimeout time.Duration) func() {
 	switch kind {
 	case "inprocess":
 		if faultSpec != "" {
@@ -280,7 +268,6 @@ func setupBackend(r *eval.Runner, kind, checkerdAddr, faultSpec string, faultSee
 	be.Seed = faultSeed
 	be.PoolSize = r.Parallelism
 	be.StallFor = 2 * pol.RequestTimeout
-	be.Batch = wireBatch
 	if plan != nil {
 		fmt.Fprintf(os.Stderr, "backend: fault schedule %s (seed %d)\n", plan, faultSeed)
 	}
@@ -305,7 +292,7 @@ func setupBackend(r *eval.Runner, kind, checkerdAddr, faultSpec string, faultSee
 // RunGrid plus the drain hook: close the workers, report routing stats and
 // per-worker health, and abort on any semantic wire/mirror mismatch, same
 // contract as the single-backend path.
-func setupDistributed(r *eval.Runner, n int, addrSpec string, stragglerAfter time.Duration, faultSpec string, faultSeed int64, wireTimeout time.Duration, wireBatch bool) (func([]eval.GridJob) [][]eval.Outcome, func()) {
+func setupDistributed(r *eval.Runner, n int, addrSpec string, stragglerAfter time.Duration, faultSpec string, faultSeed int64, wireTimeout time.Duration) (func([]eval.GridJob) [][]eval.Outcome, func()) {
 	plan, err := faultpoint.ParsePlan(faultSeed, faultSpec)
 	if err != nil {
 		log.Fatalf("-faults: %v", err)
@@ -336,8 +323,8 @@ func setupDistributed(r *eval.Runner, n int, addrSpec string, stragglerAfter tim
 	}
 
 	// Split the run's parallelism budget across the fleet, one goroutine
-	// per worker slot, so -workers 4 -par 8 does the same total work in
-	// flight as the single-process run.
+	// per worker slot, so -workers 4 -parallelism 8 does the same total work
+	// in flight as the single-process run.
 	slots := r.Parallelism / len(addrs)
 	if slots < 1 {
 		slots = 1
@@ -347,7 +334,6 @@ func setupDistributed(r *eval.Runner, n int, addrSpec string, stragglerAfter tim
 		Plan:     plan,
 		Seed:     faultSeed,
 		StallFor: 2 * pol.RequestTimeout,
-		Batch:    wireBatch,
 		Slots:    slots,
 	}
 	var ws []*sweep.Worker

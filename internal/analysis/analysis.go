@@ -86,7 +86,6 @@ func All() []*Analyzer {
 		analyzerMapOrder,
 		analyzerGoroutine,
 		analyzerFaultpoint,
-		analyzerSearchMerge,
 		analyzerInternKernel,
 		analyzerHotPathAlloc,
 		analyzerKernelMutate,

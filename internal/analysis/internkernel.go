@@ -6,10 +6,10 @@ import (
 
 // internNodeTypes are the kernel's hash-consed node types. Constructing one
 // as a raw composite literal bypasses the interning arena: the node gets no
-// precomputed structural hash or variable signature, so every identity-keyed
-// cache and fast path downstream degrades to the recursive fallback — and
-// the "interned pointers differ ⇒ structurally unequal" invariant relies on
-// canonical nodes only ever being minted inside intern.go.
+// structural hash or variable signature, so every key and substitution fast
+// path built on them is wrong for it, and Term.Equal and Type.Equal — pointer
+// comparisons that rely on canonical nodes only ever being minted inside
+// intern.go — call it unequal to its structural twin.
 var internNodeTypes = map[string]bool{
 	"Term":      true,
 	"Form":      true,
@@ -30,9 +30,8 @@ var analyzerInternKernel = &Analyzer{
 	Name: "internkernel",
 	Doc: "kernel nodes (Term, Form, Type, MatchExpr) must be built through the " +
 		"interning constructors in internal/kernel/intern.go, never as raw composite " +
-		"literals: raw nodes carry no precomputed structural hash, which silently " +
-		"degrades the identity-keyed caches and equality fast paths (test files may " +
-		"construct raw fixtures; the hash==0 sentinel keeps them correct)",
+		"literals, in tests too: raw nodes carry no structural hash and are not " +
+		"canonical, so their keys, substitution fast paths and pointer equality are wrong",
 	Go: runInternKernel,
 }
 
@@ -40,9 +39,8 @@ func runInternKernel(pkg *GoPackage) []Finding {
 	var out []Finding
 	inKernel := pkg.Dir == "internal/kernel"
 	for _, f := range pkg.Files {
-		// Test fixtures may use raw literals (the kernel handles them via the
-		// hash==0 sentinel); intern.go is where canonical nodes are minted.
-		if f.Test || (inKernel && f.Name == "internal/kernel/intern.go") {
+		// intern.go is where canonical nodes are minted.
+		if inKernel && f.Name == "internal/kernel/intern.go" {
 			continue
 		}
 		kernelPkg := ""

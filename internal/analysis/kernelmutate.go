@@ -3,8 +3,8 @@ package analysis
 // kernelmutate: the hash-consing invariant, enforced through go/types. An
 // interned kernel node (Term, Form, Type, MatchExpr) is shared by pointer
 // across every structure that ever saw an equal node; its precomputed
-// hashes, bloom signature, and interned flag were derived from the field
-// values at construction. Writing a field after construction silently
+// hashes and bloom signature were derived from the field values at
+// construction. Writing a field after construction silently
 // corrupts every identity-keyed cache downstream — so the only file allowed
 // to write kernel node fields is internal/kernel/intern.go, where nodes are
 // minted before publication. Unlike the AST-level internkernel analyzer
@@ -39,8 +39,8 @@ func runKernelMutate(m *Module) []Finding {
 			continue
 		}
 		for _, f := range tp.Files {
-			// intern.go is the minting site; test fixtures may build and
-			// tweak raw (hash==0 sentinel) nodes.
+			// intern.go is the minting site; test files are not
+			// type-checked, so there is nothing to resolve in them.
 			if f.Test || f.Name == "internal/kernel/intern.go" {
 				continue
 			}

@@ -592,8 +592,8 @@ func mutatedRepoNew(t *testing.T, root string) []Finding {
 func TestRepoCatchesHotPathSprintf(t *testing.T) {
 	dst := copyRepo(t, repoRoot(t))
 	mutateFile(t, dst, "internal/core/expand.go",
-		"import (\n\t\"sync\"",
-		"import (\n\t\"fmt\"\n\t\"sync\"")
+		"import (\n\t\"llmfscq/internal/checker\"",
+		"import (\n\t\"fmt\"\n\n\t\"llmfscq/internal/checker\"")
 	mutateFile(t, dst, "internal/core/expand.go",
 		"func (x *expander) expand(parent *tactic.State, path []string, cands []model.Candidate) *expansion {",
 		"func (x *expander) expand(parent *tactic.State, path []string, cands []model.Candidate) *expansion {\n\t_ = fmt.Sprintf(\"expanding %d candidates\", len(cands))")

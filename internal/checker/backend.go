@@ -20,21 +20,7 @@ type Step struct {
 	State *tactic.State
 	// Err holds the checker's message for Rejected/Timeout.
 	Err error
-	// FromStore marks a Step rehydrated from the persistent proof cache
-	// rather than executed this process. Only Rejected/Timeout steps are
-	// ever persisted (an Applied step needs its successor state), so a
-	// FromStore step never carries a State. The search's mirror-sample
-	// cross-check keys on this flag and clears it when it re-executes.
-	FromStore bool
 }
-
-// StoredError carries a checker message rehydrated from the persistent
-// proof cache: the original error's text without its original type. The
-// search only ever compares messages (it branches on Status), so the type
-// erasure is invisible to results.
-type StoredError string
-
-func (e StoredError) Error() string { return string(e) }
 
 // Doc is one open proof attempt against a backend. The search drives it
 // with Try: stateless with respect to the document tip, so a best-first
@@ -52,7 +38,7 @@ type Doc interface {
 }
 
 // ScratchTryer is implemented by documents that can execute a Try with a
-// caller-supplied kernel.Scratch — the per-worker buffer arena of the
+// caller-supplied kernel.Scratch — the per-search buffer arena of the
 // allocation-free search inner loop. Only the in-process document implements
 // it (remote documents execute across a wire, where a local scratch has
 // nothing to recycle); the search engine type-asserts and falls back to

@@ -8,7 +8,6 @@ import (
 
 	"llmfscq/internal/checker"
 	"llmfscq/internal/corpus"
-	"llmfscq/internal/kernel"
 	"llmfscq/internal/model"
 	"llmfscq/internal/protocol"
 	"llmfscq/internal/remote"
@@ -48,7 +47,7 @@ func pseudoProposer(seed uint64, width int) Proposer {
 }
 
 // startBatchedBackend runs an in-process checkerd on a loopback port and
-// returns a remote backend that advertises ExecBatch.
+// returns a remote backend (its documents offer checker.BatchDoc).
 func startBatchedBackend(t *testing.T) *remote.Backend {
 	t.Helper()
 	c, err := corpus.Default()
@@ -62,17 +61,14 @@ func startBatchedBackend(t *testing.T) *remote.Backend {
 	}
 	go srv.Serve() //nolint:errcheck
 	t.Cleanup(func() { srv.Close() })
-	be := remote.New(addr, remote.DefaultPolicy())
-	be.Batch = true
-	return be
+	return remote.New(addr, remote.DefaultPolicy())
 }
 
 // TestSearchModeEquivalence is the determinism property test: across
-// randomized proposers, theorems, widths, and algorithms, the parallel,
-// Try-memoized, and remote-batched execution strategies must produce
-// Result structs identical to the serial in-process baseline. Run under
-// -race this also exercises the expansion pool and cache sharding for
-// data races.
+// randomized proposers, theorems, widths, and algorithms, the Try-memoized
+// and remote-batched execution strategies must produce Result structs
+// identical to the serial in-process baseline. Run under -race this also
+// exercises the cache sharding and the remote backend for data races.
 func TestSearchModeEquivalence(t *testing.T) {
 	env, c := loadEnv(t)
 	be := startBatchedBackend(t)
@@ -88,7 +84,7 @@ func TestSearchModeEquivalence(t *testing.T) {
 	}
 	caseIdx := 0
 
-	// One cache shared across every case and both cached modes: later
+	// One cache shared across every case of the cached mode: later
 	// cases hit entries warmed by earlier ones, so the equivalence
 	// assertion also covers warm-cache reuse across searches.
 	shared := NewTryCache()
@@ -122,35 +118,17 @@ func TestSearchModeEquivalence(t *testing.T) {
 				member := fleet[caseIdx%len(fleet)]
 				caseIdx++
 				modes := []struct {
-					name      string
-					internOff bool
-					mut       func(*Config)
+					name string
+					mut  func(*Config)
 				}{
-					{"parallel", false, func(c *Config) { c.Parallelism = 4 }},
-					{"cached", false, func(c *Config) { c.Cache = shared }},
-					{"parallel+cached", false, func(c *Config) { c.Parallelism = 2; c.Cache = shared }},
-					{"remote-batched", false, func(c *Config) { c.Backend = be }},
-					{"distributed(N=4)", false, func(c *Config) { c.Parallelism = 2; c.Backend = member }},
-					// Interning only changes pointer coincidences, never results:
-					// the cached leg stays shared so intern-off searches must also
-					// reuse (and produce) the same 128-bit-keyed entries.
-					{"intern-off", true, func(c *Config) { c.Parallelism = 2; c.Cache = shared }},
-					// The scratch arenas recycle buffers, never results: the
-					// serial leg checks the lazy step() path without scratch,
-					// the parallel leg the per-worker scratches' absence.
-					{"arena-off", false, func(c *Config) { c.NoScratchArena = true }},
-					{"arena-off-parallel", false, func(c *Config) { c.NoScratchArena = true; c.Parallelism = 4 }},
+					{"cached", func(c *Config) { c.Cache = shared }},
+					{"remote-batched", func(c *Config) { c.Backend = be }},
+					{"distributed(N=4)", func(c *Config) { c.Backend = member }},
 				}
 				for _, m := range modes {
 					cfg := base
 					m.mut(&cfg)
-					if m.internOff {
-						kernel.SetInterning(false)
-					}
 					got := alg.search(cfg)
-					if m.internOff {
-						kernel.SetInterning(true)
-					}
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("seed=%d %s/%s/%s diverged:\n got %+v\nwant %+v",
 							seed, name, alg.name, m.name, got, want)

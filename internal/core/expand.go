@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"llmfscq/internal/checker"
 	"llmfscq/internal/kernel"
 	"llmfscq/internal/model"
@@ -10,74 +8,54 @@ import (
 )
 
 // expander executes the candidate tactics of one node expansion. It picks
-// one of three strategies, strictly in this order of preference:
+// one of two strategies:
 //
 //   - batched: the document implements checker.BatchDoc (the remote
-//     backend with ExecBatch enabled) — every unresolved candidate goes to
-//     the backend in one round trip;
-//   - parallel: Config.Parallelism > 1 — a bounded worker pool executes
-//     unresolved candidates concurrently, each worker writing only its own
-//     result slot;
-//   - serial: candidates are executed lazily, on first use, exactly like
-//     the original single-threaded loop (a Greedy search that stops at the
-//     first valid candidate never pays for the rest).
+//     backend) — every unresolved candidate goes to the backend in one
+//     round trip;
+//   - lazy serial: otherwise, candidates are executed on first use (a
+//     Greedy search that stops at the first valid candidate never pays for
+//     the rest).
 //
 // Whatever the strategy, the search consumes outcomes through
-// expansion.step(i) in candidate order and mutates its own state (Result
-// counters, the seen set, heap or stack, the early Proved exit) only in
-// that merge phase, on the search goroutine. Execution order therefore
-// cannot influence any outcome: results are byte-identical across
+// expansion.step(i) in candidate order, so results are identical across
 // strategies, which TestSearchModeEquivalence and the scripts/check.sh
 // full-sweep cmp gates enforce.
 //
-// The expander also owns the search's kernel.Scratch arenas (DESIGN.md §13):
-// one for the search goroutine's serial/lazy executions, plus one per
-// worker under the parallel strategy (a Scratch is single-goroutine).
-// Scratches recycle the tactic interpreter's transient buffers; the states
-// a Try returns never alias them, so reuse across every Try of a search is
-// safe. Config.NoScratchArena disables them (nil scratch = the legacy
-// allocation behavior), with byte-identical results.
+// The expander also owns the search's kernel.Scratch arena (DESIGN.md §13)
+// when the document is a checker.ScratchTryer. The scratch recycles the
+// tactic interpreter's transient buffers; the states a Try returns never
+// alias them, so reuse across every Try of a search is safe.
 type expander struct {
-	doc    checker.Doc
-	batch  checker.BatchDoc
-	st     checker.ScratchTryer
-	par    int
-	cache  *TryCache
-	env    *kernel.Env
-	mirror int               // FromStore-hit mirror sample denominator (0: off)
-	sc     *kernel.Scratch   // search-goroutine scratch (nil when disabled)
-	scs    []*kernel.Scratch // per-worker scratches (parallel strategy)
+	doc   checker.Doc
+	batch checker.BatchDoc
+	st    checker.ScratchTryer
+	cache *TryCache
+	env   *kernel.Env
+	sc    *kernel.Scratch // nil unless st is set
 
-	// Recycled buffers, touched only by the search goroutine.
+	// Recycled buffers.
 	free []*expansion
 	miss []int
 }
 
 func newExpander(cfg Config, doc checker.Doc) *expander {
-	x := &expander{doc: doc, par: cfg.Parallelism, cache: cfg.Cache, env: cfg.Env, mirror: cfg.MirrorFrac}
+	x := &expander{doc: doc, cache: cfg.Cache, env: cfg.Env}
 	if bd, ok := doc.(checker.BatchDoc); ok {
 		x.batch = bd
 	}
-	if !cfg.NoScratchArena {
-		if st, ok := doc.(checker.ScratchTryer); ok {
-			x.st = st
-			x.sc = &kernel.Scratch{}
-			if cfg.Parallelism > 1 {
-				x.scs = make([]*kernel.Scratch, cfg.Parallelism)
-				for i := range x.scs {
-					x.scs[i] = &kernel.Scratch{}
-				}
-			}
-		}
+	if st, ok := doc.(checker.ScratchTryer); ok {
+		x.st = st
+		x.sc = &kernel.Scratch{}
 	}
 	return x
 }
 
-// try executes one sentence, threading the caller's scratch when the
+// try executes one sentence, threading the search's scratch when the
 // document supports it.
-func (x *expander) try(parent *tactic.State, path []string, sentence string, sc *kernel.Scratch) checker.Step {
+func (x *expander) try(parent *tactic.State, path []string, sentence string) checker.Step {
 	if x.st != nil {
-		return x.st.TryScratch(parent, path, sentence, sc)
+		return x.st.TryScratch(parent, path, sentence, x.sc)
 	}
 	return x.doc.Try(parent, path, sentence)
 }
@@ -103,50 +81,18 @@ func (e *expansion) cand(i int) model.Candidate { return e.cands[i] }
 // serial strategy.
 func (e *expansion) step(i int) checker.Step {
 	if !e.done[i] {
-		e.finish(i, e.x.try(e.parent, e.path, e.cands[i].Tactic, e.x.sc))
+		e.finish(i, e.x.try(e.parent, e.path, e.cands[i].Tactic))
 	}
 	return e.steps[i]
 }
 
 // finish records an outcome and publishes it to the shared Try cache.
-// Called only from the search goroutine (the merge side), never from a
-// worker.
 func (e *expansion) finish(i int, step checker.Step) {
 	e.steps[i] = step
 	e.done[i] = true
 	if e.x.cache != nil {
 		e.x.cache.Put(e.x.env, e.key, e.cands[i].Tactic, step)
 	}
-}
-
-// mirrorPick deterministically samples one in den (state, sentence) pairs
-// for the persisted-hit cross-check: an inline FNV-1a over the key words
-// and sentence bytes, allocation-free because expand is hot-path code.
-func mirrorPick(k stateKey, sentence string, den int) bool {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for i := 0; i < 2; i++ {
-		w := k[i]
-		for b := 0; b < 64; b += 8 {
-			h = (h ^ (w >> b & 0xff)) * prime
-		}
-	}
-	for i := 0; i < len(sentence); i++ {
-		h = (h ^ uint64(sentence[i])) * prime
-	}
-	return h%uint64(den) == 0
-}
-
-// sameVerdict compares a rehydrated Step with its live re-execution. The
-// invariant mirrored is exactly what the search consumes from a cached
-// Step: the Status (Applied steps are never persisted, so successor states
-// never enter the comparison). Err is deliberately excluded — it is
-// diagnostic text the search never reads, and two alpha-variant states
-// sharing a StrictKey can legitimately reject the same sentence with
-// different identifier names in the message, exactly as the in-memory
-// TryCache already serves the first-seen message under such a collision.
-func sameVerdict(stored, live checker.Step) bool {
-	return stored.Status == live.Status
 }
 
 // get returns a recycled expansion with buffers sized for n candidates.
@@ -186,8 +132,8 @@ func (x *expander) put(e *expansion) {
 }
 
 // expand copies the candidates, resolves what the shared cache already
-// knows, and — under the batched or parallel strategies — executes the
-// rest eagerly. Serial consumers get a lazy expansion.
+// knows, and — under the batched strategy — executes the rest eagerly.
+// Serial consumers get a lazy expansion.
 //
 //hot:root
 func (x *expander) expand(parent *tactic.State, path []string, cands []model.Candidate) *expansion {
@@ -201,21 +147,11 @@ func (x *expander) expand(parent *tactic.State, path []string, cands []model.Can
 		e.key = parent.StrictKey()
 		for i := range e.cands {
 			if step, ok := x.cache.Get(x.env, e.key, e.cands[i].Tactic); ok {
-				if step.FromStore && x.mirror > 0 && mirrorPick(e.key, e.cands[i].Tactic, x.mirror) {
-					// Mirror-first discipline on persisted results: a
-					// deterministic sample of rehydrated hits re-executes
-					// live; the verdicts must agree. finish re-publishes the
-					// live Step, clearing FromStore for this key.
-					live := x.try(parent, path, e.cands[i].Tactic, x.sc)
-					x.cache.NoteMirror(sameVerdict(step, live))
-					e.finish(i, live)
-					continue
-				}
 				e.steps[i], e.done[i] = step, true
 			}
 		}
 	}
-	if x.batch == nil && x.par <= 1 {
+	if x.batch == nil {
 		return e
 	}
 	miss := x.miss[:0]
@@ -228,44 +164,11 @@ func (x *expander) expand(parent *tactic.State, path []string, cands []model.Can
 	if len(miss) == 0 {
 		return e
 	}
-	// No memo pre-warming is needed before workers touch the parent: every
-	// lazy identity memo on states and goals is atomic, and a racing
-	// duplicate computation stores the same value.
-	if x.batch != nil {
-		sentences := make([]string, len(miss))
-		for j, i := range miss {
-			sentences[j] = e.cands[i].Tactic
-		}
-		steps := x.batch.TryBatch(parent, path, sentences)
-		for j, i := range miss {
-			e.finish(i, steps[j])
-		}
-		return e
+	sentences := make([]string, len(miss))
+	for j, i := range miss {
+		sentences[j] = e.cands[i].Tactic
 	}
-	par := x.par
-	if par > len(miss) {
-		par = len(miss)
-	}
-	steps := make([]checker.Step, len(miss))
-	var wg sync.WaitGroup
-	wg.Add(par)
-	for w := 0; w < par; w++ {
-		go func(w int) {
-			defer wg.Done()
-			// Workers are pure: they read the (immutable, pre-warmed)
-			// parent and write disjoint slots of steps. Everything
-			// order-sensitive happens in the merge below. Each worker uses
-			// its own scratch; slot w is never shared.
-			var sc *kernel.Scratch
-			if x.scs != nil {
-				sc = x.scs[w]
-			}
-			for j := w; j < len(miss); j += par {
-				steps[j] = x.try(parent, path, e.cands[miss[j]].Tactic, sc)
-			}
-		}(w)
-	}
-	wg.Wait()
+	steps := x.batch.TryBatch(parent, path, sentences)
 	for j, i := range miss {
 		e.finish(i, steps[j])
 	}

@@ -64,28 +64,9 @@ type Config struct {
 	// Lemma is the corpus name of Stmt when it has one; remote backends
 	// key the server-side environment restriction on it.
 	Lemma string
-	// Parallelism bounds concurrent candidate executions within one
-	// expansion (<=1: serial). Outcomes are merged in candidate order, so
-	// results are identical at every setting; see expander.
-	Parallelism int
 	// Cache, when non-nil, memoizes Try outcomes across the searches that
 	// share it (keyed on env identity + concrete parent state + sentence).
 	Cache *TryCache
-	// MirrorFrac samples roughly one in MirrorFrac cache hits whose Step
-	// was rehydrated from the persistent proof store (Step.FromStore) for a
-	// live re-execution cross-check: the sampled candidate runs as if the
-	// cache had missed and the two verdicts are compared via
-	// Cache.NoteMirror. The sample is a pure function of (state key,
-	// sentence), so which hits are mirrored — and therefore every result —
-	// is deterministic. 0 disables. Results are byte-identical at every
-	// setting: a mirrored hit re-executes a pure function.
-	MirrorFrac int
-	// NoScratchArena disables the per-search scratch arenas that recycle
-	// the tactic interpreter's transient buffers (the -search-arena=false
-	// parity mode). The zero value enables them; results are byte-identical
-	// either way, which TestSearchModeEquivalence and the scripts/check.sh
-	// arena-off sweep enforce.
-	NoScratchArena bool
 }
 
 // open creates the proof document for this search. Backend failures never
@@ -221,9 +202,9 @@ func BestFirst(cfg Config) Result {
 		if len(cands) > cfg.Width {
 			cands = cands[:cfg.Width]
 		}
-		// Merge phase: outcomes are consumed in candidate order, so the
-		// counters, the seen set, and the early Proved exit are identical
-		// whether the expansion ran serially, in parallel, or batched.
+		// Outcomes are consumed in candidate order, so the counters, the
+		// seen set, and the early Proved exit are identical whether the
+		// expansion ran lazily or batched.
 		exp := x.expand(best.state, path, cands)
 		for i := 0; i < exp.len(); i++ {
 			cand := exp.cand(i)

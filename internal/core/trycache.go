@@ -62,14 +62,6 @@ type TryCache struct {
 	// shardCap bounds entries per shard (0: unbounded). When a full shard
 	// admits a new entry, one arbitrary resident entry is dropped.
 	shardCap int
-
-	// Mirror counters for the persistent tier's cross-check discipline: a
-	// sampled fraction of FromStore hits is re-executed live and compared.
-	// A plain mutex, not atomics: the counters are touched only on the
-	// sampled mirror path, never per lookup.
-	mirrorMu         sync.Mutex
-	mirrorChecks     int64
-	mirrorMismatches int64
 }
 
 // NewTryCache builds an empty, unbounded cache.
@@ -132,60 +124,6 @@ func (c *TryCache) Put(env *kernel.Env, sk stateKey, sentence string, step check
 	}
 	s.m[k] = step
 	s.mu.Unlock()
-}
-
-// Warm pre-loads one persisted Try result, off any search's hot path: the
-// eval layer bulk-loads a theorem's warm records before the search starts,
-// so the search's Get — unchanged, allocation-free — serves them like any
-// other resident entry. Warm entries do not disturb the hit/miss counters
-// (they were not looked up) and are skipped when the key is already
-// resident: a live execution's Step always wins over a rehydrated one.
-func (c *TryCache) Warm(env *kernel.Env, state [2]uint64, sentence string, step checker.Step) {
-	k := tryKey{env: env, state: state, sentence: sentence}
-	s := c.shard(k)
-	s.mu.Lock()
-	if _, exists := s.m[k]; !exists {
-		if c.shardCap > 0 && len(s.m) >= c.shardCap {
-			for victim := range s.m {
-				delete(s.m, victim)
-				s.evicted++
-				break
-			}
-		}
-		s.m[k] = step
-	}
-	s.mu.Unlock()
-}
-
-// Range calls f for every resident entry, for the end-of-run drain into
-// the persistent tier. Iteration order is unspecified; the drain sorts.
-func (c *TryCache) Range(f func(env *kernel.Env, state [2]uint64, sentence string, step checker.Step)) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for k, step := range s.m {
-			f(k.env, k.state, k.sentence, step)
-		}
-		s.mu.Unlock()
-	}
-}
-
-// NoteMirror records one Try-level mirror cross-check result.
-func (c *TryCache) NoteMirror(ok bool) {
-	c.mirrorMu.Lock()
-	c.mirrorChecks++
-	if !ok {
-		c.mirrorMismatches++
-	}
-	c.mirrorMu.Unlock()
-}
-
-// MirrorStats reports the Try-level mirror cross-check counters.
-func (c *TryCache) MirrorStats() (checks, mismatches int64) {
-	c.mirrorMu.Lock()
-	checks, mismatches = c.mirrorChecks, c.mirrorMismatches
-	c.mirrorMu.Unlock()
-	return checks, mismatches
 }
 
 // Stats reports lookups served from the cache, entries evicted by the

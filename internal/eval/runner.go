@@ -60,25 +60,17 @@ type Runner struct {
 	// Backends mask their own failures, so result tables are identical
 	// across backends; see internal/remote.
 	Backend checker.Backend
-	// SearchParallelism bounds concurrent candidate executions inside one
-	// expansion (<=1: serial). Outcomes merge in candidate order, so every
-	// setting produces identical results; see core.Config.Parallelism.
-	SearchParallelism int
 	// TryCache shares one cross-search Try memoization cache (env identity
 	// + parent state + sentence → outcome) across the grid, the way the
 	// prompt item cache is shared. Results are identical either way; only
 	// redundant tactic executions disappear.
 	TryCache bool
-	// NoScratchArena disables the per-search scratch arenas (the
-	// -search-arena=false parity mode); see core.Config.NoScratchArena.
-	NoScratchArena bool
-	// ProofStore, when non-nil, persists per-theorem search outcomes and
-	// negative Try results across processes (internal/store): a warm
-	// re-sweep at the same corpus/seed/hyperparameters skips whole searches
-	// and pre-warms the TryCache. Results are byte-identical warm or cold —
-	// stored fields are exactly the search's irreproducible outputs, derived
-	// metrics are recomputed, and a deterministic mirror sample re-executes
-	// live to cross-check.
+	// ProofStore, when non-nil, persists per-theorem search outcomes across
+	// processes (internal/store): a warm re-sweep at the same
+	// corpus/seed/hyperparameters skips whole searches. Results are
+	// byte-identical warm or cold — stored fields are exactly the search's
+	// irreproducible outputs, derived metrics are recomputed, and a
+	// deterministic mirror sample re-executes live to cross-check.
 	ProofStore *store.Cache
 	// SearchName names a custom Search func for the persistent outcome key
 	// ("best-first" is implied when Search is nil). A custom Search with an
@@ -113,8 +105,7 @@ type Runner struct {
 	// holding every entry until exit (paper-cold peak RSS 354 MB against
 	// 95 MB with the table; DESIGN.md §7).
 	lemmas *lemmaIndex
-	// persist holds the persistence fingerprints and the env registry for
-	// the end-of-run Try drain (see store.go).
+	// persist holds the persistence fingerprints (see store.go).
 	persist *persistIndex
 }
 
@@ -414,7 +405,6 @@ func (r *Runner) runWithPrompt(prof model.Profile, setting prompt.Setting, th *c
 	var warm Outcome
 	warmHit, mirror := false, false
 	if persisted {
-		r.notePersistEnv(env, key.Env)
 		if rec, ok := r.ProofStore.LookupOutcome(key); ok {
 			warm = r.rebuildOutcome(prof, setting.String(), th, rec)
 			warmHit = true
@@ -437,17 +427,11 @@ func (r *Runner) runWithPrompt(prof model.Profile, setting prompt.Setting, th *c
 		Propose: func(st *tactic.State, path []string) []model.Candidate {
 			return mdl.Propose(pr, st, path, ng, rng)
 		},
-		Width:       r.Width,
-		QueryLimit:  r.QueryLimit,
-		Backend:     r.Backend,
-		Lemma:       th.Name,
-		Parallelism: r.SearchParallelism,
-		Cache:       r.tryCache(),
-
-		NoScratchArena: r.NoScratchArena,
-	}
-	if r.ProofStore != nil {
-		cfg.MirrorFrac = r.ProofStore.MirrorDen()
+		Width:      r.Width,
+		QueryLimit: r.QueryLimit,
+		Backend:    r.Backend,
+		Lemma:      th.Name,
+		Cache:      r.tryCache(),
 	}
 	search := r.Search
 	if search == nil {

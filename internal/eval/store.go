@@ -1,10 +1,8 @@
 // Persistent proof-cache integration: the eval layer is where the on-disk
 // store (internal/store) meets the search stack. Outcome records let a warm
-// re-sweep skip whole searches; Try records pre-warm the in-memory TryCache
-// so even a changed sweep reuses every negative tactic verdict it can.
-// Everything here runs off the search hot path: warm records are
-// bulk-loaded before a search starts, and new results drain out through
-// the store's write-behind appender.
+// re-sweep skip whole searches. Everything here runs off the search hot
+// path: a unit looks up its outcome before searching, and new outcomes
+// drain out through the store's write-behind appender.
 
 package eval
 
@@ -16,7 +14,6 @@ import (
 	"sort"
 	"sync"
 
-	"llmfscq/internal/checker"
 	"llmfscq/internal/core"
 	"llmfscq/internal/corpus"
 	"llmfscq/internal/kernel"
@@ -40,21 +37,12 @@ type persistIndex struct {
 	hintFP   [2]uint64
 
 	mu sync.Mutex
-	// envFP maps every environment that ran a persisted search to its
-	// fingerprint, for the end-of-run Try drain.
-	envFP map[*kernel.Env][2]uint64
-	// warmed marks environments whose Try records were already loaded.
-	warmed map[*kernel.Env]bool
 	// profFP memoizes profile fingerprints by name.
 	profFP map[string]uint64
 }
 
 func newPersistIndex() *persistIndex {
-	return &persistIndex{
-		envFP:  map[*kernel.Env][2]uint64{},
-		warmed: map[*kernel.Env]bool{},
-		profFP: map[string]uint64{},
-	}
+	return &persistIndex{profFP: map[string]uint64{}}
 }
 
 // hintFingerprint hashes the sorted hint-set membership: prompts, n-gram
@@ -191,129 +179,36 @@ func (r *Runner) rebuildOutcome(prof model.Profile, settingStr string, th *corpu
 	return out
 }
 
-// notePersistEnv registers env for the end-of-run Try drain and pre-warms
-// the in-memory TryCache with its persisted Try records, once per env.
-// Warming happens here — off the hot path, before the search starts — so
-// the search's cache lookups stay allocation-free and unchanged.
-func (r *Runner) notePersistEnv(env *kernel.Env, fp [2]uint64) {
-	p := r.persist
-	p.mu.Lock()
-	p.envFP[env] = fp
-	warm := !p.warmed[env]
-	p.warmed[env] = true
-	p.mu.Unlock()
-	if !warm {
-		return
-	}
-	tc := r.tryCache()
-	if tc == nil {
-		return
-	}
-	for _, rec := range r.ProofStore.TryRecords(fp) {
-		var err error
-		if rec.Msg != "" {
-			err = checker.StoredError(rec.Msg)
-		}
-		tc.Warm(env, rec.State, rec.Sentence, checker.Step{
-			Status:    checker.Status(rec.Status),
-			Err:       err,
-			FromStore: true,
-		})
-	}
-}
-
-// FlushProofStore drains the run's new negative Try results into the
-// persistent store and flushes the write-behind queue. Call once at end of
-// run, before reading stats or closing the store. Only Rejected/Timeout
-// steps executed this run (FromStore false) are persisted: Applied steps
-// need their successor state, which is cheaper to recompute than to
-// serialize, and rehydrated steps are already on disk.
+// FlushProofStore flushes the persistent store's write-behind queue. Call
+// once at end of run, before reading stats or closing the store.
 func (r *Runner) FlushProofStore() {
-	ps := r.ProofStore
-	if ps == nil {
-		return
+	if r.ProofStore != nil {
+		r.ProofStore.Flush()
 	}
-	tc := r.tryCache()
-	if tc != nil {
-		type tryOut struct {
-			fp  [2]uint64
-			rec store.TryRec
-		}
-		var all []tryOut
-		fps := map[*kernel.Env][2]uint64{}
-		r.persist.mu.Lock()
-		for env, fp := range r.persist.envFP {
-			fps[env] = fp
-		}
-		r.persist.mu.Unlock()
-		tc.Range(func(env *kernel.Env, state [2]uint64, sentence string, step checker.Step) {
-			if step.FromStore || (step.Status != checker.Rejected && step.Status != checker.Timeout) {
-				return
-			}
-			fp, ok := fps[env]
-			if !ok {
-				return // env never ran a persisted search (no fingerprint)
-			}
-			msg := ""
-			if step.Err != nil {
-				msg = step.Err.Error()
-			}
-			all = append(all, tryOut{fp: fp, rec: store.TryRec{
-				State: state, Sentence: sentence, Status: uint8(step.Status), Msg: msg,
-			}})
-		})
-		// Deterministic drain order, and a periodic flush so a large drain
-		// cannot overflow the write-behind queue into drops.
-		sort.Slice(all, func(i, j int) bool {
-			a, b := all[i], all[j]
-			if a.fp != b.fp {
-				return a.fp[0] < b.fp[0] || (a.fp[0] == b.fp[0] && a.fp[1] < b.fp[1])
-			}
-			if a.rec.State != b.rec.State {
-				return a.rec.State[0] < b.rec.State[0] ||
-					(a.rec.State[0] == b.rec.State[0] && a.rec.State[1] < b.rec.State[1])
-			}
-			return a.rec.Sentence < b.rec.Sentence
-		})
-		for i, d := range all {
-			ps.RecordTry(d.fp, d.rec)
-			if i%2048 == 2047 {
-				ps.Flush()
-			}
-		}
-	}
-	ps.Flush()
 }
 
-// ProofStoreMismatches totals the mirror cross-check failures of both
-// tiers: outcome-level (store) and Try-level (TryCache). Any nonzero value
-// means a persisted result disagreed with a live recomputation — corrupt
-// storage or broken determinism — and the run must not pass silently.
+// ProofStoreMismatches returns the outcome-level mirror cross-check
+// failures. Any nonzero value means a persisted outcome disagreed with a
+// live recomputation — corrupt storage or broken determinism — and the run
+// must not pass silently.
 func (r *Runner) ProofStoreMismatches() int64 {
-	var n int64
-	if r.ProofStore != nil {
-		n += r.ProofStore.Mismatches()
+	if r.ProofStore == nil {
+		return 0
 	}
-	if tc := r.tryCache(); tc != nil {
-		_, mm := tc.MirrorStats()
-		n += mm
-	}
-	return n
+	return r.ProofStore.Mismatches()
 }
 
 // tryStatsJSON is the in-memory tier of the cache-stats line.
 type tryStatsJSON struct {
-	Hits             int64 `json:"hits"`
-	Misses           int64 `json:"misses"`
-	Evicted          int64 `json:"evicted"`
-	Entries          int64 `json:"entries"`
-	MirrorChecks     int64 `json:"mirror_checks"`
-	MirrorMismatches int64 `json:"mirror_mismatches"`
+	Hits    int64 `json:"hits"`
+	Misses  int64 `json:"misses"`
+	Evicted int64 `json:"evicted"`
+	Entries int64 `json:"entries"`
 }
 
 // CacheStatsJSON renders the run's single structured cache-stats line:
-// the in-memory TryCache tier and the persistent store tier together,
-// scrapeable by scripts/bench.sh. Returns "" when neither tier is active.
+// the in-memory TryCache tier and the persistent store tier together.
+// Returns "" when neither tier is active.
 func (r *Runner) CacheStatsJSON() string {
 	line := struct {
 		Event      string            `json:"event"`
@@ -322,11 +217,7 @@ func (r *Runner) CacheStatsJSON() string {
 	}{Event: "cache-stats"}
 	if tc := r.tryCache(); tc != nil {
 		hits, misses, evicted, entries := tc.Stats()
-		checks, mm := tc.MirrorStats()
-		line.Try = &tryStatsJSON{
-			Hits: hits, Misses: misses, Evicted: evicted, Entries: entries,
-			MirrorChecks: checks, MirrorMismatches: mm,
-		}
+		line.Try = &tryStatsJSON{Hits: hits, Misses: misses, Evicted: evicted, Entries: entries}
 	}
 	if r.ProofStore != nil {
 		st := r.ProofStore.Stats()

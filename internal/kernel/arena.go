@@ -4,11 +4,10 @@ import "strconv"
 
 // Per-search scratch arena.
 //
-// A Scratch is carried by one search (or one expansion worker) and recycles
-// the transient buffers the substitution/unification inner loop would
-// otherwise allocate per call: child-pointer slices built during
-// copy-on-write walks, and trial substitution maps for speculative
-// unification. It is safe to recycle these because the interning
+// A Scratch is carried by one search and recycles the transient buffers the
+// substitution/unification inner loop would otherwise allocate per call:
+// child-pointer slices built during copy-on-write walks, and trial
+// substitution maps for speculative unification. It is safe to recycle these because the interning
 // constructors copy argument slices on an arena miss (see intern.go):
 // nothing a constructor returns can alias a scratch buffer, so a buffer
 // handed back with PutArgs is provably unreachable from any node.
@@ -19,10 +18,10 @@ import "strconv"
 // escape, and the API makes that structural — callers release a buffer only
 // after the constructor consuming it has returned.
 //
-// A Scratch is not safe for concurrent use; parallel expansion gives each
-// worker its own. All methods are nil-receiver safe and fall back to plain
-// allocation, so code threads a *Scratch unconditionally and a nil scratch
-// (the -search-arena=false parity mode) reproduces the untuned behavior.
+// A Scratch is not safe for concurrent use. All methods are nil-receiver
+// safe and fall back to plain allocation, so code threads a *Scratch
+// unconditionally and callers outside the search (CheckProof, for one)
+// pass nil.
 type Scratch struct {
 	argBufs  [][]*Term
 	substs   []Subst

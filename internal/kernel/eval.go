@@ -128,10 +128,10 @@ func (ev *Evaluator) norm(t *Term, depth int) (*Term, error) {
 }
 
 // instantiateBody returns fd.Body with the parameters substituted by args,
-// memoized on pointer identity of (fd, args). With interning on, repeated
-// normalizations of the same call collapse to the same canonical argument
-// pointers, so unfolding a definition becomes a map hit instead of a
-// substitution walk. The memo only shares immutable terms, so hits are
+// memoized on pointer identity of (fd, args). Terms are interned, so
+// repeated normalizations of the same call collapse to the same canonical
+// argument pointers, and unfolding a definition becomes a map hit instead of
+// a substitution walk. The memo only shares immutable terms, so hits are
 // observationally identical to recomputation; it is skipped for arities
 // above 4 and capped per shard to bound memory.
 type bodyMemoKey struct {

@@ -26,19 +26,19 @@ func testEnv(t testing.TB) *Env {
 		Name: "plus", Recursive: true,
 		Params:  []TypedVar{{Name: "n", Type: Ty("nat")}, {Name: "m", Type: Ty("nat")}},
 		RetType: Ty("nat"),
-		Body: &Term{Match: &MatchExpr{Scrut: V("n"), Cases: []MatchCase{
+		Body: NewMatch(V("n"), []MatchCase{
 			{Pat: A("O"), RHS: V("m")},
 			{Pat: A("S", V("p")), RHS: A("S", A("plus", V("p"), V("m")))},
-		}}},
+		}),
 	}))
 	must(env.AddFun(&FunDef{
 		Name: "app", Recursive: true,
 		Params:  []TypedVar{{Name: "l1", Type: Ty("list", TyVar("A"))}, {Name: "l2", Type: Ty("list", TyVar("A"))}},
 		RetType: Ty("list", TyVar("A")),
-		Body: &Term{Match: &MatchExpr{Scrut: V("l1"), Cases: []MatchCase{
+		Body: NewMatch(V("l1"), []MatchCase{
 			{Pat: A("nil"), RHS: V("l2")},
 			{Pat: A("cons", V("x"), V("t")), RHS: A("cons", V("x"), A("app", V("t"), V("l2")))},
-		}}},
+		}),
 	}))
 	return env
 }

@@ -42,19 +42,17 @@ type Form struct {
 	Body   *Form
 
 	// Strict structural hash (includes Binder and BType — it matches the
-	// concrete rendering, unlike Equal, which ignores BType), variable-name
-	// bloom signature, and the arena-dedup flag; see intern.go. hash == 0
-	// marks raw struct literals from test fixtures.
+	// concrete rendering, unlike Equal, which ignores BType) and
+	// variable-name bloom signature; see intern.go.
 	hash, hash2 uint64
 	varSig      uint64
-	interned    bool
 }
 
 // Constructors for each formula shape (interning; see intern.go).
-func True() *Form  { return finishForm(&Form{Kind: FTrue}, true) }
-func False() *Form { return finishForm(&Form{Kind: FFalse}, true) }
+func True() *Form  { return finishForm(&Form{Kind: FTrue}) }
+func False() *Form { return finishForm(&Form{Kind: FFalse}) }
 func Eq(a, b *Term) *Form {
-	return finishForm(&Form{Kind: FEq, T1: a, T2: b}, termInterned(a) && termInterned(b))
+	return finishForm(&Form{Kind: FEq, T1: a, T2: b})
 }
 func Pred(name string, args ...*Term) *Form {
 	return mkPred(name, args)
@@ -147,7 +145,7 @@ func (f *Form) substTerm(s Subst, sig uint64, sc *Scratch) *Form {
 	if f == nil {
 		return f
 	}
-	if f.hash != 0 && f.varSig&sig == 0 {
+	if f.varSig&sig == 0 {
 		// No name in the substitution's domain occurs anywhere in f (the
 		// signature covers bound names too), so this is the identity.
 		return f
@@ -238,12 +236,6 @@ func (f *Form) substTerm(s Subst, sig uint64, sc *Scratch) *Form {
 // Subst1 substitutes a single variable.
 func (f *Form) Subst1(x string, t *Term) *Form { return f.SubstTerm(Subst{x: t}) }
 
-// Interned reports whether the formula is a canonical arena node. Interned
-// forms have stable pointer identity (two structurally equal interned forms
-// are the same pointer), so callers may memoize pure functions of a formula
-// on its pointer.
-func (f *Form) Interned() bool { return f != nil && f.interned }
-
 // Subst1S is Subst1 with the one-entry substitution map drawn from the
 // scratch arena (SubstTerm never retains the map, so recycling it is safe).
 func (f *Form) Subst1S(x string, t *Term, sc *Scratch) *Form {
@@ -298,7 +290,7 @@ func (f *Form) HasFreeVar(x string) bool {
 	if f == nil {
 		return false
 	}
-	if f.hash != 0 && f.varSig&varBit(x) == 0 {
+	if f.varSig&varBit(x) == 0 {
 		return false
 	}
 	return f.FreeVars()[x]

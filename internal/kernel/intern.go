@@ -2,52 +2,24 @@ package kernel
 
 // Hash-consing arena for kernel nodes.
 //
-// Every Term, Form, and Type is built through the constructors in this file.
-// Each constructed node carries a precomputed 128-bit structural hash
-// (hash/hash2, with hash remapped away from 0 so 0 can serve as the "raw
-// struct literal, not yet hashed" sentinel) and a 64-bit bloom signature of
-// the variable names occurring in it (varSig, free and bound alike). The
-// hashes make structural keys O(1) combines instead of renderings, and the
-// signature gives substitution its "this subtree cannot be touched" fast
-// path.
+// Every Term, Form, and Type is built through the constructors in this file
+// (the internkernel analyzer rejects raw composite literals everywhere else,
+// tests included). Each constructed node carries a precomputed 128-bit
+// structural hash (hash/hash2) and a 64-bit bloom signature of the variable
+// names occurring in it (varSig, free and bound alike). The hashes make
+// structural keys O(1) combines instead of renderings, and the signature
+// gives substitution its "this subtree cannot be touched" fast path.
 //
-// When interning is enabled (the default), constructors additionally
-// deduplicate: a node whose children are all canonical (interned) is looked
-// up in a sharded arena by hash and shallow pointer comparison, so
-// structurally equal nodes collapse to one pointer and equality becomes
-// pointer comparison. The `interned` flag is set only when interning was on
-// AND every child is interned; by induction two interned, structurally equal
-// nodes are the same pointer, which is what licenses the
-// "both interned and pointers differ ⇒ structurally unequal" fast path in
-// Equal. Nodes built while interning is off (or over raw test literals) are
-// merely not deduplicated — never wrongly identified.
-//
-// Raw struct literals (kernel tests construct a few) have hash == 0; every
-// fast path guards on hash != 0 and hashing functions fall back to a
-// recursive computation, so mixed raw/constructed trees stay correct.
-//
-// Interning only changes pointer coincidences, which downstream code uses
-// only for copy-on-write identity checks; observable results are identical
-// with interning on or off (SetInterning exists for the -intern parity flag
-// and for the observational-equivalence tests).
+// Constructors also deduplicate: every node is looked up in a sharded arena
+// by hash and shallow pointer comparison of its (already canonical)
+// children, so by induction structurally equal nodes are one pointer.
+// Term.Equal and Type.Equal are therefore pointer comparisons, and any pure
+// function of a node may be memoized on its pointer.
 
 import (
 	"sync"
 	"sync/atomic"
 )
-
-// internOff disables arena deduplication when set. The zero value means
-// interning is ON: package-level vars such as TypeType intern during package
-// initialization, before any flag parsing could run.
-var internOff atomic.Bool
-
-// SetInterning toggles arena deduplication. Hashes and signatures are always
-// computed; only pointer-level sharing is affected, so results are
-// observationally identical either way.
-func SetInterning(on bool) { internOff.Store(!on) }
-
-// Interning reports whether arena deduplication is enabled.
-func Interning() bool { return !internOff.Load() }
 
 var internHits, internMisses atomic.Uint64
 
@@ -104,7 +76,9 @@ func varBit(name string) uint64 {
 	return 1 << (hmix(a) & 63)
 }
 
-// nz remaps a lane-a hash of 0 (the raw-literal sentinel) to a fixed value.
+// nz remaps a lane-a hash of 0 to a fixed value. It is part of every stored
+// node hash, and the proof store's outcome keys embed those hashes, so
+// dropping it would change persisted keys.
 func nz(x uint64) uint64 {
 	if x == 0 {
 		return hashOfNil
@@ -145,54 +119,47 @@ func (h *KeyHasher) Pair(p [2]uint64) {
 func (h *KeyHasher) Sum() [2]uint64 { return [2]uint64{h.a, h.b} }
 
 // ---------------------------------------------------------------------------
-// Structural keys for nodes (stored on construction, recomputed for raw
-// struct literals).
+// Structural keys for nodes, computed once by the constructors from the
+// children's stored keys.
 
-// termKey returns t's structural hash pair and variable signature, using the
-// stored values when present.
+// termKey returns t's stored structural hash pair and variable signature.
 func termKey(t *Term) (a, b, sig uint64) {
 	if t == nil {
 		return tagNilA, tagNilB, 0
 	}
-	if t.hash != 0 {
-		return t.hash, t.hash2, t.varSig
-	}
-	return computeTermKey(t)
+	return t.hash, t.hash2, t.varSig
 }
 
-func computeTermKey(t *Term) (a, b, sig uint64) {
-	switch {
-	case t.Var != "":
-		h := NewKeyHasher(tagVar)
-		h.Str(t.Var)
-		k := h.Sum()
-		return nz(k[0]), k[1], varBit(t.Var)
-	case t.Match != nil:
-		h := NewKeyHasher(tagMatch)
-		sa, sb, ssig := termKey(t.Match.Scrut)
-		sig = ssig
-		h.Word(sa)
-		h.Word(sb)
-		h.Word(uint64(len(t.Match.Cases)))
-		for _, c := range t.Match.Cases {
-			pa, pb, psig := termKey(c.Pat)
-			ra, rb, rsig := termKey(c.RHS)
-			h.Word(pa)
-			h.Word(pb)
-			h.Word(ra)
-			h.Word(rb)
-			sig |= psig | rsig
-		}
-		k := h.Sum()
-		return nz(k[0]), k[1], sig
-	default:
-		return computeAppKey(t.Fun, t.Args)
-	}
+func computeVarKey(name string) (a, b, sig uint64) {
+	h := NewKeyHasher(tagVar)
+	h.Str(name)
+	k := h.Sum()
+	return nz(k[0]), k[1], varBit(name)
 }
 
-// computeAppKey is computeTermKey's application case with the fields passed
-// separately, so the hot mkApp path never stores the caller's argument slice
-// into a candidate node (which would force it to the heap; see internApp).
+func computeMatchKey(scrut *Term, cases []MatchCase) (a, b, sig uint64) {
+	h := NewKeyHasher(tagMatch)
+	sa, sb, ssig := termKey(scrut)
+	sig = ssig
+	h.Word(sa)
+	h.Word(sb)
+	h.Word(uint64(len(cases)))
+	for _, c := range cases {
+		pa, pb, psig := termKey(c.Pat)
+		ra, rb, rsig := termKey(c.RHS)
+		h.Word(pa)
+		h.Word(pb)
+		h.Word(ra)
+		h.Word(rb)
+		sig |= psig | rsig
+	}
+	k := h.Sum()
+	return nz(k[0]), k[1], sig
+}
+
+// computeAppKey hashes an application with the fields passed separately, so
+// the hot mkApp path never stores the caller's argument slice into a
+// candidate node (which would force it to the heap; see internApp).
 func computeAppKey(fun string, args []*Term) (a, b, sig uint64) {
 	h := NewKeyHasher(tagApp)
 	h.Str(fun)
@@ -207,9 +174,9 @@ func computeAppKey(fun string, args []*Term) (a, b, sig uint64) {
 	return nz(k[0]), k[1], sig
 }
 
-// computePredKey is computeFormKey's FPred case with the fields passed
-// separately (same motivation as computeAppKey; see internPred). The byte
-// sequence absorbed is identical to computeFormKey's.
+// computePredKey hashes a predicate atom with the fields passed separately
+// (same motivation as computeAppKey; see internPred). It absorbs the same
+// tag and kind prefix as computeFormKey.
 func computePredKey(name string, args []*Term) (a, b, sig uint64) {
 	h := NewKeyHasher(tagForm)
 	h.Word(uint64(FPred))
@@ -233,12 +200,11 @@ func formKey(f *Form) (a, b, sig uint64) {
 	if f == nil {
 		return tagNilA, tagNilB, 0
 	}
-	if f.hash != 0 {
-		return f.hash, f.hash2, f.varSig
-	}
-	return computeFormKey(f)
+	return f.hash, f.hash2, f.varSig
 }
 
+// computeFormKey hashes every form shape but FPred (mkPred uses
+// computePredKey).
 func computeFormKey(f *Form) (a, b, sig uint64) {
 	h := NewKeyHasher(tagForm)
 	h.Word(uint64(f.Kind))
@@ -252,8 +218,6 @@ func computeFormKey(f *Form) (a, b, sig uint64) {
 		h.Word(a2)
 		h.Word(b2)
 		sig = s1 | s2
-	case FPred:
-		return computePredKey(f.Pred, f.Args)
 	case FNot:
 		la, lb, ls := formKey(f.L)
 		h.Word(la)
@@ -289,10 +253,7 @@ func typeKey(ty *Type) (a, b uint64) {
 	if ty == nil {
 		return tagNilA, tagNilB
 	}
-	if ty.hash != 0 {
-		return ty.hash, ty.hash2
-	}
-	return computeTypeKey(ty)
+	return ty.hash, ty.hash2
 }
 
 func computeTypeKey(ty *Type) (a, b uint64) {
@@ -492,10 +453,6 @@ var (
 	typeArena [arenaShards]typeShard
 )
 
-func termInterned(t *Term) bool  { return t == nil || t.interned }
-func formInterned(f *Form) bool  { return f == nil || f.interned }
-func typeInterned(ty *Type) bool { return ty == nil || ty.interned }
-
 // sameTermShallow compares two hashed nodes by children POINTER equality.
 // Correct as a dedup criterion because candidates in the arena have
 // canonical children.
@@ -555,13 +512,9 @@ func sameTypeShallow(a, b *Type) bool {
 
 // internTerm canonicalizes candidate *t, which the caller builds as a stack
 // value. On a hit the canonical node is returned and nothing is allocated; on
-// a miss (or with interning off / raw-literal children) the candidate and its
-// Args are copied into storage the node owns, so the caller's slices are
-// never retained.
-func internTerm(t *Term, kids bool) *Term {
-	if !kids || internOff.Load() {
-		return newTransientTerm(t)
-	}
+// a miss the candidate and its Args are copied into storage the node owns, so
+// the caller's slices are never retained.
+func internTerm(t *Term) *Term {
 	sh := &termArena[t.hash&(arenaShards-1)]
 	sh.mu.Lock()
 	if sh.m == nil {
@@ -575,31 +528,13 @@ func internTerm(t *Term, kids bool) *Term {
 		}
 	}
 	n := sh.newTerm(t)
-	n.interned = true
 	sh.m[t.hash] = append(sh.m[t.hash], n)
 	sh.mu.Unlock()
 	internMisses.Add(1)
 	return n
 }
 
-// newTransientTerm heap-copies a candidate that bypasses the arena (interning
-// off, or a raw-literal child). Copying keeps the no-retention contract
-// uniform: constructor argument slices stay caller-owned on every path.
-func newTransientTerm(t *Term) *Term {
-	n := &Term{Var: t.Var, Fun: t.Fun, hash: t.hash, hash2: t.hash2, varSig: t.varSig}
-	if len(t.Args) > 0 {
-		n.Args = append([]*Term(nil), t.Args...)
-	}
-	if t.Match != nil {
-		n.Match = &MatchExpr{Scrut: t.Match.Scrut, Cases: append([]MatchCase(nil), t.Match.Cases...)}
-	}
-	return n
-}
-
-func internForm(f *Form, kids bool) *Form {
-	if !kids || internOff.Load() {
-		return newTransientForm(f)
-	}
+func internForm(f *Form) *Form {
 	sh := &formArena[f.hash&(arenaShards-1)]
 	sh.mu.Lock()
 	if sh.m == nil {
@@ -613,29 +548,13 @@ func internForm(f *Form, kids bool) *Form {
 		}
 	}
 	n := sh.newForm(f)
-	n.interned = true
 	sh.m[f.hash] = append(sh.m[f.hash], n)
 	sh.mu.Unlock()
 	internMisses.Add(1)
 	return n
 }
 
-func newTransientForm(f *Form) *Form {
-	n := &Form{
-		Kind: f.Kind, Pred: f.Pred, Binder: f.Binder,
-		T1: f.T1, T2: f.T2, L: f.L, R: f.R, BType: f.BType, Body: f.Body,
-		hash: f.hash, hash2: f.hash2, varSig: f.varSig,
-	}
-	if len(f.Args) > 0 {
-		n.Args = append([]*Term(nil), f.Args...)
-	}
-	return n
-}
-
-func internType(ty *Type, kids bool) *Type {
-	if !kids || internOff.Load() {
-		return newTransientType(ty)
-	}
+func internType(ty *Type) *Type {
 	sh := &typeArena[ty.hash&(arenaShards-1)]
 	sh.mu.Lock()
 	if sh.m == nil {
@@ -649,18 +568,9 @@ func internType(ty *Type, kids bool) *Type {
 		}
 	}
 	n := sh.newType(ty)
-	n.interned = true
 	sh.m[ty.hash] = append(sh.m[ty.hash], n)
 	sh.mu.Unlock()
 	internMisses.Add(1)
-	return n
-}
-
-func newTransientType(ty *Type) *Type {
-	n := &Type{Name: ty.Name, TVar: ty.TVar, hash: ty.hash, hash2: ty.hash2}
-	if len(ty.Args) > 0 {
-		n.Args = append([]*Type(nil), ty.Args...)
-	}
 	return n
 }
 
@@ -674,34 +584,20 @@ func newTransientType(ty *Type) *Type {
 
 func mkVar(name string) *Term {
 	t := Term{Var: name}
-	t.hash, t.hash2, t.varSig = computeTermKey(&t)
-	return internTerm(&t, true)
+	t.hash, t.hash2, t.varSig = computeVarKey(name)
+	return internTerm(&t)
 }
 
 func mkApp(fun string, args []*Term) *Term {
 	h, h2, sig := computeAppKey(fun, args)
-	kids := true
-	for _, a := range args {
-		if !termInterned(a) {
-			kids = false
-			break
-		}
-	}
-	return internApp(fun, args, h, h2, sig, kids)
+	return internApp(fun, args, h, h2, sig)
 }
 
 // internApp is internTerm specialized to applications: the argument slice is
 // threaded separately and only its elements are ever stored, so the variadic
 // slice built at an A(...) call site (and scratch buffers handed to mkApp)
 // provably never escape — the compiler stack-allocates them.
-func internApp(fun string, args []*Term, h, h2, sig uint64, kids bool) *Term {
-	if !kids || internOff.Load() {
-		n := &Term{Fun: fun, hash: h, hash2: h2, varSig: sig}
-		if len(args) > 0 {
-			n.Args = append([]*Term(nil), args...)
-		}
-		return n
-	}
+func internApp(fun string, args []*Term, h, h2, sig uint64) *Term {
 	sh := &termArena[h&(arenaShards-1)]
 	sh.mu.Lock()
 	if sh.m == nil {
@@ -722,7 +618,6 @@ func internApp(fun string, args []*Term, h, h2, sig uint64, kids bool) *Term {
 	n.Fun = fun
 	n.hash, n.hash2, n.varSig = h, h2, sig
 	n.Args = sh.copyArgs(args)
-	n.interned = true
 	sh.m[h] = append(sh.m[h], n)
 	sh.mu.Unlock()
 	internMisses.Add(1)
@@ -746,45 +641,27 @@ func sameAppShallow(c *Term, h2 uint64, fun string, args []*Term) bool {
 func mkMatch(scrut *Term, cases []MatchCase) *Term {
 	me := MatchExpr{Scrut: scrut, Cases: cases}
 	t := Term{Match: &me}
-	t.hash, t.hash2, t.varSig = computeTermKey(&t)
-	kids := termInterned(scrut)
-	for _, c := range cases {
-		kids = kids && termInterned(c.Pat) && termInterned(c.RHS)
-	}
-	return internTerm(&t, kids)
+	t.hash, t.hash2, t.varSig = computeMatchKey(scrut, cases)
+	return internTerm(&t)
 }
 
 // NewMatch builds a match term (the interning constructor used by the
 // parser and resolver; kernel-internal code uses mkMatch directly).
 func NewMatch(scrut *Term, cases []MatchCase) *Term { return mkMatch(scrut, cases) }
 
-func finishForm(f *Form, kids bool) *Form {
+func finishForm(f *Form) *Form {
 	f.hash, f.hash2, f.varSig = computeFormKey(f)
-	return internForm(f, kids)
+	return internForm(f)
 }
 
 func mkPred(name string, args []*Term) *Form {
 	h, h2, sig := computePredKey(name, args)
-	kids := true
-	for _, a := range args {
-		if !termInterned(a) {
-			kids = false
-			break
-		}
-	}
-	return internPred(name, args, h, h2, sig, kids)
+	return internPred(name, args, h, h2, sig)
 }
 
 // internPred is internForm specialized to predicate atoms, mirroring
 // internApp: the argument slice never escapes.
-func internPred(name string, args []*Term, h, h2, sig uint64, kids bool) *Form {
-	if !kids || internOff.Load() {
-		n := &Form{Kind: FPred, Pred: name, hash: h, hash2: h2, varSig: sig}
-		if len(args) > 0 {
-			n.Args = append([]*Term(nil), args...)
-		}
-		return n
-	}
+func internPred(name string, args []*Term, h, h2, sig uint64) *Form {
 	sh := &formArena[h&(arenaShards-1)]
 	sh.mu.Lock()
 	if sh.m == nil {
@@ -805,7 +682,6 @@ func internPred(name string, args []*Term, h, h2, sig uint64, kids bool) *Form {
 	n.Kind, n.Pred = FPred, name
 	n.hash, n.hash2, n.varSig = h, h2, sig
 	n.Args = sh.copyArgs(args)
-	n.interned = true
 	sh.m[h] = append(sh.m[h], n)
 	sh.mu.Unlock()
 	internMisses.Add(1)
@@ -826,12 +702,11 @@ func samePredShallow(c *Form, h2 uint64, name string, args []*Term) bool {
 
 // mkConn builds FNot (r must be nil) and the binary connectives.
 func mkConn(kind FormKind, l, r *Form) *Form {
-	return finishForm(&Form{Kind: kind, L: l, R: r}, formInterned(l) && formInterned(r))
+	return finishForm(&Form{Kind: kind, L: l, R: r})
 }
 
 func mkQuant(kind FormKind, binder string, bty *Type, body *Form) *Form {
-	return finishForm(&Form{Kind: kind, Binder: binder, BType: bty, Body: body},
-		typeInterned(bty) && formInterned(body))
+	return finishForm(&Form{Kind: kind, Binder: binder, BType: bty, Body: body})
 }
 
 // Conn builds a unary/binary connective formula by kind (FNot uses L only).
@@ -854,14 +729,7 @@ func Quant(kind FormKind, binder string, bty *Type, body *Form) *Form {
 func mkType(name string, args []*Type, tvar bool) *Type {
 	ty := Type{Name: name, Args: args, TVar: tvar}
 	ty.hash, ty.hash2 = computeTypeKey(&ty)
-	kids := true
-	for _, a := range args {
-		if !typeInterned(a) {
-			kids = false
-			break
-		}
-	}
-	return internType(&ty, kids)
+	return internType(&ty)
 }
 
 // MkType builds a type with an explicit TVar flag (used when rewriting

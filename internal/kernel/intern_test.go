@@ -59,46 +59,136 @@ func internGenForm(rng *rand.Rand, depth int) *Form {
 	}
 }
 
-// TestInternObservationalEquivalence is the central parity property: the
-// same random construction with interning on and off must agree on every
-// observable — rendering, textual fingerprints, fingerprint keys, equality,
-// and unification — because interning only changes pointer coincidences.
-func TestInternObservationalEquivalence(t *testing.T) {
-	defer SetInterning(true)
-	for seed := int64(0); seed < 40; seed++ {
-		SetInterning(true)
-		fOn := internGenForm(rand.New(rand.NewSource(seed)), 4)
-		SetInterning(false)
-		fOff := internGenForm(rand.New(rand.NewSource(seed)), 4)
-		SetInterning(true)
-
-		if !fOn.Equal(fOff) || !fOff.Equal(fOn) {
-			t.Fatalf("seed %d: interned and plain construction not Equal", seed)
+// refTermEqual is a structural walk over terms: the reference that pointer
+// comparison in Term.Equal must agree with. It never short-cuts on pointer
+// identity.
+func refTermEqual(t, u *Term) bool {
+	if t == nil || u == nil {
+		return t == nil && u == nil
+	}
+	switch {
+	case t.Var != "" || u.Var != "":
+		return t.Var == u.Var
+	case t.Match != nil || u.Match != nil:
+		if t.Match == nil || u.Match == nil {
+			return false
 		}
-		if fOn.String() != fOff.String() {
-			t.Fatalf("seed %d: renderings differ:\n%s\n%s", seed, fOn, fOff)
+		if !refTermEqual(t.Match.Scrut, u.Match.Scrut) || len(t.Match.Cases) != len(u.Match.Cases) {
+			return false
 		}
-		if fOn.Fingerprint() != fOff.Fingerprint() {
-			t.Fatalf("seed %d: textual fingerprints differ", seed)
+		for i := range t.Match.Cases {
+			if !refTermEqual(t.Match.Cases[i].Pat, u.Match.Cases[i].Pat) ||
+				!refTermEqual(t.Match.Cases[i].RHS, u.Match.Cases[i].RHS) {
+				return false
+			}
 		}
-		if fOn.FingerprintKey() != fOff.FingerprintKey() {
-			t.Fatalf("seed %d: fingerprint keys differ", seed)
+		return true
+	default:
+		if t.Fun != u.Fun || len(t.Args) != len(u.Args) {
+			return false
 		}
-		if fOn.HashKey() != fOff.HashKey() {
-			t.Fatalf("seed %d: strict hash keys differ", seed)
+		for i := range t.Args {
+			if !refTermEqual(t.Args[i], u.Args[i]) {
+				return false
+			}
 		}
-
-		// The same substitution applied to both must agree observably.
-		sub := Subst{"x0": A("S", A("O")), "x2": V("y")}
-		sOn, sOff := fOn.SubstTerm(sub), fOff.SubstTerm(sub)
-		if !sOn.Equal(sOff) || sOn.Fingerprint() != sOff.Fingerprint() {
-			t.Fatalf("seed %d: SubstTerm diverges between interned and plain", seed)
-		}
+		return true
 	}
 }
 
-// TestInternDedup: with interning on, structurally equal constructions
-// collapse to one pointer; equality is pointer comparison.
+// refTypeEqual is refTermEqual for types.
+func refTypeEqual(a, b *Type) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	if a.TVar != b.TVar || a.Name != b.Name || len(a.Args) != len(b.Args) {
+		return false
+	}
+	for i := range a.Args {
+		if !refTypeEqual(a.Args[i], b.Args[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// rebuildReversed reconstructs t through the constructors, building the
+// children of every node last-to-first (match cases included), so the copy
+// shares no construction history with t.
+func rebuildReversed(t *Term) *Term {
+	switch {
+	case t.Var != "":
+		return V(t.Var)
+	case t.Match != nil:
+		cases := make([]MatchCase, len(t.Match.Cases))
+		for i := len(cases) - 1; i >= 0; i-- {
+			rhs := rebuildReversed(t.Match.Cases[i].RHS)
+			cases[i] = MatchCase{Pat: rebuildReversed(t.Match.Cases[i].Pat), RHS: rhs}
+		}
+		return NewMatch(rebuildReversed(t.Match.Scrut), cases)
+	default:
+		args := make([]*Term, len(t.Args))
+		for i := len(args) - 1; i >= 0; i-- {
+			args[i] = rebuildReversed(t.Args[i])
+		}
+		return A(t.Fun, args...)
+	}
+}
+
+func internGenType(rng *rand.Rand, depth int) *Type {
+	if depth <= 0 || rng.Intn(3) == 0 {
+		if rng.Intn(2) == 0 {
+			return TyVar(fmt.Sprintf("T%d", rng.Intn(2)))
+		}
+		return Ty([]string{"nat", "bool"}[rng.Intn(2)])
+	}
+	if rng.Intn(2) == 0 {
+		return Ty("list", internGenType(rng, depth-1))
+	}
+	return Ty("prod", internGenType(rng, depth-1), internGenType(rng, depth-1))
+}
+
+// TestEqualMatchesStructuralWalk: on random term and type pairs, pointer
+// equality agrees with the structural walk, and a term rebuilt in reverse
+// construction order is the same pointer.
+func TestEqualMatchesStructuralWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	eqTerms, eqTypes := 0, 0
+	for i := 0; i < 4000; i++ {
+		a, b := internGenTerm(rng, 3), internGenTerm(rng, 3)
+		if got, want := a.Equal(b), refTermEqual(a, b); got != want {
+			t.Fatalf("Equal(%s, %s) = %v, structural walk says %v", a, b, got, want)
+		}
+		if a.Equal(b) {
+			eqTerms++
+		}
+		if r := rebuildReversed(a); r != a || !refTermEqual(r, a) {
+			t.Fatalf("rebuilt %s is not the canonical pointer", a)
+		}
+		x, y := internGenType(rng, 3), internGenType(rng, 3)
+		if got, want := x.Equal(y), refTypeEqual(x, y); got != want {
+			t.Fatalf("Equal(%s, %s) = %v, structural walk says %v", x, y, got, want)
+		}
+		if x.Equal(y) {
+			eqTypes++
+		}
+		if r := MkType(x.Name, append([]*Type(nil), x.Args...), x.TVar); r != x {
+			t.Fatalf("rebuilt type %s is not the canonical pointer", x)
+		}
+	}
+	if eqTerms == 0 || eqTerms == 4000 || eqTypes == 0 || eqTypes == 4000 {
+		t.Fatalf("degenerate pairs: %d equal term pairs, %d equal type pairs of 4000", eqTerms, eqTypes)
+	}
+	var nilTerm *Term
+	var nilType *Type
+	if !nilTerm.Equal(nil) || nilTerm.Equal(V("x")) || V("x").Equal(nil) ||
+		!nilType.Equal(nil) || nilType.Equal(Ty("nat")) || Ty("nat").Equal(nil) {
+		t.Fatal("nil handling of Equal changed")
+	}
+}
+
+// TestInternDedup: structurally equal constructions collapse to one
+// pointer; equality is pointer comparison.
 func TestInternDedup(t *testing.T) {
 	a := A("plus", V("n"), A("S", A("O")))
 	b := A("plus", V("n"), A("S", A("O")))
@@ -212,24 +302,6 @@ func TestSubstFastPathIdentity(t *testing.T) {
 	}
 	if f := Pred("P", V("a")); f.SubstTerm(Subst{}) != f {
 		t.Fatalf("empty substitution did not return the same formula pointer")
-	}
-}
-
-// TestRawLiteralFallback: raw struct literals (hash==0 sentinel) still
-// compare, fingerprint, and key correctly against constructed nodes.
-func TestRawLiteralFallback(t *testing.T) {
-	raw := &Term{Fun: "plus", Args: []*Term{{Var: "n"}, {Fun: "O"}}}
-	built := A("plus", V("n"), A("O"))
-	if !raw.Equal(built) || !built.Equal(raw) {
-		t.Fatalf("raw literal and constructed term not Equal")
-	}
-	if raw.HashKey() != built.HashKey() {
-		t.Fatalf("raw literal and constructed term have different hash keys")
-	}
-	rawF := &Form{Kind: FEq, T1: raw, T2: raw}
-	builtF := Eq(built, built)
-	if !rawF.Equal(builtF) || rawF.FingerprintKey() != builtF.FingerprintKey() {
-		t.Fatalf("raw literal and constructed form disagree")
 	}
 }
 

@@ -29,14 +29,10 @@ type Term struct {
 	Match *MatchExpr
 
 	// Structural 128-bit hash and variable-name bloom signature, computed by
-	// the interning constructors (intern.go). hash == 0 marks a raw struct
-	// literal (test fixtures) whose keys are recomputed on demand; varSig
-	// covers bound names too, so it over-approximates the free variables.
+	// the interning constructors (intern.go); varSig covers bound names too,
+	// so it over-approximates the free variables.
 	hash, hash2 uint64
 	varSig      uint64
-	// interned is set only when the node was deduplicated through the arena
-	// with all-interned children; see intern.go for the invariant.
-	interned bool
 }
 
 // MatchExpr is a pattern match on a scrutinee term. Patterns are constructor
@@ -100,54 +96,9 @@ func ListLit(elems ...*Term) *Term {
 	return t
 }
 
-// Equal reports structural equality of terms.
-func (t *Term) Equal(u *Term) bool {
-	if t == u {
-		return true
-	}
-	if t == nil || u == nil {
-		return false
-	}
-	if t.hash != 0 && u.hash != 0 {
-		if t.hash != u.hash || t.hash2 != u.hash2 {
-			return false
-		}
-		if t.interned && u.interned {
-			// Equal fully-interned nodes are pointer-identical; these are
-			// distinct pointers, so a 128-bit hash collision is the only way
-			// they could still be equal — treat as unequal.
-			return false
-		}
-	}
-	switch {
-	case t.Var != "" || u.Var != "":
-		return t.Var == u.Var
-	case t.Match != nil || u.Match != nil:
-		if t.Match == nil || u.Match == nil {
-			return false
-		}
-		if !t.Match.Scrut.Equal(u.Match.Scrut) || len(t.Match.Cases) != len(u.Match.Cases) {
-			return false
-		}
-		for i := range t.Match.Cases {
-			if !t.Match.Cases[i].Pat.Equal(u.Match.Cases[i].Pat) ||
-				!t.Match.Cases[i].RHS.Equal(u.Match.Cases[i].RHS) {
-				return false
-			}
-		}
-		return true
-	default:
-		if t.Fun != u.Fun || len(t.Args) != len(u.Args) {
-			return false
-		}
-		for i := range t.Args {
-			if !t.Args[i].Equal(u.Args[i]) {
-				return false
-			}
-		}
-		return true
-	}
-}
+// Equal reports structural equality of terms. Every term is interned, so
+// structurally equal terms are one pointer.
+func (t *Term) Equal(u *Term) bool { return t == u }
 
 // AlphaEqualTerms compares terms up to consistent renaming of
 // match-pattern binders (free variables must coincide exactly). Stuck
@@ -278,7 +229,7 @@ func (t *Term) applySubst(s Subst, sig uint64, sc *Scratch) *Term {
 	if t == nil {
 		return t
 	}
-	if t.hash != 0 && t.varSig&sig == 0 {
+	if t.varSig&sig == 0 {
 		return t
 	}
 	switch {
@@ -420,7 +371,7 @@ func (t *Term) HasVar(v string) bool {
 	switch {
 	case t == nil:
 		return false
-	case t.hash != 0 && t.varSig&varBit(v) == 0:
+	case t.varSig&varBit(v) == 0:
 		// The signature covers every occurring name (free and bound), so a
 		// miss proves absence.
 		return false
@@ -562,7 +513,7 @@ func (t *Term) rename(ren map[string]string, sig uint64) *Term {
 	if t == nil {
 		return t
 	}
-	if t.hash != 0 && t.varSig&sig == 0 {
+	if t.varSig&sig == 0 {
 		return t
 	}
 	switch {

@@ -105,13 +105,10 @@ func TestReplaceAllCount(t *testing.T) {
 func TestMatchCaptureAvoidance(t *testing.T) {
 	// match n with | O => m | S p => S (plus p m) end, substituting m := p
 	// must rename the pattern binder, not capture.
-	body := &Term{Match: &MatchExpr{
-		Scrut: V("n"),
-		Cases: []MatchCase{
-			{Pat: A("O"), RHS: V("m")},
-			{Pat: A("S", V("p")), RHS: A("S", A("plus", V("p"), V("m")))},
-		},
-	}}
+	body := NewMatch(V("n"), []MatchCase{
+		{Pat: A("O"), RHS: V("m")},
+		{Pat: A("S", V("p")), RHS: A("S", A("plus", V("p"), V("m")))},
+	})
 	out := body.ApplySubst(Subst{"m": V("p")})
 	// The S-case RHS must now reference both the renamed binder and the
 	// free p; they must be distinct variables.

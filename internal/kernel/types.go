@@ -13,9 +13,8 @@ type Type struct {
 	// TVar marks a type variable (bound by a `forall (A : Type)` binder).
 	TVar bool
 
-	// Structural hash and arena flag; see intern.go.
+	// Structural hash; see intern.go.
 	hash, hash2 uint64
-	interned    bool
 }
 
 // Ty builds an applied type.
@@ -53,32 +52,9 @@ func (ty *Type) String() string {
 	return strings.Join(parts, " ")
 }
 
-// Equal reports structural equality of types.
-func (ty *Type) Equal(other *Type) bool {
-	if ty == other {
-		return true
-	}
-	if ty == nil || other == nil {
-		return false
-	}
-	if ty.hash != 0 && other.hash != 0 {
-		if ty.hash != other.hash || ty.hash2 != other.hash2 {
-			return false
-		}
-		if ty.interned && other.interned {
-			return false // equal interned types share one pointer
-		}
-	}
-	if ty.TVar != other.TVar || ty.Name != other.Name || len(ty.Args) != len(other.Args) {
-		return false
-	}
-	for i := range ty.Args {
-		if !ty.Args[i].Equal(other.Args[i]) {
-			return false
-		}
-	}
-	return true
-}
+// Equal reports structural equality of types. Every type is interned, so
+// structurally equal types are one pointer.
+func (ty *Type) Equal(other *Type) bool { return ty == other }
 
 // SubstTypes substitutes type variables in ty.
 func (ty *Type) SubstTypes(s map[string]*Type) *Type {

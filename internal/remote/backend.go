@@ -64,10 +64,6 @@ type Backend struct {
 	// PoolSize caps concurrent wire sessions; documents beyond it run
 	// local-only rather than block a search worker.
 	PoolSize int
-	// Batch advertises ExecBatch execution to the search engine: a whole
-	// expansion's sibling sentences cross-check in one round trip instead
-	// of one per sentence. Off, documents expose only lockstep Try.
-	Batch bool
 
 	// Stats is live while the backend runs.
 	Stats Stats
@@ -154,45 +150,27 @@ func (b *Backend) NewDoc(env *kernel.Env, stmt *kernel.Form, lemma string) (chec
 		root:  root,
 		rng:   rand.New(rand.NewSource(b.Seed ^ b.docID.Add(1)*0x5851f42d4c957f2d)),
 	}
-	// The checker.BatchDoc assertion is how the search engine discovers
-	// batching, so a lockstep backend must hand out a doc type that does
-	// not implement it.
-	var doc checker.Doc = d
-	if !b.Batch {
-		doc = lockstepDoc{d}
-	}
 	if lemma == "" || !b.breaker.Allow() {
 		b.Stats.LocalDocs.Add(1)
-		return doc, nil
+		return d, nil
 	}
 	select {
 	case b.pool <- struct{}{}:
 		d.pooled = true
 	default:
 		b.Stats.LocalDocs.Add(1)
-		return doc, nil
+		return d, nil
 	}
 	if err := d.connect(); err != nil {
 		// The wire is down; the document still works, locally.
 		b.breaker.Failure()
 		d.release()
 		b.Stats.LocalDocs.Add(1)
-		return doc, nil
+		return d, nil
 	}
 	b.breaker.Success()
-	return doc, nil
+	return d, nil
 }
-
-// lockstepDoc hides wireDoc's TryBatch so the search engine falls back to
-// one round trip per sentence (the pre-ExecBatch behavior, kept for
-// comparison runs and benchmarks).
-type lockstepDoc struct{ d *wireDoc }
-
-func (l lockstepDoc) Try(parent *tactic.State, path []string, sentence string) checker.Step {
-	return l.d.Try(parent, path, sentence)
-}
-func (l lockstepDoc) Root() *tactic.State { return l.d.Root() }
-func (l lockstepDoc) Close() error        { return l.d.Close() }
 
 // wireDoc is one proof attempt: a local mirror that is authoritative for
 // the search, plus (when connected) a wire session cross-checking every
@@ -276,7 +254,7 @@ func (d *wireDoc) Try(parent *tactic.State, path []string, sentence string) chec
 // TryBatch is Try for a whole expansion: every sentence is mirrored
 // locally (authoritative, exactly as Try), then the connected wire session
 // cross-checks all of them in one ExecBatch round trip through the same
-// retry/resurrect/degrade ladder as lockstep execution.
+// retry/resurrect/degrade ladder as Try.
 func (d *wireDoc) TryBatch(parent *tactic.State, path []string, sentences []string) []checker.Step {
 	steps := make([]checker.Step, len(sentences))
 	for i, sentence := range sentences {
@@ -309,7 +287,7 @@ func (d *wireDoc) crossCheck(path []string, sentence string, local checker.Step)
 	d.ladder(1, func() error { return d.wireStep(path, sentence, local) })
 }
 
-// ladder drives one wire exchange (lockstep or batched) through the
+// ladder drives one wire exchange (one sentence or a batch) through the
 // robustness ladder: per-request deadlines are the client's, transport
 // failures retry with backoff after resurrecting the session, a mismatch
 // reproduced on a fresh session counts as semantic, and exhausted retries

@@ -36,7 +36,7 @@ func runScriptBatched(t testing.TB, be checker.Backend, env *kernel.Env, lemma s
 	defer doc.Close()
 	bd, ok := doc.(checker.BatchDoc)
 	if !ok {
-		t.Fatalf("backend with Batch=true returned a %T without TryBatch", doc)
+		t.Fatalf("remote backend returned a %T without TryBatch", doc)
 	}
 	parent := doc.Root()
 	var path []string
@@ -60,22 +60,18 @@ func runScriptBatched(t testing.TB, be checker.Backend, env *kernel.Env, lemma s
 	return lines
 }
 
-// TestBatchedBackendDocShape: the Batch flag is what switches the document
-// type — off, the engine must only see a lockstep Doc; on, a BatchDoc.
+// TestBatchedBackendDocShape: remote documents offer checker.BatchDoc, so
+// the search engine cross-checks a whole expansion in one round trip.
 func TestBatchedBackendDocShape(t *testing.T) {
 	env, addr := startCheckerd(t)
 	lem := env.Lemmas["app_nil_r"]
-	for _, batch := range []bool{false, true} {
-		be := New(addr, fastPolicy())
-		be.Batch = batch
-		doc, err := be.NewDoc(env, lem.Stmt, "app_nil_r")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := doc.(checker.BatchDoc); ok != batch {
-			t.Fatalf("Batch=%v: document %T, BatchDoc=%v", batch, doc, ok)
-		}
-		doc.Close()
+	doc, err := New(addr, fastPolicy()).NewDoc(env, lem.Stmt, "app_nil_r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer doc.Close()
+	if _, ok := doc.(checker.BatchDoc); !ok {
+		t.Fatalf("document %T does not offer checker.BatchDoc", doc)
 	}
 }
 
@@ -88,7 +84,6 @@ func TestBatchedBackendConformance(t *testing.T) {
 		local := runScript(t, checker.InProcess{}, env, ps.lemma, ps.script)
 
 		be := New(addr, fastPolicy())
-		be.Batch = true
 		batched := runScriptBatched(t, be, env, ps.lemma, ps.script)
 		if len(batched) != len(local) {
 			t.Fatalf("%s: %d batched probes, %d local", ps.lemma, len(batched), len(local))
@@ -124,7 +119,6 @@ func TestBatchedChaosDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		be := New(addr, fastPolicy())
-		be.Batch = true
 		be.Plan = plan
 		be.StallFor = 400 * time.Millisecond
 		for _, ps := range proofScripts {
@@ -146,7 +140,7 @@ func TestBatchedChaosDeterminism(t *testing.T) {
 }
 
 // TestBatchedChaosRecoveryCounters: the retry and resurrection ladder runs
-// for batched round trips exactly as for lockstep ones.
+// for batched round trips exactly as for single-sentence ones.
 func TestBatchedChaosRecoveryCounters(t *testing.T) {
 	env, addr := startCheckerd(t)
 	plan, err := faultpoint.ParsePlan(7, "drop-conn=0.15,corrupt-answer=0.1")
@@ -154,7 +148,6 @@ func TestBatchedChaosRecoveryCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	be := New(addr, fastPolicy())
-	be.Batch = true
 	be.Plan = plan
 	for round := 0; round < 3; round++ {
 		for _, ps := range proofScripts {

@@ -1,29 +1,23 @@
-// The proof-cache layer: typed, content-addressed views over the raw
-// record store for the two things the evaluation stack persists —
-// per-theorem proof outcomes (so a warm re-sweep skips whole searches) and
-// negative Try results (so a warm search skips re-executing tactics the
-// checker already rejected). Appends go through a write-behind channel
-// drained by one background goroutine, so recording never blocks a search;
-// the hot path (core.TryCache Get/Put) is untouched — warm records are
-// bulk-loaded into the in-memory tier before a search starts and new ones
-// are drained out after the run.
+// The proof-cache layer: a typed, content-addressed view over the raw
+// record store for what the evaluation stack persists — per-theorem proof
+// outcomes, so a warm re-sweep skips whole searches. Appends go through a
+// write-behind channel drained by one background goroutine, so recording
+// never blocks a search.
 
 package store
 
 import (
 	"encoding/binary"
 	"errors"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Key-namespace tags (first byte of every store key).
-const (
-	nsOutcome = 'O'
-	nsTry     = 'T'
-)
+// nsOutcome is the key-namespace tag (first byte of every outcome key).
+// Records under other tags, such as the 'T' records of older stores, are
+// never read and expire under the store's TTL.
+const nsOutcome = 'O'
 
 // CacheConfig configures OpenCache.
 type CacheConfig struct {
@@ -74,17 +68,6 @@ type OutcomeRec struct {
 	Proof   string
 }
 
-// TryRec is one persisted negative Try result: the checker's verdict for a
-// (state, sentence) pair. Only Rejected/Timeout outcomes are persisted —
-// an Applied outcome needs its successor state, which is cheaper to
-// recompute than to serialize and rehydrate.
-type TryRec struct {
-	State    [2]uint64
-	Sentence string
-	Status   uint8
-	Msg      string
-}
-
 // Cache is the typed persistence layer. All methods are safe for
 // concurrent use.
 type Cache struct {
@@ -93,17 +76,12 @@ type Cache struct {
 	readonly  bool
 	mirrorDen int
 
-	// tryByEnv buckets the warm Try records by environment fingerprint,
-	// built once at open so per-search warming is O(bucket).
-	tryByEnv map[[2]uint64][]TryRec
-
 	pend   chan pendItem
 	wg     sync.WaitGroup
 	closed atomic.Bool
 
 	outcomeHits      atomic.Int64
 	outcomeMisses    atomic.Int64
-	tryWarmed        atomic.Int64
 	recorded         atomic.Int64
 	dropped          atomic.Int64
 	mirrorChecks     atomic.Int64
@@ -130,34 +108,11 @@ func OpenCache(cfg CacheConfig) (*Cache, error) {
 		corpus:    cfg.CorpusHash,
 		readonly:  cfg.ReadOnly,
 		mirrorDen: cfg.MirrorDen,
-		tryByEnv:  map[[2]uint64][]TryRec{},
 		pend:      make(chan pendItem, 4096),
 	}
-	c.loadTryBuckets()
 	c.wg.Add(1)
 	go c.appendLoop()
 	return c, nil
-}
-
-// loadTryBuckets indexes the store's Try records by environment
-// fingerprint, sorted for deterministic warm order.
-func (c *Cache) loadTryBuckets() {
-	c.st.Range(func(key string, val []byte, ts int64) {
-		env, rec, ok := c.decodeTry(key, val)
-		if !ok {
-			return
-		}
-		c.tryByEnv[env] = append(c.tryByEnv[env], rec)
-	})
-	for _, bucket := range c.tryByEnv {
-		sort.Slice(bucket, func(i, j int) bool {
-			a, b := bucket[i], bucket[j]
-			if a.State != b.State {
-				return a.State[0] < b.State[0] || (a.State[0] == b.State[0] && a.State[1] < b.State[1])
-			}
-			return a.Sentence < b.Sentence
-		})
-	}
 }
 
 // pendItem is one unit of work for the appender: a record, or (flush set)
@@ -315,59 +270,6 @@ func (c *Cache) NoteMirror(ok bool) {
 	}
 }
 
-// MirrorDen returns the sampling denominator (0 = mirroring off).
-func (c *Cache) MirrorDen() int { return c.mirrorDen }
-
-// --- try records ------------------------------------------------------------
-
-// tryKeyBytes encodes a Try key: namespace, corpus hash, env fingerprint,
-// state StrictKey, sentence.
-func (c *Cache) tryKeyBytes(env, state [2]uint64, sentence string) []byte {
-	buf := make([]byte, 0, 49+len(sentence))
-	buf = append(buf, nsTry)
-	buf = appendPair(buf, c.corpus)
-	buf = appendPair(buf, env)
-	buf = appendPair(buf, state)
-	buf = append(buf, sentence...)
-	return buf
-}
-
-// decodeTry parses one raw store record as a Try record of this corpus.
-func (c *Cache) decodeTry(key string, val []byte) (env [2]uint64, rec TryRec, ok bool) {
-	if len(key) < 49 || key[0] != nsTry || len(val) < 1 {
-		return env, rec, false
-	}
-	k := []byte(key[1:])
-	if binary.BigEndian.Uint64(k) != c.corpus[0] || binary.BigEndian.Uint64(k[8:]) != c.corpus[1] {
-		return env, rec, false // another corpus's records: dead weight until TTL
-	}
-	env = [2]uint64{binary.BigEndian.Uint64(k[16:]), binary.BigEndian.Uint64(k[24:])}
-	rec = TryRec{
-		State:    [2]uint64{binary.BigEndian.Uint64(k[32:]), binary.BigEndian.Uint64(k[40:])},
-		Sentence: key[49:],
-		Status:   val[0],
-		Msg:      string(val[1:]),
-	}
-	return env, rec, true
-}
-
-// TryRecords returns the warm Try records for one environment fingerprint,
-// sorted deterministically. The caller loads them into the in-memory
-// TryCache before a search; the slice is shared and must not be mutated.
-func (c *Cache) TryRecords(env [2]uint64) []TryRec {
-	recs := c.tryByEnv[env] // built at open, immutable afterwards
-	c.tryWarmed.Add(int64(len(recs)))
-	return recs
-}
-
-// RecordTry persists one negative Try result via the write-behind appender.
-func (c *Cache) RecordTry(env [2]uint64, rec TryRec) {
-	val := make([]byte, 0, 1+len(rec.Msg))
-	val = append(val, rec.Status)
-	val = append(val, rec.Msg...)
-	c.enqueue(c.tryKeyBytes(env, rec.State, rec.Sentence), val)
-}
-
 // --- stats / lifecycle ------------------------------------------------------
 
 // CacheStats snapshots the typed layer's counters plus the underlying
@@ -376,7 +278,6 @@ type CacheStats struct {
 	ReadOnly         bool   `json:"read_only"`
 	OutcomeHits      int64  `json:"outcome_hits"`
 	OutcomeMisses    int64  `json:"outcome_misses"`
-	TryWarmed        int64  `json:"try_warmed"`
 	Recorded         int64  `json:"recorded"`
 	Dropped          int64  `json:"dropped"`
 	MirrorChecks     int64  `json:"mirror_checks"`
@@ -391,7 +292,6 @@ func (c *Cache) Stats() CacheStats {
 		ReadOnly:         c.readonly,
 		OutcomeHits:      c.outcomeHits.Load(),
 		OutcomeMisses:    c.outcomeMisses.Load(),
-		TryWarmed:        c.tryWarmed.Load(),
 		Recorded:         c.recorded.Load(),
 		Dropped:          c.dropped.Load(),
 		MirrorChecks:     c.mirrorChecks.Load(),

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"testing"
 )
 
@@ -120,55 +121,56 @@ func TestCorpusHashIsolatesCaches(t *testing.T) {
 	c := openCacheT(t, CacheConfig{Dir: dir, CorpusHash: testCorpus})
 	k := testOutcomeKey()
 	c.RecordOutcome(k, OutcomeRec{Status: 2, Proof: "auto."})
-	env := [2]uint64{3, 4}
-	c.RecordTry(env, TryRec{State: [2]uint64{9, 9}, Sentence: "ring.", Status: 1, Msg: "no"})
 	closeCacheT(t, c)
 
-	// Same directory, different corpus hash (one flipped bit): everything
-	// is a miss — outcome lookups and Try warm buckets alike.
+	// Same directory, different corpus hash (one flipped bit): every outcome
+	// lookup is a miss.
 	other := [2]uint64{testCorpus[0] ^ 1, testCorpus[1]}
 	c2 := openCacheT(t, CacheConfig{Dir: dir, CorpusHash: other})
 	defer closeCacheT(t, c2)
 	if _, ok := c2.LookupOutcome(k); ok {
 		t.Fatal("outcome hit across corpus hash change")
 	}
-	if recs := c2.TryRecords(env); len(recs) != 0 {
-		t.Fatalf("TryRecords across corpus hash change = %d; want 0", len(recs))
-	}
 }
 
-func TestTryRecordsBucketedAndSorted(t *testing.T) {
+// TestOpensStoreWithTryRecords: a store written by a version that also
+// persisted Try verdicts ('T' keys: corpus hash, env and state
+// fingerprints, sentence) still opens, and its outcome records still hit.
+// The 'T' records are never read; they expire under the TTL.
+func TestOpensStoreWithTryRecords(t *testing.T) {
 	dir := t.TempDir()
 	c := openCacheT(t, CacheConfig{Dir: dir, CorpusHash: testCorpus})
-	envA := [2]uint64{1, 1}
-	envB := [2]uint64{2, 2}
-	// Insert out of order; the warm bucket must come back sorted.
-	c.RecordTry(envA, TryRec{State: [2]uint64{9, 0}, Sentence: "zeta.", Status: 1, Msg: "m1"})
-	c.RecordTry(envA, TryRec{State: [2]uint64{1, 0}, Sentence: "beta.", Status: 2, Msg: "m2"})
-	c.RecordTry(envA, TryRec{State: [2]uint64{1, 0}, Sentence: "alpha.", Status: 1, Msg: "m3"})
-	c.RecordTry(envB, TryRec{State: [2]uint64{5, 5}, Sentence: "only.", Status: 1, Msg: "m4"})
+	k := testOutcomeKey()
+	rec := OutcomeRec{Status: 0, Queries: 3, Proof: "intros. auto."}
+	c.RecordOutcome(k, rec)
 	closeCacheT(t, c)
 
-	c2 := openCacheT(t, CacheConfig{Dir: dir, CorpusHash: testCorpus})
-	defer closeCacheT(t, c2)
-	recsA := c2.TryRecords(envA)
-	if len(recsA) != 3 {
-		t.Fatalf("envA records = %d; want 3", len(recsA))
-	}
-	wantOrder := []string{"alpha.", "beta.", "zeta."}
-	for i, want := range wantOrder {
-		if recsA[i].Sentence != want {
-			t.Fatalf("envA[%d].Sentence = %q; want %q (sorted)", i, recsA[i].Sentence, want)
+	st := openT(t, Options{Dir: dir})
+	var batch []Rec
+	for i, sentence := range []string{"ring.", "lia.", "destruct H."} {
+		key := []byte{'T'}
+		for _, w := range []uint64{testCorpus[0], testCorpus[1], 3, 4, uint64(i), 9} {
+			key = binary.BigEndian.AppendUint64(key, w)
 		}
+		key = append(key, sentence...)
+		batch = append(batch, Rec{Key: key, Val: append([]byte{1}, "rejected"...)})
 	}
-	if recsA[0].Status != 1 || recsA[0].Msg != "m3" {
-		t.Fatalf("envA[0] = %+v; want Status 1 Msg m3", recsA[0])
+	if err := st.AppendBatch(batch); err != nil {
+		t.Fatal(err)
 	}
-	if recsB := c2.TryRecords(envB); len(recsB) != 1 || recsB[0].Sentence != "only." {
-		t.Fatalf("envB records = %+v; want the single only. record", recsB)
+	closeT(t, st)
+
+	c2, err := OpenCache(CacheConfig{Dir: dir, CorpusHash: testCorpus})
+	if err != nil {
+		t.Fatalf("OpenCache over a store with Try records: %v", err)
 	}
-	if recs := c2.TryRecords([2]uint64{7, 7}); len(recs) != 0 {
-		t.Fatalf("unknown env records = %d; want 0", len(recs))
+	defer closeCacheT(t, c2)
+	got, ok := c2.LookupOutcome(k)
+	if !ok || got != rec {
+		t.Fatalf("outcome = %+v, %v; want %+v, true", got, ok, rec)
+	}
+	if n := c2.Stats().Store.Entries; n != 4 {
+		t.Fatalf("store holds %d records; want 4 (1 outcome + 3 Try)", n)
 	}
 }
 
@@ -247,8 +249,5 @@ func TestNoteMirrorCounters(t *testing.T) {
 	}
 	if c.Mismatches() != 1 {
 		t.Fatalf("Mismatches = %d; want 1", c.Mismatches())
-	}
-	if c.MirrorDen() != 2 {
-		t.Fatalf("MirrorDen = %d; want 2", c.MirrorDen())
 	}
 }

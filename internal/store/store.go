@@ -1,11 +1,9 @@
-// Package store implements the on-disk half of the proof/Try cache: an
-// append-only, crash-safe, content-addressed record store. PR 5 made every
-// goal/state identity a pure 128-bit structural key and the Try/outcome
-// caches pure functions of those keys plus the environment, so proof
-// results can be persisted and reused across processes: repeated sweeps,
-// CI invocations, and future proofd requests warm-start instead of
-// recomputing (ROADMAP: "fast once" vs "fast for millions of repeat
-// queries").
+// Package store implements the on-disk half of the proof-outcome cache: an
+// append-only, crash-safe, content-addressed record store. Every goal/state
+// identity is a pure 128-bit structural key and a search outcome is a pure
+// function of those keys plus the environment, so outcomes can be persisted
+// and reused across processes: repeated sweeps and CI invocations
+// warm-start instead of recomputing.
 //
 // The layout is a Bitcask-style log: numbered segment files of
 // length-prefixed, checksummed records, with the full live key set held in

@@ -67,7 +67,7 @@ func TestDistributedGridEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-	workers := fleet.Workers(WorkerOptions{Policy: fastPolicy(), Batch: true, Slots: 2})
+	workers := fleet.Workers(WorkerOptions{Policy: fastPolicy(), Slots: 2})
 	defer CloseWorkers(workers) //nolint:errcheck
 
 	co := New(r, workers)
@@ -119,7 +119,6 @@ func TestDistributedSweepChaos(t *testing.T) {
 	workers := fleet.Workers(WorkerOptions{
 		Policy:   fastPolicy(),
 		Plan:     plan,
-		Batch:    true,
 		Slots:    2,
 		StallFor: 50 * time.Millisecond,
 	})
@@ -177,7 +176,7 @@ func TestStrandedFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	workers := fleet.Workers(WorkerOptions{Policy: fastPolicy(), Batch: true, Slots: 1})
+	workers := fleet.Workers(WorkerOptions{Policy: fastPolicy(), Slots: 1})
 	defer CloseWorkers(workers) //nolint:errcheck
 	fleet.Kill(0)
 	fleet.Kill(1)

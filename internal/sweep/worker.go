@@ -87,9 +87,6 @@ type WorkerOptions struct {
 	Seed int64
 	// StallFor is how long an injected connection stall blocks.
 	StallFor time.Duration
-	// Batch advertises ExecBatch to the search engine (one round trip per
-	// expansion); on by default in the CLI.
-	Batch bool
 	// Slots is the per-worker unit concurrency (<=0: 1); it also sizes the
 	// backend's wire-session pool so concurrent units never fall back to
 	// local-only execution just because the pool is small.
@@ -106,7 +103,6 @@ func DialWorkers(addrs []string, opt WorkerOptions) []*Worker {
 		be.Plan = opt.Plan
 		be.Seed = opt.Seed + int64(i)
 		be.StallFor = opt.StallFor
-		be.Batch = opt.Batch
 		slots := opt.Slots
 		if slots <= 0 {
 			slots = 1

@@ -78,21 +78,17 @@ func instantiateAll(stmt *kernel.Form, mc *kernel.MetaCounter) []instantiated {
 // distinct metavariables.
 var instMemo sync.Map // *kernel.Form -> []instantiated
 
-// instantiations is instantiateAll with a fresh MetaCounter, memoized on
-// interned statements (interned pointers are canonical, so the key is the
-// statement's identity; non-interned statements fall back to recomputing).
+// instantiations is instantiateAll with a fresh MetaCounter, memoized on the
+// statement pointer (every formula is interned, so the pointer is the
+// statement's identity).
 func instantiations(stmt *kernel.Form) []instantiated {
-	if stmt.Interned() {
-		if v, ok := instMemo.Load(stmt); ok {
-			return v.([]instantiated)
-		}
+	if v, ok := instMemo.Load(stmt); ok {
+		return v.([]instantiated)
 	}
 	var mc kernel.MetaCounter
 	insts := instantiateAll(stmt, &mc)
-	if stmt.Interned() {
-		if v, loaded := instMemo.LoadOrStore(stmt, insts); loaded {
-			return v.([]instantiated)
-		}
+	if v, loaded := instMemo.LoadOrStore(stmt, insts); loaded {
+		return v.([]instantiated)
 	}
 	return insts
 }

@@ -64,10 +64,10 @@ type Goal struct {
 	Concl *kernel.Form
 
 	// Lazily memoized identities. Goals are shared between the states of
-	// one search, between parallel expansion workers, and (through the
-	// cross-search Try cache) between concurrent searches, so every memo is
-	// atomic and fills from whichever goroutine computes it first; a racing
-	// duplicate computation is benign — both store the same value.
+	// one search and (through the cross-search Try cache) between
+	// concurrent searches, so every memo is atomic and fills from whichever
+	// goroutine computes it first; a racing duplicate computation is
+	// benign — both store the same value.
 	// Constructors and Clone leave them empty so in-place edits on fresh
 	// copies cannot see a stale value.
 	fp        atomic.Pointer[string]    // textual Fingerprint (boundary/display)
