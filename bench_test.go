@@ -16,9 +16,7 @@ import (
 	"llmfscq/internal/kernel"
 	"llmfscq/internal/model"
 	"llmfscq/internal/prompt"
-	"llmfscq/internal/remote"
 	"llmfscq/internal/store"
-	"llmfscq/internal/sweep"
 	"llmfscq/internal/tactic"
 	"llmfscq/internal/textmetrics"
 	"llmfscq/internal/tokenizer"
@@ -529,57 +527,4 @@ func BenchmarkTypedLoad(b *testing.B) {
 			b.Fatal("empty hot set")
 		}
 	}
-}
-
-// BenchmarkDistributedSweep runs the same grid slice through the
-// single-process grid scheduler and through a 4-worker checkerd fleet via
-// the sweep coordinator, so the fleet's coordination cost (wire
-// cross-checks on every worker, work-stealing, ordered merge) is visible
-// next to the baseline it is byte-identical to.
-func BenchmarkDistributedSweep(b *testing.B) {
-	jobsOf := func(r *eval.Runner) []eval.GridJob {
-		ths := slice(r, 20)
-		return []eval.GridJob{
-			{Profile: model.GPT4oMini, Setting: prompt.Vanilla, Theorems: ths},
-			{Profile: model.GPT4oMini, Setting: prompt.Hint, Theorems: ths},
-		}
-	}
-	b.Run("inprocess", func(b *testing.B) {
-		b.ReportAllocs()
-		r := newRunner(b)
-		jobs := jobsOf(r)
-		for i := 0; i < b.N; i++ {
-			outs := r.RunGrid(jobs)
-			if i == 0 {
-				b.ReportMetric(coveragePct(outs[1]), "hint-cov-%")
-			}
-		}
-	})
-	b.Run("fleet-4", func(b *testing.B) {
-		b.ReportAllocs()
-		r := newRunner(b)
-		jobs := jobsOf(r)
-		fleet, err := sweep.SpawnFleet(r.Corpus.Env, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer fleet.Close()
-		workers := fleet.Workers(sweep.WorkerOptions{Policy: remote.DefaultPolicy(), Slots: 1})
-		defer sweep.CloseWorkers(workers) //nolint:errcheck
-		co := sweep.New(r, workers)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			outs := co.RunGrid(jobs)
-			if i == 0 {
-				b.ReportMetric(coveragePct(outs[1]), "hint-cov-%")
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(co.Stats.Steals.Load()), "steals")
-		for _, w := range workers {
-			if w.Backend.(*remote.Backend).Stats.Mismatches.Load() != 0 {
-				b.Fatalf("worker %d disagreed with the in-process checker", w.ID)
-			}
-		}
-	})
 }

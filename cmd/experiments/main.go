@@ -25,7 +25,6 @@ import (
 	"llmfscq/internal/protocol"
 	"llmfscq/internal/remote"
 	"llmfscq/internal/store"
-	"llmfscq/internal/sweep"
 )
 
 func main() {
@@ -60,10 +59,6 @@ func main() {
 		faults      = flag.String("faults", "", "fault-injection schedule for -backend=remote, e.g. \"drop-conn=0.05,stall=0.02\" (sites: "+faultSites()+")")
 		faultSeed   = flag.Int64("fault-seed", 1, "seed for the deterministic fault schedule")
 		wireTimeout = flag.Duration("wire-timeout", 5*time.Second, "per-request deadline for -backend=remote (the paper's per-tactic budget); injected stalls block for twice this")
-
-		workers     = flag.Int("workers", 0, "distributed sweep: spawn this many in-process checkerd workers and shard the grid across them (0 = off; tables are byte-identical at every fleet size)")
-		workerAddrs = flag.String("worker-addrs", "", "distributed sweep: comma-separated checkerd addresses to shard the grid across (overrides -workers)")
-		straggler   = flag.Duration("straggler", sweep.DefaultStragglerAfter, "distributed sweep: duplicate a unit still in flight after this long on an idle worker (negative: never)")
 	)
 	flag.Parse()
 	if !(*fig1a || *fig1b || *table1 || *table2 || *fig2 || *probe || *whole || *ablate) {
@@ -129,16 +124,7 @@ func main() {
 		}
 		r.ProofStore = pc
 	}
-	runGrid := r.RunGrid
-	var finishBackend func()
-	if *workers > 0 || *workerAddrs != "" {
-		if *backend == "remote" {
-			log.Fatalf("-workers/-worker-addrs and -backend=remote are mutually exclusive (a fleet IS remote backends)")
-		}
-		runGrid, finishBackend = setupDistributed(r, *workers, *workerAddrs, *straggler, *faults, *faultSeed, *wireTimeout)
-	} else {
-		finishBackend = setupBackend(r, *backend, *checkerd, *faults, *faultSeed, *wireTimeout)
-	}
+	finishBackend := setupBackend(r, *backend, *checkerd, *faults, *faultSeed, *wireTimeout)
 	defer finishBackend()
 	defer func() {
 		// One structured cache-stats line covers both tiers (in-memory
@@ -186,7 +172,7 @@ func main() {
 			jobs = append(jobs, eval.GridJob{Profile: prof, Setting: setting, Theorems: ths})
 		}
 	}
-	for i, outs := range runGrid(jobs) {
+	for i, outs := range r.RunGrid(jobs) {
 		sweep.Add(jobs[i].Profile.Name, jobs[i].Setting.String(), outs)
 		fmt.Fprintf(os.Stderr, "ran %-30s %-8s (%d theorems)\n", jobs[i].Profile.Name, jobs[i].Setting, len(jobs[i].Theorems))
 	}
@@ -285,95 +271,6 @@ func setupBackend(r *eval.Runner, kind, checkerdAddr, faultSpec string, faultSee
 			log.Fatalf("backend: %d semantic wire/mirror mismatches — remote checker disagrees with the in-process checker", n)
 		}
 	}
-}
-
-// setupDistributed builds the worker fleet — spawned in-process on loopback
-// ports, or dialed from -worker-addrs — and returns the coordinator's
-// RunGrid plus the drain hook: close the workers, report routing stats and
-// per-worker health, and abort on any semantic wire/mirror mismatch, same
-// contract as the single-backend path.
-func setupDistributed(r *eval.Runner, n int, addrSpec string, stragglerAfter time.Duration, faultSpec string, faultSeed int64, wireTimeout time.Duration) (func([]eval.GridJob) [][]eval.Outcome, func()) {
-	plan, err := faultpoint.ParsePlan(faultSeed, faultSpec)
-	if err != nil {
-		log.Fatalf("-faults: %v", err)
-	}
-	pol := remote.DefaultPolicy()
-	if wireTimeout > 0 {
-		pol.RequestTimeout = wireTimeout
-	}
-
-	var addrs []string
-	var fleet *sweep.Fleet
-	if addrSpec != "" {
-		for _, a := range strings.Split(addrSpec, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				addrs = append(addrs, a)
-			}
-		}
-		if len(addrs) == 0 {
-			log.Fatalf("-worker-addrs: no addresses in %q", addrSpec)
-		}
-		fmt.Fprintf(os.Stderr, "distributed: dialing %d checkerd workers\n", len(addrs))
-	} else {
-		if fleet, err = sweep.SpawnFleet(r.Corpus.Env, n); err != nil {
-			log.Fatalf("spawning worker fleet: %v", err)
-		}
-		addrs = fleet.Addrs()
-		fmt.Fprintf(os.Stderr, "distributed: spawned %d in-process checkerd workers\n", n)
-	}
-
-	// Split the run's parallelism budget across the fleet, one goroutine
-	// per worker slot, so -workers 4 -parallelism 8 does the same total work
-	// in flight as the single-process run.
-	slots := r.Parallelism / len(addrs)
-	if slots < 1 {
-		slots = 1
-	}
-	opt := sweep.WorkerOptions{
-		Policy:   pol,
-		Plan:     plan,
-		Seed:     faultSeed,
-		StallFor: 2 * pol.RequestTimeout,
-		Slots:    slots,
-	}
-	var ws []*sweep.Worker
-	if fleet != nil {
-		ws = fleet.Workers(opt)
-	} else {
-		ws = sweep.DialWorkers(addrs, opt)
-	}
-	co := sweep.New(r, ws)
-	co.Plan = plan
-	co.StragglerAfter = stragglerAfter
-	if plan != nil {
-		fmt.Fprintf(os.Stderr, "distributed: fault schedule %s (seed %d)\n", plan, faultSeed)
-	}
-
-	finish := func() {
-		_ = sweep.CloseWorkers(ws)
-		if fleet != nil {
-			fleet.Close()
-		}
-		fmt.Fprintf(os.Stderr, "distributed: %s\n", co.Stats.Snapshot())
-		fmt.Fprint(os.Stderr, co.WorkerReport())
-		if plan != nil {
-			var hits []string
-			for _, s := range faultpoint.Sites() {
-				hits = append(hits, fmt.Sprintf("%s=%d", s, plan.Hits(s)))
-			}
-			fmt.Fprintf(os.Stderr, "distributed: fault hits %s\n", strings.Join(hits, " "))
-		}
-		var mismatches int64
-		for _, w := range ws {
-			if be, ok := w.Backend.(*remote.Backend); ok {
-				mismatches += be.Stats.Mismatches.Load()
-			}
-		}
-		if mismatches > 0 {
-			log.Fatalf("distributed: %d semantic wire/mirror mismatches — a worker disagrees with the in-process checker", mismatches)
-		}
-	}
-	return co.RunGrid, finish
 }
 
 // runProbe reproduces §4.3: take short theorems (human proof < 16 tokens)

@@ -20,8 +20,6 @@ var faultSiteConsts = map[string]string{
 	"stall":          "Stall",
 	"corrupt-answer": "CorruptAnswer",
 	"partial-write":  "PartialWrite",
-	"worker-kill":    "WorkerKill",
-	"worker-stall":   "WorkerStall",
 }
 
 var analyzerFaultpoint = &Analyzer{
@@ -113,5 +111,5 @@ func faultSiteFinding(pkg *GoPackage, f *GoFile, lit *ast.BasicLit, fp, where st
 
 // faultSiteNames returns the registry spec names in the registry's order.
 func faultSiteNames() []string {
-	return []string{"drop-conn", "stall", "corrupt-answer", "partial-write", "worker-kill", "worker-stall"}
+	return []string{"drop-conn", "stall", "corrupt-answer", "partial-write"}
 }

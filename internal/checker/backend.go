@@ -65,50 +65,6 @@ type BatchDoc interface {
 	TryBatch(parent *tactic.State, path []string, sentences []string) []Step
 }
 
-// HealthSignals is a point-in-time snapshot of a backend's robustness
-// counters. The distributed-sweep coordinator samples it around each unit
-// of work and scores workers on the deltas: a healthy unit moves only
-// WireChecks, a sick worker shows retries, resurrections, degradations, or
-// an open breaker. Signals never influence proof results — backends mask
-// their own failures — they only steer where future work is routed.
-type HealthSignals struct {
-	// WireChecks counts successfully cross-checked remote executions.
-	WireChecks int64
-	// Retries counts request-level retry attempts.
-	Retries int64
-	// Resurrections counts sessions rebuilt by redial + replay.
-	Resurrections int64
-	// Degraded counts documents that gave up on the wire mid-proof.
-	Degraded int64
-	// LocalDocs counts documents opened local-only (pool exhausted, open
-	// breaker, or a dead worker).
-	LocalDocs int64
-	// BreakerOpen reports whether the backend's circuit breaker currently
-	// rejects wire traffic.
-	BreakerOpen bool
-}
-
-// Sub returns the per-unit delta s - prev (BreakerOpen is carried from the
-// later snapshot).
-func (s HealthSignals) Sub(prev HealthSignals) HealthSignals {
-	return HealthSignals{
-		WireChecks:    s.WireChecks - prev.WireChecks,
-		Retries:       s.Retries - prev.Retries,
-		Resurrections: s.Resurrections - prev.Resurrections,
-		Degraded:      s.Degraded - prev.Degraded,
-		LocalDocs:     s.LocalDocs - prev.LocalDocs,
-		BreakerOpen:   s.BreakerOpen,
-	}
-}
-
-// HealthReporter is implemented by backends that expose robustness-ladder
-// signals (internal/remote.Backend). The in-process backend deliberately
-// does not: it has no wire to be unhealthy about, and the coordinator
-// treats a non-reporting backend as permanently healthy.
-type HealthReporter interface {
-	Health() HealthSignals
-}
-
 // Backend creates proof documents. The zero value of InProcess is the
 // default backend; internal/remote provides one backed by checkerd.
 type Backend interface {

@@ -16,6 +16,37 @@ type GridJob struct {
 	Theorems []*corpus.Theorem
 }
 
+// GridUnit addresses one (job, theorem) cell of a grid: the unit of work
+// RunGrid's pool hands a worker. An Outcome is a pure function of the
+// runner's configuration and the unit, never of the schedule.
+type GridUnit struct {
+	Job, Th int
+}
+
+// Units flattens jobs into their grid units in job-major order, the order
+// RunGrid's shared-counter pool consumes them.
+func Units(jobs []GridJob) []GridUnit {
+	var units []GridUnit
+	for i := range jobs {
+		for t := range jobs[i].Theorems {
+			units = append(units, GridUnit{Job: i, Th: t})
+		}
+	}
+	return units
+}
+
+// GridShape allocates the result matrix for jobs: out[i][t] receives the
+// Outcome of unit {i, t}. Merging results into fixed coordinates, rather
+// than appending in completion order, keeps the serial and pooled
+// schedules byte-identical.
+func GridShape(jobs []GridJob) [][]Outcome {
+	out := make([][]Outcome, len(jobs))
+	for i := range jobs {
+		out[i] = make([]Outcome, len(jobs[i].Theorems))
+	}
+	return out
+}
+
 // RunGrid evaluates the whole (model, setting) × theorem job matrix through
 // one bounded worker pool, instead of parallelizing only within a sweep and
 // idling the pool between sweeps. Every unit is an independent search with

@@ -107,3 +107,22 @@ func TestPrefixEnvsMatchDirectRestriction(t *testing.T) {
 		}
 	}
 }
+
+func TestUnitsAndGridShape(t *testing.T) {
+	// Unit enumeration is pure index arithmetic: the jobs need theorems
+	// to count, nothing more.
+	_, c := runner(t)
+	jobs := []GridJob{{Theorems: c.Theorems[:3]}, {}, {Theorems: c.Theorems[:2]}}
+	units := Units(jobs)
+	want := []GridUnit{{0, 0}, {0, 1}, {0, 2}, {2, 0}, {2, 1}}
+	if !reflect.DeepEqual(units, want) {
+		t.Fatalf("Units = %v, want %v", units, want)
+	}
+	shape := GridShape(jobs)
+	if len(shape) != 3 || len(shape[0]) != 3 || len(shape[1]) != 0 || len(shape[2]) != 2 {
+		t.Fatalf("GridShape rows: %d/%d/%d", len(shape[0]), len(shape[1]), len(shape[2]))
+	}
+	if got := Units(nil); len(got) != 0 {
+		t.Fatalf("Units(nil) = %v", got)
+	}
+}

@@ -401,22 +401,14 @@ func (r *Runner) RunTheorem(prof model.Profile, setting prompt.Setting, th *corp
 // that share a theorem and setting but not a prompt ("std", "reduced") in
 // the persistent outcome key.
 func (r *Runner) runWithPrompt(prof model.Profile, setting prompt.Setting, th *corpus.Theorem, env *kernel.Env, pr *prompt.Prompt, variant string) Outcome {
-	key, persisted := r.outcomeKey(prof, setting.String(), variant, r.searchName(), th, env)
-	var warm Outcome
-	warmHit, mirror := false, false
-	if persisted {
-		if rec, ok := r.ProofStore.LookupOutcome(key); ok {
-			warm = r.rebuildOutcome(prof, setting.String(), th, rec)
-			warmHit = true
-			// Mirror-first: a deterministic sample of warm hits runs the
-			// search anyway and compares; the rest return the warm result.
-			mirror = r.ProofStore.MirrorOutcome(key)
-			if !mirror {
-				return warm
-			}
-		}
-	}
+	return r.persistedOutcome(prof, setting.String(), variant, r.searchName(), th, env, func() Outcome {
+		return r.liveSearch(prof, setting, th, env, pr)
+	})
+}
 
+// liveSearch runs one proof search (r.Search, best-first by default) and
+// reports its Outcome.
+func (r *Runner) liveSearch(prof model.Profile, setting prompt.Setting, th *corpus.Theorem, env *kernel.Env, pr *prompt.Prompt) Outcome {
 	ng := r.ngramFor(pr)
 	mdl := r.newModel(prof, env)
 	rng := rand.New(rand.NewSource(r.jobSeed(th.Name, prof.Name, setting.String())))
@@ -463,16 +455,6 @@ func (r *Runner) runWithPrompt(prof model.Profile, setting prompt.Setting, th *c
 		out.Similarity = textmetrics.Similarity(out.Proof, th.Proof)
 		out.RelLength = textmetrics.RelativeLength(out.Proof, th.Proof)
 	}
-	if persisted {
-		if warmHit && mirror {
-			r.ProofStore.NoteMirror(out == warm)
-		}
-		r.ProofStore.RecordOutcome(key, store.OutcomeRec{
-			Status:  uint8(out.Status),
-			Queries: out.Queries,
-			Proof:   out.Proof,
-		})
-	}
 	return out
 }
 
@@ -500,19 +482,13 @@ func (r *Runner) RunWholeProof(prof model.Profile, setting prompt.Setting, th *c
 	// Whole-proof generation has no search algorithm, but its outcomes are
 	// just as deterministic; "whole-proof" stands in for the search name and
 	// the attempt budget goes in the variant.
-	key, persisted := r.outcomeKey(prof, setting.String()+"+whole-proof", "whole:"+strconv.Itoa(attempts), "whole-proof", th, env)
-	var warm Outcome
-	warmHit, mirror := false, false
-	if persisted {
-		if rec, ok := r.ProofStore.LookupOutcome(key); ok {
-			warm = r.rebuildOutcome(prof, setting.String()+"+whole-proof", th, rec)
-			warmHit = true
-			mirror = r.ProofStore.MirrorOutcome(key)
-			if !mirror {
-				return warm
-			}
-		}
-	}
+	return r.persistedOutcome(prof, setting.String()+"+whole-proof", "whole:"+strconv.Itoa(attempts), "whole-proof", th, env, func() Outcome {
+		return r.wholeProof(prof, setting, th, env, attempts)
+	})
+}
+
+// wholeProof samples up to attempts complete scripts and checks each.
+func (r *Runner) wholeProof(prof model.Profile, setting prompt.Setting, th *corpus.Theorem, env *kernel.Env, attempts int) Outcome {
 	b := r.builder(prof, setting)
 	pr := b.Build(th)
 	ng := r.ngramFor(pr)
@@ -550,16 +526,6 @@ func (r *Runner) RunWholeProof(prof model.Profile, setting prompt.Setting, th *c
 			out.RelLength = textmetrics.RelativeLength(joined, th.Proof)
 			break
 		}
-	}
-	if persisted {
-		if warmHit && mirror {
-			r.ProofStore.NoteMirror(out == warm)
-		}
-		r.ProofStore.RecordOutcome(key, store.OutcomeRec{
-			Status:  uint8(out.Status),
-			Queries: out.Queries,
-			Proof:   out.Proof,
-		})
 	}
 	return out
 }

@@ -154,6 +154,47 @@ func (r *Runner) outcomeKey(prof model.Profile, settingStr, variant, search stri
 	}, true
 }
 
+// persistedOutcome runs one unit through the persistent outcome store. A
+// hit is rebuilt and served without searching, except for a deterministic
+// mirror sample of hits, which runs live, compares, and returns the live
+// outcome. A mirrored record is never rewritten, so a mismatch recurs on
+// every run until the store is cleared. A miss, including a record whose
+// status byte is not a core.Status, runs live and records the outcome,
+// which replaces the invalid record.
+func (r *Runner) persistedOutcome(prof model.Profile, settingStr, variant, search string, th *corpus.Theorem, env *kernel.Env, live func() Outcome) Outcome {
+	key, ok := r.outcomeKey(prof, settingStr, variant, search, th, env)
+	if !ok {
+		return live()
+	}
+	if rec, hit := r.ProofStore.LookupOutcome(key, validStatus); hit {
+		warm := r.rebuildOutcome(prof, settingStr, th, rec)
+		if !r.ProofStore.MirrorOutcome(key) {
+			return warm
+		}
+		out := live()
+		r.ProofStore.NoteMirror(out == warm)
+		return out
+	}
+	out := live()
+	r.ProofStore.RecordOutcome(key, store.OutcomeRec{
+		Status:  uint8(out.Status),
+		Queries: out.Queries,
+		Proof:   out.Proof,
+	})
+	return out
+}
+
+// validStatus reports whether a persisted status byte is a core.Status. The
+// tables count an outcome by its status, so serving any other byte would
+// silently drop the outcome from every rate.
+func validStatus(b uint8) bool {
+	switch core.Status(b) {
+	case core.Proved, core.Stuck, core.Fuelout:
+		return true
+	}
+	return false
+}
+
 // rebuildOutcome reconstructs a full Outcome from its persisted record.
 // Only the search's irreproducible results are stored (status, query
 // count, proof script); every derived metric is recomputed here with the

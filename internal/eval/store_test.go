@@ -175,8 +175,9 @@ func TestTornTailBackfillsByteIdentical(t *testing.T) {
 }
 
 // The mirror sample is the integrity net: tamper with a persisted outcome
-// on disk and a MirrorDen=1 warm run must (a) catch the disagreement and
-// (b) still return the live result, not the corrupt one.
+// on disk and a MirrorDen=1 warm run must (a) catch the disagreement,
+// (b) still return the live result, not the corrupt one, and (c) leave the
+// record as it is, so the next run catches it again.
 func TestMirrorCatchesTamperedRecord(t *testing.T) {
 	dir := t.TempDir()
 	hash := corpusHash(t)
@@ -216,16 +217,93 @@ func TestMirrorCatchesTamperedRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r2, pc2 := storeRunner(t, dir, hash, 1)
-	warm := sweepSlice(t, r2)
-	r2.FlushProofStore()
-	if n := r2.ProofStoreMismatches(); n == 0 {
-		t.Fatal("tampered records passed the mirror cross-check")
+	for run := 1; run <= 2; run++ {
+		r2, pc2 := storeRunner(t, dir, hash, 1)
+		warm := sweepSlice(t, r2)
+		r2.FlushProofStore()
+		if n := r2.ProofStoreMismatches(); n != int64(len(tampered)) {
+			t.Fatalf("warm run %d: %d mirror mismatches over %d tampered records", run, n, len(tampered))
+		}
+		if n := pc2.Stats().Recorded; n != 0 {
+			t.Fatalf("warm run %d rewrote %d mirrored records", run, n)
+		}
+		if err := pc2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cold, warm) {
+			t.Fatalf("warm run %d: mirrored run must return live results, not tampered ones", run)
+		}
 	}
-	if err := pc2.Close(); err != nil {
+}
+
+// A CRC-valid outcome record whose status byte is not a core.Status must
+// not be served: the tables count an outcome by its status, so a served
+// one would vanish from every rate. With the mirror sample off nothing
+// else would catch it, so each such unit must be searched live, and the
+// live outcome recorded over the bad record.
+func TestOutOfRangeStatusIsNotServed(t *testing.T) {
+	dir := t.TempDir()
+	hash := corpusHash(t)
+
+	r1, pc1 := storeRunner(t, dir, hash, 0)
+	cold := sweepSlice(t, r1)
+	finishRun(t, r1, pc1)
+
+	// Set the status byte of every outcome record ('O' namespace) out of
+	// range via the raw store: status(1) | queries(u32) | proof.
+	raw, err := store.Open(store.Options{Dir: dir})
+	if err != nil {
 		t.Fatal(err)
 	}
+	type kv struct {
+		key string
+		val []byte
+	}
+	var bad []kv
+	raw.Range(func(key string, val []byte, ts int64) {
+		if len(key) == 0 || key[0] != 'O' || len(val) < 5 {
+			return
+		}
+		v := append([]byte(nil), val...)
+		v[0] = 7
+		bad = append(bad, kv{key, v})
+	})
+	if len(bad) == 0 {
+		t.Fatal("no outcome records to corrupt")
+	}
+	for _, e := range bad {
+		if err := raw.Put([]byte(e.key), e.val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := raw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r2, pc2 := storeRunner(t, dir, hash, 0)
+	warm := sweepSlice(t, r2)
+	st2 := finishRun(t, r2, pc2)
 	if !reflect.DeepEqual(cold, warm) {
-		t.Fatal("mirrored run must return live results, not tampered ones")
+		t.Fatalf("out-of-range statuses were served:\ncold %+v\nwarm %+v", cold, warm)
+	}
+	// A rejected record is a miss, not a hit that was searched anyway.
+	if st2.OutcomeHits != 0 || st2.OutcomeMisses != int64(len(bad)) {
+		t.Fatalf("hits/misses = %d/%d over %d bad records; want 0/%d",
+			st2.OutcomeHits, st2.OutcomeMisses, len(bad), len(bad))
+	}
+	if st2.Recorded != int64(len(bad)) {
+		t.Fatalf("re-recorded %d outcomes over %d bad records", st2.Recorded, len(bad))
+	}
+
+	// The re-recorded outcomes are valid: a third run is fully warm, records
+	// nothing, and still matches.
+	r3, pc3 := storeRunner(t, dir, hash, 0)
+	again := sweepSlice(t, r3)
+	st3 := finishRun(t, r3, pc3)
+	if st3.OutcomeHits != int64(len(bad)) || st3.OutcomeMisses != 0 || st3.Recorded != 0 {
+		t.Fatalf("third run: %d hits, %d misses, %d recorded", st3.OutcomeHits, st3.OutcomeMisses, st3.Recorded)
+	}
+	if !reflect.DeepEqual(cold, again) {
+		t.Fatal("run over the repaired records diverged from cold")
 	}
 }

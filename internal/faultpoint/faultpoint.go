@@ -36,31 +36,22 @@ import (
 type Site string
 
 // The fault-site registry. Each site models one failure mode of the wire
-// between the search and a remote checker, or — for the worker-scoped
-// sites consumed by the distributed-sweep coordinator — of a whole
-// checkerd worker:
+// between the search and a remote checker:
 //
 //	DropConn      the connection dies before a request is written
 //	Stall         the peer stops answering until the read deadline fires
 //	CorruptAnswer the answer arrives with flipped bytes
 //	PartialWrite  the connection dies mid-request, after a partial write
-//	WorkerKill    the worker process dies abruptly (SIGKILL: listener and
-//	              every open session torn down with no drain)
-//	WorkerStall   the worker freezes for a stretch before serving the next
-//	              unit (GC pause, overloaded host), long enough to trip
-//	              straggler re-dispatch
 const (
 	DropConn      Site = "drop-conn"
 	Stall         Site = "stall"
 	CorruptAnswer Site = "corrupt-answer"
 	PartialWrite  Site = "partial-write"
-	WorkerKill    Site = "worker-kill"
-	WorkerStall   Site = "worker-stall"
 )
 
 // Sites returns the full registry in a fixed order.
 func Sites() []Site {
-	return []Site{DropConn, Stall, CorruptAnswer, PartialWrite, WorkerKill, WorkerStall}
+	return []Site{DropConn, Stall, CorruptAnswer, PartialWrite}
 }
 
 var registered = func() map[Site]bool {

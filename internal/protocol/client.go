@@ -198,20 +198,6 @@ func (c *Client) ExecBatch(sentences []string) ([]ExecResult, error) {
 	return out, nil
 }
 
-// Ping round-trips a liveness probe. It touches no document state: a nil
-// error means the worker accepted, parsed, and answered one message within
-// the client's Timeout — the coordinator's definition of "alive".
-func (c *Client) Ping() error {
-	p, err := c.roundTrip(sexp.L(sexp.Sym("Ping")))
-	if err != nil {
-		return err
-	}
-	if p.Head() != "Pong" {
-		return fmt.Errorf("protocol: unexpected ping answer %s", p)
-	}
-	return nil
-}
-
 // Cancel rolls back to n executed sentences.
 func (c *Client) Cancel(n int) error {
 	_, err := c.roundTrip(sexp.L(sexp.Sym("Cancel"), sexp.Int(n)))

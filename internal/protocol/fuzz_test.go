@@ -93,7 +93,7 @@ func FuzzParseRequest(f *testing.F) {
 	f.Add("(Query Fingerprint)")
 	f.Add("(Query Script)")
 	f.Add("(Query Frob)")
-	f.Add("(Ping)")
+	f.Add("(Ping)") // not a request: the unknown-request path
 	f.Add("(Ping extra args)")
 	f.Add("(Quit)")
 	f.Add("(Frobnicate (Deeply (Nested)))")

@@ -17,9 +17,6 @@
 //	(Query Goals)                  pretty-printed goals
 //	(Query Fingerprint)            canonical state fingerprint
 //	(Query Script)                 executed sentences
-//	(Ping)                         liveness probe: answered (Pong) without
-//	                               touching the document — the sweep
-//	                               coordinator's cheap worker health check
 //	(Quit)                         close the connection
 //
 // Answers:
@@ -31,7 +28,6 @@
 //	(Answer k (Batch p1 p2 ...))   one Applied/Proved/Rejected/Timeout
 //	                               payload per ExecBatch sentence, in order
 //	(Answer k (Goals "text")) / (Answer k (Fingerprint "fp")) / ...
-//	(Answer k (Pong))
 //	(Answer k (Error "message"))
 //
 // Applied/Proved answers carry the canonical state fingerprint so a client

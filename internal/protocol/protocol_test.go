@@ -224,35 +224,31 @@ func TestProtocolAddQueue(t *testing.T) {
 	}
 }
 
-// Ping is the coordinator's liveness probe: state-free, answered from any
-// session phase, and dead the instant the server is killed.
-func TestPingAndKill(t *testing.T) {
+// Kill is checkerd's second-signal path: the listener and every open
+// session close at once, so a request on a session that was open fails,
+// and killing an already-killed server is harmless.
+func TestKill(t *testing.T) {
 	srv, addr := startServer(t)
 	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close() //nolint:errcheck
-	if err := cl.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	// Ping must not disturb an open document.
 	if _, err := cl.NewDocLemma("app_nil_r"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Ping(); err != nil {
 		t.Fatal(err)
 	}
 	res, err := cl.Exec("induction l.")
 	if err != nil || res.Status != checker.Applied {
-		t.Fatalf("exec after ping: %v %v", res, err)
+		t.Fatalf("exec before kill: %v %v", res, err)
 	}
 
 	if err := srv.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Ping(); err == nil {
-		t.Fatal("ping succeeded against a killed server")
+	if _, err := cl.Exec("simpl."); err == nil {
+		t.Fatal("exec succeeded on a session of a killed server")
 	}
-	_ = srv.Kill() // idempotent
+	if err := srv.Kill(); err != nil {
+		t.Fatalf("second kill: %v", err)
+	}
 }

@@ -149,11 +149,10 @@ func (s *Server) Close() error {
 }
 
 // Kill terminates the server abruptly: the listener and every open session
-// connection close immediately, with no drain and no in-flight answers —
-// the in-process analogue of SIGKILL-ing a checkerd worker, used by the
-// distributed-sweep chaos tests and the fleet's worker-kill fault site.
-// Clients observe a reset mid-request, exactly as they would from a dead
-// process.
+// connection close immediately, with no drain and no in-flight answers.
+// cmd/checkerd calls it on a second SIGINT/SIGTERM, when an operator gives
+// up on the Shutdown drain. Clients observe a reset mid-request, exactly as
+// they would from a dead process.
 func (s *Server) Kill() error {
 	err := s.Close()
 	//lint:ignore errdrop abrupt termination is the point; the sessions being killed have nothing to report
@@ -257,11 +256,6 @@ func (s *session) dispatch(msg *sexp.Node) (payload *sexp.Node, quit bool) {
 	switch msg.Head() {
 	case "Quit":
 		return sexp.L(sexp.Sym("Bye")), true
-	case "Ping":
-		// Liveness probe: no document state is read or written, so a
-		// coordinator can probe a quarantined worker without disturbing a
-		// session it might share.
-		return sexp.L(sexp.Sym("Pong")), false
 	case "NewDoc":
 		return s.newDoc(msg.Nth(1)), false
 	case "Add":

@@ -104,22 +104,6 @@ func (b *Backend) Close() error { return nil }
 // Breaker exposes the circuit breaker (for tests and status reporting).
 func (b *Backend) Breaker() *Breaker { b.init(); return b.breaker }
 
-// Health snapshots the robustness-ladder counters for the distributed-sweep
-// health scorer (checker.HealthReporter). Reading it is cheap — atomic
-// loads plus one breaker state probe — so the coordinator samples it around
-// every unit of work.
-func (b *Backend) Health() checker.HealthSignals {
-	b.init()
-	return checker.HealthSignals{
-		WireChecks:    b.Stats.WireChecks.Load(),
-		Retries:       b.Stats.Retries.Load(),
-		Resurrections: b.Stats.Resurrections.Load(),
-		Degraded:      b.Stats.Degraded.Load(),
-		LocalDocs:     b.Stats.LocalDocs.Load(),
-		BreakerOpen:   b.breaker.State() == Open,
-	}
-}
-
 // dial opens one wire connection, wrapping it with fault injection when a
 // plan is set. The protocol client's timeout is the per-request budget.
 func (b *Backend) dial() (*protocol.Client, error) {

@@ -187,8 +187,8 @@ func (c *Cache) enqueue(key, val []byte) {
 		c.dropped.Add(1)
 		return
 	}
-	if c.st.Has(key) {
-		return // already persisted (idempotent backfill)
+	if c.st.Holds(key, val) {
+		return // already persisted with this value (idempotent backfill)
 	}
 	select {
 	case c.pend <- pendItem{rec: Rec{Key: key, Val: val}}:
@@ -224,10 +224,11 @@ func appendPair(buf []byte, p [2]uint64) []byte {
 	return binary.BigEndian.AppendUint64(buf, p[1])
 }
 
-// LookupOutcome returns the persisted outcome for k.
-func (c *Cache) LookupOutcome(k OutcomeKey) (OutcomeRec, bool) {
+// LookupOutcome returns the persisted outcome for k. A record too short to
+// decode, or whose status byte validStatus rejects, is a miss.
+func (c *Cache) LookupOutcome(k OutcomeKey, validStatus func(uint8) bool) (OutcomeRec, bool) {
 	val, ok := c.st.Get(c.outcomeKeyBytes(k))
-	if !ok || len(val) < 5 {
+	if !ok || len(val) < 5 || !validStatus(val[0]) {
 		c.outcomeMisses.Add(1)
 		return OutcomeRec{}, false
 	}
@@ -239,7 +240,8 @@ func (c *Cache) LookupOutcome(k OutcomeKey) (OutcomeRec, bool) {
 	}, true
 }
 
-// RecordOutcome persists rec under k via the write-behind appender.
+// RecordOutcome persists rec under k via the write-behind appender. A
+// record that already holds rec is left alone; any other is replaced.
 func (c *Cache) RecordOutcome(k OutcomeKey, rec OutcomeRec) {
 	val := make([]byte, 0, 5+len(rec.Proof))
 	val = append(val, rec.Status)

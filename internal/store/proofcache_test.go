@@ -23,6 +23,10 @@ func closeCacheT(t *testing.T, c *Cache) {
 
 var testCorpus = [2]uint64{0x1111, 0x2222}
 
+// anyStatus accepts every status byte, so lookups hit on any decodable
+// record.
+func anyStatus(uint8) bool { return true }
+
 func testOutcomeKey() OutcomeKey {
 	return OutcomeKey{
 		Env:     [2]uint64{3, 4},
@@ -41,7 +45,7 @@ func TestOutcomeRoundtripAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	c := openCacheT(t, CacheConfig{Dir: dir, CorpusHash: testCorpus})
 	k := testOutcomeKey()
-	if _, ok := c.LookupOutcome(k); ok {
+	if _, ok := c.LookupOutcome(k, anyStatus); ok {
 		t.Fatal("lookup hit on empty cache")
 	}
 	rec := OutcomeRec{Status: 2, Queries: 17, Proof: "intros.\nauto."}
@@ -50,7 +54,7 @@ func TestOutcomeRoundtripAcrossReopen(t *testing.T) {
 
 	c2 := openCacheT(t, CacheConfig{Dir: dir, CorpusHash: testCorpus})
 	defer closeCacheT(t, c2)
-	got, ok := c2.LookupOutcome(k)
+	got, ok := c2.LookupOutcome(k, anyStatus)
 	if !ok {
 		t.Fatal("recorded outcome missing after reopen")
 	}
@@ -60,6 +64,40 @@ func TestOutcomeRoundtripAcrossReopen(t *testing.T) {
 	st := c2.Stats()
 	if st.OutcomeHits != 1 || st.OutcomeMisses != 0 {
 		t.Fatalf("hits/misses = %d/%d; want 1/0", st.OutcomeHits, st.OutcomeMisses)
+	}
+}
+
+// A record whose status byte the caller rejects is a counted miss.
+// Re-recording the value a key already holds is a no-op (the warm-run
+// backfill), but a different value replaces the persisted one, so a
+// rejected record is repaired by the live outcome recorded in its place.
+func TestRecordOutcomeReplacesOnlyDifferentValues(t *testing.T) {
+	dir := t.TempDir()
+	c := openCacheT(t, CacheConfig{Dir: dir, CorpusHash: testCorpus})
+	k := testOutcomeKey()
+	validStatus := func(s uint8) bool { return s <= 2 }
+	bad := OutcomeRec{Status: 7, Queries: 3}
+	good := OutcomeRec{Status: 1, Queries: 3}
+	c.RecordOutcome(k, bad)
+	c.Flush()
+	c.RecordOutcome(k, bad)
+	c.Flush()
+	if got := c.Stats().Recorded; got != 1 {
+		t.Fatalf("identical re-record: Recorded = %d; want 1", got)
+	}
+	if got, ok := c.LookupOutcome(k, validStatus); ok {
+		t.Fatalf("rejected status served: %+v", got)
+	}
+	if st := c.Stats(); st.OutcomeHits != 0 || st.OutcomeMisses != 1 {
+		t.Fatalf("rejected record: hits/misses = %d/%d; want 0/1", st.OutcomeHits, st.OutcomeMisses)
+	}
+	c.RecordOutcome(k, good)
+	closeCacheT(t, c)
+
+	c2 := openCacheT(t, CacheConfig{Dir: dir, CorpusHash: testCorpus})
+	defer closeCacheT(t, c2)
+	if got, ok := c2.LookupOutcome(k, validStatus); !ok || got != good {
+		t.Fatalf("outcome = %+v,%v; want %+v", got, ok, good)
 	}
 }
 
@@ -102,7 +140,7 @@ func TestOutcomeKeyComponentsDiscriminate(t *testing.T) {
 	k.Seed = 100
 	variants["seed"] = k
 	for name, v := range variants {
-		if _, ok := c.LookupOutcome(v); ok {
+		if _, ok := c.LookupOutcome(v, anyStatus); ok {
 			t.Errorf("changed %s but lookup still hit", name)
 		}
 	}
@@ -111,7 +149,7 @@ func TestOutcomeKeyComponentsDiscriminate(t *testing.T) {
 	k.Setting, k.Variant = base.Setting+"x", base.Variant
 	c.RecordOutcome(k, OutcomeRec{Status: 3})
 	c.Flush()
-	if got, ok := c.LookupOutcome(base); !ok || got.Status != 1 {
+	if got, ok := c.LookupOutcome(base, anyStatus); !ok || got.Status != 1 {
 		t.Fatalf("base key perturbed by neighbour record: %+v %v", got, ok)
 	}
 }
@@ -128,7 +166,7 @@ func TestCorpusHashIsolatesCaches(t *testing.T) {
 	other := [2]uint64{testCorpus[0] ^ 1, testCorpus[1]}
 	c2 := openCacheT(t, CacheConfig{Dir: dir, CorpusHash: other})
 	defer closeCacheT(t, c2)
-	if _, ok := c2.LookupOutcome(k); ok {
+	if _, ok := c2.LookupOutcome(k, anyStatus); ok {
 		t.Fatal("outcome hit across corpus hash change")
 	}
 }
@@ -165,7 +203,7 @@ func TestOpensStoreWithTryRecords(t *testing.T) {
 		t.Fatalf("OpenCache over a store with Try records: %v", err)
 	}
 	defer closeCacheT(t, c2)
-	got, ok := c2.LookupOutcome(k)
+	got, ok := c2.LookupOutcome(k, anyStatus)
 	if !ok || got != rec {
 		t.Fatalf("outcome = %+v, %v; want %+v, true", got, ok, rec)
 	}
@@ -219,7 +257,7 @@ func TestReadOnlyCacheDropsRecords(t *testing.T) {
 	closeCacheT(t, c)
 
 	ro := openCacheT(t, CacheConfig{Dir: dir, ReadOnly: true, CorpusHash: testCorpus})
-	if _, ok := ro.LookupOutcome(k); !ok {
+	if _, ok := ro.LookupOutcome(k, anyStatus); !ok {
 		t.Fatal("read-only cache missed a persisted outcome")
 	}
 	k2 := testOutcomeKey()
@@ -232,7 +270,7 @@ func TestReadOnlyCacheDropsRecords(t *testing.T) {
 
 	c2 := openCacheT(t, CacheConfig{Dir: dir, CorpusHash: testCorpus})
 	defer closeCacheT(t, c2)
-	if _, ok := c2.LookupOutcome(k2); ok {
+	if _, ok := c2.LookupOutcome(k2, anyStatus); ok {
 		t.Fatal("read-only cache persisted a record")
 	}
 }

@@ -184,6 +184,15 @@ func Open(opts Options) (*Store, error) {
 // segName renders the segment file name for index i.
 func segName(i int) string { return fmt.Sprintf("seg-%08d.log", i) }
 
+// segHeader renders the header of segment seg: magic, generation, index.
+func segHeader(seg int) [headerSize]byte {
+	var hdr [headerSize]byte
+	copy(hdr[:], magic)
+	binary.BigEndian.PutUint32(hdr[len(magic):], Generation)
+	binary.BigEndian.PutUint32(hdr[len(magic)+4:], uint32(seg))
+	return hdr
+}
+
 // listSegments returns the existing segment indexes in ascending order.
 func (s *Store) listSegments() ([]int, error) {
 	des, err := os.ReadDir(s.opts.Dir)
@@ -355,12 +364,13 @@ func (s *Store) Get(key []byte) ([]byte, bool) {
 	return e.val, true
 }
 
-// Has reports whether key is live, without counting a lookup.
-func (s *Store) Has(key []byte) bool {
+// Holds reports whether key's live record holds exactly val, without
+// counting a lookup.
+func (s *Store) Holds(key, val []byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.index[string(key)]
-	return ok
+	e, ok := s.index[string(key)]
+	return ok && string(e.val) == string(val)
 }
 
 // Len returns the number of live records.
@@ -470,10 +480,7 @@ func (s *Store) ensureActive(n int64) error {
 	if err != nil {
 		return err
 	}
-	var hdr [headerSize]byte
-	copy(hdr[:], magic)
-	binary.BigEndian.PutUint32(hdr[len(magic):], Generation)
-	binary.BigEndian.PutUint32(hdr[len(magic)+4:], uint32(seg))
+	hdr := segHeader(seg)
 	if _, err := f.Write(hdr[:]); err != nil {
 		return closeOnErr(f, err)
 	}
@@ -527,10 +534,7 @@ func (s *Store) compactLocked() error {
 	if err != nil {
 		return err
 	}
-	var hdr [headerSize]byte
-	copy(hdr[:], magic)
-	binary.BigEndian.PutUint32(hdr[len(magic):], Generation)
-	binary.BigEndian.PutUint32(hdr[len(magic)+4:], uint32(seg))
+	hdr := segHeader(seg)
 	if _, err := f.Write(hdr[:]); err != nil {
 		return closeOnErr(f, err)
 	}

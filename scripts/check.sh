@@ -12,6 +12,14 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+[ -z "$unformatted" ] || {
+	echo "check: FAIL: gofmt would reformat:" >&2
+	echo "$unformatted" >&2
+	exit 1
+}
+
 echo "==> go test -race ./..."
 go test -race ./...
 
@@ -39,14 +47,6 @@ go test -race -run 'Conformance|Chaos|Breaker' ./internal/remote
 echo "==> go test -race -run TestBackendEquivalence ./internal/eval"
 go test -race -run 'TestBackendEquivalence$' ./internal/eval
 
-# The distributed-sweep suite is the load-bearing regression for the
-# coordinator (work-stealing shards, health quarantine, straggler
-# re-dispatch, stranded fallback): the grid sharded over a worker fleet —
-# healthy, chaotic, or fully dead — must merge to the single-process
-# outcomes exactly, under the race detector.
-echo "==> go test -race -run 'TestDistributed|TestStranded' ./internal/sweep"
-go test -race -run 'TestDistributed|TestStranded' ./internal/sweep
-
 echo "==> go run ./cmd/lint ./..."
 go run ./cmd/lint ./...
 
@@ -69,9 +69,8 @@ echo "check: hotpathalloc baseline at $hotdebt entries (ratchet: <= 297)"
 
 # Backend equivalence at full scale: the complete experiment sweep must
 # print byte-identical tables through the in-process backend, the remote
-# backend under an enabled fault schedule (every site firing), the worker
-# fleet, and the proof store. Stats go to stderr; stdout is the comparable
-# artifact.
+# backend under an enabled fault schedule (every site firing), and the
+# proof store. Stats go to stderr; stdout is the comparable artifact.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 echo "==> experiments -all -backend=inprocess"
@@ -80,14 +79,6 @@ echo "==> experiments -all -backend=remote (chaos schedule, batched wire)"
 go run ./cmd/experiments -all -seed 2025 -backend=remote -wire-timeout 150ms \
 	-faults 'drop-conn=0.0005,stall=0.00002,corrupt-answer=0.0002,partial-write=0.0002' \
 	>"$tmp/chaos.out"
-echo "==> experiments -all -workers 4 (distributed sweep, clean fleet)"
-go run ./cmd/experiments -all -seed 2025 -workers 4 -wire-timeout 150ms \
-	>"$tmp/distributed.out"
-echo "==> experiments -all -workers 4 (distributed sweep, fleet chaos: kills + stalls + wire faults)"
-go run ./cmd/experiments -all -seed 2025 -workers 4 -wire-timeout 150ms \
-	-straggler 100ms \
-	-faults 'worker-kill=0.005,worker-stall=0.01,drop-conn=0.002,corrupt-answer=0.0002' \
-	>"$tmp/distchaos.out"
 # Persistent proof cache: a cold populate, a warm re-run answering from the
 # store, and a second warm pass with the store mounted read-only must all
 # print the same bytes as the storeless baseline — the warm path changes
@@ -111,20 +102,12 @@ cmp "$tmp/inprocess.out" "$tmp/chaos.out" || {
 	echo "check: FAIL: fault-injected backend tables differ from in-process" >&2
 	exit 1
 }
-cmp "$tmp/inprocess.out" "$tmp/distributed.out" || {
-	echo "check: FAIL: distributed sweep tables differ from in-process" >&2
-	exit 1
-}
-cmp "$tmp/inprocess.out" "$tmp/distchaos.out" || {
-	echo "check: FAIL: distributed sweep tables differ under fleet chaos" >&2
-	exit 1
-}
 for leg in pcache-cold pcache-warm pcache-warm2 pcache-chaos; do
 	cmp "$tmp/inprocess.out" "$tmp/$leg.out" || {
 		echo "check: FAIL: proof-cache leg $leg tables differ from storeless baseline" >&2
 		exit 1
 	}
 done
-echo "check: backend equivalence holds (in-process = remote-batched+chaos = distributed = distributed+chaos = proof-cache cold/warm/warm-ro/chaos with the Try cache)"
+echo "check: backend equivalence holds (in-process = remote-batched+chaos = proof-cache cold/warm/warm-ro/chaos with the Try cache)"
 
 echo "check: all gates passed"
