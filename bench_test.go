@@ -39,14 +39,20 @@ func loadCorpus(b *testing.B) *corpus.Corpus {
 	return benchCorpus
 }
 
+// newRunner builds a Runner with no prior outcomes. A benchmark that
+// measures searches builds one per iteration: a Runner's outcome tier
+// answers a unit it has already run without searching, so a reused Runner
+// would measure lookups from the second iteration on. Its per-runner
+// caches (restricted environments, prompt items, lemma table, n-grams)
+// are rebuilt per iteration too.
 func newRunner(b *testing.B) *eval.Runner {
 	r := eval.NewRunner(loadCorpus(b), 2025)
 	r.Parallelism = 4
 	// The shared Try memo is part of the measured configuration: repeated
-	// sweeps over the same theorems (vanilla then hint, and every iteration
-	// after the first) resolve most candidate executions from the cache.
-	// Tables are unaffected — TestSearchModeEquivalence holds the cached
-	// run byte-identical to the cold one.
+	// sweeps over the same theorems (vanilla then hint) resolve some
+	// candidate executions from the cache. Tables are unaffected —
+	// TestSearchModeEquivalence holds the cached run byte-identical to the
+	// cold one.
 	r.TryCache = true
 	return r
 }
@@ -78,9 +84,9 @@ func coveragePct(outs []eval.Outcome) float64 {
 // run cmd/experiments -fig1a for all models at full scale.
 func BenchmarkFigure1a(b *testing.B) {
 	b.ReportAllocs()
-	r := newRunner(b)
-	ths := slice(r, 30)
+	ths := slice(newRunner(b), 30)
 	for i := 0; i < b.N; i++ {
+		r := newRunner(b)
 		van := r.RunSweep(model.GPT4o, prompt.Vanilla, ths)
 		hin := r.RunSweep(model.GPT4o, prompt.Hint, ths)
 		sweep := eval.NewSweep()
@@ -98,9 +104,9 @@ func BenchmarkFigure1a(b *testing.B) {
 // with the 1M vs the truncated 128k context window.
 func BenchmarkFigure1b(b *testing.B) {
 	b.ReportAllocs()
-	r := newRunner(b)
-	ths := slice(r, 30)
+	ths := slice(newRunner(b), 30)
 	for i := 0; i < b.N; i++ {
+		r := newRunner(b)
 		full := r.RunSweep(model.GeminiPro, prompt.Hint, ths)
 		trunc := r.RunSweep(model.GeminiPro128k, prompt.Hint, ths)
 		b.ReportMetric(coveragePct(full), "1M-cov-%")
@@ -112,9 +118,9 @@ func BenchmarkFigure1b(b *testing.B) {
 // coverage for GPT-4o.
 func BenchmarkTable1(b *testing.B) {
 	b.ReportAllocs()
-	r := newRunner(b)
-	ths := slice(r, 40)
+	ths := slice(newRunner(b), 40)
 	for i := 0; i < b.N; i++ {
+		r := newRunner(b)
 		sweep := eval.NewSweep()
 		for _, s := range []prompt.Setting{prompt.Vanilla, prompt.Hint} {
 			sweep.Add(model.GPT4o.Name, s.String(), r.RunSweep(model.GPT4o, s, ths))
@@ -129,9 +135,9 @@ func BenchmarkTable1(b *testing.B) {
 // plus similarity and relative proof length, per model.
 func BenchmarkTable2(b *testing.B) {
 	b.ReportAllocs()
-	r := newRunner(b)
-	ths := slice(r, 20)
+	ths := slice(newRunner(b), 20)
 	for i := 0; i < b.N; i++ {
+		r := newRunner(b)
 		sweep := eval.NewSweep()
 		for _, prof := range []model.Profile{model.GPT4oMini, model.GPT4o} {
 			for _, s := range []prompt.Setting{prompt.Vanilla, prompt.Hint} {
@@ -148,10 +154,10 @@ func BenchmarkTable2(b *testing.B) {
 // theorems whose generated proof is shorter than the human proof.
 func BenchmarkFigure2(b *testing.B) {
 	b.ReportAllocs()
-	r := newRunner(b)
 	c := loadCorpus(b)
-	ths := slice(r, 40)
+	ths := slice(newRunner(b), 40)
 	for i := 0; i < b.N; i++ {
+		r := newRunner(b)
 		sweep := eval.NewSweep()
 		sweep.Add(model.GPT4o.Name, "hint", r.RunSweep(model.GPT4o, prompt.Hint, ths))
 		out := sweep.Figure2(c, 3)
@@ -165,9 +171,9 @@ func BenchmarkFigure2(b *testing.B) {
 // re-run with the dependency-reduced context.
 func BenchmarkContextProbe(b *testing.B) {
 	b.ReportAllocs()
-	r := newRunner(b)
-	ths := slice(r, 30)
+	ths := slice(newRunner(b), 30)
 	for i := 0; i < b.N; i++ {
+		r := newRunner(b)
 		full := r.RunSweep(model.GPT4o, prompt.Hint, ths)
 		recovered, failedShort := 0, 0
 		for j, o := range full {
@@ -211,10 +217,10 @@ func BenchmarkAblationWidth(b *testing.B) {
 	for _, w := range []int{1, 4, 8, 16} {
 		b.Run(map[int]string{1: "w1", 4: "w4", 8: "w8", 16: "w16"}[w], func(b *testing.B) {
 			b.ReportAllocs()
-			r := newRunner(b)
-			r.Width = w
-			ths := slice(r, 20)
+			ths := slice(newRunner(b), 20)
 			for i := 0; i < b.N; i++ {
+				r := newRunner(b)
+				r.Width = w
 				outs := r.RunSweep(model.GPT4o, prompt.Hint, ths)
 				b.ReportMetric(coveragePct(outs), "cov-%")
 			}
@@ -222,11 +228,11 @@ func BenchmarkAblationWidth(b *testing.B) {
 	}
 }
 
-// BenchmarkTryCache measures the cross-search Try memo on repeated sweeps:
-// "off" pays full tactic execution every iteration, "on" resolves repeat
-// candidates from the shared cache (the runner, and so the cache, persists
-// across iterations — the steady state of a grid sweeping many
-// model/setting cells over the same theorems).
+// BenchmarkTryCache measures the cross-search Try memo on the vanilla and
+// hint sweeps of one model over the same theorems: "off" pays full tactic
+// execution, "on" resolves the hint sweep's repeats of vanilla candidates
+// from the cache. Each iteration starts from a fresh runner, and so from an
+// empty memo and an empty outcome tier.
 func BenchmarkTryCache(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
@@ -234,11 +240,12 @@ func BenchmarkTryCache(b *testing.B) {
 	}{{"off", false}, {"on", true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			r := eval.NewRunner(loadCorpus(b), 2025)
-			r.Parallelism = 4
-			r.TryCache = bc.cache
-			ths := slice(r, 20)
+			ths := slice(newRunner(b), 20)
+			var r *eval.Runner
 			for i := 0; i < b.N; i++ {
+				r = newRunner(b)
+				r.TryCache = bc.cache
+				r.RunSweep(model.GPT4o, prompt.Vanilla, ths)
 				outs := r.RunSweep(model.GPT4o, prompt.Hint, ths)
 				b.ReportMetric(coveragePct(outs), "cov-%")
 			}
@@ -370,9 +377,9 @@ func BenchmarkSimilarity(b *testing.B) {
 // generation without checker interaction, verified after the fact.
 func BenchmarkWholeProof(b *testing.B) {
 	b.ReportAllocs()
-	r := newRunner(b)
-	ths := slice(r, 20)
+	ths := slice(newRunner(b), 20)
 	for i := 0; i < b.N; i++ {
+		r := newRunner(b)
 		proved := 0
 		for _, th := range ths {
 			if r.RunWholeProof(model.GPT4o, prompt.Hint, th, 4).Status == core.Proved {

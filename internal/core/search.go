@@ -56,7 +56,12 @@ type Config struct {
 	Propose Proposer
 	// Width caps candidates expanded per query (paper: 8).
 	Width int
-	// QueryLimit caps model queries (paper: 128).
+	// QueryLimit caps model queries (paper: 128). The limit only stops the
+	// search: a search at limit L makes the same first L queries as the
+	// same search at any larger limit. So an outcome at one limit answers
+	// every smaller one (eval's outcome tier relies on this): it stands if
+	// the search did not run out of fuel and used at most L queries, and is
+	// Fuelout with L queries otherwise.
 	QueryLimit int
 	// Backend executes tactics (nil: in-process). Backends mask their own
 	// failures, so the search logic is backend-agnostic.

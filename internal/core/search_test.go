@@ -1,11 +1,14 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"llmfscq/internal/corpus"
 	"llmfscq/internal/kernel"
 	"llmfscq/internal/model"
+	"llmfscq/internal/prompt"
 	"llmfscq/internal/tactic"
 )
 
@@ -207,5 +210,65 @@ func TestProofsAreReplayable(t *testing.T) {
 	}
 	if err := tactic.CheckProof(env, th.Stmt, script); err != nil {
 		t.Fatalf("returned proof does not replay: %v", err)
+	}
+}
+
+// modelProposer is the simulated model as the eval layer drives it: a
+// stateful proposer whose every query draws from one seeded RNG, so a slate
+// depends on how many queries came before it. Build a fresh one per search.
+func modelProposer(c *corpus.Corpus, th *corpus.Theorem, prof model.Profile, seed int64) Proposer {
+	pb := prompt.Builder{Corpus: c, Setting: prompt.Vanilla, HintSet: map[string]bool{}, Window: prof.ContextWindow}
+	pr := pb.Build(th)
+	ng := model.BuildNGram(pr)
+	mdl := model.New(prof, c.Env)
+	rng := rand.New(rand.NewSource(seed))
+	return func(st *tactic.State, path []string) []model.Candidate {
+		return mdl.Propose(pr, st, path, ng, rng)
+	}
+}
+
+// atLimit derives a search's outcome at query limit limit from res, its
+// outcome at a larger limit, by the Config.QueryLimit contract: res stands
+// if it did not run out of fuel and used at most limit queries; otherwise
+// the search runs out of fuel after limit queries.
+func atLimit(res Result, limit int) Result {
+	if res.Status != Fuelout && res.Queries <= limit {
+		return Result{Status: res.Status, Queries: res.Queries, Proof: res.Proof}
+	}
+	return Result{Status: Fuelout, Queries: limit}
+}
+
+// TestQueryLimitOnlyStops checks the contract eval's outcome tier serves
+// shorter budgets by: for every algorithm, the outcome at limit L derived
+// from the outcome at 256 equals a direct search at L.
+func TestQueryLimitOnlyStops(t *testing.T) {
+	env, c := loadEnv(t)
+	const top = 256
+	for _, alg := range []struct {
+		name   string
+		search func(Config) Result
+	}{{"best-first", BestFirst}, {"linear", Linear}, {"greedy", Greedy}} {
+		statuses := map[Status]int{}
+		for i, th := range c.Theorems[:20] {
+			seed := int64(i) + 1
+			run := func(limit int) Result {
+				return alg.search(Config{Env: env, Stmt: th.Stmt, Propose: modelProposer(c, th, model.GPT4oMini, seed), QueryLimit: limit})
+			}
+			full := run(top)
+			statuses[full.Status]++
+			for _, limit := range []int{1, 8, 32, 64, 128} {
+				got := run(limit)
+				got = Result{Status: got.Status, Queries: got.Queries, Proof: got.Proof}
+				if want := atLimit(full, limit); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %s at limit %d: direct %+v, derived from limit %d %+v",
+						alg.name, th.Name, limit, got, top, want)
+				}
+			}
+		}
+		t.Logf("%s: outcomes at limit %d: %d proved, %d stuck, %d fuelout",
+			alg.name, top, statuses[Proved], statuses[Stuck], statuses[Fuelout])
+		if statuses[Proved] == 0 || statuses[Stuck]+statuses[Fuelout] == 0 {
+			t.Errorf("%s: the slice needs both proved and failed searches", alg.name)
+		}
 	}
 }

@@ -51,11 +51,14 @@ func TestRestrictEnvCutsFuture(t *testing.T) {
 	}
 }
 
+// Two Runners, because a second run on one Runner is answered by its
+// outcome tier without a search.
 func TestRunTheoremDeterministic(t *testing.T) {
-	r, c := runner(t)
+	r1, c := runner(t)
+	r2, _ := runner(t)
 	th, _ := c.TheoremNamed("plus_assoc")
-	a := r.RunTheorem(model.GPT4o, prompt.Hint, th)
-	b := r.RunTheorem(model.GPT4o, prompt.Hint, th)
+	a := r1.RunTheorem(model.GPT4o, prompt.Hint, th)
+	b := r2.RunTheorem(model.GPT4o, prompt.Hint, th)
 	if a.Status != b.Status || a.Proof != b.Proof || a.Queries != b.Queries {
 		t.Fatalf("nondeterministic outcomes: %+v vs %+v", a, b)
 	}

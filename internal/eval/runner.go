@@ -72,10 +72,12 @@ type Runner struct {
 	// irreproducible outputs, derived metrics are recomputed, and a
 	// deterministic mirror sample re-executes live to cross-check.
 	ProofStore *store.Cache
-	// SearchName names a custom Search func for the persistent outcome key
+	// SearchName names a custom Search func for the outcome key
 	// ("best-first" is implied when Search is nil). A custom Search with an
-	// empty name disables outcome persistence for its sweeps: an anonymous
-	// algorithm cannot be safely fingerprinted.
+	// empty name disables both outcome tiers for its sweeps: an anonymous
+	// algorithm cannot be safely fingerprinted. A named search must keep
+	// the core.Config.QueryLimit contract, that the limit only stops the
+	// search, because the in-memory tier answers one limit from another.
 	SearchName string
 
 	// The caches below are pointers so Runner values can be copied for
@@ -107,6 +109,9 @@ type Runner struct {
 	lemmas *lemmaIndex
 	// persist holds the persistence fingerprints (see store.go).
 	persist *persistIndex
+	// outcomes is the in-memory outcome tier (see store.go): the ablation
+	// copies' repeated and shorter-budget units are answered from it.
+	outcomes *outcomeTier
 }
 
 // tryIndex caches the cross-search Try memo behind a once, like envIndex.
@@ -149,6 +154,7 @@ func NewRunner(c *corpus.Corpus, seed int64) *Runner {
 		trymemo:    &tryIndex{},
 		lemmas:     &lemmaIndex{},
 		persist:    newPersistIndex(),
+		outcomes:   newOutcomeTier(),
 	}
 }
 
@@ -401,7 +407,7 @@ func (r *Runner) RunTheorem(prof model.Profile, setting prompt.Setting, th *corp
 // that share a theorem and setting but not a prompt ("std", "reduced") in
 // the persistent outcome key.
 func (r *Runner) runWithPrompt(prof model.Profile, setting prompt.Setting, th *corpus.Theorem, env *kernel.Env, pr *prompt.Prompt, variant string) Outcome {
-	return r.persistedOutcome(prof, setting.String(), variant, r.searchName(), th, env, func() Outcome {
+	return r.persistedOutcome(prof, setting.String(), variant, r.searchName(), true, th, env, func() Outcome {
 		return r.liveSearch(prof, setting, th, env, pr)
 	})
 }
@@ -482,7 +488,7 @@ func (r *Runner) RunWholeProof(prof model.Profile, setting prompt.Setting, th *c
 	// Whole-proof generation has no search algorithm, but its outcomes are
 	// just as deterministic; "whole-proof" stands in for the search name and
 	// the attempt budget goes in the variant.
-	return r.persistedOutcome(prof, setting.String()+"+whole-proof", "whole:"+strconv.Itoa(attempts), "whole-proof", th, env, func() Outcome {
+	return r.persistedOutcome(prof, setting.String()+"+whole-proof", "whole:"+strconv.Itoa(attempts), "whole-proof", false, th, env, func() Outcome {
 		return r.wholeProof(prof, setting, th, env, attempts)
 	})
 }

@@ -1,8 +1,10 @@
-// Persistent proof-cache integration: the eval layer is where the on-disk
-// store (internal/store) meets the search stack. Outcome records let a warm
-// re-sweep skip whole searches. Everything here runs off the search hot
-// path: a unit looks up its outcome before searching, and new outcomes
-// drain out through the store's write-behind appender.
+// Outcome tiers: the eval layer is where a unit's outcome is looked up
+// before anything searches. The in-memory tier answers units the run has
+// already searched, at the same or another query limit; the on-disk store
+// (internal/store) lets a warm re-sweep skip whole searches. Everything
+// here runs off the search hot path: a unit looks up its outcome before
+// searching, and new outcomes drain out through the store's write-behind
+// appender.
 
 package eval
 
@@ -13,6 +15,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"llmfscq/internal/core"
 	"llmfscq/internal/corpus"
@@ -37,12 +40,13 @@ type persistIndex struct {
 	hintFP   [2]uint64
 
 	mu sync.Mutex
-	// profFP memoizes profile fingerprints by name.
-	profFP map[string]uint64
+	// profFP memoizes profile fingerprints by the whole profile: a tuned
+	// profile that keeps its name must not get the original's fingerprint.
+	profFP map[model.Profile]uint64
 }
 
 func newPersistIndex() *persistIndex {
-	return &persistIndex{profFP: map[string]uint64{}}
+	return &persistIndex{profFP: map[model.Profile]uint64{}}
 }
 
 // hintFingerprint hashes the sorted hint-set membership: prompts, n-gram
@@ -81,7 +85,7 @@ func (r *Runner) envFingerprint(th *corpus.Theorem) [2]uint64 {
 // a tuning change must miss, same as a corpus edit.
 func (r *Runner) profileFingerprint(p model.Profile) uint64 {
 	r.persist.mu.Lock()
-	if fp, ok := r.persist.profFP[p.Name]; ok {
+	if fp, ok := r.persist.profFP[p]; ok {
 		r.persist.mu.Unlock()
 		return fp
 	}
@@ -104,14 +108,14 @@ func (r *Runner) profileFingerprint(p model.Profile) uint64 {
 	word(math.Float64bits(p.DistractionHalfLife))
 	fp := h.Sum64()
 	r.persist.mu.Lock()
-	r.persist.profFP[p.Name] = fp
+	r.persist.profFP[p] = fp
 	r.persist.mu.Unlock()
 	return fp
 }
 
 // searchName names the search algorithm for the outcome key. A custom
 // Search func without a declared SearchName cannot be fingerprinted, so it
-// disables outcome persistence rather than risking a cross-algorithm hit.
+// disables both outcome tiers rather than risking a cross-algorithm hit.
 func (r *Runner) searchName() string {
 	if r.Search == nil {
 		return "best-first"
@@ -132,11 +136,11 @@ func (r *Runner) effectiveBudget() (width, fuel int) {
 	return width, fuel
 }
 
-// outcomeKey builds the persistent key of one (theorem, model, setting,
-// variant) search. ok is false when outcome persistence is off for this
-// run (no store, or an anonymous custom search).
+// outcomeKey builds the key of one (theorem, model, setting, variant)
+// search. ok is false when the outcome tiers are off for this run (a
+// zero-value Runner, or an anonymous custom search).
 func (r *Runner) outcomeKey(prof model.Profile, settingStr, variant, search string, th *corpus.Theorem, env *kernel.Env) (store.OutcomeKey, bool) {
-	if r.ProofStore == nil || r.persist == nil || search == "" {
+	if r.persist == nil || r.outcomes == nil || search == "" {
 		return store.OutcomeKey{}, false
 	}
 	width, fuel := r.effectiveBudget()
@@ -154,16 +158,102 @@ func (r *Runner) outcomeKey(prof model.Profile, settingStr, variant, search stri
 	}, true
 }
 
-// persistedOutcome runs one unit through the persistent outcome store. A
+// outcomeTier is the in-memory outcome tier: the outcome of every unit the
+// run has answered, so a later unit with the same key is answered without a
+// search. The -all schedule's ablations repeat grid cells and rerun them at
+// other query limits. Runner copies share the tier through the pointer.
+//
+// A query-limited search's entry is keyed without its limit and holds the
+// limit it ran at. The limit only stops a search (core.Config.QueryLimit),
+// so one entry answers other limits exactly; see lookup. A whole-proof unit
+// budgets attempts, not queries, so its limit stays in its key and it is
+// answered only at its exact key.
+type outcomeTier struct {
+	mu      sync.Mutex
+	entries map[store.OutcomeKey]tierEntry
+
+	// exact counts units answered by an entry run at their own limit,
+	// derived those answered from another limit, misses the rest.
+	exact, derived, misses atomic.Int64
+}
+
+type tierEntry struct {
+	rec   store.OutcomeRec
+	limit int
+}
+
+func newOutcomeTier() *outcomeTier {
+	return &outcomeTier{entries: map[store.OutcomeKey]tierEntry{}}
+}
+
+// lookup answers a unit at query limit limit from the entry under key. At
+// the entry's limit the entry stands. At another limit it stands if it did
+// not run out of fuel and used at most limit queries. Otherwise a smaller
+// limit runs out of fuel after limit queries, and a larger one is a miss:
+// the entry does not say how the search goes on.
+func (t *outcomeTier) lookup(key store.OutcomeKey, limit int) (store.OutcomeRec, bool) {
+	t.mu.Lock()
+	e, ok := t.entries[key]
+	t.mu.Unlock()
+	switch {
+	case !ok:
+	case e.limit == limit:
+		t.exact.Add(1)
+		return e.rec, true
+	case core.Status(e.rec.Status) != core.Fuelout && e.rec.Queries <= limit:
+		t.derived.Add(1)
+		return e.rec, true
+	case limit < e.limit:
+		t.derived.Add(1)
+		return store.OutcomeRec{Status: uint8(core.Fuelout), Queries: limit}, true
+	}
+	t.misses.Add(1)
+	return store.OutcomeRec{}, false
+}
+
+// put keeps the outcome of a unit run at limit, unless the key's entry ran
+// at a larger limit: that entry answers everything this one would.
+func (t *outcomeTier) put(key store.OutcomeKey, limit int, out Outcome) {
+	t.mu.Lock()
+	if e, ok := t.entries[key]; !ok || e.limit < limit {
+		t.entries[key] = tierEntry{
+			rec:   store.OutcomeRec{Status: uint8(out.Status), Queries: out.Queries, Proof: out.Proof},
+			limit: limit,
+		}
+	}
+	t.mu.Unlock()
+}
+
+// persistedOutcome answers one unit from the in-memory tier, then the
+// persistent store, then a live search. limited marks a query-limited
+// search, whose tier entry answers other limits. A unit the tier answers
+// never reaches the store: it is not looked up, mirrored or recorded there.
+func (r *Runner) persistedOutcome(prof model.Profile, settingStr, variant, search string, limited bool, th *corpus.Theorem, env *kernel.Env, live func() Outcome) Outcome {
+	key, ok := r.outcomeKey(prof, settingStr, variant, search, th, env)
+	if !ok {
+		return live()
+	}
+	tierKey := key
+	if limited {
+		tierKey.Fuel = 0
+	}
+	if rec, hit := r.outcomes.lookup(tierKey, key.Fuel); hit {
+		return r.rebuildOutcome(prof, settingStr, th, rec)
+	}
+	out := r.storedOutcome(key, prof, settingStr, th, live)
+	r.outcomes.put(tierKey, key.Fuel, out)
+	return out
+}
+
+// storedOutcome runs one unit through the persistent outcome store. A
 // hit is rebuilt and served without searching, except for a deterministic
 // mirror sample of hits, which runs live, compares, and returns the live
 // outcome. A mirrored record is never rewritten, so a mismatch recurs on
 // every run until the store is cleared. A miss, including a record whose
 // status byte is not a core.Status, runs live and records the outcome,
 // which replaces the invalid record.
-func (r *Runner) persistedOutcome(prof model.Profile, settingStr, variant, search string, th *corpus.Theorem, env *kernel.Env, live func() Outcome) Outcome {
-	key, ok := r.outcomeKey(prof, settingStr, variant, search, th, env)
-	if !ok {
+func (r *Runner) storedOutcome(key store.OutcomeKey, prof model.Profile, settingStr string, th *corpus.Theorem, live func() Outcome) Outcome {
+	if r.ProofStore == nil {
 		return live()
 	}
 	if rec, hit := r.ProofStore.LookupOutcome(key, validStatus); hit {
@@ -239,7 +329,7 @@ func (r *Runner) ProofStoreMismatches() int64 {
 	return r.ProofStore.Mismatches()
 }
 
-// tryStatsJSON is the in-memory tier of the cache-stats line.
+// tryStatsJSON is the Try memo's part of the cache-stats line.
 type tryStatsJSON struct {
 	Hits    int64 `json:"hits"`
 	Misses  int64 `json:"misses"`
@@ -247,15 +337,27 @@ type tryStatsJSON struct {
 	Entries int64 `json:"entries"`
 }
 
-// CacheStatsJSON renders the run's single structured cache-stats line:
-// the in-memory TryCache tier and the persistent store tier together.
-// Returns "" when neither tier is active.
+// outcomeStatsJSON is the in-memory outcome tier's part of the cache-stats
+// line.
+type outcomeStatsJSON struct {
+	Exact   int64 `json:"exact"`
+	Derived int64 `json:"derived"`
+	Misses  int64 `json:"misses"`
+}
+
+// CacheStatsJSON renders the run's single structured cache-stats line: the
+// in-memory outcome tier, the Try memo and the persistent store together.
+// Returns "" when no tier is active.
 func (r *Runner) CacheStatsJSON() string {
 	line := struct {
 		Event      string            `json:"event"`
+		Outcomes   *outcomeStatsJSON `json:"outcomes,omitempty"`
 		Try        *tryStatsJSON     `json:"try,omitempty"`
 		Persistent *store.CacheStats `json:"persistent,omitempty"`
 	}{Event: "cache-stats"}
+	if t := r.outcomes; t != nil {
+		line.Outcomes = &outcomeStatsJSON{Exact: t.exact.Load(), Derived: t.derived.Load(), Misses: t.misses.Load()}
+	}
 	if tc := r.tryCache(); tc != nil {
 		hits, misses, evicted, entries := tc.Stats()
 		line.Try = &tryStatsJSON{Hits: hits, Misses: misses, Evicted: evicted, Entries: entries}
@@ -264,7 +366,7 @@ func (r *Runner) CacheStatsJSON() string {
 		st := r.ProofStore.Stats()
 		line.Persistent = &st
 	}
-	if line.Try == nil && line.Persistent == nil {
+	if line.Outcomes == nil && line.Try == nil && line.Persistent == nil {
 		return ""
 	}
 	b, err := json.Marshal(line)

@@ -1,12 +1,14 @@
 package eval
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
 
+	"llmfscq/internal/core"
 	"llmfscq/internal/corpus"
 	"llmfscq/internal/model"
 	"llmfscq/internal/prompt"
@@ -305,5 +307,127 @@ func TestOutOfRangeStatusIsNotServed(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cold, again) {
 		t.Fatal("run over the repaired records diverged from cold")
+	}
+}
+
+// tierStats reads the in-memory outcome tier's counters.
+func tierStats(r *Runner) (exact, derived, misses int64) {
+	return r.outcomes.exact.Load(), r.outcomes.derived.Load(), r.outcomes.misses.Load()
+}
+
+// The ablations' query-limit sweep, on a slice: the fuel-32/64/128/256
+// outcomes that copies of one Runner get from its outcome tier must equal
+// those fresh Runners search live.
+func TestOutcomeTierMatchesLiveSearch(t *testing.T) {
+	r, _ := runner(t)
+	ths := r.TestSet()[:24]
+	n := int64(len(ths))
+	grid := r.RunSweep(model.GPT4o, prompt.Hint, ths)
+	fuelout := int64(0)
+	for _, o := range grid {
+		if o.Status == core.Fuelout {
+			fuelout++
+		}
+	}
+	if fuelout == 0 || fuelout == n {
+		t.Fatalf("%d of %d grid units ran out of fuel; the slice needs both kinds", fuelout, n)
+	}
+
+	for _, fuel := range []int{32, 64, 128, 256} {
+		rr := *r
+		rr.QueryLimit = fuel
+		served := rr.RunSweep(model.GPT4o, prompt.Hint, ths)
+
+		fresh, _ := runner(t)
+		fresh.QueryLimit = fuel
+		live := fresh.RunSweep(model.GPT4o, prompt.Hint, ths)
+		if !reflect.DeepEqual(served, live) {
+			t.Fatalf("fuel %d: tier outcomes differ from live searches:\ntier %+v\nlive %+v", fuel, served, live)
+		}
+		if exact, derived, misses := tierStats(fresh); exact+derived != 0 || misses != n {
+			t.Fatalf("fuel %d: a fresh Runner's tier answered %d exact, %d derived, missed %d", fuel, exact, derived, misses)
+		}
+	}
+	// Fuel 128 repeats the grid exactly; 32 and 64 derive from it; 256
+	// derives the units that did not run out of fuel at 128 and searches
+	// the rest, whose entries it replaces.
+	exact, derived, misses := tierStats(r)
+	if exact != n || derived != 3*n-fuelout || misses != n+fuelout {
+		t.Fatalf("tier answered %d exact, %d derived, missed %d; want %d, %d, %d",
+			exact, derived, misses, n, 3*n-fuelout, n+fuelout)
+	}
+	var line struct {
+		Outcomes outcomeStatsJSON `json:"outcomes"`
+	}
+	if err := json.Unmarshal([]byte(r.CacheStatsJSON()), &line); err != nil {
+		t.Fatal(err)
+	}
+	if want := (outcomeStatsJSON{Exact: exact, Derived: derived, Misses: misses}); line.Outcomes != want {
+		t.Fatalf("storeless cache-stats line reports %+v, want %+v", line.Outcomes, want)
+	}
+}
+
+// A unit the outcome tier answers never reaches the store: a repeated
+// sweep and a shorter-budget copy on one Runner neither look up nor record
+// anything there.
+func TestTierAnsweredUnitsSkipStore(t *testing.T) {
+	r, pc := storeRunner(t, t.TempDir(), corpusHash(t), 1)
+	first := sweepSlice(t, r)
+	r.FlushProofStore()
+	before := pc.Stats()
+
+	again := sweepSlice(t, r)
+	rr := *r
+	rr.QueryLimit = 32
+	sweepSlice(t, &rr)
+	r.FlushProofStore()
+	after := pc.Stats()
+	if err := pc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, again) {
+		t.Fatal("tier-answered sweep differs from the searched one")
+	}
+	if after.OutcomeHits != before.OutcomeHits || after.OutcomeMisses != before.OutcomeMisses ||
+		after.Recorded != before.Recorded || after.MirrorChecks != before.MirrorChecks {
+		t.Fatalf("tier-answered units reached the store: before %+v, after %+v", before, after)
+	}
+	if exact, derived, _ := tierStats(r); exact != 8 || derived != 8 {
+		t.Fatalf("tier answered %d exact and %d derived units, want 8 and 8", exact, derived)
+	}
+}
+
+// A profile tuned under the same name is another model: neither outcome
+// tier may answer it with the original profile's outcomes.
+func TestTunedProfileKeepsItsOwnOutcomes(t *testing.T) {
+	tuned := model.GPT4o
+	tuned.Temperature = 2.5
+	tuned.HeuristicSkill = 0.2
+	fresh, _ := runner(t)
+	ths := fresh.TestSet()[:20]
+	want := fresh.RunSweep(tuned, prompt.Hint, ths)
+
+	for _, withStore := range []bool{false, true} {
+		var r *Runner
+		var pc *store.Cache
+		if withStore {
+			r, pc = storeRunner(t, t.TempDir(), corpusHash(t), 0)
+		} else {
+			r, _ = runner(t)
+		}
+		base := r.RunSweep(model.GPT4o, prompt.Hint, ths)
+		r.FlushProofStore()
+		got := r.RunSweep(tuned, prompt.Hint, ths)
+		if pc != nil {
+			if err := pc.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if reflect.DeepEqual(base, want) {
+			t.Fatal("the tuned profile proves the same as GPT-4o; the test needs a difference")
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("store %v: a tuned GPT-4o after plain GPT-4o on one Runner got other outcomes than on a fresh Runner", withStore)
+		}
 	}
 }

@@ -71,3 +71,41 @@ func snapshot(t *testing.T, opts Options) (map[string]string, Stats) {
 	closeT(t, s)
 	return recs, st
 }
+
+// FuzzOutcomeRecord puts arbitrary value bytes under an outcome key: the
+// decoder every served outcome goes through, in the store and, once served,
+// in eval's in-memory tier, which derives other budgets' outcomes from it.
+// LookupOutcome must miss, or return a record whose status passes the
+// predicate and that RecordOutcome encodes back to the same bytes.
+func FuzzOutcomeRecord(f *testing.F) {
+	valid := func(b uint8) bool { return b <= 2 } // core's Proved, Stuck, Fuelout
+	f.Add([]byte{0, 0, 0, 0, 5, 'a', 'u', 't', 'o', '.'})
+	f.Add([]byte{2, 0, 0, 0, 128})
+	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{7, 0, 0, 0, 1})
+	f.Add([]byte{0, 0, 0})
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, val []byte) {
+		c := openCacheT(t, CacheConfig{Dir: t.TempDir(), CorpusHash: testCorpus})
+		defer closeCacheT(t, c)
+		k := testOutcomeKey()
+		if err := c.st.Put(c.outcomeKeyBytes(k), val); err != nil {
+			t.Fatal(err)
+		}
+		rec, ok := c.LookupOutcome(k, valid)
+		if !ok {
+			return
+		}
+		if !valid(rec.Status) {
+			t.Fatalf("served status %d, which the predicate rejects", rec.Status)
+		}
+		// RecordOutcome skips a value the key already holds, so a record
+		// appended here means its encoding differs from the stored bytes.
+		c.RecordOutcome(k, rec)
+		c.Flush()
+		if st := c.Stats(); st.Recorded != 0 || st.Dropped != 0 {
+			t.Fatalf("%q decoded to %+v, which encodes to other bytes", val, rec)
+		}
+	})
+}

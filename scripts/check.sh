@@ -73,12 +73,49 @@ echo "check: hotpathalloc baseline at $hotdebt entries (ratchet: <= 297)"
 # proof store. Stats go to stderr; stdout is the comparable artifact.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
+
+# The chaos schedules. Every site a schedule names must fire, or the
+# equivalence it buys is vacuous. The rates give each site ~10 or more
+# expected hits per run, so a zero means a broken site, not bad luck.
+# In the warm-store leg only the mirror re-searches reach the wire, about
+# 1/25 of the storeless leg's traffic, so its rates are higher.
+chaos='drop-conn=0.0005,stall=0.00006,corrupt-answer=0.0002,partial-write=0.0002'
+warmchaos='drop-conn=0.002,stall=0.002,corrupt-answer=0.001,partial-write=0.001'
+
+# check_fault_hits LEG SPEC fails unless LEG's stderr reports a nonzero hit
+# count for every site named in SPEC.
+check_fault_hits() {
+	line=$(grep '^backend: fault hits ' "$tmp/$1.err") || {
+		echo "check: FAIL: chaos leg $1 printed no fault-hits line" >&2
+		exit 1
+	}
+	for site in $(echo "$2" | tr ',' ' '); do
+		site=${site%%=*}
+		case " ${line#backend: fault hits } " in
+		*" $site=0 "*)
+			echo "check: FAIL: chaos leg $1: fault site $site never fired ($line)" >&2
+			exit 1
+			;;
+		*" $site="*) ;;
+		*)
+			echo "check: FAIL: chaos leg $1: no hit count for fault site $site ($line)" >&2
+			exit 1
+			;;
+		esac
+	done
+	echo "check: chaos leg $1: $line"
+}
+
 echo "==> experiments -all -backend=inprocess"
 go run ./cmd/experiments -all -seed 2025 >"$tmp/inprocess.out"
 echo "==> experiments -all -backend=remote (chaos schedule, batched wire)"
 go run ./cmd/experiments -all -seed 2025 -backend=remote -wire-timeout 150ms \
-	-faults 'drop-conn=0.0005,stall=0.00002,corrupt-answer=0.0002,partial-write=0.0002' \
-	>"$tmp/chaos.out"
+	-faults "$chaos" >"$tmp/chaos.out" 2>"$tmp/chaos.err" || {
+	cat "$tmp/chaos.err" >&2
+	exit 1
+}
+check_fault_hits chaos "$chaos"
+
 # Persistent proof cache: a cold populate, a warm re-run answering from the
 # store, and a second warm pass with the store mounted read-only must all
 # print the same bytes as the storeless baseline — the warm path changes
@@ -95,9 +132,12 @@ go run ./cmd/experiments -all -seed 2025 -try-cache -proof-cache "$tmp/pcache" \
 	-proof-cache-readonly >"$tmp/pcache-warm2.out"
 echo "==> experiments -all -proof-cache + remote chaos (warm store, faulted wire)"
 go run ./cmd/experiments -all -seed 2025 -try-cache -proof-cache "$tmp/pcache" \
-	-backend=remote -wire-timeout 150ms \
-	-faults 'drop-conn=0.0005,stall=0.00002,corrupt-answer=0.0002,partial-write=0.0002' \
-	>"$tmp/pcache-chaos.out"
+	-backend=remote -wire-timeout 150ms -faults "$warmchaos" \
+	>"$tmp/pcache-chaos.out" 2>"$tmp/pcache-chaos.err" || {
+	cat "$tmp/pcache-chaos.err" >&2
+	exit 1
+}
+check_fault_hits pcache-chaos "$warmchaos"
 cmp "$tmp/inprocess.out" "$tmp/chaos.out" || {
 	echo "check: FAIL: fault-injected backend tables differ from in-process" >&2
 	exit 1
