@@ -48,12 +48,6 @@ func loadCorpus(b *testing.B) *corpus.Corpus {
 func newRunner(b *testing.B) *eval.Runner {
 	r := eval.NewRunner(loadCorpus(b), 2025)
 	r.Parallelism = 4
-	// The shared Try memo is part of the measured configuration: repeated
-	// sweeps over the same theorems (vanilla then hint) resolve some
-	// candidate executions from the cache. Tables are unaffected —
-	// TestSearchModeEquivalence holds the cached run byte-identical to the
-	// cold one.
-	r.TryCache = true
 	return r
 }
 
@@ -223,37 +217,6 @@ func BenchmarkAblationWidth(b *testing.B) {
 				r.Width = w
 				outs := r.RunSweep(model.GPT4o, prompt.Hint, ths)
 				b.ReportMetric(coveragePct(outs), "cov-%")
-			}
-		})
-	}
-}
-
-// BenchmarkTryCache measures the cross-search Try memo on the vanilla and
-// hint sweeps of one model over the same theorems: "off" pays full tactic
-// execution, "on" resolves the hint sweep's repeats of vanilla candidates
-// from the cache. Each iteration starts from a fresh runner, and so from an
-// empty memo and an empty outcome tier.
-func BenchmarkTryCache(b *testing.B) {
-	for _, bc := range []struct {
-		name  string
-		cache bool
-	}{{"off", false}, {"on", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			ths := slice(newRunner(b), 20)
-			var r *eval.Runner
-			for i := 0; i < b.N; i++ {
-				r = newRunner(b)
-				r.TryCache = bc.cache
-				r.RunSweep(model.GPT4o, prompt.Vanilla, ths)
-				outs := r.RunSweep(model.GPT4o, prompt.Hint, ths)
-				b.ReportMetric(coveragePct(outs), "cov-%")
-			}
-			if bc.cache {
-				hits, misses, _, _ := r.TryCacheStats()
-				if hits+misses > 0 {
-					b.ReportMetric(100*float64(hits)/float64(hits+misses), "hit-%")
-				}
 			}
 		})
 	}
@@ -438,7 +401,7 @@ func BenchmarkRestrictEnv(b *testing.B) {
 }
 
 // BenchmarkFingerprintKey measures the 128-bit state key (what the search
-// seen-set and Try memo hash on) against rendering the textual fingerprint,
+// seen-set hashes on) against rendering the textual fingerprint,
 // on the same one-intros-deep states as BenchmarkFingerprint. Fresh states
 // each iteration, so the per-state memo never amortizes the walk away.
 func BenchmarkFingerprintKey(b *testing.B) {

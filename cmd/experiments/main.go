@@ -44,9 +44,7 @@ func main() {
 		queryLimit       = flag.Int("fuel", 128, "model query limit")
 		width            = flag.Int("width", 8, "search width")
 		parallelism      = flag.Int("parallelism", runtime.NumCPU(), "bound on concurrent searches across the whole grid")
-		tryCache         = flag.Bool("try-cache", false, "share a cross-search Try memoization cache across the grid (tables are identical either way)")
 		proofCache       = flag.String("proof-cache", "", "directory of the persistent proof-outcome store: warm re-runs at the same corpus/seed/hyperparameters skip whole searches (tables are byte-identical warm or cold)")
-		proofCacheRO     = flag.Bool("proof-cache-readonly", false, "serve warm results from -proof-cache but record nothing")
 		proofCacheMirror = flag.Int("proof-cache-mirror", 16, "cross-check roughly one in N warm proof-cache hits against a live recomputation (0 disables; any mismatch aborts the run)")
 		cpuprofile       = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile       = flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
@@ -106,7 +104,6 @@ func main() {
 	r.QueryLimit = *queryLimit
 	r.Width = *width
 	r.Parallelism = *parallelism
-	r.TryCache = *tryCache
 	var pc *store.Cache
 	if *proofCache != "" {
 		files, err := corpus.Sources()
@@ -115,7 +112,6 @@ func main() {
 		}
 		pc, err = store.OpenCache(store.CacheConfig{
 			Dir:        *proofCache,
-			ReadOnly:   *proofCacheRO,
 			CorpusHash: corpus.Hash(files),
 			MirrorDen:  *proofCacheMirror,
 		})
@@ -127,12 +123,10 @@ func main() {
 	finishBackend := setupBackend(r, *backend, *checkerd, *faults, *faultSeed, *wireTimeout)
 	defer finishBackend()
 	defer func() {
-		// One structured cache-stats line covers both tiers (in-memory
-		// TryCache and persistent store).
+		// One structured cache-stats line covers both tiers (the in-memory
+		// outcome tier and the persistent store).
 		r.FlushProofStore()
-		if line := r.CacheStatsJSON(); line != "" {
-			fmt.Fprintln(os.Stderr, line)
-		}
+		fmt.Fprintln(os.Stderr, r.CacheStatsJSON())
 		if pc != nil {
 			if err := pc.Close(); err != nil {
 				log.Fatalf("proof-cache: %v", err)

@@ -15,7 +15,7 @@ import (
 // iteration after the first reuses the cands/steps/done buffers. Excluded
 // under -race (instrumentation allocates).
 func TestAllocFreeExpansionPool(t *testing.T) {
-	x := newExpander(Config{}, nil)
+	x := newExpander(nil)
 	cands := make([]model.Candidate, 8)
 	for i := range cands {
 		cands[i] = model.Candidate{Tactic: "auto.", LogProb: -1}

@@ -11,8 +11,7 @@ import (
 // one of two strategies:
 //
 //   - batched: the document implements checker.BatchDoc (the remote
-//     backend) — every unresolved candidate goes to the backend in one
-//     round trip;
+//     backend) — every candidate goes to the backend in one round trip;
 //   - lazy serial: otherwise, candidates are executed on first use (a
 //     Greedy search that stops at the first valid candidate never pays for
 //     the rest).
@@ -30,17 +29,14 @@ type expander struct {
 	doc   checker.Doc
 	batch checker.BatchDoc
 	st    checker.ScratchTryer
-	cache *TryCache
-	env   *kernel.Env
 	sc    *kernel.Scratch // nil unless st is set
 
-	// Recycled buffers.
+	// free recycles expansions.
 	free []*expansion
-	miss []int
 }
 
-func newExpander(cfg Config, doc checker.Doc) *expander {
-	x := &expander{doc: doc, cache: cfg.Cache, env: cfg.Env}
+func newExpander(doc checker.Doc) *expander {
+	x := &expander{doc: doc}
 	if bd, ok := doc.(checker.BatchDoc); ok {
 		x.batch = bd
 	}
@@ -69,7 +65,6 @@ type expansion struct {
 	parent *tactic.State
 	path   []string
 	cands  []model.Candidate
-	key    stateKey
 	steps  []checker.Step
 	done   []bool
 }
@@ -81,18 +76,9 @@ func (e *expansion) cand(i int) model.Candidate { return e.cands[i] }
 // serial strategy.
 func (e *expansion) step(i int) checker.Step {
 	if !e.done[i] {
-		e.finish(i, e.x.try(e.parent, e.path, e.cands[i].Tactic))
+		e.steps[i], e.done[i] = e.x.try(e.parent, e.path, e.cands[i].Tactic), true
 	}
 	return e.steps[i]
-}
-
-// finish records an outcome and publishes it to the shared Try cache.
-func (e *expansion) finish(i int, step checker.Step) {
-	e.steps[i] = step
-	e.done[i] = true
-	if e.x.cache != nil {
-		e.x.cache.Put(e.x.env, e.key, e.cands[i].Tactic, step)
-	}
 }
 
 // get returns a recycled expansion with buffers sized for n candidates.
@@ -123,7 +109,7 @@ func (x *expander) get(n int) *expansion {
 // not touch e afterwards; steps are cleared so recycled buffers do not pin
 // retired proof states.
 func (x *expander) put(e *expansion) {
-	e.parent, e.path, e.key = nil, nil, stateKey{}
+	e.parent, e.path = nil, nil
 	for i := range e.steps {
 		e.steps[i] = checker.Step{}
 		e.cands[i] = model.Candidate{}
@@ -131,9 +117,9 @@ func (x *expander) put(e *expansion) {
 	x.free = append(x.free, e)
 }
 
-// expand copies the candidates, resolves what the shared cache already
-// knows, and — under the batched strategy — executes the rest eagerly.
-// Serial consumers get a lazy expansion.
+// expand copies the candidates and, under the batched strategy, executes
+// them all eagerly in one round trip. Serial consumers get a lazy
+// expansion.
 //
 //hot:root
 func (x *expander) expand(parent *tactic.State, path []string, cands []model.Candidate) *expansion {
@@ -141,36 +127,16 @@ func (x *expander) expand(parent *tactic.State, path []string, cands []model.Can
 	e.parent = parent
 	e.path = path
 	copy(e.cands, cands)
-	if x.cache != nil {
-		// The strict TryCache identity is the state's 128-bit StrictKey — an
-		// O(#goals) combine over stored node hashes; no rendering happens.
-		e.key = parent.StrictKey()
-		for i := range e.cands {
-			if step, ok := x.cache.Get(x.env, e.key, e.cands[i].Tactic); ok {
-				e.steps[i], e.done[i] = step, true
-			}
-		}
-	}
-	if x.batch == nil {
+	if x.batch == nil || len(cands) == 0 {
 		return e
 	}
-	miss := x.miss[:0]
-	for i := range e.cands {
-		if !e.done[i] {
-			miss = append(miss, i)
-		}
+	sentences := make([]string, len(cands))
+	for i := range cands {
+		sentences[i] = cands[i].Tactic
 	}
-	x.miss = miss[:0]
-	if len(miss) == 0 {
-		return e
-	}
-	sentences := make([]string, len(miss))
-	for j, i := range miss {
-		sentences[j] = e.cands[i].Tactic
-	}
-	steps := x.batch.TryBatch(parent, path, sentences)
-	for j, i := range miss {
-		e.finish(i, steps[j])
+	copy(e.steps, x.batch.TryBatch(parent, path, sentences))
+	for i := range e.done {
+		e.done[i] = true
 	}
 	return e
 }

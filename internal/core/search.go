@@ -69,9 +69,6 @@ type Config struct {
 	// Lemma is the corpus name of Stmt when it has one; remote backends
 	// key the server-side environment restriction on it.
 	Lemma string
-	// Cache, when non-nil, memoizes Try outcomes across the searches that
-	// share it (keyed on env identity + concrete parent state + sentence).
-	Cache *TryCache
 }
 
 // open creates the proof document for this search. Backend failures never
@@ -164,7 +161,11 @@ func (h *nodeHeap) Pop() any {
 	return n
 }
 
-func (c Config) defaults() Config {
+// WithDefaults returns c with a non-positive Width or QueryLimit replaced
+// by the paper's 8 or 128: the budget a search with c actually runs at.
+// Callers that key outcomes on the budget (eval's outcome tiers) key on
+// these values, so a zero and its default name the same search.
+func (c Config) WithDefaults() Config {
 	if c.Width <= 0 {
 		c.Width = 8
 	}
@@ -182,11 +183,11 @@ func (c Config) defaults() Config {
 //
 //hot:root
 func BestFirst(cfg Config) Result {
-	cfg = cfg.defaults()
+	cfg = cfg.WithDefaults()
 	res := Result{}
 	doc := cfg.open()
 	defer doc.Close()
-	x := newExpander(cfg, doc)
+	x := newExpander(doc)
 	root := &node{state: doc.Root()}
 	seen := newSeen(cfg, root)
 	open := &nodeHeap{}
@@ -256,11 +257,11 @@ func BestFirst(cfg Config) Result {
 //
 //hot:root
 func Linear(cfg Config) Result {
-	cfg = cfg.defaults()
+	cfg = cfg.WithDefaults()
 	res := Result{}
 	doc := cfg.open()
 	defer doc.Close()
-	x := newExpander(cfg, doc)
+	x := newExpander(doc)
 	type frame struct {
 		n    *node
 		exp  *expansion
@@ -336,11 +337,11 @@ func Linear(cfg Config) Result {
 //
 //hot:root
 func Greedy(cfg Config) Result {
-	cfg = cfg.defaults()
+	cfg = cfg.WithDefaults()
 	res := Result{}
 	doc := cfg.open()
 	defer doc.Close()
-	x := newExpander(cfg, doc)
+	x := newExpander(doc)
 	cur := &node{state: doc.Root()}
 	seen := newSeen(cfg, cur)
 	for {

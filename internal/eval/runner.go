@@ -60,11 +60,6 @@ type Runner struct {
 	// Backends mask their own failures, so result tables are identical
 	// across backends; see internal/remote.
 	Backend checker.Backend
-	// TryCache shares one cross-search Try memoization cache (env identity
-	// + parent state + sentence → outcome) across the grid, the way the
-	// prompt item cache is shared. Results are identical either way; only
-	// redundant tactic executions disappear.
-	TryCache bool
 	// ProofStore, when non-nil, persists per-theorem search outcomes across
 	// processes (internal/store): a warm re-sweep at the same
 	// corpus/seed/hyperparameters skips whole searches. Results are
@@ -94,10 +89,6 @@ type Runner struct {
 	// mined statistics depend only on which hint proofs are visible, which
 	// the whole grid shares far more often than it differs.
 	ngrams *sync.Map
-	// trymemo holds the TryCache once built, so ablation copies of the
-	// Runner (width/fuel/algorithm changes never affect a memoized Try)
-	// keep sharing one cache.
-	trymemo *tryIndex
 	// lemmas holds the model's lemma table: the goal-independent analysis
 	// of every corpus lemma statement, built once on the first search and
 	// shared read-only by every search of every Runner copy (see
@@ -112,12 +103,6 @@ type Runner struct {
 	// outcomes is the in-memory outcome tier (see store.go): the ablation
 	// copies' repeated and shorter-budget units are answered from it.
 	outcomes *outcomeTier
-}
-
-// tryIndex caches the cross-search Try memo behind a once, like envIndex.
-type tryIndex struct {
-	once  sync.Once
-	cache *core.TryCache
 }
 
 // envIndex caches the restricted environments behind a once so that Runner
@@ -140,7 +125,8 @@ type lemmaIndex struct {
 }
 
 // NewRunner builds a runner with the paper's hyperparameters and the fixed
-// 50% hint split.
+// 50% hint split. It is the only way to build a Runner: the unexported
+// caches exist only in the Runners it returns and in their copies.
 func NewRunner(c *corpus.Corpus, seed int64) *Runner {
 	return &Runner{
 		Corpus:     c,
@@ -151,43 +137,16 @@ func NewRunner(c *corpus.Corpus, seed int64) *Runner {
 		envs:       &envIndex{},
 		prompts:    &promptIndex{},
 		ngrams:     &sync.Map{},
-		trymemo:    &tryIndex{},
 		lemmas:     &lemmaIndex{},
 		persist:    newPersistIndex(),
 		outcomes:   newOutcomeTier(),
 	}
 }
 
-// tryCache returns the shared Try memo when enabled (nil otherwise). The
-// cache is sized from grid statistics: a full sweep executes about
-// theorems × settings × QueryLimit × Width candidate tactics, of which
-// roughly a third are first-time misses at the grid's observed ~66% hit
-// rate — the rest are served from the cache and stay resident.
-func (r *Runner) tryCache() *core.TryCache {
-	if !r.TryCache || r.trymemo == nil {
-		return nil
-	}
-	r.trymemo.once.Do(func() {
-		width, limit := r.Width, r.QueryLimit
-		if width <= 0 {
-			width = 8
-		}
-		if limit <= 0 {
-			limit = 128
-		}
-		est := len(r.Corpus.Theorems) * 2 * limit * width * 34 / 100
-		r.trymemo.cache = core.NewTryCacheSized(est)
-	})
-	return r.trymemo.cache
-}
-
-// TryCacheStats reports the shared Try memo's lookup counters, capacity
-// evictions, and size (zeros when the cache is disabled). Stats are for
-// logging only; tables never depend on them.
+// TryCacheStats always returns zeros. The cross-search Try memo it reported
+// on is deleted (DESIGN.md §9); the method stays only because the
+// benchmark harness in sweepbench/ still reads it.
 func (r *Runner) TryCacheStats() (hits, misses, evicted, entries int64) {
-	if c := r.tryCache(); c != nil {
-		return c.Stats()
-	}
 	return 0, 0, 0, 0
 }
 
@@ -229,9 +188,6 @@ func (r *Runner) Subsample(ths []*corpus.Theorem, frac float64) []*corpus.Theore
 // LemmaOrder backing array — is shared with the full environment, which the
 // tactic layer treats as immutable.
 func (r *Runner) RestrictEnv(th *corpus.Theorem) *kernel.Env {
-	if r.envs == nil {
-		return restrictOne(r.Corpus.Env, th.Name)
-	}
 	r.envs.once.Do(func() {
 		r.envs.byName = buildPrefixEnvs(r.Corpus.Env)
 	})
@@ -286,8 +242,8 @@ func buildPrefixEnvs(full *kernel.Env) map[string]*kernel.Env {
 	return envs
 }
 
-// restrictOne is the uncached fallback (zero-value Runners, names outside
-// the corpus): the original clone-and-delete restriction.
+// restrictOne is the fallback for names outside the corpus: the original
+// clone-and-delete restriction.
 func restrictOne(full *kernel.Env, name string) *kernel.Env {
 	env := full.Clone()
 	cut := -1
@@ -330,21 +286,13 @@ func (r *Runner) jobSeed(thName, modelName, setting string) int64 {
 }
 
 // newModel binds a profile to a restricted environment, sharing the
-// runner's lemma table when it has one (a zero-value Runner's models
-// analyze their prompts' lemmas privately).
+// runner's lemma table.
 func (r *Runner) newModel(prof model.Profile, env *kernel.Env) *model.Model {
-	if lt := r.lemmaTable(); lt != nil {
-		return model.NewWithLemmas(prof, env, lt)
-	}
-	return model.New(prof, env)
+	return model.NewWithLemmas(prof, env, r.lemmaTable())
 }
 
-// lemmaTable returns the shared lemma table, building it on first use (nil
-// for a zero-value Runner).
+// lemmaTable returns the shared lemma table, building it on first use.
 func (r *Runner) lemmaTable() *model.LemmaTable {
-	if r.lemmas == nil {
-		return nil
-	}
 	r.lemmas.once.Do(func() {
 		r.lemmas.table = model.NewLemmaTable(r.Corpus.Env)
 	})
@@ -352,21 +300,17 @@ func (r *Runner) lemmaTable() *model.LemmaTable {
 }
 
 // builder assembles a prompt.Builder for one model/setting, wired to the
-// shared item cache when the runner has one.
+// shared item cache.
 func (r *Runner) builder(prof model.Profile, setting prompt.Setting) prompt.Builder {
-	var cache *prompt.Cache
-	if r.prompts != nil {
-		r.prompts.once.Do(func() {
-			r.prompts.cache = prompt.NewCache(r.Corpus, r.HintSet)
-		})
-		cache = r.prompts.cache
-	}
+	r.prompts.once.Do(func() {
+		r.prompts.cache = prompt.NewCache(r.Corpus, r.HintSet)
+	})
 	return prompt.Builder{
 		Corpus:  r.Corpus,
 		Setting: setting,
 		HintSet: r.HintSet,
 		Window:  prof.ContextWindow,
-		Cache:   cache,
+		Cache:   r.prompts.cache,
 	}
 }
 
@@ -377,9 +321,6 @@ func (r *Runner) builder(prof model.Profile, setting prompt.Setting) prompt.Buil
 // yield identical models. The cached model is immutable and shared across
 // grid workers.
 func (r *Runner) ngramFor(pr *prompt.Prompt) *model.NGram {
-	if r.ngrams == nil {
-		return model.BuildNGram(pr)
-	}
 	var key strings.Builder
 	for i := range pr.Items {
 		if pr.Items[i].Proof != "" {
@@ -429,7 +370,6 @@ func (r *Runner) liveSearch(prof model.Profile, setting prompt.Setting, th *corp
 		QueryLimit: r.QueryLimit,
 		Backend:    r.Backend,
 		Lemma:      th.Name,
-		Cache:      r.tryCache(),
 	}
 	search := r.Search
 	if search == nil {

@@ -123,27 +123,17 @@ func (r *Runner) searchName() string {
 	return r.SearchName
 }
 
-// effectiveBudget mirrors core.Config.defaults: the key must hold the
-// hyperparameters the search actually ran with.
-func (r *Runner) effectiveBudget() (width, fuel int) {
-	width, fuel = r.Width, r.QueryLimit
-	if width <= 0 {
-		width = 8
-	}
-	if fuel <= 0 {
-		fuel = 128
-	}
-	return width, fuel
-}
-
 // outcomeKey builds the key of one (theorem, model, setting, variant)
-// search. ok is false when the outcome tiers are off for this run (a
-// zero-value Runner, or an anonymous custom search).
+// search. ok is false for an anonymous custom search, which both outcome
+// tiers skip. The key holds the budget the search runs at, defaulted by
+// core, so a zero Width or QueryLimit keys as the default it searches at:
+// keyed as 0, a unit at the default limit would be answered from a
+// fuel-128 entry as a Fuelout after 0 queries.
 func (r *Runner) outcomeKey(prof model.Profile, settingStr, variant, search string, th *corpus.Theorem, env *kernel.Env) (store.OutcomeKey, bool) {
-	if r.persist == nil || r.outcomes == nil || search == "" {
+	if search == "" {
 		return store.OutcomeKey{}, false
 	}
-	width, fuel := r.effectiveBudget()
+	budget := core.Config{Width: r.Width, QueryLimit: r.QueryLimit}.WithDefaults()
 	root := tactic.NewState(env, th.Stmt).StrictKey()
 	return store.OutcomeKey{
 		Env:     r.envFingerprint(th),
@@ -152,8 +142,8 @@ func (r *Runner) outcomeKey(prof model.Profile, settingStr, variant, search stri
 		Setting: settingStr,
 		Variant: variant,
 		Search:  search,
-		Width:   width,
-		Fuel:    fuel,
+		Width:   budget.Width,
+		Fuel:    budget.QueryLimit,
 		Seed:    r.Seed,
 	}, true
 }
@@ -329,14 +319,6 @@ func (r *Runner) ProofStoreMismatches() int64 {
 	return r.ProofStore.Mismatches()
 }
 
-// tryStatsJSON is the Try memo's part of the cache-stats line.
-type tryStatsJSON struct {
-	Hits    int64 `json:"hits"`
-	Misses  int64 `json:"misses"`
-	Evicted int64 `json:"evicted"`
-	Entries int64 `json:"entries"`
-}
-
 // outcomeStatsJSON is the in-memory outcome tier's part of the cache-stats
 // line.
 type outcomeStatsJSON struct {
@@ -346,32 +328,23 @@ type outcomeStatsJSON struct {
 }
 
 // CacheStatsJSON renders the run's single structured cache-stats line: the
-// in-memory outcome tier, the Try memo and the persistent store together.
-// Returns "" when no tier is active.
+// in-memory outcome tier and, when mounted, the persistent store.
 func (r *Runner) CacheStatsJSON() string {
 	line := struct {
 		Event      string            `json:"event"`
-		Outcomes   *outcomeStatsJSON `json:"outcomes,omitempty"`
-		Try        *tryStatsJSON     `json:"try,omitempty"`
+		Outcomes   outcomeStatsJSON  `json:"outcomes"`
 		Persistent *store.CacheStats `json:"persistent,omitempty"`
-	}{Event: "cache-stats"}
-	if t := r.outcomes; t != nil {
-		line.Outcomes = &outcomeStatsJSON{Exact: t.exact.Load(), Derived: t.derived.Load(), Misses: t.misses.Load()}
-	}
-	if tc := r.tryCache(); tc != nil {
-		hits, misses, evicted, entries := tc.Stats()
-		line.Try = &tryStatsJSON{Hits: hits, Misses: misses, Evicted: evicted, Entries: entries}
+	}{
+		Event:    "cache-stats",
+		Outcomes: outcomeStatsJSON{Exact: r.outcomes.exact.Load(), Derived: r.outcomes.derived.Load(), Misses: r.outcomes.misses.Load()},
 	}
 	if r.ProofStore != nil {
 		st := r.ProofStore.Stats()
 		line.Persistent = &st
 	}
-	if line.Outcomes == nil && line.Try == nil && line.Persistent == nil {
-		return ""
-	}
 	b, err := json.Marshal(line)
 	if err != nil {
-		return ""
+		panic(err) // plain structs of numbers and strings always marshal
 	}
 	return string(b)
 }

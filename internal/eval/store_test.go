@@ -29,7 +29,6 @@ func storeRunner(t *testing.T, dir string, hash [2]uint64, mirrorDen int) (*Runn
 	}
 	r := NewRunner(c, 2025)
 	r.Parallelism = 4
-	r.TryCache = true
 	r.ProofStore = pc
 	return r, pc
 }
@@ -85,8 +84,8 @@ func TestWarmSweepMatchesCold(t *testing.T) {
 	if st1.Recorded == 0 {
 		t.Fatal("cold run persisted nothing")
 	}
-	// Only outcomes are persisted: with the Try memo on, a recording sweep
-	// still appends exactly one record per searched unit.
+	// Only outcomes are persisted: a recording sweep appends exactly one
+	// record per searched unit.
 	if st1.Recorded != st1.OutcomeMisses || st1.Dropped != 0 {
 		t.Fatalf("cold run recorded %d records (%d dropped) for %d outcome misses",
 			st1.Recorded, st1.Dropped, st1.OutcomeMisses)
@@ -127,9 +126,9 @@ func TestCorpusByteFlipIsFullMiss(t *testing.T) {
 	}
 }
 
-// Crash-safety end to end: truncating the tail record of the last segment
-// (a torn mid-write) must not poison the store — it reopens, drops the
-// torn record, the next sweep backfills it, and every table stays
+// Crash-safety end to end: truncating the tail record of the log (a torn
+// mid-write) must not poison the store — it reopens, drops the torn
+// record, the next sweep backfills it, and every table stays
 // byte-identical to the cold run.
 func TestTornTailBackfillsByteIdentical(t *testing.T) {
 	dir := t.TempDir()
@@ -139,17 +138,15 @@ func TestTornTailBackfillsByteIdentical(t *testing.T) {
 	cold := sweepSlice(t, r1)
 	finishRun(t, r1, pc1)
 
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segments written: %v", err)
+	files, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("store directory holds %v (%v); want one log", files, err)
 	}
-	sort.Strings(segs)
-	last := segs[len(segs)-1]
-	fi, err := os.Stat(last)
+	fi, err := os.Stat(files[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(last, fi.Size()-3); err != nil {
+	if err := os.Truncate(files[0], fi.Size()-3); err != nil {
 		t.Fatal(err)
 	}
 
@@ -190,7 +187,7 @@ func TestMirrorCatchesTamperedRecord(t *testing.T) {
 
 	// Bump the query count of every outcome record ('O' namespace) in
 	// place via the raw store: status(1) | queries(u32) | proof.
-	raw, err := store.Open(store.Options{Dir: dir})
+	raw, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +196,7 @@ func TestMirrorCatchesTamperedRecord(t *testing.T) {
 		val []byte
 	}
 	var tampered []kv
-	raw.Range(func(key string, val []byte, ts int64) {
+	raw.Range(func(key string, val []byte) {
 		if len(key) == 0 || key[0] != 'O' || len(val) < 5 {
 			return
 		}
@@ -253,7 +250,7 @@ func TestOutOfRangeStatusIsNotServed(t *testing.T) {
 
 	// Set the status byte of every outcome record ('O' namespace) out of
 	// range via the raw store: status(1) | queries(u32) | proof.
-	raw, err := store.Open(store.Options{Dir: dir})
+	raw, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +259,7 @@ func TestOutOfRangeStatusIsNotServed(t *testing.T) {
 		val []byte
 	}
 	var bad []kv
-	raw.Range(func(key string, val []byte, ts int64) {
+	raw.Range(func(key string, val []byte) {
 		if len(key) == 0 || key[0] != 'O' || len(val) < 5 {
 			return
 		}
@@ -394,6 +391,25 @@ func TestTierAnsweredUnitsSkipStore(t *testing.T) {
 	}
 	if exact, derived, _ := tierStats(r); exact != 8 || derived != 8 {
 		t.Fatalf("tier answered %d exact and %d derived units, want 8 and 8", exact, derived)
+	}
+}
+
+// A zero Width and QueryLimit search at core's defaults, 8 and 128, so a
+// Runner copy with both at 0 is the same unit as one at 8/128 and is
+// answered exactly from its tier entries. Keyed as a limit of 0, each unit
+// would come back as a Fuelout after 0 queries.
+func TestZeroBudgetKeysAsDefault(t *testing.T) {
+	r, _ := runner(t)
+	ths := r.TestSet()[:8]
+	want := r.RunSweep(model.GPT4o, prompt.Hint, ths)
+	zero := *r
+	zero.Width, zero.QueryLimit = 0, 0
+	got := zero.RunSweep(model.GPT4o, prompt.Hint, ths)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("zero budget outcomes differ from 8/128:\n got %+v\nwant %+v", got, want)
+	}
+	if exact, derived, misses := tierStats(r); exact != 8 || derived != 0 || misses != 8 {
+		t.Fatalf("tier answered %d exact, %d derived, missed %d; want 8, 0, 8", exact, derived, misses)
 	}
 }
 

@@ -1,8 +1,10 @@
 // The proof-cache layer: a typed, content-addressed view over the raw
 // record store for what the evaluation stack persists — per-theorem proof
 // outcomes, so a warm re-sweep skips whole searches. Appends go through a
-// write-behind channel drained by one background goroutine, so recording
-// never blocks a search.
+// write-behind channel drained by one background goroutine, so a search
+// never waits for its own record's write. It can wait for the store's
+// lock: a lookup or a record that arrives while a batch is written and
+// fsynced waits until the batch is on disk.
 
 package store
 
@@ -11,20 +13,15 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // nsOutcome is the key-namespace tag (first byte of every outcome key).
-// Records under other tags, such as the 'T' records of older stores, are
-// never read and expire under the store's TTL.
 const nsOutcome = 'O'
 
 // CacheConfig configures OpenCache.
 type CacheConfig struct {
 	// Dir is the store directory.
 	Dir string
-	// ReadOnly serves warm lookups but records nothing.
-	ReadOnly bool
 	// CorpusHash is the 128-bit content hash of the corpus sources
 	// (corpus.Hash). Every key embeds it, so a corpus edit is a full miss
 	// by construction.
@@ -32,12 +29,6 @@ type CacheConfig struct {
 	// MirrorDen samples roughly one in MirrorDen warm hits for a live
 	// recomputation cross-check (mirror-first discipline; 0 disables).
 	MirrorDen int
-	// Store tuning (zero values take the Options defaults). Dir/ReadOnly
-	// above win over the embedded fields.
-	MaxBytes     int64
-	TTL          time.Duration
-	SegmentBytes int64
-	Now          func() time.Time
 }
 
 // OutcomeKey identifies one persisted proof-search outcome: everything the
@@ -73,7 +64,6 @@ type OutcomeRec struct {
 type Cache struct {
 	st        *Store
 	corpus    [2]uint64
-	readonly  bool
 	mirrorDen int
 
 	pend   chan pendItem
@@ -92,21 +82,13 @@ type Cache struct {
 // OpenCache opens (or creates) the persistent proof cache at cfg.Dir and
 // starts the write-behind appender.
 func OpenCache(cfg CacheConfig) (*Cache, error) {
-	st, err := Open(Options{
-		Dir:          cfg.Dir,
-		ReadOnly:     cfg.ReadOnly,
-		MaxBytes:     cfg.MaxBytes,
-		TTL:          cfg.TTL,
-		SegmentBytes: cfg.SegmentBytes,
-		Now:          cfg.Now,
-	})
+	st, err := Open(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
 	c := &Cache{
 		st:        st,
 		corpus:    cfg.CorpusHash,
-		readonly:  cfg.ReadOnly,
 		mirrorDen: cfg.MirrorDen,
 		pend:      make(chan pendItem, 4096),
 	}
@@ -125,7 +107,8 @@ type pendItem struct {
 // appendLoop drains the write-behind channel in batches: one disk write +
 // fsync per batch, never per record. A failed append disables further
 // recording (the error is surfaced in Stats and by Close) — the cache
-// degrades to read-only rather than blocking or crashing the sweep.
+// keeps serving lookups but records nothing, rather than blocking or
+// crashing the sweep.
 func (c *Cache) appendLoop() {
 	defer c.wg.Done()
 	batch := make([]Rec, 0, 256)
@@ -171,7 +154,7 @@ func (c *Cache) appendLoop() {
 // Flush blocks until every record enqueued before the call has been handed
 // to the store (or dropped). It must not race with Close.
 func (c *Cache) Flush() {
-	if c.readonly || c.closed.Load() {
+	if c.closed.Load() {
 		return
 	}
 	done := make(chan struct{})
@@ -183,7 +166,7 @@ func (c *Cache) Flush() {
 // channel is full the record is dropped and counted — a lost cache entry
 // costs a future recompute, never a stall.
 func (c *Cache) enqueue(key, val []byte) {
-	if c.readonly || c.closed.Load() || c.appendErr.Load() != nil {
+	if c.closed.Load() || c.appendErr.Load() != nil {
 		c.dropped.Add(1)
 		return
 	}
@@ -277,7 +260,6 @@ func (c *Cache) NoteMirror(ok bool) {
 // CacheStats snapshots the typed layer's counters plus the underlying
 // store's, for the structured cache-stats line.
 type CacheStats struct {
-	ReadOnly         bool   `json:"read_only"`
 	OutcomeHits      int64  `json:"outcome_hits"`
 	OutcomeMisses    int64  `json:"outcome_misses"`
 	Recorded         int64  `json:"recorded"`
@@ -291,7 +273,6 @@ type CacheStats struct {
 // Stats returns a snapshot of the cache and store counters.
 func (c *Cache) Stats() CacheStats {
 	cs := CacheStats{
-		ReadOnly:         c.readonly,
 		OutcomeHits:      c.outcomeHits.Load(),
 		OutcomeMisses:    c.outcomeMisses.Load(),
 		Recorded:         c.recorded.Load(),

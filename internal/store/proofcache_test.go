@@ -2,6 +2,8 @@ package store
 
 import (
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -171,44 +173,61 @@ func TestCorpusHashIsolatesCaches(t *testing.T) {
 	}
 }
 
-// TestOpensStoreWithTryRecords: a store written by a version that also
-// persisted Try verdicts ('T' keys: corpus hash, env and state
-// fingerprints, sentence) still opens, and its outcome records still hit.
-// The 'T' records are never read; they expire under the TTL.
+// TestOpensStoreWithTryRecords: a directory written by generation 1 (a
+// numbered segment whose header carries a segment index and whose records
+// carry a timestamp, holding an outcome record and the Try verdicts of
+// older versions, plus a temporary file of an interrupted compaction)
+// opens without error and cold-starts: nothing is served, its files are
+// removed, and the next recording starts the directory's one log.
 func TestOpensStoreWithTryRecords(t *testing.T) {
 	dir := t.TempDir()
-	c := openCacheT(t, CacheConfig{Dir: dir, CorpusHash: testCorpus})
 	k := testOutcomeKey()
 	rec := OutcomeRec{Status: 0, Queries: 3, Proof: "intros. auto."}
-	c.RecordOutcome(k, rec)
-	closeCacheT(t, c)
-
-	st := openT(t, Options{Dir: dir})
-	var batch []Rec
+	c := &Cache{corpus: testCorpus}
+	val := binary.BigEndian.AppendUint32([]byte{rec.Status}, uint32(rec.Queries))
+	val = append(val, rec.Proof...)
+	seg := []byte(magic)
+	seg = binary.BigEndian.AppendUint32(seg, 1) // generation
+	seg = binary.BigEndian.AppendUint32(seg, 1) // segment index
+	seg = append(seg, genOneRecord(1_700_000_000, string(c.outcomeKeyBytes(k)), string(val))...)
 	for i, sentence := range []string{"ring.", "lia.", "destruct H."} {
 		key := []byte{'T'}
 		for _, w := range []uint64{testCorpus[0], testCorpus[1], 3, 4, uint64(i), 9} {
 			key = binary.BigEndian.AppendUint64(key, w)
 		}
 		key = append(key, sentence...)
-		batch = append(batch, Rec{Key: key, Val: append([]byte{1}, "rejected"...)})
+		seg = append(seg, genOneRecord(1_700_000_000, string(key), "\x01rejected")...)
 	}
-	if err := st.AppendBatch(batch); err != nil {
+	for _, name := range []string{"seg-00000001.log", "seg-00000002.log.tmp"} {
+		if err := os.WriteFile(filepath.Join(dir, name), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	c1, err := OpenCache(CacheConfig{Dir: dir, CorpusHash: testCorpus})
+	if err != nil {
+		t.Fatalf("OpenCache over a generation-1 store: %v", err)
+	}
+	if got, ok := c1.LookupOutcome(k, anyStatus); ok {
+		t.Fatalf("generation-1 outcome served: %+v", got)
+	}
+	if st := c1.Stats().Store; st.GenerationSkips != 2 || st.Entries != 0 || st.DiskBytes != 0 {
+		t.Fatalf("store after cold start: %+v; want 2 generation skips, empty", st)
+	}
+	c1.RecordOutcome(k, rec)
+	closeCacheT(t, c1)
+	des, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	closeT(t, st)
+	if len(des) != 1 || des[0].Name() != logName {
+		t.Fatalf("directory holds %v after the cold start; want only %s", des, logName)
+	}
 
-	c2, err := OpenCache(CacheConfig{Dir: dir, CorpusHash: testCorpus})
-	if err != nil {
-		t.Fatalf("OpenCache over a store with Try records: %v", err)
-	}
+	c2 := openCacheT(t, CacheConfig{Dir: dir, CorpusHash: testCorpus})
 	defer closeCacheT(t, c2)
-	got, ok := c2.LookupOutcome(k, anyStatus)
-	if !ok || got != rec {
+	if got, ok := c2.LookupOutcome(k, anyStatus); !ok || got != rec {
 		t.Fatalf("outcome = %+v, %v; want %+v, true", got, ok, rec)
-	}
-	if n := c2.Stats().Store.Entries; n != 4 {
-		t.Fatalf("store holds %d records; want 4 (1 outcome + 3 Try)", n)
 	}
 }
 
@@ -246,32 +265,6 @@ func TestMirrorOutcomeDeterministicSampling(t *testing.T) {
 	defer closeCacheT(t, all)
 	if !all.MirrorOutcome(k) {
 		t.Fatal("MirrorOutcome false with MirrorDen=1")
-	}
-}
-
-func TestReadOnlyCacheDropsRecords(t *testing.T) {
-	dir := t.TempDir()
-	c := openCacheT(t, CacheConfig{Dir: dir, CorpusHash: testCorpus})
-	k := testOutcomeKey()
-	c.RecordOutcome(k, OutcomeRec{Status: 2, Proof: "auto."})
-	closeCacheT(t, c)
-
-	ro := openCacheT(t, CacheConfig{Dir: dir, ReadOnly: true, CorpusHash: testCorpus})
-	if _, ok := ro.LookupOutcome(k, anyStatus); !ok {
-		t.Fatal("read-only cache missed a persisted outcome")
-	}
-	k2 := testOutcomeKey()
-	k2.Seed = 123456
-	ro.RecordOutcome(k2, OutcomeRec{Status: 1})
-	if st := ro.Stats(); st.Dropped == 0 {
-		t.Fatalf("read-only record not counted as dropped: %+v", st)
-	}
-	closeCacheT(t, ro)
-
-	c2 := openCacheT(t, CacheConfig{Dir: dir, CorpusHash: testCorpus})
-	defer closeCacheT(t, c2)
-	if _, ok := c2.LookupOutcome(k2, anyStatus); ok {
-		t.Fatal("read-only cache persisted a record")
 	}
 }
 

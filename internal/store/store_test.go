@@ -2,18 +2,18 @@ package store
 
 import (
 	"bytes"
-	"fmt"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
-func openT(t *testing.T, opts Options) *Store {
+func openT(t *testing.T, dir string) *Store {
 	t.Helper()
-	s, err := Open(opts)
+	s, err := Open(dir)
 	if err != nil {
-		t.Fatalf("Open(%+v): %v", opts, err)
+		t.Fatalf("Open(%s): %v", dir, err)
 	}
 	return s
 }
@@ -27,7 +27,7 @@ func closeT(t *testing.T, s *Store) {
 
 func TestRoundtripAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, Options{Dir: dir})
+	s := openT(t, dir)
 	if err := s.Put([]byte("alpha"), []byte("one")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
@@ -39,7 +39,7 @@ func TestRoundtripAcrossReopen(t *testing.T) {
 	}
 	closeT(t, s)
 
-	s2 := openT(t, Options{Dir: dir})
+	s2 := openT(t, dir)
 	defer closeT(t, s2)
 	if got, ok := s2.Get([]byte("alpha")); !ok || string(got) != "one-v2" {
 		t.Fatalf("alpha = %q,%v; want one-v2 (last writer wins)", got, ok)
@@ -47,14 +47,14 @@ func TestRoundtripAcrossReopen(t *testing.T) {
 	if got, ok := s2.Get([]byte("beta")); !ok || string(got) != "two" {
 		t.Fatalf("beta = %q,%v; want two", got, ok)
 	}
-	if s2.Len() != 2 {
-		t.Fatalf("Len = %d; want 2", s2.Len())
+	if n := s2.Stats().Entries; n != 2 {
+		t.Fatalf("Entries = %d; want 2", n)
 	}
 }
 
 func TestAppendBatchDedupsIdenticalValues(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, Options{Dir: dir})
+	s := openT(t, dir)
 	defer closeT(t, s)
 	if err := s.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatalf("Put: %v", err)
@@ -73,49 +73,23 @@ func TestAppendBatchDedupsIdenticalValues(t *testing.T) {
 	}
 }
 
-func TestSegmentRotation(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, Options{Dir: dir, SegmentBytes: 256})
-	for i := 0; i < 40; i++ {
-		key := fmt.Sprintf("key-%03d", i)
-		if err := s.Put([]byte(key), bytes.Repeat([]byte{'x'}, 32)); err != nil {
-			t.Fatalf("Put %s: %v", key, err)
-		}
-	}
-	if segs := s.Stats().Segments; segs < 2 {
-		t.Fatalf("Segments = %d; want rotation (>= 2)", segs)
-	}
-	closeT(t, s)
-
-	s2 := openT(t, Options{Dir: dir, SegmentBytes: 256})
-	defer closeT(t, s2)
-	if s2.Len() != 40 {
-		t.Fatalf("reopened Len = %d; want 40", s2.Len())
-	}
-	for i := 0; i < 40; i++ {
-		key := fmt.Sprintf("key-%03d", i)
-		if _, ok := s2.Get([]byte(key)); !ok {
-			t.Fatalf("missing %s after rotation+reopen", key)
-		}
-	}
-}
-
-// lastSegPath returns the path of the highest-numbered segment.
-func lastSegPath(t *testing.T, dir string) string {
+// logPath returns the path of dir's log, failing unless it is the only
+// file there.
+func logPath(t *testing.T, dir string) string {
 	t.Helper()
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("ReadDir: %v", err)
 	}
-	if len(des) == 0 {
-		t.Fatal("no segments")
+	if len(des) != 1 || des[0].Name() != logName {
+		t.Fatalf("directory holds %v; want only %s", des, logName)
 	}
-	return filepath.Join(dir, des[len(des)-1].Name())
+	return filepath.Join(dir, logName)
 }
 
 func TestTornTailTruncatedAndBackfilled(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, Options{Dir: dir})
+	s := openT(t, dir)
 	if err := s.Put([]byte("keep"), []byte("safe")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
@@ -126,7 +100,7 @@ func TestTornTailTruncatedAndBackfilled(t *testing.T) {
 
 	// Simulate a crash mid-append: chop the last few bytes of the final
 	// record so its frame no longer parses.
-	path := lastSegPath(t, dir)
+	path := logPath(t, dir)
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatalf("Stat: %v", err)
@@ -135,7 +109,7 @@ func TestTornTailTruncatedAndBackfilled(t *testing.T) {
 		t.Fatalf("Truncate: %v", err)
 	}
 
-	s2 := openT(t, Options{Dir: dir})
+	s2 := openT(t, dir)
 	if _, ok := s2.Get([]byte("keep")); !ok {
 		t.Fatal("record before the torn tail was lost")
 	}
@@ -152,7 +126,7 @@ func TestTornTailTruncatedAndBackfilled(t *testing.T) {
 	}
 	closeT(t, s2)
 
-	s3 := openT(t, Options{Dir: dir})
+	s3 := openT(t, dir)
 	defer closeT(t, s3)
 	if got, ok := s3.Get([]byte("torn")); !ok || string(got) != "lost-by-crash" {
 		t.Fatalf("backfilled record = %q,%v; want lost-by-crash", got, ok)
@@ -164,7 +138,7 @@ func TestTornTailTruncatedAndBackfilled(t *testing.T) {
 
 func TestMidSegmentCorruptionAbandonsRemainder(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, Options{Dir: dir})
+	s := openT(t, dir)
 	for _, k := range []string{"a", "b", "c"} {
 		if err := s.Put([]byte(k), []byte("val-"+k)); err != nil {
 			t.Fatalf("Put %s: %v", k, err)
@@ -173,8 +147,8 @@ func TestMidSegmentCorruptionAbandonsRemainder(t *testing.T) {
 	closeT(t, s)
 
 	// Flip one payload byte of the middle record: its CRC fails, and the
-	// scanner cannot trust any later frame in the segment.
-	path := lastSegPath(t, dir)
+	// scanner cannot trust any later frame in the log.
+	path := logPath(t, dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
@@ -188,8 +162,7 @@ func TestMidSegmentCorruptionAbandonsRemainder(t *testing.T) {
 		t.Fatalf("WriteFile: %v", err)
 	}
 
-	s2 := openT(t, Options{Dir: dir})
-	defer closeT(t, s2)
+	s2 := openT(t, dir)
 	if _, ok := s2.Get([]byte("a")); !ok {
 		t.Fatal("record before corruption was lost")
 	}
@@ -202,66 +175,28 @@ func TestMidSegmentCorruptionAbandonsRemainder(t *testing.T) {
 	if got := s2.Stats().CorruptDropped; got != 1 {
 		t.Fatalf("CorruptDropped = %d; want 1", got)
 	}
-}
-
-func TestTTLExpiry(t *testing.T) {
-	dir := t.TempDir()
-	clock := time.Unix(1_000_000, 0)
-	now := func() time.Time { return clock }
-	s := openT(t, Options{Dir: dir, TTL: time.Hour, Now: now})
-	if err := s.Put([]byte("old"), []byte("v")); err != nil {
-		t.Fatalf("Put: %v", err)
+	// The abandoned suffix is truncated, so an append lands on a clean
+	// frame and the next open drops nothing.
+	if err := s2.Put([]byte("d"), []byte("val-d")); err != nil {
+		t.Fatalf("Put after corruption: %v", err)
 	}
-	closeT(t, s)
-
-	clock = clock.Add(2 * time.Hour)
-	s2 := openT(t, Options{Dir: dir, TTL: time.Hour, Now: now})
-	defer closeT(t, s2)
-	if _, ok := s2.Get([]byte("old")); ok {
-		t.Fatal("expired record served")
-	}
-	if got := s2.Stats().Expired; got != 1 {
-		t.Fatalf("Expired = %d; want 1", got)
-	}
-}
-
-func TestMaxBytesEvictsOldestFirst(t *testing.T) {
-	dir := t.TempDir()
-	clock := time.Unix(1_000_000, 0)
-	now := func() time.Time { return clock }
-	s := openT(t, Options{Dir: dir, Now: now})
-	big := bytes.Repeat([]byte{'z'}, 64)
-	for i := 0; i < 8; i++ {
-		clock = clock.Add(time.Second) // distinct timestamps: age order is real
-		if err := s.Put([]byte(fmt.Sprintf("k%d", i)), big); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-	}
-	closeT(t, s)
-
-	// Reopen with a bound that holds roughly half the records.
-	s2 := openT(t, Options{Dir: dir, MaxBytes: 4 * recSize("k0", big), Now: now})
-	defer closeT(t, s2)
-	if got := s2.Stats().Evicted; got == 0 {
-		t.Fatal("no evictions under MaxBytes bound")
-	}
-	if _, ok := s2.Get([]byte("k0")); ok {
-		t.Fatal("oldest record survived eviction")
-	}
-	if _, ok := s2.Get([]byte("k7")); !ok {
-		t.Fatal("newest record evicted")
+	closeT(t, s2)
+	s3 := openT(t, dir)
+	defer closeT(t, s3)
+	if st := s3.Stats(); st.CorruptDropped != 0 || st.Entries != 2 {
+		t.Fatalf("reopen after repair: %+v; want 2 entries, nothing dropped", st)
 	}
 }
 
 func TestForeignGenerationColdStarts(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, Options{Dir: dir})
+	s := openT(t, dir)
 	if err := s.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	closeT(t, s)
 
-	path := lastSegPath(t, dir)
+	path := logPath(t, dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
@@ -271,97 +206,52 @@ func TestForeignGenerationColdStarts(t *testing.T) {
 		t.Fatalf("WriteFile: %v", err)
 	}
 
-	s2 := openT(t, Options{Dir: dir})
+	s2 := openT(t, dir)
 	defer closeT(t, s2)
-	if s2.Len() != 0 {
-		t.Fatalf("Len = %d after generation bump; want cold start", s2.Len())
+	if n := s2.Stats().Entries; n != 0 {
+		t.Fatalf("Entries = %d after generation bump; want cold start", n)
 	}
 	if got := s2.Stats().GenerationSkips; got != 1 {
 		t.Fatalf("GenerationSkips = %d; want 1", got)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("foreign segment not removed: %v", err)
+		t.Fatalf("foreign log not removed: %v", err)
 	}
 }
 
-func TestReadOnly(t *testing.T) {
+// genOneRecord encodes one generation-1 record frame:
+// [len][crc32c][ts][klen][key][val].
+func genOneRecord(ts uint32, key, val string) []byte {
+	payload := binary.BigEndian.AppendUint32(nil, ts)
+	payload = binary.BigEndian.AppendUint32(payload, uint32(len(key)))
+	payload = append(payload, key...)
+	payload = append(payload, val...)
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
+	return append(frame, payload...)
+}
+
+// Sessions that append to one directory share its one log: nothing
+// rotates, and every session's records are served.
+func TestOneLogPerDirectory(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, Options{Dir: dir})
-	if err := s.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	closeT(t, s)
-
-	// Tear the tail; read-only open must serve what it can without
-	// repairing the file on disk.
-	path := lastSegPath(t, dir)
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatalf("Stat: %v", err)
-	}
-	if err := os.Truncate(path, fi.Size()-2); err != nil {
-		t.Fatalf("Truncate: %v", err)
-	}
-
-	ro := openT(t, Options{Dir: dir, ReadOnly: true})
-	defer closeT(t, ro)
-	if err := ro.Put([]byte("x"), []byte("y")); err == nil {
-		t.Fatal("Put succeeded on read-only store")
-	}
-	fi2, err := os.Stat(path)
-	if err != nil {
-		t.Fatalf("Stat after RO open: %v", err)
-	}
-	if fi2.Size() != fi.Size()-2 {
-		t.Fatalf("read-only open changed the file: %d -> %d", fi.Size()-2, fi2.Size())
-	}
-
-	// A read-only open of a nonexistent directory is an empty store.
-	empty := openT(t, Options{Dir: filepath.Join(dir, "missing"), ReadOnly: true})
-	defer closeT(t, empty)
-	if empty.Len() != 0 {
-		t.Fatalf("missing-dir RO store Len = %d; want 0", empty.Len())
-	}
-}
-
-func TestCompactionKeepsLiveSetAndIsDeterministic(t *testing.T) {
-	write := func(dir string) {
-		s := openT(t, Options{Dir: dir, SegmentBytes: 128, Now: func() time.Time { return time.Unix(42, 0) }})
-		for i := 0; i < 10; i++ {
-			if err := s.Put([]byte(fmt.Sprintf("k%d", i%3)), []byte(fmt.Sprintf("gen-%d", i))); err != nil {
-				t.Fatalf("Put: %v", err)
-			}
+	for i, k := range []string{"a", "b", "c"} {
+		s := openT(t, dir)
+		if n := s.Stats().Entries; n != i {
+			t.Fatalf("session %d opened with %d records; want %d", i, n, i)
 		}
-		if err := s.Compact(); err != nil {
-			t.Fatalf("Compact: %v", err)
+		if err := s.Put([]byte(k), bytes.Repeat([]byte{'x'}, 64)); err != nil {
+			t.Fatalf("Put: %v", err)
 		}
 		closeT(t, s)
 	}
-	dirA, dirB := t.TempDir(), t.TempDir()
-	write(dirA)
-	write(dirB)
-
-	s := openT(t, Options{Dir: dirA, Now: func() time.Time { return time.Unix(43, 0) }})
+	fi, err := os.Stat(logPath(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := openT(t, dir)
 	defer closeT(t, s)
-	if s.Len() != 3 {
-		t.Fatalf("Len after compaction = %d; want 3", s.Len())
-	}
-	for k, want := range map[string]string{"k0": "gen-9", "k1": "gen-7", "k2": "gen-8"} {
-		if got, ok := s.Get([]byte(k)); !ok || string(got) != want {
-			t.Fatalf("%s = %q,%v; want %q", k, got, ok, want)
-		}
-	}
-
-	// Same live set + same clock → byte-identical compacted segments.
-	bytesA, err := os.ReadFile(lastSegPath(t, dirA))
-	if err != nil {
-		t.Fatalf("ReadFile A: %v", err)
-	}
-	bytesB, err := os.ReadFile(lastSegPath(t, dirB))
-	if err != nil {
-		t.Fatalf("ReadFile B: %v", err)
-	}
-	if !bytes.Equal(bytesA, bytesB) {
-		t.Fatal("compaction output not deterministic for identical content")
+	if st := s.Stats(); st.Entries != 3 || st.DiskBytes != fi.Size() {
+		t.Fatalf("stats %+v; want 3 entries over the log's %d bytes", st, fi.Size())
 	}
 }

@@ -23,6 +23,12 @@ unformatted=$(gofmt -l .)
 echo "==> go test -race ./..."
 go test -race ./...
 
+# sweepbench/ (the benchmark of record) is its own module, so the root
+# ./... never compiles it. Vet and test it here: a change that removes an
+# API the benchmark calls then fails this gate, not the benchmark run.
+echo "==> (cd sweepbench && go vet ./... && go test ./...)"
+(cd sweepbench && go vet ./... && go test ./...)
+
 # The golden determinism test is the load-bearing regression for the
 # performance layer (shared caches + grid scheduler); run it explicitly
 # under the race detector so a green gate always implies a racing-free,
@@ -31,9 +37,9 @@ echo "==> go test -race -run TestGoldenDeterminism ./internal/eval"
 go test -race -run 'TestGoldenDeterminism$' ./internal/eval
 
 # The search-mode equivalence test is the load-bearing regression for the
-# search's execution strategies (cross-search Try memoization, batched wire
-# execution): every mode must produce the exact Result the lazy in-process
-# search produces, under the race detector.
+# search's execution strategies: batched wire execution must produce the
+# exact Result the lazy in-process search produces, under the race
+# detector.
 echo "==> go test -race -run TestSearchModeEquivalence ./internal/core"
 go test -race -run 'TestSearchModeEquivalence$' ./internal/core
 
@@ -106,6 +112,37 @@ check_fault_hits() {
 	echo "check: chaos leg $1: $line"
 }
 
+# store_stat LEG FIELD prints the number FIELD holds in LEG's cache-stats
+# line (empty when the line or the field is missing).
+store_stat() {
+	sed -n 's/^{"event":"cache-stats".*"'"$2"'":\([0-9]*\).*$/\1/p' "$tmp/$1.err"
+}
+
+# check_store_stats LEG KIND fails unless LEG's cache-stats line shows that
+# the store did its part. A populate leg must record every outcome that
+# missed and drop none. A warm leg must miss nothing, hit, and agree on
+# every mirror check. Live searches print the same tables, so without this
+# a store that silently stopped serving would pass every cmp below.
+check_store_stats() {
+	hits=$(store_stat "$1" outcome_hits)
+	misses=$(store_stat "$1" outcome_misses)
+	recorded=$(store_stat "$1" recorded)
+	dropped=$(store_stat "$1" dropped)
+	checks=$(store_stat "$1" mirror_checks)
+	mismatches=$(store_stat "$1" mirror_mismatches)
+	stats="hits=$hits misses=$misses recorded=$recorded dropped=$dropped mirror_checks=$checks mirror_mismatches=$mismatches"
+	if [ "$2" = populate ]; then
+		[ "${misses:-0}" -gt 0 ] && [ "$recorded" = "$misses" ] && [ "$dropped" = 0 ]
+	else
+		[ "$misses" = 0 ] && [ "${hits:-0}" -gt 0 ] && [ "$mismatches" = 0 ]
+	fi || {
+		cat "$tmp/$1.err" >&2
+		echo "check: FAIL: store leg $1 ($2): $stats" >&2
+		exit 1
+	}
+	echo "check: store leg $1: $stats"
+}
+
 echo "==> experiments -all -backend=inprocess"
 go run ./cmd/experiments -all -seed 2025 >"$tmp/inprocess.out"
 echo "==> experiments -all -backend=remote (chaos schedule, batched wire)"
@@ -117,37 +154,44 @@ go run ./cmd/experiments -all -seed 2025 -backend=remote -wire-timeout 150ms \
 check_fault_hits chaos "$chaos"
 
 # Persistent proof cache: a cold populate, a warm re-run answering from the
-# store, and a second warm pass with the store mounted read-only must all
-# print the same bytes as the storeless baseline — the warm path changes
-# latency, never tables — and every run's mirror sample cross-checks
-# persisted records against live recomputation (a mismatch exits nonzero).
+# store, and a warm run under wire chaos must all print the same bytes as the
+# storeless baseline — the warm path changes latency, never tables — and
+# every run's mirror sample cross-checks persisted records against live
+# recomputation (a mismatch exits nonzero). Each leg keeps its stderr, and
+# its cache-stats line must show the store was used.
 echo "==> experiments -all -proof-cache (cold populate)"
-go run ./cmd/experiments -all -seed 2025 -try-cache -proof-cache "$tmp/pcache" \
-	>"$tmp/pcache-cold.out"
+go run ./cmd/experiments -all -seed 2025 -proof-cache "$tmp/pcache" \
+	>"$tmp/pcache-cold.out" 2>"$tmp/pcache-cold.err" || {
+	cat "$tmp/pcache-cold.err" >&2
+	exit 1
+}
+check_store_stats pcache-cold populate
 echo "==> experiments -all -proof-cache (warm re-run)"
-go run ./cmd/experiments -all -seed 2025 -try-cache -proof-cache "$tmp/pcache" \
-	>"$tmp/pcache-warm.out"
-echo "==> experiments -all -proof-cache-readonly (second warm pass)"
-go run ./cmd/experiments -all -seed 2025 -try-cache -proof-cache "$tmp/pcache" \
-	-proof-cache-readonly >"$tmp/pcache-warm2.out"
+go run ./cmd/experiments -all -seed 2025 -proof-cache "$tmp/pcache" \
+	>"$tmp/pcache-warm.out" 2>"$tmp/pcache-warm.err" || {
+	cat "$tmp/pcache-warm.err" >&2
+	exit 1
+}
+check_store_stats pcache-warm warm
 echo "==> experiments -all -proof-cache + remote chaos (warm store, faulted wire)"
-go run ./cmd/experiments -all -seed 2025 -try-cache -proof-cache "$tmp/pcache" \
+go run ./cmd/experiments -all -seed 2025 -proof-cache "$tmp/pcache" \
 	-backend=remote -wire-timeout 150ms -faults "$warmchaos" \
 	>"$tmp/pcache-chaos.out" 2>"$tmp/pcache-chaos.err" || {
 	cat "$tmp/pcache-chaos.err" >&2
 	exit 1
 }
+check_store_stats pcache-chaos warm
 check_fault_hits pcache-chaos "$warmchaos"
 cmp "$tmp/inprocess.out" "$tmp/chaos.out" || {
 	echo "check: FAIL: fault-injected backend tables differ from in-process" >&2
 	exit 1
 }
-for leg in pcache-cold pcache-warm pcache-warm2 pcache-chaos; do
+for leg in pcache-cold pcache-warm pcache-chaos; do
 	cmp "$tmp/inprocess.out" "$tmp/$leg.out" || {
 		echo "check: FAIL: proof-cache leg $leg tables differ from storeless baseline" >&2
 		exit 1
 	}
 done
-echo "check: backend equivalence holds (in-process = remote-batched+chaos = proof-cache cold/warm/warm-ro/chaos with the Try cache)"
+echo "check: backend equivalence holds (in-process = remote-batched+chaos = proof-cache cold/warm/chaos)"
 
 echo "check: all gates passed"
