@@ -8,13 +8,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
 
-	"llmfscq/internal/analysis"
 	"llmfscq/internal/core"
 	"llmfscq/internal/corpus"
 	"llmfscq/internal/eval"
@@ -50,13 +50,12 @@ func main() {
 		memprofile       = flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
 		paperSamp        = flag.Bool("paper-sampling", false, "evaluate large models on a 10% subsample, as the paper does for budget reasons")
 		only             = flag.String("model", "", "restrict to models whose name contains this substring")
-		lint             = flag.Bool("lint", false, "run the corpus static analyzers before the experiments and abort on findings")
 
 		backend     = flag.String("backend", "inprocess", "tactic execution backend: inprocess, or remote (wire protocol against checkerd, mirror-checked)")
 		checkerd    = flag.String("checkerd", "", "checkerd address for -backend=remote (empty: spawn an in-process server on a loopback port)")
 		faults      = flag.String("faults", "", "fault-injection schedule for -backend=remote, e.g. \"drop-conn=0.05,stall=0.02\" (sites: "+faultSites()+")")
 		faultSeed   = flag.Int64("fault-seed", 1, "seed for the deterministic fault schedule")
-		wireTimeout = flag.Duration("wire-timeout", 5*time.Second, "per-request deadline for -backend=remote (the paper's per-tactic budget); injected stalls block for twice this")
+		wireTimeout = flag.Duration("wire-timeout", 5*time.Second, "per-request deadline for -backend=remote (the paper's per-tactic budget, must be positive); injected stalls block for twice this")
 	)
 	flag.Parse()
 	if !(*fig1a || *fig1b || *table1 || *table2 || *fig2 || *probe || *whole || *ablate) {
@@ -88,13 +87,6 @@ func main() {
 			log.Fatalf("memprofile: %v", err)
 		}
 	}()
-
-	if *lint {
-		if err := lintCorpus(); err != nil {
-			log.Fatalf("corpus lint: %v", err)
-		}
-		fmt.Fprintln(os.Stderr, "corpus lint: clean")
-	}
 
 	c, err := corpus.Default()
 	if err != nil {
@@ -224,6 +216,9 @@ func setupBackend(r *eval.Runner, kind, checkerdAddr, faultSpec string, faultSee
 		log.Fatalf("unknown -backend %q (want inprocess or remote)", kind)
 	}
 
+	if wireTimeout <= 0 {
+		log.Fatalf("-wire-timeout must be positive, got %v", wireTimeout)
+	}
 	plan, err := faultpoint.ParsePlan(faultSeed, faultSpec)
 	if err != nil {
 		log.Fatalf("-faults: %v", err)
@@ -237,17 +232,18 @@ func setupBackend(r *eval.Runner, kind, checkerdAddr, faultSpec string, faultSee
 		go srv.Serve() //nolint:errcheck
 		fmt.Fprintf(os.Stderr, "backend: remote via in-process checkerd on %s\n", addr)
 	} else {
+		// Dial once up front: against an unreachable daemon every document
+		// would pay a failed dial and run local-only, and a run that
+		// checked nothing on the wire would pass.
+		conn, err := net.DialTimeout("tcp", addr, protocol.DefaultDialTimeout)
+		if err != nil {
+			log.Fatalf("backend: checkerd at %s is unreachable: %v", addr, err)
+		}
+		conn.Close()
 		fmt.Fprintf(os.Stderr, "backend: remote via checkerd at %s\n", addr)
 	}
-	pol := remote.DefaultPolicy()
-	if wireTimeout > 0 {
-		pol.RequestTimeout = wireTimeout
-	}
-	be := remote.New(addr, pol)
+	be := remote.New(addr, wireTimeout)
 	be.Plan = plan
-	be.Seed = faultSeed
-	be.PoolSize = r.Parallelism
-	be.StallFor = 2 * pol.RequestTimeout
 	if plan != nil {
 		fmt.Fprintf(os.Stderr, "backend: fault schedule %s (seed %d)\n", plan, faultSeed)
 	}
@@ -382,35 +378,4 @@ func runAblations(r *eval.Runner, c *corpus.Corpus) string {
 		fmt.Fprintf(&b, "  %-22s coverage %5.1f%%, avg queries per proof %.1f\n", alg.name, cov, q)
 	}
 	return b.String()
-}
-
-// lintCorpus runs every corpus-family static analyzer over the embedded
-// corpus (benchmark mode: no roots). A finding means the corpus no longer
-// satisfies the invariants the experiment numbers depend on, so the run is
-// aborted rather than producing tables from a dubious benchmark.
-func lintCorpus() error {
-	files, err := corpus.Sources()
-	if err != nil {
-		return err
-	}
-	vfiles := make([]analysis.VFile, 0, len(files))
-	for _, f := range files {
-		vfiles = append(vfiles, analysis.VFile{
-			Name:   "internal/corpus/data/" + f.Name + ".v",
-			Module: f.Name,
-			Src:    f.Src,
-		})
-	}
-	dev, err := analysis.ParseDevelopment(vfiles)
-	if err != nil {
-		return err
-	}
-	findings := analysis.RunCorpus(analysis.All(), dev)
-	for _, f := range findings {
-		fmt.Fprintln(os.Stderr, f)
-	}
-	if len(findings) > 0 {
-		return fmt.Errorf("%d finding(s)", len(findings))
-	}
-	return nil
 }

@@ -2,12 +2,12 @@ package analysis
 
 // errdrop: discarded error returns on the wire and persistence paths.
 // internal/protocol, internal/remote, and internal/checker implement the
-// PR 3 robustness ladder — deadlines, retry, resurrection, breaker
-// degradation — and every rung is triggered by an error value; a call whose
-// error is dropped on the floor silently voids the ladder (the failure
-// neither retries nor degrades, it just disappears). internal/store is in
-// scope for the same reason with different stakes: a dropped fsync, close,
-// or rename error on the proof-cache persistence path silently turns
+// wire's robustness ladder — request deadlines, retries on a fresh session,
+// local-only degradation — and every rung is triggered by an error value; a
+// call whose error is dropped on the floor silently voids the ladder (the
+// failure neither retries nor degrades, it just disappears). internal/store
+// is in scope for the same reason with different stakes: a dropped fsync,
+// close, or rename error on the proof-cache persistence path silently turns
 // "crash-safe" into "usually fine". Deferred calls are exempt: `defer
 // c.Close()` on an already-failed path is the accepted teardown idiom, and
 // flagging it would bury the real findings.
@@ -31,8 +31,8 @@ var analyzerErrDrop = &Analyzer{
 	Name: "errdrop",
 	Doc: "discarded error returns in internal/{protocol,remote,checker,store}: " +
 		"calls used as statements whose results include an error, and error " +
-		"results assigned to _ — a dropped error silently skips the retry/" +
-		"resurrection/breaker ladder, or voids the proof store's crash-safety " +
+		"results assigned to _ — a dropped error silently skips the wire's " +
+		"retry/degrade ladder, or voids the proof store's crash-safety " +
 		"(deferred Close calls exempt)",
 	Typed: runErrDrop,
 }

@@ -4,9 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -29,34 +26,6 @@ type GoPackage struct {
 
 	suppressions      []suppression
 	suppressionErrors []Finding
-}
-
-// LoadGoPackage parses every .go file in osDir. relDir is the module-root-
-// relative slash path used in finding positions and analyzer scoping.
-func LoadGoPackage(osDir, relDir string) (*GoPackage, error) {
-	entries, err := os.ReadDir(osDir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
-	pkg := &GoPackage{Fset: token.NewFileSet(), Dir: relDir}
-	for _, name := range names {
-		src, err := os.ReadFile(filepath.Join(osDir, name))
-		if err != nil {
-			return nil, err
-		}
-		if err := pkg.AddFile(path(relDir, name), string(src)); err != nil {
-			return nil, err
-		}
-	}
-	return pkg, nil
 }
 
 func path(dir, name string) string {

@@ -4,9 +4,9 @@ package analysis
 // packages, so it sees real types (interface boxing, kernel node writes,
 // atomic vs plain field access) instead of name shapes. The loader here is
 // deliberately stdlib-only — no golang.org/x/tools — and shares the single
-// go/parser pass with the AST family: a Module wraps the same *GoPackage
-// values LoadGoPackage produces (suppressions included, parsed exactly once
-// in AddFile), and adds per-package *types.Package / *types.Info on demand.
+// go/parser pass with the AST family: a Module wraps the *GoPackage values
+// the Go analyzers run over (suppressions included, parsed exactly once in
+// AddFile), and adds per-package *types.Package / *types.Info on demand.
 //
 // Import resolution is a two-way split:
 //
@@ -345,8 +345,10 @@ func (m *Module) suppressionsAll() []suppression {
 	return out
 }
 
-// loadGoPackageInto is LoadGoPackage with a caller-supplied FileSet, so a
-// whole module shares one coordinate space.
+// loadGoPackageInto parses every .go file in osDir into a package on the
+// caller's FileSet, so a whole module shares one coordinate space. relDir
+// is the module-root-relative slash path used in finding positions and
+// analyzer scoping.
 func loadGoPackageInto(fset *token.FileSet, osDir, relDir string) (*GoPackage, error) {
 	entries, err := os.ReadDir(osDir)
 	if err != nil {

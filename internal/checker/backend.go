@@ -7,8 +7,8 @@ import (
 
 // Step is the outcome of trying one tactic sentence against a backend —
 // the backend-neutral analogue of Result. Backends never surface transport
-// errors here: a remote backend retries, resurrects its session, or
-// degrades to local execution, so a Step always reflects a checker verdict.
+// errors here: a remote backend retries on a fresh session or degrades to
+// local execution, so a Step always reflects a checker verdict.
 type Step struct {
 	Status   Status
 	NumGoals int

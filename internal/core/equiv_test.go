@@ -61,7 +61,7 @@ func startBatchedBackend(t *testing.T) *remote.Backend {
 	}
 	go srv.Serve() //nolint:errcheck
 	t.Cleanup(func() { srv.Close() })
-	return remote.New(addr, remote.DefaultPolicy())
+	return remote.New(addr, protocol.DefaultTimeout)
 }
 
 // TestSearchModeEquivalence is the determinism property test: across

@@ -25,14 +25,6 @@ func startCheckerd(t *testing.T, r *Runner) string {
 	return addr
 }
 
-func fastRemotePolicy() remote.Policy {
-	pol := remote.DefaultPolicy()
-	pol.BaseDelay = time.Millisecond
-	pol.MaxDelay = 5 * time.Millisecond
-	pol.RequestTimeout = 150 * time.Millisecond
-	return pol
-}
-
 // TestBackendEquivalence: a grid evaluated through the remote backend —
 // clean and under an enabled fault schedule — produces []Outcome and
 // rendered tables identical to the in-process backend at the same seed,
@@ -65,10 +57,8 @@ func TestBackendEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		be := remote.New(startCheckerd(t, r), fastRemotePolicy())
+		be := remote.New(startCheckerd(t, r), 150*time.Millisecond)
 		be.Plan = plan
-		be.PoolSize = 4
-		be.StallFor = 300 * time.Millisecond
 		r.Backend = be
 
 		got := r.RunGrid(jobs)

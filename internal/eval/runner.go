@@ -20,8 +20,6 @@ import (
 	"llmfscq/internal/prompt"
 	"llmfscq/internal/store"
 	"llmfscq/internal/tactic"
-	"llmfscq/internal/textmetrics"
-	"llmfscq/internal/tokenizer"
 )
 
 // Outcome is the result of one (theorem, model, setting) search.
@@ -93,8 +91,8 @@ type Runner struct {
 	// of every corpus lemma statement, built once on the first search and
 	// shared read-only by every search of every Runner copy (see
 	// model.LemmaTable). It is keyed on nothing per unit on purpose: every
-	// unit builds a fresh prompt, so a cache keyed on the prompt pointer
-	// hits 0 times in the 2,860 searches of a seed-2025 -all run while
+	// search builds a fresh prompt, so a cache keyed on the prompt pointer
+	// hit 0 times in the 2,860 searches of a seed-2025 -all run while
 	// holding every entry until exit (paper-cold peak RSS 354 MB against
 	// 95 MB with the table; DESIGN.md §7).
 	lemmas *lemmaIndex
@@ -194,7 +192,7 @@ func (r *Runner) RestrictEnv(th *corpus.Theorem) *kernel.Env {
 	if env, ok := r.envs.byName[th.Name]; ok {
 		return env
 	}
-	return restrictOne(r.Corpus.Env, th.Name)
+	return r.Corpus.Env.Before(th.Name)
 }
 
 // buildPrefixEnvs walks LemmaOrder once, snapshotting the growing lemma
@@ -240,38 +238,6 @@ func buildPrefixEnvs(full *kernel.Env) map[string]*kernel.Env {
 		running[name] = full.Lemmas[name]
 	}
 	return envs
-}
-
-// restrictOne is the fallback for names outside the corpus: the original
-// clone-and-delete restriction.
-func restrictOne(full *kernel.Env, name string) *kernel.Env {
-	env := full.Clone()
-	cut := -1
-	for i, n := range full.LemmaOrder {
-		if n == name {
-			cut = i
-			break
-		}
-	}
-	if cut < 0 {
-		return env
-	}
-	removed := map[string]bool{}
-	for _, n := range full.LemmaOrder[cut:] {
-		removed[n] = true
-		delete(env.Lemmas, n)
-	}
-	env.LemmaOrder = append([]string(nil), full.LemmaOrder[:cut]...)
-	var hints []string
-	for _, h := range env.HintOrder {
-		if removed[h] {
-			delete(env.Hints, h)
-			continue
-		}
-		hints = append(hints, h)
-	}
-	env.HintOrder = hints
-	return env
 }
 
 // jobSeed derives a deterministic per-job RNG seed.
@@ -339,23 +305,27 @@ func (r *Runner) ngramFor(pr *prompt.Prompt) *model.NGram {
 // RunTheorem searches for a proof of one theorem with one model/setting.
 func (r *Runner) RunTheorem(prof model.Profile, setting prompt.Setting, th *corpus.Theorem) Outcome {
 	env := r.RestrictEnv(th)
-	b := r.builder(prof, setting)
-	pr := b.Build(th)
-	return r.runWithPrompt(prof, setting, th, env, pr, "std")
+	return r.persistedOutcome(prof, setting.String(), "std", r.searchName(), true, th, env, func() store.OutcomeRec {
+		b := r.builder(prof, setting)
+		return r.liveSearch(prof, setting, th, env, b.Build(th))
+	})
 }
 
-// runWithPrompt runs one search. variant distinguishes experiment flavors
-// that share a theorem and setting but not a prompt ("std", "reduced") in
-// the persistent outcome key.
-func (r *Runner) runWithPrompt(prof model.Profile, setting prompt.Setting, th *corpus.Theorem, env *kernel.Env, pr *prompt.Prompt, variant string) Outcome {
-	return r.persistedOutcome(prof, setting.String(), variant, r.searchName(), true, th, env, func() Outcome {
-		return r.liveSearch(prof, setting, th, env, pr)
+// RunReduced runs the §4.3 probe: the same search but with a hand-reduced,
+// dependency-only context. The "reduced" variant keeps its outcomes apart
+// from RunTheorem's, which share the theorem and setting but not the
+// prompt.
+func (r *Runner) RunReduced(prof model.Profile, setting prompt.Setting, th *corpus.Theorem) Outcome {
+	env := r.RestrictEnv(th)
+	return r.persistedOutcome(prof, setting.String(), "reduced", r.searchName(), true, th, env, func() store.OutcomeRec {
+		b := r.builder(prof, setting)
+		return r.liveSearch(prof, setting, th, env, b.ReducedContext(th))
 	})
 }
 
 // liveSearch runs one proof search (r.Search, best-first by default) and
-// reports its Outcome.
-func (r *Runner) liveSearch(prof model.Profile, setting prompt.Setting, th *corpus.Theorem, env *kernel.Env, pr *prompt.Prompt) Outcome {
+// reports its record.
+func (r *Runner) liveSearch(prof model.Profile, setting prompt.Setting, th *corpus.Theorem, env *kernel.Env, pr *prompt.Prompt) store.OutcomeRec {
 	ng := r.ngramFor(pr)
 	mdl := r.newModel(prof, env)
 	rng := rand.New(rand.NewSource(r.jobSeed(th.Name, prof.Name, setting.String())))
@@ -377,40 +347,25 @@ func (r *Runner) liveSearch(prof model.Profile, setting prompt.Setting, th *corp
 	}
 	res := search(cfg)
 
-	out := Outcome{
-		Theorem:     th.Name,
-		File:        th.File,
-		Category:    th.Category,
-		Model:       prof.Name,
-		Setting:     setting.String(),
-		Status:      res.Status,
-		Queries:     res.Queries,
-		HumanTokens: tokenizer.Count(th.Proof),
-	}
+	rec := store.OutcomeRec{Status: uint8(res.Status), Queries: res.Queries}
 	if res.Status == core.Proved {
-		sentences := make([]string, len(res.Proof))
-		for i, s := range res.Proof {
-			s = strings.TrimSpace(s)
-			if !strings.HasSuffix(s, ".") {
-				s += "."
-			}
-			sentences[i] = s
-		}
-		out.Proof = strings.Join(sentences, " ")
-		out.GenTokens = tokenizer.Count(out.Proof)
-		out.Similarity = textmetrics.Similarity(out.Proof, th.Proof)
-		out.RelLength = textmetrics.RelativeLength(out.Proof, th.Proof)
+		rec.Proof = joinSentences(res.Proof)
 	}
-	return out
+	return rec
 }
 
-// RunReduced runs the §4.3 probe: the same search but with a hand-reduced,
-// dependency-only context.
-func (r *Runner) RunReduced(prof model.Profile, setting prompt.Setting, th *corpus.Theorem) Outcome {
-	env := r.RestrictEnv(th)
-	b := r.builder(prof, setting)
-	pr := b.ReducedContext(th)
-	return r.runWithPrompt(prof, setting, th, env, pr, "reduced")
+// joinSentences renders a tactic script as one proof string, each sentence
+// trimmed and terminated by a period.
+func joinSentences(script []string) string {
+	sentences := make([]string, len(script))
+	for i, s := range script {
+		s = strings.TrimSpace(s)
+		if !strings.HasSuffix(s, ".") {
+			s += "."
+		}
+		sentences[i] = s
+	}
+	return strings.Join(sentences, " ")
 }
 
 // RunSweep evaluates a model over theorems in one setting, fanning out over
@@ -428,50 +383,32 @@ func (r *Runner) RunWholeProof(prof model.Profile, setting prompt.Setting, th *c
 	// Whole-proof generation has no search algorithm, but its outcomes are
 	// just as deterministic; "whole-proof" stands in for the search name and
 	// the attempt budget goes in the variant.
-	return r.persistedOutcome(prof, setting.String()+"+whole-proof", "whole:"+strconv.Itoa(attempts), "whole-proof", false, th, env, func() Outcome {
+	return r.persistedOutcome(prof, setting.String()+"+whole-proof", "whole:"+strconv.Itoa(attempts), "whole-proof", false, th, env, func() store.OutcomeRec {
 		return r.wholeProof(prof, setting, th, env, attempts)
 	})
 }
 
-// wholeProof samples up to attempts complete scripts and checks each.
-func (r *Runner) wholeProof(prof model.Profile, setting prompt.Setting, th *corpus.Theorem, env *kernel.Env, attempts int) Outcome {
+// wholeProof samples up to attempts complete scripts and checks each. The
+// record counts one query per sampled script.
+func (r *Runner) wholeProof(prof model.Profile, setting prompt.Setting, th *corpus.Theorem, env *kernel.Env, attempts int) store.OutcomeRec {
 	b := r.builder(prof, setting)
 	pr := b.Build(th)
 	ng := r.ngramFor(pr)
 	mdl := r.newModel(prof, env)
 	rng := rand.New(rand.NewSource(r.jobSeed(th.Name, prof.Name, setting.String()+"/whole")))
 
-	out := Outcome{
-		Theorem:     th.Name,
-		File:        th.File,
-		Category:    th.Category,
-		Model:       prof.Name,
-		Setting:     setting.String() + "+whole-proof",
-		Status:      core.Stuck,
-		HumanTokens: tokenizer.Count(th.Proof),
-	}
+	rec := store.OutcomeRec{Status: uint8(core.Stuck)}
 	for a := 0; a < attempts; a++ {
-		script := mdl.WholeProof(pr, th.Stmt, ng, rng, 24)
-		out.Queries++ // one "query" per full completion
-		for i, sentence := range script {
-			sentence = strings.TrimSpace(sentence)
-			if !strings.HasSuffix(sentence, ".") {
-				sentence += "."
-			}
-			script[i] = sentence
-		}
-		joined := strings.Join(script, " ")
-		if joined == "" {
+		proof := joinSentences(mdl.WholeProof(pr, th.Stmt, ng, rng, 24))
+		rec.Queries++
+		if proof == "" {
 			continue
 		}
-		if err := tactic.CheckProof(env, th.Stmt, joined); err == nil {
-			out.Status = core.Proved
-			out.Proof = joined
-			out.GenTokens = tokenizer.Count(joined)
-			out.Similarity = textmetrics.Similarity(joined, th.Proof)
-			out.RelLength = textmetrics.RelativeLength(joined, th.Proof)
+		if err := tactic.CheckProof(env, th.Stmt, proof); err == nil {
+			rec.Status = uint8(core.Proved)
+			rec.Proof = proof
 			break
 		}
 	}
-	return out
+	return rec
 }

@@ -201,67 +201,60 @@ func (t *outcomeTier) lookup(key store.OutcomeKey, limit int) (store.OutcomeRec,
 	return store.OutcomeRec{}, false
 }
 
-// put keeps the outcome of a unit run at limit, unless the key's entry ran
+// put keeps the record of a unit run at limit, unless the key's entry ran
 // at a larger limit: that entry answers everything this one would.
-func (t *outcomeTier) put(key store.OutcomeKey, limit int, out Outcome) {
+func (t *outcomeTier) put(key store.OutcomeKey, limit int, rec store.OutcomeRec) {
 	t.mu.Lock()
 	if e, ok := t.entries[key]; !ok || e.limit < limit {
-		t.entries[key] = tierEntry{
-			rec:   store.OutcomeRec{Status: uint8(out.Status), Queries: out.Queries, Proof: out.Proof},
-			limit: limit,
-		}
+		t.entries[key] = tierEntry{rec: rec, limit: limit}
 	}
 	t.mu.Unlock()
 }
 
 // persistedOutcome answers one unit from the in-memory tier, then the
-// persistent store, then a live search. limited marks a query-limited
-// search, whose tier entry answers other limits. A unit the tier answers
-// never reaches the store: it is not looked up, mirrored or recorded there.
-func (r *Runner) persistedOutcome(prof model.Profile, settingStr, variant, search string, limited bool, th *corpus.Theorem, env *kernel.Env, live func() Outcome) Outcome {
+// persistent store, then a live search, and builds its Outcome from the
+// record that answered. limited marks a query-limited search, whose tier
+// entry answers other limits. A unit the tier answers never reaches the
+// store: it is not looked up, mirrored or recorded there.
+func (r *Runner) persistedOutcome(prof model.Profile, settingStr, variant, search string, limited bool, th *corpus.Theorem, env *kernel.Env, live func() store.OutcomeRec) Outcome {
 	key, ok := r.outcomeKey(prof, settingStr, variant, search, th, env)
 	if !ok {
-		return live()
+		return r.rebuildOutcome(prof, settingStr, th, live())
 	}
 	tierKey := key
 	if limited {
 		tierKey.Fuel = 0
 	}
-	if rec, hit := r.outcomes.lookup(tierKey, key.Fuel); hit {
-		return r.rebuildOutcome(prof, settingStr, th, rec)
+	rec, hit := r.outcomes.lookup(tierKey, key.Fuel)
+	if !hit {
+		rec = r.storedOutcome(key, live)
+		r.outcomes.put(tierKey, key.Fuel, rec)
 	}
-	out := r.storedOutcome(key, prof, settingStr, th, live)
-	r.outcomes.put(tierKey, key.Fuel, out)
-	return out
+	return r.rebuildOutcome(prof, settingStr, th, rec)
 }
 
 // storedOutcome runs one unit through the persistent outcome store. A
-// hit is rebuilt and served without searching, except for a deterministic
-// mirror sample of hits, which runs live, compares, and returns the live
-// outcome. A mirrored record is never rewritten, so a mismatch recurs on
+// hit is served without searching, except for a deterministic mirror
+// sample of hits, which runs live, compares the records, and returns the
+// live one. A mirrored record is never rewritten, so a mismatch recurs on
 // every run until the store is cleared. A miss, including a record whose
 // status byte is not a core.Status, runs live and records the outcome,
 // which replaces the invalid record.
-func (r *Runner) storedOutcome(key store.OutcomeKey, prof model.Profile, settingStr string, th *corpus.Theorem, live func() Outcome) Outcome {
+func (r *Runner) storedOutcome(key store.OutcomeKey, live func() store.OutcomeRec) store.OutcomeRec {
 	if r.ProofStore == nil {
 		return live()
 	}
-	if rec, hit := r.ProofStore.LookupOutcome(key, validStatus); hit {
-		warm := r.rebuildOutcome(prof, settingStr, th, rec)
+	if warm, hit := r.ProofStore.LookupOutcome(key, validStatus); hit {
 		if !r.ProofStore.MirrorOutcome(key) {
 			return warm
 		}
-		out := live()
-		r.ProofStore.NoteMirror(out == warm)
-		return out
+		rec := live()
+		r.ProofStore.NoteMirror(rec == warm)
+		return rec
 	}
-	out := live()
-	r.ProofStore.RecordOutcome(key, store.OutcomeRec{
-		Status:  uint8(out.Status),
-		Queries: out.Queries,
-		Proof:   out.Proof,
-	})
-	return out
+	rec := live()
+	r.ProofStore.RecordOutcome(key, rec)
+	return rec
 }
 
 // validStatus reports whether a persisted status byte is a core.Status. The
@@ -275,11 +268,11 @@ func validStatus(b uint8) bool {
 	return false
 }
 
-// rebuildOutcome reconstructs a full Outcome from its persisted record.
-// Only the search's irreproducible results are stored (status, query
-// count, proof script); every derived metric is recomputed here with the
-// same code the cold path uses, so a warm Outcome is equal by construction
-// — the property the mirror sample cross-checks.
+// rebuildOutcome builds a unit's Outcome from its record, whichever source
+// answered: a live search, the in-memory tier or the store. A record holds
+// only the search's irreproducible results (status, query count, proof
+// script); this is the one place that derives token counts, similarity and
+// relative length, so a warm Outcome equals a cold one by construction.
 func (r *Runner) rebuildOutcome(prof model.Profile, settingStr string, th *corpus.Theorem, rec store.OutcomeRec) Outcome {
 	out := Outcome{
 		Theorem:     th.Name,

@@ -117,15 +117,6 @@ func (f *Form) Equal(g *Form) bool {
 	return false
 }
 
-// AlphaEqual reports equality up to renaming of bound variables (by
-// comparing 128-bit fingerprint keys; collisions are negligible).
-func (f *Form) AlphaEqual(g *Form) bool {
-	if f == g {
-		return true
-	}
-	return f.FingerprintKey() == g.FingerprintKey()
-}
-
 // SubstTerm substitutes free term variables in the formula, capture-avoiding:
 // quantifiers whose binder would capture a substituted variable are renamed.
 //
@@ -235,16 +226,6 @@ func (f *Form) substTerm(s Subst, sig uint64, sc *Scratch) *Form {
 
 // Subst1 substitutes a single variable.
 func (f *Form) Subst1(x string, t *Term) *Form { return f.SubstTerm(Subst{x: t}) }
-
-// Subst1S is Subst1 with the one-entry substitution map drawn from the
-// scratch arena (SubstTerm never retains the map, so recycling it is safe).
-func (f *Form) Subst1S(x string, t *Term, sc *Scratch) *Form {
-	s := sc.TrialSubst()
-	s[x] = t
-	r := f.SubstTermS(s, sc)
-	sc.PutSubst(s)
-	return r
-}
 
 // FreeVars returns the free term variables of the formula.
 func (f *Form) FreeVars() map[string]bool {
@@ -581,14 +562,4 @@ func (f *Form) StripImpls() ([]*Form, *Form) {
 		f = f.R
 	}
 	return prems, f
-}
-
-// RenameFree renames free variables (used when freshening rules/lemmas);
-// bound variables and shadowed names are respected.
-func (f *Form) RenameFree(ren map[string]string) *Form {
-	sub := make(Subst, len(ren))
-	for k, v := range ren {
-		sub[k] = V(v)
-	}
-	return f.SubstTerm(sub)
 }

@@ -10,7 +10,6 @@
 package kernel
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -607,17 +606,6 @@ func (t *Term) ReplaceAll(old, new *Term) (*Term, int) {
 		}
 		return mkApp(t.Fun, args), total
 	}
-}
-
-// SortedVars returns the free variables of t in sorted order.
-func (t *Term) SortedVars() []string {
-	set := t.Vars()
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // FreshName returns a name based on base that is not in used, and marks it

@@ -98,16 +98,6 @@ type Datatype struct {
 	Constructors []Constructor
 }
 
-// ConstructorNamed returns the constructor with the given name, if any.
-func (d *Datatype) ConstructorNamed(name string) (Constructor, bool) {
-	for _, c := range d.Constructors {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return Constructor{}, false
-}
-
 // FunDef is a (possibly recursive) function definition: a parameter list and
 // a body term, Gallina-style. Recursion is by self-reference in the body;
 // evaluation is fuel-bounded, so non-termination is impossible at runtime.
@@ -303,6 +293,43 @@ func (e *Env) Clone() *Env {
 		out.Hints[k] = v
 	}
 	out.HintOrder = append([]string(nil), e.HintOrder...)
+	return out
+}
+
+// Before returns the environment as it stood just before the named lemma
+// was declared: the lemma and every lemma after it are gone, from the
+// lemma table and from the hint database. Hints naming inductive rules are
+// never cut. A name that is not a lemma leaves a plain Clone. The checkerd
+// server restricts its sessions with it, so a session cannot apply the
+// lemma it is proving, and the evaluation's per-theorem environments are
+// tested against it.
+func (e *Env) Before(name string) *Env {
+	out := e.Clone()
+	cut := -1
+	for i, n := range e.LemmaOrder {
+		if n == name {
+			cut = i
+			break
+		}
+	}
+	if cut < 0 {
+		return out
+	}
+	removed := make(map[string]bool, len(e.LemmaOrder)-cut)
+	for _, n := range e.LemmaOrder[cut:] {
+		removed[n] = true
+		delete(out.Lemmas, n)
+	}
+	out.LemmaOrder = append([]string(nil), e.LemmaOrder[:cut]...)
+	hints := make([]string, 0, len(out.HintOrder))
+	for _, h := range out.HintOrder {
+		if removed[h] {
+			delete(out.Hints, h)
+			continue
+		}
+		hints = append(hints, h)
+	}
+	out.HintOrder = hints
 	return out
 }
 

@@ -13,10 +13,6 @@ func (m *MetaCounter) Fresh(base string) string {
 	return "?" + base + itoaSmall(m.n)
 }
 
-// IsMetaName reports whether a variable name is in the reserved
-// metavariable namespace.
-func IsMetaName(name string) bool { return len(name) > 0 && name[0] == '?' }
-
 // Resolve dereferences a term through the substitution until it is not a
 // bound flexible variable.
 func Resolve(t *Term, sub Subst) *Term {
@@ -230,25 +226,13 @@ func UnifyForms(a, b *Form, flex map[string]bool, sub Subst) bool {
 	return false
 }
 
-// MatchTerm performs one-sided matching: variables of pat in flex may bind
-// to subterms of t, but t is treated as rigid. Equivalent to UnifyTerms when
-// t contains no flexible variables.
-func MatchTerm(pat, t *Term, flex map[string]bool, sub Subst) bool {
-	return UnifyTerms(pat, t, flex, sub)
-}
-
-// FindInstance searches t (pre-order, leftmost-outermost) for a subterm u
+// FindInstanceS searches t (pre-order, leftmost-outermost) for a subterm u
 // such that pat unifies with u binding only flex vars. It returns the
 // concrete matched subterm (fully resolved) and the extended substitution.
-func FindInstance(pat *Term, t *Term, flex map[string]bool, sub Subst) (*Term, Subst, bool) {
-	return FindInstanceS(pat, t, flex, sub, nil)
-}
-
-// FindInstanceS is FindInstance with a scratch arena: the speculative trial
-// substitution is a recycled map reset after each failed subterm instead of
-// a fresh clone per subterm. On success the trial map is returned to the
-// caller (ownership transfers out of the scratch); on failure it is
-// recycled.
+// The speculative trial substitution comes from the scratch arena (nil
+// allocates) and is reset after each failed subterm instead of cloned per
+// subterm. On success the trial map is returned to the caller (ownership
+// transfers out of the scratch); on failure it is recycled.
 func FindInstanceS(pat *Term, t *Term, flex map[string]bool, sub Subst, sc *Scratch) (*Term, Subst, bool) {
 	var found *Term
 	var foundSub Subst

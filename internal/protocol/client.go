@@ -43,8 +43,7 @@ func Dial(addr string) (*Client, error) {
 }
 
 // NewClient wraps an established connection. No deadline is set; the caller
-// owns the Timeout policy (the resilient backend derives it from its retry
-// policy).
+// sets Timeout (the remote backend sets its per-request deadline).
 func NewClient(conn net.Conn) *Client {
 	return &Client{conn: conn, r: bufio.NewReader(conn)}
 }

@@ -185,38 +185,6 @@ func (s *Server) Shutdown(grace time.Duration) error {
 	return err
 }
 
-// restrictBefore returns the environment restricted to declarations before
-// the named lemma, so a session cannot apply the lemma it is proving.
-func restrictBefore(env *kernel.Env, name string) *kernel.Env {
-	out := env.Clone()
-	cut := -1
-	for i, n := range env.LemmaOrder {
-		if n == name {
-			cut = i
-			break
-		}
-	}
-	if cut < 0 {
-		return out
-	}
-	removed := map[string]bool{}
-	for _, n := range env.LemmaOrder[cut:] {
-		removed[n] = true
-		delete(out.Lemmas, n)
-	}
-	out.LemmaOrder = append([]string(nil), env.LemmaOrder[:cut]...)
-	var hints []string
-	for _, h := range out.HintOrder {
-		if removed[h] {
-			delete(out.Hints, h)
-			continue
-		}
-		hints = append(hints, h)
-	}
-	out.HintOrder = hints
-	return out
-}
-
 // session is the per-connection protocol state: at most one open proof
 // document. dispatch is pure with respect to the connection, which makes
 // the request interpreter fuzzable without sockets (FuzzParseRequest).
@@ -367,7 +335,7 @@ func (s *session) newDoc(spec *sexp.Node) *sexp.Node {
 		if !ok {
 			return errPayload("unknown lemma " + name)
 		}
-		s.doc = checker.NewSession(restrictBefore(s.env, name), lem.Stmt)
+		s.doc = checker.NewSession(s.env.Before(name), lem.Stmt)
 		return sexp.L(sexp.Sym("DocCreated"), sexp.Str(lem.Stmt.String()))
 	case "Stmt":
 		arg := spec.Nth(1)

@@ -1,8 +1,18 @@
+// Package remote implements the wire-protocol execution backend: a
+// checker.Backend that drives proof documents on a checkerd server while
+// keeping a local mirror of every proof state. The mirror is authoritative
+// for search decisions, which makes result tables bit-identical to the
+// in-process backend by construction; the wire execution is cross-checked
+// step by step, and any divergence is counted as a semantic mismatch.
+//
+// The robustness ladder has three rungs: a deadline on every request; up to
+// three tries per wire exchange, each retry made at once on a fresh session
+// (redial, then replay the executed path); and local-only execution for the
+// rest of the document once its tries run out.
 package remote
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -15,6 +25,9 @@ import (
 	"llmfscq/internal/tactic"
 )
 
+// attempts is the number of tries one wire exchange gets.
+const attempts = 3
+
 // Stats counts the backend's wire activity. The search result tables are
 // mirror-driven, so faults never change them; these counters are how a run
 // reports what the robustness ladder absorbed.
@@ -22,10 +35,9 @@ type Stats struct {
 	// WireChecks counts remote executions that were cross-checked against
 	// the mirror and agreed.
 	WireChecks atomic.Int64
-	// Retries counts request-level retry attempts (after backoff).
+	// Retries counts retried wire exchanges, each on a fresh session: a
+	// redial, a NewDoc handshake and a replay of the executed path.
 	Retries atomic.Int64
-	// Resurrections counts sessions rebuilt by redial + script replay.
-	Resurrections atomic.Int64
 	// Mismatches counts confirmed semantic divergences: the same
 	// disagreement reproduced on two fresh sessions. Any nonzero value
 	// means the wire checker and the mirror disagree about logic, not
@@ -33,16 +45,16 @@ type Stats struct {
 	Mismatches atomic.Int64
 	// Degraded counts documents that gave up on the wire mid-proof.
 	Degraded atomic.Int64
-	// LocalDocs counts documents opened local-only (unnamed statement,
-	// open breaker, or exhausted connection pool).
+	// LocalDocs counts documents opened local-only: an unnamed statement,
+	// or a failed dial or NewDoc handshake.
 	LocalDocs atomic.Int64
 }
 
 // Snapshot renders the counters for logging.
 func (s *Stats) Snapshot() string {
-	return fmt.Sprintf("wire-checks=%d retries=%d resurrections=%d mismatches=%d degraded=%d local-docs=%d",
-		s.WireChecks.Load(), s.Retries.Load(), s.Resurrections.Load(),
-		s.Mismatches.Load(), s.Degraded.Load(), s.LocalDocs.Load())
+	return fmt.Sprintf("wire-checks=%d retries=%d mismatches=%d degraded=%d local-docs=%d",
+		s.WireChecks.Load(), s.Retries.Load(), s.Mismatches.Load(),
+		s.Degraded.Load(), s.LocalDocs.Load())
 }
 
 // Backend is a checker.Backend that executes proofs on a checkerd server,
@@ -50,59 +62,28 @@ func (s *Stats) Snapshot() string {
 type Backend struct {
 	// Addr is the checkerd address.
 	Addr string
-	// Policy bounds retries, timeouts, and the breaker; zero fields fall
-	// back to DefaultPolicy via New.
-	Policy Policy
+	// RequestTimeout bounds one wire round trip, the paper's per-tactic
+	// budget. An injected stall blocks for twice this, so it surfaces as a
+	// deadline error.
+	RequestTimeout time.Duration
 	// Plan enables deterministic fault injection on every connection; nil
 	// leaves the transport clean.
 	Plan *faultpoint.Plan
-	// StallFor is how long an injected stall blocks (must exceed
-	// Policy.RequestTimeout to be observable).
-	StallFor time.Duration
-	// Seed drives backoff jitter.
-	Seed int64
-	// PoolSize caps concurrent wire sessions; documents beyond it run
-	// local-only rather than block a search worker.
-	PoolSize int
 
 	// Stats is live while the backend runs.
 	Stats Stats
 
-	breaker  *Breaker
-	pool     chan struct{}
-	sleep    func(time.Duration)
-	initOnce sync.Once
-	connID   atomic.Int64
-	docID    atomic.Int64
+	connID atomic.Int64
 }
 
-// New builds a remote backend over checkerd at addr with the given policy.
-func New(addr string, pol Policy) *Backend {
-	if pol.Attempts < 1 {
-		pol = DefaultPolicy()
-	}
-	return &Backend{Addr: addr, Policy: pol, PoolSize: 4}
-}
-
-func (b *Backend) init() {
-	b.initOnce.Do(func() {
-		if b.PoolSize < 1 {
-			b.PoolSize = 1
-		}
-		b.pool = make(chan struct{}, b.PoolSize)
-		b.breaker = &Breaker{Threshold: b.Policy.BreakerThreshold, Cooldown: b.Policy.BreakerCooldown}
-		if b.sleep == nil {
-			b.sleep = time.Sleep
-		}
-	})
+// New builds a remote backend over checkerd at addr.
+func New(addr string, requestTimeout time.Duration) *Backend {
+	return &Backend{Addr: addr, RequestTimeout: requestTimeout}
 }
 
 // Close releases backend resources. Open documents hold their own
 // connections and must be closed by their owners.
 func (b *Backend) Close() error { return nil }
-
-// Breaker exposes the circuit breaker (for tests and status reporting).
-func (b *Backend) Breaker() *Breaker { b.init(); return b.breaker }
 
 // dial opens one wire connection, wrapping it with fault injection when a
 // plan is set. The protocol client's timeout is the per-request budget.
@@ -112,47 +93,27 @@ func (b *Backend) dial() (*protocol.Client, error) {
 		return nil, err
 	}
 	if b.Plan != nil {
-		conn = &FaultConn{Conn: conn, Inj: b.Plan.Injector(b.connID.Add(1)), StallFor: b.StallFor}
+		conn = &FaultConn{Conn: conn, Inj: b.Plan.Injector(b.connID.Add(1)), StallFor: 2 * b.RequestTimeout}
 	}
 	cl := protocol.NewClient(conn)
-	cl.Timeout = b.Policy.RequestTimeout
+	cl.Timeout = b.RequestTimeout
 	return cl, nil
 }
 
 // NewDoc opens a proof document. Named corpus lemmas get a wire session
 // (the server restricts the environment to declarations before the lemma,
-// matching the evaluation's restriction); unnamed statements, documents
-// beyond the pool size, and documents opened while the breaker is open run
-// local-only. The creation handshake doubles as the breaker's half-open
-// probe.
+// matching the evaluation's restriction). Unnamed statements, and lemmas
+// whose dial or handshake fails, run local-only.
 func (b *Backend) NewDoc(env *kernel.Env, stmt *kernel.Form, lemma string) (checker.Doc, error) {
-	b.init()
-	root := tactic.NewState(env, stmt)
-	d := &wireDoc{
-		be:    b,
-		lemma: lemma,
-		root:  root,
-		rng:   rand.New(rand.NewSource(b.Seed ^ b.docID.Add(1)*0x5851f42d4c957f2d)),
-	}
-	if lemma == "" || !b.breaker.Allow() {
-		b.Stats.LocalDocs.Add(1)
-		return d, nil
-	}
-	select {
-	case b.pool <- struct{}{}:
-		d.pooled = true
-	default:
+	d := &wireDoc{be: b, lemma: lemma, root: tactic.NewState(env, stmt)}
+	if lemma == "" {
 		b.Stats.LocalDocs.Add(1)
 		return d, nil
 	}
 	if err := d.connect(); err != nil {
 		// The wire is down; the document still works, locally.
-		b.breaker.Failure()
-		d.release()
 		b.Stats.LocalDocs.Add(1)
-		return d, nil
 	}
-	b.breaker.Success()
 	return d, nil
 }
 
@@ -167,8 +128,6 @@ type wireDoc struct {
 	mu       sync.Mutex
 	cl       *protocol.Client
 	wirePath []string // sentences executed on the wire session
-	rng      *rand.Rand
-	pooled   bool
 	// lastMismatch dedupes divergence confirmation: the same disagreement
 	// from two fresh sessions is semantic, not transport noise.
 	lastMismatch string
@@ -176,23 +135,15 @@ type wireDoc struct {
 
 func (d *wireDoc) Root() *tactic.State { return d.root }
 
-func (d *wireDoc) release() {
-	if d.pooled {
-		d.pooled = false
-		<-d.be.pool
-	}
-}
-
-// Close quits the wire session and frees the pool slot.
+// Close quits the wire session.
 func (d *wireDoc) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var err error
-	if d.cl != nil {
-		err = d.cl.Close()
-		d.cl = nil
+	if d.cl == nil {
+		return nil
 	}
-	d.release()
+	err := d.cl.Close()
+	d.cl = nil
 	return err
 }
 
@@ -238,7 +189,7 @@ func (d *wireDoc) Try(parent *tactic.State, path []string, sentence string) chec
 // TryBatch is Try for a whole expansion: every sentence is mirrored
 // locally (authoritative, exactly as Try), then the connected wire session
 // cross-checks all of them in one ExecBatch round trip through the same
-// retry/resurrect/degrade ladder as Try.
+// ladder as Try.
 func (d *wireDoc) TryBatch(parent *tactic.State, path []string, sentences []string) []checker.Step {
 	steps := make([]checker.Step, len(sentences))
 	for i, sentence := range sentences {
@@ -265,37 +216,29 @@ type mismatchError struct{ msg string }
 // compares checker messages), so the render happens at construction.
 func (e *mismatchError) Error() string { return e.msg }
 
-// crossCheck runs the full robustness ladder for one wire execution.
-// Called with d.mu held and d.cl non-nil.
+// crossCheck runs the robustness ladder for one wire execution. Called
+// with d.mu held and d.cl non-nil.
 func (d *wireDoc) crossCheck(path []string, sentence string, local checker.Step) {
 	d.ladder(1, func() error { return d.wireStep(path, sentence, local) })
 }
 
 // ladder drives one wire exchange (one sentence or a batch) through the
-// robustness ladder: per-request deadlines are the client's, transport
-// failures retry with backoff after resurrecting the session, a mismatch
-// reproduced on a fresh session counts as semantic, and exhausted retries
-// degrade the document to local-only. checks is the number of executions
-// the exchange verifies, credited to WireChecks on success. Called with
-// d.mu held and d.cl non-nil.
+// robustness ladder. The client's deadline bounds every request; a failed
+// try is retried at once on a fresh session, up to attempts tries; a
+// mismatch that reproduces on a fresh session counts as semantic; and when
+// the tries run out the document degrades to local-only execution. checks
+// is the number of executions the exchange verifies, credited to
+// WireChecks on success. Called with d.mu held and d.cl non-nil.
 func (d *wireDoc) ladder(checks int64, step func() error) {
-	pol := d.be.Policy
-	var lastErr error
-	for attempt := 0; attempt < pol.Attempts; attempt++ {
-		if attempt > 0 {
+	for try := 0; try < attempts; try++ {
+		if try > 0 {
 			d.be.Stats.Retries.Add(1)
-			d.be.sleep(pol.Backoff(attempt-1, d.rng))
-			d.be.Stats.Resurrections.Add(1)
 			if err := d.connect(); err != nil {
-				lastErr = err
 				continue
 			}
 		}
 		err := step()
 		if err == nil {
-			if lastErr != nil {
-				d.be.breaker.Success()
-			}
 			d.lastMismatch = ""
 			d.be.Stats.WireChecks.Add(checks)
 			return
@@ -308,16 +251,13 @@ func (d *wireDoc) ladder(checks int64, step func() error) {
 			}
 			d.lastMismatch = mm.msg
 		}
-		lastErr = err
 	}
-	// Retries exhausted: degrade this document to local-only execution.
-	d.be.breaker.Failure()
+	// Tries exhausted: degrade this document to local-only execution.
 	if d.cl != nil {
 		//lint:ignore errdrop degrade path abandons the wire session; local execution takes over regardless
 		_ = d.cl.Close()
 		d.cl = nil
 	}
-	d.release()
 	d.be.Stats.Degraded.Add(1)
 }
 

@@ -3,7 +3,6 @@ package remote
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"llmfscq/internal/checker"
 	"llmfscq/internal/faultpoint"
@@ -65,7 +64,7 @@ func runScriptBatched(t testing.TB, be checker.Backend, env *kernel.Env, lemma s
 func TestBatchedBackendDocShape(t *testing.T) {
 	env, addr := startCheckerd(t)
 	lem := env.Lemmas["app_nil_r"]
-	doc, err := New(addr, fastPolicy()).NewDoc(env, lem.Stmt, "app_nil_r")
+	doc, err := New(addr, fastTimeout).NewDoc(env, lem.Stmt, "app_nil_r")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +82,7 @@ func TestBatchedBackendConformance(t *testing.T) {
 	for _, ps := range proofScripts {
 		local := runScript(t, checker.InProcess{}, env, ps.lemma, ps.script)
 
-		be := New(addr, fastPolicy())
+		be := New(addr, fastTimeout)
 		batched := runScriptBatched(t, be, env, ps.lemma, ps.script)
 		if len(batched) != len(local) {
 			t.Fatalf("%s: %d batched probes, %d local", ps.lemma, len(batched), len(local))
@@ -118,9 +117,8 @@ func TestBatchedChaosDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		be := New(addr, fastPolicy())
+		be := New(addr, fastTimeout)
 		be.Plan = plan
-		be.StallFor = 400 * time.Millisecond
 		for _, ps := range proofScripts {
 			clean := runScript(t, checker.InProcess{}, env, ps.lemma, ps.script)
 			chaotic := runScriptBatched(t, be, env, ps.lemma, ps.script)
@@ -139,15 +137,15 @@ func TestBatchedChaosDeterminism(t *testing.T) {
 	}
 }
 
-// TestBatchedChaosRecoveryCounters: the retry and resurrection ladder runs
-// for batched round trips exactly as for single-sentence ones.
+// TestBatchedChaosRecoveryCounters: retries on fresh sessions run for
+// batched round trips exactly as for single-sentence ones.
 func TestBatchedChaosRecoveryCounters(t *testing.T) {
 	env, addr := startCheckerd(t)
 	plan, err := faultpoint.ParsePlan(7, "drop-conn=0.15,corrupt-answer=0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	be := New(addr, fastPolicy())
+	be := New(addr, fastTimeout)
 	be.Plan = plan
 	for round := 0; round < 3; round++ {
 		for _, ps := range proofScripts {
@@ -160,7 +158,7 @@ func TestBatchedChaosRecoveryCounters(t *testing.T) {
 			}
 		}
 	}
-	if be.Stats.Retries.Load() == 0 || be.Stats.Resurrections.Load() == 0 {
+	if be.Stats.Retries.Load() == 0 {
 		t.Fatalf("recovery machinery untouched: %s (plan hits %d)", be.Stats.Snapshot(), plan.TotalHits())
 	}
 	if n := be.Stats.Mismatches.Load(); n != 0 {

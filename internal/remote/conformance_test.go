@@ -142,20 +142,9 @@ func runScript(t testing.TB, be checker.Backend, env *kernel.Env, lemma string, 
 	return lines
 }
 
-// fastPolicy keeps chaos tests quick: small backoffs, a request budget
-// shorter than the injected stall.
-func fastPolicy() Policy {
-	return Policy{
-		Attempts:         4,
-		BaseDelay:        time.Millisecond,
-		MaxDelay:         5 * time.Millisecond,
-		Multiplier:       2,
-		Jitter:           0.5,
-		RequestTimeout:   150 * time.Millisecond,
-		BreakerThreshold: 3,
-		BreakerCooldown:  50 * time.Millisecond,
-	}
-}
+// fastTimeout keeps chaos tests quick: an injected stall blocks for twice
+// this request budget.
+const fastTimeout = 150 * time.Millisecond
 
 // TestBackendConformance: the remote backend's step stream is
 // byte-identical to the in-process backend's, and every wire execution
@@ -165,7 +154,7 @@ func TestBackendConformance(t *testing.T) {
 	for _, ps := range proofScripts {
 		local := runScript(t, checker.InProcess{}, env, ps.lemma, ps.script)
 
-		be := New(addr, fastPolicy())
+		be := New(addr, fastTimeout)
 		remote := runScript(t, be, env, ps.lemma, ps.script)
 		for i := range local {
 			if remote[i] != local[i] {
@@ -205,9 +194,8 @@ func TestChaosDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		be := New(addr, fastPolicy())
+		be := New(addr, fastTimeout)
 		be.Plan = plan
-		be.StallFor = 400 * time.Millisecond
 		for _, ps := range proofScripts {
 			clean := runScript(t, checker.InProcess{}, env, ps.lemma, ps.script)
 			chaotic := runScript(t, be, env, ps.lemma, ps.script)
@@ -226,15 +214,15 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
-// TestChaosRecoveryCounters: a moderately hostile schedule forces the
-// retry and resurrection machinery to actually run.
+// TestChaosRecoveryCounters: a moderately hostile schedule forces retries
+// on fresh sessions to actually run.
 func TestChaosRecoveryCounters(t *testing.T) {
 	env, addr := startCheckerd(t)
 	plan, err := faultpoint.ParsePlan(7, "drop-conn=0.15,corrupt-answer=0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	be := New(addr, fastPolicy())
+	be := New(addr, fastTimeout)
 	be.Plan = plan
 	for round := 0; round < 3; round++ {
 		for _, ps := range proofScripts {
@@ -247,7 +235,7 @@ func TestChaosRecoveryCounters(t *testing.T) {
 			}
 		}
 	}
-	if be.Stats.Retries.Load() == 0 || be.Stats.Resurrections.Load() == 0 {
+	if be.Stats.Retries.Load() == 0 {
 		t.Fatalf("recovery machinery untouched: %s (plan hits %d)", be.Stats.Snapshot(), plan.TotalHits())
 	}
 	if n := be.Stats.Mismatches.Load(); n != 0 {
@@ -255,21 +243,22 @@ func TestChaosRecoveryCounters(t *testing.T) {
 	}
 }
 
-// TestChaosTotalFailureDegrades: with the wire fully poisoned the breaker
-// trips, documents fall back to local execution, and results are still
-// correct.
+// TestChaosTotalFailureDegrades: with the wire fully poisoned every
+// document opens local-only, and results are still correct.
 func TestChaosTotalFailureDegrades(t *testing.T) {
 	env, addr := startCheckerd(t)
 	plan, err := faultpoint.ParsePlan(3, "drop-conn=1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	be := New(addr, fastPolicy())
+	be := New(addr, fastTimeout)
 	be.Plan = plan
+	docs := 0
 	for round := 0; round < 5; round++ {
 		for _, ps := range proofScripts[:2] {
 			clean := runScript(t, checker.InProcess{}, env, ps.lemma, ps.script)
 			chaotic := runScript(t, be, env, ps.lemma, ps.script)
+			docs++
 			for i := range clean {
 				if chaotic[i] != clean[i] {
 					t.Fatalf("round %d %s probe %d diverged with wire down", round, ps.lemma, i)
@@ -277,43 +266,37 @@ func TestChaosTotalFailureDegrades(t *testing.T) {
 			}
 		}
 	}
-	if be.Stats.LocalDocs.Load() == 0 {
-		t.Fatalf("no document degraded with the wire fully down: %s", be.Stats.Snapshot())
-	}
-	if be.Breaker().State() != Open {
-		t.Fatalf("breaker %v after sustained total failure, want open", be.Breaker().State())
+	if n := be.Stats.LocalDocs.Load(); n != int64(docs) {
+		t.Fatalf("%d of %d documents ran local-only with the wire fully down: %s", n, docs, be.Stats.Snapshot())
 	}
 	if n := be.Stats.WireChecks.Load(); n != 0 {
 		t.Fatalf("%d wire checks passed with drop-conn=1", n)
 	}
 }
 
-// TestBreakerRecoversWhenFaultsStop: after a total outage ends, the
-// half-open probe restores wire execution for later documents.
-func TestBreakerRecoversWhenFaultsStop(t *testing.T) {
+// TestChaosWireResumesAfterOutage: once a total outage ends, documents
+// opened afterwards use the wire again. Nothing remembers the outage.
+func TestChaosWireResumesAfterOutage(t *testing.T) {
 	env, addr := startCheckerd(t)
 	plan, err := faultpoint.ParsePlan(3, "drop-conn=1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := fastPolicy()
-	be := New(addr, pol)
+	be := New(addr, fastTimeout)
 	be.Plan = plan
 	for round := 0; round < 4; round++ {
 		runScript(t, be, env, "app_nil_r", proofScripts[0].script)
 	}
-	if be.Breaker().State() != Open {
-		t.Fatalf("breaker %v, want open", be.Breaker().State())
+	if n := be.Stats.LocalDocs.Load(); n != 4 || be.Stats.WireChecks.Load() != 0 {
+		t.Fatalf("outage left the wire in use: %s", be.Stats.Snapshot())
 	}
-	// The outage ends: clear the plan and wait out the cooldown.
+	// The outage ends.
 	be.Plan = nil
-	time.Sleep(pol.BreakerCooldown + 20*time.Millisecond)
-	before := be.Stats.WireChecks.Load()
-	runScript(t, be, env, "app_nil_r", proofScripts[0].script)
-	if be.Breaker().State() != Closed {
-		t.Fatalf("breaker %v after clean traffic, want closed", be.Breaker().State())
+	lines := runScript(t, be, env, "app_nil_r", proofScripts[0].script)
+	if got, want := be.Stats.WireChecks.Load(), int64(len(lines)); got != want {
+		t.Fatalf("%d wire checks after the outage, want %d: %s", got, want, be.Stats.Snapshot())
 	}
-	if be.Stats.WireChecks.Load() == before {
-		t.Fatal("no wire checks after recovery — backend stuck local")
+	if n := be.Stats.LocalDocs.Load(); n != 4 {
+		t.Fatalf("document opened after the outage ran local-only: %s", be.Stats.Snapshot())
 	}
 }

@@ -14,8 +14,9 @@ var ErrInjected = errors.New("remote: injected fault")
 
 // FaultConn wraps a client connection with deterministic fault injection.
 // All four registered sites live here, at the transport boundary, so the
-// layers above (retry, resurrection, breaker) are exercised exactly as they
-// would be by a real flaky network. A nil Injector is fully inert.
+// layers above (deadline, retry on a fresh session, local-only degradation)
+// are exercised exactly as they would be by a real flaky network. A nil
+// Injector is fully inert.
 type FaultConn struct {
 	net.Conn
 	Inj *faultpoint.Injector
@@ -26,11 +27,7 @@ type FaultConn struct {
 
 func (c *FaultConn) Read(p []byte) (int, error) {
 	if c.Inj.Fire(faultpoint.Stall) {
-		d := c.StallFor
-		if d <= 0 {
-			d = 10 * time.Second
-		}
-		time.Sleep(d)
+		time.Sleep(c.StallFor)
 	}
 	n, err := c.Conn.Read(p)
 	if n > 0 && c.Inj.Fire(faultpoint.CorruptAnswer) {

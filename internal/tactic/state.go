@@ -64,16 +64,15 @@ type Goal struct {
 	Concl *kernel.Form
 
 	// Lazily memoized identities. Goals are shared between the states of
-	// one search and (through the cross-search Try cache) between
-	// concurrent searches, so every memo is atomic and fills from whichever
-	// goroutine computes it first; a racing duplicate computation is
-	// benign — both store the same value.
+	// one search. Every memo is atomic, so a goal stays safe to read from
+	// several goroutines: a memo fills from whichever goroutine computes it
+	// first, and a racing duplicate computation is benign — both store the
+	// same value.
 	// Constructors and Clone leave them empty so in-place edits on fresh
 	// copies cannot see a stale value.
 	fp        atomic.Pointer[string]    // textual Fingerprint (boundary/display)
 	fpk       atomic.Pointer[[2]uint64] // FingerprintKey (pruning)
-	strict    atomic.Pointer[string]    // StrictString (concrete rendering)
-	strictKey atomic.Pointer[[2]uint64] // StrictKey (cache identity)
+	strictKey atomic.Pointer[[2]uint64] // StrictKey (outcome-key identity)
 }
 
 // State is a proof state: an ordered list of open goals (the first is
@@ -223,27 +222,14 @@ func (g *Goal) String() string {
 	return b.String()
 }
 
-// StrictString returns the goal's concrete rendering — the same text as
-// String — memoized on the goal. Where Fingerprint deliberately forgets
-// variable and hypothesis names (for duplicate-state pruning), StrictString
-// keeps them: tactics observe concrete names, so caches keyed on proof
-// states must use this identity. Goals are shared unchanged between a
-// state and its successors — and, through the cross-search Try cache,
-// between searches — so each distinct goal renders once per run.
-func (g *Goal) StrictString() string {
-	if p := g.strict.Load(); p != nil {
-		return *p
-	}
-	s := g.String()
-	g.strict.Store(&s)
-	return s
-}
-
 // StrictKey returns a 128-bit hash of the goal's concrete identity: variable
 // names and types, hypothesis names and formulas, and the conclusion, all via
-// the kernel's stored strict structural hashes. Equal keys coincide (w.h.p.)
-// with equal StrictStrings, but computing one is an O(#hyps) combine over
-// precomputed node hashes with no rendering.
+// the kernel's stored strict structural hashes. Where Fingerprint
+// deliberately forgets variable and hypothesis names (for duplicate-state
+// pruning), StrictKey keeps them: tactics observe concrete names, so keys
+// on proof states must use this identity. Equal keys coincide (w.h.p.)
+// with equal String renderings, but computing one is an O(#hyps) combine
+// over precomputed node hashes with no rendering.
 func (g *Goal) StrictKey() [2]uint64 {
 	if p := g.strictKey.Load(); p != nil {
 		return *p
