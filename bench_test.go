@@ -1,8 +1,9 @@
-// Package bench holds the benchmark harness: one testing.B benchmark per
-// table and figure of the paper's evaluation section. Each benchmark runs a
-// bounded slice of the corresponding experiment per iteration and reports
-// coverage (or the relevant metric) via b.ReportMetric; the full-scale
-// regeneration of every table/figure is `go run ./cmd/experiments -all`.
+// Package bench holds micro-benchmarks of the layers under the experiment
+// sweep: proof checking, tokenizing, similarity, prompt assembly, env
+// restriction, state fingerprints, substitution and the typed lint tier.
+// The sweep itself, `go run ./cmd/experiments -all`, is measured at full
+// scale by the harness in sweepbench/, which times every table and figure
+// of the paper's evaluation section.
 package bench
 
 import (
@@ -10,13 +11,11 @@ import (
 	"testing"
 
 	"llmfscq/internal/analysis"
-	"llmfscq/internal/core"
 	"llmfscq/internal/corpus"
 	"llmfscq/internal/eval"
 	"llmfscq/internal/kernel"
 	"llmfscq/internal/model"
 	"llmfscq/internal/prompt"
-	"llmfscq/internal/store"
 	"llmfscq/internal/tactic"
 	"llmfscq/internal/textmetrics"
 	"llmfscq/internal/tokenizer"
@@ -37,253 +36,6 @@ func loadCorpus(b *testing.B) *corpus.Corpus {
 		benchCorpus = c
 	})
 	return benchCorpus
-}
-
-// newRunner builds a Runner with no prior outcomes. A benchmark that
-// measures searches builds one per iteration: a Runner's outcome tier
-// answers a unit it has already run without searching, so a reused Runner
-// would measure lookups from the second iteration on. Its per-runner
-// caches (restricted environments, prompt items, lemma table, n-grams)
-// are rebuilt per iteration too.
-func newRunner(b *testing.B) *eval.Runner {
-	r := eval.NewRunner(loadCorpus(b), 2025)
-	r.Parallelism = 4
-	return r
-}
-
-// slice takes a bounded, deterministic sample of the test set.
-func slice(r *eval.Runner, n int) []*corpus.Theorem {
-	ths := r.TestSet()
-	if len(ths) > n {
-		ths = ths[:n]
-	}
-	return ths
-}
-
-func coveragePct(outs []eval.Outcome) float64 {
-	p := 0
-	for _, o := range outs {
-		if o.Status == core.Proved {
-			p++
-		}
-	}
-	if len(outs) == 0 {
-		return 0
-	}
-	return 100 * float64(p) / float64(len(outs))
-}
-
-// BenchmarkFigure1a regenerates the Figure 1a rows (coverage by
-// human-proof-length bin, vanilla -> hint) on a corpus slice with GPT-4o;
-// run cmd/experiments -fig1a for all models at full scale.
-func BenchmarkFigure1a(b *testing.B) {
-	b.ReportAllocs()
-	ths := slice(newRunner(b), 30)
-	for i := 0; i < b.N; i++ {
-		r := newRunner(b)
-		van := r.RunSweep(model.GPT4o, prompt.Vanilla, ths)
-		hin := r.RunSweep(model.GPT4o, prompt.Hint, ths)
-		sweep := eval.NewSweep()
-		sweep.Add(model.GPT4o.Name, "vanilla", van)
-		sweep.Add(model.GPT4o.Name, "hint", hin)
-		if i == 0 {
-			b.Log("\n" + sweep.Figure1a())
-		}
-		b.ReportMetric(coveragePct(van), "vanilla-cov-%")
-		b.ReportMetric(coveragePct(hin), "hint-cov-%")
-	}
-}
-
-// BenchmarkFigure1b regenerates the Figure 1b comparison: Gemini 1.5 Pro
-// with the 1M vs the truncated 128k context window.
-func BenchmarkFigure1b(b *testing.B) {
-	b.ReportAllocs()
-	ths := slice(newRunner(b), 30)
-	for i := 0; i < b.N; i++ {
-		r := newRunner(b)
-		full := r.RunSweep(model.GeminiPro, prompt.Hint, ths)
-		trunc := r.RunSweep(model.GeminiPro128k, prompt.Hint, ths)
-		b.ReportMetric(coveragePct(full), "1M-cov-%")
-		b.ReportMetric(coveragePct(trunc), "128k-cov-%")
-	}
-}
-
-// BenchmarkTable1 regenerates Table 1: per-category actual vs expected
-// coverage for GPT-4o.
-func BenchmarkTable1(b *testing.B) {
-	b.ReportAllocs()
-	ths := slice(newRunner(b), 40)
-	for i := 0; i < b.N; i++ {
-		r := newRunner(b)
-		sweep := eval.NewSweep()
-		for _, s := range []prompt.Setting{prompt.Vanilla, prompt.Hint} {
-			sweep.Add(model.GPT4o.Name, s.String(), r.RunSweep(model.GPT4o, s, ths))
-		}
-		if i == 0 {
-			b.Log("\n" + sweep.Table1("GPT-4o"))
-		}
-	}
-}
-
-// BenchmarkTable2 regenerates the Table 2 rows: proved/stuck/fuelout rates
-// plus similarity and relative proof length, per model.
-func BenchmarkTable2(b *testing.B) {
-	b.ReportAllocs()
-	ths := slice(newRunner(b), 20)
-	for i := 0; i < b.N; i++ {
-		r := newRunner(b)
-		sweep := eval.NewSweep()
-		for _, prof := range []model.Profile{model.GPT4oMini, model.GPT4o} {
-			for _, s := range []prompt.Setting{prompt.Vanilla, prompt.Hint} {
-				sweep.Add(prof.Name, s.String(), r.RunSweep(prof, s, ths))
-			}
-		}
-		if i == 0 {
-			b.Log("\n" + sweep.Table2())
-		}
-	}
-}
-
-// BenchmarkFigure2 regenerates the Figure 2 case-study extraction: proved
-// theorems whose generated proof is shorter than the human proof.
-func BenchmarkFigure2(b *testing.B) {
-	b.ReportAllocs()
-	c := loadCorpus(b)
-	ths := slice(newRunner(b), 40)
-	for i := 0; i < b.N; i++ {
-		r := newRunner(b)
-		sweep := eval.NewSweep()
-		sweep.Add(model.GPT4o.Name, "hint", r.RunSweep(model.GPT4o, prompt.Hint, ths))
-		out := sweep.Figure2(c, 3)
-		if i == 0 {
-			b.Log("\n" + out)
-		}
-	}
-}
-
-// BenchmarkContextProbe regenerates the §4.3 probe: a failed short theorem
-// re-run with the dependency-reduced context.
-func BenchmarkContextProbe(b *testing.B) {
-	b.ReportAllocs()
-	ths := slice(newRunner(b), 30)
-	for i := 0; i < b.N; i++ {
-		r := newRunner(b)
-		full := r.RunSweep(model.GPT4o, prompt.Hint, ths)
-		recovered, failedShort := 0, 0
-		for j, o := range full {
-			if o.Status == core.Proved || o.HumanTokens >= 16 {
-				continue
-			}
-			failedShort++
-			if r.RunReduced(model.GPT4o, prompt.Hint, ths[j]).Status == core.Proved {
-				recovered++
-			}
-		}
-		b.ReportMetric(float64(failedShort), "failed-short")
-		b.ReportMetric(float64(recovered), "recovered")
-	}
-}
-
-// BenchmarkAblationSearch compares best-first against the linear
-// (Rango-style) and greedy baselines.
-func BenchmarkAblationSearch(b *testing.B) {
-	algs := map[string]func(core.Config) core.Result{
-		"BestFirst": core.BestFirst,
-		"Linear":    core.Linear,
-		"Greedy":    core.Greedy,
-	}
-	for name, fn := range algs {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			r := newRunner(b)
-			r.Search = fn
-			ths := slice(r, 20)
-			for i := 0; i < b.N; i++ {
-				outs := r.RunSweep(model.GPT4o, prompt.Hint, ths)
-				b.ReportMetric(coveragePct(outs), "cov-%")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationWidth sweeps the search width (paper fixes 8).
-func BenchmarkAblationWidth(b *testing.B) {
-	for _, w := range []int{1, 4, 8, 16} {
-		b.Run(map[int]string{1: "w1", 4: "w4", 8: "w8", 16: "w16"}[w], func(b *testing.B) {
-			b.ReportAllocs()
-			ths := slice(newRunner(b), 20)
-			for i := 0; i < b.N; i++ {
-				r := newRunner(b)
-				r.Width = w
-				outs := r.RunSweep(model.GPT4o, prompt.Hint, ths)
-				b.ReportMetric(coveragePct(outs), "cov-%")
-			}
-		})
-	}
-}
-
-// BenchmarkWarmSweep measures the persistent proof cache end to end:
-// "cold" sweeps into an empty store (paying the search plus the
-// write-behind appends), "warm" re-sweeps a primed store with a fresh
-// runner per iteration, so every outcome answers from disk. Warm reports
-// the outcome hit rate; coverage must match cold — the store changes
-// latency, never tables.
-func BenchmarkWarmSweep(b *testing.B) {
-	files, err := corpus.Sources()
-	if err != nil {
-		b.Fatal(err)
-	}
-	hash := corpus.Hash(files)
-	open := func(b *testing.B, dir string) (*eval.Runner, *store.Cache) {
-		pc, err := store.OpenCache(store.CacheConfig{Dir: dir, CorpusHash: hash, MirrorDen: 16})
-		if err != nil {
-			b.Fatal(err)
-		}
-		r := newRunner(b)
-		r.ProofStore = pc
-		return r, pc
-	}
-	sweepOnce := func(b *testing.B, r *eval.Runner, pc *store.Cache) ([]eval.Outcome, store.CacheStats) {
-		outs := r.RunSweep(model.GPT4o, prompt.Hint, slice(r, 30))
-		r.FlushProofStore()
-		if n := r.ProofStoreMismatches(); n != 0 {
-			b.Fatalf("%d mirror mismatches", n)
-		}
-		st := pc.Stats()
-		if err := pc.Close(); err != nil {
-			b.Fatal(err)
-		}
-		return outs, st
-	}
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			dir := b.TempDir() // a fresh empty store every iteration
-			b.StartTimer()
-			r, pc := open(b, dir)
-			outs, _ := sweepOnce(b, r, pc)
-			b.ReportMetric(coveragePct(outs), "cov-%")
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		b.ReportAllocs()
-		dir := b.TempDir()
-		r0, pc0 := open(b, dir)
-		sweepOnce(b, r0, pc0) // prime the store
-		var last store.CacheStats
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r, pc := open(b, dir)
-			outs, st := sweepOnce(b, r, pc)
-			last = st
-			b.ReportMetric(coveragePct(outs), "cov-%")
-		}
-		b.StopTimer()
-		if h, m := last.OutcomeHits, last.OutcomeMisses; h+m > 0 {
-			b.ReportMetric(100*float64(h)/float64(h+m), "hit-%")
-		}
-	})
 }
 
 // BenchmarkProofCheck measures the raw proof-checking throughput of the
@@ -333,23 +85,6 @@ func BenchmarkSimilarity(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = textmetrics.Similarity(a, z)
-	}
-}
-
-// BenchmarkWholeProof measures the §4.3 whole-proof probe: complete-script
-// generation without checker interaction, verified after the fact.
-func BenchmarkWholeProof(b *testing.B) {
-	b.ReportAllocs()
-	ths := slice(newRunner(b), 20)
-	for i := 0; i < b.N; i++ {
-		r := newRunner(b)
-		proved := 0
-		for _, th := range ths {
-			if r.RunWholeProof(model.GPT4o, prompt.Hint, th, 4).Status == core.Proved {
-				proved++
-			}
-		}
-		b.ReportMetric(100*float64(proved)/float64(len(ths)), "cov-%")
 	}
 }
 

@@ -1,6 +1,7 @@
 // Command checkerd serves the proof-checking wire protocol (the SerAPI
 // substitute) over TCP against the embedded corpus environment. Clients
-// open one proof document per connection and drive it with Exec/Cancel.
+// open one proof document per connection and drive it one sentence per
+// request, with Exec/Cancel.
 //
 // Example session (one S-expression per line):
 //
@@ -10,19 +11,16 @@
 //	(Cancel 0)
 //	(Quit)
 //
-// SIGINT/SIGTERM drain open sessions for -grace before force-closing them;
-// a second signal skips the drain and kills every session on the spot (the
-// escape hatch when a stuck client is what prompted the shutdown).
+// checkerd has no shutdown protocol: a signal ends it through Go's default
+// exit, and its open sessions end with it. A client sees that as a lost
+// wire: the remote backend runs its open documents on the local mirror
+// alone, so results do not change.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"llmfscq/internal/corpus"
 	"llmfscq/internal/protocol"
@@ -32,7 +30,6 @@ func main() {
 	log.SetFlags(0)
 	addr := flag.String("addr", "127.0.0.1:4711", "listen address")
 	maxConns := flag.Int("max-conns", protocol.DefaultMaxConns, "maximum concurrently served sessions; further dials wait in the listen backlog")
-	grace := flag.Duration("grace", 5*time.Second, "drain window for open sessions on SIGINT/SIGTERM")
 	flag.Parse()
 
 	c, err := corpus.Default()
@@ -46,35 +43,7 @@ func main() {
 		log.Fatalf("listen: %v", err)
 	}
 	fmt.Printf("checkerd: serving %d lemmas on %s (max %d sessions)\n", len(c.Env.Lemmas), bound, *maxConns)
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve() }()
-
-	select {
-	case sig := <-sigc:
-		fmt.Fprintf(os.Stderr, "checkerd: %v, draining sessions (up to %v; signal again to kill)\n", sig, *grace)
-		shutdownDone := make(chan error, 1)
-		go func() { shutdownDone <- srv.Shutdown(*grace) }()
-		select {
-		case sig = <-sigc:
-			fmt.Fprintf(os.Stderr, "checkerd: second %v, killing open sessions\n", sig)
-			if err := srv.Kill(); err != nil {
-				log.Fatalf("kill: %v", err)
-			}
-		case err := <-shutdownDone:
-			if err != nil {
-				log.Fatalf("shutdown: %v", err)
-			}
-		}
-		if err := <-done; err != nil {
-			log.Fatalf("serve: %v", err)
-		}
-		fmt.Fprintln(os.Stderr, "checkerd: bye")
-	case err := <-done:
-		if err != nil {
-			log.Fatalf("serve: %v", err)
-		}
+	if err := srv.Serve(); err != nil {
+		log.Fatalf("serve: %v", err)
 	}
 }

@@ -49,19 +49,16 @@ type ScratchTryer interface {
 	TryScratch(parent *tactic.State, path []string, sentence string, sc *kernel.Scratch) Step
 }
 
-// BatchDoc is implemented by documents for which executing several sibling
-// sentences against one parent state in a single backend exchange is
-// cheaper than one Try per sentence (the remote backend's ExecBatch: one
-// round trip instead of n). The search engine type-asserts for it and
-// hands a whole expansion over at once when present. In-process documents
-// deliberately do not implement it — there is no per-call transport cost
-// to amortize, and advertising it would force eager execution where the
-// serial search is lazy.
+// BatchDoc is a retired extension point: documents that executed several
+// sibling sentences in one backend exchange.
+//
+// Deprecated: nothing implements or consults BatchDoc. The search executes
+// candidates one Try at a time, and the wire sends one sentence per round
+// trip. The declaration stays only because the benchmark harness in
+// sweepbench/ names it.
 type BatchDoc interface {
 	Doc
-	// TryBatch is Try for each sentence against the same parent; the
-	// returned slice has one Step per sentence, in order. Like Try, it
-	// never surfaces transport errors.
+	// TryBatch was Try for each sentence against the same parent.
 	TryBatch(parent *tactic.State, path []string, sentences []string) []Step
 }
 
@@ -72,8 +69,6 @@ type Backend interface {
 	// statement when it has one ("" otherwise); backends that restrict the
 	// environment server-side key on it.
 	NewDoc(env *kernel.Env, stmt *kernel.Form, lemma string) (Doc, error)
-	// Close releases backend-wide resources (connection pools).
-	Close() error
 }
 
 // InProcess is the direct, in-memory backend: Try is exactly TryTactic.
@@ -83,9 +78,6 @@ type InProcess struct{}
 func (InProcess) NewDoc(env *kernel.Env, stmt *kernel.Form, lemma string) (Doc, error) {
 	return &inProcessDoc{root: tactic.NewState(env, stmt)}, nil
 }
-
-// Close is a no-op for the in-process backend.
-func (InProcess) Close() error { return nil }
 
 type inProcessDoc struct {
 	root *tactic.State

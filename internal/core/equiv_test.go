@@ -46,9 +46,9 @@ func pseudoProposer(seed uint64, width int) Proposer {
 	}
 }
 
-// startBatchedBackend runs an in-process checkerd on a loopback port and
-// returns a remote backend (its documents offer checker.BatchDoc).
-func startBatchedBackend(t *testing.T) *remote.Backend {
+// startRemoteBackend runs an in-process checkerd on a loopback port and
+// returns a remote backend over it.
+func startRemoteBackend(t *testing.T) *remote.Backend {
 	t.Helper()
 	c, err := corpus.Default()
 	if err != nil {
@@ -65,13 +65,13 @@ func startBatchedBackend(t *testing.T) *remote.Backend {
 }
 
 // TestSearchModeEquivalence is the determinism property test: across
-// randomized proposers, theorems, widths, and algorithms, the
-// remote-batched execution strategy must produce Result structs identical
-// to the lazy in-process baseline. Run under -race this also exercises the
-// remote backend for data races.
+// randomized proposers, theorems, widths, and algorithms, a search over
+// the wire (one sentence per round trip, cross-checked against the local
+// mirror) must produce Result structs identical to the in-process search.
+// Run under -race this also exercises the remote backend for data races.
 func TestSearchModeEquivalence(t *testing.T) {
 	env, c := loadEnv(t)
-	be := startBatchedBackend(t)
+	be := startRemoteBackend(t)
 
 	theorems := []string{"plus_O_n", "plus_comm", "app_nil_r", "andb_comm", "negb_involutive", "plus_n_O"}
 	algos := []struct {
@@ -102,14 +102,14 @@ func TestSearchModeEquivalence(t *testing.T) {
 				remote := base
 				remote.Backend = be
 				if got := alg.search(remote); !reflect.DeepEqual(got, want) {
-					t.Errorf("seed=%d %s/%s/remote-batched diverged:\n got %+v\nwant %+v",
+					t.Errorf("seed=%d %s/%s/remote diverged:\n got %+v\nwant %+v",
 						seed, name, alg.name, got, want)
 				}
 			}
 		}
 	}
 	// The remote leg masks wire trouble by design; the equivalence above is
-	// vacuous for it unless batched cross-checks actually happened.
+	// vacuous for it unless wire cross-checks actually happened.
 	if be.Stats.WireChecks.Load() == 0 || be.Stats.Mismatches.Load() != 0 {
 		t.Fatalf("remote leg: %s", be.Stats.Snapshot())
 	}

@@ -7,18 +7,12 @@ import (
 	"llmfscq/internal/tactic"
 )
 
-// expander executes the candidate tactics of one node expansion. It picks
-// one of two strategies:
-//
-//   - batched: the document implements checker.BatchDoc (the remote
-//     backend) — every candidate goes to the backend in one round trip;
-//   - lazy serial: otherwise, candidates are executed on first use (a
-//     Greedy search that stops at the first valid candidate never pays for
-//     the rest).
-//
-// Whatever the strategy, the search consumes outcomes through
-// expansion.step(i) in candidate order, so results are identical across
-// strategies, which TestSearchModeEquivalence and the scripts/check.sh
+// expander executes the candidate tactics of one node expansion, lazily
+// and one at a time: a candidate runs on first use, so a Greedy search that
+// stops at the first valid candidate never pays for the rest. The search
+// consumes outcomes through expansion.step(i) in candidate order, whatever
+// the backend, so an in-process and a remote search return the same
+// Result, which TestSearchModeEquivalence and the scripts/check.sh
 // full-sweep cmp gates enforce.
 //
 // The expander also owns the search's kernel.Scratch arena (DESIGN.md §13)
@@ -26,10 +20,9 @@ import (
 // tactic interpreter's transient buffers; the states a Try returns never
 // alias them, so reuse across every Try of a search is safe.
 type expander struct {
-	doc   checker.Doc
-	batch checker.BatchDoc
-	st    checker.ScratchTryer
-	sc    *kernel.Scratch // nil unless st is set
+	doc checker.Doc
+	st  checker.ScratchTryer
+	sc  *kernel.Scratch // nil unless st is set
 
 	// free recycles expansions.
 	free []*expansion
@@ -37,9 +30,6 @@ type expander struct {
 
 func newExpander(doc checker.Doc) *expander {
 	x := &expander{doc: doc}
-	if bd, ok := doc.(checker.BatchDoc); ok {
-		x.batch = bd
-	}
 	if st, ok := doc.(checker.ScratchTryer); ok {
 		x.st = st
 		x.sc = &kernel.Scratch{}
@@ -72,8 +62,7 @@ type expansion struct {
 func (e *expansion) len() int                   { return len(e.cands) }
 func (e *expansion) cand(i int) model.Candidate { return e.cands[i] }
 
-// step returns candidate i's outcome, executing it on demand under the
-// serial strategy.
+// step returns candidate i's outcome, executing it on first use.
 func (e *expansion) step(i int) checker.Step {
 	if !e.done[i] {
 		e.steps[i], e.done[i] = e.x.try(e.parent, e.path, e.cands[i].Tactic), true
@@ -117,9 +106,8 @@ func (x *expander) put(e *expansion) {
 	x.free = append(x.free, e)
 }
 
-// expand copies the candidates and, under the batched strategy, executes
-// them all eagerly in one round trip. Serial consumers get a lazy
-// expansion.
+// expand copies the candidates into a recycled expansion; step executes
+// them on demand.
 //
 //hot:root
 func (x *expander) expand(parent *tactic.State, path []string, cands []model.Candidate) *expansion {
@@ -127,16 +115,5 @@ func (x *expander) expand(parent *tactic.State, path []string, cands []model.Can
 	e.parent = parent
 	e.path = path
 	copy(e.cands, cands)
-	if x.batch == nil || len(cands) == 0 {
-		return e
-	}
-	sentences := make([]string, len(cands))
-	for i := range cands {
-		sentences[i] = cands[i].Tactic
-	}
-	copy(e.steps, x.batch.TryBatch(parent, path, sentences))
-	for i := range e.done {
-		e.done[i] = true
-	}
 	return e
 }

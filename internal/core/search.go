@@ -208,9 +208,9 @@ func BestFirst(cfg Config) Result {
 		if len(cands) > cfg.Width {
 			cands = cands[:cfg.Width]
 		}
-		// Outcomes are consumed in candidate order, so the counters, the
-		// seen set, and the early Proved exit are identical whether the
-		// expansion ran lazily or batched.
+		// Outcomes are consumed in candidate order, each executed on first
+		// use, so the counters, the seen set, and the early Proved exit are
+		// identical whatever the backend.
 		exp := x.expand(best.state, path, cands)
 		for i := 0; i < exp.len(); i++ {
 			cand := exp.cand(i)

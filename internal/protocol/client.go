@@ -72,6 +72,12 @@ func (c *Client) deadline() error {
 	return nil
 }
 
+// errMalformed marks an answer the client cannot decode: a line that is not
+// an (Answer k payload) frame, or a payload missing a field the client
+// reads. A checkerd is outside input, so every decode site returns it
+// instead of trusting the answer's shape.
+var errMalformed = errors.New("protocol: malformed answer")
+
 // roundTrip sends a request and returns the answer payload.
 func (c *Client) roundTrip(req *sexp.Node) (*sexp.Node, error) {
 	if err := c.deadline(); err != nil {
@@ -85,13 +91,28 @@ func (c *Client) roundTrip(req *sexp.Node) (*sexp.Node, error) {
 		return nil, err
 	}
 	if ans.Head() != "Answer" || len(ans.List) < 3 {
-		return nil, fmt.Errorf("protocol: malformed answer %s", ans)
+		return nil, fmt.Errorf("%w %s", errMalformed, ans)
 	}
 	payload := ans.Nth(2)
 	if payload.Head() == "Error" {
-		return nil, fmt.Errorf("protocol: %s", payload.Nth(1).Atom)
+		msg, err := atomArg(payload)
+		if err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("protocol: %s", msg)
 	}
 	return payload, nil
+}
+
+// atomArg returns the atom argument of a (Head "atom" ...) payload. It
+// returns the bare errMalformed, unformatted: the decode sites sit on the
+// search's hot path, and the remote backend only retries on the error.
+func atomArg(p *sexp.Node) (string, error) {
+	arg := p.Nth(1)
+	if arg == nil || arg.IsList {
+		return "", errMalformed
+	}
+	return arg.Atom, nil
 }
 
 // NewDocLemma opens a proof of a corpus lemma; the server restricts the
@@ -101,7 +122,7 @@ func (c *Client) NewDocLemma(name string) (stmt string, err error) {
 	if err != nil {
 		return "", err
 	}
-	return p.Nth(1).Atom, nil
+	return atomArg(p)
 }
 
 // NewDocStmt opens a proof of an arbitrary statement in surface syntax.
@@ -110,7 +131,7 @@ func (c *Client) NewDocStmt(src string) (stmt string, err error) {
 	if err != nil {
 		return "", err
 	}
-	return p.Nth(1).Atom, nil
+	return atomArg(p)
 }
 
 // ExecResult is the remote analogue of checker.Result.
@@ -129,35 +150,44 @@ type ExecResult struct {
 func execPayload(p *sexp.Node) (ExecResult, error) {
 	switch p.Head() {
 	case "Proved":
-		res := ExecResult{Status: checker.Applied, Proved: true}
-		res.Fingerprint = fpOf(p)
-		return res, nil
+		fp, err := fpOf(p)
+		if err != nil {
+			return ExecResult{}, err
+		}
+		return ExecResult{Status: checker.Applied, Proved: true, Fingerprint: fp}, nil
 	case "Applied":
 		// The server always encodes (Applied (Goals n) ...); a missing or
 		// non-numeric count is a wire fault, not an empty goal set.
 		n, err := p.Nth(1).Nth(1).AsInt()
 		if err != nil {
-			return ExecResult{}, fmt.Errorf("protocol: malformed Applied payload %s: %w", p, err)
+			return ExecResult{}, fmt.Errorf("%w %s: %v", errMalformed, p, err)
 		}
-		res := ExecResult{Status: checker.Applied, NumGoals: n}
-		res.Fingerprint = fpOf(p)
-		return res, nil
+		fp, err := fpOf(p)
+		if err != nil {
+			return ExecResult{}, err
+		}
+		return ExecResult{Status: checker.Applied, NumGoals: n, Fingerprint: fp}, nil
 	case "Timeout":
 		return ExecResult{Status: checker.Timeout}, nil
 	case "Rejected":
-		return ExecResult{Status: checker.Rejected, Message: p.Nth(1).Atom}, nil
+		msg, err := atomArg(p)
+		if err != nil {
+			return ExecResult{}, err
+		}
+		return ExecResult{Status: checker.Rejected, Message: msg}, nil
 	}
 	return ExecResult{}, fmt.Errorf("protocol: unexpected payload %s", p)
 }
 
-// fpOf extracts the (Fp "...") field of an Applied/Proved payload.
-func fpOf(p *sexp.Node) string {
+// fpOf extracts the (Fp "...") field of an Applied/Proved payload; a
+// payload without one has the empty fingerprint.
+func fpOf(p *sexp.Node) (string, error) {
 	for i := 1; i < len(p.List); i++ {
 		if child := p.Nth(i); child.Head() == "Fp" {
-			return child.Nth(1).Atom
+			return atomArg(child)
 		}
 	}
-	return ""
+	return "", nil
 }
 
 // Exec runs one tactic sentence.
@@ -167,34 +197,6 @@ func (c *Client) Exec(sentence string) (ExecResult, error) {
 		return ExecResult{}, err
 	}
 	return execPayload(p)
-}
-
-// ExecBatch runs several sibling sentences in one round trip: the server
-// executes each against the current tip, cancelling back after an Applied
-// sentence, so the answers are independent probes from the same parent and
-// the tip is unchanged afterwards. One ExecResult per sentence, in order.
-func (c *Client) ExecBatch(sentences []string) ([]ExecResult, error) {
-	req := make([]*sexp.Node, 0, len(sentences)+1)
-	req = append(req, sexp.Sym("ExecBatch"))
-	for _, s := range sentences {
-		req = append(req, sexp.Str(s))
-	}
-	p, err := c.roundTrip(sexp.L(req...))
-	if err != nil {
-		return nil, err
-	}
-	if p.Head() != "Batch" || len(p.List) != len(sentences)+1 {
-		return nil, fmt.Errorf("protocol: malformed batch answer %s", p)
-	}
-	out := make([]ExecResult, len(sentences))
-	for i := range sentences {
-		res, err := execPayload(p.Nth(i + 1))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
-	}
-	return out, nil
 }
 
 // Cancel rolls back to n executed sentences.
@@ -209,7 +211,7 @@ func (c *Client) Goals() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return p.Nth(1).Atom, nil
+	return atomArg(p)
 }
 
 // Fingerprint returns the canonical state fingerprint.
@@ -218,7 +220,7 @@ func (c *Client) Fingerprint() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return p.Nth(1).Atom, nil
+	return atomArg(p)
 }
 
 // Script returns the executed sentences joined with spaces.
@@ -227,7 +229,7 @@ func (c *Client) Script() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return p.Nth(1).Atom, nil
+	return atomArg(p)
 }
 
 // Add parses and queues a sentence on the server (STM Add); a bare
@@ -238,7 +240,11 @@ func (c *Client) Add(sentence string) error {
 		return err
 	}
 	if p.Head() == "Rejected" {
-		return fmt.Errorf("protocol: %s", p.Nth(1).Atom)
+		msg, err := atomArg(p)
+		if err != nil {
+			return err
+		}
+		return fmt.Errorf("protocol: %s", msg)
 	}
 	return nil
 }

@@ -84,11 +84,12 @@ func FuzzParseRequest(f *testing.F) {
 	f.Add("(Add \"reflexivity.\")")
 	f.Add("(Cancel 0)")
 	f.Add("(Cancel -3)")
+	// ExecBatch is not a request: each shape takes the unknown-request path.
 	f.Add("(ExecBatch \"intros.\" \"reflexivity.\")")
 	f.Add("(ExecBatch)")
 	f.Add("(ExecBatch (Foo))")
 	f.Add("(ExecBatch \"intros.\" (Nested (List)))")
-	f.Add("(ExecBatch " + strings.Repeat("\"simpl.\" ", MaxBatch+1) + ")")
+	f.Add("(ExecBatch " + strings.Repeat("\"simpl.\" ", 65) + ")")
 	f.Add("(Query Goals)")
 	f.Add("(Query Fingerprint)")
 	f.Add("(Query Script)")

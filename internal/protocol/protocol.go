@@ -1,6 +1,8 @@
 // Package protocol implements the S-expression wire protocol between the
 // search engine and the proof checker — the stand-in for SerAPI on top of
-// Coq's STM. Messages are newline-delimited S-expressions.
+// Coq's STM. Messages are newline-delimited S-expressions, and every request
+// gets exactly one answer. As in SerAPI, a sentence is added and executed
+// one at a time: each Exec carries one tactic sentence.
 //
 // Requests:
 //
@@ -9,26 +11,28 @@
 //	                               before it (no self-application)
 //	(NewDoc (Stmt "forall ..."))   open a proof of a parsed statement
 //	(Exec "tactic.")               execute one tactic sentence at the tip
-//	(ExecBatch "t1." "t2." ...)    execute up to MaxBatch sibling sentences,
-//	                               each against the current tip (the server
-//	                               cancels back between sentences, so the
-//	                               tip is unchanged afterwards)
+//	(Add "tactic.")                parse and queue one sentence (STM Add)
+//	(Exec)                         execute the queued sentences in order
 //	(Cancel n)                     roll back to n executed sentences
 //	(Query Goals)                  pretty-printed goals
 //	(Query Fingerprint)            canonical state fingerprint
 //	(Query Script)                 executed sentences
 //	(Quit)                         close the connection
 //
-// Answers:
+// Answers, where k numbers the answers of a session from 1:
 //
+//	(Answer k (DocCreated "statement"))
 //	(Answer k (Applied (Goals n) (Fp "fp")))
 //	(Answer k (Proved (Fp "fp")))
 //	(Answer k (Rejected "message"))
 //	(Answer k (Timeout))
-//	(Answer k (Batch p1 p2 ...))   one Applied/Proved/Rejected/Timeout
-//	                               payload per ExecBatch sentence, in order
+//	(Answer k (Added n)) / (Answer k (Cancelled n))
 //	(Answer k (Goals "text")) / (Answer k (Fingerprint "fp")) / ...
 //	(Answer k (Error "message"))
+//	(Answer k (Bye))
+//
+// A line that does not parse, and a request the server does not know, get
+// an in-band (Error ...) answer; the session survives both.
 //
 // Applied/Proved answers carry the canonical state fingerprint so a client
 // can cross-check a remote execution against a local mirror in one
@@ -47,11 +51,6 @@ import (
 // MaxLineBytes bounds one wire message. Longer lines are consumed and
 // answered with an error instead of growing the read buffer without bound.
 const MaxLineBytes = 1 << 20
-
-// MaxBatch bounds the sentences of one ExecBatch request. The search sends
-// at most its expansion width (paper: 8); the cap only has to keep a
-// malicious batch from holding the session for an unbounded stretch.
-const MaxBatch = 64
 
 // ErrBadMessage marks a line that was read but does not parse as an
 // S-expression. The server answers (Error ...) and keeps the session; the

@@ -223,32 +223,3 @@ func TestProtocolAddQueue(t *testing.T) {
 		t.Fatalf("queued proof did not complete: %+v", res)
 	}
 }
-
-// Kill is checkerd's second-signal path: the listener and every open
-// session close at once, so a request on a session that was open fails,
-// and killing an already-killed server is harmless.
-func TestKill(t *testing.T) {
-	srv, addr := startServer(t)
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close() //nolint:errcheck
-	if _, err := cl.NewDocLemma("app_nil_r"); err != nil {
-		t.Fatal(err)
-	}
-	res, err := cl.Exec("induction l.")
-	if err != nil || res.Status != checker.Applied {
-		t.Fatalf("exec before kill: %v %v", res, err)
-	}
-
-	if err := srv.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Exec("simpl."); err == nil {
-		t.Fatal("exec succeeded on a session of a killed server")
-	}
-	if err := srv.Kill(); err != nil {
-		t.Fatalf("second kill: %v", err)
-	}
-}

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"sync"
-	"time"
 
 	"llmfscq/internal/checker"
 	"llmfscq/internal/kernel"
@@ -21,22 +19,19 @@ import (
 const DefaultMaxConns = 64
 
 // Server serves the proof-checker protocol over TCP. Each connection holds
-// one session (one open proof document at a time).
+// one session (one open proof document at a time). Call Listen, then Serve;
+// Close stops the listener.
 type Server struct {
 	Env *kernel.Env
 	// MaxConns caps concurrently served connections (<=0: DefaultMaxConns).
 	MaxConns int
 
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]bool
-	closed bool
-	wg     sync.WaitGroup
+	ln net.Listener
 }
 
 // NewServer builds a server over an environment (typically the loaded
 // corpus environment).
-func NewServer(env *kernel.Env) *Server { return &Server{Env: env, conns: map[net.Conn]bool{}} }
+func NewServer(env *kernel.Env) *Server { return &Server{Env: env} }
 
 // Listen binds the address and returns the chosen address (useful with
 // ":0").
@@ -45,22 +40,14 @@ func (s *Server) Listen(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.mu.Lock()
 	s.ln = ln
-	if s.conns == nil {
-		s.conns = map[net.Conn]bool{}
-	}
-	s.mu.Unlock()
 	return ln.Addr().String(), nil
 }
 
 // Serve accepts connections until the listener closes, holding at most
-// MaxConns sessions open at once. Returns nil after Close or Shutdown.
+// MaxConns sessions open at once. Returns nil after Close.
 func (s *Server) Serve() error {
-	s.mu.Lock()
-	ln := s.ln
-	s.mu.Unlock()
-	if ln == nil {
+	if s.ln == nil {
 		return fmt.Errorf("protocol: server not listening")
 	}
 	max := s.MaxConns
@@ -73,116 +60,28 @@ func (s *Server) Serve() error {
 	sem := make(chan struct{}, max)
 	for {
 		sem <- struct{}{}
-		conn, err := ln.Accept()
+		conn, err := s.ln.Accept()
 		if err != nil {
 			<-sem
-			if s.isClosed() {
+			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return err
 		}
-		if !s.track(conn) { // shut down between Accept and track
-			//lint:ignore errdrop teardown of a never-tracked connection during shutdown; nothing to report to
-			conn.Close()
-			<-sem
-			return nil
-		}
-		s.wg.Add(1)
 		go func(c net.Conn) {
-			defer func() {
-				s.untrack(c)
-				s.wg.Done()
-				<-sem
-			}()
+			defer func() { <-sem }()
 			s.handle(c)
 		}(conn)
 	}
 }
 
-func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-func (s *Server) track(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	if s.conns == nil {
-		s.conns = map[net.Conn]bool{}
-	}
-	s.conns[conn] = true
-	return true
-}
-
-func (s *Server) untrack(conn net.Conn) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.conns, conn)
-}
-
-// eachConn applies f to every live connection under the lock.
-func (s *Server) eachConn(f func(net.Conn)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for c := range s.conns {
-		f(c)
-	}
-}
-
-// Close stops the listener immediately. Open sessions keep running; use
-// Shutdown to drain them. Idempotent: later calls (including via Kill after
-// a Shutdown) are no-ops.
+// Close stops the listener, so Serve returns. Open sessions keep running
+// until their clients quit or hang up, or the process exits.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	wasClosed := s.closed
-	s.closed = true
-	ln := s.ln
-	s.mu.Unlock()
-	if ln != nil && !wasClosed {
-		return ln.Close()
+	if s.ln == nil {
+		return nil
 	}
-	return nil
-}
-
-// Kill terminates the server abruptly: the listener and every open session
-// connection close immediately, with no drain and no in-flight answers.
-// cmd/checkerd calls it on a second SIGINT/SIGTERM, when an operator gives
-// up on the Shutdown drain. Clients observe a reset mid-request, exactly as
-// they would from a dead process.
-func (s *Server) Kill() error {
-	err := s.Close()
-	//lint:ignore errdrop abrupt termination is the point; the sessions being killed have nothing to report
-	s.eachConn(func(c net.Conn) { _ = c.Close() })
-	return err
-}
-
-// Shutdown stops accepting and drains open sessions: every session may
-// finish its in-flight request, and a read deadline at now+grace unblocks
-// handlers waiting on clients that never quit. Sessions still open when the
-// grace expires are force-closed. Returns the listener close error, if any.
-func (s *Server) Shutdown(grace time.Duration) error {
-	err := s.Close()
-	deadline := time.Now().Add(grace)
-	//lint:ignore errdrop best-effort unblocking during grace drain; the force-close below is the backstop
-	s.eachConn(func(c net.Conn) { _ = c.SetReadDeadline(deadline) })
-
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(grace + 250*time.Millisecond):
-		//lint:ignore errdrop force-close of sessions that outlived the grace period; their handlers are being abandoned
-		s.eachConn(func(c net.Conn) { _ = c.Close() })
-		<-done
-	}
-	return err
+	return s.ln.Close()
 }
 
 // session is the per-connection protocol state: at most one open proof
@@ -251,8 +150,6 @@ func (s *session) dispatch(msg *sexp.Node) (payload *sexp.Node, quit bool) {
 			res = s.doc.Exec(arg.Atom)
 		}
 		return s.execReply(res), false
-	case "ExecBatch":
-		return s.execBatch(msg), false
 	case "Cancel":
 		if s.doc == nil {
 			return errPayload("no open document"), false
@@ -282,45 +179,6 @@ func (s *session) dispatch(msg *sexp.Node) (payload *sexp.Node, quit bool) {
 	default:
 		return errPayload("unknown command " + msg.Head()), false
 	}
-}
-
-// execBatch executes every sentence of an (ExecBatch "t1." "t2." ...)
-// request against the current tip: after an Applied sentence the document
-// is cancelled back, so each sentence sees the same parent state and the
-// tip is unchanged when the batch answer goes out. A malformed batch (no
-// sentences, a non-string argument, more than MaxBatch sentences) gets one
-// in-band Error answer for the whole batch and leaves the tip untouched.
-func (s *session) execBatch(msg *sexp.Node) *sexp.Node {
-	if s.doc == nil {
-		return errPayload("no open document")
-	}
-	n := len(msg.List) - 1
-	if n < 1 {
-		return errPayload("ExecBatch expects at least one tactic string")
-	}
-	if n > MaxBatch {
-		return errPayload(fmt.Sprintf("ExecBatch of %d sentences exceeds the limit of %d", n, MaxBatch))
-	}
-	for i := 1; i <= n; i++ {
-		if arg := msg.Nth(i); arg == nil || arg.IsList {
-			return errPayload("ExecBatch expects tactic strings")
-		}
-	}
-	base := s.doc.Len()
-	out := make([]*sexp.Node, 0, n+1)
-	out = append(out, sexp.Sym("Batch"))
-	for i := 1; i <= n; i++ {
-		res := s.doc.Exec(msg.Nth(i).Atom)
-		// execReply reads the post-execution tip (Proved, Fingerprint), so
-		// the rollback happens after the payload is rendered.
-		out = append(out, s.execReply(res))
-		if res.Status == checker.Applied {
-			if err := s.doc.Cancel(base); err != nil {
-				return errPayload(err.Error())
-			}
-		}
-	}
-	return sexp.L(out...)
 }
 
 func (s *session) newDoc(spec *sexp.Node) *sexp.Node {

@@ -97,6 +97,49 @@ func TestMalformedInputAnsweredNotDropped(t *testing.T) {
 	}
 }
 
+// ExecBatch was a request once and is no more: a client still sending it, in
+// any shape, gets one in-band (Error ...) answer, no sentence of the line
+// runs, and the session stays alive.
+func TestExecBatchMalformedAnsweredInBand(t *testing.T) {
+	_, addr := startServer(t)
+	s := rawDial(t, addr)
+
+	s.send("(ExecBatch \"intros.\")\n")
+	if p := s.answer().Nth(2); p.Head() != "Error" {
+		t.Fatalf("no-document batch: %s, want (Error ...)", p)
+	}
+
+	s.send("(NewDoc (Lemma app_nil_r))\n")
+	if ans := s.answer(); ans.Nth(2).Head() != "DocCreated" {
+		t.Fatalf("NewDoc answer %s", ans)
+	}
+	cases := []struct {
+		name string
+		line string
+	}{
+		{"well-formed batch", "(ExecBatch \"induction l.\" \"intros.\")\n"},
+		{"empty batch", "(ExecBatch)\n"},
+		{"list argument", "(ExecBatch (Foo))\n"},
+		{"list among strings", "(ExecBatch \"induction l.\" (Nested))\n"},
+		{"long batch", "(ExecBatch " + strings.Repeat("\"simpl.\" ", 65) + ")\n"},
+	}
+	for _, tc := range cases {
+		s.send(tc.line)
+		if p := s.answer().Nth(2); p.Head() != "Error" {
+			t.Errorf("%s: payload %s, want (Error ...)", tc.name, p)
+		}
+		// No sentence ran, so the script is still empty.
+		s.send("(Query Script)\n")
+		if p := s.answer().Nth(2); p.Head() != "Script" || p.Nth(1).Atom != "" {
+			t.Errorf("%s: script after batch line: %s", tc.name, p)
+		}
+	}
+	s.send("(Exec \"induction l.\")\n")
+	if p := s.answer().Nth(2); p.Head() != "Applied" {
+		t.Fatalf("session broken after batch lines: %s", p)
+	}
+}
+
 // Applied/Proved answers must carry the state fingerprint the Query
 // endpoint would report, so clients can cross-check in one round-trip.
 func TestExecAnswersCarryFingerprint(t *testing.T) {
@@ -134,87 +177,6 @@ func TestExecAnswersCarryFingerprint(t *testing.T) {
 	}
 	if !res.Proved || res.Fingerprint == "" {
 		t.Fatalf("Proved answer %+v must carry a fingerprint", res)
-	}
-}
-
-// Shutdown must drain: an idle session is unblocked by the grace deadline,
-// an in-flight request completes, and Serve returns nil.
-func TestGracefulShutdown(t *testing.T) {
-	c, err := corpus.Default()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(c.Env)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve() }()
-
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.NewDocLemma("plus_n_O"); err != nil {
-		t.Fatal(err)
-	}
-	shutDone := make(chan error, 1)
-	go func() { shutDone <- srv.Shutdown(500 * time.Millisecond) }()
-
-	// The open session keeps answering during the grace period.
-	if res, err := cl.Exec("induction n."); err != nil || res.Status != checker.Applied {
-		t.Fatalf("in-flight request during drain: %+v %v", res, err)
-	}
-	cl.Close()
-
-	select {
-	case err := <-shutDone:
-		if err != nil {
-			t.Fatalf("shutdown: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Shutdown did not return")
-	}
-	select {
-	case err := <-serveDone:
-		if err != nil {
-			t.Fatalf("Serve returned %v after graceful shutdown, want nil", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Serve did not return after shutdown")
-	}
-	if _, err := Dial(addr); err == nil {
-		t.Fatal("server still accepting after shutdown")
-	}
-}
-
-// Shutdown force-closes sessions that outlive the grace period instead of
-// hanging on them.
-func TestShutdownForceClosesStragglers(t *testing.T) {
-	c, err := corpus.Default()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(c.Env)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve() //nolint:errcheck
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Never send anything: the handler parks in ReadMsg.
-	start := time.Now()
-	if err := srv.Shutdown(100 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d > 3*time.Second {
-		t.Fatalf("shutdown hung %v on an idle session", d)
 	}
 }
 

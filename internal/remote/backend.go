@@ -81,10 +81,6 @@ func New(addr string, requestTimeout time.Duration) *Backend {
 	return &Backend{Addr: addr, RequestTimeout: requestTimeout}
 }
 
-// Close releases backend resources. Open documents hold their own
-// connections and must be closed by their owners.
-func (b *Backend) Close() error { return nil }
-
 // dial opens one wire connection, wrapping it with fault injection when a
 // plan is set. The protocol client's timeout is the per-request budget.
 func (b *Backend) dial() (*protocol.Client, error) {
@@ -186,27 +182,6 @@ func (d *wireDoc) Try(parent *tactic.State, path []string, sentence string) chec
 	return step
 }
 
-// TryBatch is Try for a whole expansion: every sentence is mirrored
-// locally (authoritative, exactly as Try), then the connected wire session
-// cross-checks all of them in one ExecBatch round trip through the same
-// ladder as Try.
-func (d *wireDoc) TryBatch(parent *tactic.State, path []string, sentences []string) []checker.Step {
-	steps := make([]checker.Step, len(sentences))
-	for i, sentence := range sentences {
-		res := checker.TryTactic(parent, sentence)
-		steps[i] = checker.Step{Status: res.Status, NumGoals: res.NumGoals, State: res.State, Err: res.Err}
-		if res.Status == checker.Applied {
-			steps[i].Proved = res.State.Done()
-		}
-	}
-	d.mu.Lock()
-	if d.cl != nil {
-		d.ladder(int64(len(sentences)), func() error { return d.wireBatch(path, sentences, steps) })
-	}
-	d.mu.Unlock()
-	return steps
-}
-
 // mismatchError marks a disagreement between wire and mirror — retried on
 // a fresh session before it counts as semantic.
 type mismatchError struct{ msg string }
@@ -216,20 +191,12 @@ type mismatchError struct{ msg string }
 // compares checker messages), so the render happens at construction.
 func (e *mismatchError) Error() string { return e.msg }
 
-// crossCheck runs the robustness ladder for one wire execution. Called
-// with d.mu held and d.cl non-nil.
+// crossCheck runs one wire execution through the robustness ladder. The
+// client's deadline bounds every request; a failed try is retried at once
+// on a fresh session, up to attempts tries; a mismatch that reproduces on a
+// fresh session counts as semantic; and when the tries run out the document
+// degrades to local-only execution. Called with d.mu held and d.cl non-nil.
 func (d *wireDoc) crossCheck(path []string, sentence string, local checker.Step) {
-	d.ladder(1, func() error { return d.wireStep(path, sentence, local) })
-}
-
-// ladder drives one wire exchange (one sentence or a batch) through the
-// robustness ladder. The client's deadline bounds every request; a failed
-// try is retried at once on a fresh session, up to attempts tries; a
-// mismatch that reproduces on a fresh session counts as semantic; and when
-// the tries run out the document degrades to local-only execution. checks
-// is the number of executions the exchange verifies, credited to
-// WireChecks on success. Called with d.mu held and d.cl non-nil.
-func (d *wireDoc) ladder(checks int64, step func() error) {
 	for try := 0; try < attempts; try++ {
 		if try > 0 {
 			d.be.Stats.Retries.Add(1)
@@ -237,10 +204,10 @@ func (d *wireDoc) ladder(checks int64, step func() error) {
 				continue
 			}
 		}
-		err := step()
+		err := d.wireStep(path, sentence, local)
 		if err == nil {
 			d.lastMismatch = ""
-			d.be.Stats.WireChecks.Add(checks)
+			d.be.Stats.WireChecks.Add(1)
 			return
 		}
 		if mm, ok := err.(*mismatchError); ok {
@@ -318,25 +285,4 @@ func (d *wireDoc) wireStep(path []string, sentence string, local checker.Step) e
 		d.wirePath = append(d.wirePath, sentence)
 	}
 	return compare(sentence, res, local)
-}
-
-// wireBatch aligns the session with path and cross-checks a whole
-// expansion in one ExecBatch round trip. The server cancels back to the
-// parent between sentences, so the tip — and d.wirePath — are unchanged
-// afterwards, and a retry after a transport failure can simply rerun the
-// batch.
-func (d *wireDoc) wireBatch(path []string, sentences []string, locals []checker.Step) error {
-	if err := d.align(path); err != nil {
-		return err
-	}
-	results, err := d.cl.ExecBatch(sentences)
-	if err != nil {
-		return err
-	}
-	for i, res := range results {
-		if err := compare(sentences[i], res, locals[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }

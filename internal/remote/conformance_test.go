@@ -102,11 +102,21 @@ func TestWireAnswerBytesMatchLocalSession(t *testing.T) {
 	}
 }
 
+// renderStep renders one step as a line, the unit the conformance tests
+// compare across backends.
+func renderStep(step checker.Step) string {
+	line := fmt.Sprintf("%v goals=%d proved=%v", step.Status, step.NumGoals, step.Proved)
+	if step.Status == checker.Applied {
+		return line + " fp=" + step.State.Fingerprint()
+	}
+	return line + " err=" + step.Err.Error()
+}
+
 // runScript drives one document in a best-first shape: at every node it
 // probes a sibling candidate ("simpl.") before the scripted tactic, which
 // exercises the remote session's cancel-and-replay alignment, then follows
-// the scripted tactic only where it applies. Every step is rendered to a
-// line — the conformance unit for backend comparison.
+// the scripted tactic only where it applies. Every step is rendered by
+// renderStep.
 func runScript(t testing.TB, be checker.Backend, env *kernel.Env, lemma string, script []string) []string {
 	t.Helper()
 	lem, ok := env.Lemmas[lemma]
@@ -118,22 +128,15 @@ func runScript(t testing.TB, be checker.Backend, env *kernel.Env, lemma string, 
 		t.Fatal(err)
 	}
 	defer doc.Close()
-	render := func(step checker.Step) string {
-		line := fmt.Sprintf("%v goals=%d proved=%v", step.Status, step.NumGoals, step.Proved)
-		if step.Status == checker.Applied {
-			return line + " fp=" + step.State.Fingerprint()
-		}
-		return line + " err=" + step.Err.Error()
-	}
 	parent := doc.Root()
 	var path []string
 	var lines []string
 	for _, tac := range script {
 		if !parent.Done() {
-			lines = append(lines, render(doc.Try(parent, path, "simpl.")))
+			lines = append(lines, renderStep(doc.Try(parent, path, "simpl.")))
 		}
 		step := doc.Try(parent, path, tac)
-		lines = append(lines, render(step))
+		lines = append(lines, renderStep(step))
 		if step.Status == checker.Applied {
 			parent = step.State
 			path = append(path, tac)

@@ -37,8 +37,8 @@ echo "==> go test -race -run TestGoldenDeterminism ./internal/eval"
 go test -race -run 'TestGoldenDeterminism$' ./internal/eval
 
 # The search-mode equivalence test is the load-bearing regression for the
-# search's execution strategies: batched wire execution must produce the
-# exact Result the lazy in-process search produces, under the race
+# search over the wire: a remote search, one sentence per round trip, must
+# produce the exact Result the in-process search produces, under the race
 # detector.
 echo "==> go test -race -run TestSearchModeEquivalence ./internal/core"
 go test -race -run 'TestSearchModeEquivalence$' ./internal/core
@@ -63,30 +63,33 @@ echo "==> go run ./cmd/lint -family typed -baseline lint_baseline.json ./..."
 go run ./cmd/lint -family typed -baseline lint_baseline.json ./...
 
 # The allocs/op ratchet: the frozen hot-path-allocation debt may only
-# shrink. 296 is the count since the remote backend's session pool and
-# circuit breaker (and the closure that built them) were deleted; a change
+# shrink. 293 is the count since batched wire execution (Client.ExecBatch,
+# the TryBatch closure and the crossCheck closure) was deleted; a change
 # that pushes it back up must instead fix the allocation it introduced.
 hotdebt=$(grep -c '"analyzer": "hotpathalloc"' lint_baseline.json || true)
-[ "$hotdebt" -le 296 ] || {
-	echo "check: FAIL: hotpathalloc baseline grew to $hotdebt entries (ratchet: <= 296)" >&2
+[ "$hotdebt" -le 293 ] || {
+	echo "check: FAIL: hotpathalloc baseline grew to $hotdebt entries (ratchet: <= 293)" >&2
 	exit 1
 }
-echo "check: hotpathalloc baseline at $hotdebt entries (ratchet: <= 296)"
+echo "check: hotpathalloc baseline at $hotdebt entries (ratchet: <= 293)"
 
 # Backend equivalence at full scale: the complete experiment sweep must
-# print byte-identical tables through the in-process backend, the remote
-# backend under an enabled fault schedule (every site firing), and the
-# proof store. Stats go to stderr; stdout is the comparable artifact.
+# print the committed seed-2025 tables through the in-process backend, and
+# byte-identical tables through the remote backend under an enabled fault
+# schedule (every site firing) and the proof store. Stats go to stderr;
+# stdout is the comparable artifact.
+oracle=sweepbench/testdata/tables-seed2025.txt
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 # The chaos schedules. Every site a schedule names must fire, or the
-# equivalence it buys is vacuous. The rates give each site ~10 or more
+# equivalence it buys is vacuous. Rates apply per request, and the wire
+# sends one request per sentence; the rates give each site ~10 or more
 # expected hits per run, so a zero means a broken site, not bad luck.
 # In the warm-store leg only the mirror re-searches reach the wire, about
 # 1/25 of the storeless leg's traffic, so its rates are higher.
-chaos='drop-conn=0.0005,stall=0.00006,corrupt-answer=0.0002,partial-write=0.0002'
-warmchaos='drop-conn=0.002,stall=0.002,corrupt-answer=0.001,partial-write=0.001'
+chaos='drop-conn=0.00025,stall=0.00003,corrupt-answer=0.0001,partial-write=0.0001'
+warmchaos='drop-conn=0.001,stall=0.001,corrupt-answer=0.0005,partial-write=0.0005'
 
 # check_chaos_leg LEG SPEC fails unless LEG's stderr shows a nonzero
 # wire-checks count and a nonzero hit count for every site named in SPEC. A
@@ -153,7 +156,14 @@ check_store_stats() {
 
 echo "==> experiments -all -backend=inprocess"
 go run ./cmd/experiments -all -seed 2025 >"$tmp/inprocess.out"
-echo "==> experiments -all -backend=remote (chaos schedule, batched wire)"
+# The in-process tables are the committed oracle, byte for byte. A change
+# that alters a table fails here until it regenerates the file and says so.
+cmp "$oracle" "$tmp/inprocess.out" || {
+	echo "check: FAIL: in-process -all -seed 2025 tables differ from $oracle" >&2
+	exit 1
+}
+echo "check: in-process tables match $oracle"
+echo "==> experiments -all -backend=remote (chaos schedule)"
 go run ./cmd/experiments -all -seed 2025 -backend=remote -wire-timeout 150ms \
 	-faults "$chaos" >"$tmp/chaos.out" 2>"$tmp/chaos.err" || {
 	cat "$tmp/chaos.err" >&2
@@ -200,6 +210,6 @@ for leg in pcache-cold pcache-warm pcache-chaos; do
 		exit 1
 	}
 done
-echo "check: backend equivalence holds (in-process = remote-batched+chaos = proof-cache cold/warm/chaos)"
+echo "check: backend equivalence holds (oracle = in-process = remote+chaos = proof-cache cold/warm/chaos)"
 
 echo "check: all gates passed"
