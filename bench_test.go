@@ -136,9 +136,10 @@ func BenchmarkRestrictEnv(b *testing.B) {
 }
 
 // BenchmarkFingerprintKey measures the 128-bit state key (what the search
-// seen-set hashes on) against rendering the textual fingerprint,
-// on the same one-intros-deep states as BenchmarkFingerprint. Fresh states
-// each iteration, so the per-state memo never amortizes the walk away.
+// seen-set hashes on and the wire carries) on fresh states one intros step
+// deep, so goals carry hypotheses: the dedup operation every search
+// candidate pays. Fresh states each iteration, so the per-state memo never
+// amortizes the walk away.
 func BenchmarkFingerprintKey(b *testing.B) {
 	b.ReportAllocs()
 	c := loadCorpus(b)
@@ -185,30 +186,6 @@ func BenchmarkSubstFastPath(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkFingerprint measures state fingerprinting on fresh states (one
-// intros step deep, so goals carry hypotheses), the dedup operation every
-// search candidate pays.
-func BenchmarkFingerprint(b *testing.B) {
-	b.ReportAllocs()
-	c := loadCorpus(b)
-	ths := c.Theorems
-	if len(ths) > 50 {
-		ths = ths[:50]
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, th := range ths {
-			st := tactic.NewState(c.Env, th.Stmt)
-			if ns, err := tactic.ApplySentence(st, "intros."); err == nil {
-				st = ns
-			}
-			if st.Fingerprint() == "" {
-				b.Fatal("empty fingerprint")
-			}
-		}
 	}
 }
 

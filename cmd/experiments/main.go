@@ -194,7 +194,7 @@ func main() {
 func faultSites() string {
 	var names []string
 	for _, s := range faultpoint.Sites() {
-		names = append(names, string(s))
+		names = append(names, s.String())
 	}
 	return strings.Join(names, ", ")
 }

@@ -238,8 +238,6 @@ func inDirs(fs []analysis.Finding, dirs []string) []analysis.Finding {
 }
 
 // loadCorpusDevelopment parses the embedded corpus into the analysis model.
-// Roots stay nil: the corpus is a benchmark (every lemma is an obligation),
-// so the dead-lemma analyzer runs in its no-roots mode.
 func loadCorpusDevelopment() (*analysis.Development, error) {
 	files, err := corpus.Sources()
 	if err != nil {

@@ -11,10 +11,10 @@
 //   - Corpus analyzers (family B) inspect the vernacular proof corpus via
 //     the parsed AST (internal/syntax) and the tactic-script AST
 //     (internal/tactic), and enforce that the embedded development is a
-//     genuine verified library: no unreachable lemmas (relative to a root
-//     set), no alpha-equivalent duplicate theorem statements, no named-but-
-//     unused intros hypotheses, no combinators wrapping tactics that can
-//     never apply, and no references escaping a file's import closure.
+//     genuine verified library: no alpha-equivalent duplicate theorem
+//     statements, no named-but-unused intros hypotheses, no combinators
+//     wrapping tactics that can never apply, and no references escaping a
+//     file's import closure.
 //
 // The package uses only the Go standard library plus this module's own
 // syntax/kernel/tactic layers; it has no dependency on internal/corpus, so
@@ -85,13 +85,11 @@ func All() []*Analyzer {
 		analyzerDeterminism,
 		analyzerMapOrder,
 		analyzerGoroutine,
-		analyzerFaultpoint,
 		analyzerInternKernel,
 		analyzerHotPathAlloc,
 		analyzerKernelMutate,
 		analyzerAtomicMix,
 		analyzerErrDrop,
-		analyzerDeadLemma,
 		analyzerDupStmt,
 		analyzerIntrosHyps,
 		analyzerNoProgress,

@@ -48,8 +48,6 @@ type DevLemma struct {
 	// the corpus loader is the authority on script validity).
 	Script    []tactic.Expr
 	ScriptErr error
-	StmtRefs  map[string]bool
-	ProofRefs map[string]bool
 }
 
 // DevFile is one parsed file of the development.
@@ -66,14 +64,6 @@ type Development struct {
 	Files   []*DevFile
 	Symbols map[string]*Symbol
 	Lemmas  []*DevLemma
-	// Hinted holds lemma/rule names registered by Hint declarations.
-	Hinted map[string]bool
-	// Roots configures the dead-lemma analyzer. nil means benchmark mode:
-	// every lemma is its own proof obligation (as in this repository's
-	// corpus), so no lemma is dead by construction. Setting Roots switches
-	// to library mode: only lemmas reachable from Roots (or hinted) are
-	// alive.
-	Roots []string
 
 	moduleFile        map[string]string // module name -> display path
 	suppressions      []suppression
@@ -86,7 +76,6 @@ type Development struct {
 func ParseDevelopment(files []VFile) (*Development, error) {
 	dev := &Development{
 		Symbols:    map[string]*Symbol{},
-		Hinted:     map[string]bool{},
 		moduleFile: map[string]string{},
 	}
 	// Pass 1: parse every file, collect declarations and the symbol table.
@@ -151,10 +140,6 @@ func (dev *Development) declareSymbols(file string, sd syntax.SpannedDecl) {
 		put(d.Name, "def")
 	case syntax.DLemma:
 		put(d.Name, "lemma")
-	case syntax.DHint:
-		for _, n := range d.Names {
-			dev.Hinted[n] = true
-		}
 	}
 }
 
@@ -200,27 +185,17 @@ func (dev *Development) buildDecl(file string, sd syntax.SpannedDecl) DevDecl {
 	case syntax.DLemma:
 		decl.Kind, decl.Name = "lemma", d.Name
 		lem := &DevLemma{Name: d.Name, File: file, Line: sd.Line, Stmt: d.Stmt}
-		stmtRefs := newRefSet(dev.Symbols)
-		stmtRefs.addForm(d.Stmt)
-		lem.StmtRefs = stmtRefs.set
-		proofRefs := newRefSet(dev.Symbols)
+		refs.addForm(d.Stmt)
 		script, err := tactic.ParseScript(d.Proof)
 		if err != nil {
 			lem.ScriptErr = err
 		} else {
 			lem.Script = script
 			for _, e := range script {
-				proofRefs.addExpr(e)
+				refs.addExpr(e)
 			}
 		}
-		lem.ProofRefs = proofRefs.set
 		dev.Lemmas = append(dev.Lemmas, lem)
-		for n := range lem.StmtRefs {
-			refs.addName(n)
-		}
-		for n := range lem.ProofRefs {
-			refs.addName(n)
-		}
 	}
 	decl.Refs = refs.sorted()
 	return decl
@@ -250,16 +225,6 @@ func (dev *Development) ImportClosure(file string) map[string]bool {
 		visit(f)
 	}
 	return out
-}
-
-// LemmaNamed returns a lemma by name.
-func (dev *Development) LemmaNamed(name string) (*DevLemma, bool) {
-	for _, l := range dev.Lemmas {
-		if l.Name == name {
-			return l, true
-		}
-	}
-	return nil, false
 }
 
 // ---------------------------------------------------------------------------

@@ -347,7 +347,7 @@ func TestSelect(t *testing.T) {
 	if err != nil || len(azs) != 2 {
 		t.Fatalf("enable list: %d analyzers, err %v", len(azs), err)
 	}
-	azs, err = Select("", "deadlemma")
+	azs, err = Select("", "noprogress")
 	if err != nil || len(azs) != len(All())-1 {
 		t.Fatalf("disable list: %d analyzers, err %v", len(azs), err)
 	}

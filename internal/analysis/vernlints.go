@@ -36,77 +36,24 @@ var sweeperTactics = map[string]bool{
 }
 
 // ---------------------------------------------------------------------------
-// deadlemma
-
-var analyzerDeadLemma = &Analyzer{
-	Name: "deadlemma",
-	Doc: "flags lemmas unreachable from the development's roots through the " +
-		"proof/statement dependency graph (hinted lemmas count as roots). " +
-		"With no roots configured the development is benchmark mode — every " +
-		"lemma is its own proof obligation — and nothing is dead by construction",
-	Corpus: runDeadLemma,
-}
-
-func runDeadLemma(dev *Development) []Finding {
-	if dev.Roots == nil {
-		return nil
-	}
-	alive := map[string]bool{}
-	var queue []string
-	mark := func(name string) {
-		if lem, ok := dev.LemmaNamed(name); ok && !alive[lem.Name] {
-			alive[lem.Name] = true
-			queue = append(queue, lem.Name)
-		}
-	}
-	for _, r := range dev.Roots {
-		mark(r)
-	}
-	for h := range dev.Hinted {
-		mark(h)
-	}
-	for len(queue) > 0 {
-		name := queue[0]
-		queue = queue[1:]
-		lem, _ := dev.LemmaNamed(name)
-		for ref := range lem.StmtRefs {
-			mark(ref)
-		}
-		for ref := range lem.ProofRefs {
-			mark(ref)
-		}
-	}
-	var out []Finding
-	for _, lem := range dev.Lemmas {
-		if !alive[lem.Name] {
-			out = append(out, Finding{
-				Analyzer: "deadlemma", File: lem.File, Line: lem.Line,
-				Message: "lemma " + lem.Name + " is not reachable from any root or hint; it is dead code",
-			})
-		}
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
 // dupstmt
 
 var analyzerDupStmt = &Analyzer{
 	Name: "dupstmt",
 	Doc: "flags theorem statements that are alpha-equivalent to an earlier one " +
-		"(same fingerprint under positional binder renaming): the later lemma " +
+		"(same fingerprint key under positional binder renaming): the later lemma " +
 		"restates existing work under a new name",
 	Corpus: runDupStmt,
 }
 
 func runDupStmt(dev *Development) []Finding {
-	first := map[string]*DevLemma{}
+	first := map[[2]uint64]*DevLemma{}
 	var out []Finding
 	for _, lem := range dev.Lemmas {
 		if lem.Stmt == nil {
 			continue
 		}
-		fp := lem.Stmt.Fingerprint()
+		fp := lem.Stmt.FingerprintKey()
 		if prev, dup := first[fp]; dup {
 			out = append(out, Finding{
 				Analyzer: "dupstmt", File: lem.File, Line: lem.Line,

@@ -23,38 +23,6 @@ func runCorpusOne(t *testing.T, a *Analyzer, dev *Development) []Finding {
 	return RunCorpus([]*Analyzer{a}, dev)
 }
 
-// --- deadlemma -------------------------------------------------------------
-
-const deadLemmaFixture = preludeFixture + `
-Lemma helper : forall (n : nat), n = n.
-Proof. intros. reflexivity. Qed.
-
-Lemma orphan : O = O.
-Proof. reflexivity. Qed.
-
-Lemma hinted_orphan : S O = S O.
-Proof. reflexivity. Qed.
-
-Hint Resolve hinted_orphan.
-
-Lemma main_spec : forall (m : nat), m = m.
-Proof. intros. apply helper. Qed.
-`
-
-func TestDeadLemmaFires(t *testing.T) {
-	dev := mustDev(t, VFile{Name: "A.v", Module: "A", Src: deadLemmaFixture})
-	dev.Roots = []string{"main_spec"}
-	got := runCorpusOne(t, analyzerDeadLemma, dev)
-	wantFindings(t, got, "deadlemma: lemma orphan is not reachable")
-}
-
-func TestDeadLemmaBenchmarkModeClean(t *testing.T) {
-	// No roots = benchmark mode: every lemma is an obligation, none dead.
-	dev := mustDev(t, VFile{Name: "A.v", Module: "A", Src: deadLemmaFixture})
-	got := runCorpusOne(t, analyzerDeadLemma, dev)
-	wantFindings(t, got)
-}
-
 // --- dupstmt ---------------------------------------------------------------
 
 func TestDupStmtFires(t *testing.T) {
@@ -235,11 +203,10 @@ Lemma l : O = O.
 Proof. try (((. Qed.
 `
 	dev := mustDev(t, VFile{Name: "A.v", Module: "A", Src: src})
-	lem, ok := dev.LemmaNamed("l")
-	if !ok {
-		t.Fatal("lemma not found")
+	if len(dev.Lemmas) != 1 || dev.Lemmas[0].Name != "l" {
+		t.Fatalf("lemmas %v, want [l]", dev.Lemmas)
 	}
-	if lem.ScriptErr == nil {
+	if lem := dev.Lemmas[0]; lem.ScriptErr == nil {
 		t.Fatal("want a script parse error")
 	}
 	for _, a := range []*Analyzer{analyzerIntrosHyps, analyzerNoProgress} {

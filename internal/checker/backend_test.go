@@ -25,7 +25,7 @@ func TestInProcessBackendMatchesSession(t *testing.T) {
 	defer doc.Close()
 
 	sess := NewSession(c.Env, lem.Stmt)
-	if doc.Root().Fingerprint() != sess.Fingerprint() {
+	if doc.Root().FingerprintKey() != sess.Tip().FingerprintKey() {
 		t.Fatal("backend root state differs from session root")
 	}
 	script := []string{"induction l.", "reflexivity.", "simpl.", "rewrite IHl.", "reflexivity."}
@@ -40,8 +40,8 @@ func TestInProcessBackendMatchesSession(t *testing.T) {
 		if step.Status != Applied {
 			t.Fatalf("step %d: %q not applied: %v", i, tac, step.Err)
 		}
-		if step.State.Fingerprint() != sess.Fingerprint() {
-			t.Fatalf("step %d: fingerprints diverge", i)
+		if step.State.FingerprintKey() != sess.Tip().FingerprintKey() {
+			t.Fatalf("step %d: fingerprint keys diverge", i)
 		}
 		if step.NumGoals != res.NumGoals {
 			t.Fatalf("step %d: goals %d vs %d", i, step.NumGoals, res.NumGoals)

@@ -175,7 +175,3 @@ func (s *Session) Script() []string { return append([]string(nil), s.script...) 
 
 // Goals renders the current goals for display.
 func (s *Session) Goals() string { return s.Tip().String() }
-
-// Fingerprint returns the canonical identifier of the current state, used
-// by the search for duplicate-state pruning.
-func (s *Session) Fingerprint() string { return s.Tip().Fingerprint() }

@@ -39,7 +39,7 @@ func TestSessionCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp0 := s.Fingerprint()
+	fp0 := s.Tip().FingerprintKey()
 	if res := s.Exec("induction l."); res.Status != Applied {
 		t.Fatal(res.Err)
 	}
@@ -49,7 +49,7 @@ func TestSessionCancel(t *testing.T) {
 	if err := s.Cancel(0); err != nil {
 		t.Fatal(err)
 	}
-	if s.Fingerprint() != fp0 {
+	if s.Tip().FingerprintKey() != fp0 {
 		t.Fatal("cancel did not restore the initial state")
 	}
 	if err := s.Cancel(5); err == nil {

@@ -15,7 +15,7 @@ import (
 )
 
 // pseudoProposer builds a stateless pseudo-random proposer: the slate is a
-// pure function of (case seed, parent fingerprint, path), so every search
+// pure function of (case seed, parent fingerprint key, path), so every search
 // mode sees identical candidates no matter how expansions are scheduled.
 // A stateful rng would couple the slates to call order and make the
 // equivalence assertion vacuous.
@@ -28,7 +28,7 @@ func pseudoProposer(seed uint64, width int) Proposer {
 	}
 	return func(st *tactic.State, path []string) []model.Candidate {
 		h := fnv.New64a()
-		fmt.Fprintf(h, "%d|%s", seed, st.Fingerprint())
+		fmt.Fprintf(h, "%d|%x", seed, st.FingerprintKey())
 		for _, p := range path {
 			fmt.Fprintf(h, "|%s", p)
 		}

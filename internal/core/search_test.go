@@ -12,14 +12,6 @@ import (
 	"llmfscq/internal/tactic"
 )
 
-// scriptedProposer replays a fixed map from goal fingerprints to candidate
-// lists, for deterministic search-behavior tests.
-func scripted(plan map[string][]model.Candidate) Proposer {
-	return func(st *tactic.State, path []string) []model.Candidate {
-		return plan[st.Goals[0].Fingerprint()]
-	}
-}
-
 func loadEnv(t testing.TB) (*kernel.Env, *corpus.Corpus) {
 	t.Helper()
 	c, err := corpus.Default()

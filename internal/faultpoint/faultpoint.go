@@ -6,11 +6,14 @@
 //
 // The package is built around three rules:
 //
-//  1. The site registry is closed. Every site is a package-level Site
-//     constant listed in Sites(); Fire panics on anything else, and the
-//     `faultpoint` analyzer in internal/analysis rejects call sites that
-//     name a site outside the registry. A chaos schedule can therefore be
-//     audited by reading one file.
+//  1. Sites cannot be spelled as strings. A Site's name is unexported, so
+//     outside this package the compiler rejects Fire("drop-conn") and
+//     Site("drop-conn"), and a site is one of the registry variables listed
+//     in Sites(). Those variables must never be reassigned: the type cannot
+//     stop an importer from writing DropConn = Stall, which would alias two
+//     sites. Fire panics on the zero Site, the other value a caller can
+//     construct. A chaos schedule can therefore be audited by reading one
+//     file.
 //
 //  2. Schedules are seeded. An Injector draws from its own rand.Rand,
 //     derived from (plan seed, injector id), so a chaos run is replayable:
@@ -31,9 +34,12 @@ import (
 	"sync"
 )
 
-// Site names one fault-injection site. The constants below are the entire
-// registry; Fire panics on any other value.
-type Site string
+// Site names one fault-injection site. The variables below are the entire
+// registry and must never be reassigned; Fire panics on any other value.
+type Site struct{ name string }
+
+// String returns the site's name in schedule specs.
+func (s Site) String() string { return s.name }
 
 // The fault-site registry. Each site models one failure mode of the wire
 // between the search and a remote checker:
@@ -42,11 +48,11 @@ type Site string
 //	Stall         the peer stops answering until the read deadline fires
 //	CorruptAnswer the answer arrives with flipped bytes
 //	PartialWrite  the connection dies mid-request, after a partial write
-const (
-	DropConn      Site = "drop-conn"
-	Stall         Site = "stall"
-	CorruptAnswer Site = "corrupt-answer"
-	PartialWrite  Site = "partial-write"
+var (
+	DropConn      = Site{"drop-conn"}
+	Stall         = Site{"stall"}
+	CorruptAnswer = Site{"corrupt-answer"}
+	PartialWrite  = Site{"partial-write"}
 )
 
 // Sites returns the full registry in a fixed order.
@@ -54,10 +60,11 @@ func Sites() []Site {
 	return []Site{DropConn, Stall, CorruptAnswer, PartialWrite}
 }
 
-var registered = func() map[Site]bool {
-	m := make(map[Site]bool, len(Sites()))
+// registered maps each site's schedule name to the site.
+var registered = func() map[string]Site {
+	m := make(map[string]Site, len(Sites()))
 	for _, s := range Sites() {
-		m[s] = true
+		m[s.name] = s
 	}
 	return m
 }()
@@ -93,8 +100,8 @@ func ParsePlan(seed int64, spec string) (*Plan, error) {
 		if !ok {
 			return nil, fmt.Errorf("faultpoint: bad schedule entry %q (want site=rate)", part)
 		}
-		site := Site(strings.TrimSpace(name))
-		if !registered[site] {
+		site, ok := registered[strings.TrimSpace(name)]
+		if !ok {
 			return nil, fmt.Errorf("faultpoint: unknown site %q (registry: %v)", name, Sites())
 		}
 		rate, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
@@ -187,9 +194,9 @@ type Injector struct {
 }
 
 // Fire reports whether the named site fires now, consuming one RNG draw
-// when the site is enabled. Panics on a site outside the registry — the
-// registry is closed, and an unknown name is a programming error the
-// `faultpoint` lint also catches statically.
+// when the site is enabled. Panics on a site outside the registry (the zero
+// Site): the registry is closed, and passing anything else is a programming
+// error.
 func (in *Injector) Fire(site Site) bool {
 	mustBeRegistered(site)
 	if in == nil {
@@ -219,7 +226,7 @@ func (in *Injector) Hits(site Site) int {
 }
 
 func mustBeRegistered(site Site) {
-	if !registered[site] {
+	if _, ok := registered[site.name]; !ok {
 		panic(fmt.Sprintf("faultpoint: site %q is not in the registry %v", site, Sites()))
 	}
 }

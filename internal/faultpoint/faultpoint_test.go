@@ -110,5 +110,5 @@ func TestUnregisteredSitePanics(t *testing.T) {
 		}
 	}()
 	p, _ := ParsePlan(1, "stall=1")
-	p.Injector(0).Fire(Site("made-up"))
+	p.Injector(0).Fire(Site{})
 }

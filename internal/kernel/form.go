@@ -407,20 +407,10 @@ func (f *Form) write(b *strings.Builder, outerPrec int) {
 	}
 }
 
-// Fingerprint returns a canonical string for the formula with bound
-// variables alpha-renamed to positional names. Two alpha-equivalent formulas
-// have identical fingerprints. This textual form is kept for the wire
-// protocol's cross-checks and for display; internal pruning compares
-// FingerprintKey, a 128-bit hash of exactly this byte stream.
-func (f *Form) Fingerprint() string {
-	var b strings.Builder
-	f.fingerprint(&b, map[string]string{}, new(int))
-	return b.String()
-}
-
-// fingerprint writes the canonical serialization to any fpSink — a
-// strings.Builder for the textual fingerprint, an fpHash for the key.
-func (f *Form) fingerprint(b fpSink, ren map[string]string, ctr *int) {
+// fingerprint hashes the canonical serialization of the formula, with bound
+// variables alpha-renamed to positional names, into b. Two alpha-equivalent
+// formulas write the same bytes, so they get the same FingerprintKey.
+func (f *Form) fingerprint(b *fpHash, ren map[string]string, ctr *int) {
 	if f == nil {
 		b.WriteString("#nil")
 		return
@@ -449,9 +439,17 @@ func (f *Form) fingerprint(b fpSink, ren map[string]string, ctr *int) {
 		f.L.fingerprint(b, ren, ctr)
 		b.WriteByte(')')
 	case FAnd, FOr, FImpl, FIff:
-		ops := map[FormKind]string{FAnd: "&", FOr: "|", FImpl: ">", FIff: "<>"}
-		b.WriteString("(")
-		b.WriteString(ops[f.Kind])
+		b.WriteByte('(')
+		switch f.Kind {
+		case FAnd:
+			b.WriteString("&")
+		case FOr:
+			b.WriteString("|")
+		case FImpl:
+			b.WriteString(">")
+		default:
+			b.WriteString("<>")
+		}
 		b.WriteByte(' ')
 		f.L.fingerprint(b, ren, ctr)
 		b.WriteByte(' ')
@@ -480,9 +478,9 @@ func (f *Form) fingerprint(b fpSink, ren map[string]string, ctr *int) {
 	}
 }
 
-// fingerprintTerm renders a term canonically: match-pattern binders are
+// fingerprintTerm hashes a term canonically: match-pattern binders are
 // renamed positionally so alpha-variant stuck matches coincide.
-func fingerprintTerm(t *Term, b fpSink, ren map[string]string, ctr *int) {
+func fingerprintTerm(t *Term, b *fpHash, ren map[string]string, ctr *int) {
 	switch {
 	case t == nil:
 		b.WriteString("#nil")
@@ -503,23 +501,7 @@ func fingerprintTerm(t *Term, b fpSink, ren map[string]string, ctr *int) {
 				for k, v := range ren {
 					inner[k] = v
 				}
-				// Rename binders in pattern order for determinism.
-				var walk func(p *Term)
-				walk = func(p *Term) {
-					switch {
-					case p == nil:
-					case p.Var != "":
-						if _, done := inner[p.Var]; !done || ren[p.Var] == inner[p.Var] {
-							*ctr++
-							inner[p.Var] = fpMatchBinderName(*ctr)
-						}
-					default:
-						for _, a := range p.Args {
-							walk(a)
-						}
-					}
-				}
-				walk(c.Pat)
+				renamePatBinders(c.Pat, ren, inner, ctr)
 			}
 			b.WriteString(" [")
 			fingerprintTerm(c.Pat, b, inner, ctr)
@@ -533,12 +515,30 @@ func fingerprintTerm(t *Term, b fpSink, ren map[string]string, ctr *int) {
 			b.WriteString(t.Fun)
 			return
 		}
-		b.WriteString("(" + t.Fun)
+		b.WriteByte('(')
+		b.WriteString(t.Fun)
 		for _, a := range t.Args {
 			b.WriteByte(' ')
 			fingerprintTerm(a, b, ren, ctr)
 		}
 		b.WriteByte(')')
+	}
+}
+
+// renamePatBinders gives the pattern's binders positional names in inner,
+// in pattern order for determinism.
+func renamePatBinders(p *Term, ren, inner map[string]string, ctr *int) {
+	switch {
+	case p == nil:
+	case p.Var != "":
+		if _, done := inner[p.Var]; !done || ren[p.Var] == inner[p.Var] {
+			*ctr++
+			inner[p.Var] = fpMatchBinderName(*ctr)
+		}
+	default:
+		for _, a := range p.Args {
+			renamePatBinders(a, ren, inner, ctr)
+		}
 	}
 }
 

@@ -42,31 +42,31 @@ func (formValue) Generate(rng *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(formValue{F: genForm(rng, 4)})
 }
 
-// Fingerprint is stable and reflexive.
+// The fingerprint key is stable and reflexive.
 func TestFingerprintStable(t *testing.T) {
-	f := func(v formValue) bool { return v.F.Fingerprint() == v.F.Fingerprint() }
+	f := func(v formValue) bool { return v.F.FingerprintKey() == v.F.FingerprintKey() }
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Alpha-renaming a binder does not change the fingerprint.
+// Alpha-renaming a binder does not change the fingerprint key.
 func TestFingerprintAlphaInsensitive(t *testing.T) {
 	f := func(v formValue) bool {
 		a := Forall("a", Ty("nat"), v.F.Subst1("x", V("a")))
 		b := Forall("b", Ty("nat"), v.F.Subst1("x", V("b")))
-		return a.Fingerprint() == b.Fingerprint()
+		return a.FingerprintKey() == b.FingerprintKey()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Distinct free variables yield distinct fingerprints.
+// Distinct free variables yield distinct fingerprint keys.
 func TestFingerprintFreeVarsMatter(t *testing.T) {
 	a := Eq(V("x"), A("O"))
 	b := Eq(V("y"), A("O"))
-	if a.Fingerprint() == b.Fingerprint() {
+	if a.FingerprintKey() == b.FingerprintKey() {
 		t.Fatal("free variables conflated")
 	}
 }

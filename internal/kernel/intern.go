@@ -739,15 +739,6 @@ func MkType(name string, args []*Type, tvar bool) *Type { return mkType(name, ar
 // ---------------------------------------------------------------------------
 // Alpha-insensitive fingerprint keys.
 
-// fpSink abstracts the byte stream the canonical fingerprint serialization
-// is written to: a strings.Builder for the textual form, an fpHash for the
-// 128-bit key. Both receive exactly the same bytes, so the key is a hash of
-// the textual fingerprint by construction.
-type fpSink interface {
-	WriteString(s string) (int, error)
-	WriteByte(c byte) error
-}
-
 // fpHash hashes the fingerprint byte stream into two independent lanes.
 type fpHash struct{ a, b uint64 }
 

@@ -230,30 +230,36 @@ func TestInternConcurrent(t *testing.T) {
 	}
 }
 
-// TestFingerprintKeyMatchesTextual: the key is a hash of exactly the bytes
-// of the textual fingerprint, so equal fingerprints force equal keys and
-// (for the generator's corpus) distinct fingerprints give distinct keys.
+// TestFingerprintKeyMatchesTextual pins the byte stream the key walk
+// hashes: for one formula per branch of the walk, the key is the hash of
+// the canonical text spelled out here. A change to the walk that changes
+// any key (and with it every duplicate-state decision) fails here.
 func TestFingerprintKeyMatchesTextual(t *testing.T) {
-	byFP := map[string][2]uint64{}
-	for seed := int64(0); seed < 60; seed++ {
-		f := internGenForm(rand.New(rand.NewSource(seed)), 4)
-		fp, key := f.Fingerprint(), f.FingerprintKey()
-		h := newFPHash()
-		h.WriteString(fp) //nolint:errcheck
-		if [2]uint64{h.a, h.b} != key {
-			t.Fatalf("seed %d: FingerprintKey is not the hash of the textual fingerprint", seed)
-		}
-		if prev, ok := byFP[fp]; ok && prev != key {
-			t.Fatalf("seed %d: same fingerprint, different keys", seed)
-		}
-		byFP[fp] = key
+	cases := []struct {
+		f    *Form
+		text string
+	}{
+		{True(), "T"},
+		{False(), "F"},
+		{Eq(V("x"), A("O")), "(= x O)"},
+		{Pred("le", V("n"), A("S", A("O"))), "(P le n (S O))"},
+		{Not(True()), "(~ T)"},
+		{And(True(), False()), "(& T F)"},
+		{Or(True(), False()), "(| T F)"},
+		{Impl(True(), False()), "(> T F)"},
+		{Iff(True(), False()), "(<> T F)"},
+		{Forall("n", Ty("nat"), Exists("m", Ty("nat"), Eq(V("n"), V("m")))), "(Ab1 (Eb2 (= b1 b2)))"},
+		{Eq(NewMatch(V("l"), []MatchCase{
+			{Pat: A("nil"), RHS: A("O")},
+			{Pat: A("cons", V("x"), V("t")), RHS: A("S", V("x"))},
+		}), A("O")), "(= (m l [nil O] [(cons mb1 mb2) (S mb1)]) O)"},
 	}
-	keys := map[[2]uint64]string{}
-	for fp, k := range byFP {
-		if other, ok := keys[k]; ok && other != fp {
-			t.Fatalf("key collision between %q and %q", fp, other)
+	for _, tc := range cases {
+		h := newFPHash()
+		h.WriteString(tc.text) //nolint:errcheck
+		if got := tc.f.FingerprintKey(); got != [2]uint64{h.a, h.b} {
+			t.Errorf("%s: key %x is not the hash of %q", tc.f, got, tc.text)
 		}
-		keys[k] = fp
 	}
 }
 
@@ -327,11 +333,6 @@ func FuzzIntern(f *testing.F) {
 		fm := Forall(v, Ty("nat"), Eq(tm, V(v)))
 		if fm.FingerprintKey() != Forall(v, Ty("nat"), Eq(tm, V(v))).FingerprintKey() {
 			t.Fatalf("equal forms disagree on FingerprintKey")
-		}
-		h := newFPHash()
-		h.WriteString(fm.Fingerprint()) //nolint:errcheck
-		if [2]uint64{h.a, h.b} != fm.FingerprintKey() {
-			t.Fatalf("FingerprintKey is not the hash of the textual fingerprint")
 		}
 	})
 }

@@ -140,21 +140,20 @@ type ExecResult struct {
 	NumGoals int
 	Proved   bool
 	Message  string
-	// Fingerprint is the canonical state fingerprint after an Applied or
-	// Proved answer, carried inline so mirror cross-checks need no second
-	// round-trip.
-	Fingerprint string
+	// Key is the state's FingerprintKey after an Applied or Proved answer,
+	// carried inline so mirror cross-checks need no second round trip.
+	Key [2]uint64
 }
 
 // execPayload decodes an Applied/Proved/Timeout/Rejected answer payload.
 func execPayload(p *sexp.Node) (ExecResult, error) {
 	switch p.Head() {
 	case "Proved":
-		fp, err := fpOf(p)
+		key, err := fpOf(p)
 		if err != nil {
 			return ExecResult{}, err
 		}
-		return ExecResult{Status: checker.Applied, Proved: true, Fingerprint: fp}, nil
+		return ExecResult{Status: checker.Applied, Proved: true, Key: key}, nil
 	case "Applied":
 		// The server always encodes (Applied (Goals n) ...); a missing or
 		// non-numeric count is a wire fault, not an empty goal set.
@@ -162,11 +161,11 @@ func execPayload(p *sexp.Node) (ExecResult, error) {
 		if err != nil {
 			return ExecResult{}, fmt.Errorf("%w %s: %v", errMalformed, p, err)
 		}
-		fp, err := fpOf(p)
+		key, err := fpOf(p)
 		if err != nil {
 			return ExecResult{}, err
 		}
-		return ExecResult{Status: checker.Applied, NumGoals: n, Fingerprint: fp}, nil
+		return ExecResult{Status: checker.Applied, NumGoals: n, Key: key}, nil
 	case "Timeout":
 		return ExecResult{Status: checker.Timeout}, nil
 	case "Rejected":
@@ -179,15 +178,23 @@ func execPayload(p *sexp.Node) (ExecResult, error) {
 	return ExecResult{}, fmt.Errorf("protocol: unexpected payload %s", p)
 }
 
-// fpOf extracts the (Fp "...") field of an Applied/Proved payload; a
-// payload without one has the empty fingerprint.
-func fpOf(p *sexp.Node) (string, error) {
+// fpOf decodes the (Fp key) field of an Applied/Proved payload. The server
+// always sends one, so a missing or misspelled key is a wire fault.
+func fpOf(p *sexp.Node) ([2]uint64, error) {
 	for i := 1; i < len(p.List); i++ {
 		if child := p.Nth(i); child.Head() == "Fp" {
-			return atomArg(child)
+			s, err := atomArg(child)
+			if err != nil {
+				return [2]uint64{}, err
+			}
+			key, ok := parseKey(s)
+			if !ok {
+				return [2]uint64{}, errMalformed
+			}
+			return key, nil
 		}
 	}
-	return "", nil
+	return [2]uint64{}, errMalformed
 }
 
 // Exec runs one tactic sentence.
@@ -208,15 +215,6 @@ func (c *Client) Cancel(n int) error {
 // Goals returns the pretty-printed current goals.
 func (c *Client) Goals() (string, error) {
 	p, err := c.roundTrip(sexp.L(sexp.Sym("Query"), sexp.Sym("Goals")))
-	if err != nil {
-		return "", err
-	}
-	return atomArg(p)
-}
-
-// Fingerprint returns the canonical state fingerprint.
-func (c *Client) Fingerprint() (string, error) {
-	p, err := c.roundTrip(sexp.L(sexp.Sym("Query"), sexp.Sym("Fingerprint")))
 	if err != nil {
 		return "", err
 	}

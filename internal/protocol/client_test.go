@@ -43,7 +43,6 @@ var clientCalls = map[string]func(*Client) error{
 	"Add":         func(c *Client) error { return c.Add("intros.") },
 	"Cancel":      func(c *Client) error { return c.Cancel(0) },
 	"Goals":       func(c *Client) error { _, err := c.Goals(); return err },
-	"Fingerprint": func(c *Client) error { _, err := c.Fingerprint(); return err },
 	"Script":      func(c *Client) error { _, err := c.Script(); return err },
 }
 
@@ -59,6 +58,9 @@ func TestClientRejectsShortAnswers(t *testing.T) {
 		{"Exec", "(Answer 1 (Rejected))\n"},
 		{"NewDocLemma", "(Answer 1 (DocCreated))\n"},
 		{"Exec", "(Answer 1 (Applied (Goals 1) (Fp)))\n"},
+		{"Exec", "(Answer 1 (Proved))\n"},
+		{"Exec", "(Answer 1 (Applied (Goals 1) (Fp abc)))\n"},
+		{"Exec", "(Answer 1 (Proved (Fp 0123456789ABCDEF0123456789abcdef)))\n"},
 	}
 	for _, tc := range cases {
 		c, hangUp := answerOnce(tc.answer)
@@ -96,6 +98,8 @@ func FuzzClientAnswer(f *testing.F) {
 	f.Add("(Bye)")
 	f.Add("((((")
 	f.Add("")
+	f.Add("(Answer 1 (Proved (Fp 0123456789abcdef0123456789abcdef)))")
+	f.Add("(Answer 1 " + strings.Repeat("(", 1000) + strings.Repeat(")", 1001))
 	f.Fuzz(func(t *testing.T, answer string) {
 		line := answer
 		if i := strings.IndexByte(line, '\n'); i >= 0 {

@@ -28,6 +28,7 @@ func FuzzReadMsg(f *testing.F) {
 	f.Add("(Answer 1 (Applied (Goals 2) (Fp \"abc\")))\n")
 	f.Add("(Ping)\n")
 	f.Add("(Answer 3 (Pong))\n")
+	f.Add(strings.Repeat("(", 1000) + strings.Repeat(")", 1000) + "\n(Quit)\n")
 	f.Fuzz(func(t *testing.T, data string) {
 		const limit = 1 << 12 // small limit so fuzzing reaches the drain path
 		r := bufio.NewReaderSize(strings.NewReader(data), 64)
@@ -91,7 +92,7 @@ func FuzzParseRequest(f *testing.F) {
 	f.Add("(ExecBatch \"intros.\" (Nested (List)))")
 	f.Add("(ExecBatch " + strings.Repeat("\"simpl.\" ", 65) + ")")
 	f.Add("(Query Goals)")
-	f.Add("(Query Fingerprint)")
+	f.Add("(Query Fingerprint)") // no longer a query: the unknown-query path
 	f.Add("(Query Script)")
 	f.Add("(Query Frob)")
 	f.Add("(Ping)") // not a request: the unknown-request path

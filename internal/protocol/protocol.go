@@ -15,28 +15,28 @@
 //	(Exec)                         execute the queued sentences in order
 //	(Cancel n)                     roll back to n executed sentences
 //	(Query Goals)                  pretty-printed goals
-//	(Query Fingerprint)            canonical state fingerprint
 //	(Query Script)                 executed sentences
 //	(Quit)                         close the connection
 //
 // Answers, where k numbers the answers of a session from 1:
 //
 //	(Answer k (DocCreated "statement"))
-//	(Answer k (Applied (Goals n) (Fp "fp")))
-//	(Answer k (Proved (Fp "fp")))
+//	(Answer k (Applied (Goals n) (Fp key)))
+//	(Answer k (Proved (Fp key)))
 //	(Answer k (Rejected "message"))
 //	(Answer k (Timeout))
 //	(Answer k (Added n)) / (Answer k (Cancelled n))
-//	(Answer k (Goals "text")) / (Answer k (Fingerprint "fp")) / ...
+//	(Answer k (Goals "text")) / (Answer k (Script "text"))
 //	(Answer k (Error "message"))
 //	(Answer k (Bye))
 //
 // A line that does not parse, and a request the server does not know, get
 // an in-band (Error ...) answer; the session survives both.
 //
-// Applied/Proved answers carry the canonical state fingerprint so a client
-// can cross-check a remote execution against a local mirror in one
-// round-trip; see internal/remote.
+// Applied/Proved answers carry the state's 128-bit FingerprintKey (see
+// internal/tactic) as key, 32 lowercase hex digits with the high word
+// first, so a client can cross-check a remote execution against a local
+// mirror in one round trip; see internal/remote.
 package protocol
 
 import (
@@ -44,6 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 
 	"llmfscq/internal/sexp"
 )
@@ -134,4 +135,30 @@ func Answer(k int, payload *sexp.Node) *sexp.Node {
 // ErrorAnswer builds an (Answer k (Error "msg")) message.
 func ErrorAnswer(k int, msg string) *sexp.Node {
 	return Answer(k, sexp.L(sexp.Sym("Error"), sexp.Str(msg)))
+}
+
+const hexDigits = "0123456789abcdef"
+
+// formatKey spells a proof-state key as the (Fp key) field carries it.
+func formatKey(k [2]uint64) string {
+	var b [32]byte
+	for i := range b {
+		b[i] = hexDigits[k[i/16]>>(60-4*(i%16))&0xf]
+	}
+	return string(b[:])
+}
+
+// parseKey decodes formatKey's spelling; anything else is not a key.
+func parseKey(s string) (k [2]uint64, ok bool) {
+	if len(s) != 32 {
+		return k, false
+	}
+	for i := 0; i < len(s); i++ {
+		d := strings.IndexByte(hexDigits, s[i])
+		if d < 0 {
+			return [2]uint64{}, false
+		}
+		k[i/16] = k[i/16]<<4 | uint64(d)
+	}
+	return k, true
 }

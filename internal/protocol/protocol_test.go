@@ -84,26 +84,22 @@ func TestProtocolRejectionAndCancel(t *testing.T) {
 	if res.Status != checker.Rejected {
 		t.Fatalf("status %v", res.Status)
 	}
-	fp0, err := cl.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
+	goals0, err := cl.Goals()
+	if err != nil || goals0 == "" {
+		t.Fatalf("goals: %q %v", goals0, err)
 	}
-	if _, err := cl.Exec("intros."); err != nil {
+	intros, err := cl.Exec("intros.")
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.Cancel(0); err != nil {
 		t.Fatal(err)
 	}
-	fp1, err := cl.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
+	if goals1, err := cl.Goals(); err != nil || goals1 != goals0 {
+		t.Fatalf("cancel did not restore the state: %q (%v), want %q", goals1, err, goals0)
 	}
-	if fp0 != fp1 {
-		t.Fatal("cancel did not restore the state")
-	}
-	goals, err := cl.Goals()
-	if err != nil || goals == "" {
-		t.Fatalf("goals: %q %v", goals, err)
+	if again, err := cl.Exec("intros."); err != nil || again.Key != intros.Key {
+		t.Fatalf("re-executing after cancel: key %x (%v), want %x", again.Key, err, intros.Key)
 	}
 }
 

@@ -96,9 +96,9 @@ func errPayload(msg string) *sexp.Node {
 	return sexp.L(sexp.Sym("Error"), sexp.Str(msg))
 }
 
-// fpField renders the (Fp "...") field of Applied/Proved payloads.
+// fpField renders the (Fp key) field of Applied/Proved payloads.
 func fpField(doc *checker.Session) *sexp.Node {
-	return sexp.L(sexp.Sym("Fp"), sexp.Str(doc.Fingerprint()))
+	return sexp.L(sexp.Sym("Fp"), sexp.Sym(formatKey(doc.Tip().FingerprintKey())))
 }
 
 // execReply classifies a checker.Result into the wire payload.
@@ -169,8 +169,6 @@ func (s *session) dispatch(msg *sexp.Node) (payload *sexp.Node, quit bool) {
 		switch {
 		case msg.Nth(1).IsSym("Goals"):
 			return sexp.L(sexp.Sym("Goals"), sexp.Str(s.doc.Goals())), false
-		case msg.Nth(1).IsSym("Fingerprint"):
-			return sexp.L(sexp.Sym("Fingerprint"), sexp.Str(s.doc.Fingerprint())), false
 		case msg.Nth(1).IsSym("Script"):
 			return sexp.L(sexp.Sym("Script"), sexp.Str(strings.Join(s.doc.Script(), " "))), false
 		default:

@@ -66,6 +66,10 @@ func TestMalformedInputAnsweredNotDropped(t *testing.T) {
 		{"oversized line", "(Exec \"" + strings.Repeat("a", MaxLineBytes+1024) + "\")\n"},
 		{"unknown command", "(Frobnicate 1)\n"},
 		{"bad cancel arg", "(Cancel x)\n"},
+		{"removed fingerprint query", "(Query Fingerprint)\n"},
+		// The longest line the reader accepts, all '(': the parser's
+		// nesting bound rejects it without growing the stack.
+		{"1 MiB of open parens", strings.Repeat("(", MaxLineBytes-1) + "\n"},
 	}
 	s := rawDial(t, addr)
 	// One open doc so command-shaped errors exercise dispatch, not just the
@@ -140,43 +144,30 @@ func TestExecBatchMalformedAnsweredInBand(t *testing.T) {
 	}
 }
 
-// Applied/Proved answers must carry the state fingerprint the Query
-// endpoint would report, so clients can cross-check in one round-trip.
+// Applied/Proved answers must carry the key of the server session's state,
+// through a render/parse round trip, so clients can cross-check in one round
+// trip.
 func TestExecAnswersCarryFingerprint(t *testing.T) {
-	_, addr := startServer(t)
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+	sess := &session{env: fuzzEnv(t)}
+	if p, _ := sess.dispatch(mustParse(t, "(NewDoc (Lemma app_nil_r))")); p.Head() != "DocCreated" {
+		t.Fatalf("NewDoc answer %s", p)
 	}
-	defer cl.Close()
-	if _, err := cl.NewDocLemma("app_nil_r"); err != nil {
-		t.Fatal(err)
-	}
-	res, err := cl.Exec("induction l.")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Fingerprint == "" {
-		t.Fatal("Applied answer without fingerprint")
-	}
-	fp, err := cl.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp != res.Fingerprint {
-		t.Fatalf("inline fp %q != queried fp %q", res.Fingerprint, fp)
-	}
-	for _, tac := range []string{"reflexivity.", "simpl.", "rewrite IHl."} {
-		if res, err = cl.Exec(tac); err != nil {
-			t.Fatal(err)
+	var res ExecResult
+	for _, tac := range []string{"induction l.", "reflexivity.", "simpl.", "rewrite IHl.", "reflexivity."} {
+		p, _ := sess.dispatch(sexp.L(sexp.Sym("Exec"), sexp.Str(tac)))
+		var err error
+		if res, err = execPayload(mustParse(t, p.String())); err != nil {
+			t.Fatalf("%q: %v", tac, err)
+		}
+		if res.Status != checker.Applied {
+			t.Fatalf("%q: %v %s", tac, res.Status, res.Message)
+		}
+		if want := sess.doc.Tip().FingerprintKey(); res.Key != want {
+			t.Fatalf("%q: inline key %x, session key %x", tac, res.Key, want)
 		}
 	}
-	res, err = cl.Exec("reflexivity.")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Proved || res.Fingerprint == "" {
-		t.Fatalf("Proved answer %+v must carry a fingerprint", res)
+	if !res.Proved {
+		t.Fatalf("final answer %+v is not Proved", res)
 	}
 }
 
@@ -270,7 +261,7 @@ func TestConcurrentSessionsRace(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := cl.Fingerprint(); err != nil {
+				if _, err := cl.Goals(); err != nil {
 					errs <- err
 					return
 				}

@@ -264,8 +264,8 @@ func compare(sentence string, res protocol.ExecResult, local checker.Step) error
 			return &mismatchError{msg: fmt.Sprintf("remote: wire/mirror mismatch: %q: wire proved=%v goals=%d, mirror proved=%v goals=%d",
 				sentence, res.Proved, res.NumGoals, local.Proved, local.NumGoals)}
 		}
-		if fp := local.State.Fingerprint(); res.Fingerprint != fp {
-			return &mismatchError{msg: fmt.Sprintf("remote: wire/mirror mismatch: %q: wire fp %s, mirror fp %s", sentence, res.Fingerprint, fp)}
+		if key := local.State.FingerprintKey(); res.Key != key {
+			return &mismatchError{msg: fmt.Sprintf("remote: wire/mirror mismatch: %q: wire key %x, mirror key %x", sentence, res.Key, key)}
 		}
 	}
 	return nil

@@ -80,14 +80,14 @@ func TestWireAnswerBytesMatchLocalSession(t *testing.T) {
 		for i, tac := range ps.script {
 			got := roundTripRaw(sexp.L(sexp.Sym("Exec"), sexp.Str(tac)))
 			res := sess.Exec(tac)
+			key := sess.Tip().FingerprintKey()
+			fp := sexp.L(sexp.Sym("Fp"), sexp.Sym(fmt.Sprintf("%016x%016x", key[0], key[1])))
 			var payload *sexp.Node
 			switch {
 			case res.Status == checker.Applied && sess.Proved():
-				payload = sexp.L(sexp.Sym("Proved"), sexp.L(sexp.Sym("Fp"), sexp.Str(sess.Fingerprint())))
+				payload = sexp.L(sexp.Sym("Proved"), fp)
 			case res.Status == checker.Applied:
-				payload = sexp.L(sexp.Sym("Applied"),
-					sexp.L(sexp.Sym("Goals"), sexp.Int(res.NumGoals)),
-					sexp.L(sexp.Sym("Fp"), sexp.Str(sess.Fingerprint())))
+				payload = sexp.L(sexp.Sym("Applied"), sexp.L(sexp.Sym("Goals"), sexp.Int(res.NumGoals)), fp)
 			case res.Status == checker.Timeout:
 				payload = sexp.L(sexp.Sym("Timeout"))
 			default:
@@ -107,7 +107,7 @@ func TestWireAnswerBytesMatchLocalSession(t *testing.T) {
 func renderStep(step checker.Step) string {
 	line := fmt.Sprintf("%v goals=%d proved=%v", step.Status, step.NumGoals, step.Proved)
 	if step.Status == checker.Applied {
-		return line + " fp=" + step.State.Fingerprint()
+		return line + fmt.Sprintf(" key=%x", step.State.FingerprintKey())
 	}
 	return line + " err=" + step.Err.Error()
 }

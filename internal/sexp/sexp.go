@@ -10,14 +10,25 @@
 //	string := '"' (escaped chars) '"'
 //
 // Atoms are kept as raw strings; numbers are atoms whose text parses as an
-// integer. Strings preserve arbitrary bytes via backslash escapes.
+// integer. Strings preserve arbitrary bytes via backslash escapes. Lists
+// nest at most maxDepth deep; deeper input is a parse error, so a hostile
+// line cannot grow the parser's stack without bound.
 package sexp
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 )
+
+// maxDepth bounds list nesting. The wire protocol's deepest message nests
+// three lists deep.
+const maxDepth = 64
+
+// errTooDeep is returned for input nesting deeper than maxDepth. It is a
+// sentinel so that rejecting deep input allocates nothing.
+var errTooDeep = errors.New("sexp: lists nest deeper than 64")
 
 // Node is an S-expression node: either an atom/string leaf or a list.
 type Node struct {
@@ -130,8 +141,9 @@ func ParseAll(input string) ([]*Node, error) {
 }
 
 type parser struct {
-	src string
-	pos int
+	src   string
+	pos   int
+	depth int // lists open at pos
 }
 
 func (p *parser) skipSpace() {
@@ -157,6 +169,10 @@ func (p *parser) parseNode() (*Node, error) {
 	}
 	switch c := p.src[p.pos]; {
 	case c == '(':
+		if p.depth == maxDepth {
+			return nil, errTooDeep
+		}
+		p.depth++
 		p.pos++
 		n := &Node{IsList: true}
 		for {
@@ -166,6 +182,7 @@ func (p *parser) parseNode() (*Node, error) {
 			}
 			if p.src[p.pos] == ')' {
 				p.pos++
+				p.depth--
 				return n, nil
 			}
 			child, err := p.parseNode()

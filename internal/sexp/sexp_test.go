@@ -1,8 +1,10 @@
 package sexp
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -21,13 +23,26 @@ func TestParseBasics(t *testing.T) {
 	if got, _ := n.Nth(2).Nth(1).AsInt(); got != 2 {
 		t.Fatalf("int arg %d", got)
 	}
+	// Nesting up to the bound parses, and the depth count resets between
+	// the top-level expressions of one input.
+	if _, err := ParseAll(nested(maxDepth) + nested(maxDepth)); err != nil {
+		t.Fatalf("depth %d: %v", maxDepth, err)
+	}
+}
+
+// nested returns depth lists, each holding the next: "((...))".
+func nested(depth int) string {
+	return strings.Repeat("(", depth) + strings.Repeat(")", depth)
 }
 
 func TestParseErrors(t *testing.T) {
-	for _, bad := range []string{"(", ")", `"unterminated`, "(a (b)"} {
+	for _, bad := range []string{"(", ")", `"unterminated`, "(a (b)", nested(maxDepth + 1)} {
 		if _, _, err := Parse(bad); err == nil {
 			t.Errorf("no error for %q", bad)
 		}
+	}
+	if _, _, err := Parse(strings.Repeat("(", 1<<20)); !errors.Is(err, errTooDeep) {
+		t.Errorf("1 MiB of '(': error %v, want the nesting bound", err)
 	}
 }
 

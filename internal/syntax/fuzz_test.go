@@ -47,7 +47,7 @@ func FuzzParseForm(f *testing.F) {
 		// A successfully parsed formula must print and fingerprint without
 		// panicking.
 		_ = form.String()
-		_ = form.Fingerprint()
+		_ = form.FingerprintKey()
 	})
 }
 

@@ -1,19 +1,18 @@
 package tactic
 
 import (
-	"strings"
 	"testing"
 
 	"llmfscq/internal/kernel"
 )
 
-// TestFingerprintJoinCollision is the regression test for the old goal
+// TestFingerprintJoinCollision is the regression test for an old goal
 // fingerprint join: hypothesis fingerprints were joined with "|" and the
 // conclusion appended after "⊢", with no framing, so a single hypothesis
 // whose fingerprint contained the separator collided with a pair of
 // hypotheses. The two goals below are distinct states — a search must not
 // prune one as a duplicate of the other — yet their hypothesis fingerprints
-// concatenate identically under the old scheme.
+// concatenated identically under the old scheme.
 func TestFingerprintJoinCollision(t *testing.T) {
 	pair := &Goal{
 		Hyps:  []Hyp{{Name: "H", Form: kernel.Pred("a")}, {Name: "H0", Form: kernel.Pred("b")}},
@@ -21,46 +20,24 @@ func TestFingerprintJoinCollision(t *testing.T) {
 	}
 	single := &Goal{
 		// One predicate whose name smuggles the old separator: its
-		// fingerprint "(P a)|(P b)" equals the pair's joined fingerprints.
+		// fingerprint "(P a)|(P b)" equalled the pair's joined fingerprints.
 		Hyps:  []Hyp{{Name: "H", Form: kernel.Pred("a)|(P b")}},
 		Concl: kernel.True(),
-	}
-
-	// The premise of the regression: under the old unframed join these two
-	// goals really did collide.
-	oldScheme := func(g *Goal) string {
-		var fps []string
-		for _, h := range g.Hyps {
-			fps = append(fps, h.Form.Fingerprint())
-		}
-		return strings.Join(fps, "|") + "⊢" + g.Concl.Fingerprint()
-	}
-	if oldScheme(pair) != oldScheme(single) {
-		t.Fatalf("premise broken: the old join scheme no longer collides on this pair:\n%q\n%q",
-			oldScheme(pair), oldScheme(single))
-	}
-
-	if pair.Fingerprint() == single.Fingerprint() {
-		t.Fatalf("distinct goals share a fingerprint: %q", pair.Fingerprint())
 	}
 	if pair.FingerprintKey() == single.FingerprintKey() {
 		t.Fatalf("distinct goals share a fingerprint key")
 	}
-
 	sPair := &State{Goals: []*Goal{pair}}
 	sSingle := &State{Goals: []*Goal{single}}
-	if sPair.Fingerprint() == sSingle.Fingerprint() {
-		t.Fatalf("distinct states share a fingerprint")
-	}
 	if sPair.FingerprintKey() == sSingle.FingerprintKey() {
 		t.Fatalf("distinct states share a fingerprint key")
 	}
 }
 
-// TestGoalKeysConsistent pins the correspondence between the textual and
-// 128-bit identities: fingerprint-equal goals get equal keys, and the
-// strict key separates goals that differ only in hypothesis names (which
-// the alpha-insensitive fingerprint deliberately identifies).
+// TestGoalKeysConsistent pins the correspondence between the two 128-bit
+// identities: alpha-variant goals share a fingerprint key, and the strict
+// key separates goals that differ only in hypothesis and variable names
+// (which the alpha-insensitive fingerprint key deliberately identifies).
 func TestGoalKeysConsistent(t *testing.T) {
 	mk := func(hypName, varName string) *Goal {
 		return &Goal{
@@ -70,9 +47,6 @@ func TestGoalKeysConsistent(t *testing.T) {
 		}
 	}
 	a, b := mk("H", "n"), mk("H7", "m")
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatalf("alpha-variant goals should share the textual fingerprint")
-	}
 	if a.FingerprintKey() != b.FingerprintKey() {
 		t.Fatalf("alpha-variant goals should share the fingerprint key")
 	}

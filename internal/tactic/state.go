@@ -70,8 +70,7 @@ type Goal struct {
 	// same value.
 	// Constructors and Clone leave them empty so in-place edits on fresh
 	// copies cannot see a stale value.
-	fp        atomic.Pointer[string]    // textual Fingerprint (boundary/display)
-	fpk       atomic.Pointer[[2]uint64] // FingerprintKey (pruning)
+	fpk       atomic.Pointer[[2]uint64] // FingerprintKey (pruning, wire identity)
 	strictKey atomic.Pointer[[2]uint64] // StrictKey (outcome-key identity)
 }
 
@@ -84,7 +83,6 @@ type State struct {
 
 	// Lazily memoized identities (states are immutable once built; memos
 	// are atomic for the same sharing reasons as Goal's).
-	fp        atomic.Pointer[string]
 	fpk       atomic.Pointer[[2]uint64]
 	strictKey atomic.Pointer[[2]uint64]
 }
@@ -224,7 +222,7 @@ func (g *Goal) String() string {
 
 // StrictKey returns a 128-bit hash of the goal's concrete identity: variable
 // names and types, hypothesis names and formulas, and the conclusion, all via
-// the kernel's stored strict structural hashes. Where Fingerprint
+// the kernel's stored strict structural hashes. Where FingerprintKey
 // deliberately forgets variable and hypothesis names (for duplicate-state
 // pruning), StrictKey keeps them: tactics observe concrete names, so keys
 // on proof states must use this identity. Equal keys coincide (w.h.p.)
@@ -251,49 +249,12 @@ func (g *Goal) StrictKey() [2]uint64 {
 	return k
 }
 
-// fpRen builds the positional context-variable renaming shared by
-// Fingerprint and FingerprintKey.
-func (g *Goal) fpRen() kernel.Subst {
-	ren := make(kernel.Subst, len(g.Vars))
-	for i, v := range g.Vars {
-		ren[v.Name] = kernel.V(vName(i))
-	}
-	return ren
-}
-
-// Fingerprint returns a canonical identifier for the goal: hypotheses are
-// alpha-insensitive to their names, sorted, and the conclusion fingerprinted.
-// Each hypothesis fingerprint is length-prefixed so the joined string is
-// unambiguous: without the prefix, a single hypothesis whose fingerprint
-// happens to contain the join separator collides with a pair of hypotheses.
-// Kept textual for the wire-protocol boundary and display; search-internal
-// pruning uses FingerprintKey.
-func (g *Goal) Fingerprint() string {
-	if p := g.fp.Load(); p != nil {
-		return *p
-	}
-	ren := g.fpRen()
-	hyps := make([]string, 0, len(g.Hyps))
-	for _, h := range g.Hyps {
-		hyps = append(hyps, h.Form.SubstTerm(ren).Fingerprint())
-	}
-	sort.Strings(hyps)
-	var b strings.Builder
-	for _, h := range hyps {
-		fmt.Fprintf(&b, "%d:%s|", len(h), h)
-	}
-	b.WriteString("⊢")
-	b.WriteString(g.Concl.SubstTerm(ren).Fingerprint())
-	s := b.String()
-	g.fp.Store(&s)
-	return s
-}
-
-// FingerprintKey is the 128-bit equivalent of Fingerprint: per-hypothesis
-// alpha-insensitive keys (context variables renamed positionally by seeding
-// the fingerprint walk, which is equivalent to substituting first), sorted,
-// combined with the conclusion key. Equal keys coincide (w.h.p.) with equal
-// textual fingerprints, with no substitution walk and no rendering.
+// FingerprintKey is the goal's 128-bit identity for duplicate-state
+// pruning: per-hypothesis alpha-insensitive keys (context variables renamed
+// positionally by seeding the fingerprint walk, which is equivalent to
+// substituting first), sorted, combined with the conclusion key. Goals that
+// differ only in hypothesis names, context-variable names or bound-variable
+// names share a key.
 func (g *Goal) FingerprintKey() [2]uint64 {
 	if p := g.fpk.Load(); p != nil {
 		return *p
@@ -337,28 +298,12 @@ type fpkScratch struct {
 
 var fpkPool = sync.Pool{New: func() any { return &fpkScratch{ren: map[string]string{}} }}
 
-// Fingerprint of the whole state: concatenation over goals. Goal order
-// matters (the focused goal differs).
-func (s *State) Fingerprint() string {
-	if len(s.Goals) == 0 {
-		return "<proved>"
-	}
-	if p := s.fp.Load(); p != nil {
-		return *p
-	}
-	parts := make([]string, len(s.Goals))
-	for i, g := range s.Goals {
-		parts[i] = g.Fingerprint()
-	}
-	fp := strings.Join(parts, " || ")
-	s.fp.Store(&fp)
-	return fp
-}
-
 // provedKey is the FingerprintKey of the empty (proved) state.
 var provedKey = [2]uint64{0x70726f766564, 0x646576726f7270}
 
-// FingerprintKey is the 128-bit equivalent of the state Fingerprint.
+// FingerprintKey is the state's 128-bit identity: the goals' keys in order
+// (goal order matters, since the focused goal differs). The search prunes on
+// it, and the wire carries it in every Applied or Proved answer.
 func (s *State) FingerprintKey() [2]uint64 {
 	if len(s.Goals) == 0 {
 		return provedKey

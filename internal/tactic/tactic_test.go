@@ -379,11 +379,11 @@ func TestFingerprintDetectsLoops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1.Fingerprint() != s3.Fingerprint() {
-		t.Fatal("fingerprint not stable under involution")
+	if s1.FingerprintKey() != s3.FingerprintKey() {
+		t.Fatal("fingerprint key not stable under involution")
 	}
-	if s1.Fingerprint() == s2.Fingerprint() {
-		t.Fatal("fingerprint conflates distinct states")
+	if s1.FingerprintKey() == s2.FingerprintKey() {
+		t.Fatal("fingerprint key conflates distinct states")
 	}
 }
 
@@ -400,34 +400,34 @@ func TestStatePrinting(t *testing.T) {
 	}
 }
 
-// Fingerprints are memoized on goals and states; the memo must never leak
-// through Clone (whose result is mutated in place by tactics) and must stay
-// equal to a fresh computation after tactic application.
+// Fingerprint keys are memoized on goals and states; the memo must never
+// leak through Clone (whose result is mutated in place by tactics) and must
+// stay equal to a fresh computation after tactic application.
 func TestFingerprintMemoization(t *testing.T) {
 	env := buildEnv(t)
 	goal := stmt(t, env, "forall (n m : nat), plus n m = plus n m")
 	st := NewState(env, goal)
-	fp1 := st.Fingerprint()
-	if fp1 != st.Fingerprint() {
-		t.Fatal("memoized fingerprint differs from first computation")
+	fp1 := st.FingerprintKey()
+	if fp1 != st.FingerprintKey() {
+		t.Fatal("memoized fingerprint key differs from first computation")
 	}
 	ns, err := ApplySentence(st, "intros.")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ns.Fingerprint() == fp1 {
-		t.Fatal("distinct states share a fingerprint")
+	if ns.FingerprintKey() == fp1 {
+		t.Fatal("distinct states share a fingerprint key")
 	}
 	// A clone mutated after its parent was fingerprinted must re-derive.
 	g := st.Goals[0]
-	_ = g.Fingerprint()
+	_ = g.FingerprintKey()
 	ng := g.Clone()
 	ng.Concl = ns.Goals[0].Concl
-	if ng.Fingerprint() == g.Fingerprint() {
-		t.Fatal("clone inherited a stale memoized fingerprint")
+	if ng.FingerprintKey() == g.FingerprintKey() {
+		t.Fatal("clone inherited a stale memoized fingerprint key")
 	}
 	// Fresh equal states agree with memoized ones.
-	if NewState(env, goal).Fingerprint() != fp1 {
-		t.Fatal("memoized fingerprint diverged from a fresh computation")
+	if NewState(env, goal).FingerprintKey() != fp1 {
+		t.Fatal("memoized fingerprint key diverged from a fresh computation")
 	}
 }
