@@ -1,7 +1,7 @@
 // Package bench holds micro-benchmarks of the layers under the experiment
 // sweep: proof checking, tokenizing, similarity, prompt assembly, env
 // restriction, state fingerprints, substitution and the typed lint tier.
-// The sweep itself, `go run ./cmd/experiments -all`, is measured at full
+// The sweep itself, `go run ./cmd/experiments`, is measured at full
 // scale by the harness in sweepbench/, which times every table and figure
 // of the paper's evaluation section.
 package bench

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"strings"
 
 	"llmfscq/internal/core"
@@ -23,12 +24,17 @@ func main() {
 		theorem   = flag.String("theorem", "", "corpus theorem to prove (empty: list all)")
 		modelName = flag.String("model", "GPT-4o", "model profile (substring match)")
 		setting   = flag.String("setting", "hint", "prompt setting: vanilla or hint")
-		seed      = flag.Int64("seed", 2025, "experiment seed")
+		seed      = flag.Int64("seed", 2025, "sampling seed")
 		fuel      = flag.Int("fuel", 128, "model query limit")
 		width     = flag.Int("width", 8, "search width")
 		reduced   = flag.Bool("reduced", false, "use the §4.3 dependency-reduced context")
 	)
 	flag.Parse()
+	set, err := parseSetting(*setting)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	c, err := corpus.Default()
 	if err != nil {
@@ -64,10 +70,6 @@ func main() {
 	if !found {
 		log.Fatalf("unknown model %q", *modelName)
 	}
-	set := prompt.Vanilla
-	if *setting == "hint" {
-		set = prompt.Hint
-	}
 
 	r := eval.NewRunner(c, *seed)
 	r.QueryLimit = *fuel
@@ -94,4 +96,15 @@ func main() {
 		fmt.Printf("tokens:    generated %d vs human %d; similarity %.3f\n",
 			out.GenTokens, out.HumanTokens, out.Similarity)
 	}
+}
+
+// parseSetting reads the -setting flag: exactly "vanilla" or "hint".
+func parseSetting(s string) (prompt.Setting, error) {
+	switch s {
+	case "vanilla":
+		return prompt.Vanilla, nil
+	case "hint":
+		return prompt.Hint, nil
+	}
+	return 0, fmt.Errorf("unknown -setting %q (want vanilla or hint)", s)
 }

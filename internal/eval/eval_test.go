@@ -1,7 +1,7 @@
 package eval
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 
 	"llmfscq/internal/core"
@@ -33,6 +33,19 @@ func TestTestSetExcludesHints(t *testing.T) {
 		if r.HintSet[th.Name] {
 			t.Fatalf("hint theorem %s in test set", th.Name)
 		}
+	}
+}
+
+// The seed is only the sampling seed: every runner evaluates the paper's
+// one hint split.
+func TestNewRunnerKeepsPaperSplit(t *testing.T) {
+	r, c := runner(t)
+	r5 := NewRunner(c, 5)
+	if r5.Seed != 5 {
+		t.Fatalf("Seed = %d, want 5", r5.Seed)
+	}
+	if !reflect.DeepEqual(r5.HintSet, r.HintSet) {
+		t.Fatal("seed 5 drew a different hint split than seed 2025")
 	}
 }
 
@@ -90,30 +103,6 @@ func TestFoundProofsReplay(t *testing.T) {
 	}
 }
 
-func TestSweepTables(t *testing.T) {
-	r, _ := runner(t)
-	ths := r.TestSet()
-	if len(ths) > 20 {
-		ths = ths[:20]
-	}
-	sweep := NewSweep()
-	for _, setting := range []prompt.Setting{prompt.Vanilla, prompt.Hint} {
-		sweep.Add(model.GPT4o.Name, setting.String(), r.RunSweep(model.GPT4o, setting, ths))
-	}
-	fig1a := sweep.Figure1a()
-	if !strings.Contains(fig1a, "GPT-4o") || !strings.Contains(fig1a, "overall") {
-		t.Fatalf("Figure 1a rendering:\n%s", fig1a)
-	}
-	t1 := sweep.Table1("GPT-4o")
-	if !strings.Contains(t1, "Utilities") || !strings.Contains(t1, "File System") {
-		t.Fatalf("Table 1 rendering:\n%s", t1)
-	}
-	t2 := sweep.Table2()
-	if !strings.Contains(t2, "proved") || !strings.Contains(t2, "similarity") {
-		t.Fatalf("Table 2 rendering:\n%s", t2)
-	}
-}
-
 // Runner copies — the ablation sweeps' `rr := *r` — share the model's
 // lemma table: one table over the corpus, built once, whichever copy
 // searches first, and not grown by the searches that read it.
@@ -150,20 +139,6 @@ func TestBins(t *testing.T) {
 	}
 	if BinLabel(0) != "<16" || BinLabel(NumBins()-1) != ">=512" {
 		t.Fatalf("labels: %s %s", BinLabel(0), BinLabel(NumBins()-1))
-	}
-}
-
-func TestSubsampleDeterministic(t *testing.T) {
-	r, _ := runner(t)
-	a := r.Subsample(r.TestSet(), 0.1)
-	b := r.Subsample(r.TestSet(), 0.1)
-	if len(a) != len(b) || len(a) == 0 {
-		t.Fatalf("sizes %d %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Name != b[i].Name {
-			t.Fatal("subsample not deterministic")
-		}
 	}
 }
 

@@ -35,41 +35,25 @@ func Units(jobs []GridJob) []GridUnit {
 	return units
 }
 
-// GridShape allocates the result matrix for jobs: out[i][t] receives the
-// Outcome of unit {i, t}. Merging results into fixed coordinates, rather
-// than appending in completion order, keeps the serial and pooled
-// schedules byte-identical.
-func GridShape(jobs []GridJob) [][]Outcome {
-	out := make([][]Outcome, len(jobs))
-	for i := range jobs {
-		out[i] = make([]Outcome, len(jobs[i].Theorems))
-	}
-	return out
-}
-
 // RunGrid evaluates the whole (model, setting) × theorem job matrix through
 // one bounded worker pool, instead of parallelizing only within a sweep and
 // idling the pool between sweeps. Every unit is an independent search with
 // its own jobSeed-derived RNG, so the schedule cannot influence any
-// outcome: results land at fixed (job, theorem) coordinates and are
-// byte-identical across Parallelism settings.
+// outcome: out[i][t] receives the Outcome of unit {i, t}, whatever order
+// the units finish in, so results are byte-identical across Parallelism
+// settings.
 func (r *Runner) RunGrid(jobs []GridJob) [][]Outcome {
-	out := GridShape(jobs)
+	out := make([][]Outcome, len(jobs))
+	for i := range jobs {
+		out[i] = make([]Outcome, len(jobs[i].Theorems))
+	}
 	units := Units(jobs)
 	run := func(u GridUnit) {
 		j := jobs[u.Job]
 		out[u.Job][u.Th] = r.RunTheorem(j.Profile, j.Setting, j.Theorems[u.Th])
 	}
-	par := r.Parallelism
-	if par > len(units) {
-		par = len(units)
-	}
-	if par <= 1 {
-		for _, u := range units {
-			run(u)
-		}
-		return out
-	}
+	// One worker takes the units in order, as a serial loop would.
+	par := max(1, min(r.Parallelism, len(units)))
 	// Workers pull the next unit off a shared counter; no per-unit
 	// goroutine and no channel churn for ~2,500-unit grids.
 	var next atomic.Int64

@@ -9,12 +9,12 @@ import (
 )
 
 // TestGoldenDeterminism is the load-bearing regression for the performance
-// layer: the same grid evaluated serially (Parallelism=1), with a wide
-// worker pool (Parallelism=8), and through the grid scheduler must produce
-// identical []Outcome — and byte-equal rendered tables — for two models in
-// both settings. Every cache and the scheduler sit on this path, so any
-// schedule- or sharing-dependence shows up here (and under -race via
-// scripts/check.sh).
+// layer: the same grid evaluated sweep by sweep by one worker
+// (Parallelism=1) and by a wide worker pool (Parallelism=8), and as one
+// grid, must produce identical []Outcome — and byte-equal rendered tables —
+// for two models in both settings. Every cache and the scheduler sit on
+// this path, so any schedule- or sharing-dependence shows up here (and
+// under -race via scripts/check.sh).
 func TestGoldenDeterminism(t *testing.T) {
 	serial, _ := runner(t)
 	serial.Parallelism = 1
@@ -109,20 +109,28 @@ func TestPrefixEnvsMatchDirectRestriction(t *testing.T) {
 }
 
 func TestUnitsAndGridShape(t *testing.T) {
-	// Unit enumeration is pure index arithmetic: the jobs need theorems
-	// to count, nothing more.
-	_, c := runner(t)
-	jobs := []GridJob{{Theorems: c.Theorems[:3]}, {}, {Theorems: c.Theorems[:2]}}
+	r, c := runner(t)
+	r.Parallelism = 2
+	job := func(n int) GridJob {
+		return GridJob{Profile: model.GPT4oMini, Setting: prompt.Vanilla, Theorems: c.Theorems[:n]}
+	}
+	jobs := []GridJob{job(3), job(0), job(2)}
 	units := Units(jobs)
 	want := []GridUnit{{0, 0}, {0, 1}, {0, 2}, {2, 0}, {2, 1}}
 	if !reflect.DeepEqual(units, want) {
 		t.Fatalf("Units = %v, want %v", units, want)
 	}
-	shape := GridShape(jobs)
-	if len(shape) != 3 || len(shape[0]) != 3 || len(shape[1]) != 0 || len(shape[2]) != 2 {
-		t.Fatalf("GridShape rows: %d/%d/%d", len(shape[0]), len(shape[1]), len(shape[2]))
-	}
 	if got := Units(nil); len(got) != 0 {
 		t.Fatalf("Units(nil) = %v", got)
+	}
+	// RunGrid places each unit's outcome at its (job, theorem) coordinate.
+	out := r.RunGrid(jobs)
+	if len(out) != 3 || len(out[0]) != 3 || len(out[1]) != 0 || len(out[2]) != 2 {
+		t.Fatalf("RunGrid shape: %d jobs", len(out))
+	}
+	for _, u := range units {
+		if got, want := out[u.Job][u.Th].Theorem, jobs[u.Job].Theorems[u.Th].Name; got != want {
+			t.Errorf("unit %v: outcome of %s, want %s", u, got, want)
+		}
 	}
 }

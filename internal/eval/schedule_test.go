@@ -1,0 +1,85 @@
+package eval
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"llmfscq/internal/core"
+)
+
+// oracleDir holds the committed golden files of the paper schedule: the
+// rendered tables and the verdict digest of each vetted sampling seed.
+const oracleDir = "../../sweepbench/testdata"
+
+// TestExperimentsMatchOracle runs the whole paper schedule at seed 2025
+// through the worker pool and holds it to the committed oracle: the tables
+// byte for byte, the verdicts by digest, and every proof by a kernel
+// replay, the way PALM and CoqPilot count a proof. The outcome tier's
+// counts are pinned too: a tier that stopped answering would still print
+// the right tables.
+func TestExperimentsMatchOracle(t *testing.T) {
+	want, err := os.ReadFile(oracleDir + "/tables-seed2025.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(oracleDir + "/golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]struct {
+		Digest string `json:"digest"`
+		Units  int    `json:"units"`
+	}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+
+	r, c := runner(t)
+	tables, verdicts := r.Experiments()
+	if tables != string(want) {
+		got, exp := strings.Split(tables, "\n"), strings.Split(string(want), "\n")
+		i := 0
+		for i < len(got) && i < len(exp) && got[i] == exp[i] {
+			i++
+		}
+		t.Errorf("tables differ from tables-seed2025.txt at line %d (%d vs %d lines)", i+1, len(got), len(exp))
+	}
+
+	h := sha256.New()
+	for _, v := range verdicts {
+		fmt.Fprintf(h, "%s\t%s\t%s\t%s\t%s\t%d\t%s\n", v.Theorem, v.Model, v.Setting, v.Variant, v.Status, v.Queries, v.Proof)
+	}
+	g := golden["2025"]
+	if digest := hex.EncodeToString(h.Sum(nil)); len(verdicts) != g.Units || digest != g.Digest {
+		t.Errorf("verdicts: %d units, digest %s; golden.json: %d units, digest %s", len(verdicts), digest, g.Units, g.Digest)
+	}
+
+	proved := 0
+	for _, v := range verdicts {
+		if v.Status != core.Proved {
+			continue
+		}
+		proved++
+		th, ok := c.TheoremNamed(v.Theorem)
+		if !ok {
+			t.Errorf("verdict names unknown theorem %s", v.Theorem)
+			continue
+		}
+		if err := replayCheck(r.RestrictEnv(th), th, v.Proof); err != nil {
+			t.Errorf("%s (%s, %s, %s): proof does not replay: %v", v.Theorem, v.Model, v.Setting, v.Variant, err)
+		}
+	}
+	if proved != 875 {
+		t.Errorf("%d proved verdicts, want 875", proved)
+	}
+
+	const stats = `{"event":"cache-stats","outcomes":{"exact":348,"derived":372,"misses":2140}}`
+	if got := r.CacheStatsJSON(); got != stats {
+		t.Errorf("outcome tier: %s, want %s", got, stats)
+	}
+}

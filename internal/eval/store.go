@@ -150,8 +150,9 @@ func (r *Runner) outcomeKey(prof model.Profile, settingStr, variant, search stri
 
 // outcomeTier is the in-memory outcome tier: the outcome of every unit the
 // run has answered, so a later unit with the same key is answered without a
-// search. The -all schedule's ablations repeat grid cells and rerun them at
-// other query limits. Runner copies share the tier through the pointer.
+// search. The ablations of the paper schedule (Experiments) repeat grid
+// cells and rerun them at other query limits. Runner copies share the tier
+// through the pointer.
 //
 // A query-limited search's entry is keyed without its limit and holds the
 // limit it ran at. The limit only stops a search (core.Config.QueryLimit),

@@ -74,11 +74,11 @@ hotdebt=$(grep -c '"analyzer": "hotpathalloc"' lint_baseline.json || true)
 }
 echo "check: hotpathalloc baseline at $hotdebt entries (ratchet: <= 288)"
 
-# Backend equivalence at full scale: the complete experiment sweep must
-# print the committed seed-2025 tables through the in-process backend, and
-# byte-identical tables through the remote backend under an enabled fault
-# schedule (every site firing) and the proof store. Stats go to stderr;
-# stdout is the comparable artifact.
+# Backend equivalence at full scale. The in-process schedule is held to the
+# committed seed-2025 oracle by TestExperimentsMatchOracle, which the race
+# run above includes. The remote backend under an enabled fault schedule
+# (every site firing) and the proof store must print the same tables byte
+# for byte. Stats go to stderr; stdout is the comparable artifact.
 oracle=sweepbench/testdata/tables-seed2025.txt
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -155,17 +155,8 @@ check_store_stats() {
 	echo "check: store leg $1: $stats"
 }
 
-echo "==> experiments -all -backend=inprocess"
-go run ./cmd/experiments -all -seed 2025 >"$tmp/inprocess.out"
-# The in-process tables are the committed oracle, byte for byte. A change
-# that alters a table fails here until it regenerates the file and says so.
-cmp "$oracle" "$tmp/inprocess.out" || {
-	echo "check: FAIL: in-process -all -seed 2025 tables differ from $oracle" >&2
-	exit 1
-}
-echo "check: in-process tables match $oracle"
-echo "==> experiments -all -backend=remote (chaos schedule)"
-go run ./cmd/experiments -all -seed 2025 -backend=remote -wire-timeout 150ms \
+echo "==> experiments -backend=remote (chaos schedule)"
+go run ./cmd/experiments -seed 2025 -backend=remote -wire-timeout 150ms \
 	-faults "$chaos" >"$tmp/chaos.out" 2>"$tmp/chaos.err" || {
 	cat "$tmp/chaos.err" >&2
 	exit 1
@@ -173,27 +164,27 @@ go run ./cmd/experiments -all -seed 2025 -backend=remote -wire-timeout 150ms \
 check_chaos_leg chaos "$chaos"
 
 # Persistent proof cache: a cold populate, a warm re-run answering from the
-# store, and a warm run under wire chaos must all print the same bytes as the
-# storeless baseline — the warm path changes latency, never tables — and
-# every run's mirror sample cross-checks persisted records against live
-# recomputation (a mismatch exits nonzero). Each leg keeps its stderr, and
-# its cache-stats line must show the store was used.
-echo "==> experiments -all -proof-cache (cold populate)"
-go run ./cmd/experiments -all -seed 2025 -proof-cache "$tmp/pcache" \
+# store, and a warm run under wire chaos must all print the oracle's bytes —
+# the warm path changes latency, never tables — and every run's mirror
+# sample cross-checks persisted records against live recomputation (a
+# mismatch exits nonzero). Each leg keeps its stderr, and its cache-stats
+# line must show the store was used.
+echo "==> experiments -proof-cache (cold populate)"
+go run ./cmd/experiments -seed 2025 -proof-cache "$tmp/pcache" \
 	>"$tmp/pcache-cold.out" 2>"$tmp/pcache-cold.err" || {
 	cat "$tmp/pcache-cold.err" >&2
 	exit 1
 }
 check_store_stats pcache-cold populate
-echo "==> experiments -all -proof-cache (warm re-run)"
-go run ./cmd/experiments -all -seed 2025 -proof-cache "$tmp/pcache" \
+echo "==> experiments -proof-cache (warm re-run)"
+go run ./cmd/experiments -seed 2025 -proof-cache "$tmp/pcache" \
 	>"$tmp/pcache-warm.out" 2>"$tmp/pcache-warm.err" || {
 	cat "$tmp/pcache-warm.err" >&2
 	exit 1
 }
 check_store_stats pcache-warm warm
-echo "==> experiments -all -proof-cache + remote chaos (warm store, faulted wire)"
-go run ./cmd/experiments -all -seed 2025 -proof-cache "$tmp/pcache" \
+echo "==> experiments -proof-cache + remote chaos (warm store, faulted wire)"
+go run ./cmd/experiments -seed 2025 -proof-cache "$tmp/pcache" \
 	-backend=remote -wire-timeout 150ms -faults "$warmchaos" \
 	>"$tmp/pcache-chaos.out" 2>"$tmp/pcache-chaos.err" || {
 	cat "$tmp/pcache-chaos.err" >&2
@@ -201,16 +192,12 @@ go run ./cmd/experiments -all -seed 2025 -proof-cache "$tmp/pcache" \
 }
 check_store_stats pcache-chaos warm
 check_chaos_leg pcache-chaos "$warmchaos"
-cmp "$tmp/inprocess.out" "$tmp/chaos.out" || {
-	echo "check: FAIL: fault-injected backend tables differ from in-process" >&2
-	exit 1
-}
-for leg in pcache-cold pcache-warm pcache-chaos; do
-	cmp "$tmp/inprocess.out" "$tmp/$leg.out" || {
-		echo "check: FAIL: proof-cache leg $leg tables differ from storeless baseline" >&2
+for leg in chaos pcache-cold pcache-warm pcache-chaos; do
+	cmp "$oracle" "$tmp/$leg.out" || {
+		echo "check: FAIL: leg $leg tables differ from $oracle" >&2
 		exit 1
 	}
 done
-echo "check: backend equivalence holds (oracle = in-process = remote+chaos = proof-cache cold/warm/chaos)"
+echo "check: backend equivalence holds (oracle = remote+chaos = proof-cache cold/warm/chaos)"
 
 echo "check: all gates passed"
