@@ -31,6 +31,12 @@ func main() {
 	)
 	flag.Parse()
 	set, err := parseSetting(*setting)
+	if err == nil {
+		err = checkBudget("fuel", *fuel)
+	}
+	if err == nil {
+		err = checkBudget("width", *width)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -107,4 +113,13 @@ func parseSetting(s string) (prompt.Setting, error) {
 		return prompt.Hint, nil
 	}
 	return 0, fmt.Errorf("unknown -setting %q (want vanilla or hint)", s)
+}
+
+// checkBudget rejects a non-positive -fuel or -width: the search would run
+// at its default budget instead, while the report printed the flag's value.
+func checkBudget(name string, v int) error {
+	if v <= 0 {
+		return fmt.Errorf("-%s must be positive, got %d", name, v)
+	}
+	return nil
 }

@@ -54,7 +54,13 @@ type Config struct {
 	Stmt *kernel.Form
 	// Propose queries the model (counted against QueryLimit).
 	Propose Proposer
-	// Width caps candidates expanded per query (paper: 8).
+	// Width caps candidates expanded per query (paper: 8). The width only
+	// truncates each query's candidate list (and sizes the duplicate-state
+	// set, which changes no result): a proposer that returns at most k
+	// candidates per query gives the same search at every width of k or
+	// more. So an outcome at width k answers every larger width (eval's
+	// outcome tier keys a width at or above the model's output cap as the
+	// cap).
 	Width int
 	// QueryLimit caps model queries (paper: 128). The limit only stops the
 	// search: a search at limit L makes the same first L queries as the

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"llmfscq/internal/checker"
 	"llmfscq/internal/corpus"
 	"llmfscq/internal/kernel"
 	"llmfscq/internal/model"
@@ -137,25 +139,78 @@ func TestDuplicateStatesPruned(t *testing.T) {
 	}
 }
 
+// countingBackend is the in-process backend, counting the sentences its
+// documents execute.
+type countingBackend struct{ tries int }
+
+func (b *countingBackend) NewDoc(env *kernel.Env, stmt *kernel.Form, lemma string) (checker.Doc, error) {
+	doc, err := checker.InProcess{}.NewDoc(env, stmt, lemma)
+	return countingDoc{doc, &b.tries}, err
+}
+
+type countingDoc struct {
+	checker.Doc
+	tries *int
+}
+
+func (d countingDoc) Try(parent *tactic.State, path []string, sentence string) checker.Step {
+	*d.tries++
+	return d.Doc.Try(parent, path, sentence)
+}
+
+// TestWidthCap checks the Config.Width contract eval's outcome tier keys
+// widths by: the width only truncates each query's candidates. For every
+// algorithm, the seeded model, which returns at most MaxOutputs = 8
+// candidates per query, searches the same at widths 8, 9 and 16; and a
+// proposer returning 20 candidates at width 3 executes at most 3 per query.
 func TestWidthCap(t *testing.T) {
 	env, c := loadEnv(t)
-	th, _ := c.TheoremNamed("plus_comm")
-	seen := 0
-	BestFirst(Config{
-		Env:  env,
-		Stmt: th.Stmt,
-		Propose: func(st *tactic.State, path []string) []model.Candidate {
-			out := make([]model.Candidate, 20)
-			for i := range out {
-				out[i] = model.Candidate{Tactic: "intros.", LogProb: -1}
+	prof := model.GPT4oMini
+	if prof.MaxOutputs != 8 {
+		t.Fatalf("%s returns up to %d candidates per query; the widths below assume 8", prof.Name, prof.MaxOutputs)
+	}
+	twenty := make([]model.Candidate, 20)
+	twenty[0] = model.Candidate{Tactic: "intros.", LogProb: -0.1}
+	for i := 1; i < len(twenty); i++ {
+		twenty[i] = model.Candidate{Tactic: fmt.Sprintf("apply no_such_lemma_%d.", i), LogProb: -1}
+	}
+	for _, alg := range []struct {
+		name   string
+		search func(Config) Result
+	}{{"best-first", BestFirst}, {"linear", Linear}, {"greedy", Greedy}} {
+		below := 0
+		for i, th := range c.Theorems[:20] {
+			seed := int64(i) + 1
+			run := func(width int) Result {
+				return alg.search(Config{Env: env, Stmt: th.Stmt, Propose: modelProposer(c, th, prof, seed), Width: width})
 			}
-			seen++
-			return out
-		},
-		Width:      3,
-		QueryLimit: 1,
-	})
-	_ = seen // the cap is internal; this test just exercises the path
+			at8 := run(8)
+			for _, width := range []int{9, 16} {
+				if got := run(width); !reflect.DeepEqual(got, at8) {
+					t.Errorf("%s %s: width %d searched %+v, width 8 %+v", alg.name, th.Name, width, got, at8)
+				}
+			}
+			if !reflect.DeepEqual(run(4), at8) {
+				below++
+			}
+		}
+		if below == 0 {
+			t.Errorf("%s: width 4 searched as width 8 on every theorem; the slice needs a width below the cap to matter", alg.name)
+		}
+
+		th, _ := c.TheoremNamed("plus_comm")
+		be := &countingBackend{}
+		res := alg.search(Config{
+			Env:     env,
+			Stmt:    th.Stmt,
+			Propose: func(*tactic.State, []string) []model.Candidate { return twenty },
+			Width:   3,
+			Backend: be,
+		})
+		if be.tries == 0 || be.tries > 3*res.Queries {
+			t.Errorf("%s: a 20-candidate proposer at width 3 executed %d candidates in %d queries", alg.name, be.tries, res.Queries)
+		}
+	}
 }
 
 func TestLinearAndGreedy(t *testing.T) {

@@ -69,8 +69,10 @@ type Runner struct {
 	// ("best-first" is implied when Search is nil). A custom Search with an
 	// empty name disables both outcome tiers for its sweeps: an anonymous
 	// algorithm cannot be safely fingerprinted. A named search must keep
-	// the core.Config.QueryLimit contract, that the limit only stops the
-	// search, because the in-memory tier answers one limit from another.
+	// two core.Config contracts, because the in-memory tier answers one
+	// budget from another: the QueryLimit contract, that the limit only
+	// stops the search, and the Width contract, that the width only
+	// truncates each query's candidates.
 	SearchName string
 
 	// The caches below are pointers so Runner values can be copied for
@@ -96,6 +98,11 @@ type Runner struct {
 	// holding every entry until exit (paper-cold peak RSS 354 MB against
 	// 95 MB with the table; DESIGN.md §7).
 	lemmas *lemmaIndex
+	// searchers pools the simulated models and RNGs of finished searches,
+	// so a grid worker reuses one model's vocabulary, id arrays and scratch
+	// across its searches instead of growing them from empty each time
+	// (see borrow).
+	searchers *sync.Pool
 	// persist holds the persistence fingerprints (see store.go).
 	persist *persistIndex
 	// outcomes is the in-memory outcome tier (see store.go): the ablation
@@ -142,8 +149,11 @@ func NewRunner(c *corpus.Corpus, seed int64) *Runner {
 		prompts:    &promptIndex{},
 		ngrams:     &sync.Map{},
 		lemmas:     &lemmaIndex{},
-		persist:    newPersistIndex(),
-		outcomes:   newOutcomeTier(),
+		searchers: &sync.Pool{New: func() any {
+			return &searcher{mdl: new(model.Model), rng: rand.New(rand.NewSource(0))}
+		}},
+		persist:  newPersistIndex(),
+		outcomes: newOutcomeTier(),
 	}
 }
 
@@ -241,10 +251,23 @@ func (r *Runner) jobSeed(thName, modelName, setting string) int64 {
 	return r.Seed ^ int64(h.Sum64())
 }
 
-// newModel binds a profile to a restricted environment, sharing the
-// runner's lemma table.
-func (r *Runner) newModel(prof model.Profile, env *kernel.Env) *model.Model {
-	return model.NewWithLemmas(prof, env, r.lemmaTable())
+// searcher is what one search borrows from Runner.searchers: a simulated
+// model and the RNG that drives its sampling.
+type searcher struct {
+	mdl *model.Model
+	rng *rand.Rand
+}
+
+// borrow takes a searcher from the pool, its model rebound to prof, env and
+// the runner's lemma table and its RNG seeded with seed: the state
+// model.NewWithLemmas and rand.New(rand.NewSource(seed)) would build. The
+// caller puts it back when its search ends; nothing a search returns
+// aliases the model (Propose's candidates are copied by the search).
+func (r *Runner) borrow(prof model.Profile, env *kernel.Env, seed int64) *searcher {
+	s := r.searchers.Get().(*searcher)
+	s.mdl.Rebind(prof, env, r.lemmaTable())
+	s.rng.Seed(seed)
+	return s
 }
 
 // lemmaTable returns the shared lemma table, building it on first use.
@@ -317,14 +340,14 @@ func (r *Runner) RunReduced(prof model.Profile, setting prompt.Setting, th *corp
 // reports its record.
 func (r *Runner) liveSearch(prof model.Profile, setting prompt.Setting, th *corpus.Theorem, env *kernel.Env, pr *prompt.Prompt) store.OutcomeRec {
 	ng := r.ngramFor(pr)
-	mdl := r.newModel(prof, env)
-	rng := rand.New(rand.NewSource(r.jobSeed(th.Name, prof.Name, setting.String())))
+	s := r.borrow(prof, env, r.jobSeed(th.Name, prof.Name, setting.String()))
+	defer r.searchers.Put(s)
 
 	cfg := core.Config{
 		Env:  env,
 		Stmt: th.Stmt,
 		Propose: func(st *tactic.State, path []string) []model.Candidate {
-			return mdl.Propose(pr, st, path, ng, rng)
+			return s.mdl.Propose(pr, st, path, ng, s.rng)
 		},
 		Width:      r.Width,
 		QueryLimit: r.QueryLimit,
@@ -384,12 +407,12 @@ func (r *Runner) wholeProof(prof model.Profile, setting prompt.Setting, th *corp
 	b := r.builder(prof, setting)
 	pr := b.Build(th)
 	ng := r.ngramFor(pr)
-	mdl := r.newModel(prof, env)
-	rng := rand.New(rand.NewSource(r.jobSeed(th.Name, prof.Name, setting.String()+"/whole")))
+	s := r.borrow(prof, env, r.jobSeed(th.Name, prof.Name, setting.String()+"/whole"))
+	defer r.searchers.Put(s)
 
 	rec := store.OutcomeRec{Status: uint8(core.Stuck)}
 	for a := 0; a < attempts; a++ {
-		proof := joinSentences(mdl.WholeProof(pr, th.Stmt, ng, rng, 24))
+		proof := joinSentences(s.mdl.WholeProof(pr, th.Stmt, ng, s.rng, 24))
 		rec.Queries++
 		if proof == "" {
 			continue

@@ -78,7 +78,7 @@ func TestExperimentsMatchOracle(t *testing.T) {
 		t.Errorf("%d proved verdicts, want 875", proved)
 	}
 
-	const stats = `{"event":"cache-stats","outcomes":{"exact":348,"derived":372,"misses":2140}}`
+	const stats = `{"event":"cache-stats","outcomes":{"exact":472,"derived":372,"misses":2016}}`
 	if got := r.CacheStatsJSON(); got != stats {
 		t.Errorf("outcome tier: %s, want %s", got, stats)
 	}

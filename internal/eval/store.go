@@ -129,11 +129,20 @@ func (r *Runner) searchName() string {
 // core, so a zero Width or QueryLimit keys as the default it searches at:
 // keyed as 0, a unit at the default limit would be answered from a
 // fuel-128 entry as a Fuelout after 0 queries.
+//
+// The width is keyed at its effective value too. A query returns at most
+// the profile's MaxOutputs candidates and the width only truncates them
+// (core.Config.Width), so every width at or above MaxOutputs is the same
+// search and keys as MaxOutputs: the ablation's width-16 units are the
+// grid's width-8 units.
 func (r *Runner) outcomeKey(prof model.Profile, settingStr, variant, search string, th *corpus.Theorem, env *kernel.Env) (store.OutcomeKey, bool) {
 	if search == "" {
 		return store.OutcomeKey{}, false
 	}
 	budget := core.Config{Width: r.Width, QueryLimit: r.QueryLimit}.WithDefaults()
+	if prof.MaxOutputs > 0 {
+		budget.Width = min(budget.Width, prof.MaxOutputs)
+	}
 	root := tactic.NewState(env, th.Stmt).StrictKey()
 	return store.OutcomeKey{
 		Env:     r.envFingerprint(th),
@@ -156,7 +165,9 @@ func (r *Runner) outcomeKey(prof model.Profile, settingStr, variant, search stri
 //
 // A query-limited search's entry is keyed without its limit and holds the
 // limit it ran at. The limit only stops a search (core.Config.QueryLimit),
-// so one entry answers other limits exactly; see lookup. A whole-proof unit
+// so one entry answers other limits exactly; see lookup. Its width is keyed
+// at its effective value (outcomeKey), so one entry answers every width at
+// or above the model's output cap. A whole-proof unit
 // budgets attempts, not queries, so its limit stays in its key and it is
 // answered only at its exact key.
 type outcomeTier struct {

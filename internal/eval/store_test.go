@@ -413,6 +413,41 @@ func TestZeroBudgetKeysAsDefault(t *testing.T) {
 	}
 }
 
+// A width at or above the model's output cap searches as the cap
+// (core.Config.Width), so a Runner copy at width 16 is the same unit as one
+// at width 8: it is answered exactly from the width-8 tier entries, with
+// the outcomes a fresh Runner searches live at width 16. A width below the
+// cap is another search, and misses.
+func TestWidthKeysAtOutputCap(t *testing.T) {
+	r, _ := runner(t)
+	ths := r.TestSet()[:8]
+	n := int64(len(ths))
+	r.RunSweep(model.GPT4o, prompt.Hint, ths)
+
+	wide := *r
+	wide.Width = 16
+	got := wide.RunSweep(model.GPT4o, prompt.Hint, ths)
+	fresh, _ := runner(t)
+	fresh.Width = 16
+	want := fresh.RunSweep(model.GPT4o, prompt.Hint, ths)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("width-16 outcomes from the tier differ from live width-16 searches:\ntier %+v\nlive %+v", got, want)
+	}
+	if exact, derived, misses := tierStats(fresh); exact+derived != 0 || misses != n {
+		t.Fatalf("a fresh Runner's tier answered %d exact, %d derived, missed %d", exact, derived, misses)
+	}
+	if exact, derived, misses := tierStats(r); exact != n || derived != 0 || misses != n {
+		t.Fatalf("width 16: tier answered %d exact, %d derived, missed %d; want %d, 0, %d", exact, derived, misses, n, n)
+	}
+
+	narrow := *r
+	narrow.Width = 4
+	narrow.RunSweep(model.GPT4o, prompt.Hint, ths)
+	if exact, derived, misses := tierStats(r); exact != n || derived != 0 || misses != 2*n {
+		t.Fatalf("width 4: tier answered %d exact, %d derived, missed %d; want %d, 0, %d", exact, derived, misses, n, 2*n)
+	}
+}
+
 // A profile tuned under the same name is another model: neither outcome
 // tier may answer it with the original profile's outcomes.
 func TestTunedProfileKeepsItsOwnOutcomes(t *testing.T) {

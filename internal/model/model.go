@@ -24,7 +24,8 @@ type Candidate struct {
 // (used only to parse the lemma statements that are visible in the prompt).
 // A Model is owned by one proof search at a time: its retrieval view and
 // scratch space are per-search memos and are not safe for concurrent
-// Propose calls on the same Model (grid workers each build their own).
+// Propose calls on the same Model. Rebind readies it for the next search,
+// so a grid worker reuses one Model across its searches.
 //
 // Propose names every candidate by an integer id, one per dedup key, from
 // two spaces: a key the lemma table yields keeps the table's id (below
@@ -36,25 +37,27 @@ type Model struct {
 	Profile Profile
 	Env     *kernel.Env
 	// lemmas is the lemma-statement analysis retrieval reads: the corpus
-	// table shared by a sweep (NewWithLemmas), or a private table over the
-	// prompt's lemmas built on first use. view pairs the visible lemmas
-	// with their prompt- and n-gram-dependent weights; it lives and dies
-	// with this Model, so memory does not grow with the searches run.
+	// table shared by a sweep (NewWithLemmas, Rebind), or a private table
+	// over the prompt's lemmas built on first use. view pairs the visible
+	// lemmas with their prompt- and n-gram-dependent weights; it lives
+	// until Rebind, so memory does not grow with the searches run.
 	lemmas *LemmaTable
-	view   *retrView
+	view   retrView
 
 	// The candidate vocabulary, numbered under idsOf (a new table renumbers
 	// it; see viewFor). vocab resolves a candidate text to its key's id (-1
 	// for an empty key, which is dropped); local resolves a local key, and
-	// keys lists the local keys (id nt+i is keys[i]).
-	idsOf *LemmaTable
-	nt    int32
-	vocab map[string]int32
-	local map[string]int32
-	keys  []string
+	// keys lists the local keys (id nt+i is keys[i]). textBuf renders a
+	// candidate text for a vocab lookup that allocates nothing (idOfIn).
+	idsOf   *LemmaTable
+	nt      int32
+	vocab   map[string]int32
+	local   map[string]int32
+	keys    []string
+	textBuf []byte
 	// Per-id state, one array per id space so that each grows with the ids
-	// this search touches rather than with the table: tab is indexed by
-	// table id, loc by local id - nt.
+	// the Model's searches touch rather than with the table: tab is indexed
+	// by table id, loc by local id - nt.
 	tab, loc []idState
 	qep      uint32 // query epoch: the stamps in idState that equal it are this query's
 	// scoreGen versions the n-gram terms in idState; it moves when the
@@ -62,17 +65,17 @@ type Model struct {
 	scoreNG  *NGram
 	scoreGen uint32
 
-	// Propose scratch space, reused across the queries of a search. The
+	// Propose scratch space, reused across the queries and searches. The
 	// sweep spends most of its time in Propose, and per-query maps and
 	// slices were the dominant allocation source.
 	texts      []textCand
 	pool, uniq []scored
 	// slate memoizes the deduplicated structural + retrieval pool per
-	// focused goal. A Model serves one search, so its prompt and n-gram
-	// are fixed for its lifetime (viewFor drops the memo otherwise) and an
-	// entry depends on the goal identity alone; only the prev-dependent
-	// continuations and the rng-driven noise are folded in per query. A
-	// nil entry marks a goal seen once.
+	// focused goal. A Model serves one search at a time, so its prompt and
+	// n-gram are fixed while it does (viewFor drops the memo when they
+	// change, and after Rebind) and an entry depends on the goal identity
+	// alone; only the prev-dependent continuations and the rng-driven noise
+	// are folded in per query. A nil entry marks a goal seen once.
 	slate map[[2]uint64][]scored
 	// Per-query retrieval marks, indexed by table symbol id: a symbol is in
 	// the goal (hypotheses) when goalMark (hypMark) holds the query's epoch,
@@ -117,6 +120,20 @@ func New(p Profile, env *kernel.Env) *Model { return &Model{Profile: p, Env: env
 // model fall back to a private table, so results never depend on sharing.
 func NewWithLemmas(p Profile, env *kernel.Env, lt *LemmaTable) *Model {
 	return &Model{Profile: p, Env: env, lemmas: lt}
+}
+
+// Rebind readies m, which may be the zero Model, for another search: m then
+// proposes as NewWithLemmas(p, env, lt) would (lt nil: as New(p, env)). It
+// keeps the vocabulary, because a text's id is a function of the lemma
+// table alone, and the per-id arrays and scratch, because the query epochs
+// and n-gram generations stamped there make earlier entries unreadable
+// without clearing. It drops the retrieval view, and with it the slate memo
+// on the next query: both depend on the prompt, the n-gram and the profile.
+// A table other than the one the vocabulary is numbered under renumbers it
+// on the next query, as a private-table fallback does.
+func (m *Model) Rebind(p Profile, env *kernel.Env, lt *LemmaTable) {
+	m.Profile, m.Env, m.lemmas = p, env, lt
+	m.view.prompt = nil
 }
 
 // scored is an internal candidate with its utility components. It names
@@ -322,6 +339,29 @@ func (m *Model) idOf(text string) int32 {
 	if id, ok := m.vocab[text]; ok {
 		return id
 	}
+	return m.addText(text)
+}
+
+// idOfIn is idOf for "<verb> <lemma> in <hyp>.", retrieval's candidates
+// that target a hypothesis. It renders the text into textBuf: Go looks up
+// vocab[string(textBuf)] without allocating, so only a text the vocabulary
+// lacks becomes a string.
+func (m *Model) idOfIn(verb, lemma, hyp string) int32 {
+	b := append(m.textBuf[:0], verb...)
+	b = append(b, ' ')
+	b = append(b, lemma...)
+	b = append(b, " in "...)
+	b = append(b, hyp...)
+	b = append(b, '.')
+	m.textBuf = b
+	if id, ok := m.vocab[string(b)]; ok {
+		return id
+	}
+	return m.addText(string(b))
+}
+
+// addText numbers a text the vocabulary lacks.
+func (m *Model) addText(text string) int32 {
 	id := int32(-1)
 	if key := dedupKey(text); key != "" {
 		id = m.keyID(key)

@@ -193,32 +193,43 @@ type builtPrompt struct {
 // settings, under every paper profile: at the root goal three times (a
 // first sighting, the sighting that memoizes the slate, a memo hit), at
 // the goal after intros, and at each believed state of a whole-proof
-// roll-out, whose script must equal WholeProof's.
+// roll-out, whose script must equal WholeProof's. Two models propose
+// beside the reference: a fresh one per combination, and one model rebound
+// to every combination in turn, with one RNG re-seeded, as a grid worker
+// reuses them across its searches.
 func TestProposeMatchesReference(t *testing.T) {
 	c, hints, ths := testTheorems(t)
 	shared := NewLemmaTable(c.Env)
 	built := map[promptKey]builtPrompt{}
 	queries := 0
+	reused := new(Model)
+	rngU := rand.New(rand.NewSource(0))
 	for _, setting := range []prompt.Setting{prompt.Vanilla, prompt.Hint} {
-		for _, prof := range Paper() {
-			b := prompt.Builder{Corpus: c, Setting: setting, HintSet: hints, Window: prof.ContextWindow}
-			for _, th := range ths {
+		for _, th := range ths {
+			env := envBefore(c.Env, th.Name)
+			// Profile-minor, so the rebound model sees one prompt under
+			// consecutive profiles that share its context window.
+			for _, prof := range Paper() {
 				pk := promptKey{setting, prof.ContextWindow, th.Name}
 				bp, ok := built[pk]
 				if !ok {
+					b := prompt.Builder{Corpus: c, Setting: setting, HintSet: hints, Window: prof.ContextWindow}
 					pr := b.Build(th)
 					bp = builtPrompt{pr, BuildNGram(pr)}
 					built[pk] = bp
 				}
 				pr, ng := bp.pr, bp.ng
 				what := setting.String() + "/" + prof.Name + "/" + th.Name
-				env := envBefore(c.Env, th.Name)
 				m := NewWithLemmas(prof, env, shared)
+				reused.Rebind(prof, env, shared)
+				rngU.Seed(11)
 				ref := newRefModel(prof, env)
 				rngM, rngR := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
 				check := func(st *tactic.State, path []string) []Candidate {
+					want := ref.propose(pr, st, path, ng, rngR)
 					got := append([]Candidate(nil), m.Propose(pr, st, path, ng, rngM)...)
-					sameSlate(t, what, got, ref.propose(pr, st, path, ng, rngR))
+					sameSlate(t, what, got, want)
+					sameSlate(t, what+" (rebound model)", reused.Propose(pr, st, path, ng, rngU), want)
 					queries++
 					return got
 				}
@@ -248,13 +259,14 @@ func TestProposeMatchesReference(t *testing.T) {
 					}
 					stop := rngM.Float64() < 0.3+0.4*prof.HeuristicSkill
 					rngR.Float64()
+					rngU.Float64()
 					if stop {
 						break
 					}
 					script = append(script, tac)
 					believed = &tactic.State{Env: believed.Env, Goals: believed.Goals[1:]}
 				}
-				if rngM.Int63() != rngR.Int63() {
+				if r := rngR.Int63(); rngM.Int63() != r || rngU.Int63() != r {
 					t.Fatalf("%s: RNG states diverged", what)
 				}
 
@@ -281,20 +293,20 @@ func TestProposeMatchesReference(t *testing.T) {
 
 // A model without a shared table analyzes its first prompt's lemmas
 // privately; a prompt showing lemmas outside that table makes it build
-// another, which renumbers its vocabulary. Its slates must still equal
-// the reference's, query after query.
+// another, which renumbers its vocabulary. Rebound onto the shared table
+// after that, it renumbers once more. Its slates must still equal the
+// reference's, query after query.
 func TestProposeMatchesReferenceAcrossTables(t *testing.T) {
 	c, hints, ths := testTheorems(t)
 	last := ths[len(ths)-1]
 	env := envBefore(c.Env, last.Name)
+	shared := NewLemmaTable(c.Env)
 	for _, setting := range []prompt.Setting{prompt.Vanilla, prompt.Hint} {
 		b := prompt.Builder{Corpus: c, Setting: setting, HintSet: hints, Window: GPT4o.ContextWindow}
 		m := New(GPT4o, env)
 		ref := newRefModel(GPT4o, env)
 		rngM, rngR := rand.New(rand.NewSource(17)), rand.New(rand.NewSource(17))
-		changes := 0
-		var table *LemmaTable
-		for _, th := range []*corpus.Theorem{ths[0], last, ths[len(ths)/2], ths[0]} {
+		check := func(th *corpus.Theorem) {
 			pr := b.Build(th)
 			ng := BuildNGram(pr)
 			root := tactic.NewState(env, th.Stmt)
@@ -302,6 +314,11 @@ func TestProposeMatchesReferenceAcrossTables(t *testing.T) {
 				got := append([]Candidate(nil), m.Propose(pr, root, nil, ng, rngM)...)
 				sameSlate(t, setting.String()+"/"+th.Name, got, ref.propose(pr, root, nil, ng, rngR))
 			}
+		}
+		changes := 0
+		var table *LemmaTable
+		for _, th := range []*corpus.Theorem{ths[0], last, ths[len(ths)/2], ths[0]} {
+			check(th)
 			if m.lemmas != table {
 				table = m.lemmas
 				changes++
@@ -309,6 +326,13 @@ func TestProposeMatchesReferenceAcrossTables(t *testing.T) {
 		}
 		if changes < 2 {
 			t.Fatalf("%s: the model kept one table for every prompt; the vocabulary reset went untested", setting)
+		}
+		m.Rebind(GPT4o, env, shared)
+		for _, th := range []*corpus.Theorem{last, ths[0]} {
+			check(th)
+		}
+		if m.lemmas != shared || m.idsOf != shared {
+			t.Fatalf("%s: the model rebound onto the shared table still numbers its vocabulary under a private one", setting)
 		}
 		if rngM.Int63() != rngR.Int63() {
 			t.Fatalf("%s: RNG states diverged", setting)

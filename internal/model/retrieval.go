@@ -20,7 +20,7 @@ import (
 //   - the lemma statements alone (symbols, conclusion shape, candidate
 //     keys): a LemmaTable, built once per corpus and shared by every search;
 //   - the prompt and n-gram (position decay, hint-proof usage): a view of
-//     the visible lemmas, built once per search and dropped with the Model;
+//     the visible lemmas, built once per search and dropped by Rebind;
 //   - the goal: symbol marks and hypothesis heads, computed per query.
 
 // LemmaTable is the goal-independent analysis of lemma statements: each
@@ -241,7 +241,8 @@ type lemView struct {
 	usage   float64 // log1p(hint-proof usage count)
 }
 
-// retrView is a Model's view of the lemmas its prompt shows.
+// retrView is a Model's view of the lemmas its prompt shows. A nil prompt
+// marks no view; the next view reuses lems' backing array.
 type retrView struct {
 	prompt *prompt.Prompt
 	ng     *NGram
@@ -254,7 +255,7 @@ type retrView struct {
 // candidate id: a table change renumbers the vocabulary, and a new view
 // drops the slate memo, whose retrieval half it invalidates.
 func (m *Model) viewFor(p *prompt.Prompt, ng *NGram) []lemView {
-	if m.view != nil && m.view.prompt == p && m.view.ng == ng {
+	if m.view.prompt == p && m.view.ng == ng {
 		return m.view.lems
 	}
 	lems, ok := m.buildView(p, ng)
@@ -264,7 +265,7 @@ func (m *Model) viewFor(p *prompt.Prompt, ng *NGram) []lemView {
 		m.lemmas = promptLemmaTable(p, m.Env)
 		lems, _ = m.buildView(p, ng)
 	}
-	m.view = &retrView{prompt: p, ng: ng, lems: lems}
+	m.view = retrView{prompt: p, ng: ng, lems: lems}
 	if m.idsOf != m.lemmas {
 		m.resetIDs()
 	}
@@ -287,7 +288,7 @@ func (m *Model) buildView(p *prompt.Prompt, ng *NGram) ([]lemView, bool) {
 	}
 	prof := m.Profile
 	n := len(p.Items)
-	var lems []lemView
+	lems := m.view.lems[:0]
 	for i, it := range p.Items {
 		if it.Kind != corpus.ItemLemma {
 			continue
@@ -384,7 +385,7 @@ func (m *Model) retrieval(out []scored, p *prompt.Prompt, g *tactic.Goal, ng *NG
 			out = append(out, scored{id: rec.rewriteRev, r: 0.4 * w})
 			if rec.lhsHead >= 0 && hypMark[rec.lhsHead] == ep {
 				h := g.Hyps[m.hypFirst[rec.lhsHead]]
-				out = append(out, scored{id: m.idOf("rewrite " + rec.name + " in " + h.Name + "."), r: 0.8 * w})
+				out = append(out, scored{id: m.idOfIn("rewrite", rec.name, h.Name), r: 0.8 * w})
 			}
 		}
 		if rec.concl == gh {
@@ -400,7 +401,7 @@ func (m *Model) retrieval(out []scored, p *prompt.Prompt, g *tactic.Goal, ng *NG
 		if rec.hasPrems && rec.premHead != headUnknown {
 			for j, hh := range hypHeads {
 				if hh == rec.premHead {
-					out = append(out, scored{id: m.idOf("apply " + rec.name + " in " + g.Hyps[j].Name + "."), r: 0.5 * rel})
+					out = append(out, scored{id: m.idOfIn("apply", rec.name, g.Hyps[j].Name), r: 0.5 * rel})
 					break
 				}
 			}

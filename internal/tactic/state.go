@@ -153,7 +153,9 @@ func (g *Goal) ReplaceHyp(name string, f *kernel.Form) *Goal {
 
 // usedNames returns all names (vars and hyps) in scope, for freshening.
 func (g *Goal) usedNames() map[string]bool {
-	used := map[string]bool{}
+	// Sized for the variables and hypotheses: the free names below are
+	// mostly those again, and an unsized map regrows on the way.
+	used := make(map[string]bool, len(g.Vars)+len(g.Hyps))
 	for _, v := range g.Vars {
 		used[v.Name] = true
 	}
