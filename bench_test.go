@@ -189,12 +189,11 @@ func BenchmarkSubstFastPath(b *testing.B) {
 	}
 }
 
-// BenchmarkTypedLoad measures the typed-analysis tier end to end: parse
-// the module, type-check every package against the shared stdlib importer,
-// build the call graph, and compute the hot set — the cost every
-// `cmd/lint -family typed` invocation (and the check.sh gate) pays. The
-// standard-library closure is type-checked once per process, so
-// steady-state iterations price the module itself.
+// BenchmarkTypedLoad measures the typed-analysis tier's load: parse the
+// module and type-check every package against the shared stdlib importer —
+// the cost every `cmd/lint -family typed` invocation (and the check.sh
+// gate) pays. The standard-library closure is type-checked once per
+// process, so steady-state iterations price the module itself.
 func BenchmarkTypedLoad(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -204,9 +203,6 @@ func BenchmarkTypedLoad(b *testing.B) {
 		}
 		if err := m.Check(); err != nil {
 			b.Fatal(err)
-		}
-		if hot := m.CallGraph().HotSet(); len(hot) == 0 {
-			b.Fatal("empty hot set")
 		}
 	}
 }

@@ -7,14 +7,13 @@
 //
 // With no package arguments (or the literal "./...") every Go package under
 // the current module is analyzed, plus the embedded corpus. Exits nonzero
-// when any finding survives suppression and the baseline.
+// when any finding survives suppression.
 //
 // Three analyzer families share the run: the cheap AST tier ("go"), the
-// go/types tier ("typed": call-graph hot-path allocation, kernel-node
-// mutation, atomic/plain mixing, dropped wire errors), and the proof-corpus
-// tier ("corpus"). The module sources are parsed exactly once and shared by
-// the go and typed tiers; type-checking happens only when a typed analyzer
-// is selected.
+// go/types tier ("typed": kernel-node mutation, atomic/plain mixing,
+// dropped wire and store errors), and the proof-corpus tier ("corpus").
+// The module sources are parsed exactly once and shared by the go and typed
+// tiers; type-checking happens only when a typed analyzer is selected.
 //
 // Flags:
 //
@@ -22,12 +21,6 @@
 //	-enable  a,b         run only the named analyzers
 //	-disable a,b         skip the named analyzers
 //	-family  go,typed    run only the named families (go|typed|corpus)
-//	-corpus=false        skip the corpus analyzers (same as excluding the
-//	                     corpus family)
-//	-baseline FILE       accepted-findings baseline (default
-//	                     lint_baseline.json at the module root; matching is
-//	                     line-insensitive, see internal/analysis/baseline.go)
-//	-write-baseline      freeze the current findings into -baseline and exit
 //	-list                print the analyzer inventory and exit
 package main
 
@@ -46,14 +39,11 @@ import (
 
 func main() {
 	var (
-		jsonOut   = flag.Bool("json", false, "emit findings as JSON")
-		enable    = flag.String("enable", "", "comma-separated analyzers to run (default: all)")
-		disable   = flag.String("disable", "", "comma-separated analyzers to skip")
-		family    = flag.String("family", "", "comma-separated analyzer families to run: go, typed, corpus (default: all)")
-		doCorpus  = flag.Bool("corpus", true, "run the corpus analyzers over the embedded corpus")
-		baseline  = flag.String("baseline", "lint_baseline.json", "baseline file of accepted findings (relative paths resolve at the module root)")
-		writeBase = flag.Bool("write-baseline", false, "freeze the current findings into -baseline and exit")
-		listOnly  = flag.Bool("list", false, "print the analyzer inventory and exit")
+		jsonOut  = flag.Bool("json", false, "emit findings as JSON")
+		enable   = flag.String("enable", "", "comma-separated analyzers to run (default: all)")
+		disable  = flag.String("disable", "", "comma-separated analyzers to skip")
+		family   = flag.String("family", "", "comma-separated analyzer families to run: go, typed, corpus (default: all)")
+		listOnly = flag.Bool("list", false, "print the analyzer inventory and exit")
 	)
 	flag.Parse()
 
@@ -71,9 +61,6 @@ func main() {
 	families, err := familySet(*family)
 	if err != nil {
 		fatal(err)
-	}
-	if !*doCorpus {
-		delete(families, "corpus")
 	}
 	var selected []*analysis.Analyzer
 	for _, a := range azs {
@@ -111,8 +98,8 @@ func main() {
 	}
 
 	if hasFamily(selected, "typed") {
-		// The typed tier always loads the whole module (reachability is a
-		// module-wide property); with explicit package args, findings are
+		// The typed tier always type-checks the whole module (imports
+		// resolve across it); with explicit package args, findings are
 		// restricted to the requested directories afterwards.
 		typed := analysis.RunTyped(selected, mod)
 		if !all {
@@ -127,32 +114,6 @@ func main() {
 			fatal(err)
 		}
 		findings = append(findings, analysis.RunCorpus(selected, dev)...)
-	}
-
-	basePath := *baseline
-	if basePath != "" && !filepath.IsAbs(basePath) {
-		basePath = filepath.Join(root, basePath)
-	}
-	if *writeBase {
-		if basePath == "" {
-			fatal(fmt.Errorf("-write-baseline requires -baseline"))
-		}
-		if err := analysis.NewBaseline(findings).Write(basePath); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "lint: baseline %s frozen with %d finding(s)\n", *baseline, len(findings))
-		return
-	}
-	if basePath != "" {
-		base, err := analysis.LoadBaseline(basePath)
-		if err != nil {
-			fatal(err)
-		}
-		if stale := base.Stale(findings); len(stale) > 0 && base.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "lint: %d stale baseline entr%s (fixed findings; tighten the ratchet by rerunning -write-baseline)\n",
-				len(stale), plural(len(stale), "y", "ies"))
-		}
-		findings = base.New(findings)
 	}
 
 	if *jsonOut {
@@ -180,13 +141,6 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "lint:", err)
 	os.Exit(2)
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }
 
 // familySet parses the -family flag into a set; empty means every family.

@@ -86,7 +86,6 @@ func All() []*Analyzer {
 		analyzerMapOrder,
 		analyzerGoroutine,
 		analyzerInternKernel,
-		analyzerHotPathAlloc,
 		analyzerKernelMutate,
 		analyzerAtomicMix,
 		analyzerErrDrop,

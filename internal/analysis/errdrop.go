@@ -132,6 +132,17 @@ func callReturnsError(call *ast.CallExpr, info *types.Info, errType types.Type) 
 	return false
 }
 
+// callSignature resolves the signature of a call's callee, nil for type
+// conversions and unresolvable dynamic calls.
+func callSignature(call *ast.CallExpr, info *types.Info) *types.Signature {
+	tv, ok := info.Types[call.Fun]
+	if !ok || tv.IsType() {
+		return nil
+	}
+	sig, _ := tv.Type.Underlying().(*types.Signature)
+	return sig
+}
+
 // calleeLabel renders a call target for messages: "f", "pkg.F", "x.M".
 func calleeLabel(call *ast.CallExpr) string {
 	switch fun := call.Fun.(type) {

@@ -1,12 +1,13 @@
 package analysis
 
 // Typed loading: the third analyzer family runs over go/types-checked
-// packages, so it sees real types (interface boxing, kernel node writes,
-// atomic vs plain field access) instead of name shapes. The loader here is
-// deliberately stdlib-only — no golang.org/x/tools — and shares the single
-// go/parser pass with the AST family: a Module wraps the *GoPackage values
-// the Go analyzers run over (suppressions included, parsed exactly once in
-// AddFile), and adds per-package *types.Package / *types.Info on demand.
+// packages, so it sees real types (kernel node writes, atomic vs plain
+// field access, discarded error results) instead of name shapes. The loader
+// here is deliberately stdlib-only — no golang.org/x/tools — and shares the
+// single go/parser pass with the AST family: a Module wraps the *GoPackage
+// values the Go analyzers run over (suppressions included, parsed exactly
+// once in AddFile), and adds per-package *types.Package / *types.Info on
+// demand.
 //
 // Import resolution is a two-way split:
 //
@@ -34,11 +35,6 @@ import (
 	"strings"
 	"sync"
 )
-
-// HotRootDirective is the comment that marks a function declaration as a
-// root of the hot path: every function statically reachable from a hot root
-// (see CallGraph) is "on the hot path" for the hotpathalloc analyzer.
-const HotRootDirective = "//hot:root"
 
 // TypedPackage is one module package with (lazily attached) type
 // information. The embedded GoPackage is the same value the AST family runs
@@ -73,9 +69,6 @@ type Module struct {
 
 	checked  bool
 	checkErr error
-
-	graphOnce sync.Once
-	graph     *CallGraph
 }
 
 // LoadModule parses every Go package under root (a directory containing
@@ -291,47 +284,6 @@ func (m *Module) Check() error {
 		}
 	}
 	return m.checkErr
-}
-
-// HotRoots returns the *types.Func of every function declaration carrying
-// the //hot:root directive in its doc comment, sorted by position. The
-// module must be Checked first (HotRoots checks it on demand).
-func (m *Module) HotRoots() []*types.Func {
-	m.Check()
-	var out []*types.Func
-	for _, tp := range m.Pkgs {
-		if tp.Info == nil {
-			continue
-		}
-		for _, f := range tp.Files {
-			if f.Test {
-				continue
-			}
-			for _, decl := range f.AST.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || !hasHotRoot(fd) {
-					continue
-				}
-				if fn, ok := tp.Info.Defs[fd.Name].(*types.Func); ok {
-					out = append(out, fn)
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
-	return out
-}
-
-func hasHotRoot(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.TrimSpace(c.Text) == HotRootDirective {
-			return true
-		}
-	}
-	return false
 }
 
 // suppressionsAll aggregates every package's (already parsed) suppressions,

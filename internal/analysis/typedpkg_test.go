@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"go/types"
 	"os"
 	"path/filepath"
 	"testing"
@@ -83,88 +82,6 @@ func Use() {
 	// same object a declares.
 	if obj := tp.Types.Scope().Lookup("NewCounter"); obj == nil {
 		t.Fatal("NewCounter not in package a scope")
-	}
-}
-
-// fixtureFunc finds a module function by name in the call graph.
-func fixtureFunc(t *testing.T, g *CallGraph, name string) *types.Func {
-	t.Helper()
-	for fn := range g.Funcs {
-		if fn.Name() == name {
-			return fn
-		}
-	}
-	t.Fatalf("function %s not in call graph", name)
-	return nil
-}
-
-func TestCallGraphMethodsAndInterfaceDispatch(t *testing.T) {
-	m := loadFixture(t, map[string]string{
-		"go.mod": fixGomod,
-		"m/m.go": `package m
-
-type Runner interface{ Run() }
-
-type fast struct{}
-
-func (fast) Run() { helper() }
-
-func helper() {}
-
-func drive(r Runner) { r.Run() }
-
-// Entry is the fixture's hot root.
-//
-//hot:root
-func Entry() { drive(fast{}) }
-
-func unreached() { helper() }
-`,
-	})
-	roots := m.HotRoots()
-	if len(roots) != 1 || roots[0].Name() != "Entry" {
-		t.Fatalf("HotRoots = %v, want [Entry]", roots)
-	}
-	g := m.CallGraph()
-	hot := g.HotSet()
-	for _, name := range []string{"Entry", "drive", "Run", "helper"} {
-		if !hot[fixtureFunc(t, g, name)] {
-			t.Errorf("%s not in hot set; want reachable (static call, interface dispatch, or method)", name)
-		}
-	}
-	if hot[fixtureFunc(t, g, "unreached")] {
-		t.Error("unreached is in the hot set; no path from Entry exists")
-	}
-}
-
-func TestCallGraphFuncLitAndReference(t *testing.T) {
-	m := loadFixture(t, map[string]string{
-		"go.mod": fixGomod,
-		"m/m.go": `package m
-
-func apply(f func()) { f() }
-
-func leaf() {}
-
-//hot:root
-func Entry() {
-	apply(func() { leaf() })
-	g := indirect
-	_ = g
-}
-
-func indirect() {}
-`,
-	})
-	g := m.CallGraph()
-	hot := g.HotSet()
-	// The FuncLit body is attributed to Entry, so leaf is reachable; a bare
-	// function reference (address taken) conservatively marks indirect too.
-	if !hot[fixtureFunc(t, g, "leaf")] {
-		t.Error("leaf not hot: FuncLit body should be attributed to its enclosing declaration")
-	}
-	if !hot[fixtureFunc(t, g, "indirect")] {
-		t.Error("indirect not hot: address-taken functions are conservatively reachable")
 	}
 }
 

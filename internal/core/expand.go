@@ -108,8 +108,6 @@ func (x *expander) put(e *expansion) {
 
 // expand copies the candidates into a recycled expansion; step executes
 // them on demand.
-//
-//hot:root
 func (x *expander) expand(parent *tactic.State, path []string, cands []model.Candidate) *expansion {
 	e := x.get(len(cands))
 	e.parent = parent

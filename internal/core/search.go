@@ -186,8 +186,6 @@ func (c Config) WithDefaults() Config {
 //	Selection: pop the unexpanded goal with the highest cumulative
 //	log-probability. Expansion: query the model; append each valid
 //	predicted tactic as a child.
-//
-//hot:root
 func BestFirst(cfg Config) Result {
 	cfg = cfg.WithDefaults()
 	res := Result{}
@@ -260,8 +258,6 @@ func BestFirst(cfg Config) Result {
 // Linear runs the Rango-style trial-and-error linear search baseline: at
 // each state take the first valid candidate in model order; on a dead end,
 // backtrack to the most recent state with untried candidates.
-//
-//hot:root
 func Linear(cfg Config) Result {
 	cfg = cfg.WithDefaults()
 	res := Result{}
@@ -340,8 +336,6 @@ func Linear(cfg Config) Result {
 
 // Greedy is the no-backtracking ablation: always follow the single best
 // valid candidate.
-//
-//hot:root
 func Greedy(cfg Config) Result {
 	cfg = cfg.WithDefaults()
 	res := Result{}

@@ -29,8 +29,6 @@ func NewEvaluator(env *Env) *Evaluator { return &Evaluator{Env: env, Fuel: Defau
 // the Coq-like guard that a Fixpoint only unfolds when its unfolding makes
 // iota progress (the top-level match reduces); match reduction on
 // constructor-headed scrutinees; recursion into arguments.
-//
-//hot:root
 func (ev *Evaluator) Normalize(t *Term) (*Term, error) {
 	ev.spent = 0
 	return ev.norm(t, maxDepth)
@@ -41,8 +39,6 @@ func (ev *Evaluator) Normalize(t *Term) (*Term, error) {
 const maxDepth = 2048
 
 // NormalizeForm normalizes every term inside a formula.
-//
-//hot:root
 func (ev *Evaluator) NormalizeForm(f *Form) (*Form, error) {
 	ev.spent = 0
 	return ev.normForm(f, maxDepth)

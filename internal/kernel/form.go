@@ -119,8 +119,6 @@ func (f *Form) Equal(g *Form) bool {
 
 // SubstTerm substitutes free term variables in the formula, capture-avoiding:
 // quantifiers whose binder would capture a substituted variable are renamed.
-//
-//hot:root
 func (f *Form) SubstTerm(s Subst) *Form { return f.SubstTermS(s, nil) }
 
 // SubstTermS is SubstTerm drawing transient buffers from a per-search

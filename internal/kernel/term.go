@@ -208,8 +208,6 @@ func (s Subst) Clone() Subst {
 
 // ApplySubst substitutes variables in t by s, capture-avoiding with respect
 // to match-pattern binders.
-//
-//hot:root
 func (t *Term) ApplySubst(s Subst) *Term { return t.ApplySubstS(s, nil) }
 
 // ApplySubstS is ApplySubst drawing transient child-slice buffers from a

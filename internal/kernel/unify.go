@@ -122,8 +122,6 @@ func occurs(v string, t *Term, sub Subst) bool {
 // UnifyTerms unifies a and b, binding only variables in flex. It extends sub
 // in place and reports success; on failure sub may contain partial bindings
 // (callers clone before speculative unification).
-//
-//hot:root
 func UnifyTerms(a, b *Term, flex map[string]bool, sub Subst) bool {
 	a = Resolve(a, sub)
 	b = Resolve(b, sub)
@@ -189,8 +187,6 @@ func UnifyTerms(a, b *Term, flex map[string]bool, sub Subst) bool {
 // UnifyForms unifies two formulas, binding flexible term variables.
 // Quantified formulas unify up to alpha by renaming both binders to a shared
 // rigid fresh name.
-//
-//hot:root
 func UnifyForms(a, b *Form, flex map[string]bool, sub Subst) bool {
 	if a == nil || b == nil {
 		return a == b

@@ -1,10 +1,11 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"llmfscq/internal/kernel"
@@ -305,7 +306,7 @@ func (m *Model) Propose(p *prompt.Prompt, st *tactic.State, path []string, ng *N
 		}
 		out = append(out, Candidate{Tactic: m.keyText(uniq[idx].id), LogProb: math.Log(probs[idx])})
 	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].LogProb > out[b].LogProb })
+	slices.SortStableFunc(out, func(a, b Candidate) int { return cmp.Compare(b.LogProb, a.LogProb) })
 	m.out = out
 	return out
 }

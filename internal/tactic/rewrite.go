@@ -24,6 +24,17 @@ func tacRewrite(env *kernel.Env, g *Goal, c Call, sc *kernel.Scratch) ([]*Goal, 
 	return append([]*Goal{main}, sides...), nil
 }
 
+// noMatchError rejects a rewrite whose left-hand side matches no subterm.
+// Most rewrite attempts in a sweep end here and only a wire answer reads
+// the text, so the message is rendered when asked for: a single-pointer
+// struct goes into an interface without allocating, and the interned term
+// it holds is immutable.
+type noMatchError struct{ lhs *kernel.Term }
+
+func (e noMatchError) Error() string {
+	return "tactic: found no subterm matching " + e.lhs.String()
+}
+
 // rewriteOne rewrites with one named equation in the conclusion or a
 // hypothesis, returning the rewritten goal plus side-condition goals for the
 // equation's premises.
@@ -53,7 +64,7 @@ func rewriteOne(env *kernel.Env, g *Goal, name string, rev bool, in string, sc *
 
 	instTerm, sub, ok := kernel.FindInstanceFormS(lhs, target, inst.flex, nil, sc)
 	if !ok {
-		return nil, nil, fmt.Errorf("tactic: found no subterm matching %s", lhs)
+		return nil, nil, noMatchError{lhs}
 	}
 	if !metasResolved(inst, sub, sc) {
 		return nil, nil, errors.New("tactic: rewrite cannot determine all instances")

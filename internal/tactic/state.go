@@ -6,8 +6,9 @@
 package tactic
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -270,11 +271,11 @@ func (g *Goal) FingerprintKey() [2]uint64 {
 	for _, h := range g.Hyps {
 		hyps = append(hyps, kernel.FingerprintKeySeeded(h.Form, ren))
 	}
-	sort.Slice(hyps, func(i, j int) bool {
-		if hyps[i][0] != hyps[j][0] {
-			return hyps[i][0] < hyps[j][0]
+	slices.SortFunc(hyps, func(a, b [2]uint64) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
 		}
-		return hyps[i][1] < hyps[j][1]
+		return cmp.Compare(a[1], b[1])
 	})
 	h := kernel.NewKeyHasher(0x68)
 	h.Word(uint64(len(hyps)))

@@ -294,6 +294,17 @@ func TestRewriteDirections(t *testing.T) {
 	proves(t, env, "forall (n m : nat), n = m -> n + 0 = m + 0", "intros. rewrite <- H. reflexivity.")
 	proves(t, env, "forall (n m k : nat), n = m -> n = k -> m = k",
 		"intros. rewrite H in H0. assumption.")
+
+	// A rewrite whose left-hand side occurs nowhere is rejected, and the
+	// rejection's text (what a wire Rejected answer carries) renders it.
+	s, err := ApplySentence(NewState(env, stmt(t, env, "forall (n m : nat), n + 0 = m -> m = S m")), "intros.")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "tactic: found no subterm matching n + 0"
+	if _, err := ApplySentence(s, "rewrite H."); err == nil || err.Error() != want {
+		t.Fatalf("rewrite with no matching subterm: err = %v, want %q", err, want)
+	}
 }
 
 func TestLia(t *testing.T) {
