@@ -138,7 +138,7 @@ func BenchmarkRestrictEnv(b *testing.B) {
 // BenchmarkFingerprintKey measures the 128-bit state key (what the search
 // seen-set hashes on and the wire carries) on fresh states one intros step
 // deep, so goals carry hypotheses: the dedup operation every search
-// candidate pays. Fresh states each iteration, so the per-state memo never
+// candidate pays. Fresh states each iteration, so the per-goal memo never
 // amortizes the walk away.
 func BenchmarkFingerprintKey(b *testing.B) {
 	b.ReportAllocs()

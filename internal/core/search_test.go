@@ -165,6 +165,7 @@ func (d countingDoc) Try(parent *tactic.State, path []string, sentence string) c
 // proposer returning 20 candidates at width 3 executes at most 3 per query.
 func TestWidthCap(t *testing.T) {
 	env, c := loadEnv(t)
+	lt := model.NewLemmaTable(env)
 	prof := model.GPT4oMini
 	if prof.MaxOutputs != 8 {
 		t.Fatalf("%s returns up to %d candidates per query; the widths below assume 8", prof.Name, prof.MaxOutputs)
@@ -182,7 +183,7 @@ func TestWidthCap(t *testing.T) {
 		for i, th := range c.Theorems[:20] {
 			seed := int64(i) + 1
 			run := func(width int) Result {
-				return alg.search(Config{Env: env, Stmt: th.Stmt, Propose: modelProposer(c, th, prof, seed), Width: width})
+				return alg.search(Config{Env: env, Stmt: th.Stmt, Propose: modelProposer(c, lt, th, prof, seed), Width: width})
 			}
 			at8 := run(8)
 			for _, width := range []int{9, 16} {
@@ -262,12 +263,13 @@ func TestProofsAreReplayable(t *testing.T) {
 
 // modelProposer is the simulated model as the eval layer drives it: a
 // stateful proposer whose every query draws from one seeded RNG, so a slate
-// depends on how many queries came before it. Build a fresh one per search.
-func modelProposer(c *corpus.Corpus, th *corpus.Theorem, prof model.Profile, seed int64) Proposer {
+// depends on how many queries came before it. Build a fresh one per search;
+// lt is a lemma table over c.Env, shared like a sweep's.
+func modelProposer(c *corpus.Corpus, lt *model.LemmaTable, th *corpus.Theorem, prof model.Profile, seed int64) Proposer {
 	pb := prompt.Builder{Corpus: c, Setting: prompt.Vanilla, HintSet: map[string]bool{}, Window: prof.ContextWindow}
 	pr := pb.Build(th)
 	ng := model.BuildNGram(pr)
-	mdl := model.New(prof, c.Env)
+	mdl := model.NewWithLemmas(prof, c.Env, lt)
 	rng := rand.New(rand.NewSource(seed))
 	return func(st *tactic.State, path []string) []model.Candidate {
 		return mdl.Propose(pr, st, path, ng, rng)
@@ -290,6 +292,7 @@ func atLimit(res Result, limit int) Result {
 // from the outcome at 256 equals a direct search at L.
 func TestQueryLimitOnlyStops(t *testing.T) {
 	env, c := loadEnv(t)
+	lt := model.NewLemmaTable(env)
 	const top = 256
 	for _, alg := range []struct {
 		name   string
@@ -299,7 +302,7 @@ func TestQueryLimitOnlyStops(t *testing.T) {
 		for i, th := range c.Theorems[:20] {
 			seed := int64(i) + 1
 			run := func(limit int) Result {
-				return alg.search(Config{Env: env, Stmt: th.Stmt, Propose: modelProposer(c, th, model.GPT4oMini, seed), QueryLimit: limit})
+				return alg.search(Config{Env: env, Stmt: th.Stmt, Propose: modelProposer(c, lt, th, model.GPT4oMini, seed), QueryLimit: limit})
 			}
 			full := run(top)
 			statuses[full.Status]++

@@ -152,7 +152,7 @@ func NewRunner(c *corpus.Corpus, seed int64) *Runner {
 		searchers: &sync.Pool{New: func() any {
 			return &searcher{mdl: new(model.Model), rng: rand.New(rand.NewSource(0))}
 		}},
-		persist:  newPersistIndex(),
+		persist:  &persistIndex{},
 		outcomes: newOutcomeTier(),
 	}
 }
@@ -318,7 +318,7 @@ func (r *Runner) ngramFor(pr *prompt.Prompt) *model.NGram {
 // RunTheorem searches for a proof of one theorem with one model/setting.
 func (r *Runner) RunTheorem(prof model.Profile, setting prompt.Setting, th *corpus.Theorem) Outcome {
 	env := r.RestrictEnv(th)
-	return r.persistedOutcome(prof, setting.String(), "std", r.searchName(), true, th, env, func() store.OutcomeRec {
+	return r.persistedOutcome(prof, setting.String(), "std", r.searchName(), true, th, func() store.OutcomeRec {
 		b := r.builder(prof, setting)
 		return r.liveSearch(prof, setting, th, env, b.Build(th))
 	})
@@ -330,7 +330,7 @@ func (r *Runner) RunTheorem(prof model.Profile, setting prompt.Setting, th *corp
 // prompt.
 func (r *Runner) RunReduced(prof model.Profile, setting prompt.Setting, th *corpus.Theorem) Outcome {
 	env := r.RestrictEnv(th)
-	return r.persistedOutcome(prof, setting.String(), "reduced", r.searchName(), true, th, env, func() store.OutcomeRec {
+	return r.persistedOutcome(prof, setting.String(), "reduced", r.searchName(), true, th, func() store.OutcomeRec {
 		b := r.builder(prof, setting)
 		return r.liveSearch(prof, setting, th, env, b.ReducedContext(th))
 	})
@@ -396,7 +396,7 @@ func (r *Runner) RunWholeProof(prof model.Profile, setting prompt.Setting, th *c
 	// Whole-proof generation has no search algorithm, but its outcomes are
 	// just as deterministic; "whole-proof" stands in for the search name and
 	// the attempt budget goes in the variant.
-	return r.persistedOutcome(prof, setting.String()+"+whole-proof", "whole:"+strconv.Itoa(attempts), "whole-proof", false, th, env, func() store.OutcomeRec {
+	return r.persistedOutcome(prof, setting.String()+"+whole-proof", "whole:"+strconv.Itoa(attempts), "whole-proof", false, th, func() store.OutcomeRec {
 		return r.wholeProof(prof, setting, th, env, attempts)
 	})
 }

@@ -22,7 +22,6 @@ import (
 	"llmfscq/internal/kernel"
 	"llmfscq/internal/model"
 	"llmfscq/internal/store"
-	"llmfscq/internal/tactic"
 	"llmfscq/internal/textmetrics"
 	"llmfscq/internal/tokenizer"
 )
@@ -38,15 +37,6 @@ const (
 type persistIndex struct {
 	hintOnce sync.Once
 	hintFP   [2]uint64
-
-	mu sync.Mutex
-	// profFP memoizes profile fingerprints by the whole profile: a tuned
-	// profile that keeps its name must not get the original's fingerprint.
-	profFP map[model.Profile]uint64
-}
-
-func newPersistIndex() *persistIndex {
-	return &persistIndex{profFP: map[model.Profile]uint64{}}
 }
 
 // hintFingerprint hashes the sorted hint-set membership: prompts, n-gram
@@ -81,15 +71,27 @@ func (r *Runner) envFingerprint(th *corpus.Theorem) [2]uint64 {
 	return kh.Sum()
 }
 
-// profileFingerprint hashes every calibration constant of a model profile:
-// a tuning change must miss, same as a corpus edit.
-func (r *Runner) profileFingerprint(p model.Profile) uint64 {
-	r.persist.mu.Lock()
-	if fp, ok := r.persist.profFP[p]; ok {
-		r.persist.mu.Unlock()
-		return fp
-	}
-	r.persist.mu.Unlock()
+// rootKey is the outcome key's root: the strict hash of the initial proof
+// state of stmt, one goal with no variables or hypotheses, hashed as the
+// keys that stores already hold have it. Its bytes must not change: the
+// store's mirror sample is drawn from a hash of the key bytes, so a new
+// root would re-search other units on every warm run (TestRootKeyPinned).
+func rootKey(stmt *kernel.Form) [2]uint64 {
+	g := kernel.NewKeyHasher(0x67)
+	g.Word(0)
+	g.Word(0)
+	g.Pair(stmt.HashKey())
+	s := kernel.NewKeyHasher(0x6a)
+	s.Word(1)
+	s.Pair(g.Sum())
+	return s.Sum()
+}
+
+// profileFingerprint hashes every calibration constant of a model profile,
+// the name included: a tuning change must miss, same as a corpus edit, and
+// a tuned profile that keeps its name must not get the original's
+// fingerprint.
+func profileFingerprint(p model.Profile) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	word := func(v uint64) {
@@ -106,11 +108,7 @@ func (r *Runner) profileFingerprint(p model.Profile) uint64 {
 	word(math.Float64bits(p.Temperature))
 	word(math.Float64bits(p.NoiseRate))
 	word(math.Float64bits(p.DistractionHalfLife))
-	fp := h.Sum64()
-	r.persist.mu.Lock()
-	r.persist.profFP[p] = fp
-	r.persist.mu.Unlock()
-	return fp
+	return h.Sum64()
 }
 
 // searchName names the search algorithm for the outcome key. A custom
@@ -135,7 +133,7 @@ func (r *Runner) searchName() string {
 // (core.Config.Width), so every width at or above MaxOutputs is the same
 // search and keys as MaxOutputs: the ablation's width-16 units are the
 // grid's width-8 units.
-func (r *Runner) outcomeKey(prof model.Profile, settingStr, variant, search string, th *corpus.Theorem, env *kernel.Env) (store.OutcomeKey, bool) {
+func (r *Runner) outcomeKey(prof model.Profile, settingStr, variant, search string, th *corpus.Theorem) (store.OutcomeKey, bool) {
 	if search == "" {
 		return store.OutcomeKey{}, false
 	}
@@ -143,11 +141,10 @@ func (r *Runner) outcomeKey(prof model.Profile, settingStr, variant, search stri
 	if prof.MaxOutputs > 0 {
 		budget.Width = min(budget.Width, prof.MaxOutputs)
 	}
-	root := tactic.NewState(env, th.Stmt).StrictKey()
 	return store.OutcomeKey{
 		Env:     r.envFingerprint(th),
-		Root:    root,
-		Profile: r.profileFingerprint(prof),
+		Root:    rootKey(th.Stmt),
+		Profile: profileFingerprint(prof),
 		Setting: settingStr,
 		Variant: variant,
 		Search:  search,
@@ -228,8 +225,8 @@ func (t *outcomeTier) put(key store.OutcomeKey, limit int, rec store.OutcomeRec)
 // record that answered. limited marks a query-limited search, whose tier
 // entry answers other limits. A unit the tier answers never reaches the
 // store: it is not looked up, mirrored or recorded there.
-func (r *Runner) persistedOutcome(prof model.Profile, settingStr, variant, search string, limited bool, th *corpus.Theorem, env *kernel.Env, live func() store.OutcomeRec) Outcome {
-	key, ok := r.outcomeKey(prof, settingStr, variant, search, th, env)
+func (r *Runner) persistedOutcome(prof model.Profile, settingStr, variant, search string, limited bool, th *corpus.Theorem, live func() store.OutcomeRec) Outcome {
+	key, ok := r.outcomeKey(prof, settingStr, variant, search, th)
 	if !ok {
 		return r.rebuildOutcome(prof, settingStr, th, live())
 	}

@@ -482,3 +482,34 @@ func TestTunedProfileKeepsItsOwnOutcomes(t *testing.T) {
 		}
 	}
 }
+
+// The outcome key's root must keep the bytes that stores already hold: the
+// values below are the roots of two theorems' keys in stores written
+// before rootKey, the strict hash of each one's initial proof state. A
+// store key's bytes also pick the units the mirror re-searches on a warm
+// run (store.Cache.MirrorOutcome samples by a hash of them), so a root that
+// moved would re-search another sample: keyed on the statement's own strict
+// hash instead, a warm -proof-cache re-run made 125 mirror checks instead
+// of 128 yet took half again as long, and sweepbench's paper-warm nearly
+// doubled, far past its bound.
+func TestRootKeyPinned(t *testing.T) {
+	c, err := corpus.Default()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		theorem string
+		root    [2]uint64
+	}{
+		{"app_nil_r", [2]uint64{0x6ad5d844191bfe9d, 0x8f9a78d95960cf1b}},
+		{"plus_comm", [2]uint64{0xc33cfa160884a294, 0x633a3b6ef3207d25}},
+	} {
+		th, ok := c.TheoremNamed(tc.theorem)
+		if !ok {
+			t.Fatalf("no theorem %s", tc.theorem)
+		}
+		if got := rootKey(th.Stmt); got != tc.root {
+			t.Errorf("%s: root key %#x, want %#x", tc.theorem, got, tc.root)
+		}
+	}
+}

@@ -195,7 +195,7 @@ func computePredKey(name string, args []*Term) (a, b, sig uint64) {
 // formKey is termKey's analogue for formulas. The stored form hash is the
 // STRICT structural hash: it includes quantifier binder names and binder
 // types (Form.Equal ignores BType, so forms get no hash-based Equal fast
-// path; the strict hash exists to make goal StrictKeys O(#hyps) combines).
+// path; the strict hash keys the intern arena and the outcome key's root).
 func formKey(f *Form) (a, b, sig uint64) {
 	if f == nil {
 		return tagNilA, tagNilB, 0
@@ -284,12 +284,6 @@ func (t *Term) HashKey() [2]uint64 {
 // binder names and binder types, matching the concrete rendering).
 func (f *Form) HashKey() [2]uint64 {
 	a, b, _ := formKey(f)
-	return [2]uint64{a, b}
-}
-
-// HashKey returns the type's 128-bit structural hash.
-func (ty *Type) HashKey() [2]uint64 {
-	a, b := typeKey(ty)
 	return [2]uint64{a, b}
 }
 

@@ -38,18 +38,18 @@ type Model struct {
 	Profile Profile
 	Env     *kernel.Env
 	// lemmas is the lemma-statement analysis retrieval reads: the corpus
-	// table shared by a sweep (NewWithLemmas, Rebind), or a private table
-	// over the prompt's lemmas built on first use. view pairs the visible
-	// lemmas with their prompt- and n-gram-dependent weights; it lives
-	// until Rebind, so memory does not grow with the searches run.
+	// table shared by a sweep (NewWithLemmas, Rebind). view pairs the
+	// visible lemmas with their prompt- and n-gram-dependent weights; it
+	// lives until Rebind, so memory does not grow with the searches run.
 	lemmas *LemmaTable
 	view   retrView
 
-	// The candidate vocabulary, numbered under idsOf (a new table renumbers
-	// it; see viewFor). vocab resolves a candidate text to its key's id (-1
-	// for an empty key, which is dropped); local resolves a local key, and
-	// keys lists the local keys (id nt+i is keys[i]). textBuf renders a
-	// candidate text for a vocab lookup that allocates nothing (idOfIn).
+	// The candidate vocabulary, numbered under idsOf (a rebind onto another
+	// table renumbers it; see viewFor). vocab resolves a candidate text to
+	// its key's id (-1 for an empty key, which is dropped); local resolves a
+	// local key, and keys lists the local keys (id nt+i is keys[i]).
+	// textBuf renders a candidate text for a vocab lookup that allocates
+	// nothing (idOfIn).
 	idsOf   *LemmaTable
 	nt      int32
 	vocab   map[string]int32
@@ -71,13 +71,6 @@ type Model struct {
 	// slices were the dominant allocation source.
 	texts      []textCand
 	pool, uniq []scored
-	// slate memoizes the deduplicated structural + retrieval pool per
-	// focused goal. A Model serves one search at a time, so its prompt and
-	// n-gram are fixed while it does (viewFor drops the memo when they
-	// change, and after Rebind) and an entry depends on the goal identity
-	// alone; only the prev-dependent continuations and the rng-driven noise
-	// are folded in per query. A nil entry marks a goal seen once.
-	slate map[[2]uint64][]scored
 	// Per-query retrieval marks, indexed by table symbol id: a symbol is in
 	// the goal (hypotheses) when goalMark (hypMark) holds the query's epoch,
 	// and hypFirst is then the first hypothesis mentioning it. hypHeads are
@@ -110,28 +103,23 @@ type idState struct {
 	bi, u12, h05 float64
 }
 
-// New binds a profile to an environment. The model analyzes the lemma
-// statements its prompt shows on first use; NewWithLemmas shares that
-// analysis across models instead.
-func New(p Profile, env *kernel.Env) *Model { return &Model{Profile: p, Env: env} }
-
-// NewWithLemmas binds a profile to an environment and a shared lemma table,
-// built by NewLemmaTable over the environment env was restricted from. A
-// lemma the table analyzed with another statement than env's makes the
-// model fall back to a private table, so results never depend on sharing.
+// NewWithLemmas binds a profile to an environment and a lemma table, built
+// by NewLemmaTable over env or over the environment env was restricted
+// from. The table must hold every lemma the model's prompts show, under the
+// statement env declares: Propose panics, naming the lemma, on one it
+// lacks.
 func NewWithLemmas(p Profile, env *kernel.Env, lt *LemmaTable) *Model {
 	return &Model{Profile: p, Env: env, lemmas: lt}
 }
 
 // Rebind readies m, which may be the zero Model, for another search: m then
-// proposes as NewWithLemmas(p, env, lt) would (lt nil: as New(p, env)). It
-// keeps the vocabulary, because a text's id is a function of the lemma
-// table alone, and the per-id arrays and scratch, because the query epochs
-// and n-gram generations stamped there make earlier entries unreadable
-// without clearing. It drops the retrieval view, and with it the slate memo
-// on the next query: both depend on the prompt, the n-gram and the profile.
-// A table other than the one the vocabulary is numbered under renumbers it
-// on the next query, as a private-table fallback does.
+// proposes as NewWithLemmas(p, env, lt) would. It keeps the vocabulary,
+// because a text's id is a function of the lemma table alone, and the
+// per-id arrays and scratch, because the query epochs and n-gram
+// generations stamped there make earlier entries unreadable without
+// clearing. It drops the retrieval view, which depends on the prompt, the
+// n-gram and the profile. A table other than the one the vocabulary is
+// numbered under renumbers it on the next query.
 func (m *Model) Rebind(p Profile, env *kernel.Env, lt *LemmaTable) {
 	m.Profile, m.Env, m.lemmas = p, env, lt
 	m.view.prompt = nil
@@ -172,55 +160,25 @@ func (m *Model) Propose(p *prompt.Prompt, st *tactic.State, path []string, ng *N
 	if len(path) > 0 {
 		prev = textmetrics.NormalizeScript(path[len(path)-1])
 	}
-	// Settle the lemma table before resolving any id: viewFor may fall back
-	// to a private table, which renumbers the vocabulary.
+	// Resolve the view before any id: it renumbers the vocabulary after a
+	// rebind onto another lemma table, and junk draws lemmas from it.
 	m.viewFor(p, ng)
 	ep := m.nextEpoch()
 
-	// The deterministic slate (structural + retrieval, deduplicated) is a
-	// pure function of the goal for this Model's fixed prompt and n-gram;
-	// searches revisit the same focused goal across queries (repeat's
-	// progress loops, siblings sharing unfocused goals), and the memo keys
-	// on StrictKey because candidate texts mention concrete names.
-	if m.slate == nil {
-		m.slate = map[[2]uint64][]scored{}
-	}
-	gk := goal.StrictKey()
-	memo, revisit := m.slate[gk]
+	// The pool: the goal-shape candidates, then retrieval's.
 	uniq := m.uniq[:0]
-	if memo != nil {
-		// Re-stamp the copied prefix so the per-query candidates below
-		// merge into it.
-		uniq = append(uniq, memo...)
-		for i, c := range uniq {
-			s := m.state(c.id)
-			s.seen, s.pos = ep, int32(i)
-		}
-	} else {
-		m.texts = m.structural(m.texts[:0], goal)
-		pool := m.pool[:0]
-		for _, c := range m.texts {
-			pool = append(pool, scored{id: m.idOf(c.text), h: c.h})
-		}
-		pool = m.retrieval(pool, p, goal, ng)
-		m.pool = pool
-		for _, c := range pool {
-			uniq = m.fold(uniq, ep, c)
-		}
-		if revisit {
-			// Second sighting: this goal does recur, so the entry will pay
-			// for itself (first sightings — most goals in a search — stay
-			// in scratch and allocate nothing per query).
-			m.slate[gk] = append([]scored(nil), uniq...)
-		} else {
-			m.slate[gk] = nil
-		}
+	m.texts = m.structural(m.texts[:0], goal)
+	for _, c := range m.texts {
+		uniq = m.fold(uniq, ep, scored{id: m.idOf(c.text), h: c.h})
 	}
-	// Fold the per-query candidates on top: the idiomatic continuations
-	// mined from hint proofs (prev-dependent, including two-step "a; b"
-	// compounds) and the capability noise (corrupted names and junk tactics
-	// competing with real candidates). Merge order matches a single deduped
-	// pool exactly, so slates are byte-identical to the memo-free path.
+	m.pool = m.retrieval(m.pool[:0], p, goal, ng)
+	for _, c := range m.pool {
+		uniq = m.fold(uniq, ep, c)
+	}
+	// Fold the per-query candidates on top of the pool, in pool order: the
+	// idiomatic continuations mined from hint proofs (prev-dependent,
+	// including two-step "a; b" compounds) and the capability noise
+	// (corrupted names and junk tactics competing with real candidates).
 	if nx := ng.nextOf(prev); nx != nil {
 		for _, cont := range nx.conts {
 			uniq = m.fold(uniq, ep, scored{id: m.idOf(cont), h: 0.9})
@@ -229,7 +187,7 @@ func (m *Model) Propose(p *prompt.Prompt, st *tactic.State, path []string, ng *N
 			uniq = m.fold(uniq, ep, scored{id: m.idOf(pair.Text), h: 1.1 + 0.25*math.Log1p(pair.Count)})
 		}
 	}
-	m.texts = m.junk(m.texts[:0], goal, p, rng)
+	m.texts = m.junk(m.texts[:0], rng)
 	for _, c := range m.texts {
 		uniq = m.fold(uniq, ep, scored{id: m.idOf(c.text), j: c.j})
 	}
@@ -743,7 +701,7 @@ func looksArith(f *kernel.Form) bool {
 }
 
 // structural appends the goal-shape candidate pool: a pure function of
-// (goal, env), memoized at the slate level in Propose.
+// (goal, env).
 func (m *Model) structural(out []textCand, g *tactic.Goal) []textCand {
 	add := func(text string, h float64) { out = append(out, textCand{text: text, h: h}) }
 	c := g.Concl
@@ -1116,7 +1074,9 @@ var junkHypApply = func() [9]string {
 	return t
 }()
 
-func (m *Model) junk(out []textCand, g *tactic.Goal, p *prompt.Prompt, rng *rand.Rand) []textCand {
+// junk appends the capability noise. It draws lemmas from the view, so
+// Propose calls it after viewFor.
+func (m *Model) junk(out []textCand, rng *rand.Rand) []textCand {
 	prof := m.Profile
 	nJunk := int(math.Round(prof.NoiseRate * 10))
 	level := 3.4 * prof.NoiseRate
@@ -1127,11 +1087,11 @@ func (m *Model) junk(out []textCand, g *tactic.Goal, p *prompt.Prompt, rng *rand
 			out = append(out, textCand{text: junkTactics[rng.Intn(len(junkTactics))], j: u})
 		case 1:
 			// Apply a random visible lemma regardless of relevance.
-			if name := randomLemma(p, rng); name != "" {
+			if name := m.randomLemma(rng); name != "" {
 				out = append(out, textCand{text: "apply " + name + ".", j: u})
 			}
 		case 2:
-			if name := randomLemma(p, rng); name != "" {
+			if name := m.randomLemma(rng); name != "" {
 				out = append(out, textCand{text: "rewrite " + name + ".", j: u})
 			}
 		default:
@@ -1142,10 +1102,12 @@ func (m *Model) junk(out []textCand, g *tactic.Goal, p *prompt.Prompt, rng *rand
 	return out
 }
 
-func randomLemma(p *prompt.Prompt, rng *rand.Rand) string {
-	names := p.LemmaNames()
-	if len(names) == 0 {
+// randomLemma draws a visible lemma's name, or "" when the prompt shows
+// none. The view lists the prompt's lemma items in prompt order.
+func (m *Model) randomLemma(rng *rand.Rand) string {
+	lems := m.view.lems
+	if len(lems) == 0 {
 		return ""
 	}
-	return names[rng.Intn(len(names))]
+	return lems[rng.Intn(len(lems))].name
 }

@@ -26,7 +26,7 @@ func setup(t testing.TB, setting prompt.Setting, thName string) (*Model, *prompt
 	b := prompt.Builder{Corpus: c, Setting: setting, HintSet: hints, Window: GPT4o.ContextWindow}
 	pr := b.Build(th)
 	ng := BuildNGram(pr)
-	mdl := New(GPT4o, c.Env)
+	mdl := NewWithLemmas(GPT4o, c.Env, NewLemmaTable(c.Env))
 	return mdl, pr, ng, tactic.NewState(c.Env, th.Stmt)
 }
 
@@ -87,7 +87,7 @@ func TestRetrievalRespectsTruncation(t *testing.T) {
 	small.ContextWindow = 300
 	b := prompt.Builder{Corpus: c, Setting: prompt.Vanilla, HintSet: map[string]bool{}, Window: small.ContextWindow}
 	pr := b.Build(th)
-	mdl := New(small, c.Env)
+	mdl := NewWithLemmas(small, c.Env, NewLemmaTable(c.Env))
 	st := tactic.NewState(c.Env, th.Stmt)
 	rng := rand.New(rand.NewSource(11))
 	for round := 0; round < 20; round++ {
@@ -153,7 +153,7 @@ func TestWholeProofGeneratesScripts(t *testing.T) {
 	b := prompt.Builder{Corpus: c, Setting: prompt.Hint, HintSet: hints, Window: GPT4o.ContextWindow}
 	pr := b.Build(th)
 	ng := BuildNGram(pr)
-	mdl := New(GPT4o, c.Env)
+	mdl := NewWithLemmas(GPT4o, c.Env, NewLemmaTable(c.Env))
 	rng := rand.New(rand.NewSource(2))
 	sawNonEmpty := false
 	for i := 0; i < 8; i++ {

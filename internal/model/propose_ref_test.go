@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -22,19 +23,53 @@ type refCand struct {
 }
 
 // refModel is Propose written directly on strings, without ids, stamps,
-// memoized slates or a key bound: every query rebuilds the pool, folds it
-// through a map keyed on dedup keys, scores it through a per-text memo,
-// computes every Gumbel key and sorts them all. It is the specification
-// the production path must reproduce bit for bit. gen generates candidate
-// texts only (structural, junk), so its vocabulary is never used.
+// views or a key bound: every query rebuilds the pool, folds it through a
+// map keyed on dedup keys, scores it through a per-text memo, draws its
+// noise from the prompt's lemma items, computes every Gumbel key and sorts
+// them all. It is the specification the production path must reproduce bit
+// for bit. gen generates the structural candidate texts only, so its
+// vocabulary and table are never used.
 type refModel struct {
 	gen     *Model
 	scoreNG *NGram
 	parts   map[string][2]float64 // key -> 0.12*log1p(unigram), 0.05*log1p(head)
 }
 
-func newRefModel(p Profile, env *kernel.Env) *refModel {
-	return &refModel{gen: New(p, env)}
+func newRefModel(p Profile, env *kernel.Env, lt *LemmaTable) *refModel {
+	return &refModel{gen: NewWithLemmas(p, env, lt)}
+}
+
+// refJunk is the capability noise drawn from the prompt's lemma items, where
+// Propose draws from its view: the slates agree only if the view lists
+// exactly the prompt's lemmas, in prompt order.
+func refJunk(prof Profile, p *prompt.Prompt, rng *rand.Rand) []refCand {
+	names := promptLemmas(p)
+	lemma := func() string {
+		if len(names) == 0 {
+			return ""
+		}
+		return names[rng.Intn(len(names))]
+	}
+	var out []refCand
+	level := 3.4 * prof.NoiseRate
+	for i := 0; i < int(math.Round(prof.NoiseRate*10)); i++ {
+		u := (0.4 + rng.Float64()) * level
+		switch rng.Intn(4) {
+		case 0:
+			out = append(out, refCand{text: junkTactics[rng.Intn(len(junkTactics))], j: u})
+		case 1:
+			if name := lemma(); name != "" {
+				out = append(out, refCand{text: "apply " + name + ".", j: u})
+			}
+		case 2:
+			if name := lemma(); name != "" {
+				out = append(out, refCand{text: "rewrite " + name + ".", j: u})
+			}
+		default:
+			out = append(out, refCand{text: fmt.Sprintf("apply H%d.", rng.Intn(9)), j: u})
+		}
+	}
+	return out
 }
 
 // gumbel draws a standard Gumbel variate.
@@ -68,9 +103,7 @@ func (r *refModel) propose(p *prompt.Prompt, st *tactic.State, path []string, ng
 			pool = append(pool, refCand{text: pair.Text, h: 1.1 + 0.25*math.Log1p(pair.Count)})
 		}
 	}
-	for _, c := range r.gen.junk(nil, goal, p, rng) {
-		pool = append(pool, refCand{text: c.text, j: c.j})
-	}
+	pool = append(pool, refJunk(r.gen.Profile, p, rng)...)
 
 	var uniq []refCand
 	at := map[string]int{}
@@ -190,13 +223,12 @@ type builtPrompt struct {
 
 // Propose must equal the string reference bit for bit — candidate texts,
 // LogProb bits and the RNG state after — for every test theorem, in both
-// settings, under every paper profile: at the root goal three times (a
-// first sighting, the sighting that memoizes the slate, a memo hit), at
-// the goal after intros, and at each believed state of a whole-proof
-// roll-out, whose script must equal WholeProof's. Two models propose
-// beside the reference: a fresh one per combination, and one model rebound
-// to every combination in turn, with one RNG re-seeded, as a grid worker
-// reuses them across its searches.
+// settings, under every paper profile: at the root goal three times (the
+// view built, then reused), at the goal after intros, and at each believed
+// state of a whole-proof roll-out, whose script must equal WholeProof's.
+// Two models propose beside the reference: a fresh one per combination,
+// and one model rebound to every combination in turn, with one RNG
+// re-seeded, as a grid worker reuses them across its searches.
 func TestProposeMatchesReference(t *testing.T) {
 	c, hints, ths := testTheorems(t)
 	shared := NewLemmaTable(c.Env)
@@ -223,7 +255,7 @@ func TestProposeMatchesReference(t *testing.T) {
 				m := NewWithLemmas(prof, env, shared)
 				reused.Rebind(prof, env, shared)
 				rngU.Seed(11)
-				ref := newRefModel(prof, env)
+				ref := newRefModel(prof, env, shared)
 				rngM, rngR := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
 				check := func(st *tactic.State, path []string) []Candidate {
 					want := ref.propose(pr, st, path, ng, rngR)
@@ -291,48 +323,45 @@ func TestProposeMatchesReference(t *testing.T) {
 	t.Logf("%d queries checked", queries)
 }
 
-// A model without a shared table analyzes its first prompt's lemmas
-// privately; a prompt showing lemmas outside that table makes it build
-// another, which renumbers its vocabulary. Rebound onto the shared table
-// after that, it renumbers once more. Its slates must still equal the
-// reference's, query after query.
+// reversedLemmaTable analyzes env's lemmas in reverse declaration order, so
+// that its lemmas, symbols and candidate keys get other ids than
+// NewLemmaTable(env) gives them.
+func reversedLemmaTable(env *kernel.Env) *LemmaTable {
+	rev := env.Clone()
+	slices.Reverse(rev.LemmaOrder)
+	return NewLemmaTable(rev)
+}
+
+// A model rebound onto another lemma table renumbers its vocabulary on its
+// next query. One model, built on a table over its restricted environment
+// and rebound in turn onto the corpus table and a table numbered in reverse,
+// must equal the reference query after query, under each table.
 func TestProposeMatchesReferenceAcrossTables(t *testing.T) {
 	c, hints, ths := testTheorems(t)
 	last := ths[len(ths)-1]
 	env := envBefore(c.Env, last.Name)
-	shared := NewLemmaTable(c.Env)
+	tables := []*LemmaTable{NewLemmaTable(env), NewLemmaTable(c.Env), reversedLemmaTable(env)}
 	for _, setting := range []prompt.Setting{prompt.Vanilla, prompt.Hint} {
 		b := prompt.Builder{Corpus: c, Setting: setting, HintSet: hints, Window: GPT4o.ContextWindow}
-		m := New(GPT4o, env)
-		ref := newRefModel(GPT4o, env)
+		m := NewWithLemmas(GPT4o, env, tables[0])
+		ref := newRefModel(GPT4o, env, tables[0])
 		rngM, rngR := rand.New(rand.NewSource(17)), rand.New(rand.NewSource(17))
-		check := func(th *corpus.Theorem) {
-			pr := b.Build(th)
-			ng := BuildNGram(pr)
-			root := tactic.NewState(env, th.Stmt)
-			for i := 0; i < 3; i++ {
-				got := append([]Candidate(nil), m.Propose(pr, root, nil, ng, rngM)...)
-				sameSlate(t, setting.String()+"/"+th.Name, got, ref.propose(pr, root, nil, ng, rngR))
+		for i, lt := range tables {
+			if i > 0 {
+				m.Rebind(GPT4o, env, lt)
 			}
-		}
-		changes := 0
-		var table *LemmaTable
-		for _, th := range []*corpus.Theorem{ths[0], last, ths[len(ths)/2], ths[0]} {
-			check(th)
-			if m.lemmas != table {
-				table = m.lemmas
-				changes++
+			for _, th := range []*corpus.Theorem{ths[0], last, ths[len(ths)/2]} {
+				pr := b.Build(th)
+				ng := BuildNGram(pr)
+				root := tactic.NewState(env, th.Stmt)
+				for q := 0; q < 3; q++ {
+					got := append([]Candidate(nil), m.Propose(pr, root, nil, ng, rngM)...)
+					sameSlate(t, setting.String()+"/"+th.Name, got, ref.propose(pr, root, nil, ng, rngR))
+				}
 			}
-		}
-		if changes < 2 {
-			t.Fatalf("%s: the model kept one table for every prompt; the vocabulary reset went untested", setting)
-		}
-		m.Rebind(GPT4o, env, shared)
-		for _, th := range []*corpus.Theorem{last, ths[0]} {
-			check(th)
-		}
-		if m.lemmas != shared || m.idsOf != shared {
-			t.Fatalf("%s: the model rebound onto the shared table still numbers its vocabulary under a private one", setting)
+			if m.idsOf != lt {
+				t.Fatalf("%s: the model rebound onto table %d numbers its vocabulary under another", setting, i)
+			}
 		}
 		if rngM.Int63() != rngR.Int63() {
 			t.Fatalf("%s: RNG states diverged", setting)

@@ -84,38 +84,20 @@ const (
 // over a corpus environment serves the Models of every environment
 // restricted from it (restriction shares the lemma statements).
 func NewLemmaTable(env *kernel.Env) *LemmaTable {
-	t := newLemmaTable(len(env.LemmaOrder))
-	for _, name := range env.LemmaOrder {
-		if lem, ok := env.Lemmas[name]; ok {
-			t.add(lem)
-		}
-	}
-	return t
-}
-
-// promptLemmaTable analyzes only the lemmas p shows that env contains: the
-// private table of a Model given no shared one.
-func promptLemmaTable(p *prompt.Prompt, env *kernel.Env) *LemmaTable {
-	t := newLemmaTable(len(p.Items))
-	for _, it := range p.Items {
-		if it.Kind != corpus.ItemLemma {
-			continue
-		}
-		if lem, ok := env.Lemmas[it.Name]; ok {
-			t.add(lem)
-		}
-	}
-	return t
-}
-
-func newLemmaTable(n int) *LemmaTable {
-	return &LemmaTable{
+	n := len(env.LemmaOrder)
+	t := &LemmaTable{
 		byName: make(map[string]int32, n),
 		lems:   make([]lemEntry, 0, n),
 		symID:  map[string]int32{},
 		keys:   make([]string, 0, 4*n),
 		keyID:  make(map[string]int32, 4*n),
 	}
+	for _, name := range env.LemmaOrder {
+		if lem, ok := env.Lemmas[name]; ok {
+			t.add(lem)
+		}
+	}
+	return t
 }
 
 // Len reports the number of lemmas in the table.
@@ -250,26 +232,18 @@ type retrView struct {
 }
 
 // viewFor returns the visible lemmas of p, rebuilding the view only when
-// the (prompt, n-gram) pair changes — once per search in a sweep. It
-// settles the lemma table, so Propose calls it before resolving any
-// candidate id: a table change renumbers the vocabulary, and a new view
-// drops the slate memo, whose retrieval half it invalidates.
+// the (prompt, n-gram) pair changes — once per search in a sweep. Propose
+// calls it before resolving any candidate id: after a rebind onto another
+// lemma table, the first view renumbers the vocabulary.
 func (m *Model) viewFor(p *prompt.Prompt, ng *NGram) []lemView {
 	if m.view.prompt == p && m.view.ng == ng {
 		return m.view.lems
 	}
-	lems, ok := m.buildView(p, ng)
-	if !ok {
-		// No table yet, or the shared one analyzed another statement under
-		// a visible name: analyze what this prompt shows privately.
-		m.lemmas = promptLemmaTable(p, m.Env)
-		lems, _ = m.buildView(p, ng)
-	}
+	lems := m.buildView(p, ng)
 	m.view = retrView{prompt: p, ng: ng, lems: lems}
 	if m.idsOf != m.lemmas {
 		m.resetIDs()
 	}
-	clear(m.slate)
 	// Retrieval emits the view's table ids without a vocabulary lookup, so
 	// their state must exist before the first query.
 	top := int32(-1)
@@ -280,12 +254,10 @@ func (m *Model) viewFor(p *prompt.Prompt, ng *NGram) []lemView {
 	return lems
 }
 
-// buildView pairs each visible lemma the env contains with its table row;
-// it fails if the table lacks one.
-func (m *Model) buildView(p *prompt.Prompt, ng *NGram) ([]lemView, bool) {
-	if m.lemmas == nil {
-		return nil, false
-	}
+// buildView pairs each visible lemma the env contains with its table row.
+// It panics on a lemma the table lacks or analyzed under another
+// statement: retrieval would score a statement the model cannot see.
+func (m *Model) buildView(p *prompt.Prompt, ng *NGram) []lemView {
 	prof := m.Profile
 	n := len(p.Items)
 	lems := m.view.lems[:0]
@@ -299,7 +271,7 @@ func (m *Model) buildView(p *prompt.Prompt, ng *NGram) ([]lemView, bool) {
 		}
 		e := m.lemmas.entry(it.Name, lem.Stmt)
 		if e == nil {
-			return nil, false
+			panic("model: the lemma table has no row for visible lemma " + it.Name + " under the statement its environment declares")
 		}
 		dist := float64(n - 1 - i)
 		decay := math.Exp2(-dist / prof.DistractionHalfLife)
@@ -311,7 +283,7 @@ func (m *Model) buildView(p *prompt.Prompt, ng *NGram) ([]lemView, bool) {
 		}
 		lems = append(lems, v)
 	}
-	return lems, true
+	return lems
 }
 
 // markSymbols stamps the table ids of the goal's symbols into goalMark and

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"llmfscq/internal/checker"
@@ -58,23 +59,36 @@ func sameSlate(t *testing.T, what string, a, b []Candidate) {
 	}
 }
 
-// Propose through the corpus-wide shared table must equal Propose on a
-// Model with a private table over its prompt's lemmas — whose symbol ids
-// differ — for every test theorem's root goal and its introduced goal, in
-// both settings, and leave the RNG in the same state. WholeProof, which
-// chains Propose along a believed state, must agree too.
+// promptLemmas lists the names of p's lemma items in prompt order.
+func promptLemmas(p *prompt.Prompt) []string {
+	var names []string
+	for _, it := range p.Items {
+		if it.Kind == corpus.ItemLemma {
+			names = append(names, it.Name)
+		}
+	}
+	return names
+}
+
+// Propose through the corpus-wide shared table must equal Propose through a
+// table over the restricted environment alone — whose local candidate ids
+// differ, since it holds fewer keys — for every test theorem's root goal and
+// its introduced goal, in both settings, and leave the RNG in the same
+// state. WholeProof, which chains Propose along a believed state, must agree
+// too.
 func TestSharedLemmaTableMatchesPrivate(t *testing.T) {
 	c, hints, ths := testTheorems(t)
 	shared := NewLemmaTable(c.Env)
-	for _, setting := range []prompt.Setting{prompt.Vanilla, prompt.Hint} {
-		b := prompt.Builder{Corpus: c, Setting: setting, HintSet: hints, Window: GPT4o.ContextWindow}
-		for _, th := range ths {
-			env := envBefore(c.Env, th.Name)
+	for _, th := range ths {
+		env := envBefore(c.Env, th.Name)
+		own := NewLemmaTable(env)
+		for _, setting := range []prompt.Setting{prompt.Vanilla, prompt.Hint} {
+			b := prompt.Builder{Corpus: c, Setting: setting, HintSet: hints, Window: GPT4o.ContextWindow}
 			pr := b.Build(th)
 			ng := BuildNGram(pr)
 			what := setting.String() + "/" + th.Name
 			withShared := NewWithLemmas(GPT4o, env, shared)
-			private := New(GPT4o, env)
+			private := NewWithLemmas(GPT4o, env, own)
 			rngS, rngP := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
 
 			root := tactic.NewState(env, th.Stmt)
@@ -97,16 +111,12 @@ func TestSharedLemmaTableMatchesPrivate(t *testing.T) {
 			if rngS.Int63() != rngP.Int63() {
 				t.Fatalf("%s: RNG states diverged", what)
 			}
-			if withShared.lemmas != shared {
-				t.Fatalf("%s: the model dropped the shared table", what)
-			}
 		}
 	}
 }
 
-// A shared table that analyzed another statement under a visible lemma's
-// name must not leak into the slate: the model falls back to a private
-// table.
+// A table that lacks a visible lemma, or analyzed another statement under
+// its name, must not reach the slate: Propose panics, naming the lemma.
 func TestSharedLemmaTableStatementMismatch(t *testing.T) {
 	c, hints, _ := testTheorems(t)
 	th, _ := c.TheoremNamed("app_assoc")
@@ -114,19 +124,33 @@ func TestSharedLemmaTableStatementMismatch(t *testing.T) {
 	pr := b.Build(th)
 	ng := BuildNGram(pr)
 	env := envBefore(c.Env, th.Name)
-	// Swap the statement of the visible lemma nearest the target for the
-	// target's own.
-	names := pr.LemmaNames()
-	swapped := names[len(names)-1]
-	env.Lemmas[swapped] = &kernel.Lemma{Name: swapped, Stmt: th.Stmt}
+	names := promptLemmas(pr)
+	// The visible lemma nearest the target.
+	name := names[len(names)-1]
 
-	st := tactic.NewState(env, th.Stmt)
-	shared := NewLemmaTable(c.Env)
-	m := NewWithLemmas(GPT4o, env, shared)
-	a := append([]Candidate(nil), m.Propose(pr, st, nil, ng, rand.New(rand.NewSource(3)))...)
-	sameSlate(t, "mismatched table", a, New(GPT4o, env).Propose(pr, st, nil, ng, rand.New(rand.NewSource(3))))
-	if m.lemmas == shared {
-		t.Fatal("the model kept a table that analyzed another statement")
+	lacking := env.Clone()
+	delete(lacking.Lemmas, name)
+	// The same name declared with the target's statement.
+	swapped := env.Clone()
+	swapped.Lemmas[name] = &kernel.Lemma{Name: name, Stmt: th.Stmt}
+	for _, tc := range []struct {
+		what string
+		env  *kernel.Env
+		lt   *LemmaTable
+	}{
+		{"a table lacking the lemma", env, NewLemmaTable(lacking)},
+		{"a table with another statement", swapped, NewLemmaTable(c.Env)},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, " "+name+" ") {
+					t.Errorf("%s: Propose recovered %q, want a panic naming %s", tc.what, msg, name)
+				}
+			}()
+			m := NewWithLemmas(GPT4o, tc.env, tc.lt)
+			m.Propose(pr, tactic.NewState(tc.env, th.Stmt), nil, ng, rand.New(rand.NewSource(3)))
+		}()
 	}
 }
 

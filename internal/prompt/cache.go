@@ -131,30 +131,3 @@ func (cc *Cache) build(th *corpus.Theorem, s Setting, window int) *Prompt {
 	}
 	return &Prompt{Target: th, Items: items, TotalTokens: total, Window: window, Dropped: drop}
 }
-
-// reduced assembles the §4.3 dependency-only prompt directly from cached
-// items: truncation is computed first (identical to build), then only the
-// surviving items whose lemma names appear in needed are copied — the full
-// prompt is never materialized.
-func (cc *Cache) reduced(th *corpus.Theorem, s Setting, window int, needed map[string]bool) *Prompt {
-	segs, total := cc.segments(th, s)
-	drop, _ := dropCount(segs, total, window)
-	var kept []Item
-	keptTokens := 0
-	skip := drop
-	for _, seg := range segs {
-		if skip >= len(seg) {
-			skip -= len(seg)
-			continue
-		}
-		for _, it := range seg[skip:] {
-			if it.Kind == corpus.ItemLemma && !needed[it.Name] {
-				continue
-			}
-			kept = append(kept, it)
-			keptTokens += it.Tokens
-		}
-		skip = 0
-	}
-	return &Prompt{Target: th, Items: kept, TotalTokens: keptTokens, Window: window}
-}

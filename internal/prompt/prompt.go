@@ -57,42 +57,6 @@ type Prompt struct {
 	Window int
 	// Dropped counts the items removed by truncation.
 	Dropped int
-
-	// lemmaSet and lemmaNames index the lemma items that survived
-	// truncation, built on first use (prompts are used by one search
-	// goroutine, so the lazy build needs no lock).
-	lemmaSet   map[string]bool
-	lemmaNames []string
-}
-
-func (p *Prompt) ensureLemmaIndex() {
-	if p.lemmaSet != nil {
-		return
-	}
-	set := make(map[string]bool)
-	names := make([]string, 0, len(p.Items))
-	for i := range p.Items {
-		if p.Items[i].Kind == corpus.ItemLemma {
-			set[p.Items[i].Name] = true
-			names = append(names, p.Items[i].Name)
-		}
-	}
-	p.lemmaSet = set
-	p.lemmaNames = names
-}
-
-// LemmaVisible reports whether a lemma statement with the given name
-// survived truncation (the model can only use what it can read).
-func (p *Prompt) LemmaVisible(name string) bool {
-	p.ensureLemmaIndex()
-	return p.lemmaSet[name]
-}
-
-// LemmaNames returns the names of the visible lemma items in prompt order.
-// The slice is shared; callers must not mutate it.
-func (p *Prompt) LemmaNames() []string {
-	p.ensureLemmaIndex()
-	return p.lemmaNames
 }
 
 // HintSplit deterministically selects frac of all theorems as the hint set,
@@ -203,11 +167,6 @@ func (b *Builder) ReducedContext(th *corpus.Theorem) *Prompt {
 	}
 	collect(th.Stmt.String())
 	collect(th.Proof)
-	if b.Cache != nil {
-		// The cached path filters while assembling: the full (pre-filter)
-		// prompt is never materialized.
-		return b.Cache.reduced(th, b.Setting, b.Window, needed)
-	}
 	full := b.Build(th)
 	var kept []Item
 	total := 0

@@ -7,6 +7,17 @@ import (
 	"llmfscq/internal/corpus"
 )
 
+// lemmaVisible reports whether a lemma statement named name survived
+// truncation.
+func lemmaVisible(p *Prompt, name string) bool {
+	for _, it := range p.Items {
+		if it.Kind == corpus.ItemLemma && it.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
 func loadCorpus(t testing.TB) *corpus.Corpus {
 	t.Helper()
 	c, err := corpus.Default()
@@ -95,7 +106,7 @@ func TestPromptStopsAtTarget(t *testing.T) {
 			t.Fatalf("prompt contains later lemma %s", it.Name)
 		}
 	}
-	if !p.LemmaVisible("app_nil_r") {
+	if !lemmaVisible(p, "app_nil_r") {
 		t.Fatal("earlier lemma missing")
 	}
 }
@@ -117,7 +128,7 @@ func TestWindowTruncationKeepsNearest(t *testing.T) {
 		t.Fatal("empty tail item")
 	}
 	// Distant Prelude items must be gone.
-	if p.LemmaVisible("plus_O_n") {
+	if lemmaVisible(p, "plus_O_n") {
 		t.Fatal("distant lemma survived a 200-token window")
 	}
 }
@@ -181,8 +192,8 @@ func TestCacheMatchesDirectBuild(t *testing.T) {
 	}
 }
 
-// Same purity requirement for the reduced-context path, which assembles
-// filtered prompts without materializing the full prompt.
+// Same purity requirement for the reduced-context path, which filters the
+// prompt Build assembles, through the cache when one is set.
 func TestCacheMatchesDirectReducedContext(t *testing.T) {
 	c := loadCorpus(t)
 	hints := HintSplit(c, 0.5, 2025)
@@ -203,37 +214,5 @@ func TestCacheMatchesDirectReducedContext(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestLemmaIndex(t *testing.T) {
-	c := loadCorpus(t)
-	b := Builder{Corpus: c, Setting: Vanilla, HintSet: map[string]bool{}}
-	th, _ := c.TheoremNamed("in_or_app")
-	p := b.Build(th)
-	names := p.LemmaNames()
-	if len(names) == 0 {
-		t.Fatal("no visible lemmas")
-	}
-	// The index must agree with a direct scan, in item order.
-	var want []string
-	for _, it := range p.Items {
-		if it.Kind == corpus.ItemLemma {
-			want = append(want, it.Name)
-		}
-	}
-	if len(names) != len(want) {
-		t.Fatalf("index has %d names, scan %d", len(names), len(want))
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("index order differs at %d: %s vs %s", i, names[i], want[i])
-		}
-		if !p.LemmaVisible(want[i]) {
-			t.Fatalf("LemmaVisible(%s) = false for a visible lemma", want[i])
-		}
-	}
-	if p.LemmaVisible("no_such_lemma") {
-		t.Fatal("LemmaVisible reports an absent lemma")
 	}
 }

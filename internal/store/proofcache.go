@@ -37,7 +37,9 @@ type OutcomeKey struct {
 	// Env is the environment identity fingerprint (corpus hash + theorem
 	// position + hint split).
 	Env [2]uint64
-	// Root is the StrictKey of the initial proof state.
+	// Root is the strict hash of the initial proof state (eval's rootKey).
+	// Its bytes must not change: the mirror sample is drawn from the key's
+	// hash.
 	Root [2]uint64
 	// Profile fingerprints the model profile's calibration constants.
 	Profile uint64

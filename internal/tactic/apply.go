@@ -8,6 +8,22 @@ import (
 	"llmfscq/internal/kernel"
 )
 
+// Constant rejections are shared values: the search reads only a
+// tactic's status, so a rejection need not allocate its error.
+var (
+	errApplyNoName          = errors.New("tactic: apply expects a name")
+	errApplyNoUnify         = errors.New("tactic: cannot unify lemma conclusion with the goal")
+	errApplyTooManyWith     = errors.New("tactic: too many 'with' instantiations")
+	errEapplyUndetermined   = errors.New("tactic: cannot determine existential instances")
+	errApplyUndetermined    = errors.New("tactic: cannot infer instantiation; try eapply")
+	errApplyInNoPremise     = errors.New("tactic: lemma has no premise to match the hypothesis")
+	errApplyInNoUnify       = errors.New("tactic: cannot unify lemma premise with the hypothesis")
+	errApplyInUndetermined  = errors.New("tactic: cannot infer instantiation for apply ... in")
+	errConstructorExists    = errors.New("tactic: use 'exists' to provide a witness")
+	errNoConstructorApplies = errors.New("tactic: no applicable constructor")
+	errNoConstructors       = errors.New("tactic: goal has no constructors")
+)
+
 // instantiated is a lemma/rule statement with its universal binders replaced
 // by fresh metavariables.
 type instantiated struct {
@@ -163,7 +179,7 @@ func formHasMeta(f *kernel.Form, flex map[string]bool) bool {
 
 func tacApply(env *kernel.Env, g *Goal, c Call, eapply bool, sc *kernel.Scratch) ([]*Goal, error) {
 	if len(c.Idents) == 0 {
-		return nil, errors.New("tactic: apply expects a name")
+		return nil, errApplyNoName
 	}
 	name := c.Idents[0]
 	stmt, err := lookupStmt(env, g, name)
@@ -190,7 +206,7 @@ func tacApply(env *kernel.Env, g *Goal, c Call, eapply bool, sc *kernel.Scratch)
 	}
 	if !matched {
 		sc.PutSubst(trial)
-		return nil, errors.New("tactic: cannot unify lemma conclusion with the goal")
+		return nil, errApplyNoUnify
 	}
 	// `apply L with t ...`: positional instantiation of the metavariables
 	// left unresolved by conclusion unification, in binder order.
@@ -211,7 +227,7 @@ func tacApply(env *kernel.Env, g *Goal, c Call, eapply bool, sc *kernel.Scratch)
 			}
 		}
 		if wi < len(c.Terms) {
-			return nil, errors.New("tactic: too many 'with' instantiations")
+			return nil, errApplyTooManyWith
 		}
 	}
 	if eapply {
@@ -219,9 +235,9 @@ func tacApply(env *kernel.Env, g *Goal, c Call, eapply bool, sc *kernel.Scratch)
 	}
 	if !metasResolved(inst, sub, sc) {
 		if eapply {
-			return nil, errors.New("tactic: cannot determine existential instances")
+			return nil, errEapplyUndetermined
 		}
-		return nil, errors.New("tactic: cannot infer instantiation; try eapply")
+		return nil, errApplyUndetermined
 	}
 	out := make([]*Goal, 0, len(inst.prems))
 	for _, prem := range inst.prems {
@@ -261,12 +277,12 @@ func applyInHyp(env *kernel.Env, g *Goal, stmt *kernel.Form, hname string, sc *k
 	if !matched {
 		sc.PutSubst(trial)
 		if len(candidates[len(candidates)-1].prems) == 0 {
-			return nil, errors.New("tactic: lemma has no premise to match the hypothesis")
+			return nil, errApplyInNoPremise
 		}
-		return nil, errors.New("tactic: cannot unify lemma premise with the hypothesis")
+		return nil, errApplyInNoUnify
 	}
 	if !metasResolved(inst, sub, sc) {
-		return nil, errors.New("tactic: cannot infer instantiation for apply ... in")
+		return nil, errApplyInUndetermined
 	}
 	main := g.ReplaceHyp(hname, kernel.FullResolveFormS(inst.concl, sub, sc))
 	out := []*Goal{main}
@@ -289,7 +305,7 @@ func tacConstructor(env *kernel.Env, g *Goal, econ bool, sc *kernel.Scratch) ([]
 	case kernel.FEq:
 		return tacReflexivity(env, g)
 	case kernel.FExists:
-		return nil, errors.New("tactic: use 'exists' to provide a witness")
+		return nil, errConstructorExists
 	case kernel.FPred:
 		p, ok := env.Preds[g.Concl.Pred]
 		if !ok {
@@ -307,11 +323,11 @@ func tacConstructor(env *kernel.Env, g *Goal, econ bool, sc *kernel.Scratch) ([]
 			}
 		}
 		if firstErr == nil {
-			firstErr = errors.New("tactic: no applicable constructor")
+			firstErr = errNoConstructorApplies
 		}
 		return nil, firstErr
 	}
-	return nil, errors.New("tactic: goal has no constructors")
+	return nil, errNoConstructors
 }
 
 func applyRule(env *kernel.Env, g *Goal, r *kernel.Rule, econ bool, sc *kernel.Scratch) ([]*Goal, error) {

@@ -14,6 +14,9 @@ const autoDefaultDepth = 5
 // tactic (the checker layer treats slow tactics as timeouts).
 const autoNodeBudget = 20000
 
+// errAutoFails is shared: a rejection need not allocate (see apply.go).
+var errAutoFails = errors.New("tactic: auto cannot solve the goal")
+
 // tacAuto runs Prolog-style backward chaining over the hint database,
 // hypotheses, and the structural rules for the connectives. auto requires
 // every lemma instantiation to be fully determined by conclusion
@@ -35,7 +38,7 @@ func tacAuto(env *kernel.Env, g *Goal, depth int, eauto bool, sc *kernel.Scratch
 	if r.nodes <= 0 {
 		return nil, ErrTimeout
 	}
-	return nil, errors.New("tactic: auto cannot solve the goal")
+	return nil, errAutoFails
 }
 
 // rgoal is an internal resolution goal.

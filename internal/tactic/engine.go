@@ -13,6 +13,15 @@ import (
 // analogue of the paper's 5-second per-tactic limit.
 var ErrTimeout = errors.New("tactic: computation budget exceeded")
 
+// Shared rejections of assumption and reflexivity: a rejection need not
+// allocate (see apply.go).
+var (
+	errNoAssumption   = errors.New("tactic: no matching assumption")
+	errNotConvertible = errors.New("tactic: terms are not convertible")
+	errIffSidesDiffer = errors.New("tactic: sides of iff differ")
+	errNotEquality    = errors.New("tactic: goal is not an equality")
+)
+
 // IsTimeout classifies budget-exhaustion errors (including kernel fuel).
 func IsTimeout(err error) bool {
 	return errors.Is(err, ErrTimeout) || errors.Is(err, kernel.ErrFuel)
@@ -387,7 +396,7 @@ func tacAssumption(env *kernel.Env, g *Goal) ([]*Goal, error) {
 			return nil, nil
 		}
 	}
-	return nil, errors.New("tactic: no matching assumption")
+	return nil, errNoAssumption
 }
 
 func tacExact(env *kernel.Env, g *Goal, name string, sc *kernel.Scratch) ([]*Goal, error) {
@@ -755,16 +764,16 @@ func tacReflexivity(env *kernel.Env, g *Goal) ([]*Goal, error) {
 		if kernel.AlphaEqualTerms(t1, t2) {
 			return nil, nil
 		}
-		return nil, errors.New("tactic: terms are not convertible")
+		return nil, errNotConvertible
 	case kernel.FIff:
 		if g.Concl.L.FingerprintKey() == g.Concl.R.FingerprintKey() {
 			return nil, nil
 		}
-		return nil, errors.New("tactic: sides of iff differ")
+		return nil, errIffSidesDiffer
 	case kernel.FTrue:
 		return nil, nil
 	}
-	return nil, errors.New("tactic: goal is not an equality")
+	return nil, errNotEquality
 }
 
 func tacSymmetry(env *kernel.Env, g *Goal, in string) ([]*Goal, error) {

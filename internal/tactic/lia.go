@@ -8,6 +8,12 @@ import (
 	"llmfscq/internal/kernel"
 )
 
+// Shared rejections: a rejection need not allocate (see apply.go).
+var (
+	errNotLinear = errors.New("tactic: goal is not linear arithmetic")
+	errLiaFails  = errors.New("tactic: lia cannot prove the goal")
+)
+
 // tacLia decides linear arithmetic over the naturals: it linearizes the
 // hypotheses and the negated goal into constraints of the form `expr >= 0`,
 // atomizing non-linear subterms, and refutes them with Fourier–Motzkin
@@ -28,7 +34,7 @@ func tacLia(env *kernel.Env, g *Goal) ([]*Goal, error) {
 	}
 	negGoalAlts, ok := lz.negatedGoal(g.Concl)
 	if !ok {
-		return nil, errors.New("tactic: goal is not linear arithmetic")
+		return nil, errNotLinear
 	}
 	base = append(base, lz.aux...)
 	// Non-negativity of every atom.
@@ -41,7 +47,7 @@ func tacLia(env *kernel.Env, g *Goal) ([]*Goal, error) {
 	for _, alt := range negGoalAlts {
 		sys := append(append([]linConstraint{}, base...), alt...)
 		if !fmUnsat(sys) {
-			return nil, errors.New("tactic: lia cannot prove the goal")
+			return nil, errLiaFails
 		}
 	}
 	return nil, nil

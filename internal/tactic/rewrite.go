@@ -7,6 +7,10 @@ import (
 	"llmfscq/internal/kernel"
 )
 
+// errRewriteUndetermined is shared: a rejection need not allocate (see
+// apply.go).
+var errRewriteUndetermined = errors.New("tactic: rewrite cannot determine all instances")
+
 func tacRewrite(env *kernel.Env, g *Goal, c Call, sc *kernel.Scratch) ([]*Goal, error) {
 	if len(c.Idents) == 0 {
 		return nil, errors.New("tactic: rewrite expects an equation name")
@@ -67,7 +71,7 @@ func rewriteOne(env *kernel.Env, g *Goal, name string, rev bool, in string, sc *
 		return nil, nil, noMatchError{lhs}
 	}
 	if !metasResolved(inst, sub, sc) {
-		return nil, nil, errors.New("tactic: rewrite cannot determine all instances")
+		return nil, nil, errRewriteUndetermined
 	}
 	replacement := kernel.FullResolveS(rhs, sub, sc)
 	newTarget, n := kernel.ReplaceAllForm(target, instTerm, replacement)

@@ -64,15 +64,14 @@ type Goal struct {
 	Hyps  []Hyp
 	Concl *kernel.Form
 
-	// Lazily memoized identities. Goals are shared between the states of
-	// one search. Every memo is atomic, so a goal stays safe to read from
-	// several goroutines: a memo fills from whichever goroutine computes it
-	// first, and a racing duplicate computation is benign — both store the
-	// same value.
-	// Constructors and Clone leave them empty so in-place edits on fresh
+	// fpk memoizes FingerprintKey. Goals are shared between the states of
+	// one search, and their keys recur (most calls hit). The memo is
+	// atomic, so a goal stays safe to read from several goroutines: it
+	// fills from whichever goroutine computes it first, and a racing
+	// duplicate computation is benign — both store the same value.
+	// Constructors and Clone leave it empty so in-place edits on fresh
 	// copies cannot see a stale value.
-	fpk       atomic.Pointer[[2]uint64] // FingerprintKey (pruning, wire identity)
-	strictKey atomic.Pointer[[2]uint64] // StrictKey (outcome-key identity)
+	fpk atomic.Pointer[[2]uint64]
 }
 
 // State is a proof state: an ordered list of open goals (the first is
@@ -81,11 +80,6 @@ type Goal struct {
 type State struct {
 	Env   *kernel.Env
 	Goals []*Goal
-
-	// Lazily memoized identities (states are immutable once built; memos
-	// are atomic for the same sharing reasons as Goal's).
-	fpk       atomic.Pointer[[2]uint64]
-	strictKey atomic.Pointer[[2]uint64]
 }
 
 // NewState starts a proof of stmt in env: quantifiers are NOT introduced
@@ -223,35 +217,6 @@ func (g *Goal) String() string {
 	return b.String()
 }
 
-// StrictKey returns a 128-bit hash of the goal's concrete identity: variable
-// names and types, hypothesis names and formulas, and the conclusion, all via
-// the kernel's stored strict structural hashes. Where FingerprintKey
-// deliberately forgets variable and hypothesis names (for duplicate-state
-// pruning), StrictKey keeps them: tactics observe concrete names, so keys
-// on proof states must use this identity. Equal keys coincide (w.h.p.)
-// with equal String renderings, but computing one is an O(#hyps) combine
-// over precomputed node hashes with no rendering.
-func (g *Goal) StrictKey() [2]uint64 {
-	if p := g.strictKey.Load(); p != nil {
-		return *p
-	}
-	h := kernel.NewKeyHasher(0x67)
-	h.Word(uint64(len(g.Vars)))
-	for _, v := range g.Vars {
-		h.Str(v.Name)
-		h.Pair(v.Type.HashKey())
-	}
-	h.Word(uint64(len(g.Hyps)))
-	for _, hy := range g.Hyps {
-		h.Str(hy.Name)
-		h.Pair(hy.Form.HashKey())
-	}
-	h.Pair(g.Concl.HashKey())
-	k := h.Sum()
-	g.strictKey.Store(&k)
-	return k
-}
-
 // FingerprintKey is the goal's 128-bit identity for duplicate-state
 // pruning: per-hypothesis alpha-insensitive keys (context variables renamed
 // positionally by seeding the fingerprint walk, which is equivalent to
@@ -306,39 +271,19 @@ var provedKey = [2]uint64{0x70726f766564, 0x646576726f7270}
 
 // FingerprintKey is the state's 128-bit identity: the goals' keys in order
 // (goal order matters, since the focused goal differs). The search prunes on
-// it, and the wire carries it in every Applied or Proved answer.
+// it, and the wire carries it in every Applied or Proved answer. It is
+// combined on every call from the goals' memoized keys: a memo of the
+// state's own key hit 0 of 102,938 calls in a seed-2025 sweep.
 func (s *State) FingerprintKey() [2]uint64 {
 	if len(s.Goals) == 0 {
 		return provedKey
-	}
-	if p := s.fpk.Load(); p != nil {
-		return *p
 	}
 	h := kernel.NewKeyHasher(0x69)
 	h.Word(uint64(len(s.Goals)))
 	for _, g := range s.Goals {
 		h.Pair(g.FingerprintKey())
 	}
-	k := h.Sum()
-	s.fpk.Store(&k)
-	return k
-}
-
-// StrictKey is the 128-bit strict (name-sensitive) identity of the state's
-// goals, used by caches whose entries must distinguish concrete renderings.
-// The environment is not included; cache keys pair it separately.
-func (s *State) StrictKey() [2]uint64 {
-	if p := s.strictKey.Load(); p != nil {
-		return *p
-	}
-	h := kernel.NewKeyHasher(0x6a)
-	h.Word(uint64(len(s.Goals)))
-	for _, g := range s.Goals {
-		h.Pair(g.StrictKey())
-	}
-	k := h.Sum()
-	s.strictKey.Store(&k)
-	return k
+	return h.Sum()
 }
 
 // String renders the state: the focused goal in full, others as one-liners.
