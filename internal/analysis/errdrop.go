@@ -1,11 +1,11 @@
 package analysis
 
 // errdrop: discarded error returns on the wire and persistence paths.
-// internal/protocol, internal/remote, and internal/checker implement the
-// wire's robustness ladder — request deadlines, retries on a fresh session,
-// local-only degradation — and every rung is triggered by an error value; a
-// call whose error is dropped on the floor silently voids the ladder (the
-// failure neither retries nor degrades, it just disappears). internal/store
+// internal/protocol, internal/remote, and internal/checker sit on the wire
+// path, where a missed request deadline, a transport error or a malformed
+// answer surfaces as an error value, and the remote backend drops that
+// document's session and counts one failure on it; a call whose error is
+// dropped on the floor lets a broken session pass as a clean one. internal/store
 // is in scope for the same reason with different stakes: a dropped fsync,
 // close, or rename error on the proof-cache persistence path silently turns
 // "crash-safe" into "usually fine". Deferred calls are exempt: `defer
@@ -18,8 +18,8 @@ import (
 	"strings"
 )
 
-// errDropScope lists the package-path prefixes where a dropped error voids
-// the robustness ladder.
+// errDropScope lists the package-path prefixes where a dropped error hides
+// a wire failure or a persistence failure.
 var errDropScope = []string{
 	"internal/protocol",
 	"internal/remote",
@@ -31,8 +31,8 @@ var analyzerErrDrop = &Analyzer{
 	Name: "errdrop",
 	Doc: "discarded error returns in internal/{protocol,remote,checker,store}: " +
 		"calls used as statements whose results include an error, and error " +
-		"results assigned to _ — a dropped error silently skips the wire's " +
-		"retry/degrade ladder, or voids the proof store's crash-safety " +
+		"results assigned to _ — a dropped error lets a broken wire session " +
+		"pass uncounted, or voids the proof store's crash-safety " +
 		"(deferred Close calls exempt)",
 	Typed: runErrDrop,
 }

@@ -13,7 +13,7 @@ import (
 
 // The allocation bounds of TestAllocBoundHintedGrid. Each is a measurement
 // at the commit that set it plus a margin of under 0.2% on mallocs and 1% on
-// bytes (here 16 runs read 558,304–558,343 mallocs and 43.78–43.81 MB).
+// bytes (here 16 runs read 551,401–551,430 mallocs and 43.71–43.73 MB).
 // That is tight enough to fail an unsized map in Goal.usedNames, a model
 // rebuilt per search or a fmt.Sprintf in expander.expand.
 //
@@ -21,8 +21,8 @@ import (
 // plus the margin. Only a change whose CHANGES.md entry names the new
 // allocation, and why, may raise them.
 const (
-	allocBoundMallocs = 559_400
-	allocBoundBytes   = 44_240_000
+	allocBoundMallocs = 552_500
+	allocBoundBytes   = 44_170_000
 )
 
 // TestAllocBoundHintedGrid measures the mallocs and bytes of one hinted

@@ -55,8 +55,8 @@ type Runner struct {
 	// Search selects the algorithm (default core.BestFirst).
 	Search func(core.Config) core.Result
 	// Backend selects the tactic execution backend (nil = in-process).
-	// Backends mask their own failures, so result tables are identical
-	// across backends; see internal/remote.
+	// A remote backend's local mirror decides every step, so result tables
+	// are identical across backends; see internal/remote.
 	Backend checker.Backend
 	// ProofStore, when non-nil, persists per-theorem search outcomes across
 	// processes (internal/store): a warm re-sweep at the same

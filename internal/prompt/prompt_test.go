@@ -172,7 +172,7 @@ func TestCacheMatchesDirectBuild(t *testing.T) {
 	hints := HintSplit(c, 0.5, 2025)
 	cache := NewCache(c, hints)
 	for _, setting := range []Setting{Vanilla, Hint} {
-		for _, window := range []int{0, 200, 4000} {
+		for _, window := range []int{0, 200, 500, 4000} {
 			direct := Builder{Corpus: c, Setting: setting, HintSet: hints, Window: window}
 			cached := Builder{Corpus: c, Setting: setting, HintSet: hints, Window: window, Cache: cache}
 			for _, th := range c.Theorems {

@@ -106,7 +106,7 @@ func (c *Client) roundTrip(req *sexp.Node) (*sexp.Node, error) {
 
 // atomArg returns the atom argument of a (Head "atom" ...) payload. It
 // returns the bare errMalformed, unformatted: the decode sites sit on the
-// search's hot path, and the remote backend only retries on the error.
+// search's hot path, and the remote backend only counts the error.
 func atomArg(p *sexp.Node) (string, error) {
 	arg := p.Nth(1)
 	if arg == nil || arg.IsList {

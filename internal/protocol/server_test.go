@@ -51,7 +51,7 @@ func (s *rawSession) answer() *sexp.Node {
 
 // Malformed input must be answered in-band with (Answer k (Error ...)) —
 // the session survives — rather than by dropping the connection, which a
-// resilient client would misread as a transport fault.
+// client would misread as a transport fault.
 func TestMalformedInputAnsweredNotDropped(t *testing.T) {
 	_, addr := startServer(t)
 	cases := []struct {

@@ -301,9 +301,7 @@ func (s *State) String() string {
 }
 
 // withGoals returns a new state with the focused goal replaced by subgoals.
+// The goal list is sized once (nil when empty).
 func (s *State) withGoals(subgoals []*Goal) *State {
-	ng := &State{Env: s.Env}
-	ng.Goals = append(ng.Goals, subgoals...)
-	ng.Goals = append(ng.Goals, s.Goals[1:]...)
-	return ng
+	return &State{Env: s.Env, Goals: slices.Concat(subgoals, s.Goals[1:])}
 }
