@@ -13,16 +13,16 @@ import (
 
 // The allocation bounds of TestAllocBoundHintedGrid. Each is a measurement
 // at the commit that set it plus a margin of under 0.2% on mallocs and 1% on
-// bytes (here 16 runs read 551,401–551,430 mallocs and 43.71–43.73 MB).
-// That is tight enough to fail an unsized map in Goal.usedNames, a model
-// rebuilt per search or a fmt.Sprintf in expander.expand.
+// bytes (here 12 runs read 336,933–336,955 mallocs and 25.88 MB).
+// That is tight enough to fail a Goal.usedNames map not handed back to its
+// pool, a model rebuilt per search or a fmt.Sprintf in expander.expand.
 //
 // Any change that allocates less lowers both bounds to its own measurement
 // plus the margin. Only a change whose CHANGES.md entry names the new
 // allocation, and why, may raise them.
 const (
-	allocBoundMallocs = 552_500
-	allocBoundBytes   = 44_170_000
+	allocBoundMallocs = 337_600
+	allocBoundBytes   = 26_140_000
 )
 
 // TestAllocBoundHintedGrid measures the mallocs and bytes of one hinted

@@ -89,6 +89,9 @@ type Runner struct {
 	// mined statistics depend only on which hint proofs are visible, which
 	// the whole grid shares far more often than it differs.
 	ngrams *sync.Map
+	// hintProofs parses each hint proof once for all the n-gram models
+	// ngrams builds.
+	hintProofs *model.HintProofs
 	// lemmas holds the model's lemma table: the goal-independent analysis
 	// of every corpus lemma statement, built once on the first search and
 	// shared read-only by every search of every Runner copy (see
@@ -148,6 +151,7 @@ func NewRunner(c *corpus.Corpus, seed int64) *Runner {
 		envs:       &envIndex{},
 		prompts:    &promptIndex{},
 		ngrams:     &sync.Map{},
+		hintProofs: &model.HintProofs{},
 		lemmas:     &lemmaIndex{},
 		searchers: &sync.Pool{New: func() any {
 			return &searcher{mdl: new(model.Model), rng: rand.New(rand.NewSource(0))}
@@ -311,7 +315,7 @@ func (r *Runner) ngramFor(pr *prompt.Prompt) *model.NGram {
 	if cached, ok := r.ngrams.Load(k); ok {
 		return cached.(*model.NGram)
 	}
-	ng, _ := r.ngrams.LoadOrStore(k, model.BuildNGram(pr))
+	ng, _ := r.ngrams.LoadOrStore(k, r.hintProofs.NGram(pr))
 	return ng.(*model.NGram)
 }
 

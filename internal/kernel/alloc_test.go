@@ -91,3 +91,24 @@ func TestAllocFreeScratchBuffers(t *testing.T) {
 		t.Fatalf("scratch buffer round trip allocated %.2f/op, want 0", avg)
 	}
 }
+
+// TestAllocFreeNamesMemo: once a formula's free-name memo is filled,
+// FreeNames and HasFreeVar read it without allocating, and FreshName
+// allocates only the name it returns, however many candidates it probes.
+func TestAllocFreeNamesMemo(t *testing.T) {
+	f := Forall("m", Ty("nat"), Impl(Pred("le", V("n"), V("m")), Eq(V("k"), A("S", V("n")))))
+	f.FreeNames() // warm: fills the memo
+	if avg := testing.AllocsPerRun(200, func() {
+		if len(f.FreeNames()) != 2 || !f.HasFreeVar("k") || f.HasFreeVar("m") {
+			t.Fatal("wrong free names")
+		}
+	}); avg != 0 {
+		t.Fatalf("FreeNames/HasFreeVar on a filled memo allocated %.2f/op, want 0", avg)
+	}
+	used := map[string]bool{"n": true, "n0": true, "n1": true, "n2": true, "n3": true}
+	if avg := testing.AllocsPerRun(200, func() {
+		delete(used, FreshName("n", used))
+	}); avg != 1 {
+		t.Fatalf("FreshName past four taken candidates allocated %.2f/op, want 1", avg)
+	}
+}

@@ -1,7 +1,9 @@
 package kernel
 
 import (
+	"slices"
 	"strings"
+	"sync/atomic"
 )
 
 // FormKind enumerates formula shapes.
@@ -46,6 +48,9 @@ type Form struct {
 	// variable-name bloom signature; see intern.go.
 	hash, hash2 uint64
 	varSig      uint64
+
+	// free memoizes FreeNames, filled on first use (see intern.go).
+	free atomic.Pointer[[]string]
 }
 
 // Constructors for each formula shape (interning; see intern.go).
@@ -201,7 +206,7 @@ func (f *Form) substTerm(s Subst, sig uint64, sc *Scratch) *Form {
 		}
 		if captured {
 			used := map[string]bool{}
-			for v := range f.Body.FreeVars() {
+			for _, v := range f.Body.FreeNames() {
 				used[v] = true
 			}
 			for _, t := range inner {
@@ -225,54 +230,52 @@ func (f *Form) substTerm(s Subst, sig uint64, sc *Scratch) *Form {
 // Subst1 substitutes a single variable.
 func (f *Form) Subst1(x string, t *Term) *Form { return f.SubstTerm(Subst{x: t}) }
 
-// FreeVars returns the free term variables of the formula.
+// FreeVars returns the free term variables of the formula as a fresh map
+// (FreeNames is the same set, memoized and sorted).
 func (f *Form) FreeVars() map[string]bool {
-	out := map[string]bool{}
-	f.addFreeVars(out, map[string]bool{})
+	names := f.FreeNames()
+	out := make(map[string]bool, len(names))
+	for _, v := range names {
+		out[v] = true
+	}
 	return out
-}
-
-func (f *Form) addFreeVars(out, bound map[string]bool) {
-	if f == nil {
-		return
-	}
-	addTerm := func(t *Term) {
-		for v := range t.Vars() {
-			if !bound[v] {
-				out[v] = true
-			}
-		}
-	}
-	switch f.Kind {
-	case FEq:
-		addTerm(f.T1)
-		addTerm(f.T2)
-	case FPred:
-		for _, a := range f.Args {
-			addTerm(a)
-		}
-	case FNot:
-		f.L.addFreeVars(out, bound)
-	case FAnd, FOr, FImpl, FIff:
-		f.L.addFreeVars(out, bound)
-		f.R.addFreeVars(out, bound)
-	case FForall, FExists:
-		was := bound[f.Binder]
-		bound[f.Binder] = true
-		f.Body.addFreeVars(out, bound)
-		bound[f.Binder] = was
-	}
 }
 
 // HasFreeVar reports whether x occurs free in f.
 func (f *Form) HasFreeVar(x string) bool {
+	if f == nil || f.varSig&varBit(x) == 0 {
+		return false
+	}
+	_, found := slices.BinarySearch(f.FreeNames(), x)
+	return found
+}
+
+// AppendFree is Term.AppendFree for formulas: the free variable
+// occurrences of f, left to right, with quantifier binders bound in their
+// body.
+func (f *Form) AppendFree(dst []string) []string { return f.appendFree(dst, nil) }
+
+// appendFree is AppendFree under the binders in bound (its spare capacity
+// is scratch, as in appendTermNames).
+func (f *Form) appendFree(dst, bound []string) []string {
 	if f == nil {
-		return false
+		return dst
 	}
-	if f.varSig&varBit(x) == 0 {
-		return false
+	switch f.Kind {
+	case FEq:
+		dst = appendTermNames(appendTermNames(dst, f.T1, bound), f.T2, bound)
+	case FPred:
+		for _, a := range f.Args {
+			dst = appendTermNames(dst, a, bound)
+		}
+	case FNot:
+		dst = f.L.appendFree(dst, bound)
+	case FAnd, FOr, FImpl, FIff:
+		dst = f.R.appendFree(f.L.appendFree(dst, bound), bound)
+	case FForall, FExists:
+		dst = f.Body.appendFree(dst, append(bound, f.Binder))
 	}
-	return f.FreeVars()[x]
+	return dst
 }
 
 // Size counts formula + term nodes.

@@ -363,6 +363,11 @@ func (t *Term) addVars(out map[string]bool) {
 	}
 }
 
+// AppendFree appends the free variable occurrences of t to dst, left to
+// right and with repeats (Vars is the same names as a set). A caller that
+// reports a name picks it by position, not by map order.
+func (t *Term) AppendFree(dst []string) []string { return appendTermNames(dst, t, nil) }
+
 // HasVar reports whether v occurs free in t.
 func (t *Term) HasVar(v string) bool {
 	switch {
@@ -609,6 +614,8 @@ func (t *Term) ReplaceAll(old, new *Term) (*Term, int) {
 // FreshName returns a name based on base that is not in used, and marks it
 // used. Like Coq, a trailing number is incremented rather than suffixed
 // (m1 → m2, not m10); bases without a number get one appended (H → H0).
+// Each candidate is rendered into a buffer and looked up without
+// allocating: only the name returned becomes a string.
 func FreshName(base string, used map[string]bool) string {
 	if base == "" {
 		base = "x"
@@ -626,11 +633,14 @@ func FreshName(base string, used map[string]bool) string {
 			start = n + 1
 		}
 	}
+	var arr [32]byte
+	buf := append(arr[:0], stem...)
 	for i := start; ; i++ {
-		cand := stem + itoaSmall(i)
-		if !used[cand] {
-			used[cand] = true
-			return cand
+		cand := strconv.AppendInt(buf, int64(i), 10)
+		if !used[string(cand)] {
+			name := string(cand)
+			used[name] = true
+			return name
 		}
 	}
 }

@@ -135,11 +135,11 @@ type scored struct {
 	id int32   // candidate id; -1 (an empty key) is dropped by fold
 }
 
-// textCand is a generated candidate still named by its text: structural
-// sets its heuristic h, junk its raw utility j.
+// textCand is a junk candidate still named by its text, with its raw
+// utility j.
 type textCand struct {
 	text string
-	h, j float64
+	j    float64
 }
 
 // Propose generates up to MaxOutputs tactic candidates for the focused goal
@@ -167,10 +167,9 @@ func (m *Model) Propose(p *prompt.Prompt, st *tactic.State, path []string, ng *N
 
 	// The pool: the goal-shape candidates, then retrieval's.
 	uniq := m.uniq[:0]
-	m.texts = m.structural(m.texts[:0], goal)
-	for _, c := range m.texts {
-		uniq = m.fold(uniq, ep, scored{id: m.idOf(c.text), h: c.h})
-	}
+	m.structural(goal, func(text []byte, h float64) {
+		uniq = m.fold(uniq, ep, scored{id: m.idOfBuf(text), h: h})
+	})
 	m.pool = m.retrieval(m.pool[:0], p, goal, ng)
 	for _, c := range m.pool {
 		uniq = m.fold(uniq, ep, c)
@@ -302,9 +301,7 @@ func (m *Model) idOf(text string) int32 {
 }
 
 // idOfIn is idOf for "<verb> <lemma> in <hyp>.", retrieval's candidates
-// that target a hypothesis. It renders the text into textBuf: Go looks up
-// vocab[string(textBuf)] without allocating, so only a text the vocabulary
-// lacks becomes a string.
+// that target a hypothesis. It renders the text into textBuf (see idOfBuf).
 func (m *Model) idOfIn(verb, lemma, hyp string) int32 {
 	b := append(m.textBuf[:0], verb...)
 	b = append(b, ' ')
@@ -312,6 +309,13 @@ func (m *Model) idOfIn(verb, lemma, hyp string) int32 {
 	b = append(b, " in "...)
 	b = append(b, hyp...)
 	b = append(b, '.')
+	return m.idOfBuf(b)
+}
+
+// idOfBuf is idOf for a text rendered in b, which becomes textBuf. Go
+// looks up vocab[string(b)] without allocating, so only a text the
+// vocabulary lacks becomes a string.
+func (m *Model) idOfBuf(b []byte) int32 {
 	m.textBuf = b
 	if id, ok := m.vocab[string(b)]; ok {
 		return id
@@ -700,51 +704,61 @@ func looksArith(f *kernel.Form) bool {
 	return false
 }
 
-// structural appends the goal-shape candidate pool: a pure function of
-// (goal, env).
-func (m *Model) structural(out []textCand, g *tactic.Goal) []textCand {
-	add := func(text string, h float64) { out = append(out, textCand{text: text, h: h}) }
+// structural emits the goal-shape candidate pool in order, each text with
+// its heuristic h: a pure function of (goal, env). A text is the
+// concatenation of its parts, rendered into the model's text buffer, which
+// emit must not retain: Propose resolves it to an id without allocating
+// (idOfBuf), so only a text the vocabulary lacks becomes a string.
+func (m *Model) structural(g *tactic.Goal, emit func(text []byte, h float64)) {
+	add := func(h float64, parts ...string) {
+		b := m.textBuf[:0]
+		for _, part := range parts {
+			b = append(b, part...)
+		}
+		m.textBuf = b
+		emit(b, h)
+	}
 	c := g.Concl
 
 	switch c.Kind {
 	case kernel.FForall, kernel.FImpl:
-		add("intros.", 2.6)
+		add(2.6, "intros.")
 	case kernel.FNot:
-		add("intro.", 2.2)
+		add(2.2, "intro.")
 	case kernel.FAnd:
-		add("split.", 2.5)
+		add(2.5, "split.")
 	case kernel.FIff:
-		add("split.", 2.2)
+		add(2.2, "split.")
 	case kernel.FOr:
-		add("left.", 1.1)
-		add("right.", 1.0)
+		add(1.1, "left.")
+		add(1.0, "right.")
 	case kernel.FTrue:
-		add("constructor.", 3.0)
+		add(3.0, "constructor.")
 	case kernel.FFalse:
-		add("contradiction.", 1.4)
+		add(1.4, "contradiction.")
 	case kernel.FEq:
-		add("reflexivity.", 2.1)
-		add("simpl.", 1.4)
-		add("symmetry.", 0.2)
-		add("congruence.", 0.6)
+		add(2.1, "reflexivity.")
+		add(1.4, "simpl.")
+		add(0.2, "symmetry.")
+		add(0.6, "congruence.")
 		if c.T1.IsApp() && c.T2.IsApp() && c.T1.Fun == c.T2.Fun && len(c.T1.Args) == len(c.T2.Args) {
-			add("f_equal.", 1.0)
+			add(1.0, "f_equal.")
 		}
 	case kernel.FExists:
 		for _, v := range g.Vars {
 			if c.BType == nil || v.Type == nil || v.Type.Name == c.BType.Name {
-				add("exists "+v.Name+".", 1.5)
+				add(1.5, "exists ", v.Name, ".")
 			}
 		}
-		add("exists 0.", 0.6)
-		add("exists nil.", 0.5)
+		add(0.6, "exists 0.")
+		add(0.5, "exists nil.")
 	case kernel.FPred:
 		if _, isInd := m.Env.Preds[c.Pred]; isInd {
-			add("constructor.", 1.7)
-			add("econstructor.", 1.0)
+			add(1.7, "constructor.")
+			add(1.0, "econstructor.")
 		}
 		if _, isDef := m.Env.Defs[c.Pred]; isDef {
-			add("unfold "+c.Pred+".", 1.8)
+			add(1.8, "unfold ", c.Pred, ".")
 		}
 	}
 
@@ -757,14 +771,14 @@ func (m *Model) structural(out []textCand, g *tactic.Goal) []textCand {
 	}
 	switch {
 	case looksArith(c) && arithHyps:
-		add("omega.", 1.9)
+		add(1.9, "omega.")
 	case looksArith(c):
-		add("omega.", 1.3)
+		add(1.3, "omega.")
 	case arithHyps && (c.Kind == kernel.FEq || c.Kind == kernel.FFalse || c.Kind == kernel.FNot || c.Kind == kernel.FPred):
-		add("omega.", 1.4)
+		add(1.4, "omega.")
 	}
-	add("auto.", 1.2)
-	add("eauto.", 0.9)
+	add(1.2, "auto.")
+	add(0.9, "eauto.")
 
 	// Hypothesis-directed moves.
 	substUseful := false
@@ -776,27 +790,27 @@ func (m *Model) structural(out []textCand, g *tactic.Goal) []textCand {
 	for _, h := range g.Hyps {
 		switch h.Form.Kind {
 		case kernel.FFalse:
-			add("contradiction.", 3.0)
+			add(3.0, "contradiction.")
 		case kernel.FAnd, kernel.FExists, kernel.FOr:
-			add("destruct "+h.Name+".", 1.6)
-			add("inversion "+h.Name+".", 0.6)
+			add(1.6, "destruct ", h.Name, ".")
+			add(0.6, "inversion ", h.Name, ".")
 		case kernel.FIff:
-			add("destruct "+h.Name+".", 1.2)
+			add(1.2, "destruct ", h.Name, ".")
 		case kernel.FEq:
 			if h.Form.T1.IsVar() || h.Form.T2.IsVar() {
 				substUseful = true
 			}
-			add("rewrite "+h.Name+".", 1.1)
-			add("rewrite <- "+h.Name+".", 0.5)
-			add("rewrite "+h.Name+" in *.", 0.1) // unsupported form: realistic junk
+			add(1.1, "rewrite ", h.Name, ".")
+			add(0.5, "rewrite <- ", h.Name, ".")
+			add(0.1, "rewrite ", h.Name, " in *.") // unsupported form: realistic junk
 			if h.Form.T1.IsApp() && h.Form.T2.IsApp() && m.Env.IsConstructor(h.Form.T1.Fun) && m.Env.IsConstructor(h.Form.T2.Fun) {
 				if h.Form.T1.Fun != h.Form.T2.Fun {
-					add("discriminate "+h.Name+".", 2.6)
+					add(2.6, "discriminate ", h.Name, ".")
 				} else {
-					add("inversion "+h.Name+".", 1.6)
+					add(1.6, "inversion ", h.Name, ".")
 				}
 			}
-			add("simpl in "+h.Name+".", 0.5)
+			add(0.5, "simpl in ", h.Name, ".")
 		case kernel.FPred:
 			if _, isInd := m.Env.Preds[h.Form.Pred]; isInd {
 				w := 1.0
@@ -806,19 +820,19 @@ func (m *Model) structural(out []textCand, g *tactic.Goal) []textCand {
 						break
 					}
 				}
-				add("inversion "+h.Name+".", w)
-				add("induction "+h.Name+".", 0.8)
+				add(w, "inversion ", h.Name, ".")
+				add(0.8, "induction ", h.Name, ".")
 			}
 			if _, isDef := m.Env.Defs[h.Form.Pred]; isDef {
-				add("unfold "+h.Form.Pred+" in "+h.Name+".", 1.4)
+				add(1.4, "unfold ", h.Form.Pred, " in ", h.Name, ".")
 			}
-			add("simpl in "+h.Name+".", 0.4)
+			add(0.4, "simpl in ", h.Name, ".")
 		case kernel.FForall, kernel.FImpl:
 			if conclHead(h.Form) == gh {
-				add("apply "+h.Name+".", 1.9)
-				add("eapply "+h.Name+".", 1.1)
+				add(1.9, "apply ", h.Name, ".")
+				add(1.1, "eapply ", h.Name, ".")
 			} else {
-				add("apply "+h.Name+".", 0.5)
+				add(0.5, "apply ", h.Name, ".")
 			}
 			// Quantified equations (induction hypotheses above all) are
 			// rewriting material.
@@ -827,25 +841,24 @@ func (m *Model) structural(out []textCand, g *tactic.Goal) []textCand {
 				if strings.HasPrefix(h.Name, "IH") {
 					w = 2.1
 				}
-				add("rewrite "+h.Name+".", w)
-				add("rewrite <- "+h.Name+".", 0.4*w)
+				add(w, "rewrite ", h.Name, ".")
+				add(0.4*w, "rewrite <- ", h.Name, ".")
 			}
 		case kernel.FNot:
 			if c.Kind == kernel.FFalse {
-				add("apply "+h.Name+".", 2.0)
+				add(2.0, "apply ", h.Name, ".")
 			}
 		}
 		if h.Form.FingerprintKey() == ck {
-			add("assumption.", 3.2)
+			add(3.2, "assumption.")
 		}
 	}
 	if substUseful {
-		add("subst.", 1.9)
+		add(1.9, "subst.")
 	}
 
 	// Variable-directed induction/destruct. A variable scrutinized by a
 	// recursive function in the goal is the prime induction candidate.
-	goalVars := c.FreeVars()
 	recArgs := m.recursiveArgVars(c)
 	for _, v := range g.Vars {
 		if v.Type == nil || v.Type.TVar {
@@ -856,13 +869,13 @@ func (m *Model) structural(out []textCand, g *tactic.Goal) []textCand {
 		}
 		switch {
 		case recArgs[v.Name]:
-			add("induction "+v.Name+".", 2.2)
-			add("destruct "+v.Name+".", 1.0)
-		case goalVars[v.Name]:
-			add("induction "+v.Name+".", 1.1)
-			add("destruct "+v.Name+".", 0.9)
+			add(2.2, "induction ", v.Name, ".")
+			add(1.0, "destruct ", v.Name, ".")
+		case c.HasFreeVar(v.Name):
+			add(1.1, "induction ", v.Name, ".")
+			add(0.9, "destruct ", v.Name, ".")
 		default:
-			add("destruct "+v.Name+".", 0.1)
+			add(0.1, "destruct ", v.Name, ".")
 		}
 	}
 	// Induction on a not-yet-introduced leading binder (skipping type
@@ -876,7 +889,7 @@ func (m *Model) structural(out []textCand, g *tactic.Goal) []textCand {
 				if recArgs[body.Binder] {
 					w = 2.0
 				}
-				add("induction "+body.Binder+".", w)
+				add(w, "induction ", body.Binder, ".")
 				seen++
 			}
 			body = body.Body
@@ -891,17 +904,17 @@ func (m *Model) structural(out []textCand, g *tactic.Goal) []textCand {
 		}
 	})
 	if computes {
-		add("simpl.", 1.3)
+		add(1.3, "simpl.")
 	}
 
 	// Stuck matches invite case analysis on the scrutinee (the
 	// `destruct (eqb a n) eqn:He` idiom).
 	for _, scrut := range stuckScrutinees(c, 2) {
-		add("destruct ("+scrut+") eqn:He.", 2.0)
+		add(2.0, "destruct (", scrut, ") eqn:He.")
 	}
 	for _, h := range g.Hyps {
 		for _, scrut := range stuckScrutinees(h.Form, 1) {
-			add("destruct ("+scrut+") eqn:He.", 1.3)
+			add(1.3, "destruct (", scrut, ") eqn:He.")
 		}
 	}
 
@@ -913,18 +926,17 @@ func (m *Model) structural(out []textCand, g *tactic.Goal) []textCand {
 		}
 		lhs := e.Form.T1
 		if formContainsTerm(c, lhs) {
-			add("rewrite "+e.Name+".", 2.0)
+			add(2.0, "rewrite ", e.Name, ".")
 		}
 		for _, h := range g.Hyps {
 			if h.Name == e.Name {
 				continue
 			}
 			if formContainsTerm(h.Form, lhs) {
-				add("rewrite "+e.Name+" in "+h.Name+".", 1.8)
+				add(1.8, "rewrite ", e.Name, " in ", h.Name, ".")
 			}
 		}
 	}
-	return out
 }
 
 // stuckScrutinees collects the printable scrutinees of up to max stuck

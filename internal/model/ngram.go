@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"sync"
 
 	"llmfscq/internal/prompt"
 	"llmfscq/internal/tactic"
@@ -40,7 +41,40 @@ type nextSteps struct {
 }
 
 // BuildNGram mines the hint proofs of a prompt.
-func BuildNGram(p *prompt.Prompt) *NGram {
+func BuildNGram(p *prompt.Prompt) *NGram { return new(HintProofs).NGram(p) }
+
+// HintProofs memoizes each hint proof's parse, keyed on the proof text: a
+// sweep mines an n-gram per distinct hinted-item set, and the sets share
+// most of their proofs. Safe for concurrent use.
+type HintProofs struct{ parsed sync.Map } // proof text -> []minedStep
+
+// minedStep is one sentence of a parsed hint proof: its normalized text
+// and the identifiers it passes as arguments (appendNames' order).
+type minedStep struct {
+	text  string
+	names []string
+}
+
+// steps returns the mined sentences of a proof, parsing it on first use
+// (nil for a proof that does not parse, which mines nothing).
+func (hp *HintProofs) steps(proof string) []minedStep {
+	if v, ok := hp.parsed.Load(proof); ok {
+		return v.([]minedStep)
+	}
+	var steps []minedStep
+	if exprs, err := tactic.ParseScript(proof); err == nil {
+		steps = make([]minedStep, len(exprs))
+		for i, e := range exprs {
+			steps[i] = minedStep{text: textmetrics.NormalizeScript(tactic.ExprString(e)), names: appendNames(nil, e)}
+		}
+	}
+	v, _ := hp.parsed.LoadOrStore(proof, steps)
+	return v.([]minedStep)
+}
+
+// NGram mines the hint proofs of a prompt, parsing each proof at most once
+// per HintProofs.
+func (hp *HintProofs) NGram(p *prompt.Prompt) *NGram {
 	ng := &NGram{
 		uni:      map[string]float64{},
 		bi:       map[string]map[string]float64{},
@@ -51,17 +85,15 @@ func BuildNGram(p *prompt.Prompt) *NGram {
 		if it.Proof == "" {
 			continue
 		}
-		exprs, err := tactic.ParseScript(it.Proof)
-		if err != nil {
-			continue
-		}
 		prev := "<start>"
-		for _, e := range exprs {
-			s := textmetrics.NormalizeScript(tactic.ExprString(e))
+		for _, st := range hp.steps(it.Proof) {
+			s := st.text
 			ng.uni[s]++
 			ng.uniN++
 			ng.headUN[headOf(s)]++
-			countNames(e, ng.nameFreq)
+			for _, id := range st.names {
+				ng.nameFreq[id]++
+			}
 			m := ng.bi[prev]
 			if m == nil {
 				m = map[string]float64{}
@@ -111,24 +143,22 @@ func (ng *NGram) nextOf(prev string) *nextSteps {
 	return ng.next[prev]
 }
 
-// countNames accumulates identifier-argument usage in a tactic expression.
-func countNames(e tactic.Expr, freq map[string]float64) {
+// appendNames appends the identifier arguments of a tactic expression, in
+// evaluation order, to dst.
+func appendNames(dst []string, e tactic.Expr) []string {
 	switch t := e.(type) {
 	case tactic.Seq:
-		countNames(t.First, freq)
-		countNames(t.Then, freq)
+		return appendNames(appendNames(dst, t.First), t.Then)
 	case tactic.Alt:
-		countNames(t.A, freq)
-		countNames(t.B, freq)
+		return appendNames(appendNames(dst, t.A), t.B)
 	case tactic.Try:
-		countNames(t.T, freq)
+		return appendNames(dst, t.T)
 	case tactic.Repeat:
-		countNames(t.T, freq)
+		return appendNames(dst, t.T)
 	case tactic.Call:
-		for _, id := range t.Idents {
-			freq[id]++
-		}
+		return append(dst, t.Idents...)
 	}
+	return dst
 }
 
 // NameUsage returns the usage count of an identifier across hint proofs.

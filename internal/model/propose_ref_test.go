@@ -91,9 +91,9 @@ func (r *refModel) propose(p *prompt.Prompt, st *tactic.State, path []string, ng
 		prev = textmetrics.NormalizeScript(path[len(path)-1])
 	}
 	var pool []refCand
-	for _, c := range r.gen.structural(nil, goal) {
-		pool = append(pool, refCand{text: c.text, h: c.h})
-	}
+	r.gen.structural(goal, func(text []byte, h float64) {
+		pool = append(pool, refCand{text: string(text), h: h})
+	})
 	pool = append(pool, refRetrieval(r.gen, p, goal, ng)...)
 	if nx := ng.nextOf(prev); nx != nil {
 		for _, cont := range nx.conts {

@@ -1,6 +1,7 @@
 package prompt
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -166,7 +167,9 @@ func TestPromptTextRenders(t *testing.T) {
 // The cache must be a pure performance layer: for every theorem, setting,
 // and window, the cached builder and the direct builder must produce
 // identical prompts (items, tokens, truncation) — the determinism guarantee
-// the whole experiment grid rests on.
+// the whole experiment grid rests on. At windows 0 and 500 the hint leg
+// also compares the reduced-context path, which filters the prompt Build
+// assembles, through the cache when one is set.
 func TestCacheMatchesDirectBuild(t *testing.T) {
 	c := loadCorpus(t)
 	hints := HintSplit(c, 0.5, 2025)
@@ -176,43 +179,25 @@ func TestCacheMatchesDirectBuild(t *testing.T) {
 			direct := Builder{Corpus: c, Setting: setting, HintSet: hints, Window: window}
 			cached := Builder{Corpus: c, Setting: setting, HintSet: hints, Window: window, Cache: cache}
 			for _, th := range c.Theorems {
-				a := direct.Build(th)
-				b := cached.Build(th)
-				if a.TotalTokens != b.TotalTokens || a.Dropped != b.Dropped || len(a.Items) != len(b.Items) {
-					t.Fatalf("%s/%s/w%d: shape differs: tokens %d vs %d, dropped %d vs %d, items %d vs %d",
-						th.Name, setting, window, a.TotalTokens, b.TotalTokens, a.Dropped, b.Dropped, len(a.Items), len(b.Items))
-				}
-				for i := range a.Items {
-					if a.Items[i] != b.Items[i] {
-						t.Fatalf("%s/%s/w%d: item %d differs: %+v vs %+v", th.Name, setting, window, i, a.Items[i], b.Items[i])
-					}
+				label := fmt.Sprintf("%s/%s/w%d", th.Name, setting, window)
+				samePrompt(t, label, direct.Build(th), cached.Build(th))
+				if setting == Hint && (window == 0 || window == 500) {
+					samePrompt(t, label+" reduced", direct.ReducedContext(th), cached.ReducedContext(th))
 				}
 			}
 		}
 	}
 }
 
-// Same purity requirement for the reduced-context path, which filters the
-// prompt Build assembles, through the cache when one is set.
-func TestCacheMatchesDirectReducedContext(t *testing.T) {
-	c := loadCorpus(t)
-	hints := HintSplit(c, 0.5, 2025)
-	cache := NewCache(c, hints)
-	for _, window := range []int{0, 500} {
-		direct := Builder{Corpus: c, Setting: Hint, HintSet: hints, Window: window}
-		cached := Builder{Corpus: c, Setting: Hint, HintSet: hints, Window: window, Cache: cache}
-		for _, th := range c.Theorems {
-			a := direct.ReducedContext(th)
-			b := cached.ReducedContext(th)
-			if a.TotalTokens != b.TotalTokens || len(a.Items) != len(b.Items) {
-				t.Fatalf("%s/w%d: reduced shape differs: tokens %d vs %d, items %d vs %d",
-					th.Name, window, a.TotalTokens, b.TotalTokens, len(a.Items), len(b.Items))
-			}
-			for i := range a.Items {
-				if a.Items[i] != b.Items[i] {
-					t.Fatalf("%s/w%d: reduced item %d differs", th.Name, window, i)
-				}
-			}
+func samePrompt(t *testing.T, label string, a, b *Prompt) {
+	t.Helper()
+	if a.TotalTokens != b.TotalTokens || a.Dropped != b.Dropped || len(a.Items) != len(b.Items) {
+		t.Fatalf("%s: shape differs: tokens %d vs %d, dropped %d vs %d, items %d vs %d",
+			label, a.TotalTokens, b.TotalTokens, a.Dropped, b.Dropped, len(a.Items), len(b.Items))
+	}
+	for i := range a.Items {
+		if a.Items[i] != b.Items[i] {
+			t.Fatalf("%s: item %d differs: %+v vs %+v", label, i, a.Items[i], b.Items[i])
 		}
 	}
 }

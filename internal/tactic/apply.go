@@ -24,6 +24,23 @@ var (
 	errNoConstructors       = errors.New("tactic: goal has no constructors")
 )
 
+// applyRule's rejections. tacConstructor keeps only the first, and the
+// search reads only the status, so each renders its text when asked for: a
+// single-pointer struct goes into an interface without allocating, and the
+// rule it holds is immutable.
+type (
+	ctorNoMatch      struct{ r *kernel.Rule }
+	ctorUndetermined struct{ r *kernel.Rule }
+)
+
+func (e ctorNoMatch) Error() string {
+	return "tactic: constructor " + e.r.Name + " does not match"
+}
+
+func (e ctorUndetermined) Error() string {
+	return "tactic: constructor " + e.r.Name + " leaves undetermined instances"
+}
+
 // instantiated is a lemma/rule statement with its universal binders replaced
 // by fresh metavariables.
 type instantiated struct {
@@ -45,6 +62,12 @@ func instantiate(stmt *kernel.Form, mc *kernel.MetaCounter) instantiated {
 // least stripped (whole matrix as conclusion) to fully stripped. apply tries
 // the fully stripped form first, then backs off, which lets a `~`-lemma
 // match a `~`-goal the way Coq's apply does.
+//
+// Each block of leading quantifiers is substituted in one walk of its body.
+// Metavariables are numbered in binder order, as one walk per binder would
+// number them; a name bound twice in a block maps to its inner binder's
+// metavariable, and a type binder shadows a term binder of its name, which
+// is exactly what the per-binder walks would leave.
 func instantiateAll(stmt *kernel.Form, mc *kernel.MetaCounter) []instantiated {
 	var out []instantiated
 	inst := instantiated{flex: map[string]bool{}}
@@ -52,14 +75,21 @@ func instantiateAll(stmt *kernel.Form, mc *kernel.MetaCounter) []instantiated {
 	for {
 		switch f.Kind {
 		case kernel.FForall:
-			if f.BType.IsType() {
-				f = f.Body
-				continue
+			var block kernel.Subst
+			for ; f.Kind == kernel.FForall; f = f.Body {
+				if f.BType.IsType() {
+					delete(block, f.Binder)
+					continue
+				}
+				m := mc.Fresh(f.Binder)
+				inst.flex[m] = true
+				inst.metas = append(inst.metas, m)
+				if block == nil {
+					block = kernel.Subst{}
+				}
+				block[f.Binder] = kernel.V(m)
 			}
-			m := mc.Fresh(f.Binder)
-			inst.flex[m] = true
-			inst.metas = append(inst.metas, m)
-			f = f.Body.Subst1(f.Binder, kernel.V(m))
+			f = f.SubstTerm(block)
 		case kernel.FImpl:
 			snap := inst
 			snap.concl = f
@@ -169,7 +199,7 @@ func resolvePremsWithHyps(g *Goal, inst instantiated, sub kernel.Subst, sc *kern
 }
 
 func formHasMeta(f *kernel.Form, flex map[string]bool) bool {
-	for v := range f.FreeVars() {
+	for _, v := range f.FreeNames() {
 		if flex[v] {
 			return true
 		}
@@ -336,13 +366,13 @@ func applyRule(env *kernel.Env, g *Goal, r *kernel.Rule, econ bool, sc *kernel.S
 	sub := sc.TrialSubst()
 	if !kernel.UnifyForms(inst.concl, g.Concl, inst.flex, sub) {
 		sc.PutSubst(sub)
-		return nil, fmt.Errorf("tactic: constructor %s does not match", r.Name)
+		return nil, ctorNoMatch{r}
 	}
 	if econ {
 		sub = resolvePremsWithHyps(g, inst, sub, sc)
 	}
 	if !metasResolved(inst, sub, sc) {
-		return nil, fmt.Errorf("tactic: constructor %s leaves undetermined instances", r.Name)
+		return nil, ctorUndetermined{r}
 	}
 	out := make([]*Goal, 0, len(inst.prems))
 	for _, prem := range inst.prems {

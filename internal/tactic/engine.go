@@ -352,7 +352,9 @@ func introInto(ng *Goal, name string, used map[string]bool) error {
 
 func tacIntro(env *kernel.Env, g *Goal, name string) ([]*Goal, error) {
 	ng := g.Clone()
-	if err := introInto(ng, name, g.usedNames()); err != nil {
+	used := g.usedNames()
+	defer releaseNames(used)
+	if err := introInto(ng, name, used); err != nil {
 		return nil, err
 	}
 	return []*Goal{ng}, nil
@@ -368,6 +370,7 @@ func tacIntros(env *kernel.Env, g *Goal, names []string) ([]*Goal, error) {
 			return []*Goal{g}, nil
 		}
 		used := g.usedNames()
+		defer releaseNames(used)
 		ng := g.Clone()
 		for ng.Concl.Kind == kernel.FForall || ng.Concl.Kind == kernel.FImpl {
 			if err := introInto(ng, "", used); err != nil {
@@ -377,6 +380,7 @@ func tacIntros(env *kernel.Env, g *Goal, names []string) ([]*Goal, error) {
 		return []*Goal{ng}, nil
 	}
 	used := g.usedNames()
+	defer releaseNames(used)
 	ng := g.Clone()
 	for _, n := range names {
 		if err := introInto(ng, n, used); err != nil {
@@ -483,12 +487,23 @@ func resolveGoalTerm(env *kernel.Env, g *Goal, t *kernel.Term) (*kernel.Term, er
 	if err != nil {
 		return nil, err
 	}
-	for v := range rt.Vars() {
-		if !bound[v] {
-			return nil, fmt.Errorf("tactic: unknown identifier %q in term argument", v)
-		}
+	var buf [16]string
+	if v := firstUnbound(rt.AppendFree(buf[:0]), bound); v != "" {
+		return nil, fmt.Errorf("tactic: unknown identifier %q in term argument", v)
 	}
 	return rt, nil
+}
+
+// firstUnbound returns the first of the free occurrences names that bound
+// lacks, or "". Rejections name it: the leftmost stray identifier, so the
+// same sentence on the same goal always answers the same text.
+func firstUnbound(names []string, bound map[string]bool) string {
+	for _, v := range names {
+		if !bound[v] {
+			return v
+		}
+	}
+	return ""
 }
 
 // resolveGoalForm resolves a parsed formula argument likewise.
@@ -501,10 +516,8 @@ func resolveGoalForm(env *kernel.Env, g *Goal, f *kernel.Form) (*kernel.Form, er
 	if err != nil {
 		return nil, err
 	}
-	for v := range rf.FreeVars() {
-		if !bound[v] {
-			return nil, fmt.Errorf("tactic: unknown identifier %q in formula argument", v)
-		}
+	if firstUnbound(rf.FreeNames(), bound) != "" {
+		return nil, fmt.Errorf("tactic: unknown identifier %q in formula argument", firstUnbound(rf.AppendFree(nil), bound))
 	}
 	return rf, nil
 }
@@ -921,6 +934,7 @@ func tacAssert(env *kernel.Env, g *Goal, raw *kernel.Form, idents []string) ([]*
 		name = idents[0]
 	}
 	used := g.usedNames()
+	defer releaseNames(used)
 	if name == "" {
 		name = g.FreshHypName(used)
 	} else if used[name] {

@@ -1,0 +1,81 @@
+package tactic
+
+import (
+	"fmt"
+	"maps"
+	"slices"
+
+	"llmfscq/internal/kernel"
+)
+
+// refInstantiateAll is instantiateAll with one substitution walk per
+// binder, kept as its reference.
+func refInstantiateAll(stmt *kernel.Form, mc *kernel.MetaCounter) []instantiated {
+	var out []instantiated
+	inst := instantiated{flex: map[string]bool{}}
+	f := stmt
+	for {
+		switch f.Kind {
+		case kernel.FForall:
+			if f.BType.IsType() {
+				f = f.Body
+				continue
+			}
+			m := mc.Fresh(f.Binder)
+			inst.flex[m] = true
+			inst.metas = append(inst.metas, m)
+			f = f.Body.Subst1(f.Binder, kernel.V(m))
+		case kernel.FImpl:
+			snap := inst
+			snap.concl = f
+			snap.prems = append([]*kernel.Form(nil), inst.prems...)
+			out = append(out, snap)
+			inst.prems = append(inst.prems, f.L)
+			f = f.R
+		case kernel.FNot:
+			snap := inst
+			snap.concl = f
+			snap.prems = append([]*kernel.Form(nil), inst.prems...)
+			out = append(out, snap)
+			inst.prems = append(inst.prems, f.L)
+			f = kernel.False()
+		default:
+			inst.concl = f
+			out = append(out, inst)
+			return out
+		}
+	}
+}
+
+// CheckInstantiation compares instantiateAll with the per-binder walk on
+// stmt, both counters having already issued skip metavariables: every
+// premise boundary must carry the same metavariables and flex set, and
+// pointer-equal premises and conclusion.
+func CheckInstantiation(stmt *kernel.Form, skip int) error {
+	var mc, ref kernel.MetaCounter
+	for i := 0; i < skip; i++ {
+		mc.Fresh("z")
+		ref.Fresh("z")
+	}
+	got, want := instantiateAll(stmt, &mc), refInstantiateAll(stmt, &ref)
+	if len(got) != len(want) {
+		return fmt.Errorf("%d instantiations, want %d", len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		switch {
+		case !slices.Equal(g.metas, w.metas):
+			return fmt.Errorf("instantiation %d: metas %v, want %v", i, g.metas, w.metas)
+		case !maps.Equal(g.flex, w.flex):
+			return fmt.Errorf("instantiation %d: flex %v, want %v", i, g.flex, w.flex)
+		case g.concl != w.concl:
+			return fmt.Errorf("instantiation %d: conclusion %s, want %s", i, g.concl, w.concl)
+		case !slices.Equal(g.prems, w.prems):
+			return fmt.Errorf("instantiation %d: premises %v, want %v", i, g.prems, w.prems)
+		}
+	}
+	if fg, fw := mc.Fresh("z"), ref.Fresh("z"); fg != fw {
+		return fmt.Errorf("counter left at %s, want %s", fg, fw)
+	}
+	return nil
+}

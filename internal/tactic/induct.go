@@ -3,6 +3,7 @@ package tactic
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"llmfscq/internal/kernel"
@@ -43,6 +44,7 @@ func varBase(ty *kernel.Type) string {
 // tail l).
 func caseNames(g *Goal, argTypes []*kernel.Type, alt []*IntroPattern, free string) ([]string, error) {
 	used := g.usedNames()
+	defer releaseNames(used)
 	if free != "" {
 		delete(used, free)
 	}
@@ -78,7 +80,7 @@ func dataCaseSplit(env *kernel.Env, g *Goal, x string, withIH bool, pat *IntroPa
 	if withIH {
 		for _, h := range g.Hyps {
 			if h.Form.HasFreeVar(x) {
-				return nil, fmt.Errorf("tactic: cannot perform induction on %q: hypothesis %s depends on it (revert it first)", x, h.Name)
+				return nil, dependsError{x: x, hyp: h.Name}
 			}
 		}
 	}
@@ -98,29 +100,49 @@ func dataCaseSplit(env *kernel.Env, g *Goal, x string, withIH bool, pat *IntroPa
 			args[i] = kernel.V(n)
 		}
 		pattern := kernel.A(c.Name, args...)
-		ng := g.SubstVar(x, pattern)
+		ihs := 0
+		if withIH {
+			for _, at := range argTypes {
+				if recursivePos(at, ty) {
+					ihs++
+				}
+			}
+		}
+		ng := g.substVar(x, pattern, len(names), ihs)
 		// Insert the new variables.
 		for i, n := range names {
 			ng.Vars = append(ng.Vars, kernel.TypedVar{Name: n, Type: argTypes[i]})
 		}
-		if withIH {
+		if ihs > 0 {
 			usedH := ng.usedNames()
 			for i, at := range argTypes {
-				// Recursive positions are arguments of exactly the split
-				// type — same head with different parameters (e.g. a
-				// list (prod nat nat) element of a list of lists) is NOT
-				// recursive and must not get an induction hypothesis.
-				if at.TVar || !at.Equal(ty) {
+				if !recursivePos(at, ty) {
 					continue
 				}
 				ihName := kernel.FreshName("IH"+x, usedH)
 				ih := g.Concl.Subst1(x, kernel.V(names[i]))
 				ng.Hyps = append(ng.Hyps, Hyp{Name: ihName, Form: ih})
 			}
+			releaseNames(usedH)
 		}
 		out = append(out, ng)
 	}
 	return out, nil
+}
+
+// recursivePos reports whether a constructor argument of type at is a
+// recursive position of a split on type ty, and so gets an induction
+// hypothesis. Recursive positions are arguments of exactly the split type:
+// the same head with different parameters (e.g. a list (prod nat nat)
+// element of a list of lists) is NOT recursive.
+func recursivePos(at, ty *kernel.Type) bool { return !at.TVar && at.Equal(ty) }
+
+// dependsError rejects induction on a variable a hypothesis mentions. The
+// search reads only the status, so the text is rendered when asked for.
+type dependsError struct{ x, hyp string }
+
+func (e dependsError) Error() string {
+	return "tactic: cannot perform induction on " + strconv.Quote(e.x) + ": hypothesis " + e.hyp + " depends on it (revert it first)"
 }
 
 // introUpTo introduces leading binders until variable x is in context
@@ -227,6 +249,7 @@ func ruleInduction(env *kernel.Env, g *Goal, h Hyp) ([]*Goal, error) {
 			ren[v.Name] = kernel.V(f)
 			freshVars = append(freshVars, kernel.TypedVar{Name: f, Type: v.Type})
 		}
+		releaseNames(used)
 		flex := map[string]bool{}
 		for _, v := range freshVars {
 			flex[v.Name] = true
@@ -303,6 +326,7 @@ func ruleInduction(env *kernel.Env, g *Goal, h Hyp) ([]*Goal, error) {
 				ng.Hyps = append(ng.Hyps, Hyp{Name: ihName, Form: motive(pf.Args)})
 			}
 		}
+		releaseNames(usedH)
 		conclArgs := make([]*kernel.Term, len(args))
 		for i := range args {
 			conclArgs[i] = kernel.FullResolve(r.ConclArgs[i].ApplySubst(ren), sub)
@@ -415,7 +439,9 @@ func destructTerm(env *kernel.Env, g *Goal, t *kernel.Term, eqn string, pat *Int
 		ng.Concl = newConcl
 		if eqn != "" {
 			used := ng.usedNames()
-			if used[eqn] {
+			taken := used[eqn]
+			releaseNames(used)
+			if taken {
 				return nil, fmt.Errorf("tactic: name %q already used", eqn)
 			}
 			ng.Hyps = append(ng.Hyps, Hyp{Name: eqn, Form: kernel.Eq(t, pattern)})
@@ -438,6 +464,7 @@ func destructHyp(env *kernel.Env, g *Goal, h Hyp, pat *IntroPattern) ([]*Goal, e
 	case kernel.FIff:
 		ng := base.Clone()
 		used := ng.usedNames()
+		defer releaseNames(used)
 		n1 := ng.FreshHypName(used)
 		ng.Hyps = append(ng.Hyps, Hyp{Name: n1, Form: kernel.Impl(h.Form.L, h.Form.R)})
 		n2 := ng.FreshHypName(used)
@@ -465,6 +492,7 @@ func destructHyp(env *kernel.Env, g *Goal, h Hyp, pat *IntroPattern) ([]*Goal, e
 	case kernel.FExists:
 		ng := base.Clone()
 		used := ng.usedNames()
+		defer releaseNames(used)
 		varName := ""
 		var bodyPat *IntroPattern
 		if pat != nil && len(pat.Alts) == 1 && len(pat.Alts[0]) == 2 {
@@ -517,6 +545,7 @@ func addHypPat(env *kernel.Env, g *Goal, f *kernel.Form, pat *IntroPattern) ([]*
 		// Nested pattern: add under a temp name, then destruct it.
 		ng := g.Clone()
 		used := ng.usedNames()
+		defer releaseNames(used)
 		tmp := ng.FreshHypName(used)
 		ng.Hyps = append(ng.Hyps, Hyp{Name: tmp, Form: f})
 		h, _ := ng.HypNamed(tmp)
@@ -524,6 +553,7 @@ func addHypPat(env *kernel.Env, g *Goal, f *kernel.Form, pat *IntroPattern) ([]*
 	}
 	ng := g.Clone()
 	used := ng.usedNames()
+	defer releaseNames(used)
 	name := ""
 	if pat != nil && pat.Name != "" && pat.Name != "_" {
 		name = pat.Name

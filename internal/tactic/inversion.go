@@ -42,6 +42,7 @@ func tacInversion(env *kernel.Env, g *Goal, hname string, clear bool) ([]*Goal, 
 		// The in-scope names are the same for every rule: compute them
 		// once and let each rule borrow them (see invertRule).
 		used := base.usedNames()
+		defer releaseNames(used)
 		var out []*Goal
 		for i := range p.Rules {
 			sub, err := invertRule(env, base, &p.Rules[i], args, used)
@@ -78,6 +79,16 @@ type invEq struct{ lhs, rhs *kernel.Term }
 func invertRule(env *kernel.Env, g *Goal, r *kernel.Rule, hypArgs []*kernel.Term, used map[string]bool) (*Goal, error) {
 	if len(r.ConclArgs) != len(hypArgs) {
 		return nil, fmt.Errorf("tactic: arity mismatch inverting rule %s", r.Name)
+	}
+	// Most rules an inversion tries clash with the hypothesis at the top of
+	// some argument. Renaming keeps a rule argument's head, so decompose
+	// would reach that position and find the rule impossible whatever it
+	// bound before; the rule is dropped here, before anything allocates.
+	for i, a := range r.ConclArgs {
+		b := hypArgs[i]
+		if a.IsApp() && b.IsApp() && a.Fun != b.Fun && env.IsConstructor(a.Fun) && env.IsConstructor(b.Fun) {
+			return nil, nil
+		}
 	}
 	// Freshen rule variables against goal names; flex holds the fresh
 	// variables, the names decompose may bind.
@@ -129,7 +140,13 @@ func invertRule(env *kernel.Env, g *Goal, r *kernel.Rule, hypArgs []*kernel.Term
 		}
 	}
 
-	ng := g.Clone()
+	unbound := 0
+	for _, v := range flex {
+		if _, bound := sub[v.Name]; !bound {
+			unbound++
+		}
+	}
+	ng := g.cloneRoom(unbound, len(r.Prems)+len(leftovers))
 	// Add the rule variables that remained unbound. The new goal's names
 	// are g's plus exactly those, so the bound ones leave the overlay
 	// before hypotheses are named.
@@ -196,6 +213,7 @@ func invertEquality(env *kernel.Env, g *Goal, h Hyp) ([]*Goal, error) {
 	if t1.IsApp() && t2.IsApp() && env.IsConstructor(t1.Fun) && t1.Fun == t2.Fun && len(t1.Args) == len(t2.Args) {
 		ng := g.Clone()
 		used := ng.usedNames()
+		defer releaseNames(used)
 		added := false
 		for i := range t1.Args {
 			if t1.Args[i].Equal(t2.Args[i]) {

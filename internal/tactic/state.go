@@ -102,6 +102,20 @@ func (g *Goal) Clone() *Goal {
 	return ng
 }
 
+// cloneRoom is Clone with room for extraVars more variables and extraHyps
+// more hypotheses, so a tactic that knows what it adds appends without
+// regrowing either slice.
+func (g *Goal) cloneRoom(extraVars, extraHyps int) *Goal {
+	ng := &Goal{
+		Vars:  make([]kernel.TypedVar, len(g.Vars), len(g.Vars)+extraVars),
+		Hyps:  make([]Hyp, len(g.Hyps), len(g.Hyps)+extraHyps),
+		Concl: g.Concl,
+	}
+	copy(ng.Vars, g.Vars)
+	copy(ng.Hyps, g.Hyps)
+	return ng
+}
+
 // VarType returns the declared type of a context variable.
 func (g *Goal) VarType(name string) (*kernel.Type, bool) {
 	for _, v := range g.Vars {
@@ -146,28 +160,42 @@ func (g *Goal) ReplaceHyp(name string, f *kernel.Form) *Goal {
 	return ng
 }
 
-// usedNames returns all names (vars and hyps) in scope, for freshening.
+// usedNames returns all names (vars and hyps) in scope, for freshening:
+// the variables, the hypothesis names, and the free names of the
+// conclusion (e.g. uninstantiated binder names) and of every hypothesis.
+// The free names come from each formula's memo (kernel.Form.FreeNames):
+// a goal is asked once or twice, but its hypotheses are inherited by goal
+// after goal. The map comes from namesPool; a caller done with it hands
+// it back with releaseNames.
 func (g *Goal) usedNames() map[string]bool {
-	// Sized for the variables and hypotheses: the free names below are
-	// mostly those again, and an unsized map regrows on the way.
-	used := make(map[string]bool, len(g.Vars)+len(g.Hyps))
+	used := namesPool.Get().(map[string]bool)
 	for _, v := range g.Vars {
 		used[v.Name] = true
 	}
 	for _, h := range g.Hyps {
 		used[h.Name] = true
 	}
-	// Free variables of the conclusion matter too (e.g. uninstantiated
-	// binder names).
-	for v := range g.Concl.FreeVars() {
+	for _, v := range g.Concl.FreeNames() {
 		used[v] = true
 	}
 	for _, h := range g.Hyps {
-		for v := range h.Form.FreeVars() {
+		for _, v := range h.Form.FreeNames() {
 			used[v] = true
 		}
 	}
 	return used
+}
+
+// namesPool recycles usedNames' maps. Most tactic calls build one, use it
+// for a few fresh names and drop it; a cleared map keeps its buckets, so
+// a recycled one refills without allocating.
+var namesPool = sync.Pool{New: func() any { return map[string]bool{} }}
+
+// releaseNames hands a usedNames map back once nothing reads it. A map
+// that is not handed back is left to the collector.
+func releaseNames(used map[string]bool) {
+	clear(used)
+	namesPool.Put(used)
 }
 
 // FreshHypName picks an unused hypothesis name (H, H0, H1, ...).
@@ -190,15 +218,25 @@ func (g *Goal) FreshHypName(used map[string]bool) string {
 
 // SubstVar substitutes a context variable by a term everywhere in the goal
 // (hyps and conclusion), and drops the variable from the context.
-func (g *Goal) SubstVar(x string, t *kernel.Term) *Goal {
-	ng := &Goal{Concl: g.Concl.Subst1(x, t)}
+func (g *Goal) SubstVar(x string, t *kernel.Term) *Goal { return g.substVar(x, t, 0, 0) }
+
+// substVar is SubstVar leaving room for extraVars more variables and
+// extraHyps more hypotheses (see cloneRoom). One substitution serves the
+// conclusion and every hypothesis.
+func (g *Goal) substVar(x string, t *kernel.Term, extraVars, extraHyps int) *Goal {
+	s := kernel.Subst{x: t}
+	ng := &Goal{
+		Vars:  make([]kernel.TypedVar, 0, len(g.Vars)+extraVars),
+		Hyps:  make([]Hyp, len(g.Hyps), len(g.Hyps)+extraHyps),
+		Concl: g.Concl.SubstTerm(s),
+	}
 	for _, v := range g.Vars {
 		if v.Name != x {
 			ng.Vars = append(ng.Vars, v)
 		}
 	}
-	for _, h := range g.Hyps {
-		ng.Hyps = append(ng.Hyps, Hyp{Name: h.Name, Form: h.Form.Subst1(x, t)})
+	for i, h := range g.Hyps {
+		ng.Hyps[i] = Hyp{Name: h.Name, Form: h.Form.SubstTerm(s)}
 	}
 	return ng
 }

@@ -442,3 +442,88 @@ func TestFingerprintMemoization(t *testing.T) {
 		t.Fatal("memoized fingerprint key diverged from a fresh computation")
 	}
 }
+
+// Block instantiation must equal the per-binder walk where binders shadow
+// one another: inside a block, across blocks, under an inner quantifier, a
+// type binder over a term binder, and a match-pattern binder.
+func TestInstantiateShadowedBinders(t *testing.T) {
+	nat := kernel.Ty("nat")
+	x, y := kernel.V("x"), kernel.V("y")
+	for _, f := range []*kernel.Form{
+		kernel.Forall("x", nat, kernel.Forall("y", nat, kernel.Forall("x", nat, kernel.Pred("P", x, y)))),
+		kernel.Forall("x", nat, kernel.Impl(kernel.Pred("P", x), kernel.Forall("x", nat, kernel.Forall("y", nat, kernel.Pred("Q", x, y))))),
+		kernel.Forall("x", nat, kernel.Forall("y", nat, kernel.Impl(kernel.Forall("x", nat, kernel.Pred("P", x, y)), kernel.Pred("Q", x)))),
+		kernel.Forall("x", nat, kernel.Forall("x", kernel.TypeType, kernel.Pred("P", x))),
+		kernel.Forall("x", kernel.TypeType, kernel.Forall("x", nat, kernel.Pred("P", x))),
+		kernel.Forall("x", nat, kernel.Not(kernel.Exists("x", nat, kernel.Eq(x, y)))),
+		kernel.Forall("x", nat, kernel.Forall("y", nat, kernel.Eq(
+			kernel.NewMatch(x, []kernel.MatchCase{{Pat: kernel.A("O"), RHS: y}, {Pat: kernel.A("S", y), RHS: x}}), y))),
+	} {
+		for _, skip := range []int{0, 3} {
+			if err := CheckInstantiation(f, skip); err != nil {
+				t.Errorf("%s (skip %d): %v", f, skip, err)
+			}
+		}
+	}
+}
+
+// The rejections that render their text on demand read as the fmt.Errorf
+// texts they replaced.
+func TestRejectionTexts(t *testing.T) {
+	env := buildEnv(t)
+	rejection := func(statement string, script ...string) string {
+		t.Helper()
+		st := NewState(env, stmt(t, env, statement))
+		for i, sentence := range script {
+			next, err := ApplySentence(st, sentence)
+			if i == len(script)-1 {
+				if err == nil {
+					t.Fatalf("%q applied", sentence)
+				}
+				return err.Error()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			st = next
+		}
+		return ""
+	}
+	for _, c := range []struct{ got, want string }{
+		{rejection("le 1 0", "constructor."), "tactic: constructor le_n does not match"},
+		{rejection("forall (n : nat), n = 0 -> n = n", "intros n H.", "induction n."),
+			`tactic: cannot perform induction on "n": hypothesis H depends on it (revert it first)`},
+	} {
+		if c.got != c.want {
+			t.Errorf("rejection %q, want %q", c.got, c.want)
+		}
+	}
+	g := &Goal{Concl: stmt(t, env, "twice O")}
+	p := env.Preds["twice"]
+	if _, err := applyRule(env, g, &p.Rules[1], false, nil); err == nil ||
+		err.Error() != "tactic: constructor twice_refl leaves undetermined instances" {
+		t.Errorf("undetermined rule: got %v", err)
+	}
+}
+
+// A term or formula argument with several stray identifiers is rejected
+// with one text, naming the leftmost, however often it is applied.
+func TestStrayIdentifierTextIsStable(t *testing.T) {
+	env := buildEnv(t)
+	st := NewState(env, stmt(t, env, "exists (n : nat), n = 0"))
+	for sentence, want := range map[string]string{
+		"exists (plus aa (plus bb (plus cc dd))).": `tactic: unknown identifier "aa" in term argument`,
+		"exists (plus dd aa).":                     `tactic: unknown identifier "dd" in term argument`,
+		"assert (plus dd aa = bb).":                `tactic: unknown identifier "dd" in formula argument`,
+	} {
+		texts := map[string]int{}
+		for i := 0; i < 200; i++ {
+			if _, err := ApplySentence(st, sentence); err != nil {
+				texts[err.Error()]++
+			}
+		}
+		if len(texts) != 1 || texts[want] != 200 {
+			t.Errorf("%s: rejection texts %v, want %q 200 times", sentence, texts, want)
+		}
+	}
+}
