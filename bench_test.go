@@ -191,9 +191,10 @@ func BenchmarkSubstFastPath(b *testing.B) {
 
 // BenchmarkTypedLoad measures the typed-analysis tier's load: parse the
 // module and type-check every package against the shared stdlib importer —
-// the cost every `cmd/lint -family typed` invocation (and the check.sh
-// gate) pays. The standard-library closure is type-checked once per
-// process, so steady-state iterations price the module itself.
+// the cost TestRepoLintClean and each leg of
+// TestRepoCatchesPlantedViolations (internal/analysis) pay. The
+// standard-library closure is type-checked once per process, so
+// steady-state iterations price the module itself.
 func BenchmarkTypedLoad(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

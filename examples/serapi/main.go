@@ -30,7 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	go srv.Serve() //nolint:errcheck
+	go srv.Serve()
 	defer srv.Close()
 	fmt.Printf("checkerd listening on %s\n\n", addr)
 

@@ -7,12 +7,10 @@ import (
 
 var analyzerGoroutine = &Analyzer{
 	Name: "goroutine",
-	Doc: "concurrency hygiene for worker pools: flags goroutine closures that capture " +
-		"an enclosing loop variable instead of taking it as an argument (hygiene/" +
-		"back-compat: per-iteration loop variables make this safe from Go 1.22, but " +
-		"the capture is still an aliasing hazard under refactors), and " +
-		"sync.WaitGroup.Add calls made inside the spawned goroutine instead of " +
-		"before the go statement (racy: Wait can return before Add runs)",
+	Doc: "flags sync.WaitGroup.Add calls made inside the spawned goroutine " +
+		"instead of before the go statement (racy: Wait can return before Add " +
+		"runs). Loop-variable capture is not checked: the module's go 1.22 " +
+		"directive gives each iteration its own variable",
 	Go: runGoroutine,
 }
 
@@ -25,7 +23,17 @@ func runGoroutine(pkg *GoPackage) []Finding {
 				continue
 			}
 			wg := waitGroupObjects(fd)
-			out = append(out, lintGoStmts(pkg, f, fd.Body, nil, wg)...)
+			if len(wg) == 0 {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
+						out = append(out, addsInGoroutine(pkg, f, lit, wg)...)
+					}
+				}
+				return true
+			})
 		}
 	}
 	return out
@@ -83,91 +91,15 @@ func waitGroupObjects(fd *ast.FuncDecl) map[*ast.Object]bool {
 	return wg
 }
 
-// lintGoStmts walks stmts tracking the loop variables in scope (by their
-// parser resolution objects, so shadowing is handled) and inspects each
-// `go func(...){...}()` literal it encounters.
-func lintGoStmts(pkg *GoPackage, f *GoFile, n ast.Node, loopVars map[*ast.Object]string, wg map[*ast.Object]bool) []Finding {
+// addsInGoroutine flags the WaitGroup Add calls in a goroutine's body. A
+// nested go statement is left to the walk that reaches it, so each call is
+// reported once.
+func addsInGoroutine(pkg *GoPackage, f *GoFile, lit *ast.FuncLit, wg map[*ast.Object]bool) []Finding {
 	var out []Finding
-	var walk func(n ast.Node, loops map[*ast.Object]string)
-	walk = func(n ast.Node, loops map[*ast.Object]string) {
-		switch v := n.(type) {
-		case nil:
-			return
-		case *ast.RangeStmt:
-			inner := copyLoopVars(loops)
-			for _, e := range []ast.Expr{v.Key, v.Value} {
-				if id, ok := e.(*ast.Ident); ok && id.Obj != nil && id.Name != "_" {
-					inner[id.Obj] = id.Name
-				}
-			}
-			walk(v.Body, inner)
-			return
-		case *ast.ForStmt:
-			inner := copyLoopVars(loops)
-			if assign, ok := v.Init.(*ast.AssignStmt); ok && assign.Tok == token.DEFINE {
-				for _, lhs := range assign.Lhs {
-					if id, ok := lhs.(*ast.Ident); ok && id.Obj != nil && id.Name != "_" {
-						inner[id.Obj] = id.Name
-					}
-				}
-			}
-			walk(v.Body, inner)
-			return
-		case *ast.GoStmt:
-			if lit, ok := v.Call.Fun.(*ast.FuncLit); ok {
-				out = append(out, lintGoroutineBody(pkg, f, lit, loops, wg)...)
-			}
-			// Arguments of the go call are evaluated in the loop's scope:
-			// walking them (and the body, for nested go statements) with the
-			// current loop set is correct.
-			for _, arg := range v.Call.Args {
-				walk(arg, loops)
-			}
-			if lit, ok := v.Call.Fun.(*ast.FuncLit); ok {
-				walk(lit.Body, loops)
-			}
-			return
-		}
-		// Generic descent one level.
-		ast.Inspect(n, func(m ast.Node) bool {
-			if m == n {
-				return true
-			}
-			switch m.(type) {
-			case *ast.RangeStmt, *ast.ForStmt, *ast.GoStmt:
-				walk(m, loops)
-				return false
-			}
-			return true
-		})
-	}
-	walk(n, copyLoopVars(loopVars))
-	return out
-}
-
-func copyLoopVars(m map[*ast.Object]string) map[*ast.Object]string {
-	out := make(map[*ast.Object]string, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func lintGoroutineBody(pkg *GoPackage, f *GoFile, lit *ast.FuncLit, loops map[*ast.Object]string, wg map[*ast.Object]bool) []Finding {
-	var out []Finding
-	reported := map[*ast.Object]bool{}
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch v := n.(type) {
-		case *ast.Ident:
-			if v.Obj != nil && !reported[v.Obj] {
-				if name, ok := loops[v.Obj]; ok {
-					reported[v.Obj] = true
-					out = append(out, Finding{
-						Analyzer: "goroutine", File: f.Name, Line: pkg.line(v),
-						Message: "goroutine closure captures loop variable " + name + "; pass it as an argument to the func literal",
-					})
-				}
-			}
+		case *ast.GoStmt:
+			return false
 		case *ast.CallExpr:
 			sel, ok := v.Fun.(*ast.SelectorExpr)
 			if !ok || sel.Sel.Name != "Add" {

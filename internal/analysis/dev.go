@@ -65,9 +65,7 @@ type Development struct {
 	Symbols map[string]*Symbol
 	Lemmas  []*DevLemma
 
-	moduleFile        map[string]string // module name -> display path
-	suppressions      []suppression
-	suppressionErrors []Finding
+	moduleFile map[string]string // module name -> display path
 }
 
 // ParseDevelopment parses the files (in order) into the analysis model.
@@ -98,9 +96,6 @@ func ParseDevelopment(files []VFile) (*Development, error) {
 		for _, sd := range decls {
 			dev.declareSymbols(vf.Name, sd)
 		}
-		sups, bad := vernSuppressions(vf.Name, vf.Src)
-		dev.suppressions = append(dev.suppressions, sups...)
-		dev.suppressionErrors = append(dev.suppressionErrors, bad...)
 	}
 	// Pass 2: resolve references against the complete symbol table.
 	for _, pf := range parsed {

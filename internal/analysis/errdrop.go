@@ -37,6 +37,10 @@ var analyzerErrDrop = &Analyzer{
 	Typed: runErrDrop,
 }
 
+// errDropCost ends both findings: what the dropped error would have told.
+const errDropCost = "; a lost wire session would pass uncounted, or a store write or " +
+	"fsync failure go unseen — handle it or suppress with a reason"
+
 func inErrDropScope(dir string) bool {
 	for _, p := range errDropScope {
 		if dir == p || strings.HasPrefix(dir, p+"/") {
@@ -72,8 +76,7 @@ func runErrDrop(m *Module) []Finding {
 					}
 					out = append(out, Finding{
 						Analyzer: "errdrop", File: f.Name, Line: tp.line(s),
-						Message: "error result of " + calleeLabel(call) + " dropped; every rung of the " +
-							"robustness ladder is error-triggered — handle it or suppress with a reason",
+						Message: "error result of " + calleeLabel(call) + " dropped" + errDropCost,
 					})
 				case *ast.AssignStmt:
 					out = append(out, blankErrAssigns(tp, f, info, s, errType)...)
@@ -111,8 +114,7 @@ func blankErrAssigns(tp *TypedPackage, f *GoFile, info *types.Info, s *ast.Assig
 		}
 		out = append(out, Finding{
 			Analyzer: "errdrop", File: f.Name, Line: tp.line(s),
-			Message: "error result of " + calleeLabel(call) + " assigned to _; every rung of the " +
-				"robustness ladder is error-triggered — handle it or suppress with a reason",
+			Message: "error result of " + calleeLabel(call) + " assigned to _" + errDropCost,
 		})
 	}
 	return out

@@ -203,21 +203,6 @@ func collect(xs []string) []string {
 
 // --- goroutine -------------------------------------------------------------
 
-func TestGoroutineCaptureFires(t *testing.T) {
-	src := `package p
-
-func spawnAll(jobs []int, run func(int)) {
-	for _, j := range jobs {
-		go func() {
-			run(j)
-		}()
-	}
-}
-`
-	got := runOne(t, analyzerGoroutine, mustPkg(t, "internal/p", "g.go", src))
-	wantFindings(t, got, "goroutine: goroutine closure captures loop variable j")
-}
-
 func TestGoroutineWgAddInsideFires(t *testing.T) {
 	src := `package p
 
@@ -253,25 +238,6 @@ func pool(jobs []int, run func(int)) {
 		}(j)
 	}
 	wg.Wait()
-}
-`
-	got := runOne(t, analyzerGoroutine, mustPkg(t, "internal/p", "g.go", src))
-	wantFindings(t, got)
-}
-
-func TestGoroutineShadowClean(t *testing.T) {
-	// Rebinding the loop variable inside the loop body (the classic
-	// pre-1.22 idiom) makes the capture safe: the captured object is the
-	// per-iteration copy, not the loop variable.
-	src := `package p
-
-func spawnAll(jobs []int, run func(int)) {
-	for _, j := range jobs {
-		j := j
-		go func() {
-			run(j)
-		}()
-	}
 }
 `
 	got := runOne(t, analyzerGoroutine, mustPkg(t, "internal/p", "g.go", src))
@@ -338,23 +304,15 @@ func f() {}
 
 // --- registry --------------------------------------------------------------
 
-func TestSelect(t *testing.T) {
-	azs, err := Select("", "")
-	if err != nil || len(azs) != len(All()) {
-		t.Fatalf("default Select = %d analyzers, err %v", len(azs), err)
-	}
-	azs, err = Select("maporder,determinism", "")
-	if err != nil || len(azs) != 2 {
-		t.Fatalf("enable list: %d analyzers, err %v", len(azs), err)
-	}
-	azs, err = Select("", "noprogress")
-	if err != nil || len(azs) != len(All())-1 {
-		t.Fatalf("disable list: %d analyzers, err %v", len(azs), err)
-	}
-	if _, err = Select("nosuch", ""); err == nil {
-		t.Fatal("unknown analyzer accepted")
-	}
+// Suppressions name their analyzer, so names must be unique; each analyzer
+// belongs to exactly one family and says what it checks.
+func TestAllAnalyzersWellFormed(t *testing.T) {
+	seen := map[string]bool{}
 	for _, a := range All() {
+		if seen[a.Name] {
+			t.Errorf("analyzer name %s registered twice", a.Name)
+		}
+		seen[a.Name] = true
 		set := 0
 		if a.Go != nil {
 			set++

@@ -6,14 +6,13 @@ import (
 	"strings"
 )
 
-// suppression is one parsed lint:ignore directive. It silences findings of
-// the named analyzer on its own line and on the line directly below it (so
-// a directive can sit either on the offending line or just above it).
+// suppression is one parsed //lint:ignore directive. It silences findings
+// of the named analyzer on its own line and on the line directly below it
+// (so a directive can sit either on the offending line or just above it).
 type suppression struct {
 	File     string
 	Line     int
 	Analyzer string
-	Reason   string
 }
 
 func filterSuppressed(fs []Finding, sups []suppression) []Finding {
@@ -36,64 +35,29 @@ func filterSuppressed(fs []Finding, sups []suppression) []Finding {
 	return out
 }
 
-// parseDirective parses the payload after "lint:ignore". It returns the
-// analyzer name and reason; ok is false when the directive is malformed
-// (no analyzer, or no reason).
-func parseDirective(payload string) (analyzer, reason string, ok bool) {
-	fields := strings.Fields(payload)
-	if len(fields) < 2 {
-		return "", "", false
-	}
-	return fields[0], strings.Join(fields[1:], " "), true
-}
-
 const badDirective = "malformed lint:ignore directive: want `lint:ignore <analyzer> <reason>`"
 
-// goSuppressions extracts lint:ignore directives from a parsed Go file's
-// comments. Malformed directives are reported as findings under the pseudo
-// analyzer name "lint".
+// goSuppressions extracts //lint:ignore directives from a parsed Go file's
+// comments. A directive without an analyzer and a reason is reported as a
+// finding under the pseudo analyzer name "lint".
 func goSuppressions(fset *token.FileSet, file string, f *ast.File) ([]suppression, []Finding) {
 	var sups []suppression
 	var bad []Finding
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			text = strings.TrimSpace(text)
-			if !strings.HasPrefix(text, "lint:ignore") {
+			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+			payload, ok := strings.CutPrefix(text, "lint:ignore")
+			if !ok {
 				continue
 			}
 			line := fset.Position(c.Pos()).Line
-			name, reason, ok := parseDirective(strings.TrimPrefix(text, "lint:ignore"))
-			if !ok {
+			fields := strings.Fields(payload)
+			if len(fields) < 2 {
 				bad = append(bad, Finding{Analyzer: "lint", File: file, Line: line, Message: badDirective})
 				continue
 			}
-			sups = append(sups, suppression{File: file, Line: line, Analyzer: name, Reason: reason})
+			sups = append(sups, suppression{File: file, Line: line, Analyzer: fields[0]})
 		}
-	}
-	return sups, bad
-}
-
-// vernSuppressions extracts `(* lint:ignore <analyzer> <reason> *)`
-// directives from vernacular source text.
-func vernSuppressions(file, src string) ([]suppression, []Finding) {
-	var sups []suppression
-	var bad []Finding
-	for i, lineText := range strings.Split(src, "\n") {
-		idx := strings.Index(lineText, "lint:ignore")
-		if idx < 0 {
-			continue
-		}
-		payload := lineText[idx+len("lint:ignore"):]
-		if end := strings.Index(payload, "*)"); end >= 0 {
-			payload = payload[:end]
-		}
-		name, reason, ok := parseDirective(payload)
-		if !ok {
-			bad = append(bad, Finding{Analyzer: "lint", File: file, Line: i + 1, Message: badDirective})
-			continue
-		}
-		sups = append(sups, suppression{File: file, Line: i + 1, Analyzer: name, Reason: reason})
 	}
 	return sups, bad
 }

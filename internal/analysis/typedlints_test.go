@@ -86,77 +86,6 @@ func Smash(p *kernel.Term) { *p = kernel.Term{} }
 	}
 }
 
-// --- atomicmix --------------------------------------------------------------
-
-func TestAtomicMixFires(t *testing.T) {
-	m := loadFixture(t, map[string]string{"go.mod": fixGomod, "s/s.go": `package s
-
-import "sync/atomic"
-
-type C struct{ n uint64 }
-
-func (c *C) Inc() { atomic.AddUint64(&c.n, 1) }
-
-func (c *C) Peek() uint64 { return c.n }
-`})
-	wantFindingsAnyOrder(t, runTyped(t, analyzerAtomicMix, m),
-		"variable n is updated with sync/atomic elsewhere but accessed plainly")
-}
-
-// TestAtomicMixPointerMemoClean pins the fix for the atomic.Pointer memo
-// idiom: Store(&local) publishes an immutable pointee — the local is not an
-// atomically-accessed variable, and its plain uses are fine.
-func TestAtomicMixPointerMemoClean(t *testing.T) {
-	m := loadFixture(t, map[string]string{"go.mod": fixGomod, "s/s.go": `package s
-
-import "sync/atomic"
-
-type G struct{ memo atomic.Pointer[string] }
-
-func (g *G) S() string {
-	if p := g.memo.Load(); p != nil {
-		return *p
-	}
-	s := "computed"
-	g.memo.Store(&s)
-	return s
-}
-`})
-	wantFindingsAnyOrder(t, runTyped(t, analyzerAtomicMix, m))
-}
-
-func TestAtomicMixLockCopies(t *testing.T) {
-	m := loadFixture(t, map[string]string{"go.mod": fixGomod, "s/s.go": `package s
-
-import "sync"
-
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-func byValue(g guarded) int { return g.n }
-
-func byPointer(g *guarded) int { return g.n }
-
-func copies(g *guarded) guarded {
-	snapshot := *g
-	_ = snapshot
-	cp := snapshot
-	return cp
-}
-`})
-	got := runTyped(t, analyzerAtomicMix, m)
-	// byValue's parameter, plus the two identifier copies in copies (the
-	// *g dereference is not an Ident/Selector and stays unflagged —
-	// pointer loads are how callers are expected to share the value).
-	wantFindingsAnyOrder(t, got,
-		"value parameter of type s.guarded copies a sync lock",
-		"assignment copies a s.guarded containing a sync lock",
-		"assignment copies a s.guarded containing a sync lock",
-	)
-}
-
 // --- errdrop ----------------------------------------------------------------
 
 func TestErrDropFires(t *testing.T) {
@@ -263,8 +192,8 @@ func Unsuppressed() { fail() }
 	})
 	got := runTyped(t, analyzerErrDrop, m)
 	wantFindingsAnyOrder(t, got, "error result of fail dropped")
-	if got[0].Line != 12 || got[0].Family != "typed" {
-		t.Errorf("surviving finding %+v, want line 12 (Unsuppressed) in family typed", got[0])
+	if got[0].Line != 12 {
+		t.Errorf("surviving finding %+v, want line 12 (Unsuppressed)", got[0])
 	}
 }
 
@@ -283,24 +212,26 @@ func repoRoot(t *testing.T) string {
 	return root
 }
 
-func typedAnalyzers() []*Analyzer {
-	var out []*Analyzer
-	for _, a := range All() {
-		if a.Family() == "typed" {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// TestRepoTypedLintClean is cmd/lint's typed gate in library form: the
-// typed analyzers over this repository at HEAD produce no findings.
-func TestRepoTypedLintClean(t *testing.T) {
-	m, err := LoadModule(repoRoot(t))
+// lintModule runs the Go and typed families over the module at root: the
+// gate TestRepoLintClean holds this repository to.
+func lintModule(t *testing.T, root string) []Finding {
+	t.Helper()
+	m, err := LoadModule(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range RunTyped(typedAnalyzers(), m) {
+	var out []Finding
+	for _, tp := range m.Pkgs {
+		out = append(out, RunGo(All(), tp.GoPackage)...)
+	}
+	return append(out, RunTyped(All(), m)...)
+}
+
+// TestRepoLintClean: the Go and typed analyzers over this repository at
+// HEAD produce no findings (the corpus family's twin is
+// TestEmbeddedCorpusLintClean in internal/corpus).
+func TestRepoLintClean(t *testing.T) {
+	for _, f := range lintModule(t, repoRoot(t)) {
 		t.Errorf("finding at HEAD: %v", f)
 	}
 }
@@ -340,40 +271,55 @@ func copyRepo(t *testing.T, root string) string {
 	return dst
 }
 
-// mutatedRepoNew runs the typed analyzers over a mutated copy. The
-// repository itself has no typed findings (TestRepoTypedLintClean), so
-// every finding returned is new: the set cmd/lint would exit non-zero on.
-func mutatedRepoNew(t *testing.T, root string) []Finding {
-	t.Helper()
-	m, err := LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return RunTyped(typedAnalyzers(), m)
-}
-
-// TestRepoCatchesKernelFieldWrite: a kernel.Term field write outside
-// intern.go must fail the gate.
-func TestRepoCatchesKernelFieldWrite(t *testing.T) {
-	dst := copyRepo(t, repoRoot(t))
-	p := filepath.Join(dst, "internal", "kernel", "term.go")
-	f, err := os.OpenFile(p, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString("\nfunc lintPoke(t *Term) { t.Var = \"poked\" }\n"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got := mutatedRepoNew(t, dst)
-	if len(got) == 0 {
-		t.Fatal("kernel.Term field write outside intern.go produced no new finding")
-	}
-	for _, f := range got {
-		if f.Analyzer != "kernelmutate" {
-			t.Errorf("unexpected extra finding: %v", f)
-		}
+// TestRepoCatchesPlantedViolations plants one violation at a time in a copy
+// of the repository. The repository itself is clean (TestRepoLintClean), so
+// every finding is the plant's, and it must come from the named analyzer
+// alone. The last two legs delete one of the repository's two
+// //lint:ignore directives, so they also show that each still suppresses a
+// real finding.
+func TestRepoCatchesPlantedViolations(t *testing.T) {
+	root := repoRoot(t)
+	for _, tc := range []struct {
+		name, file string
+		plant      func(src string) string // the file's new text, given its old ("" for a new file)
+		want       string
+	}{
+		{"kernel field write", "internal/kernel/term.go", func(src string) string {
+			return src + "\nfunc lintPoke(t *Term) { t.Var = \"poked\" }\n"
+		}, "kernelmutate"},
+		{"wall clock in core", "internal/core/clock.go", func(string) string {
+			return "package core\n\nimport \"time\"\n\nfunc lintClock() time.Time { return time.Now() }\n"
+		}, "determinism"},
+		{"maporder directive removed", "internal/model/ngram.go", func(src string) string {
+			return strings.Replace(src, "//lint:ignore maporder", "//", 1)
+		}, "maporder"},
+		{"errdrop directive removed", "internal/remote/backend.go", func(src string) string {
+			return strings.Replace(src, "//lint:ignore errdrop", "//", 1)
+		}, "errdrop"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dst := copyRepo(t, root)
+			p := filepath.Join(dst, filepath.FromSlash(tc.file))
+			old, err := os.ReadFile(p)
+			if err != nil && !os.IsNotExist(err) {
+				t.Fatal(err)
+			}
+			src := tc.plant(string(old))
+			if src == string(old) {
+				t.Fatalf("nothing planted in %s", tc.file)
+			}
+			if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got := lintModule(t, dst)
+			if len(got) == 0 {
+				t.Fatalf("planted violation produced no finding")
+			}
+			for _, f := range got {
+				if f.Analyzer != tc.want || f.File != tc.file {
+					t.Errorf("finding %v, want only %s findings in %s", f, tc.want, tc.file)
+				}
+			}
+		})
 	}
 }

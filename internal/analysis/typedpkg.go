@@ -1,8 +1,8 @@
 package analysis
 
-// Typed loading: the third analyzer family runs over go/types-checked
-// packages, so it sees real types (kernel node writes, atomic vs plain
-// field access, discarded error results) instead of name shapes. The loader
+// Typed loading: the typed analyzer family runs over go/types-checked
+// packages, so it sees real types (kernel node writes, discarded error
+// results) instead of name shapes. The loader
 // here is deliberately stdlib-only — no golang.org/x/tools — and shares the
 // single go/parser pass with the AST family: a Module wraps the *GoPackage
 // values the Go analyzers run over (suppressions included, parsed exactly
@@ -64,7 +64,6 @@ type Module struct {
 	// Pkgs holds every package, sorted by Dir.
 	Pkgs []*TypedPackage
 
-	byDir  map[string]*TypedPackage
 	byPath map[string]*TypedPackage
 
 	checked  bool
@@ -80,7 +79,7 @@ func LoadModule(root string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	dirs, err := GoDirs(root)
+	dirs, err := goDirs(root)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +87,6 @@ func LoadModule(root string) (*Module, error) {
 		Root:   root,
 		Path:   modPath,
 		Fset:   token.NewFileSet(),
-		byDir:  map[string]*TypedPackage{},
 		byPath: map[string]*TypedPackage{},
 	}
 	for _, dir := range dirs {
@@ -98,16 +96,9 @@ func LoadModule(root string) (*Module, error) {
 		}
 		tp := &TypedPackage{GoPackage: gp, Path: importPath(modPath, dir)}
 		m.Pkgs = append(m.Pkgs, tp)
-		m.byDir[dir] = tp
 		m.byPath[tp.Path] = tp
 	}
 	return m, nil
-}
-
-// Package returns the package in the given module-relative directory.
-func (m *Module) Package(dir string) (*TypedPackage, bool) {
-	tp, ok := m.byDir[dir]
-	return tp, ok
 }
 
 // importPath maps a module-relative dir to an import path.
@@ -133,10 +124,10 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("analysis: no module line in %s", gomod)
 }
 
-// GoDirs returns the module-relative slash paths of every directory under
+// goDirs returns the module-relative slash paths of every directory under
 // root containing .go files, skipping hidden, underscore, and testdata
-// directories. Exported so cmd/lint resolves "./..." with the same walk.
-func GoDirs(root string) ([]string, error) {
+// directories.
+func goDirs(root string) ([]string, error) {
 	seen := map[string]bool{}
 	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -325,12 +316,6 @@ func loadGoPackageInto(fset *token.FileSet, osDir, relDir string) (*GoPackage, e
 		}
 	}
 	return pkg, nil
-}
-
-// typeString renders a type with package qualifiers relative to the module
-// (llmfscq/internal/kernel.Term → kernel.Term), for stable finding messages.
-func typeString(t types.Type) string {
-	return types.TypeString(t, func(p *types.Package) string { return p.Name() })
 }
 
 // namedIn reports whether t (after stripping pointers and aliases) is the

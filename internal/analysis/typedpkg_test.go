@@ -71,9 +71,9 @@ func Use() {
 	if len(m.Pkgs) != 2 {
 		t.Fatalf("loaded %d packages, want 2", len(m.Pkgs))
 	}
-	tp, ok := m.Package("a")
-	if !ok || tp.Types == nil || tp.Info == nil {
-		t.Fatalf("package a not loaded with type info: ok=%v", ok)
+	tp := m.Pkgs[0]
+	if tp.Dir != "a" || tp.Types == nil || tp.Info == nil {
+		t.Fatalf("package %s first, want a loaded with type info", tp.Dir)
 	}
 	if tp.Path != "example.com/fix/a" {
 		t.Fatalf("package a path = %q", tp.Path)
@@ -96,17 +96,17 @@ func TestGoDirsSortedAndFiltered(t *testing.T) {
 		"c/notgo.txt":     "text\n",
 		"a/inner/deep.go": "package inner\n",
 	})
-	dirs, err := GoDirs(root)
+	dirs, err := goDirs(root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"a", "a/inner", "b"}
 	if len(dirs) != len(want) {
-		t.Fatalf("GoDirs = %v, want %v", dirs, want)
+		t.Fatalf("goDirs = %v, want %v", dirs, want)
 	}
 	for i := range want {
 		if dirs[i] != want[i] {
-			t.Fatalf("GoDirs = %v, want %v", dirs, want)
+			t.Fatalf("goDirs = %v, want %v", dirs, want)
 		}
 	}
 }

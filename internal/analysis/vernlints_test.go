@@ -172,29 +172,6 @@ Proof. apply b. Qed.
 	wantFindings(t, got)
 }
 
-// --- vernacular suppression ------------------------------------------------
-
-func TestVernSuppression(t *testing.T) {
-	dev := mustDev(t,
-		VFile{Name: "A.v", Module: "A", Src: preludeFixture},
-		VFile{Name: "B.v", Module: "B", Src: `(* lint:ignore importclosure fixture exercises the directive *)
-Lemma l : O = O.
-Proof. reflexivity. Qed.
-`},
-	)
-	got := runCorpusOne(t, analyzerImportClosure, dev)
-	wantFindings(t, got)
-}
-
-func TestVernSuppressionMissingReasonReported(t *testing.T) {
-	dev := mustDev(t,
-		VFile{Name: "A.v", Module: "A", Src: preludeFixture + `(* lint:ignore dupstmt *)
-`},
-	)
-	got := runCorpusOne(t, analyzerDupStmt, dev)
-	wantFindings(t, got, "lint: malformed lint:ignore directive")
-}
-
 // A lemma whose proof text does not parse as a tactic script must surface
 // ScriptErr (and be skipped by script-level analyzers), never panic.
 func TestUnparsableScriptRecorded(t *testing.T) {

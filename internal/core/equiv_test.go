@@ -59,7 +59,7 @@ func startRemoteBackend(t *testing.T) *remote.Backend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve() //nolint:errcheck
+	go srv.Serve()
 	t.Cleanup(func() { srv.Close() })
 	return remote.New(addr, protocol.DefaultTimeout)
 }

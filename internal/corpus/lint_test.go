@@ -10,10 +10,8 @@ import (
 // the embedded development and requires zero findings: no alpha-equivalent
 // duplicate statements, no named-but-unused intros hypotheses, no
 // no-progress combinators, and an import closure that covers every
-// cross-file reference. Dead-lemma analysis runs in benchmark mode (no
-// roots): each theorem is its own proof obligation, so nothing is dead by
-// construction — the analyzer's library mode is exercised by fixture tests
-// in internal/analysis.
+// cross-file reference. It is the corpus family's only driver, beside
+// internal/analysis's TestRepoLintClean for the Go and typed families.
 func TestEmbeddedCorpusLintClean(t *testing.T) {
 	files, err := Sources()
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 
 // The allocation bounds of TestAllocBoundHintedGrid. Each is a measurement
 // at the commit that set it plus a margin of under 0.2% on mallocs and 1% on
-// bytes (here 12 runs read 336,933–336,955 mallocs and 25.88 MB).
+// bytes (here 12 runs read 334,599–334,622 mallocs and 25.61–25.67 MB).
 // That is tight enough to fail a Goal.usedNames map not handed back to its
 // pool, a model rebuilt per search or a fmt.Sprintf in expander.expand.
 //
@@ -21,8 +21,8 @@ import (
 // plus the margin. Only a change whose CHANGES.md entry names the new
 // allocation, and why, may raise them.
 const (
-	allocBoundMallocs = 337_600
-	allocBoundBytes   = 26_140_000
+	allocBoundMallocs = 335_200
+	allocBoundBytes   = 25_920_000
 )
 
 // TestAllocBoundHintedGrid measures the mallocs and bytes of one hinted

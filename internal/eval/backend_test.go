@@ -18,7 +18,7 @@ func startCheckerd(t *testing.T, r *Runner) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve() //nolint:errcheck
+	go srv.Serve()
 	t.Cleanup(func() { srv.Close() })
 	return addr
 }

@@ -256,7 +256,7 @@ func TestFingerprintKeyMatchesTextual(t *testing.T) {
 	}
 	for _, tc := range cases {
 		h := newFPHash()
-		h.WriteString(tc.text) //nolint:errcheck
+		h.WriteString(tc.text)
 		if got := tc.f.FingerprintKey(); got != [2]uint64{h.a, h.b} {
 			t.Errorf("%s: key %x is not the hash of %q", tc.f, got, tc.text)
 		}

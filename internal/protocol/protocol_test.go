@@ -19,7 +19,7 @@ func startServer(t testing.TB) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve() //nolint:errcheck
+	go srv.Serve()
 	t.Cleanup(func() { srv.Close() })
 	return srv, addr
 }

@@ -184,7 +184,7 @@ func TestMaxConnsBoundsAndDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve() //nolint:errcheck
+	go srv.Serve()
 	t.Cleanup(func() { srv.Close() })
 
 	hold := make([]*Client, 2)

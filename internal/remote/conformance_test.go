@@ -28,7 +28,7 @@ func startCheckerd(t testing.TB) (env *kernel.Env, addr string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve() //nolint:errcheck
+	go srv.Serve()
 	t.Cleanup(func() { srv.Close() })
 	return c.Env, addr
 }

@@ -54,21 +54,29 @@ type instantiated struct {
 // with metavariables. Type binders (`forall (A : Type)`) are dropped: types
 // are annotations and never occur in term positions.
 func instantiate(stmt *kernel.Form, mc *kernel.MetaCounter) instantiated {
-	insts := instantiateAll(stmt, mc)
-	return insts[len(insts)-1]
+	inst, _ := peel(stmt, mc, false)
+	return inst
 }
 
 // instantiateAll returns the instantiation at every premise boundary, from
 // least stripped (whole matrix as conclusion) to fully stripped. apply tries
 // the fully stripped form first, then backs off, which lets a `~`-lemma
 // match a `~`-goal the way Coq's apply does.
+func instantiateAll(stmt *kernel.Form, mc *kernel.MetaCounter) []instantiated {
+	inst, out := peel(stmt, mc, true)
+	return append(out, inst)
+}
+
+// peel is the walk behind instantiate and instantiateAll. It returns the
+// fully stripped instantiation and, when snaps is set, one snapshot per
+// premise boundary, least stripped first.
 //
 // Each block of leading quantifiers is substituted in one walk of its body.
 // Metavariables are numbered in binder order, as one walk per binder would
 // number them; a name bound twice in a block maps to its inner binder's
 // metavariable, and a type binder shadows a term binder of its name, which
 // is exactly what the per-binder walks would leave.
-func instantiateAll(stmt *kernel.Form, mc *kernel.MetaCounter) []instantiated {
+func peel(stmt *kernel.Form, mc *kernel.MetaCounter, snaps bool) (instantiated, []instantiated) {
 	var out []instantiated
 	inst := instantiated{flex: map[string]bool{}}
 	f := stmt
@@ -90,26 +98,24 @@ func instantiateAll(stmt *kernel.Form, mc *kernel.MetaCounter) []instantiated {
 				block[f.Binder] = kernel.V(m)
 			}
 			f = f.SubstTerm(block)
-		case kernel.FImpl:
-			snap := inst
-			snap.concl = f
-			snap.prems = append([]*kernel.Form(nil), inst.prems...)
-			out = append(out, snap)
+		case kernel.FImpl, kernel.FNot:
+			if snaps {
+				snap := inst
+				snap.concl = f
+				snap.prems = append([]*kernel.Form(nil), inst.prems...)
+				out = append(out, snap)
+			}
 			inst.prems = append(inst.prems, f.L)
-			f = f.R
-		case kernel.FNot:
-			// ~A is A -> False (applying a negated hypothesis to a False
-			// goal is routine Coq style).
-			snap := inst
-			snap.concl = f
-			snap.prems = append([]*kernel.Form(nil), inst.prems...)
-			out = append(out, snap)
-			inst.prems = append(inst.prems, f.L)
-			f = kernel.False()
+			if f.Kind == kernel.FImpl {
+				f = f.R
+			} else {
+				// ~A is A -> False (applying a negated hypothesis to a
+				// False goal is routine Coq style).
+				f = kernel.False()
+			}
 		default:
 			inst.concl = f
-			out = append(out, inst)
-			return out
+			return inst, out
 		}
 	}
 }

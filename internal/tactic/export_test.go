@@ -48,13 +48,16 @@ func refInstantiateAll(stmt *kernel.Form, mc *kernel.MetaCounter) []instantiated
 }
 
 // CheckInstantiation compares instantiateAll with the per-binder walk on
-// stmt, both counters having already issued skip metavariables: every
-// premise boundary must carry the same metavariables and flex set, and
-// pointer-equal premises and conclusion.
+// stmt, and instantiate with the walk's last instantiation, all three
+// counters having already issued skip metavariables: every premise boundary
+// must carry the same metavariables and flex set, and pointer-equal
+// premises and conclusion, and each counter must be left where the
+// reference's is.
 func CheckInstantiation(stmt *kernel.Form, skip int) error {
-	var mc, ref kernel.MetaCounter
+	var mc, one, ref kernel.MetaCounter
 	for i := 0; i < skip; i++ {
 		mc.Fresh("z")
+		one.Fresh("z")
 		ref.Fresh("z")
 	}
 	got, want := instantiateAll(stmt, &mc), refInstantiateAll(stmt, &ref)
@@ -62,20 +65,33 @@ func CheckInstantiation(stmt *kernel.Form, skip int) error {
 		return fmt.Errorf("%d instantiations, want %d", len(got), len(want))
 	}
 	for i := range got {
-		g, w := got[i], want[i]
-		switch {
-		case !slices.Equal(g.metas, w.metas):
-			return fmt.Errorf("instantiation %d: metas %v, want %v", i, g.metas, w.metas)
-		case !maps.Equal(g.flex, w.flex):
-			return fmt.Errorf("instantiation %d: flex %v, want %v", i, g.flex, w.flex)
-		case g.concl != w.concl:
-			return fmt.Errorf("instantiation %d: conclusion %s, want %s", i, g.concl, w.concl)
-		case !slices.Equal(g.prems, w.prems):
-			return fmt.Errorf("instantiation %d: premises %v, want %v", i, g.prems, w.prems)
+		if err := sameInstantiation(got[i], want[i]); err != nil {
+			return fmt.Errorf("instantiation %d: %v", i, err)
 		}
 	}
-	if fg, fw := mc.Fresh("z"), ref.Fresh("z"); fg != fw {
+	if err := sameInstantiation(instantiate(stmt, &one), want[len(want)-1]); err != nil {
+		return fmt.Errorf("instantiate: %v", err)
+	}
+	fw := ref.Fresh("z")
+	if fg := mc.Fresh("z"); fg != fw {
 		return fmt.Errorf("counter left at %s, want %s", fg, fw)
+	}
+	if fo := one.Fresh("z"); fo != fw {
+		return fmt.Errorf("instantiate left its counter at %s, want %s", fo, fw)
+	}
+	return nil
+}
+
+func sameInstantiation(g, w instantiated) error {
+	switch {
+	case !slices.Equal(g.metas, w.metas):
+		return fmt.Errorf("metas %v, want %v", g.metas, w.metas)
+	case !maps.Equal(g.flex, w.flex):
+		return fmt.Errorf("flex %v, want %v", g.flex, w.flex)
+	case g.concl != w.concl:
+		return fmt.Errorf("conclusion %s, want %s", g.concl, w.concl)
+	case !slices.Equal(g.prems, w.prems):
+		return fmt.Errorf("premises %v, want %v", g.prems, w.prems)
 	}
 	return nil
 }

@@ -1,6 +1,10 @@
 #!/bin/sh
 # Extended verification gate: everything the tier-1 gate runs, plus go vet,
-# the race detector, and the repository's own static analyzers (cmd/lint).
+# gofmt, the race detector and the full binary sweeps. The repository's own
+# static analyzers (internal/analysis) need no step of their own: they run
+# in the tier-1 and race test runs below, as TestRepoLintClean (Go and typed
+# families over the module) and TestEmbeddedCorpusLintClean (the corpus).
+# Lock copies are go vet's copylocks check, so the go vet step must stay.
 # Run from anywhere inside the repository.
 set -eu
 
@@ -44,9 +48,6 @@ go test -run '^TestAlloc' ./internal/...
 # API the benchmark calls then fails this gate, not the benchmark run.
 echo "==> (cd sweepbench && go vet ./... && go test ./...)"
 (cd sweepbench && go vet ./... && go test ./...)
-
-echo "==> go run ./cmd/lint ./..."
-go run ./cmd/lint ./...
 
 # The wire's one binary-level step: the serapi example starts a checkerd,
 # proves a lemma over the protocol with Exec and Cancel, and exits nonzero
