@@ -1,7 +1,7 @@
 // Package bench holds micro-benchmarks of the layers under the experiment
 // sweep: proof checking, tokenizing, similarity, prompt assembly, env
-// restriction, state fingerprints, substitution and the typed lint tier.
-// The sweep itself, `go run ./cmd/experiments`, is measured at full
+// restriction, state fingerprints, substitution and the lint gate's module
+// load. The sweep itself, `go run ./cmd/experiments`, is measured at full
 // scale by the harness in sweepbench/, which times every table and figure
 // of the paper's evaluation section.
 package bench
@@ -189,12 +189,12 @@ func BenchmarkSubstFastPath(b *testing.B) {
 	}
 }
 
-// BenchmarkTypedLoad measures the typed-analysis tier's load: parse the
-// module and type-check every package against the shared stdlib importer —
-// the cost TestRepoLintClean and each leg of
-// TestRepoCatchesPlantedViolations (internal/analysis) pay. The
-// standard-library closure is type-checked once per process, so
-// steady-state iterations price the module itself.
+// BenchmarkTypedLoad measures the Go analyzers' load: parse the module,
+// tests included, and type-check every package together with its tests
+// against the shared stdlib importer — the cost TestRepoLintClean and each
+// leg of TestRepoCatchesPlantedViolations (internal/analysis) pay. The
+// standard-library closure, testing's included, is type-checked once per
+// process, so steady-state iterations price the module itself.
 func BenchmarkTypedLoad(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -1,16 +1,14 @@
 // Package analysis is a vet-style static-analysis framework for this
-// repository, with three analyzer families sharing one Finding type:
+// repository, with two analyzer families sharing one Finding type:
 //
-//   - Go analyzers inspect one package's sources with go/ast and enforce
-//     the load-bearing conventions DESIGN.md promises: determinism (no
-//     wall-clock, no implicitly seeded randomness in the experiment path),
-//     deterministic iteration (no output or slice accumulation driven by
-//     map-range order), WaitGroup hygiene in goroutines, and kernel nodes
-//     built only through the interning constructors.
-//
-//   - Typed analyzers run over the whole module type-checked with go/types:
-//     no writes through interned kernel nodes, and no dropped errors on the
-//     wire and proof-store paths.
+//   - Go analyzers run over the whole module, type-checked with go/types
+//     (tests included), and resolve every name and type they check through
+//     types.Info. They enforce the load-bearing conventions DESIGN.md
+//     promises: determinism (no wall-clock, no implicitly seeded randomness
+//     in any package a search runs), deterministic iteration (no output or
+//     slice accumulation driven by map-range order), WaitGroup hygiene in
+//     goroutines, kernel nodes minted and written only in the interning
+//     constructors, and no dropped errors on the wire and proof-store paths.
 //
 //   - Corpus analyzers inspect the vernacular proof corpus via the parsed
 //     AST (internal/syntax) and the tactic-script AST (internal/tactic), and
@@ -19,10 +17,10 @@
 //     intros hypotheses, no combinators wrapping tactics that can never
 //     apply, and no references escaping a file's import closure.
 //
-// The tier-1 tests are the only driver: TestRepoLintClean runs the Go and
-// typed families over this module, and internal/corpus's
-// TestEmbeddedCorpusLintClean runs the corpus family over the embedded
-// development. Any finding fails them.
+// The tier-1 tests are the only driver: TestRepoLintClean runs the Go
+// family over this module, and internal/corpus's TestEmbeddedCorpusLintClean
+// runs the corpus family over the embedded development. Any finding fails
+// them.
 //
 // The package uses only the Go standard library plus this module's own
 // syntax/kernel/tactic layers; it has no dependency on internal/corpus, so
@@ -38,7 +36,10 @@ package analysis
 
 import (
 	"fmt"
+	"go/ast"
+	"go/types"
 	"sort"
+	"strings"
 )
 
 // Finding is one diagnostic produced by an analyzer.
@@ -53,27 +54,24 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: %s: %s", f.File, f.Line, f.Analyzer, f.Message)
 }
 
-// Analyzer is one registered check. Exactly one of Go / Typed / Corpus is
-// set, determining which family the analyzer belongs to.
+// Analyzer is one registered check. Exactly one of Go / Corpus is set,
+// determining which family the analyzer belongs to.
 type Analyzer struct {
 	Name string
 	Doc  string
-	// Go runs over one parsed Go package (AST only — cheap tier).
-	Go func(*GoPackage) []Finding
-	// Typed runs over the whole type-checked module (go/types tier).
-	Typed func(*Module) []Finding
+	// Go runs over the type-checked module.
+	Go func(*Module) []Finding
 	// Corpus runs over the parsed vernacular development.
 	Corpus func(*Development) []Finding
 }
 
 // All returns every registered analyzer in a fixed, deterministic order:
-// the Go family first, then the typed family, then the corpus family.
+// the Go family first, then the corpus family.
 func All() []*Analyzer {
 	return []*Analyzer{
 		analyzerDeterminism,
 		analyzerMapOrder,
 		analyzerGoroutine,
-		analyzerInternKernel,
 		analyzerKernelMutate,
 		analyzerErrDrop,
 		analyzerDupStmt,
@@ -83,36 +81,19 @@ func All() []*Analyzer {
 	}
 }
 
-// RunGo runs the Go-family analyzers among azs over one package, applies
-// line suppressions, and returns the surviving findings sorted by position.
-func RunGo(azs []*Analyzer, pkg *GoPackage) []Finding {
+// RunGo type-checks the module, runs the Go analyzers among azs over it,
+// applies the //lint:ignore suppressions, reports malformed ones, and
+// returns the surviving findings sorted by position. A type error is
+// Check's to report: the analyzers run over whatever types it leaves.
+func RunGo(azs []*Analyzer, m *Module) []Finding {
+	m.Check()
 	var out []Finding
 	for _, a := range azs {
-		if a.Go == nil {
-			continue
+		if a.Go != nil {
+			out = append(out, a.Go(m)...)
 		}
-		out = append(out, a.Go(pkg)...)
 	}
-	out = append(out, pkg.suppressionErrors...)
-	out = filterSuppressed(out, pkg.suppressions)
-	sortFindings(out)
-	return out
-}
-
-// RunTyped runs the typed-family analyzers among azs over a loaded module,
-// applies the (single-parse, per-file) line suppressions collected at load
-// time, and returns the surviving findings sorted by position. Malformed
-// suppression directives are the AST family's to report (RunGo), so running
-// both families over one module never reports them twice.
-func RunTyped(azs []*Analyzer, m *Module) []Finding {
-	var out []Finding
-	for _, a := range azs {
-		if a.Typed == nil {
-			continue
-		}
-		out = append(out, a.Typed(m)...)
-	}
-	out = filterSuppressed(out, m.suppressionsAll())
+	out = filterSuppressed(append(out, m.badDirectives...), m.suppressions)
 	sortFindings(out)
 	return out
 }
@@ -144,4 +125,42 @@ func sortFindings(fs []Finding) {
 		}
 		return fs[i].Message < fs[j].Message
 	})
+}
+
+// inScope reports whether the package directory dir is one of the scope's
+// prefixes or below one.
+func inScope(dir string, scope []string) bool {
+	for _, p := range scope {
+		if dir == p || strings.HasPrefix(dir, p+"/") {
+			return true
+		}
+	}
+	return false
+}
+
+// pkgFunc returns the package-level function id refers to, or nil when id
+// names anything else: a method, a builtin, a variable, a type.
+func pkgFunc(info *types.Info, id *ast.Ident) *types.Func {
+	fn, ok := info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+		return nil
+	}
+	return fn
+}
+
+// calledFunc returns the package-level function a call's callee names,
+// through a package qualifier or a dot import, or nil.
+func calledFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return pkgFunc(info, fun)
+	case *ast.SelectorExpr:
+		return pkgFunc(info, fun.Sel)
+	}
+	return nil
+}
+
+// isFunc reports whether fn is the package-level function pkgPath.name.
+func isFunc(fn *types.Func, pkgPath, name string) bool {
+	return fn != nil && fn.Pkg().Path() == pkgPath && fn.Name() == name
 }

@@ -2,115 +2,78 @@ package analysis
 
 import (
 	"go/ast"
-	"strings"
+	"go/types"
 )
 
 // determinismScope lists the package-path prefixes in which DESIGN.md's
 // determinism guarantee ("all randomness flows from explicit seeds") is
-// load-bearing: everything on the experiment path. Test files are exempt
-// (benchmarks may legitimately look at the clock).
+// load-bearing: the experiment path and every package a search calls.
+// Test files are exempt (benchmarks may legitimately look at the clock).
 var determinismScope = []string{
+	"internal/checker",
 	"internal/core",
 	"internal/eval",
+	"internal/fs",
+	"internal/kernel",
 	"internal/model",
 	"internal/prompt",
-	"internal/fs",
+	"internal/tactic",
 }
 
-// globalRandFuncs are the top-level math/rand functions backed by the
-// implicitly seeded global source.
-var globalRandFuncs = map[string]bool{
-	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
-	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
-	"Float32": true, "Float64": true, "ExpFloat64": true, "NormFloat64": true,
-	"Perm": true, "Shuffle": true, "Seed": true, "Read": true,
-}
+// randConstructors are the package-level math/rand functions that do not
+// draw from the implicitly seeded global source; every other one does.
+var randConstructors = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
 
 var analyzerDeterminism = &Analyzer{
 	Name: "determinism",
 	Doc: "flags wall-clock and implicitly seeded randomness on the experiment path " +
-		"(internal/{core,eval,model,prompt,fs}): time.Now, top-level math/rand " +
-		"functions, and rand.New whose source is not an explicit inline rand.NewSource",
+		"(internal/{checker,core,eval,fs,kernel,model,prompt,tactic}): time.Now, " +
+		"top-level math/rand functions, and rand.New whose source is not an " +
+		"explicit inline rand.NewSource",
 	Go: runDeterminism,
 }
 
-func inDeterminismScope(dir string) bool {
-	for _, p := range determinismScope {
-		if dir == p || strings.HasPrefix(dir, p+"/") {
-			return true
-		}
-	}
-	return false
-}
-
-func runDeterminism(pkg *GoPackage) []Finding {
-	if !inDeterminismScope(pkg.Dir) {
-		return nil
-	}
+func runDeterminism(m *Module) []Finding {
 	var out []Finding
-	for _, f := range pkg.Files {
-		if f.Test {
+	for _, p := range m.Pkgs {
+		if !inScope(p.Dir, determinismScope) {
 			continue
 		}
-		timeName := importLocal(f.AST, "time")
-		randName := importLocal(f.AST, "math/rand")
-		if timeName == "" && randName == "" {
-			continue
-		}
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
+		for _, f := range p.Files {
+			if f.Test {
+				continue
+			}
+			ast.Inspect(f.AST, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					if fn := pkgFunc(p.Info, n); isFunc(fn, "time", "Now") {
+						out = append(out, m.finding("determinism", f, n,
+							"time.Now breaks reproducibility; derive timing-free behaviour or pass timestamps in"))
+					} else if fn != nil && fn.Pkg().Path() == "math/rand" && !randConstructors[fn.Name()] {
+						out = append(out, m.finding("determinism", f, n, "package-level math/rand."+fn.Name()+
+							" uses the implicitly seeded global source; thread a *rand.Rand built from an explicit seed"))
+					}
+				case *ast.CallExpr:
+					// The seed must be visibly explicit at the construction
+					// site, not hidden behind an opaque Source value.
+					if isFunc(calledFunc(p.Info, n), "math/rand", "New") && !seededInline(p.Info, n) {
+						out = append(out, m.finding("determinism", f, n,
+							"rand.New without an inline rand.NewSource(seed); make the seed explicit at the construction site"))
+					}
+				}
 				return true
-			}
-			id, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			switch {
-			case timeName != "" && id.Name == timeName && sel.Sel.Name == "Now":
-				out = append(out, Finding{
-					Analyzer: "determinism", File: f.Name, Line: pkg.line(sel),
-					Message: "time.Now breaks reproducibility; derive timing-free behaviour or pass timestamps in",
-				})
-			case randName != "" && id.Name == randName && globalRandFuncs[sel.Sel.Name]:
-				out = append(out, Finding{
-					Analyzer: "determinism", File: f.Name, Line: pkg.line(sel),
-					Message: "package-level math/rand." + sel.Sel.Name +
-						" uses the implicitly seeded global source; thread a *rand.Rand built from an explicit seed",
-				})
-			}
-			return true
-		})
-		if randName != "" {
-			out = append(out, checkRandNew(pkg, f, randName)...)
-		}
-	}
-	return out
-}
-
-// checkRandNew flags rand.New calls whose source argument is not an inline
-// rand.NewSource(...) call: the seed must be visibly explicit at the
-// construction site, not hidden behind an opaque Source value.
-func checkRandNew(pkg *GoPackage, f *GoFile, randName string) []Finding {
-	var out []Finding
-	ast.Inspect(f.AST, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || !isPkgSelector(call.Fun, randName, "New") {
-			return true
-		}
-		seeded := false
-		if len(call.Args) == 1 {
-			if inner, ok := call.Args[0].(*ast.CallExpr); ok && isPkgSelector(inner.Fun, randName, "NewSource") {
-				seeded = true
-			}
-		}
-		if !seeded {
-			out = append(out, Finding{
-				Analyzer: "determinism", File: f.Name, Line: pkg.line(call),
-				Message: "rand.New without an inline rand.NewSource(seed); make the seed explicit at the construction site",
 			})
 		}
-		return true
-	})
+	}
 	return out
+}
+
+// seededInline reports whether a rand.New call's one argument is a
+// rand.NewSource call.
+func seededInline(info *types.Info, call *ast.CallExpr) bool {
+	if len(call.Args) != 1 {
+		return false
+	}
+	inner, ok := call.Args[0].(*ast.CallExpr)
+	return ok && isFunc(calledFunc(info, inner), "math/rand", "NewSource")
 }

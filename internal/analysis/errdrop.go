@@ -15,7 +15,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // errDropScope lists the package-path prefixes where a dropped error hides
@@ -34,36 +33,25 @@ var analyzerErrDrop = &Analyzer{
 		"results assigned to _ — a dropped error lets a broken wire session " +
 		"pass uncounted, or voids the proof store's crash-safety " +
 		"(deferred Close calls exempt)",
-	Typed: runErrDrop,
+	Go: runErrDrop,
 }
 
 // errDropCost ends both findings: what the dropped error would have told.
 const errDropCost = "; a lost wire session would pass uncounted, or a store write or " +
 	"fsync failure go unseen — handle it or suppress with a reason"
 
-func inErrDropScope(dir string) bool {
-	for _, p := range errDropScope {
-		if dir == p || strings.HasPrefix(dir, p+"/") {
-			return true
-		}
-	}
-	return false
-}
-
 func runErrDrop(m *Module) []Finding {
-	m.Check()
 	errType := types.Universe.Lookup("error").Type()
 	var out []Finding
-	for _, tp := range m.Pkgs {
-		if tp.Info == nil || !inErrDropScope(tp.Dir) {
+	for _, p := range m.Pkgs {
+		if !inScope(p.Dir, errDropScope) {
 			continue
 		}
-		tp, info := tp, tp.Info
-		for _, f := range tp.Files {
+		info := p.Info
+		for _, f := range p.Files {
 			if f.Test {
 				continue
 			}
-			f := f
 			ast.Inspect(f.AST, func(n ast.Node) bool {
 				switch s := n.(type) {
 				case *ast.ExprStmt:
@@ -74,12 +62,10 @@ func runErrDrop(m *Module) []Finding {
 					if !callReturnsError(call, info, errType) {
 						return true
 					}
-					out = append(out, Finding{
-						Analyzer: "errdrop", File: f.Name, Line: tp.line(s),
-						Message: "error result of " + calleeLabel(call) + " dropped" + errDropCost,
-					})
+					out = append(out, m.finding("errdrop", f, s,
+						"error result of "+calleeLabel(call)+" dropped"+errDropCost))
 				case *ast.AssignStmt:
-					out = append(out, blankErrAssigns(tp, f, info, s, errType)...)
+					out = append(out, blankErrAssigns(m, f, info, s, errType)...)
 				}
 				return true
 			})
@@ -90,7 +76,7 @@ func runErrDrop(m *Module) []Finding {
 
 // blankErrAssigns flags `_`-bound error results: `x, _ := f()` and
 // `_ = f()` where the discarded position is an error.
-func blankErrAssigns(tp *TypedPackage, f *GoFile, info *types.Info, s *ast.AssignStmt, errType types.Type) []Finding {
+func blankErrAssigns(m *Module, f *GoFile, info *types.Info, s *ast.AssignStmt, errType types.Type) []Finding {
 	if len(s.Rhs) != 1 {
 		return nil
 	}
@@ -112,10 +98,8 @@ func blankErrAssigns(tp *TypedPackage, f *GoFile, info *types.Info, s *ast.Assig
 		if !types.Identical(results.At(i).Type(), errType) {
 			continue
 		}
-		out = append(out, Finding{
-			Analyzer: "errdrop", File: f.Name, Line: tp.line(s),
-			Message: "error result of " + calleeLabel(call) + " assigned to _" + errDropCost,
-		})
+		out = append(out, m.finding("errdrop", f, s,
+			"error result of "+calleeLabel(call)+" assigned to _"+errDropCost))
 	}
 	return out
 }

@@ -1,24 +1,15 @@
 package analysis
 
 import (
-	"go/token"
 	"strings"
 	"testing"
 )
 
-// mustPkg builds a one-file package in the given module-relative dir.
-func mustPkg(t *testing.T, dir, name, src string) *GoPackage {
+// runFixture type-checks a fixture module and runs one analyzer over it
+// through the runner, suppressions included.
+func runFixture(t *testing.T, a *Analyzer, files map[string]string) []Finding {
 	t.Helper()
-	pkg := &GoPackage{Fset: token.NewFileSet(), Dir: dir}
-	if err := pkg.AddFile(path(dir, name), src); err != nil {
-		t.Fatalf("parse fixture %s: %v", name, err)
-	}
-	return pkg
-}
-
-func runOne(t *testing.T, a *Analyzer, pkg *GoPackage) []Finding {
-	t.Helper()
-	return RunGo([]*Analyzer{a}, pkg)
+	return RunGo([]*Analyzer{a}, loadFixture(t, files))
 }
 
 func wantFindings(t *testing.T, got []Finding, wantSubstrings ...string) {
@@ -36,7 +27,8 @@ func wantFindings(t *testing.T, got []Finding, wantSubstrings ...string) {
 // --- determinism -----------------------------------------------------------
 
 func TestDeterminismFires(t *testing.T) {
-	src := `package eval
+	got := runFixture(t, analyzerDeterminism, map[string]string{
+		"internal/eval/bad.go": `package eval
 
 import (
 	"math/rand"
@@ -49,55 +41,67 @@ func bad() {
 	var src rand.Source
 	_ = rand.New(src)
 }
-`
-	got := runOne(t, analyzerDeterminism, mustPkg(t, "internal/eval", "bad.go", src))
+`,
+		// A dot import leaves no qualifier to match; the object is the same.
+		"internal/tactic/dot.go": `package tactic
+
+import . "time"
+
+func clock() Time { return Now() }
+`,
+	})
 	wantFindings(t, got,
 		"determinism: time.Now breaks reproducibility",
 		"determinism: package-level math/rand.Intn",
 		"determinism: rand.New without an inline rand.NewSource",
+		"internal/tactic/dot.go:5: determinism: time.Now breaks reproducibility",
 	)
 }
 
 func TestDeterminismClean(t *testing.T) {
-	src := `package eval
+	got := runFixture(t, analyzerDeterminism, map[string]string{
+		"internal/eval/good.go": `package eval
 
 import "math/rand"
 
 func good(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
-`
-	got := runOne(t, analyzerDeterminism, mustPkg(t, "internal/eval", "good.go", src))
+`,
+	})
 	wantFindings(t, got)
 }
 
 func TestDeterminismOutOfScope(t *testing.T) {
 	// Same offending code outside the experiment path is not flagged.
-	src := `package tools
+	got := runFixture(t, analyzerDeterminism, map[string]string{
+		"internal/tools/clock.go": `package tools
 
 import "time"
 
 func ok() { _ = time.Now() }
-`
-	got := runOne(t, analyzerDeterminism, mustPkg(t, "internal/tools", "clock.go", src))
+`,
+	})
 	wantFindings(t, got)
 }
 
 func TestDeterminismTestFilesExempt(t *testing.T) {
-	src := `package eval
+	got := runFixture(t, analyzerDeterminism, map[string]string{
+		"internal/eval/bench_test.go": `package eval
 
 import "time"
 
 func bench() { _ = time.Now() }
-`
-	got := runOne(t, analyzerDeterminism, mustPkg(t, "internal/eval", "bench_test.go", src))
+`,
+	})
 	wantFindings(t, got)
 }
 
 // --- maporder --------------------------------------------------------------
 
 func TestMapOrderAppendFires(t *testing.T) {
-	src := `package p
+	got := runFixture(t, analyzerMapOrder, map[string]string{
+		"internal/p/m.go": `package p
 
 func collect(m map[string]int) []string {
 	var out []string
@@ -106,13 +110,14 @@ func collect(m map[string]int) []string {
 	}
 	return out
 }
-`
-	got := runOne(t, analyzerMapOrder, mustPkg(t, "internal/p", "m.go", src))
+`,
+	})
 	wantFindings(t, got, "maporder: appending to out inside range over a map")
 }
 
 func TestMapOrderPrintFires(t *testing.T) {
-	src := `package p
+	got := runFixture(t, analyzerMapOrder, map[string]string{
+		"internal/p/m.go": `package p
 
 import "fmt"
 
@@ -121,14 +126,16 @@ func dump(m map[string]int) {
 		fmt.Printf("%s=%d\n", k, v)
 	}
 }
-`
-	got := runOne(t, analyzerMapOrder, mustPkg(t, "internal/p", "m.go", src))
+`,
+	})
 	wantFindings(t, got, "maporder: fmt.Printf inside range over a map")
 }
 
 func TestMapOrderNamedTypeAndFieldFires(t *testing.T) {
-	// The map is reached through a named type and a struct field.
-	src := `package p
+	// The map is reached through a named type and a struct field, and
+	// through a named map type another package declares.
+	got := runFixture(t, analyzerMapOrder, map[string]string{
+		"internal/p/m.go": `package p
 
 type table map[string]int
 
@@ -143,32 +150,64 @@ func (s *stats) names() []string {
 	}
 	return out
 }
-`
-	got := runOne(t, analyzerMapOrder, mustPkg(t, "internal/p", "m.go", src))
-	wantFindings(t, got, "maporder: appending to out inside range over a map")
+`,
+		"internal/q/subst.go": `package q
+
+type Subst map[string]int
+`,
+		"internal/p/cross.go": `package p
+
+import "example.com/fix/internal/q"
+
+func keys(s q.Subst) []string {
+	var ks []string
+	for k := range s {
+		ks = append(ks, k)
+	}
+	return ks
+}
+`,
+	})
+	wantFindings(t, got,
+		"internal/p/cross.go:8: maporder: appending to ks inside range over a map",
+		"internal/p/m.go:12: maporder: appending to out inside range over a map",
+	)
 }
 
 func TestMapOrderSortedClean(t *testing.T) {
-	src := `package p
+	// Each of the four slices is sorted after the loop, by sort or by
+	// slices.Sort*.
+	got := runFixture(t, analyzerMapOrder, map[string]string{
+		"internal/p/m.go": `package p
 
-import "sort"
+import (
+	"slices"
+	"sort"
+	"strings"
+)
 
-func collect(m map[string]int) []string {
-	var out []string
+func collect(m map[string]int) (a, b, c, d []string) {
 	for k := range m {
-		out = append(out, k)
+		a = append(a, k)
+		b = append(b, k)
+		c = append(c, k)
+		d = append(d, k)
 	}
-	sort.Strings(out)
-	return out
+	sort.Strings(a)
+	slices.Sort(b)
+	slices.SortFunc(c, strings.Compare)
+	slices.SortStableFunc(d, strings.Compare)
+	return a, b, c, d
 }
-`
-	got := runOne(t, analyzerMapOrder, mustPkg(t, "internal/p", "m.go", src))
+`,
+	})
 	wantFindings(t, got)
 }
 
 func TestMapOrderLoopLocalSliceClean(t *testing.T) {
 	// A slice declared inside the range body is fresh per iteration.
-	src := `package p
+	got := runFixture(t, analyzerMapOrder, map[string]string{
+		"internal/p/m.go": `package p
 
 func sums(m map[string][]int) int {
 	total := 0
@@ -181,13 +220,14 @@ func sums(m map[string][]int) int {
 	}
 	return total
 }
-`
-	got := runOne(t, analyzerMapOrder, mustPkg(t, "internal/p", "m.go", src))
+`,
+	})
 	wantFindings(t, got)
 }
 
 func TestMapOrderSliceRangeClean(t *testing.T) {
-	src := `package p
+	got := runFixture(t, analyzerMapOrder, map[string]string{
+		"internal/p/m.go": `package p
 
 func collect(xs []string) []string {
 	var out []string
@@ -196,15 +236,16 @@ func collect(xs []string) []string {
 	}
 	return out
 }
-`
-	got := runOne(t, analyzerMapOrder, mustPkg(t, "internal/p", "m.go", src))
+`,
+	})
 	wantFindings(t, got)
 }
 
 // --- goroutine -------------------------------------------------------------
 
 func TestGoroutineWgAddInsideFires(t *testing.T) {
-	src := `package p
+	got := runFixture(t, analyzerGoroutine, map[string]string{
+		"internal/p/g.go": `package p
 
 import "sync"
 
@@ -218,13 +259,26 @@ func pool(n int) {
 	}
 	wg.Wait()
 }
-`
-	got := runOne(t, analyzerGoroutine, mustPkg(t, "internal/p", "g.go", src))
-	wantFindings(t, got, "goroutine: wg.Add inside the spawned goroutine races with Wait")
+
+type cache struct{ wg sync.WaitGroup }
+
+func (c *cache) flush() {
+	go func() {
+		c.wg.Add(1)
+		defer c.wg.Done()
+	}()
+}
+`,
+	})
+	wantFindings(t, got,
+		"g.go:9: goroutine: wg.Add inside the spawned goroutine races with Wait",
+		"g.go:20: goroutine: c.wg.Add inside the spawned goroutine races with Wait",
+	)
 }
 
 func TestGoroutineArgPassClean(t *testing.T) {
-	src := `package p
+	got := runFixture(t, analyzerGoroutine, map[string]string{
+		"internal/p/g.go": `package p
 
 import "sync"
 
@@ -239,15 +293,93 @@ func pool(jobs []int, run func(int)) {
 	}
 	wg.Wait()
 }
-`
-	got := runOne(t, analyzerGoroutine, mustPkg(t, "internal/p", "g.go", src))
+`,
+	})
+	wantFindings(t, got)
+}
+
+// --- errdrop ----------------------------------------------------------------
+
+func TestErrDropFires(t *testing.T) {
+	got := runFixture(t, analyzerErrDrop, map[string]string{
+		"internal/protocol/p.go": `package protocol
+
+import "errors"
+
+func fail() error { return errors.New("x") }
+
+func Bad() { fail() }
+
+func Blank() { _ = fail() }
+
+func Deferred() { defer fail() }
+
+func Good() error { return fail() }
+`,
+		"pkg/other.go": `package pkg
+
+import "errors"
+
+func fail() error { return errors.New("x") }
+
+func OutOfScope() { fail() }
+`,
+	})
+	wantFindings(t, got,
+		"error result of fail dropped",
+		"error result of fail assigned to _",
+	)
+	for _, f := range got {
+		if !strings.HasPrefix(f.File, "internal/protocol/") {
+			t.Errorf("finding outside errdrop scope: %v", f)
+		}
+	}
+}
+
+// The persistence path is in errdrop scope: a dropped fsync/close/rename
+// error silently voids the proof store's crash-safety guarantees.
+func TestErrDropFiresInStore(t *testing.T) {
+	got := runFixture(t, analyzerErrDrop, map[string]string{
+		"internal/store/s.go": `package store
+
+import "os"
+
+func persist(f *os.File) {
+	f.Sync()
+	_ = f.Close()
+}
+`,
+	})
+	wantFindings(t, got,
+		"error result of f.Sync dropped",
+		"error result of f.Close assigned to _",
+	)
+}
+
+func TestErrDropCleanInStore(t *testing.T) {
+	got := runFixture(t, analyzerErrDrop, map[string]string{
+		"internal/store/s.go": `package store
+
+import "os"
+
+func persist(f *os.File) error {
+	// Handled errors and deferred teardown are the accepted idioms.
+	defer f.Close()
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	return nil
+}
+`,
+	})
 	wantFindings(t, got)
 }
 
 // --- suppression -----------------------------------------------------------
 
 func TestSuppressionSameLine(t *testing.T) {
-	src := `package p
+	got := runFixture(t, analyzerMapOrder, map[string]string{
+		"internal/p/m.go": `package p
 
 func collect(m map[string]int) []string {
 	var out []string
@@ -256,13 +388,14 @@ func collect(m map[string]int) []string {
 	}
 	return out
 }
-`
-	got := runOne(t, analyzerMapOrder, mustPkg(t, "internal/p", "m.go", src))
+`,
+	})
 	wantFindings(t, got)
 }
 
 func TestSuppressionLineAbove(t *testing.T) {
-	src := `package p
+	got := runFixture(t, analyzerMapOrder, map[string]string{
+		"internal/p/m.go": `package p
 
 func collect(m map[string]int) []string {
 	var out []string
@@ -272,13 +405,14 @@ func collect(m map[string]int) []string {
 	}
 	return out
 }
-`
-	got := runOne(t, analyzerMapOrder, mustPkg(t, "internal/p", "m.go", src))
+`,
+	})
 	wantFindings(t, got)
 }
 
 func TestSuppressionWrongAnalyzerKeepsFinding(t *testing.T) {
-	src := `package p
+	got := runFixture(t, analyzerMapOrder, map[string]string{
+		"internal/p/m.go": `package p
 
 func collect(m map[string]int) []string {
 	var out []string
@@ -287,19 +421,41 @@ func collect(m map[string]int) []string {
 	}
 	return out
 }
-`
-	got := runOne(t, analyzerMapOrder, mustPkg(t, "internal/p", "m.go", src))
+`,
+	})
 	wantFindings(t, got, "maporder: appending to out")
 }
 
 func TestSuppressionMissingReasonReported(t *testing.T) {
-	src := `package p
+	got := runFixture(t, analyzerMapOrder, map[string]string{
+		"internal/p/m.go": `package p
 
 //lint:ignore maporder
 func f() {}
-`
-	got := runOne(t, analyzerMapOrder, mustPkg(t, "internal/p", "m.go", src))
+`,
+	})
 	wantFindings(t, got, "lint: malformed lint:ignore directive")
+}
+
+// A directive silences errdrop's findings like any other analyzer's, and
+// only where it stands.
+func TestTypedSuppression(t *testing.T) {
+	got := runFixture(t, analyzerErrDrop, map[string]string{
+		"internal/remote/r.go": `package remote
+
+import "errors"
+
+func fail() error { return errors.New("x") }
+
+func Teardown() {
+	//lint:ignore errdrop the session is being discarded either way
+	fail()
+}
+
+func Unsuppressed() { fail() }
+`,
+	})
+	wantFindings(t, got, "r.go:12: errdrop: error result of fail dropped")
 }
 
 // --- registry --------------------------------------------------------------
@@ -313,18 +469,8 @@ func TestAllAnalyzersWellFormed(t *testing.T) {
 			t.Errorf("analyzer name %s registered twice", a.Name)
 		}
 		seen[a.Name] = true
-		set := 0
-		if a.Go != nil {
-			set++
-		}
-		if a.Typed != nil {
-			set++
-		}
-		if a.Corpus != nil {
-			set++
-		}
-		if set != 1 {
-			t.Errorf("analyzer %s must set exactly one of Go/Typed/Corpus", a.Name)
+		if (a.Go == nil) == (a.Corpus == nil) {
+			t.Errorf("analyzer %s must set exactly one of Go/Corpus", a.Name)
 		}
 		if a.Doc == "" {
 			t.Errorf("analyzer %s has no Doc", a.Name)
@@ -333,15 +479,16 @@ func TestAllAnalyzersWellFormed(t *testing.T) {
 }
 
 func TestFindingsSorted(t *testing.T) {
-	src := `package eval
+	got := runFixture(t, analyzerDeterminism, map[string]string{
+		"internal/eval/f.go": `package eval
 
 import "time"
 
 func b() { _ = time.Now() }
 
 func a() { _ = time.Now() }
-`
-	got := runOne(t, analyzerDeterminism, mustPkg(t, "internal/eval", "f.go", src))
+`,
+	})
 	if len(got) != 2 || got[0].Line >= got[1].Line {
 		t.Fatalf("findings not position-sorted: %v", got)
 	}

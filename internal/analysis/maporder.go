@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -14,265 +14,65 @@ var analyzerMapOrder = &Analyzer{
 	Go: runMapOrder,
 }
 
-// mapTypeInfo is the package-wide type environment for the heuristic map
-// detector. It is purely syntactic — struct fields are keyed by field name
-// alone — which is precise enough for this repository and errs toward
-// reporting (a false positive is silenced with lint:ignore).
-type mapTypeInfo struct {
-	named  map[string]ast.Expr // type name -> underlying type expression
-	fields map[string]ast.Expr // struct field name -> declared type expression
-	vars   map[string]ast.Expr // package-level var name -> type expression
-}
+// appendBuiltin is the predeclared append, which a package may shadow.
+var appendBuiltin = types.Universe.Lookup("append")
 
-func collectMapTypeInfo(pkg *GoPackage) *mapTypeInfo {
-	info := &mapTypeInfo{
-		named:  map[string]ast.Expr{},
-		fields: map[string]ast.Expr{},
-		vars:   map[string]ast.Expr{},
-	}
-	for _, f := range pkg.Files {
-		for _, decl := range f.AST.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				switch s := spec.(type) {
-				case *ast.TypeSpec:
-					info.named[s.Name.Name] = s.Type
-					if st, ok := s.Type.(*ast.StructType); ok {
-						for _, field := range st.Fields.List {
-							for _, name := range field.Names {
-								info.fields[name.Name] = field.Type
-							}
-						}
-					}
-				case *ast.ValueSpec:
-					if gd.Tok != token.VAR {
-						continue
-					}
-					for i, name := range s.Names {
-						switch {
-						case s.Type != nil:
-							info.vars[name.Name] = s.Type
-						case i < len(s.Values):
-							if t := literalType(s.Values[i]); t != nil {
-								info.vars[name.Name] = t
-							}
-						}
-					}
+func runMapOrder(m *Module) []Finding {
+	var out []Finding
+	for _, p := range m.Pkgs {
+		for _, f := range p.Files {
+			for _, decl := range f.AST.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					out = append(out, lintFuncMapOrder(m, p.Info, f, fd.Body)...)
 				}
 			}
-		}
-	}
-	return info
-}
-
-// literalType extracts a type expression from a composite literal or a
-// make(...) call.
-func literalType(e ast.Expr) ast.Expr {
-	switch v := e.(type) {
-	case *ast.CompositeLit:
-		return v.Type
-	case *ast.CallExpr:
-		if id, ok := v.Fun.(*ast.Ident); ok && id.Name == "make" && len(v.Args) > 0 {
-			return v.Args[0]
-		}
-	case *ast.UnaryExpr:
-		if v.Op == token.AND {
-			return literalType(v.X)
-		}
-	}
-	return nil
-}
-
-// resolveMap follows named types to decide whether a type expression is a
-// map type.
-func (info *mapTypeInfo) resolveMap(t ast.Expr) *ast.MapType {
-	for depth := 0; t != nil && depth < 8; depth++ {
-		switch v := t.(type) {
-		case *ast.MapType:
-			return v
-		case *ast.Ident:
-			t = info.named[v.Name]
-		case *ast.ParenExpr:
-			t = v.X
-		case *ast.StarExpr:
-			t = v.X
-		default:
-			return nil
-		}
-	}
-	return nil
-}
-
-// funcScope tracks local variable types inside one function body.
-type funcScope struct {
-	info  *mapTypeInfo
-	local map[string]ast.Expr
-}
-
-// typeOf computes a (syntactic) type expression for e, or nil when unknown.
-func (sc *funcScope) typeOf(e ast.Expr) ast.Expr {
-	switch v := e.(type) {
-	case *ast.Ident:
-		if t, ok := sc.local[v.Name]; ok {
-			return t
-		}
-		return sc.info.vars[v.Name]
-	case *ast.SelectorExpr:
-		return sc.info.fields[v.Sel.Name]
-	case *ast.IndexExpr:
-		base := sc.typeOf(v.X)
-		if mt := sc.info.resolveMap(base); mt != nil {
-			return mt.Value
-		}
-		if at, ok := base.(*ast.ArrayType); ok {
-			return at.Elt
-		}
-		return nil
-	case *ast.ParenExpr:
-		return sc.typeOf(v.X)
-	case *ast.UnaryExpr:
-		if v.Op == token.AND {
-			return sc.typeOf(v.X)
-		}
-	case *ast.CompositeLit:
-		return v.Type
-	case *ast.CallExpr:
-		return literalType(v)
-	}
-	return nil
-}
-
-func (sc *funcScope) mapOf(e ast.Expr) *ast.MapType { return sc.info.resolveMap(sc.typeOf(e)) }
-
-func runMapOrder(pkg *GoPackage) []Finding {
-	info := collectMapTypeInfo(pkg)
-	var out []Finding
-	for _, f := range pkg.Files {
-		sortName := importLocal(f.AST, "sort")
-		fmtName := importLocal(f.AST, "fmt")
-		for _, decl := range f.AST.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			out = append(out, lintFuncMapOrder(pkg, f, fd, info, sortName, fmtName)...)
 		}
 	}
 	return out
 }
 
-func lintFuncMapOrder(pkg *GoPackage, f *GoFile, fd *ast.FuncDecl, info *mapTypeInfo, sortName, fmtName string) []Finding {
-	sc := &funcScope{info: info, local: map[string]ast.Expr{}}
-	seedParams := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			for _, name := range field.Names {
-				sc.local[name.Name] = field.Type
-			}
-		}
-	}
-	seedParams(fd.Recv)
-	seedParams(fd.Type.Params)
-
-	// Pass 1 (source order): record local declarations, := assignments, and
-	// range value variables so chained aliases of map-typed values resolve.
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.DeclStmt:
-			if gd, ok := v.Decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
-				for _, spec := range gd.Specs {
-					if vs, ok := spec.(*ast.ValueSpec); ok {
-						for i, name := range vs.Names {
-							switch {
-							case vs.Type != nil:
-								sc.local[name.Name] = vs.Type
-							case i < len(vs.Values):
-								if t := sc.typeOf(vs.Values[i]); t != nil {
-									sc.local[name.Name] = t
-								}
-							}
-						}
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			if v.Tok == token.DEFINE && len(v.Lhs) == len(v.Rhs) {
-				for i, lhs := range v.Lhs {
-					if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
-						if t := sc.typeOf(v.Rhs[i]); t != nil {
-							sc.local[id.Name] = t
-						}
-					}
-				}
-			}
-		case *ast.RangeStmt:
-			if mt := sc.mapOf(v.X); mt != nil {
-				if id, ok := v.Value.(*ast.Ident); ok && id.Name != "_" {
-					sc.local[id.Name] = mt.Value
-				}
-				if id, ok := v.Key.(*ast.Ident); ok && id.Name != "_" {
-					sc.local[id.Name] = mt.Key
-				}
-			}
-		}
-		return true
-	})
-
+func lintFuncMapOrder(m *Module, info *types.Info, f *GoFile, body *ast.BlockStmt) []Finding {
 	var out []Finding
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		rs, ok := n.(*ast.RangeStmt)
-		if !ok || sc.mapOf(rs.X) == nil {
+		if !ok || !isMap(info.TypeOf(rs.X)) {
 			return true
 		}
-		ast.Inspect(rs.Body, func(m ast.Node) bool {
-			switch v := m.(type) {
+		ast.Inspect(rs.Body, func(n ast.Node) bool {
+			switch v := n.(type) {
 			case *ast.CallExpr:
-				if sel, ok := v.Fun.(*ast.SelectorExpr); ok {
-					if id, ok := sel.X.(*ast.Ident); ok && fmtName != "" && id.Name == fmtName &&
-						(strings.HasPrefix(sel.Sel.Name, "Print") || strings.HasPrefix(sel.Sel.Name, "Fprint")) {
-						out = append(out, Finding{
-							Analyzer: "maporder", File: f.Name, Line: pkg.line(v),
-							Message: "fmt." + sel.Sel.Name + " inside range over a map; iteration order is randomized — iterate a sorted key slice",
-						})
-					} else if sel.Sel.Name == "WriteString" || sel.Sel.Name == "WriteByte" || sel.Sel.Name == "WriteRune" {
-						out = append(out, Finding{
-							Analyzer: "maporder", File: f.Name, Line: pkg.line(v),
-							Message: sel.Sel.Name + " inside range over a map; iteration order is randomized — iterate a sorted key slice",
-						})
-					}
+				if fn := calledFunc(info, v); fn != nil && fn.Pkg().Path() == "fmt" &&
+					(strings.HasPrefix(fn.Name(), "Print") || strings.HasPrefix(fn.Name(), "Fprint")) {
+					out = append(out, m.finding("maporder", f, v,
+						"fmt."+fn.Name()+" inside range over a map; iteration order is randomized — iterate a sorted key slice"))
+				} else if sel, ok := v.Fun.(*ast.SelectorExpr); ok &&
+					(sel.Sel.Name == "WriteString" || sel.Sel.Name == "WriteByte" || sel.Sel.Name == "WriteRune") {
+					out = append(out, m.finding("maporder", f, v,
+						sel.Sel.Name+" inside range over a map; iteration order is randomized — iterate a sorted key slice"))
 				}
 			case *ast.AssignStmt:
 				for i, rhs := range v.Rhs {
 					call, ok := rhs.(*ast.CallExpr)
-					if !ok {
+					if !ok || i >= len(v.Lhs) {
 						continue
 					}
-					if id, ok := call.Fun.(*ast.Ident); !ok || id.Name != "append" {
-						continue
-					}
-					if i >= len(v.Lhs) {
+					if id, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || info.Uses[id] != appendBuiltin {
 						continue
 					}
 					target, ok := v.Lhs[i].(*ast.Ident)
 					if !ok {
 						continue
 					}
+					obj := info.ObjectOf(target)
 					// A slice declared inside the range body is fresh every
 					// iteration; its element order cannot leak map order.
-					if declaredWithin(target, rs.Body) {
+					if obj == nil || rs.Body.Pos() <= obj.Pos() && obj.Pos() < rs.Body.End() {
 						continue
 					}
-					if !sortedInFunc(fd.Body, sortName, target.Name) {
-						out = append(out, Finding{
-							Analyzer: "maporder", File: f.Name, Line: pkg.line(v),
-							Message: "appending to " + target.Name + " inside range over a map without sorting it afterwards; " +
-								"iteration order is randomized — sort the slice or iterate sorted keys",
-						})
+					if !sortedInFunc(info, body, obj) {
+						out = append(out, m.finding("maporder", f, v,
+							"appending to "+target.Name+" inside range over a map without sorting it afterwards; "+
+								"iteration order is randomized — sort the slice or iterate sorted keys"))
 					}
 				}
 			}
@@ -283,41 +83,33 @@ func lintFuncMapOrder(pkg *GoPackage, f *GoFile, fd *ast.FuncDecl, info *mapType
 	return out
 }
 
-// declaredWithin reports whether the identifier's declaration site (via the
-// parser's object resolution) lies inside the given block.
-func declaredWithin(id *ast.Ident, block *ast.BlockStmt) bool {
-	if id.Obj == nil {
+// isMap reports whether t is a map type, directly or as a named type's
+// underlying type.
+func isMap(t types.Type) bool {
+	if t == nil {
 		return false
 	}
-	decl, ok := id.Obj.Decl.(ast.Node)
-	if !ok {
-		return false
-	}
-	return decl.Pos() >= block.Pos() && decl.End() <= block.End()
+	_, ok := t.Underlying().(*types.Map)
+	return ok
 }
 
-// sortedInFunc reports whether the function body contains a sort.* call
-// mentioning the identifier name among its arguments.
-func sortedInFunc(body *ast.BlockStmt, sortName, ident string) bool {
-	if sortName == "" {
-		return false
-	}
+// sortedInFunc reports whether the function body sorts the variable obj:
+// a call of a sort function, or of slices.Sort, SortFunc or SortStableFunc,
+// that mentions obj among its arguments.
+func sortedInFunc(info *types.Info, body *ast.BlockStmt, obj types.Object) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || found {
 			return !found
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if id, ok := sel.X.(*ast.Ident); !ok || id.Name != sortName {
+		fn := calledFunc(info, call)
+		if fn == nil || fn.Pkg().Path() != "sort" && !(fn.Pkg().Path() == "slices" && strings.HasPrefix(fn.Name(), "Sort")) {
 			return true
 		}
 		for _, arg := range call.Args {
 			ast.Inspect(arg, func(a ast.Node) bool {
-				if id, ok := a.(*ast.Ident); ok && id.Name == ident {
+				if id, ok := a.(*ast.Ident); ok && info.Uses[id] == obj {
 					found = true
 				}
 				return !found

@@ -1,13 +1,10 @@
 package analysis
 
-// Typed loading: the typed analyzer family runs over go/types-checked
-// packages, so it sees real types (kernel node writes, discarded error
-// results) instead of name shapes. The loader
-// here is deliberately stdlib-only — no golang.org/x/tools — and shares the
-// single go/parser pass with the AST family: a Module wraps the *GoPackage
-// values the Go analyzers run over (suppressions included, parsed exactly
-// once in AddFile), and adds per-package *types.Package / *types.Info on
-// demand.
+// Module loading: every Go analyzer runs over go/types-checked packages, so
+// it resolves names and types (time.Now, a map, a WaitGroup, a kernel node)
+// instead of matching their spelling. The loader here is deliberately
+// stdlib-only — no golang.org/x/tools. LoadModule parses every file once,
+// collecting the //lint:ignore suppressions as it goes; Check type-checks.
 //
 // Import resolution is a two-way split:
 //
@@ -18,15 +15,19 @@ package analysis
 //     source compiler, shared process-wide behind a mutex, with cgo disabled
 //     so packages like net resolve to their pure-Go variants.
 //
-// Test files are parsed (the AST family lints them) but excluded from
-// type-checking: a directory may mix package p and package p_test, and the
-// typed analyzers skip tests anyway.
+// Each package is checked together with its in-package _test.go files, as
+// go test builds it, and once every package is checked, its external tests
+// (package p_test) against that variant, so test files carry types too.
+// Packages that import p see the variant with tests: no in-package test in
+// this module imports a package that depends on its own, so the one variant
+// serves both.
 
 import (
 	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
@@ -36,24 +37,35 @@ import (
 	"sync"
 )
 
-// TypedPackage is one module package with (lazily attached) type
-// information. The embedded GoPackage is the same value the AST family runs
-// over: one parse serves all families.
-type TypedPackage struct {
-	*GoPackage
+// GoFile is one parsed Go source file.
+type GoFile struct {
+	Name string // display path, e.g. "internal/eval/runner.go"
+	AST  *ast.File
+	Test bool // *_test.go
+}
+
+// Package is one directory of the module: its parsed files, tests included,
+// and after Check their types.
+type Package struct {
+	// Dir is the slash-separated package directory relative to the module
+	// root, e.g. "internal/eval". Analyzers use it for scoping.
+	Dir string
 	// Path is the package's import path (module path + "/" + Dir).
-	Path string
-	// Types and Info are populated by Module.Check (nil before).
+	Path  string
+	Files []*GoFile
+	// Types and Info are populated by Module.Check (nil before). Types is
+	// the package with its in-package tests; Info covers every file in
+	// Files, external tests included.
 	Types *types.Package
 	Info  *types.Info
 	// TypeErrs collects type-checking diagnostics for this package. The
-	// repository's own packages must check cleanly (go build is a tier-1
-	// gate); fixtures in tests may tolerate soft errors.
+	// repository's own packages must check cleanly (go build and go vet are
+	// gates).
 	TypeErrs []error
 }
 
 // Module is a parsed (and, after Check, type-checked) Go module: the unit
-// the typed analyzer family runs over.
+// the Go analyzers run over.
 type Module struct {
 	// Root is the filesystem root (the directory holding go.mod).
 	Root string
@@ -62,18 +74,20 @@ type Module struct {
 	// Fset is shared by every package in the module.
 	Fset *token.FileSet
 	// Pkgs holds every package, sorted by Dir.
-	Pkgs []*TypedPackage
+	Pkgs []*Package
 
-	byPath map[string]*TypedPackage
+	byPath map[string]*Package
+	// suppressions and badDirectives are the //lint:ignore directives of
+	// every file, well-formed and malformed.
+	suppressions  []suppression
+	badDirectives []Finding
 
 	checked  bool
 	checkErr error
 }
 
 // LoadModule parses every Go package under root (a directory containing
-// go.mod). Type-checking is deferred until Check (or the first accessor
-// that needs types), so callers that only want the AST family pay only the
-// parse.
+// go.mod). Type-checking is deferred until Check.
 func LoadModule(root string) (*Module, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -87,18 +101,59 @@ func LoadModule(root string) (*Module, error) {
 		Root:   root,
 		Path:   modPath,
 		Fset:   token.NewFileSet(),
-		byPath: map[string]*TypedPackage{},
+		byPath: map[string]*Package{},
 	}
 	for _, dir := range dirs {
-		gp, err := loadGoPackageInto(m.Fset, filepath.Join(root, filepath.FromSlash(dir)), dir)
-		if err != nil {
+		p := &Package{Dir: dir, Path: importPath(modPath, dir)}
+		if err := m.parseDir(p); err != nil {
 			return nil, err
 		}
-		tp := &TypedPackage{GoPackage: gp, Path: importPath(modPath, dir)}
-		m.Pkgs = append(m.Pkgs, tp)
-		m.byPath[tp.Path] = tp
+		m.Pkgs = append(m.Pkgs, p)
+		m.byPath[p.Path] = p
 	}
 	return m, nil
+}
+
+// parseDir parses every .go file in p's directory into p, in name order.
+func (m *Module) parseDir(p *Package) error {
+	osDir := filepath.Join(m.Root, filepath.FromSlash(p.Dir))
+	entries, err := os.ReadDir(osDir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		src, err := os.ReadFile(filepath.Join(osDir, e.Name()))
+		if err != nil {
+			return err
+		}
+		name := path(p.Dir, e.Name())
+		// Names resolve through go/types, so the parser's own object
+		// resolution would be wasted work.
+		f, err := parser.ParseFile(m.Fset, name, src, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		p.Files = append(p.Files, &GoFile{Name: name, AST: f, Test: strings.HasSuffix(name, "_test.go")})
+		sups, bad := goSuppressions(m.Fset, name, f)
+		m.suppressions = append(m.suppressions, sups...)
+		m.badDirectives = append(m.badDirectives, bad...)
+	}
+	return nil
+}
+
+// finding builds a Finding of the named analyzer at node n of file f.
+func (m *Module) finding(analyzer string, f *GoFile, n ast.Node, msg string) Finding {
+	return Finding{Analyzer: analyzer, File: f.Name, Line: m.Fset.Position(n.Pos()).Line, Message: msg}
+}
+
+func path(dir, name string) string {
+	if dir == "" || dir == "." {
+		return name
+	}
+	return dir + "/" + name
 }
 
 // importPath maps a module-relative dir to an import path.
@@ -201,141 +256,84 @@ func (imp *moduleImporter) Import(path string) (*types.Package, error) {
 		return types.Unsafe, nil
 	}
 	if path == imp.m.Path || strings.HasPrefix(path, imp.m.Path+"/") {
-		tp, ok := imp.m.byPath[path]
+		p, ok := imp.m.byPath[path]
 		if !ok {
 			return nil, fmt.Errorf("analysis: import %q not found in module %s", path, imp.m.Path)
 		}
-		if err := imp.check(tp); err != nil {
-			return nil, err
+		if imp.checking[path] {
+			return nil, fmt.Errorf("analysis: import cycle through %s", path)
 		}
-		return tp.Types, nil
+		imp.check(p)
+		return p.Types, nil
 	}
 	return stdImport(path)
 }
 
-// check type-checks one package (idempotent; recursion through Import
-// handles dependency order).
-func (imp *moduleImporter) check(tp *TypedPackage) error {
-	if tp.Types != nil {
-		return nil
+// check type-checks one package with its in-package tests (idempotent;
+// recursion through Import handles dependency order).
+func (imp *moduleImporter) check(p *Package) {
+	if p.Types != nil {
+		return
 	}
-	if imp.checking[tp.Path] {
-		return fmt.Errorf("analysis: import cycle through %s", tp.Path)
-	}
-	imp.checking[tp.Path] = true
-	defer delete(imp.checking, tp.Path)
+	imp.checking[p.Path] = true
+	defer delete(imp.checking, p.Path)
 
-	var files []*ast.File
-	for _, f := range tp.Files {
-		if f.Test {
-			continue
-		}
-		files = append(files, f.AST)
-	}
-	info := &types.Info{
+	p.Info = &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Implicits:  map[ast.Node]types.Object{},
 	}
+	p.Types = imp.checkFiles(p, p.Path, false)
+}
+
+// checkFiles type-checks p's external test files (xtest) or all its other
+// files as the package path, recording into p.Info: its maps are keyed by
+// syntax nodes, and the two file sets are disjoint. conf.Error is set, so
+// Check records every error in TypeErrs and still returns a (possibly
+// incomplete) package; Module.Check reports the first.
+func (imp *moduleImporter) checkFiles(p *Package, path string, xtest bool) *types.Package {
+	var files []*ast.File
+	for _, f := range p.Files {
+		if (f.Test && strings.HasSuffix(f.AST.Name.Name, "_test")) == xtest {
+			files = append(files, f.AST)
+		}
+	}
+	if len(files) == 0 {
+		return nil
+	}
 	conf := types.Config{
 		Importer: imp,
-		Error:    func(err error) { tp.TypeErrs = append(tp.TypeErrs, err) },
+		Error:    func(err error) { p.TypeErrs = append(p.TypeErrs, err) },
 	}
-	pkg, err := conf.Check(tp.Path, imp.m.Fset, files, info)
-	// conf.Error was set, so Check returns the first soft error but still
-	// produces a (possibly incomplete) package; keep it — the tier-1 build
-	// gate guarantees the real module checks cleanly, and fixtures assert
-	// on TypeErrs explicitly.
-	_ = err
-	tp.Types = pkg
-	tp.Info = info
-	return nil
+	pkg, _ := conf.Check(path, imp.m.Fset, files, p.Info)
+	return pkg
 }
 
 // Check type-checks every package in the module (idempotent). It returns
-// the first type error encountered anywhere, if any; the module is still
-// usable afterwards (analyzers run over whatever type information exists).
+// the first type error, if any; every package still gets its Info, which
+// analyzers run over.
 func (m *Module) Check() error {
 	if m.checked {
 		return m.checkErr
 	}
 	m.checked = true
 	imp := &moduleImporter{m: m, checking: map[string]bool{}}
-	for _, tp := range m.Pkgs {
-		if err := imp.check(tp); err != nil {
-			m.checkErr = err
-			return err
-		}
+	for _, p := range m.Pkgs {
+		imp.check(p)
 	}
-	for _, tp := range m.Pkgs {
-		if len(tp.TypeErrs) > 0 && m.checkErr == nil {
-			m.checkErr = fmt.Errorf("analysis: %s: %v", tp.Path, tp.TypeErrs[0])
+	// External tests come last, as go test builds them: nothing imports
+	// one, and one may import a package that imports its own (tactic_test
+	// imports corpus).
+	for _, p := range m.Pkgs {
+		imp.checkFiles(p, p.Path+"_test", true)
+	}
+	for _, p := range m.Pkgs {
+		if len(p.TypeErrs) > 0 {
+			m.checkErr = fmt.Errorf("analysis: %s: %v", p.Path, p.TypeErrs[0])
+			break
 		}
 	}
 	return m.checkErr
-}
-
-// suppressionsAll aggregates every package's (already parsed) suppressions,
-// so the typed family filters through the same single-parse directives as
-// the AST family.
-func (m *Module) suppressionsAll() []suppression {
-	var out []suppression
-	for _, tp := range m.Pkgs {
-		out = append(out, tp.suppressions...)
-	}
-	return out
-}
-
-// loadGoPackageInto parses every .go file in osDir into a package on the
-// caller's FileSet, so a whole module shares one coordinate space. relDir
-// is the module-root-relative slash path used in finding positions and
-// analyzer scoping.
-func loadGoPackageInto(fset *token.FileSet, osDir, relDir string) (*GoPackage, error) {
-	entries, err := os.ReadDir(osDir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
-	pkg := &GoPackage{Fset: fset, Dir: relDir}
-	for _, name := range names {
-		src, err := os.ReadFile(filepath.Join(osDir, name))
-		if err != nil {
-			return nil, err
-		}
-		if err := pkg.AddFile(path(relDir, name), string(src)); err != nil {
-			return nil, err
-		}
-	}
-	return pkg, nil
-}
-
-// namedIn reports whether t (after stripping pointers and aliases) is the
-// named type pkgPath.name, and returns the named type.
-func namedIn(t types.Type, pkgPath, name string) bool {
-	for {
-		switch u := t.(type) {
-		case *types.Pointer:
-			t = u.Elem()
-			continue
-		case *types.Alias:
-			t = types.Unalias(u)
-			continue
-		}
-		break
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"go/ast"
 	"os"
 	"path/filepath"
 	"testing"
@@ -23,21 +24,18 @@ func writeTree(t *testing.T, files map[string]string) string {
 	return root
 }
 
-// loadFixture loads and type-checks a fixture module, failing the test on
-// any parse or type error (fixtures are meant to be well-typed).
+// loadFixture loads and type-checks a fixture module, module path
+// example.com/fix, failing the test on any parse or type error (fixtures
+// are meant to be well-typed).
 func loadFixture(t *testing.T, files map[string]string) *Module {
 	t.Helper()
+	files["go.mod"] = fixGomod
 	m, err := LoadModule(writeTree(t, files))
 	if err != nil {
 		t.Fatalf("LoadModule: %v", err)
 	}
 	if err := m.Check(); err != nil {
 		t.Fatalf("Check: %v", err)
-	}
-	for _, tp := range m.Pkgs {
-		for _, te := range tp.TypeErrs {
-			t.Fatalf("type error in %s: %v", tp.Path, te)
-		}
 	}
 	return m
 }
@@ -46,7 +44,6 @@ const fixGomod = "module example.com/fix\n\ngo 1.22\n"
 
 func TestLoadModuleMultiPackage(t *testing.T) {
 	m := loadFixture(t, map[string]string{
-		"go.mod": fixGomod,
 		"a/a.go": `package a
 
 type Counter struct{ n int }
@@ -54,6 +51,23 @@ type Counter struct{ n int }
 func (c *Counter) Inc() { c.n++ }
 
 func NewCounter() *Counter { return &Counter{} }
+`,
+		// An in-package test exports a helper to the external test (the
+		// export_test.go idiom), so x_test.go checks only against a
+		// checked with its tests.
+		"a/export_test.go": `package a
+
+func (c *Counter) N() int { return c.n }
+`,
+		"a/x_test.go": `package a_test
+
+import "example.com/fix/a"
+
+func count() int {
+	c := a.NewCounter()
+	c.Inc()
+	return c.N()
+}
 `,
 		"b/b.go": `package b
 
@@ -77,6 +91,12 @@ func Use() {
 	}
 	if tp.Path != "example.com/fix/a" {
 		t.Fatalf("package a path = %q", tp.Path)
+	}
+	// The external test is checked too, against the variant with a's
+	// in-package tests: c.N resolves, or loadFixture fails.
+	xtest := tp.Files[len(tp.Files)-1]
+	if xtest.Name != "a/x_test.go" || tp.Info.Defs[xtest.AST.Decls[1].(*ast.FuncDecl).Name] == nil {
+		t.Fatalf("%s carries no types", xtest.Name)
 	}
 	// Cross-package resolution: b's use of a.NewCounter resolves to the
 	// same object a declares.

@@ -11,7 +11,7 @@ import (
 // duplicate statements, no named-but-unused intros hypotheses, no
 // no-progress combinators, and an import closure that covers every
 // cross-file reference. It is the corpus family's only driver, beside
-// internal/analysis's TestRepoLintClean for the Go and typed families.
+// internal/analysis's TestRepoLintClean for the Go family.
 func TestEmbeddedCorpusLintClean(t *testing.T) {
 	files, err := Sources()
 	if err != nil {

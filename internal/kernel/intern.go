@@ -3,7 +3,7 @@ package kernel
 // Hash-consing arena for kernel nodes.
 //
 // Every Term, Form, and Type is built through the constructors in this file
-// (the internkernel analyzer rejects raw composite literals everywhere else,
+// (the kernelmutate analyzer rejects raw composite literals everywhere else,
 // tests included). Each constructed node carries a precomputed 128-bit
 // structural hash (hash/hash2) and a 64-bit bloom signature of the variable
 // names occurring in it (varSig, free and bound alike). The hashes make
@@ -571,7 +571,7 @@ func internType(ty *Type) *Type {
 
 // ---------------------------------------------------------------------------
 // Interning constructors. All node construction in the kernel and in client
-// packages goes through these (enforced by the internkernel analyzer).
+// packages goes through these (enforced by the kernelmutate analyzer).
 
 // The constructors build candidates as stack values: internTerm/internForm/
 // internType never retain their argument, so neither the candidate nor the

@@ -2,8 +2,9 @@
 # Extended verification gate: everything the tier-1 gate runs, plus go vet,
 # gofmt, the race detector and the full binary sweeps. The repository's own
 # static analyzers (internal/analysis) need no step of their own: they run
-# in the tier-1 and race test runs below, as TestRepoLintClean (Go and typed
-# families over the module) and TestEmbeddedCorpusLintClean (the corpus).
+# in the tier-1 and race test runs below, as TestRepoLintClean (the Go
+# family over the type-checked module, tests included) and
+# TestEmbeddedCorpusLintClean (the corpus).
 # Lock copies are go vet's copylocks check, so the go vet step must stay.
 # Run from anywhere inside the repository.
 set -eu
