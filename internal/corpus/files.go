@@ -59,7 +59,7 @@ func Default() (*Corpus, error) {
 			loadErr = err
 			return
 		}
-		loadResult, loadErr = Load(files, Options{CheckProofs: true})
+		loadResult, loadErr = Load(files)
 	})
 	return loadResult, loadErr
 }

@@ -2,8 +2,8 @@
 // of .v-style source files that declare datatypes, functions, inductive
 // predicates, definitions, and lemmas with human proof scripts. Loading
 // resolves every declaration against the growing environment and
-// (optionally) machine-checks every human proof, so the corpus is a genuine
-// verified library.
+// machine-checks every human proof, so the corpus is a genuine verified
+// library.
 package corpus
 
 import (
@@ -111,15 +111,9 @@ func (c *Corpus) ImportClosure(file string) []string {
 	return out
 }
 
-// Options controls loading.
-type Options struct {
-	// CheckProofs machine-checks every human proof (slower; on by default
-	// in NewCorpus).
-	CheckProofs bool
-}
-
-// Load parses and resolves the given files in order.
-func Load(files []SourceFile, opts Options) (*Corpus, error) {
+// Load parses and resolves the given files in order, machine-checking
+// every human proof in the environment declared before it.
+func Load(files []SourceFile) (*Corpus, error) {
 	c := &Corpus{
 		Env:     kernel.NewEnv(),
 		Items:   map[string][]Item{},
@@ -132,7 +126,7 @@ func Load(files []SourceFile, opts Options) (*Corpus, error) {
 			return nil, fmt.Errorf("corpus: duplicate file %q", f.Name)
 		}
 		seen[f.Name] = true
-		if err := c.loadFile(f, opts); err != nil {
+		if err := c.loadFile(f); err != nil {
 			return nil, fmt.Errorf("corpus: file %s: %w", f.Name, err)
 		}
 		c.Files = append(c.Files, f.Name)
@@ -140,7 +134,7 @@ func Load(files []SourceFile, opts Options) (*Corpus, error) {
 	return c, nil
 }
 
-func (c *Corpus) loadFile(f SourceFile, opts Options) error {
+func (c *Corpus) loadFile(f SourceFile) error {
 	vp, err := syntax.NewVernParser(f.Src)
 	if err != nil {
 		return err
@@ -150,14 +144,14 @@ func (c *Corpus) loadFile(f SourceFile, opts Options) error {
 		return err
 	}
 	for _, sd := range decls {
-		if err := c.loadDecl(f, sd, opts); err != nil {
+		if err := c.loadDecl(f, sd); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (c *Corpus) loadDecl(f SourceFile, sd syntax.SpannedDecl, opts Options) error {
+func (c *Corpus) loadDecl(f SourceFile, sd syntax.SpannedDecl) error {
 	env := c.Env
 	switch d := sd.Decl.(type) {
 	case syntax.DImport:
@@ -221,7 +215,7 @@ func (c *Corpus) loadDecl(f SourceFile, sd syntax.SpannedDecl, opts Options) err
 		if err != nil {
 			return fmt.Errorf("function %s: %w", d.Name, err)
 		}
-		if err := checkTermNames(env, body, bound); err != nil {
+		if err := checkTermNames(env, body); err != nil {
 			return fmt.Errorf("function %s: %w", d.Name, err)
 		}
 		fd.Body = body
@@ -251,10 +245,8 @@ func (c *Corpus) loadDecl(f SourceFile, sd syntax.SpannedDecl, opts Options) err
 		if free := stmt.FreeVars(); len(free) > 0 {
 			return fmt.Errorf("lemma %s: unbound identifiers %v", d.Name, keys(free))
 		}
-		if opts.CheckProofs {
-			if err := tactic.CheckProof(env, stmt, d.Proof); err != nil {
-				return fmt.Errorf("lemma %s: human proof fails: %w", d.Name, err)
-			}
+		if err := tactic.CheckProof(env, stmt, d.Proof); err != nil {
+			return fmt.Errorf("lemma %s: human proof fails: %w", d.Name, err)
 		}
 		if err := env.AddLemma(&kernel.Lemma{Name: d.Name, Stmt: stmt}); err != nil {
 			return err
@@ -358,7 +350,7 @@ func resolveRule(env *kernel.Env, p *kernel.IndPred, raw syntax.RawRule, tparams
 
 // checkTermNames verifies that every application head in t names a known
 // constructor or function.
-func checkTermNames(env *kernel.Env, t *kernel.Term, bound map[string]bool) error {
+func checkTermNames(env *kernel.Env, t *kernel.Term) error {
 	var bad string
 	t.Subterms(func(u *kernel.Term) bool {
 		if u.IsApp() {
@@ -368,11 +360,6 @@ func checkTermNames(env *kernel.Env, t *kernel.Term, bound map[string]bool) erro
 					return false
 				}
 			}
-		}
-		if u.IsVar() && !bound[u.Var] {
-			// Pattern binders inside matches are legal; Subterms does not
-			// descend with binding info, so only flag clearly-global names.
-			_ = u
 		}
 		return true
 	})

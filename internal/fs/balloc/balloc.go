@@ -32,9 +32,6 @@ func New(log *wal.Log, start, count, blockStart int) (*Alloc, error) {
 	return &Alloc{log: log, start: start, count: count, blockStart: blockStart}, nil
 }
 
-// Count returns the number of managed blocks.
-func (a *Alloc) Count() int { return a.count }
-
 // Alloc finds a free block, marks it used, and returns its data-region
 // address.
 func (a *Alloc) Alloc() (int, error) {
@@ -67,33 +64,4 @@ func (a *Alloc) Free(block int) error {
 		return fmt.Errorf("balloc: double free of block %d", block)
 	}
 	return a.log.Write(a.start+i, 0)
-}
-
-// Used reports whether a block is allocated.
-func (a *Alloc) Used(block int) (bool, error) {
-	i := block - a.blockStart
-	if i < 0 || i >= a.count {
-		return false, fmt.Errorf("balloc: out of range: %d", block)
-	}
-	v, err := a.log.Read(a.start + i)
-	if err != nil {
-		return false, err
-	}
-	return v != 0, nil
-}
-
-// CountFree returns the number of free blocks (the dynamic analogue of the
-// corpus lemma count_free_le_length and friends).
-func (a *Alloc) CountFree() (int, error) {
-	n := 0
-	for i := 0; i < a.count; i++ {
-		v, err := a.log.Read(a.start + i)
-		if err != nil {
-			return 0, err
-		}
-		if v == 0 {
-			n++
-		}
-	}
-	return n, nil
 }

@@ -8,6 +8,7 @@ package dirtree
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"llmfscq/internal/fs/balloc"
 	"llmfscq/internal/fs/disk"
@@ -22,9 +23,6 @@ type Geometry struct {
 	NBlocks    int // file blocks managed by the allocator
 }
 
-// DefaultGeometry is comfortable for tests and examples.
-var DefaultGeometry = Geometry{LogEntries: 128, NInodes: 24, NBlocks: 160}
-
 // magic identifies a formatted file system.
 const magic uint64 = 0xf5c9_0001
 
@@ -34,7 +32,6 @@ const RootInum = 0
 // FS is a mounted file system.
 type FS struct {
 	geo    Geometry
-	disk   *disk.Disk
 	log    *wal.Log
 	alloc  *balloc.Alloc
 	itable *inode.Table
@@ -52,8 +49,8 @@ func (f *FS) bitmapAt() int { return 1 }
 func (f *FS) itableAt() int { return 1 + f.geo.NBlocks }
 func (f *FS) blocksAt() int { return 1 + f.geo.NBlocks + inode.RegionWords(f.geo.NInodes) }
 
-func mount(d *disk.Disk, g Geometry, l *wal.Log) (*FS, error) {
-	f := &FS{geo: g, disk: d, log: l}
+func mount(g Geometry, l *wal.Log) (*FS, error) {
+	f := &FS{geo: g, log: l}
 	a, err := balloc.New(l, f.bitmapAt(), g.NBlocks, f.blocksAt())
 	if err != nil {
 		return nil, err
@@ -74,18 +71,16 @@ func Mkfs(d *disk.Disk, g Geometry) (*FS, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := mount(d, g, l)
+	f, err := mount(g, l)
 	if err != nil {
 		return nil, err
 	}
-	if err := l.Write(f.superAt(), magic); err != nil {
-		return nil, err
-	}
-	root := inode.Inode{Num: RootInum, Type: inode.Dir}
-	if err := f.itable.Put(root); err != nil {
-		return nil, err
-	}
-	if err := l.Commit(); err != nil {
+	if err := f.txn(func() error {
+		if err := l.Write(f.superAt(), magic); err != nil {
+			return err
+		}
+		return f.itable.Put(inode.Inode{Num: RootInum, Type: inode.Dir})
+	}); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -97,7 +92,7 @@ func Mount(d *disk.Disk, g Geometry) (*FS, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := mount(d, g, l)
+	f, err := mount(g, l)
 	if err != nil {
 		return nil, err
 	}
@@ -111,31 +106,35 @@ func Mount(d *disk.Disk, g Geometry) (*FS, error) {
 	return f, nil
 }
 
-// Disk exposes the underlying device (for crash-injection tests).
-func (f *FS) Disk() *disk.Disk { return f.disk }
-
-// Alloc exposes the block allocator (for invariant checks).
-func (f *FS) Alloc() *balloc.Alloc { return f.alloc }
+// txn runs op as one WAL transaction: committed if op succeeds, aborted
+// (its buffered writes discarded) if it fails.
+func (f *FS) txn(op func() error) error {
+	if err := op(); err != nil {
+		f.log.Abort()
+		return err
+	}
+	return f.log.Commit()
+}
 
 // ---------------------------------------------------------------------------
 // Directory entries: each entry occupies two consecutive block slots of the
 // directory file: a nonzero name word and an inode number word.
 
-// DirEntry is one directory entry.
-type DirEntry struct {
+// dirEntry is one directory entry.
+type dirEntry struct {
 	Name uint64
 	Inum int
 }
 
 // readDir lists a directory inode's entries.
-func (f *FS) readDir(ino inode.Inode) ([]DirEntry, error) {
+func (f *FS) readDir(ino inode.Inode) ([]dirEntry, error) {
 	if ino.Type != inode.Dir {
 		return nil, fmt.Errorf("dirtree: inode %d is not a directory", ino.Num)
 	}
 	if ino.Size%2 != 0 {
 		return nil, fmt.Errorf("dirtree: corrupt directory size %d", ino.Size)
 	}
-	var out []DirEntry
+	var out []dirEntry
 	for k := 0; k+1 < ino.Size; k += 2 {
 		name, err := f.log.Read(ino.Blocks[k])
 		if err != nil {
@@ -145,53 +144,50 @@ func (f *FS) readDir(ino inode.Inode) ([]DirEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, DirEntry{Name: name, Inum: int(in)})
+		out = append(out, dirEntry{Name: name, Inum: int(in)})
 	}
 	return out, nil
 }
 
-// ReadDir lists the entries of the directory at inum.
-func (f *FS) ReadDir(inum int) ([]DirEntry, error) {
-	ino, err := f.itable.Get(inum)
-	if err != nil {
-		return nil, err
-	}
-	return f.readDir(ino)
-}
-
-// lookupIn finds name within a directory inode.
-func (f *FS) lookupIn(ino inode.Inode, name uint64) (int, bool, error) {
+// find reads a directory inode's entries and returns them with the index
+// of name among them, or -1.
+func (f *FS) find(ino inode.Inode, name uint64) ([]dirEntry, int, error) {
 	ents, err := f.readDir(ino)
 	if err != nil {
-		return 0, false, err
+		return nil, 0, err
 	}
-	for _, e := range ents {
-		if e.Name == name {
-			return e.Inum, true, nil
-		}
-	}
-	return 0, false, nil
+	return ents, slices.IndexFunc(ents, func(e dirEntry) bool { return e.Name == name }), nil
 }
 
-// Lookup resolves a pathname (a sequence of name words) from the root,
-// returning the inode number.
-func (f *FS) Lookup(path []uint64) (int, error) {
-	cur := RootInum
+// walk resolves a pathname (a sequence of name words) from the root,
+// returning the inode number of each inode along it: the root first, the
+// target last.
+func (f *FS) walk(path []uint64) ([]int, error) {
+	chain := []int{RootInum}
 	for _, name := range path {
-		ino, err := f.itable.Get(cur)
+		ino, err := f.itable.Get(chain[len(chain)-1])
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		next, ok, err := f.lookupIn(ino, name)
+		ents, i, err := f.find(ino, name)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		if !ok {
-			return 0, fmt.Errorf("dirtree: name %d not found", name)
+		if i < 0 {
+			return nil, fmt.Errorf("dirtree: name %d not found", name)
 		}
-		cur = next
+		chain = append(chain, ents[i].Inum)
 	}
-	return cur, nil
+	return chain, nil
+}
+
+// Lookup resolves a pathname from the root, returning the inode number.
+func (f *FS) Lookup(path []uint64) (int, error) {
+	chain, err := f.walk(path)
+	if err != nil {
+		return 0, err
+	}
+	return chain[len(chain)-1], nil
 }
 
 // addEntry appends (name, inum) to a directory, allocating the two entry
@@ -204,9 +200,9 @@ func (f *FS) addEntry(dirInum int, name uint64, target int) error {
 	if err != nil {
 		return err
 	}
-	if _, exists, err := f.lookupIn(ino, name); err != nil {
+	if _, i, err := f.find(ino, name); err != nil {
 		return err
-	} else if exists {
+	} else if i >= 0 {
 		return fmt.Errorf("dirtree: name %d already exists", name)
 	}
 	if ino.Size+2 > inode.NDirect {
@@ -232,27 +228,58 @@ func (f *FS) addEntry(dirInum int, name uint64, target int) error {
 	return f.itable.Put(ino)
 }
 
+// removeEntry unlinks name from a directory without touching the target
+// inode, freeing the entry blocks and moving the last entry into the hole.
+// It returns the target's inode number.
+func (f *FS) removeEntry(dirInum int, name uint64) (int, error) {
+	ino, err := f.itable.Get(dirInum)
+	if err != nil {
+		return 0, err
+	}
+	ents, idx, err := f.find(ino, name)
+	if err != nil {
+		return 0, err
+	}
+	if idx < 0 {
+		return 0, fmt.Errorf("dirtree: name %d not found", name)
+	}
+	if err := f.alloc.Free(ino.Blocks[2*idx]); err != nil {
+		return 0, err
+	}
+	if err := f.alloc.Free(ino.Blocks[2*idx+1]); err != nil {
+		return 0, err
+	}
+	last := ino.Size/2 - 1
+	ino.Blocks[2*idx] = ino.Blocks[2*last]
+	ino.Blocks[2*idx+1] = ino.Blocks[2*last+1]
+	ino.Blocks[2*last] = 0
+	ino.Blocks[2*last+1] = 0
+	ino.Size -= 2
+	if err := f.itable.Put(ino); err != nil {
+		return 0, err
+	}
+	return ents[idx].Inum, nil
+}
+
 // create allocates an inode of type ty and links it under the parent
 // directory, as one transaction.
 func (f *FS) create(parent []uint64, name uint64, ty uint64) (int, error) {
-	dirInum, err := f.Lookup(parent)
-	if err != nil {
-		f.log.Abort()
+	var inum int
+	if err := f.txn(func() error {
+		dir, err := f.Lookup(parent)
+		if err != nil {
+			return err
+		}
+		ino, err := f.itable.Alloc(ty)
+		if err != nil {
+			return err
+		}
+		inum = ino.Num
+		return f.addEntry(dir, name, inum)
+	}); err != nil {
 		return 0, err
 	}
-	ino, err := f.itable.Alloc(ty)
-	if err != nil {
-		f.log.Abort()
-		return 0, err
-	}
-	if err := f.addEntry(dirInum, name, ino.Num); err != nil {
-		f.log.Abort()
-		return 0, err
-	}
-	if err := f.log.Commit(); err != nil {
-		return 0, err
-	}
-	return ino.Num, nil
+	return inum, nil
 }
 
 // Create makes a new empty file under the parent directory path.
@@ -268,48 +295,40 @@ func (f *FS) Mkdir(parent []uint64, name uint64) (int, error) {
 // WriteFile replaces the contents of the file at inum with data (one word
 // per block), resizing as needed, in one transaction.
 func (f *FS) WriteFile(inum int, data []uint64) error {
-	ino, err := f.itable.Get(inum)
-	if err != nil {
-		f.log.Abort()
-		return err
-	}
-	if ino.Type != inode.File {
-		f.log.Abort()
-		return fmt.Errorf("dirtree: inode %d is not a file", inum)
-	}
-	if len(data) > inode.NDirect {
-		f.log.Abort()
-		return fmt.Errorf("dirtree: file too large: %d blocks", len(data))
-	}
-	// Shrink: free surplus blocks.
-	for k := len(data); k < ino.Size; k++ {
-		if err := f.alloc.Free(ino.Blocks[k]); err != nil {
-			f.log.Abort()
-			return err
-		}
-		ino.Blocks[k] = 0
-	}
-	// Grow: allocate missing blocks.
-	for k := ino.Size; k < len(data); k++ {
-		b, err := f.alloc.Alloc()
+	return f.txn(func() error {
+		ino, err := f.itable.Get(inum)
 		if err != nil {
-			f.log.Abort()
 			return err
 		}
-		ino.Blocks[k] = b
-	}
-	for k, v := range data {
-		if err := f.log.Write(ino.Blocks[k], v); err != nil {
-			f.log.Abort()
-			return err
+		if ino.Type != inode.File {
+			return fmt.Errorf("dirtree: inode %d is not a file", inum)
 		}
-	}
-	ino.Size = len(data)
-	if err := f.itable.Put(ino); err != nil {
-		f.log.Abort()
-		return err
-	}
-	return f.log.Commit()
+		if len(data) > inode.NDirect {
+			return fmt.Errorf("dirtree: file too large: %d blocks", len(data))
+		}
+		// Shrink: free surplus blocks.
+		for k := len(data); k < ino.Size; k++ {
+			if err := f.alloc.Free(ino.Blocks[k]); err != nil {
+				return err
+			}
+			ino.Blocks[k] = 0
+		}
+		// Grow: allocate missing blocks.
+		for k := ino.Size; k < len(data); k++ {
+			b, err := f.alloc.Alloc()
+			if err != nil {
+				return err
+			}
+			ino.Blocks[k] = b
+		}
+		for k, v := range data {
+			if err := f.log.Write(ino.Blocks[k], v); err != nil {
+				return err
+			}
+		}
+		ino.Size = len(data)
+		return f.itable.Put(ino)
+	})
 }
 
 // ReadFile returns the contents of the file at inum.
@@ -336,184 +355,51 @@ func (f *FS) ReadFile(inum int) ([]uint64, error) {
 // inode and blocks (the target must be a file or an empty directory), in
 // one transaction.
 func (f *FS) Unlink(parent []uint64, name uint64) error {
-	dirInum, err := f.Lookup(parent)
-	if err != nil {
-		f.log.Abort()
-		return err
-	}
-	ino, err := f.itable.Get(dirInum)
-	if err != nil {
-		f.log.Abort()
-		return err
-	}
-	ents, err := f.readDir(ino)
-	if err != nil {
-		f.log.Abort()
-		return err
-	}
-	idx := -1
-	for i, e := range ents {
-		if e.Name == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		f.log.Abort()
-		return fmt.Errorf("dirtree: name %d not found", name)
-	}
-	target, err := f.itable.Get(ents[idx].Inum)
-	if err != nil {
-		f.log.Abort()
-		return err
-	}
-	if target.Type == inode.Dir && target.Size > 0 {
-		f.log.Abort()
-		return errors.New("dirtree: directory not empty")
-	}
-	// Free the target's data blocks and inode.
-	for k := 0; k < target.Size; k++ {
-		if err := f.alloc.Free(target.Blocks[k]); err != nil {
-			f.log.Abort()
+	return f.txn(func() error {
+		dir, err := f.Lookup(parent)
+		if err != nil {
 			return err
 		}
-	}
-	if err := f.itable.FreeInode(target.Num); err != nil {
-		f.log.Abort()
-		return err
-	}
-	// Remove the entry: free its blocks and compact by moving the last
-	// entry into the hole.
-	if err := f.alloc.Free(ino.Blocks[2*idx]); err != nil {
-		f.log.Abort()
-		return err
-	}
-	if err := f.alloc.Free(ino.Blocks[2*idx+1]); err != nil {
-		f.log.Abort()
-		return err
-	}
-	last := ino.Size/2 - 1
-	if idx != last {
-		ino.Blocks[2*idx] = ino.Blocks[2*last]
-		ino.Blocks[2*idx+1] = ino.Blocks[2*last+1]
-	}
-	ino.Blocks[2*last] = 0
-	ino.Blocks[2*last+1] = 0
-	ino.Size -= 2
-	if err := f.itable.Put(ino); err != nil {
-		f.log.Abort()
-		return err
-	}
-	return f.log.Commit()
-}
-
-// lookupChain resolves a path, returning every inode number along the way
-// (including the root and the final target).
-func (f *FS) lookupChain(path []uint64) ([]int, error) {
-	chain := []int{RootInum}
-	cur := RootInum
-	for _, name := range path {
-		ino, err := f.itable.Get(cur)
+		inum, err := f.removeEntry(dir, name)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		next, ok, err := f.lookupIn(ino, name)
+		target, err := f.itable.Get(inum)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if !ok {
-			return nil, fmt.Errorf("dirtree: name %d not found", name)
+		if target.Type == inode.Dir && target.Size > 0 {
+			return errors.New("dirtree: directory not empty")
 		}
-		cur = next
-		chain = append(chain, cur)
-	}
-	return chain, nil
-}
-
-// removeEntry unlinks (name -> inum) from a directory without touching the
-// target inode, freeing the entry blocks and compacting.
-func (f *FS) removeEntry(dirInum int, name uint64) (int, error) {
-	ino, err := f.itable.Get(dirInum)
-	if err != nil {
-		return 0, err
-	}
-	ents, err := f.readDir(ino)
-	if err != nil {
-		return 0, err
-	}
-	idx := -1
-	for i, e := range ents {
-		if e.Name == name {
-			idx = i
-			break
+		for k := 0; k < target.Size; k++ {
+			if err := f.alloc.Free(target.Blocks[k]); err != nil {
+				return err
+			}
 		}
-	}
-	if idx < 0 {
-		return 0, fmt.Errorf("dirtree: name %d not found", name)
-	}
-	target := ents[idx].Inum
-	if err := f.alloc.Free(ino.Blocks[2*idx]); err != nil {
-		return 0, err
-	}
-	if err := f.alloc.Free(ino.Blocks[2*idx+1]); err != nil {
-		return 0, err
-	}
-	last := ino.Size/2 - 1
-	if idx != last {
-		ino.Blocks[2*idx] = ino.Blocks[2*last]
-		ino.Blocks[2*idx+1] = ino.Blocks[2*last+1]
-	}
-	ino.Blocks[2*last] = 0
-	ino.Blocks[2*last+1] = 0
-	ino.Size -= 2
-	if err := f.itable.Put(ino); err != nil {
-		return 0, err
-	}
-	return target, nil
+		return f.itable.FreeInode(inum)
+	})
 }
 
 // Rename moves srcName under srcParent to dstName under dstParent, in one
 // transaction. Moving a directory into its own subtree is rejected (it
 // would disconnect the tree), as is an existing destination name.
 func (f *FS) Rename(srcParent []uint64, srcName uint64, dstParent []uint64, dstName uint64) error {
-	srcDir, err := f.Lookup(srcParent)
-	if err != nil {
-		f.log.Abort()
-		return err
-	}
-	srcIno, err := f.itable.Get(srcDir)
-	if err != nil {
-		f.log.Abort()
-		return err
-	}
-	moved, ok, err := f.lookupIn(srcIno, srcName)
-	if err != nil {
-		f.log.Abort()
-		return err
-	}
-	if !ok {
-		f.log.Abort()
-		return fmt.Errorf("dirtree: name %d not found", srcName)
-	}
-	dstChain, err := f.lookupChain(dstParent)
-	if err != nil {
-		f.log.Abort()
-		return err
-	}
-	for _, inum := range dstChain {
-		if inum == moved {
-			f.log.Abort()
+	return f.txn(func() error {
+		srcDir, err := f.Lookup(srcParent)
+		if err != nil {
+			return err
+		}
+		dstChain, err := f.walk(dstParent)
+		if err != nil {
+			return err
+		}
+		moved, err := f.removeEntry(srcDir, srcName)
+		if err != nil {
+			return err
+		}
+		if slices.Contains(dstChain, moved) {
 			return errors.New("dirtree: cannot move a directory into its own subtree")
 		}
-	}
-	dstDir := dstChain[len(dstChain)-1]
-	if _, err := f.removeEntry(srcDir, srcName); err != nil {
-		f.log.Abort()
-		return err
-	}
-	if err := f.addEntry(dstDir, dstName, moved); err != nil {
-		f.log.Abort()
-		return err
-	}
-	return f.log.Commit()
+		return f.addEntry(dstChain[len(dstChain)-1], dstName, moved)
+	})
 }

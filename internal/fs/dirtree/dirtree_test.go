@@ -1,35 +1,36 @@
 package dirtree
 
 import (
-	"math/rand"
-	"strings"
 	"testing"
 
 	"llmfscq/internal/fs/disk"
 )
 
-func mkfs(t *testing.T) *FS {
+// mkfs formats a fresh disk of testGeometry.
+func mkfs(t *testing.T) (*FS, *disk.Disk) {
 	t.Helper()
-	d := disk.New(DiskBlocks(DefaultGeometry))
-	f, err := Mkfs(d, DefaultGeometry)
+	d := disk.New(DiskBlocks(testGeometry))
+	f, err := Mkfs(d, testGeometry)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f
+	return f, d
+}
+
+// check asserts the invariants over f's abstraction (conform_test.go).
+func check(t *testing.T, f *FS) {
+	t.Helper()
+	newSpec(t).check(f)
 }
 
 func TestMkfsMount(t *testing.T) {
-	f := mkfs(t)
-	if err := f.Fsck(); err != nil {
-		t.Fatal(err)
-	}
-	g, err := Mount(f.Disk(), DefaultGeometry)
+	f, d := mkfs(t)
+	check(t, f)
+	g, err := Mount(d, testGeometry)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Fsck(); err != nil {
-		t.Fatal(err)
-	}
+	check(t, g)
 	inum, err := g.Lookup(nil)
 	if err != nil || inum != RootInum {
 		t.Fatalf("root lookup: %d, %v", inum, err)
@@ -37,14 +38,14 @@ func TestMkfsMount(t *testing.T) {
 }
 
 func TestMountUnformatted(t *testing.T) {
-	d := disk.New(DiskBlocks(DefaultGeometry))
-	if _, err := Mount(d, DefaultGeometry); err == nil {
+	d := disk.New(DiskBlocks(testGeometry))
+	if _, err := Mount(d, testGeometry); err == nil {
 		t.Fatal("mounted an unformatted disk")
 	}
 }
 
 func TestCreateWriteRead(t *testing.T) {
-	f := mkfs(t)
+	f, _ := mkfs(t)
 	inum, err := f.Create(nil, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -60,20 +61,16 @@ func TestCreateWriteRead(t *testing.T) {
 	if len(got) != 3 || got[0] != 10 || got[2] != 30 {
 		t.Fatalf("read back %v", got)
 	}
-	if err := f.Fsck(); err != nil {
-		t.Fatal(err)
-	}
+	check(t, f)
 	// Rewrite smaller: blocks must be freed, not leaked.
 	if err := f.WriteFile(inum, []uint64{1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Fsck(); err != nil {
-		t.Fatal(err)
-	}
+	check(t, f)
 }
 
 func TestMkdirNested(t *testing.T) {
-	f := mkfs(t)
+	f, _ := mkfs(t)
 	if _, err := f.Mkdir(nil, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -88,26 +85,22 @@ func TestMkdirNested(t *testing.T) {
 	if err != nil || got != inum {
 		t.Fatalf("lookup: %d, %v", got, err)
 	}
-	if err := f.Fsck(); err != nil {
-		t.Fatal(err)
-	}
+	check(t, f)
 }
 
 func TestDuplicateNameRejected(t *testing.T) {
-	f := mkfs(t)
+	f, _ := mkfs(t)
 	if _, err := f.Create(nil, 5); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.Create(nil, 5); err == nil {
 		t.Fatal("duplicate name accepted (tree_names_distinct violated)")
 	}
-	if err := f.Fsck(); err != nil {
-		t.Fatal(err)
-	}
+	check(t, f)
 }
 
 func TestUnlink(t *testing.T) {
-	f := mkfs(t)
+	f, _ := mkfs(t)
 	inum, err := f.Create(nil, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -115,24 +108,22 @@ func TestUnlink(t *testing.T) {
 	if err := f.WriteFile(inum, []uint64{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	free0, _ := f.Alloc().CountFree()
+	s := newSpec(t)
+	free0 := s.nat("count_free", s.check(f).bitmap)
 	if err := f.Unlink(nil, 9); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.Lookup([]uint64{9}); err == nil {
 		t.Fatal("unlinked name still resolves")
 	}
-	free1, _ := f.Alloc().CountFree()
+	free1 := s.nat("count_free", s.check(f).bitmap)
 	if free1 != free0+6 { // 4 data blocks + 2 entry blocks
 		t.Fatalf("blocks leaked: %d -> %d", free0, free1)
-	}
-	if err := f.Fsck(); err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestUnlinkNonEmptyDirRejected(t *testing.T) {
-	f := mkfs(t)
+	f, _ := mkfs(t)
 	if _, err := f.Mkdir(nil, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -142,129 +133,11 @@ func TestUnlinkNonEmptyDirRejected(t *testing.T) {
 	if err := f.Unlink(nil, 1); err == nil {
 		t.Fatal("removed a non-empty directory")
 	}
-	if err := f.Fsck(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// scriptOp is one step of the crash-sweep workload.
-type scriptOp func(f *FS) error
-
-func workload() []scriptOp {
-	return []scriptOp{
-		func(f *FS) error { _, err := f.Mkdir(nil, 1); return err },
-		func(f *FS) error { _, err := f.Create(nil, 2); return err },
-		func(f *FS) error {
-			inum, err := f.Lookup([]uint64{2})
-			if err != nil {
-				return err
-			}
-			return f.WriteFile(inum, []uint64{11, 22, 33})
-		},
-		func(f *FS) error { _, err := f.Create([]uint64{1}, 3); return err },
-		func(f *FS) error {
-			inum, err := f.Lookup([]uint64{1, 3})
-			if err != nil {
-				return err
-			}
-			return f.WriteFile(inum, []uint64{7})
-		},
-		func(f *FS) error {
-			inum, err := f.Lookup([]uint64{2})
-			if err != nil {
-				return err
-			}
-			return f.WriteFile(inum, []uint64{9, 9})
-		},
-		func(f *FS) error { return f.Unlink([]uint64{1}, 3) },
-		func(f *FS) error { return f.Unlink(nil, 2) },
-	}
-}
-
-// buildTo replays the workload prefix [0,k) on a fresh file system.
-func buildTo(t *testing.T, k int) *FS {
-	t.Helper()
-	f := mkfs(t)
-	ops := workload()
-	for i := 0; i < k; i++ {
-		if err := ops[i](f); err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-	}
-	return f
-}
-
-// TestCrashSweep is the headline crash-safety property, the dynamic
-// analogue of FSCQ's whole-system theorem: for every operation of the
-// workload, every write-level crash point during it, and several
-// materializations of the disk nondeterminism, mounting the crashed disk
-// yields a file system that (a) passes Fsck and (b) is observably either
-// the pre-operation or the post-operation tree.
-func TestCrashSweep(t *testing.T) {
-	ops := workload()
-	for opIdx := range ops {
-		pre, err := buildTo(t, opIdx).DumpTree()
-		if err != nil {
-			t.Fatal(err)
-		}
-		post, err := buildTo(t, opIdx+1).DumpTree()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for failAfter := 0; ; failAfter++ {
-			f := buildTo(t, opIdx)
-			f.Disk().FailAfter(failAfter)
-			opErr := ops[opIdx](f)
-			if !f.Disk().Crashed() {
-				if opErr != nil {
-					t.Fatalf("op %d failed without crash: %v", opIdx, opErr)
-				}
-				break // crash point beyond the operation; sweep done
-			}
-			for seed := int64(0); seed < 4; seed++ {
-				crashed := f.Disk().Crash(rand.New(rand.NewSource(seed*31 + int64(failAfter))))
-				g, err := Mount(crashed, DefaultGeometry)
-				if err != nil {
-					t.Fatalf("op %d failAfter %d: mount: %v", opIdx, failAfter, err)
-				}
-				if err := g.Fsck(); err != nil {
-					t.Fatalf("op %d failAfter %d seed %d: fsck: %v", opIdx, failAfter, seed, err)
-				}
-				dump, err := g.DumpTree()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if dump != pre && dump != post {
-					t.Fatalf("op %d failAfter %d seed %d: non-atomic tree:\n%s\npre:\n%s\npost:\n%s",
-						opIdx, failAfter, seed, dump, pre, post)
-				}
-			}
-			// f.Disk().Crash above invalidates f; next iteration rebuilds.
-		}
-	}
-}
-
-// TestDumpStable checks DumpTree is canonical (sorted) so crash comparisons
-// are order-insensitive.
-func TestDumpStable(t *testing.T) {
-	f := mkfs(t)
-	if _, err := f.Create(nil, 5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Create(nil, 3); err != nil {
-		t.Fatal(err)
-	}
-	dump, err := f.DumpTree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(dump, "/3") || strings.Index(dump, "/3") > strings.Index(dump, "/5") {
-		t.Fatalf("dump not sorted:\n%s", dump)
-	}
+	check(t, f)
 }
 
 func TestRename(t *testing.T) {
-	f := mkfs(t)
+	f, _ := mkfs(t)
 	if _, err := f.Mkdir(nil, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -290,13 +163,11 @@ func TestRename(t *testing.T) {
 	if err != nil || len(data) != 1 || data[0] != 5 {
 		t.Fatalf("contents after rename: %v %v", data, err)
 	}
-	if err := f.Fsck(); err != nil {
-		t.Fatal(err)
-	}
+	check(t, f)
 }
 
 func TestRenameRejectsCycle(t *testing.T) {
-	f := mkfs(t)
+	f, _ := mkfs(t)
 	if _, err := f.Mkdir(nil, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -307,13 +178,11 @@ func TestRenameRejectsCycle(t *testing.T) {
 	if err := f.Rename(nil, 1, []uint64{1, 2}, 3); err == nil {
 		t.Fatal("cycle-creating rename accepted")
 	}
-	if err := f.Fsck(); err != nil {
-		t.Fatal(err)
-	}
+	check(t, f)
 }
 
 func TestRenameRejectsExistingDst(t *testing.T) {
-	f := mkfs(t)
+	f, _ := mkfs(t)
 	if _, err := f.Create(nil, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -323,52 +192,5 @@ func TestRenameRejectsExistingDst(t *testing.T) {
 	if err := f.Rename(nil, 1, nil, 2); err == nil {
 		t.Fatal("rename onto existing name accepted")
 	}
-	if err := f.Fsck(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Rename participates in the crash-atomicity guarantee.
-func TestRenameCrashAtomic(t *testing.T) {
-	build := func() *FS {
-		f := mkfs(t)
-		if _, err := f.Mkdir(nil, 1); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Create(nil, 2); err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	pre, _ := build().DumpTree()
-	f0 := build()
-	if err := f0.Rename(nil, 2, []uint64{1}, 9); err != nil {
-		t.Fatal(err)
-	}
-	post, _ := f0.DumpTree()
-	for failAfter := 0; ; failAfter++ {
-		f := build()
-		f.Disk().FailAfter(failAfter)
-		err := f.Rename(nil, 2, []uint64{1}, 9)
-		if !f.Disk().Crashed() {
-			if err != nil {
-				t.Fatalf("rename failed without crash: %v", err)
-			}
-			break
-		}
-		for seed := int64(0); seed < 3; seed++ {
-			crashed := f.Disk().Crash(rand.New(rand.NewSource(seed + int64(failAfter))))
-			g, err := Mount(crashed, DefaultGeometry)
-			if err != nil {
-				t.Fatalf("mount: %v", err)
-			}
-			if err := g.Fsck(); err != nil {
-				t.Fatalf("failAfter %d seed %d: fsck: %v", failAfter, seed, err)
-			}
-			dump, _ := g.DumpTree()
-			if dump != pre && dump != post {
-				t.Fatalf("failAfter %d: non-atomic rename:\n%s", failAfter, dump)
-			}
-		}
-	}
+	check(t, f)
 }

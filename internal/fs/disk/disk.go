@@ -4,7 +4,9 @@
 // unsynced write is independently either applied or lost.
 //
 // Fault injection is deterministic: FailAfter arms a crash at the N-th
-// write, letting tests sweep every crash point of an operation.
+// write, letting tests sweep every crash point of an operation, and Crash
+// draws which unsynced writes survive from the caller's seeded rng in
+// block order, so a seed reproduces a crash.
 package disk
 
 import (
@@ -23,14 +25,11 @@ var ErrCrashed = errors.New("disk: crashed")
 type Disk struct {
 	volatile []uint64
 	synced   []uint64
-	dirty    map[int]bool
+	dirty    []bool // written since the last Sync, by block
 
 	writes    int
 	failAfter int // crash when writes reaches this count; <0 disarmed
 	crashed   bool
-
-	// Stats
-	Reads, Writes, Syncs int
 }
 
 // New creates a zeroed disk with n blocks.
@@ -38,7 +37,7 @@ func New(n int) *Disk {
 	return &Disk{
 		volatile:  make([]uint64, n),
 		synced:    make([]uint64, n),
-		dirty:     map[int]bool{},
+		dirty:     make([]bool, n),
 		failAfter: -1,
 	}
 }
@@ -54,7 +53,6 @@ func (d *Disk) Read(a int) (uint64, error) {
 	if a < 0 || a >= len(d.volatile) {
 		return 0, fmt.Errorf("disk: read out of range: %d", a)
 	}
-	d.Reads++
 	return d.volatile[a], nil
 }
 
@@ -71,7 +69,6 @@ func (d *Disk) Write(a int, v uint64) error {
 		return ErrCrashed
 	}
 	d.writes++
-	d.Writes++
 	d.volatile[a] = v
 	d.dirty[a] = true
 	return nil
@@ -82,11 +79,8 @@ func (d *Disk) Sync() error {
 	if d.crashed {
 		return ErrCrashed
 	}
-	d.Syncs++
-	for a := range d.dirty {
-		d.synced[a] = d.volatile[a]
-	}
-	d.dirty = map[int]bool{}
+	copy(d.synced, d.volatile)
+	clear(d.dirty)
 	return nil
 }
 
@@ -102,24 +96,17 @@ func (d *Disk) Crashed() bool { return d.crashed }
 
 // Crash materializes a crash: it returns a fresh disk whose contents are
 // the synced state plus an rng-chosen subset of the unsynced writes — the
-// standard asynchronous-disk crash nondeterminism. The receiver is left
-// unusable.
+// standard asynchronous-disk crash nondeterminism. The rng is drawn once
+// per unsynced block, in block order. The receiver is left unusable.
 func (d *Disk) Crash(rng *rand.Rand) *Disk {
 	nd := New(len(d.volatile))
 	copy(nd.volatile, d.synced)
-	for a := range d.dirty {
-		if rng.Intn(2) == 1 {
+	for a, dirty := range d.dirty {
+		if dirty && rng.Intn(2) == 1 {
 			nd.volatile[a] = d.volatile[a]
 		}
 	}
 	copy(nd.synced, nd.volatile)
 	d.crashed = true
 	return nd
-}
-
-// Snapshot copies the volatile contents (for test assertions).
-func (d *Disk) Snapshot() []uint64 {
-	out := make([]uint64, len(d.volatile))
-	copy(out, d.volatile)
-	return out
 }

@@ -2,6 +2,7 @@ package disk
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -81,5 +82,31 @@ func TestFailAfter(t *testing.T) {
 	}
 	if err := d.Sync(); err != ErrCrashed {
 		t.Fatal("sync allowed after crash")
+	}
+}
+
+// TestCrashReproducible: a crash is a function of the disk and the seed,
+// so a failing crash test can be replayed from its seed.
+func TestCrashReproducible(t *testing.T) {
+	const n = 32
+	crash := func() []uint64 {
+		d := New(n)
+		for i := 0; i < n; i++ {
+			if err := d.Write(i, uint64(1+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nd := d.Crash(rand.New(rand.NewSource(7)))
+		out := make([]uint64, n)
+		for i := range out {
+			out[i], _ = nd.Read(i)
+		}
+		return out
+	}
+	first := crash()
+	for run := 0; run < 20; run++ {
+		if got := crash(); !slices.Equal(got, first) {
+			t.Fatalf("run %d: same seed, different crash:\n%v\n%v", run, got, first)
+		}
 	}
 }

@@ -51,9 +51,6 @@ func New(log *wal.Log, start, count int) (*Table, error) {
 	return &Table{log: log, start: start, count: count}, nil
 }
 
-// Count returns the table capacity.
-func (t *Table) Count() int { return t.count }
-
 // RegionWords returns the number of data-region words a table of count
 // inodes occupies.
 func RegionWords(count int) int { return count * recWords }

@@ -50,11 +50,14 @@ go test -run '^TestAlloc' ./internal/...
 echo "==> (cd sweepbench && go vet ./... && go test ./...)"
 (cd sweepbench && go vet ./... && go test ./...)
 
-# The wire's one binary-level step: the serapi example starts a checkerd,
-# proves a lemma over the protocol with Exec and Cancel, and exits nonzero
-# on any client error or a wrong final script.
-echo "==> go run ./examples/serapi"
-go run ./examples/serapi >/dev/null
+# Every example runs, and each exits nonzero when it fails: quickstart
+# unless it proves app_nil_r, and serapi (the wire's one binary-level step:
+# it starts a checkerd and proves a lemma over the protocol with Exec and
+# Cancel) on any client error or a wrong final script.
+for ex in examples/*/; do
+	echo "==> go run ./$ex"
+	go run "./$ex" >/dev/null
+done
 
 # Proof-store equivalence at full scale. The in-process schedule is held to
 # the committed seed-2025 oracle by TestExperimentsMatchOracle, which the
