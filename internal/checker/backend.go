@@ -5,24 +5,6 @@ import (
 	"llmfscq/internal/tactic"
 )
 
-// Step is the outcome of trying one tactic sentence against a backend —
-// the backend-neutral analogue of Result. Backends never surface transport
-// errors here: a remote backend takes every verdict from its local mirror
-// and only counts what the wire does, so a Step always reflects a checker
-// verdict.
-type Step struct {
-	Status   Status
-	NumGoals int
-	// Proved reports whether the resulting state closes the proof.
-	Proved bool
-	// State is the successor proof state when Status == Applied. It is
-	// always populated: backends that execute remotely keep a local mirror
-	// precisely so the search can keep expanding structurally.
-	State *tactic.State
-	// Err holds the checker's message for Rejected/Timeout.
-	Err error
-}
-
 // Doc is one open proof attempt against a backend. The search drives it
 // with Try: stateless with respect to the document tip, so a best-first
 // search can probe candidates from any explored node in any order.
@@ -91,12 +73,7 @@ func (d *inProcessDoc) Try(parent *tactic.State, path []string, sentence string)
 }
 
 func (d *inProcessDoc) TryScratch(parent *tactic.State, path []string, sentence string, sc *kernel.Scratch) Step {
-	res := TryTacticS(parent, sentence, sc)
-	st := Step{Status: res.Status, NumGoals: res.NumGoals, State: res.State, Err: res.Err}
-	if res.Status == Applied {
-		st.Proved = res.State.Done()
-	}
-	return st
+	return TryTacticS(parent, sentence, sc)
 }
 
 func (d *inProcessDoc) Close() error { return nil }

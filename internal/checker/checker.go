@@ -39,35 +39,43 @@ func (s Status) String() string {
 	}
 }
 
-// Result is the outcome of executing one tactic.
-type Result struct {
+// Step is the outcome of executing one tactic sentence: from TryTactic, a
+// Session, or a backend's Doc. Backends never surface transport errors
+// here: a remote backend takes every verdict from its local mirror and
+// only counts what the wire does, so a Step always reflects a checker
+// verdict.
+type Step struct {
 	Status Status
-	// State is the successor proof state when Status == Applied.
+	// State is the successor proof state when Status == Applied. Backends
+	// always populate it: those that execute remotely keep a local mirror
+	// precisely so the search can keep expanding structurally.
 	State *tactic.State
 	// NumGoals is the number of open goals after application.
 	NumGoals int
+	// Proved reports whether State closes the proof.
+	Proved bool
 	// Err holds the checker's message for Rejected/Timeout.
 	Err error
 }
 
 // TryTactic applies one tactic sentence to a proof state, classifying
 // failures. It never mutates the input state.
-func TryTactic(state *tactic.State, sentence string) Result {
+func TryTactic(state *tactic.State, sentence string) Step {
 	return TryTacticS(state, sentence, nil)
 }
 
 // TryTacticS is TryTactic with a per-search scratch arena for the tactic
 // interpreter's transient buffers (sc may be nil). The returned states never
-// alias scratch memory, so a search worker reuses one Scratch for every Try.
-func TryTacticS(state *tactic.State, sentence string, sc *kernel.Scratch) Result {
+// alias scratch memory, so a search reuses one Scratch for every Try.
+func TryTacticS(state *tactic.State, sentence string, sc *kernel.Scratch) Step {
 	ns, err := tactic.ApplySentenceS(state, sentence, sc)
 	if err != nil {
 		if tactic.IsTimeout(err) {
-			return Result{Status: Timeout, Err: err}
+			return Step{Status: Timeout, Err: err}
 		}
-		return Result{Status: Rejected, Err: err}
+		return Step{Status: Rejected, Err: err}
 	}
-	return Result{Status: Applied, State: ns, NumGoals: len(ns.Goals)}
+	return Step{Status: Applied, State: ns, NumGoals: len(ns.Goals), Proved: ns.Done()}
 }
 
 // Session is a linear proof document: an initial goal plus the executed
@@ -120,13 +128,14 @@ func (s *Session) Add(sentence string) error {
 func (s *Session) Queued() int { return len(s.queue) }
 
 // ExecQueued executes the queued sentences in order, stopping at the first
-// failure (whose Result it returns; the unexecuted remainder stays queued).
+// failure (whose Step it returns; the unexecuted remainder stays queued).
 // The queue's backing array is reused across Add/ExecQueued cycles: draining
 // shifts survivors to the front and clears the tail instead of re-slicing
 // forward, which would pin every executed sentence for the session's
 // lifetime and grow the array without bound.
-func (s *Session) ExecQueued() Result {
-	res := Result{Status: Applied, State: s.Tip(), NumGoals: len(s.Tip().Goals)}
+func (s *Session) ExecQueued() Step {
+	tip := s.Tip()
+	res := Step{Status: Applied, State: tip, NumGoals: len(tip.Goals), Proved: tip.Done()}
 	for i := 0; i < len(s.queue); i++ {
 		res = s.Exec(s.queue[i])
 		if res.Status != Applied {
@@ -142,7 +151,7 @@ func (s *Session) ExecQueued() Result {
 }
 
 // Exec runs one sentence at the tip of the document.
-func (s *Session) Exec(sentence string) Result {
+func (s *Session) Exec(sentence string) Step {
 	res := TryTactic(s.Tip(), sentence)
 	if res.Status == Applied {
 		s.states = append(s.states, res.State)

@@ -2,7 +2,9 @@
 // tree search over proof states, scored by the cumulative log-probability
 // of the tactics on the path from the root (§3). It also provides the
 // trial-and-error linear search the paper contrasts with (Rango-style) and
-// a greedy variant used for ablations.
+// a greedy variant used for ablations. The three differ only in which node
+// they expand next: each spends a query on it and runs its candidates
+// through one shared step.
 //
 // A tactic is invalid if it (1) is rejected by the checker, (2) reaches a
 // proof state already encountered in the search tree, or (3) exceeds the
@@ -13,6 +15,7 @@ package core
 
 import (
 	"container/heap"
+	"slices"
 
 	"llmfscq/internal/checker"
 	"llmfscq/internal/kernel"
@@ -181,214 +184,189 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
+// search is the state one search threads through its selection loop: the
+// document, the scratch arena, the duplicate-state set and the Result so
+// far. BestFirst, Linear and Greedy differ only in which node they hand to
+// query next and which children they keep.
+type search struct {
+	cfg  Config
+	doc  checker.Doc
+	st   checker.ScratchTryer
+	sc   *kernel.Scratch // nil unless st is set
+	seen map[[2]uint64]bool
+	res  Result
+}
+
+// newSearch opens the document and returns the search with its root node.
+// When the document is a checker.ScratchTryer, the search owns one
+// kernel.Scratch (DESIGN.md §13) for every Try it makes: the scratch
+// recycles the tactic interpreter's transient buffers, and the states a
+// Try returns never alias them.
+func newSearch(cfg Config) (*search, *node) {
+	s := &search{cfg: cfg.WithDefaults()}
+	s.doc = s.cfg.open()
+	if st, ok := s.doc.(checker.ScratchTryer); ok {
+		s.st, s.sc = st, &kernel.Scratch{}
+	}
+	root := &node{state: s.doc.Root()}
+	s.seen = newSeen(s.cfg, root)
+	return s, root
+}
+
+// query spends one model query on n and returns its candidates, truncated
+// to Width, and n's path. With the query limit spent it sets Fuelout and
+// returns ok false. The candidates may be the model's reused scratch:
+// they are valid until the next query.
+func (s *search) query(n *node) (cands []model.Candidate, path []string, ok bool) {
+	if s.res.Queries >= s.cfg.QueryLimit {
+		s.res.Status = Fuelout
+		return nil, nil, false
+	}
+	s.res.Queries++
+	s.res.Expanded++
+	path = n.path()
+	cands = s.cfg.Propose(n.state, path)
+	if len(cands) > s.cfg.Width {
+		cands = cands[:s.cfg.Width]
+	}
+	return cands, path, true
+}
+
+// child runs cand at n, whose path is path, and returns the new node, or
+// nil when cand is invalid: rejected, timed out, or reaching a state
+// already in the search, each counted in the Result. proved reports that
+// the new node closes the proof; the Result then holds it. Each search
+// calls child on a query's candidates in order, so the counters, the seen
+// set and the early exit are the same whatever the backend.
+func (s *search) child(n *node, path []string, cand model.Candidate) (c *node, proved bool) {
+	var out checker.Step
+	if s.st != nil {
+		out = s.st.TryScratch(n.state, path, cand.Tactic, s.sc)
+	} else {
+		out = s.doc.Try(n.state, path, cand.Tactic)
+	}
+	switch out.Status {
+	case checker.Rejected:
+		s.res.InvalidRejected++
+		return nil, false
+	case checker.Timeout:
+		s.res.InvalidTimeout++
+		return nil, false
+	}
+	c = &node{state: out.State, parent: n, tac: cand.Tactic, cum: n.cum + cand.LogProb, depth: n.depth + 1}
+	if out.Proved {
+		s.res.Status, s.res.Proof = Proved, c.path()
+		return c, true
+	}
+	fp := out.State.FingerprintKey()
+	if s.seen[fp] {
+		s.res.InvalidDuplicate++
+		return nil, false
+	}
+	s.seen[fp] = true
+	return c, false
+}
+
 // BestFirst runs the paper's search:
 //
 //	Selection: pop the unexpanded goal with the highest cumulative
 //	log-probability. Expansion: query the model; append each valid
 //	predicted tactic as a child.
 func BestFirst(cfg Config) Result {
-	cfg = cfg.WithDefaults()
-	res := Result{}
-	doc := cfg.open()
-	defer doc.Close()
-	x := newExpander(doc)
-	root := &node{state: doc.Root()}
-	seen := newSeen(cfg, root)
-	open := &nodeHeap{}
-	heap.Init(open)
-	heap.Push(open, root)
+	s, root := newSearch(cfg)
+	defer s.doc.Close()
+	open := &nodeHeap{root}
 	seq := 0
-
 	for open.Len() > 0 {
-		if res.Queries >= cfg.QueryLimit {
-			res.Status = Fuelout
-			return res
-		}
 		best := heap.Pop(open).(*node)
-		res.Queries++
-		res.Expanded++
-		path := best.path()
-		cands := cfg.Propose(best.state, path)
-		if len(cands) > cfg.Width {
-			cands = cands[:cfg.Width]
+		cands, path, ok := s.query(best)
+		if !ok {
+			return s.res
 		}
-		// Outcomes are consumed in candidate order, each executed on first
-		// use, so the counters, the seen set, and the early Proved exit are
-		// identical whatever the backend.
-		exp := x.expand(best.state, path, cands)
-		for i := 0; i < exp.len(); i++ {
-			cand := exp.cand(i)
-			out := exp.step(i)
-			switch out.Status {
-			case checker.Rejected:
-				res.InvalidRejected++
-				continue
-			case checker.Timeout:
-				res.InvalidTimeout++
-				continue
+		for _, cand := range cands {
+			c, proved := s.child(best, path, cand)
+			if proved {
+				return s.res
 			}
-			child := &node{
-				state:  out.State,
-				parent: best,
-				tac:    cand.Tactic,
-				cum:    best.cum + cand.LogProb,
-				depth:  best.depth + 1,
+			if c != nil {
+				seq++
+				c.seq = seq
+				heap.Push(open, c)
 			}
-			if out.State.Done() {
-				res.Status = Proved
-				res.Proof = child.path()
-				return res
-			}
-			fp := out.State.FingerprintKey()
-			if seen[fp] {
-				res.InvalidDuplicate++
-				continue
-			}
-			seen[fp] = true
-			seq++
-			child.seq = seq
-			heap.Push(open, child)
 		}
-		x.put(exp)
 	}
-	res.Status = Stuck
-	return res
+	s.res.Status = Stuck
+	return s.res
 }
 
 // Linear runs the Rango-style trial-and-error linear search baseline: at
 // each state take the first valid candidate in model order; on a dead end,
 // backtrack to the most recent state with untried candidates.
 func Linear(cfg Config) Result {
-	cfg = cfg.WithDefaults()
-	res := Result{}
-	doc := cfg.open()
-	defer doc.Close()
-	x := newExpander(doc)
+	s, root := newSearch(cfg)
+	defer s.doc.Close()
+	// A frame keeps the untried candidates of one node.
 	type frame struct {
-		n    *node
-		exp  *expansion
-		next int
+		n     *node
+		path  []string
+		cands []model.Candidate
 	}
-	root := &node{state: doc.Root()}
-	seen := newSeen(cfg, root)
 	var stack []frame
-
-	expand := func(n *node) bool {
-		if res.Queries >= cfg.QueryLimit {
-			return false
+	push := func(n *node) bool {
+		cands, path, ok := s.query(n)
+		if ok {
+			// The frame owns a copy: it outlives the model's proposal
+			// scratch, which the next query overwrites.
+			stack = append(stack, frame{n, path, slices.Clone(cands)})
 		}
-		res.Queries++
-		res.Expanded++
-		path := n.path()
-		cands := cfg.Propose(n.state, path)
-		if len(cands) > cfg.Width {
-			cands = cands[:cfg.Width]
-		}
-		// The expansion owns a copy of cands: frames outlive the model's
-		// proposal scratch, which the next Propose call overwrites.
-		stack = append(stack, frame{n: n, exp: x.expand(n.state, path, cands)})
-		return true
+		return ok
 	}
-	if !expand(root) {
-		res.Status = Fuelout
-		return res
+	if !push(root) {
+		return s.res
 	}
 	for len(stack) > 0 {
 		top := &stack[len(stack)-1]
-		if top.next >= top.exp.len() {
-			x.put(top.exp)
-			stack[len(stack)-1] = frame{}
+		if len(top.cands) == 0 {
 			stack = stack[:len(stack)-1]
 			continue
 		}
-		i := top.next
-		top.next++
-		cand := top.exp.cand(i)
-		out := top.exp.step(i)
-		switch out.Status {
-		case checker.Rejected:
-			res.InvalidRejected++
-			continue
-		case checker.Timeout:
-			res.InvalidTimeout++
-			continue
+		cand := top.cands[0]
+		top.cands = top.cands[1:]
+		c, proved := s.child(top.n, top.path, cand)
+		if proved {
+			return s.res
 		}
-		child := &node{state: out.State, parent: top.n, tac: cand.Tactic, depth: top.n.depth + 1}
-		if out.State.Done() {
-			res.Status = Proved
-			res.Proof = child.path()
-			return res
-		}
-		fp := out.State.FingerprintKey()
-		if seen[fp] {
-			res.InvalidDuplicate++
-			continue
-		}
-		seen[fp] = true
-		if !expand(child) {
-			res.Status = Fuelout
-			return res
+		if c != nil && !push(c) {
+			return s.res
 		}
 	}
-	res.Status = Stuck
-	return res
+	s.res.Status = Stuck
+	return s.res
 }
 
 // Greedy is the no-backtracking ablation: always follow the single best
 // valid candidate.
 func Greedy(cfg Config) Result {
-	cfg = cfg.WithDefaults()
-	res := Result{}
-	doc := cfg.open()
-	defer doc.Close()
-	x := newExpander(doc)
-	cur := &node{state: doc.Root()}
-	seen := newSeen(cfg, cur)
-	for {
-		if res.Queries >= cfg.QueryLimit {
-			res.Status = Fuelout
-			return res
+	s, cur := newSearch(cfg)
+	defer s.doc.Close()
+	for cur != nil {
+		cands, path, ok := s.query(cur)
+		if !ok {
+			return s.res
 		}
-		res.Queries++
-		res.Expanded++
-		path := cur.path()
-		cands := cfg.Propose(cur.state, path)
-		if len(cands) > cfg.Width {
-			cands = cands[:cfg.Width]
-		}
-		exp := x.expand(cur.state, path, cands)
 		var next *node
-		for i := 0; i < exp.len(); i++ {
-			cand := exp.cand(i)
-			out := exp.step(i)
-			switch out.Status {
-			case checker.Rejected:
-				res.InvalidRejected++
-				continue
-			case checker.Timeout:
-				res.InvalidTimeout++
-				continue
+		for _, cand := range cands {
+			c, proved := s.child(cur, path, cand)
+			if proved {
+				return s.res
 			}
-			child := &node{state: out.State, parent: cur, tac: cand.Tactic, depth: cur.depth + 1}
-			if out.State.Done() {
-				res.Status = Proved
-				res.Proof = child.path()
-				return res
+			if c != nil {
+				next = c
+				break
 			}
-			fp := out.State.FingerprintKey()
-			if seen[fp] {
-				res.InvalidDuplicate++
-				continue
-			}
-			seen[fp] = true
-			next = child
-			break
-		}
-		x.put(exp)
-		if next == nil {
-			res.Status = Stuck
-			return res
 		}
 		cur = next
 	}
+	s.res.Status = Stuck
+	return s.res
 }

@@ -231,6 +231,42 @@ func TestLinearAndGreedy(t *testing.T) {
 	}
 }
 
+// TestLinearOwnsCandidates: the model's Propose returns reused scratch,
+// valid until its next call, and Linear's frames outlive that call, so
+// they must copy their candidates. A proposer that refills one buffer on
+// every query must search as one that returns fresh slices, on a theorem
+// whose first branch dead-ends: Linear then backtracks to the root's
+// second candidate, which an aliasing frame would have overwritten.
+func TestLinearOwnsCandidates(t *testing.T) {
+	env, c := loadEnv(t)
+	th, _ := c.TheoremNamed("plus_O_n")
+	slate := func(path []string) []model.Candidate {
+		switch {
+		case len(path) == 0:
+			return []model.Candidate{{Tactic: "simpl.", LogProb: -0.1}, {Tactic: "intros.", LogProb: -0.2}}
+		case path[len(path)-1] == "simpl.":
+			return []model.Candidate{{Tactic: "apply no_such_lemma_1.", LogProb: -1}, {Tactic: "apply no_such_lemma_2.", LogProb: -1}}
+		case path[len(path)-1] == "intros.":
+			return []model.Candidate{{Tactic: "reflexivity.", LogProb: -0.1}}
+		}
+		return nil
+	}
+	fresh := Linear(Config{Env: env, Stmt: th.Stmt, Propose: func(_ *tactic.State, path []string) []model.Candidate {
+		return slate(path)
+	}})
+	if fresh.Status != Proved || fresh.Expanded != 3 || fresh.InvalidRejected != 2 {
+		t.Fatalf("fresh slices searched %+v; the test needs the simpl. branch to dead-end before intros. proves", fresh)
+	}
+	buf := make([]model.Candidate, 0, 8)
+	reused := Linear(Config{Env: env, Stmt: th.Stmt, Propose: func(_ *tactic.State, path []string) []model.Candidate {
+		buf = append(buf[:0], slate(path)...)
+		return buf
+	}})
+	if !reflect.DeepEqual(reused, fresh) {
+		t.Fatalf("a reused buffer searched %+v, fresh slices %+v", reused, fresh)
+	}
+}
+
 func TestProofsAreReplayable(t *testing.T) {
 	env, c := loadEnv(t)
 	th, _ := c.TheoremNamed("app_nil_r")

@@ -86,9 +86,10 @@ func (c *Corpus) TheoremNamed(name string) (*Theorem, bool) {
 }
 
 // ImportClosure returns the files transitively visible from file via
-// Require Import, in corpus load order, ending with the file itself. It is
-// the single dependency-graph hook shared by prompt assembly and the
-// static analyzers.
+// Require Import, in corpus load order, ending with the file itself.
+// Prompt assembly uses it. The corpus analyzers keep their own,
+// analysis.Development.ImportClosure, over the parsed development they
+// lint, which is not a loaded Corpus.
 func (c *Corpus) ImportClosure(file string) []string {
 	visible := map[string]bool{}
 	var visit func(f string)

@@ -13,16 +13,16 @@ import (
 
 // The allocation bounds of TestAllocBoundHintedGrid. Each is a measurement
 // at the commit that set it plus a margin of under 0.2% on mallocs and 1% on
-// bytes (here 12 runs read 334,599–334,622 mallocs and 25.61–25.67 MB).
+// bytes (here 14 runs read 333,073–333,094 mallocs and 25.46–25.52 MB).
 // That is tight enough to fail a Goal.usedNames map not handed back to its
-// pool, a model rebuilt per search or a fmt.Sprintf in expander.expand.
+// pool, a model rebuilt per search or a fmt.Sprintf in core's search.query.
 //
 // Any change that allocates less lowers both bounds to its own measurement
 // plus the margin. Only a change whose CHANGES.md entry names the new
 // allocation, and why, may raise them.
 const (
-	allocBoundMallocs = 335_200
-	allocBoundBytes   = 25_920_000
+	allocBoundMallocs = 333_700
+	allocBoundBytes   = 25_770_000
 )
 
 // TestAllocBoundHintedGrid measures the mallocs and bytes of one hinted

@@ -2,6 +2,7 @@ package dirtree
 
 import (
 	"cmp"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -614,60 +615,68 @@ func randomTxn(rng *rand.Rand) []wal.Entry {
 	return txn
 }
 
-// replays reports whether got, a data region, is Log.v's replay of log
-// over pre.
-func (s *spec) replays(pre *kernel.Term, log []wal.Entry, got *kernel.Term) bool {
+// replay is Log.v's replay of log over pre, a data region.
+func (s *spec) replay(pre *kernel.Term, log []wal.Entry) *kernel.Term {
 	es := make([]*kernel.Term, len(log))
 	for i, e := range log {
 		es[i] = pair(nat(e.Addr), nat(int(e.Val)))
 	}
-	return s.call("replay", pre, kernel.ListLit(es...)) == got
+	return s.call("replay", pre, kernel.ListLit(es...))
 }
 
 // TestLogConformsToReplay: after Commit, the data region is replay of the
 // transaction's writes, in the order they were made, over the data region
-// before it. After a crash at every write of Commit and a Recover, it is
-// replay of the committed prefix: nothing before the commit point (the
-// header write that follows the entries), the whole transaction from it
-// on. The check is not vacuous: against the log minus its last entry, it
-// reports a mismatch.
+// before it. After a crash at every write of Commit, with several
+// materializations of the unsynced writes per crash point, and a Recover,
+// it is replay of the committed prefix: nothing before the commit point
+// (the header write that follows the entries), the whole transaction from
+// it on. The check is not vacuous: against the log minus its last entry,
+// it reports a mismatch.
 func TestLogConformsToReplay(t *testing.T) {
 	s := newSpec(t)
 	rng := rand.New(rand.NewSource(1))
 	data := func(l *wal.Log) *kernel.Term { return natList(readWords(t, l, 0, logData)) }
-	const trials = 50
+	const trials, draws = 50, 6
 	truncatedMatches := 0
 	for trial := 0; trial < trials; trial++ {
 		base, txn := randomTxn(rng), randomTxn(rng)
 		_, l := newLog(t, base)
 		pre := data(l)
+		before, after := s.replay(pre, nil), s.replay(pre, txn)
+	crashPoints:
 		for k := 0; ; k++ {
-			d, l := newLog(t, base)
-			for _, e := range txn {
-				if err := l.Write(e.Addr, e.Val); err != nil {
+			for draw := 0; draw < draws; draw++ {
+				d, l := newLog(t, base)
+				for _, e := range txn {
+					if err := l.Write(e.Addr, e.Val); err != nil {
+						t.Fatal(err)
+					}
+				}
+				committed, want := txn, after
+				if k <= 2*l.Pending() {
+					committed, want = nil, before
+				}
+				d.FailAfter(k)
+				err := l.Commit()
+				if err == nil {
+					if got := data(l); got != after {
+						t.Fatalf("trial %d: committed %v over %s, got %s", trial, txn, pre, got)
+					}
+					if s.replay(pre, txn[:len(txn)-1]) == after {
+						truncatedMatches++
+					}
+					break crashPoints
+				}
+				if !errors.Is(err, disk.ErrCrashed) {
+					t.Fatalf("trial %d crash at write %d: commit: %v", trial, k, err)
+				}
+				rl, err := wal.Recover(d.Crash(rand.New(rand.NewSource(int64(draws*k+draw)))), logEntries)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			committed := txn
-			if k <= 2*l.Pending() {
-				committed = nil
-			}
-			d.FailAfter(k)
-			if err := l.Commit(); err == nil {
-				if !s.replays(pre, txn, data(l)) {
-					t.Fatalf("trial %d: committed %v over %s, got %s", trial, txn, pre, data(l))
+				if got := data(rl); got != want {
+					t.Fatalf("trial %d crash at write %d, draw %d: committed %v over %s, recovered %s", trial, k, draw, committed, pre, got)
 				}
-				if s.replays(pre, txn[:len(txn)-1], data(l)) {
-					truncatedMatches++
-				}
-				break
-			}
-			rl, err := wal.Recover(d.Crash(rand.New(rand.NewSource(int64(k)))), logEntries)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !s.replays(pre, committed, data(rl)) {
-				t.Fatalf("trial %d crash at write %d: committed %v over %s, recovered %s", trial, k, committed, pre, data(rl))
 			}
 		}
 	}

@@ -95,71 +95,6 @@ func TestOutOfRange(t *testing.T) {
 	}
 }
 
-// TestCrashAtomicity is the dynamic analogue of the log's crash-safety
-// theorem: for every possible crash point during a commit, and for several
-// materializations of the unsynced-write nondeterminism, recovery yields
-// either the full pre-transaction or the full post-transaction data region.
-func TestCrashAtomicity(t *testing.T) {
-	const entries, data = 16, 16
-	pre := make([]uint64, data)
-	for i := range pre {
-		pre[i] = uint64(100 + i)
-	}
-	txn := []Entry{{Addr: 2, Val: 1000}, {Addr: 7, Val: 2000}, {Addr: 2, Val: 3000}, {Addr: 11, Val: 4000}}
-	post := append([]uint64(nil), pre...)
-	for _, e := range txn {
-		post[e.Addr] = e.Val
-	}
-
-	for failAfter := 0; failAfter < 40; failAfter++ {
-		for seed := int64(0); seed < 6; seed++ {
-			d := disk.New(1 + 2*entries + data)
-			l, err := New(d, entries)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, v := range pre {
-				if err := l.Write(i, v); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := l.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range txn {
-				if err := l.Write(e.Addr, e.Val); err != nil {
-					t.Fatal(err)
-				}
-			}
-			d.FailAfter(failAfter)
-			err = l.Commit()
-			if err == nil {
-				// Crash point beyond the commit: nothing to test here.
-				continue
-			}
-			if err != disk.ErrCrashed {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			crashed := d.Crash(rand.New(rand.NewSource(seed)))
-			rl, err := Recover(crashed, entries)
-			if err != nil {
-				t.Fatalf("failAfter=%d seed=%d: recover: %v", failAfter, seed, err)
-			}
-			got := make([]uint64, data)
-			for i := range got {
-				v, err := rl.Read(i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got[i] = v
-			}
-			if !equal(got, pre) && !equal(got, post) {
-				t.Fatalf("failAfter=%d seed=%d: non-atomic state %v (pre %v post %v)", failAfter, seed, got, pre, post)
-			}
-		}
-	}
-}
-
 // TestRecoverIdempotent re-crashes during recovery itself: recovery must
 // remain correct however often it is interrupted.
 func TestRecoverIdempotent(t *testing.T) {
@@ -207,16 +142,4 @@ func TestRecoverIdempotent(t *testing.T) {
 			t.Fatalf("non-atomic after repeated recovery crashes: %d %d", v1, v2)
 		}
 	}
-}
-
-func equal(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -150,7 +150,8 @@ type textCand struct {
 //
 // The returned slice is part of the model's reused scratch: it is valid
 // only until the next Propose call on the same Model. Callers that retain
-// candidates (the search engine's expansions do) must copy them first.
+// candidates past that call (core.Linear's backtracking frames do) must
+// copy them first.
 func (m *Model) Propose(p *prompt.Prompt, st *tactic.State, path []string, ng *NGram, rng *rand.Rand) []Candidate {
 	if st.Done() || len(st.Goals) == 0 {
 		return nil

@@ -134,7 +134,8 @@ func (c *Client) NewDocStmt(src string) (stmt string, err error) {
 	return atomArg(p)
 }
 
-// ExecResult is the remote analogue of checker.Result.
+// ExecResult is the client's decoding of one Exec answer: the wire form
+// of a checker.Step, with the state replaced by its key.
 type ExecResult struct {
 	Status   checker.Status
 	NumGoals int

@@ -101,11 +101,11 @@ func fpField(doc *checker.Session) *sexp.Node {
 	return sexp.L(sexp.Sym("Fp"), sexp.Sym(formatKey(doc.Tip().FingerprintKey())))
 }
 
-// execReply classifies a checker.Result into the wire payload.
-func (s *session) execReply(res checker.Result) *sexp.Node {
+// execReply classifies a checker.Step into the wire payload.
+func (s *session) execReply(res checker.Step) *sexp.Node {
 	switch res.Status {
 	case checker.Applied:
-		if s.doc.Proved() {
+		if res.Proved {
 			return sexp.L(sexp.Sym("Proved"), fpField(s.doc))
 		}
 		return sexp.L(sexp.Sym("Applied"),
@@ -142,7 +142,7 @@ func (s *session) dispatch(msg *sexp.Node) (payload *sexp.Node, quit bool) {
 			return errPayload("no open document"), false
 		}
 		arg := msg.Nth(1)
-		var res checker.Result
+		var res checker.Step
 		if arg == nil {
 			// Bare Exec drains the Add queue, STM style.
 			res = s.doc.ExecQueued()
@@ -209,6 +209,10 @@ func (s *session) newDoc(spec *sexp.Node) *sexp.Node {
 		stmt, err := syntax.ResolveForm(s.env, raw, map[string]bool{})
 		if err != nil {
 			return errPayload(err.Error())
+		}
+		// A statement must be closed, as corpus.Load and Coq require.
+		if free := stmt.FreeNames(); len(free) > 0 {
+			return errPayload(fmt.Sprintf("unbound identifiers %v", free))
 		}
 		s.doc = checker.NewSession(s.env, stmt)
 		return sexp.L(sexp.Sym("DocCreated"), sexp.Str(stmt.String()))

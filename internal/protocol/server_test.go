@@ -171,6 +171,33 @@ func TestExecAnswersCarryFingerprint(t *testing.T) {
 	}
 }
 
+// A Stmt document must be a closed statement, as corpus.Load and Coq
+// require. One with free variables is answered (Error ...) naming them and
+// opens no document, so no tactic can then "prove" it; a closed statement
+// still opens one.
+func TestNewDocStmtRejectsFreeVariables(t *testing.T) {
+	sess := &session{env: fuzzEnv(t)}
+	newDoc := func(src string) *sexp.Node {
+		p, _ := sess.dispatch(sexp.L(sexp.Sym("NewDoc"), sexp.L(sexp.Sym("Stmt"), sexp.Str(src))))
+		return p
+	}
+	for _, tc := range []struct{ src, msg string }{
+		{"x + 0 = x", "unbound identifiers [x]"},
+		{"forall (n : nat), n + m = m + n", "unbound identifiers [m]"},
+		{"a + b = b + a", "unbound identifiers [a b]"},
+	} {
+		if p := newDoc(tc.src); p.Head() != "Error" || p.Nth(1).Atom != tc.msg {
+			t.Errorf("%q: answer %s, want (Error %q)", tc.src, p, tc.msg)
+		}
+		if p, _ := sess.dispatch(mustParse(t, `(Exec "auto.")`)); p.Head() != "Error" {
+			t.Errorf("%q: Exec after the rejected statement answered %s, want (Error ...)", tc.src, p)
+		}
+	}
+	if p := newDoc("forall (n : nat), n + 0 = n"); p.Head() != "DocCreated" {
+		t.Fatalf("closed statement: answer %s, want (DocCreated ...)", p)
+	}
+}
+
 // MaxConns bounds concurrent sessions: with a full house the next dial
 // parks in the backlog until a session quits, and every session still
 // completes.

@@ -122,11 +122,7 @@ func (d *wireDoc) Close() error {
 // computed first and is what the search sees; the wire execution is a
 // cross-check that can only move counters, never the answer.
 func (d *wireDoc) Try(parent *tactic.State, path []string, sentence string) checker.Step {
-	res := checker.TryTactic(parent, sentence)
-	step := checker.Step{Status: res.Status, NumGoals: res.NumGoals, State: res.State, Err: res.Err}
-	if res.Status == checker.Applied {
-		step.Proved = res.State.Done()
-	}
+	step := checker.TryTactic(parent, sentence)
 	d.mu.Lock()
 	if d.cl != nil {
 		d.crossCheck(path, sentence, step)

@@ -31,7 +31,10 @@ unformatted=$(gofmt -l .)
 # one sentence per round trip, returns the in-process Result), the
 # conformance tests of internal/remote (mirror-first cross-checks agree on
 # a clean wire; a lost wire counts one failure per document and changes no
-# step) and TestBackendEquivalence (the grid over the wire). They are not
+# step), TestBackendEquivalence (the grid over the wire) and the root
+# package's TestSweepbenchVetAndTest (sweepbench/, the benchmark of record,
+# is its own module, which ./... never compiles; that test vets and tests
+# it, so a change to an API the benchmark names fails here). They are not
 # re-run with their own -run: a new flag misses the test cache, so each
 # would execute twice.
 echo "==> go test -race ./..."
@@ -39,16 +42,10 @@ go test -race ./...
 
 # The race run skips the //go:build !race files, whose tests measure
 # allocation and would count the race instrumentation's own: the
-# AllocsPerRun zero-allocation tests in internal/kernel and internal/core,
-# and internal/eval's bound on the hinted GPT-4o grid. Run them without it.
+# AllocsPerRun zero-allocation tests in internal/kernel and internal/eval's
+# bound on the hinted GPT-4o grid. Run them without it.
 echo "==> go test -run '^TestAlloc' ./internal/..."
 go test -run '^TestAlloc' ./internal/...
-
-# sweepbench/ (the benchmark of record) is its own module, so the root
-# ./... never compiles it. Vet and test it here: a change that removes an
-# API the benchmark calls then fails this gate, not the benchmark run.
-echo "==> (cd sweepbench && go vet ./... && go test ./...)"
-(cd sweepbench && go vet ./... && go test ./...)
 
 # Every example runs, and each exits nonzero when it fails: quickstart
 # unless it proves app_nil_r, and serapi (the wire's one binary-level step:
