@@ -1,7 +1,6 @@
 // Package bench holds micro-benchmarks of the layers under the experiment
-// sweep: proof checking, tokenizing, similarity, prompt assembly, env
-// restriction, state fingerprints, substitution and the lint gate's module
-// load. The sweep itself, `go run ./cmd/experiments`, is measured at full
+// sweep: proof checking, tokenizing, similarity, prompt assembly, state
+// fingerprints, substitution and the lint gate's module load. The sweep itself, `go run ./cmd/experiments`, is measured at full
 // scale by the harness in sweepbench/, which times every table and figure
 // of the paper's evaluation section.
 package bench
@@ -12,7 +11,6 @@ import (
 
 	"llmfscq/internal/analysis"
 	"llmfscq/internal/corpus"
-	"llmfscq/internal/eval"
 	"llmfscq/internal/kernel"
 	"llmfscq/internal/model"
 	"llmfscq/internal/prompt"
@@ -115,23 +113,6 @@ func BenchmarkPromptBuild(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkRestrictEnv measures building the restricted environment of
-// every theorem with a fresh runner per iteration — the single
-// declaration-order pass with shared immutable prefixes, against a full
-// per-theorem Env.Clone before this layer existed.
-func BenchmarkRestrictEnv(b *testing.B) {
-	b.ReportAllocs()
-	c := loadCorpus(b)
-	for i := 0; i < b.N; i++ {
-		r := eval.NewRunner(c, 2025)
-		for _, th := range c.Theorems {
-			if env := r.RestrictEnv(th); env == nil {
-				b.Fatal("nil env")
-			}
-		}
 	}
 }
 

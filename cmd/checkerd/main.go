@@ -36,7 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("loading corpus: %v", err)
 	}
-	srv := protocol.NewServer(c.Env)
+	srv := protocol.NewServer(c)
 	srv.MaxConns = *maxConns
 	bound, err := srv.Listen(*addr)
 	if err != nil {

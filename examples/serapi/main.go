@@ -25,7 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("loading corpus: %v", err)
 	}
-	srv := protocol.NewServer(c.Env)
+	srv := protocol.NewServer(c)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -1,30 +1,18 @@
 // Package analysis is a vet-style static-analysis framework for this
-// repository, with two analyzer families sharing one Finding type:
+// repository's Go code. The analyzers run over the whole module,
+// type-checked with go/types (tests included), and resolve every name and
+// type they check through types.Info. They enforce the load-bearing
+// conventions DESIGN.md promises: determinism (no wall-clock, no implicitly
+// seeded randomness in any package a search runs), deterministic iteration
+// (no output or slice accumulation driven by map-range order), WaitGroup
+// hygiene in goroutines, kernel nodes minted and written only in the
+// interning constructors, and no dropped errors on the wire and proof-store
+// paths.
 //
-//   - Go analyzers run over the whole module, type-checked with go/types
-//     (tests included), and resolve every name and type they check through
-//     types.Info. They enforce the load-bearing conventions DESIGN.md
-//     promises: determinism (no wall-clock, no implicitly seeded randomness
-//     in any package a search runs), deterministic iteration (no output or
-//     slice accumulation driven by map-range order), WaitGroup hygiene in
-//     goroutines, kernel nodes minted and written only in the interning
-//     constructors, and no dropped errors on the wire and proof-store paths.
-//
-//   - Corpus analyzers inspect the vernacular proof corpus via the parsed
-//     AST (internal/syntax) and the tactic-script AST (internal/tactic), and
-//     enforce that the embedded development is a genuine verified library:
-//     no alpha-equivalent duplicate theorem statements, no named-but-unused
-//     intros hypotheses, no combinators wrapping tactics that can never
-//     apply, and no references escaping a file's import closure.
-//
-// The tier-1 tests are the only driver: TestRepoLintClean runs the Go
-// family over this module, and internal/corpus's TestEmbeddedCorpusLintClean
-// runs the corpus family over the embedded development. Any finding fails
-// them.
-//
-// The package uses only the Go standard library plus this module's own
-// syntax/kernel/tactic layers; it has no dependency on internal/corpus, so
-// the corpus package can lint itself in its tests without an import cycle.
+// Only the tier-1 tests run them: TestRepoLintClean runs the analyzers
+// over this module, and any finding fails it. The checks of the
+// proof corpus are not analyzers: they run over the loaded development,
+// as (*corpus.Corpus).Lint.
 //
 // A finding in a Go source can be suppressed with
 //
@@ -54,19 +42,15 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: %s: %s", f.File, f.Line, f.Analyzer, f.Message)
 }
 
-// Analyzer is one registered check. Exactly one of Go / Corpus is set,
-// determining which family the analyzer belongs to.
+// Analyzer is one registered check.
 type Analyzer struct {
 	Name string
 	Doc  string
 	// Go runs over the type-checked module.
 	Go func(*Module) []Finding
-	// Corpus runs over the parsed vernacular development.
-	Corpus func(*Development) []Finding
 }
 
-// All returns every registered analyzer in a fixed, deterministic order:
-// the Go family first, then the corpus family.
+// All returns every registered analyzer in a fixed, deterministic order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		analyzerDeterminism,
@@ -74,14 +58,10 @@ func All() []*Analyzer {
 		analyzerGoroutine,
 		analyzerKernelMutate,
 		analyzerErrDrop,
-		analyzerDupStmt,
-		analyzerIntrosHyps,
-		analyzerNoProgress,
-		analyzerImportClosure,
 	}
 }
 
-// RunGo type-checks the module, runs the Go analyzers among azs over it,
+// RunGo type-checks the module, runs the analyzers among azs over it,
 // applies the //lint:ignore suppressions, reports malformed ones, and
 // returns the surviving findings sorted by position. A type error is
 // Check's to report: the analyzers run over whatever types it leaves.
@@ -89,25 +69,9 @@ func RunGo(azs []*Analyzer, m *Module) []Finding {
 	m.Check()
 	var out []Finding
 	for _, a := range azs {
-		if a.Go != nil {
-			out = append(out, a.Go(m)...)
-		}
+		out = append(out, a.Go(m)...)
 	}
 	out = filterSuppressed(append(out, m.badDirectives...), m.suppressions)
-	sortFindings(out)
-	return out
-}
-
-// RunCorpus runs the corpus-family analyzers among azs over the
-// development and returns their findings sorted by position.
-func RunCorpus(azs []*Analyzer, dev *Development) []Finding {
-	var out []Finding
-	for _, a := range azs {
-		if a.Corpus == nil {
-			continue
-		}
-		out = append(out, a.Corpus(dev)...)
-	}
 	sortFindings(out)
 	return out
 }

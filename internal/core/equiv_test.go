@@ -54,7 +54,7 @@ func startRemoteBackend(t *testing.T) *remote.Backend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := protocol.NewServer(c.Env)
+	srv := protocol.NewServer(c)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

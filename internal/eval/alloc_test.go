@@ -13,7 +13,7 @@ import (
 
 // The allocation bounds of TestAllocBoundHintedGrid. Each is a measurement
 // at the commit that set it plus a margin of under 0.2% on mallocs and 1% on
-// bytes (here 14 runs read 333,073–333,094 mallocs and 25.46–25.52 MB).
+// bytes (here 10 runs read 328,270–328,281 mallocs and 23.44 MB).
 // That is tight enough to fail a Goal.usedNames map not handed back to its
 // pool, a model rebuilt per search or a fmt.Sprintf in core's search.query.
 //
@@ -21,8 +21,8 @@ import (
 // plus the margin. Only a change whose CHANGES.md entry names the new
 // allocation, and why, may raise them.
 const (
-	allocBoundMallocs = 333_700
-	allocBoundBytes   = 25_770_000
+	allocBoundMallocs = 328_900
+	allocBoundBytes   = 23_670_000
 )
 
 // TestAllocBoundHintedGrid measures the mallocs and bytes of one hinted
@@ -43,8 +43,9 @@ func TestAllocBoundHintedGrid(t *testing.T) {
 		r.Parallelism = 1
 		r.RunSweep(model.GPT4o, prompt.Hint, r.TestSet())
 	}
-	// The warm-up fills the process-global intern arena, so the measured
-	// sweep on a fresh Runner pays for its own caches and searches only.
+	// The warm-up fills the process-global intern arena and the corpus's
+	// per-theorem environments (corpus.EnvBefore), so the measured sweep on
+	// a fresh Runner pays for its own caches and searches only.
 	sweep()
 
 	var before, after runtime.MemStats

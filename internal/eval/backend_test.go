@@ -13,7 +13,7 @@ import (
 // startCheckerd spins an in-process wire server over the runner's corpus.
 func startCheckerd(t *testing.T, r *Runner) string {
 	t.Helper()
-	srv := protocol.NewServer(r.Corpus.Env)
+	srv := protocol.NewServer(r.Corpus)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

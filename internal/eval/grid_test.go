@@ -71,43 +71,6 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 }
 
-// The prefix-environment index must agree with the kernel's restriction
-// rule (the one the checkerd server uses) for every theorem in the corpus.
-func TestPrefixEnvsMatchDirectRestriction(t *testing.T) {
-	r, c := runner(t)
-	for _, th := range c.Theorems {
-		fast := r.RestrictEnv(th)
-		slow := c.Env.Before(th.Name)
-		if len(fast.Lemmas) != len(slow.Lemmas) {
-			t.Fatalf("%s: lemma count %d vs %d", th.Name, len(fast.Lemmas), len(slow.Lemmas))
-		}
-		for name := range slow.Lemmas {
-			if fast.Lemmas[name] != slow.Lemmas[name] {
-				t.Fatalf("%s: lemma %s differs", th.Name, name)
-			}
-		}
-		if !reflect.DeepEqual(fast.LemmaOrder, slow.LemmaOrder) && len(slow.LemmaOrder) > 0 {
-			t.Fatalf("%s: LemmaOrder differs", th.Name)
-		}
-		if !reflect.DeepEqual(fast.HintOrder, slow.HintOrder) {
-			t.Fatalf("%s: HintOrder differs: %v vs %v", th.Name, fast.HintOrder, slow.HintOrder)
-		}
-		for name := range slow.Hints {
-			if !fast.Hints[name] {
-				t.Fatalf("%s: hint %s missing", th.Name, name)
-			}
-		}
-		if len(fast.Hints) != len(slow.Hints) {
-			t.Fatalf("%s: hint count %d vs %d", th.Name, len(fast.Hints), len(slow.Hints))
-		}
-		// The immutable families stay complete (they are shared with the
-		// full environment, never filtered).
-		if len(fast.Funs) != len(c.Env.Funs) || len(fast.Datatypes) != len(c.Env.Datatypes) {
-			t.Fatalf("%s: shared families were filtered", th.Name)
-		}
-	}
-}
-
 func TestUnitsAndGridShape(t *testing.T) {
 	r, c := runner(t)
 	r.Parallelism = 2

@@ -79,9 +79,6 @@ type Runner struct {
 	// ablation variants (width/fuel/algorithm changes) while sharing the
 	// corpus-derived state, none of which depends on those knobs.
 
-	// envs holds the per-theorem restricted environments, built lazily in
-	// one declaration-order pass over the corpus.
-	envs *envIndex
 	// prompts holds the pre-rendered, pre-tokenized context items for both
 	// settings (see prompt.NewCache), built on first prompt assembly.
 	prompts *promptIndex
@@ -113,14 +110,8 @@ type Runner struct {
 	outcomes *outcomeTier
 }
 
-// envIndex caches the restricted environments behind a once so that Runner
-// copies (which share the pointer) build them a single time.
-type envIndex struct {
-	once   sync.Once
-	byName map[string]*kernel.Env
-}
-
-// promptIndex caches the prompt item cache the same way.
+// promptIndex caches the prompt item cache behind a once so that Runner
+// copies (which share the pointer) build it a single time.
 type promptIndex struct {
 	once  sync.Once
 	cache *prompt.Cache
@@ -148,7 +139,6 @@ func NewRunner(c *corpus.Corpus, seed int64) *Runner {
 		Width:      8,
 		QueryLimit: 128,
 		Seed:       seed,
-		envs:       &envIndex{},
 		prompts:    &promptIndex{},
 		ngrams:     &sync.Map{},
 		hintProofs: &model.HintProofs{},
@@ -179,69 +169,11 @@ func (r *Runner) TestSet() []*corpus.Theorem {
 	return out
 }
 
-// RestrictEnv returns the environment as it stood just before the theorem
-// was declared: the prover may not use the theorem itself or anything
-// declared after it.
-//
-// All restricted environments are built together in one declaration-order
-// pass over the corpus (see buildPrefixEnvs); per theorem only the lemma
-// and hint maps are snapshotted, everything else — the datatype, function,
-// predicate, and definition maps, the declarations themselves, and the
-// LemmaOrder backing array — is shared with the full environment, which the
-// tactic layer treats as immutable.
+// RestrictEnv returns the environment th is searched in: the corpus
+// environment as it stood just before th was declared (see
+// corpus.EnvBefore, which builds every theorem's once per corpus).
 func (r *Runner) RestrictEnv(th *corpus.Theorem) *kernel.Env {
-	r.envs.once.Do(func() {
-		r.envs.byName = buildPrefixEnvs(r.Corpus.Env)
-	})
-	if env, ok := r.envs.byName[th.Name]; ok {
-		return env
-	}
-	return r.Corpus.Env.Before(th.Name)
-}
-
-// buildPrefixEnvs walks LemmaOrder once, snapshotting the growing lemma
-// prefix just before each declaration. The snapshot for lemma i costs O(i)
-// map inserts and shares every other structure with the full environment —
-// unlike a per-theorem Env.Clone, which copied all six maps and re-scanned
-// LemmaOrder for every theorem.
-func buildPrefixEnvs(full *kernel.Env) map[string]*kernel.Env {
-	// lemIdx positions each lemma-backed hint so the per-theorem hint
-	// filter is a single comparison.
-	lemIdx := make(map[string]int, len(full.LemmaOrder))
-	for i, name := range full.LemmaOrder {
-		lemIdx[name] = i
-	}
-	envs := make(map[string]*kernel.Env, len(full.LemmaOrder))
-	running := make(map[string]*kernel.Lemma, len(full.LemmaOrder))
-	for i, name := range full.LemmaOrder {
-		lemmas := make(map[string]*kernel.Lemma, len(running))
-		for k, v := range running {
-			lemmas[k] = v
-		}
-		hints := make(map[string]bool, len(full.Hints))
-		hintOrder := make([]string, 0, len(full.HintOrder))
-		for _, h := range full.HintOrder {
-			// Hints name lemmas or inductive rules; rules are never cut.
-			if idx, isLemma := lemIdx[h]; isLemma && idx >= i {
-				continue
-			}
-			hints[h] = true
-			hintOrder = append(hintOrder, h)
-		}
-		envs[name] = &kernel.Env{
-			Datatypes:  full.Datatypes,
-			ConstrData: full.ConstrData,
-			Funs:       full.Funs,
-			Preds:      full.Preds,
-			Defs:       full.Defs,
-			Lemmas:     lemmas,
-			LemmaOrder: full.LemmaOrder[:i:i],
-			Hints:      hints,
-			HintOrder:  hintOrder,
-		}
-		running[name] = full.Lemmas[name]
-	}
-	return envs
+	return r.Corpus.EnvBefore(th.Name)
 }
 
 // jobSeed derives a deterministic per-job RNG seed.

@@ -33,7 +33,7 @@ const (
 )
 
 // persistIndex is the Runner's shared persistence bookkeeping, behind a
-// pointer like envIndex so ablation copies keep sharing it.
+// pointer like promptIndex so ablation copies keep sharing it.
 type persistIndex struct {
 	hintOnce sync.Once
 	hintFP   [2]uint64

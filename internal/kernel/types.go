@@ -265,74 +265,6 @@ func (e *Env) RuleNamed(name string) (*IndPred, *Rule) {
 	return nil, nil
 }
 
-// Clone returns a shallow copy of the environment with fresh maps, so the
-// copy can be extended without aliasing (declarations themselves are shared
-// and immutable).
-func (e *Env) Clone() *Env {
-	out := NewEnv()
-	for k, v := range e.Datatypes {
-		out.Datatypes[k] = v
-	}
-	for k, v := range e.ConstrData {
-		out.ConstrData[k] = v
-	}
-	for k, v := range e.Funs {
-		out.Funs[k] = v
-	}
-	for k, v := range e.Preds {
-		out.Preds[k] = v
-	}
-	for k, v := range e.Defs {
-		out.Defs[k] = v
-	}
-	for k, v := range e.Lemmas {
-		out.Lemmas[k] = v
-	}
-	out.LemmaOrder = append([]string(nil), e.LemmaOrder...)
-	for k, v := range e.Hints {
-		out.Hints[k] = v
-	}
-	out.HintOrder = append([]string(nil), e.HintOrder...)
-	return out
-}
-
-// Before returns the environment as it stood just before the named lemma
-// was declared: the lemma and every lemma after it are gone, from the
-// lemma table and from the hint database. Hints naming inductive rules are
-// never cut. A name that is not a lemma leaves a plain Clone. The checkerd
-// server restricts its sessions with it, so a session cannot apply the
-// lemma it is proving, and the evaluation's per-theorem environments are
-// tested against it.
-func (e *Env) Before(name string) *Env {
-	out := e.Clone()
-	cut := -1
-	for i, n := range e.LemmaOrder {
-		if n == name {
-			cut = i
-			break
-		}
-	}
-	if cut < 0 {
-		return out
-	}
-	removed := make(map[string]bool, len(e.LemmaOrder)-cut)
-	for _, n := range e.LemmaOrder[cut:] {
-		removed[n] = true
-		delete(out.Lemmas, n)
-	}
-	out.LemmaOrder = append([]string(nil), e.LemmaOrder[:cut]...)
-	hints := make([]string, 0, len(out.HintOrder))
-	for _, h := range out.HintOrder {
-		if removed[h] {
-			delete(out.Hints, h)
-			continue
-		}
-		hints = append(hints, h)
-	}
-	out.HintOrder = hints
-	return out
-}
-
 // InstantiateConstructorTypes returns the constructor argument types of c
 // with datatype parameters replaced by the concrete argument types of ty
 // (which must be an instance of datatype d).

@@ -238,7 +238,7 @@ func TestProposeMatchesReference(t *testing.T) {
 	rngU := rand.New(rand.NewSource(0))
 	for _, setting := range []prompt.Setting{prompt.Vanilla, prompt.Hint} {
 		for _, th := range ths {
-			env := envBefore(c.Env, th.Name)
+			env := c.EnvBefore(th.Name)
 			// Profile-minor, so the rebound model sees one prompt under
 			// consecutive profiles that share its context window.
 			for _, prof := range Paper() {
@@ -327,9 +327,10 @@ func TestProposeMatchesReference(t *testing.T) {
 // that its lemmas, symbols and candidate keys get other ids than
 // NewLemmaTable(env) gives them.
 func reversedLemmaTable(env *kernel.Env) *LemmaTable {
-	rev := env.Clone()
+	rev := *env
+	rev.LemmaOrder = slices.Clone(env.LemmaOrder)
 	slices.Reverse(rev.LemmaOrder)
-	return NewLemmaTable(rev)
+	return NewLemmaTable(&rev)
 }
 
 // A model rebound onto another lemma table renumbers its vocabulary on its
@@ -339,7 +340,7 @@ func reversedLemmaTable(env *kernel.Env) *LemmaTable {
 func TestProposeMatchesReferenceAcrossTables(t *testing.T) {
 	c, hints, ths := testTheorems(t)
 	last := ths[len(ths)-1]
-	env := envBefore(c.Env, last.Name)
+	env := c.EnvBefore(last.Name)
 	tables := []*LemmaTable{NewLemmaTable(env), NewLemmaTable(c.Env), reversedLemmaTable(env)}
 	for _, setting := range []prompt.Setting{prompt.Vanilla, prompt.Hint} {
 		b := prompt.Builder{Corpus: c, Setting: setting, HintSet: hints, Window: GPT4o.ContextWindow}

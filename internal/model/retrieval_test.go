@@ -1,6 +1,7 @@
 package model
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -13,22 +14,6 @@ import (
 	"llmfscq/internal/prompt"
 	"llmfscq/internal/tactic"
 )
-
-// envBefore is the environment as it stood before name was declared (the
-// restriction a sweep searches under): later lemmas are invisible.
-func envBefore(full *kernel.Env, name string) *kernel.Env {
-	env := full.Clone()
-	for i, n := range full.LemmaOrder {
-		if n == name {
-			for _, later := range full.LemmaOrder[i:] {
-				delete(env.Lemmas, later)
-			}
-			env.LemmaOrder = full.LemmaOrder[:i:i]
-			break
-		}
-	}
-	return env
-}
 
 func testTheorems(t *testing.T) (*corpus.Corpus, map[string]bool, []*corpus.Theorem) {
 	t.Helper()
@@ -80,7 +65,7 @@ func TestSharedLemmaTableMatchesPrivate(t *testing.T) {
 	c, hints, ths := testTheorems(t)
 	shared := NewLemmaTable(c.Env)
 	for _, th := range ths {
-		env := envBefore(c.Env, th.Name)
+		env := c.EnvBefore(th.Name)
 		own := NewLemmaTable(env)
 		for _, setting := range []prompt.Setting{prompt.Vanilla, prompt.Hint} {
 			b := prompt.Builder{Corpus: c, Setting: setting, HintSet: hints, Window: GPT4o.ContextWindow}
@@ -123,23 +108,25 @@ func TestSharedLemmaTableStatementMismatch(t *testing.T) {
 	b := prompt.Builder{Corpus: c, Setting: prompt.Hint, HintSet: hints, Window: GPT4o.ContextWindow}
 	pr := b.Build(th)
 	ng := BuildNGram(pr)
-	env := envBefore(c.Env, th.Name)
+	env := c.EnvBefore(th.Name)
 	names := promptLemmas(pr)
 	// The visible lemma nearest the target.
 	name := names[len(names)-1]
 
-	lacking := env.Clone()
+	lacking := *env
+	lacking.Lemmas = maps.Clone(env.Lemmas)
 	delete(lacking.Lemmas, name)
 	// The same name declared with the target's statement.
-	swapped := env.Clone()
+	swapped := *env
+	swapped.Lemmas = maps.Clone(env.Lemmas)
 	swapped.Lemmas[name] = &kernel.Lemma{Name: name, Stmt: th.Stmt}
 	for _, tc := range []struct {
 		what string
 		env  *kernel.Env
 		lt   *LemmaTable
 	}{
-		{"a table lacking the lemma", env, NewLemmaTable(lacking)},
-		{"a table with another statement", swapped, NewLemmaTable(c.Env)},
+		{"a table lacking the lemma", env, NewLemmaTable(&lacking)},
+		{"a table with another statement", &swapped, NewLemmaTable(c.Env)},
 	} {
 		func() {
 			defer func() {
@@ -285,7 +272,7 @@ func TestRetrievalMatchesReference(t *testing.T) {
 	for _, setting := range []prompt.Setting{prompt.Vanilla, prompt.Hint} {
 		b := prompt.Builder{Corpus: c, Setting: setting, HintSet: hints, Window: GPT4o.ContextWindow}
 		for _, th := range ths {
-			env := envBefore(c.Env, th.Name)
+			env := c.EnvBefore(th.Name)
 			pr := b.Build(th)
 			ng := BuildNGram(pr)
 			m := NewWithLemmas(GPT4o, env, shared)

@@ -5,11 +5,9 @@ import (
 	"errors"
 	"io"
 	"strings"
-	"sync"
 	"testing"
 
 	"llmfscq/internal/corpus"
-	"llmfscq/internal/kernel"
 	"llmfscq/internal/sexp"
 )
 
@@ -53,25 +51,13 @@ func FuzzReadMsg(f *testing.F) {
 	})
 }
 
-var fuzzEnvOnce struct {
-	sync.Once
-	env *kernel.Env
-	err error
-}
-
-func fuzzEnv(t testing.TB) *kernel.Env {
-	fuzzEnvOnce.Do(func() {
-		c, err := corpus.Default()
-		if err != nil {
-			fuzzEnvOnce.err = err
-			return
-		}
-		fuzzEnvOnce.env = c.Env
-	})
-	if fuzzEnvOnce.err != nil {
-		t.Fatal(fuzzEnvOnce.err)
+// testCorpus is the embedded corpus, loaded once per process.
+func testCorpus(t testing.TB) *corpus.Corpus {
+	c, err := corpus.Default()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return fuzzEnvOnce.env
+	return c
 }
 
 // FuzzParseRequest drives the request interpreter directly: any parseable
@@ -106,7 +92,7 @@ func FuzzParseRequest(f *testing.F) {
 		if perr != nil || msg == nil {
 			return // ReadMsg would have answered ErrBadMessage
 		}
-		sess := &session{env: fuzzEnv(t)}
+		sess := &session{corpus: testCorpus(t)}
 		// Interpret the fuzzed request twice from both a fresh and an open
 		// document, so doc-dependent commands get coverage.
 		for round := 0; round < 2; round++ {

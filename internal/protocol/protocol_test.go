@@ -14,7 +14,7 @@ func startServer(t testing.TB) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(c.Env)
+	srv := NewServer(c)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,7 @@ import (
 	"strings"
 
 	"llmfscq/internal/checker"
-	"llmfscq/internal/kernel"
+	"llmfscq/internal/corpus"
 	"llmfscq/internal/sexp"
 	"llmfscq/internal/syntax"
 )
@@ -22,16 +22,15 @@ const DefaultMaxConns = 64
 // one session (one open proof document at a time). Call Listen, then Serve;
 // Close stops the listener.
 type Server struct {
-	Env *kernel.Env
+	Corpus *corpus.Corpus
 	// MaxConns caps concurrently served connections (<=0: DefaultMaxConns).
 	MaxConns int
 
 	ln net.Listener
 }
 
-// NewServer builds a server over an environment (typically the loaded
-// corpus environment).
-func NewServer(env *kernel.Env) *Server { return &Server{Env: env} }
+// NewServer builds a server over a loaded corpus.
+func NewServer(c *corpus.Corpus) *Server { return &Server{Corpus: c} }
 
 // Listen binds the address and returns the chosen address (useful with
 // ":0").
@@ -88,8 +87,8 @@ func (s *Server) Close() error {
 // document. dispatch is pure with respect to the connection, which makes
 // the request interpreter fuzzable without sockets (FuzzParseRequest).
 type session struct {
-	env *kernel.Env
-	doc *checker.Session
+	corpus *corpus.Corpus
+	doc    *checker.Session
 }
 
 func errPayload(msg string) *sexp.Node {
@@ -187,11 +186,13 @@ func (s *session) newDoc(spec *sexp.Node) *sexp.Node {
 			return errPayload("Lemma expects a name")
 		}
 		name := arg.Atom
-		lem, ok := s.env.Lemmas[name]
+		lem, ok := s.corpus.Env.Lemmas[name]
 		if !ok {
 			return errPayload("unknown lemma " + name)
 		}
-		s.doc = checker.NewSession(s.env.Before(name), lem.Stmt)
+		// The lemma is proved where it was declared: neither it nor any
+		// later lemma is visible.
+		s.doc = checker.NewSession(s.corpus.EnvBefore(name), lem.Stmt)
 		return sexp.L(sexp.Sym("DocCreated"), sexp.Str(lem.Stmt.String()))
 	case "Stmt":
 		arg := spec.Nth(1)
@@ -206,7 +207,7 @@ func (s *session) newDoc(spec *sexp.Node) *sexp.Node {
 		if err != nil {
 			return errPayload(err.Error())
 		}
-		stmt, err := syntax.ResolveForm(s.env, raw, map[string]bool{})
+		stmt, err := syntax.ResolveForm(s.corpus.Env, raw, map[string]bool{})
 		if err != nil {
 			return errPayload(err.Error())
 		}
@@ -214,7 +215,7 @@ func (s *session) newDoc(spec *sexp.Node) *sexp.Node {
 		if free := stmt.FreeNames(); len(free) > 0 {
 			return errPayload(fmt.Sprintf("unbound identifiers %v", free))
 		}
-		s.doc = checker.NewSession(s.env, stmt)
+		s.doc = checker.NewSession(s.corpus.Env, stmt)
 		return sexp.L(sexp.Sym("DocCreated"), sexp.Str(stmt.String()))
 	default:
 		return errPayload("NewDoc expects (Lemma name) or (Stmt text)")
@@ -224,7 +225,7 @@ func (s *session) newDoc(spec *sexp.Node) *sexp.Node {
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
-	sess := &session{env: s.Env}
+	sess := &session{corpus: s.Corpus}
 	seq := 0
 	for {
 		msg, err := ReadMsg(r)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"llmfscq/internal/checker"
-	"llmfscq/internal/corpus"
 	"llmfscq/internal/sexp"
 )
 
@@ -148,7 +147,7 @@ func TestExecBatchMalformedAnsweredInBand(t *testing.T) {
 // through a render/parse round trip, so clients can cross-check in one round
 // trip.
 func TestExecAnswersCarryFingerprint(t *testing.T) {
-	sess := &session{env: fuzzEnv(t)}
+	sess := &session{corpus: testCorpus(t)}
 	if p, _ := sess.dispatch(mustParse(t, "(NewDoc (Lemma app_nil_r))")); p.Head() != "DocCreated" {
 		t.Fatalf("NewDoc answer %s", p)
 	}
@@ -176,7 +175,7 @@ func TestExecAnswersCarryFingerprint(t *testing.T) {
 // opens no document, so no tactic can then "prove" it; a closed statement
 // still opens one.
 func TestNewDocStmtRejectsFreeVariables(t *testing.T) {
-	sess := &session{env: fuzzEnv(t)}
+	sess := &session{corpus: testCorpus(t)}
 	newDoc := func(src string) *sexp.Node {
 		p, _ := sess.dispatch(sexp.L(sexp.Sym("NewDoc"), sexp.L(sexp.Sym("Stmt"), sexp.Str(src))))
 		return p
@@ -202,11 +201,7 @@ func TestNewDocStmtRejectsFreeVariables(t *testing.T) {
 // parks in the backlog until a session quits, and every session still
 // completes.
 func TestMaxConnsBoundsAndDrains(t *testing.T) {
-	c, err := corpus.Default()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &Server{Env: c.Env, MaxConns: 2}
+	srv := &Server{Corpus: testCorpus(t), MaxConns: 2}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

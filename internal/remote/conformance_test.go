@@ -23,7 +23,7 @@ func startCheckerd(t testing.TB) (env *kernel.Env, addr string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := protocol.NewServer(c.Env)
+	srv := protocol.NewServer(c)
 	addr, err = srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -214,14 +214,14 @@ func (lz *linearizer) constraintsOf(f *kernel.Form, neg bool) ([]linConstraint, 
 		case "le":
 			if neg {
 				// ~(a <= b)  ≡  b+1 <= a  ≡  a - b - 1 >= 0
-				return lz.geZeroOK(f.Args[0], f.Args[1], 1, true)
+				return lz.geZero(f.Args[0], f.Args[1], 1)
 			}
-			return lz.geZeroOK(f.Args[1], f.Args[0], 0, true)
+			return lz.geZero(f.Args[1], f.Args[0], 0)
 		case "lt":
 			if neg {
-				return lz.geZeroOK(f.Args[0], f.Args[1], 0, true)
+				return lz.geZero(f.Args[0], f.Args[1], 0)
 			}
-			return lz.geZeroOK(f.Args[1], f.Args[0], 1, true)
+			return lz.geZero(f.Args[1], f.Args[0], 1)
 		}
 		return nil, false
 	case kernel.FEq:
@@ -248,10 +248,6 @@ func (lz *linearizer) constraintsOf(f *kernel.Form, neg bool) ([]linConstraint, 
 		return append(l, r...), true
 	}
 	return nil, false
-}
-
-func (lz *linearizer) geZeroOK(a, b *kernel.Term, slack int, _ bool) ([]linConstraint, bool) {
-	return lz.geZero(a, b, slack)
 }
 
 // negatedGoal returns the disjunctive alternatives of the goal's negation;

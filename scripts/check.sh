@@ -1,10 +1,10 @@
 #!/bin/sh
 # Extended verification gate: everything the tier-1 gate runs, plus go vet,
 # gofmt, the race detector and the full binary sweeps. The repository's own
-# static analyzers (internal/analysis) need no step of their own: they run
-# in the tier-1 and race test runs below, as TestRepoLintClean (the Go
-# family over the type-checked module, tests included) and
-# TestEmbeddedCorpusLintClean (the corpus).
+# static checks need no step of their own: they run in the tier-1 and race
+# test runs below, as TestRepoLintClean (the Go analyzers of
+# internal/analysis over the type-checked module, tests included) and
+# TestEmbeddedCorpusLintClean (corpus.Corpus.Lint over the embedded corpus).
 # Lock copies are go vet's copylocks check, so the go vet step must stay.
 # Run from anywhere inside the repository.
 set -eu
