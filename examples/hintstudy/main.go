@@ -1,9 +1,9 @@
 // Hintstudy: a miniature of the paper's central finding.
 //
-// Runs the best-first search with the simulated GPT-4o over the Mem.v
-// theorems in both prompt settings, showing per-theorem how hints (human
-// proofs of other theorems in the prompt) change the outcome — the effect
-// the paper's Figure 1 aggregates.
+// Runs the best-first search with the simulated GPT-4o over the test-set
+// theorems of ListUtils.v and Log.v in both prompt settings, showing
+// per-theorem how hints (human proofs of other theorems in the prompt)
+// change the outcome — the effect the paper's Figure 1 aggregates.
 //
 //	go run ./examples/hintstudy
 package main

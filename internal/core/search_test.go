@@ -94,7 +94,7 @@ func TestFueloutAndStuck(t *testing.T) {
 		Env:  env,
 		Stmt: th.Stmt,
 		Propose: func(st *tactic.State, path []string) []model.Candidate {
-			return []model.Candidate{{Tactic: "intros.", LogProb: -1}, {Tactic: "assert (0 = 0) as HQ || assert (1 = 1) as HQ2 || idtac.", LogProb: -2}}
+			return []model.Candidate{{Tactic: "intros.", LogProb: -1}, {Tactic: "assert (0 = 0) as HQ || assert (1 = 1) as HQ2 || intros.", LogProb: -2}}
 		},
 		QueryLimit: 5,
 	})

@@ -30,13 +30,14 @@ func (f Finding) String() string {
 //     one's (equal fingerprint keys under positional binder renaming), which
 //     restates existing work under a new name;
 //   - introshyps: a hypothesis named by intro/intros that no later tactic
-//     references. Proofs using a tactic that consults every hypothesis
-//     (auto, lia, congruence, ...) are skipped;
+//     references. Proofs using a tactic that may use a hypothesis it never
+//     names (the tactic table's SweepsHyps: auto, subst, bare discriminate,
+//     ...) are skipped;
 //   - noprogress: a try or repeat that cannot make progress: redundant
 //     nesting (try (repeat t), try (try t), repeat (repeat t),
-//     repeat (try t)), an unknown tactic inside one, whose failure it hides,
-//     or a body naming what is neither a global name nor one the script
-//     introduces;
+//     repeat (try t)), a tactic the table lacks inside one, whose failure it
+//     hides, or a body whose NamesTarget tactic names what is neither a
+//     global name nor one the script introduces;
 //   - importclosure: a declaration referencing a name declared in a file
 //     outside its own file's Require Import closure, which works only by
 //     accident of load order. One finding per missing file, at its first
@@ -156,14 +157,6 @@ func (c *Corpus) refs(it *Item, calls []tactic.Call) []string {
 	return out
 }
 
-// sweeperTactics consult every hypothesis, so a proof using one may need a
-// hypothesis it never names.
-var sweeperTactics = map[string]bool{
-	"auto": true, "eauto": true, "assumption": true, "eassumption": true,
-	"trivial": true, "lia": true, "omega": true, "congruence": true,
-	"contradiction": true, "subst": true, "easy": true,
-}
-
 // introsHyps reports each hypothesis the proof names in intro/intros and
 // never references.
 func introsHyps(it *Item, calls []tactic.Call, report func(check, msg string)) {
@@ -171,8 +164,9 @@ func introsHyps(it *Item, calls []tactic.Call, report func(check, msg string)) {
 	used := map[string]bool{}
 	mark := nameVisitor(func(n string) { used[n] = true })
 	for _, call := range calls {
+		v, _ := tactic.Lookup(call.Name)
 		switch {
-		case sweeperTactics[call.Name]:
+		case v.SweepsHyps:
 			return
 		case call.Name == "intro" || call.Name == "intros":
 			introduced = append(introduced, call.Idents...)
@@ -191,32 +185,6 @@ func introsHyps(it *Item, calls []tactic.Call, report func(check, msg string)) {
 		report("introshyps", "hypothesis "+name+" introduced by intros in "+it.Name+
 			" is never referenced; drop the name (use plain intros) or the hypothesis")
 	}
-}
-
-// knownTactics mirrors the tactic engine's dispatch: a tactic outside it
-// can never apply.
-var knownTactics = map[string]bool{
-	"idtac": true, "intro": true, "intros": true,
-	"assumption": true, "eassumption": true, "exact": true,
-	"split": true, "left": true, "right": true, "exists": true,
-	"exfalso": true, "clear": true, "revert": true, "generalize": true,
-	"subst": true, "simpl": true, "unfold": true,
-	"reflexivity": true, "symmetry": true, "f_equal": true,
-	"contradiction": true, "discriminate": true,
-	"assert": true, "specialize": true, "apply": true, "eapply": true,
-	"constructor": true, "econstructor": true,
-	"destruct": true, "induction": true, "rewrite": true,
-	"inversion": true, "inversion_clear": true,
-	"auto": true, "eauto": true, "trivial": true,
-	"lia": true, "omega": true, "congruence": true,
-}
-
-// nameUsingTactics apply only when their first identifier names a global
-// or a hypothesis in scope.
-var nameUsingTactics = map[string]bool{
-	"apply": true, "eapply": true, "rewrite": true, "unfold": true,
-	"exact": true, "destruct": true, "induction": true,
-	"inversion": true, "inversion_clear": true,
 }
 
 // nestedCombinators explains each redundant nesting, keyed by the outer
@@ -281,11 +249,12 @@ func (c *Corpus) noProgress(it *Item, script []tactic.Expr, calls []tactic.Call,
 			body(t.A, comb)
 			body(t.B, comb)
 		case tactic.Call:
-			if !knownTactics[t.Name] {
+			v, known := tactic.Lookup(t.Name)
+			if !known {
 				flag("unknown tactic " + t.Name + " inside " + comb + " can never apply; the combinator hides the failure")
 				return
 			}
-			if !nameUsingTactics[t.Name] || len(t.Idents) == 0 {
+			if !v.NamesTarget || len(t.Idents) == 0 {
 				return
 			}
 			if name := t.Idents[0]; !scope[name] {

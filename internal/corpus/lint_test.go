@@ -22,11 +22,12 @@ func TestEmbeddedCorpusLintClean(t *testing.T) {
 	}
 }
 
-// The embedded corpus with two imports dropped from Log.v and four lemmas
+// The embedded corpus with two imports dropped from Log.v and five lemmas
 // appended to Dir.v loads, and Lint reports exactly the violations planted:
 // the two names Log.v uses from the files it no longer imports, one
 // duplicate statement, one unused hypothesis and two no-progress
-// combinators.
+// combinators. The fifth lemma plants none: its hypothesis Hd is never
+// named, but bare discriminate uses it.
 func TestLintFiresOnCorpus(t *testing.T) {
 	files, err := Sources()
 	if err != nil {
@@ -54,6 +55,9 @@ Proof. intros n Hz. reflexivity. Qed.
 
 Lemma lint_no_progress : 1 + 1 = 2.
 Proof. try (frobnicate). repeat (try simpl). reflexivity. Qed.
+
+Lemma lint_discriminate : forall (n : nat), S n = O -> n = n.
+Proof. intros n Hd. discriminate. Qed.
 `
 		}
 		files[i] = f

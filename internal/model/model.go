@@ -1073,6 +1073,11 @@ func (m *Model) recursiveArgVars(f *kernel.Form) map[string]bool {
 // ---------------------------------------------------------------------------
 // Noise
 
+// junkTactics are sentences a weak model emits that the checker rejects,
+// all but two: "trivial." is auto at depth 1, and "simpl in *." is a form
+// simpl implements. Both stay, because removing an entry shifts every later
+// rng.Intn draw of a sweep, and so changes every table.
+// TestTacticTableMatchesCallers pins which are real tactics.
 var junkTactics = []string{
 	"ring.", "field.", "firstorder.", "tauto.", "cbv.", "trivial.",
 	"intuition.", "easy.", "now auto.", "simpl in *.",

@@ -3,6 +3,7 @@ package tactic
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 
 	"llmfscq/internal/kernel"
@@ -193,114 +194,143 @@ func applyExpr(env *kernel.Env, g *Goal, e Expr, sc *kernel.Scratch) ([]*Goal, e
 		}
 		return cur, nil
 	case Call:
-		return applyCall(env, g, t, sc)
+		v, ok := verbs[t.Name]
+		if !ok {
+			return nil, fmt.Errorf("tactic: unknown tactic %q", t.Name)
+		}
+		return v.run(env, g, t, sc)
 	}
 	return nil, fmt.Errorf("tactic: unknown expression %T", e)
 }
 
-func applyCall(env *kernel.Env, g *Goal, c Call, sc *kernel.Scratch) ([]*Goal, error) {
-	switch c.Name {
-	case "idtac":
-		return []*Goal{g}, nil
-	case "intro":
-		name := ""
-		if len(c.Idents) > 0 {
-			name = c.Idents[0]
-		}
-		return tacIntro(env, g, name)
-	case "intros":
+// Verb is one entry of the tactic table: how a tactic runs, and the two
+// facts about its arguments that the corpus checks read.
+type Verb struct {
+	run tacFunc
+	// NamesTarget: the call applies only when its first identifier, if it
+	// has one, names a global or a hypothesis in scope.
+	NamesTarget bool
+	// SweepsHyps: the tactic may use a hypothesis it never names.
+	SweepsHyps bool
+}
+
+// tacFunc runs one tactic call on goal g.
+type tacFunc func(env *kernel.Env, g *Goal, c Call, sc *kernel.Scratch) ([]*Goal, error)
+
+// onGoal adapts a tactic that takes no arguments.
+func onGoal(f func(env *kernel.Env, g *Goal) ([]*Goal, error)) tacFunc {
+	return func(env *kernel.Env, g *Goal, _ Call, _ *kernel.Scratch) ([]*Goal, error) { return f(env, g) }
+}
+
+// verbs is the tactic table: the checker accepts a call exactly when its
+// name is here. A verb no corpus proof uses and the model cannot emit does
+// not belong here (internal/model's TestTacticTableMatchesCallers).
+var verbs = map[string]Verb{
+	"intro": {run: func(env *kernel.Env, g *Goal, c Call, _ *kernel.Scratch) ([]*Goal, error) {
+		return tacIntro(env, g, firstIdent(c))
+	}},
+	"intros": {run: func(env *kernel.Env, g *Goal, c Call, _ *kernel.Scratch) ([]*Goal, error) {
 		return tacIntros(env, g, c.Idents)
-	case "assumption", "eassumption":
-		return tacAssumption(env, g)
-	case "exact":
-		if len(c.Idents) != 1 {
-			return nil, errors.New("tactic: exact expects one name")
-		}
-		return tacExact(env, g, c.Idents[0], sc)
-	case "split":
-		return tacSplit(env, g)
-	case "left":
+	}},
+	"assumption":  {SweepsHyps: true, run: onGoal(tacAssumption)},
+	"eassumption": {SweepsHyps: true, run: onGoal(tacAssumption)},
+	"split":       {run: onGoal(tacSplit)},
+	"left": {run: func(env *kernel.Env, g *Goal, _ Call, _ *kernel.Scratch) ([]*Goal, error) {
 		return tacLeftRight(env, g, true)
-	case "right":
+	}},
+	"right": {run: func(env *kernel.Env, g *Goal, _ Call, _ *kernel.Scratch) ([]*Goal, error) {
 		return tacLeftRight(env, g, false)
-	case "exists":
+	}},
+	"exists": {run: func(env *kernel.Env, g *Goal, c Call, _ *kernel.Scratch) ([]*Goal, error) {
 		return tacExists(env, g, c.Terms)
-	case "exfalso":
-		ng := g.Clone()
-		ng.Concl = kernel.False()
-		return []*Goal{ng}, nil
-	case "clear":
-		return tacClear(env, g, c.Idents)
-	case "revert":
+	}},
+	"exfalso": {run: onGoal(tacExfalso)},
+	"revert": {run: func(env *kernel.Env, g *Goal, c Call, _ *kernel.Scratch) ([]*Goal, error) {
 		return tacRevert(env, g, c.Idents)
-	case "generalize":
-		// only `generalize dependent x` is supported
-		if len(c.Idents) == 2 && c.Idents[0] == "dependent" {
-			return tacGeneralizeDependent(env, g, c.Idents[1])
-		}
-		return nil, errors.New("tactic: only 'generalize dependent x' is supported")
-	case "subst":
-		return tacSubst(env, g)
-	case "simpl":
+	}},
+	"subst": {SweepsHyps: true, run: onGoal(tacSubst)},
+	"simpl": {run: func(env *kernel.Env, g *Goal, c Call, _ *kernel.Scratch) ([]*Goal, error) {
 		return tacSimpl(env, g, c.InHyp)
-	case "unfold":
+	}},
+	"unfold": {NamesTarget: true, run: func(env *kernel.Env, g *Goal, c Call, _ *kernel.Scratch) ([]*Goal, error) {
 		return tacUnfold(env, g, c.Idents, c.InHyp)
-	case "reflexivity":
-		return tacReflexivity(env, g)
-	case "symmetry":
+	}},
+	"reflexivity": {run: onGoal(tacReflexivity)},
+	"symmetry": {run: func(env *kernel.Env, g *Goal, c Call, _ *kernel.Scratch) ([]*Goal, error) {
 		return tacSymmetry(env, g, c.InHyp)
-	case "f_equal":
-		return tacFEqual(env, g)
-	case "contradiction":
-		return tacContradiction(env, g)
-	case "discriminate":
-		name := ""
-		if len(c.Idents) > 0 {
-			name = c.Idents[0]
-		}
-		return tacDiscriminate(env, g, name)
-	case "assert":
+	}},
+	"f_equal":       {run: onGoal(tacFEqual)},
+	"contradiction": {SweepsHyps: true, run: onGoal(tacContradiction)},
+	// Bare discriminate scans every hypothesis for a clash.
+	"discriminate": {SweepsHyps: true, run: func(env *kernel.Env, g *Goal, c Call, _ *kernel.Scratch) ([]*Goal, error) {
+		return tacDiscriminate(env, g, firstIdent(c))
+	}},
+	"assert": {run: func(env *kernel.Env, g *Goal, c Call, _ *kernel.Scratch) ([]*Goal, error) {
 		if len(c.Forms) != 1 {
 			return nil, errors.New("tactic: assert expects one formula")
 		}
 		return tacAssert(env, g, c.Forms[0], c.Idents)
-	case "specialize":
-		if len(c.Idents) != 1 {
-			return nil, errors.New("tactic: specialize expects (H args)")
-		}
-		return tacSpecialize(env, g, c.Idents[0], c.Terms)
-	case "apply":
+	}},
+	"apply": {NamesTarget: true, run: func(env *kernel.Env, g *Goal, c Call, sc *kernel.Scratch) ([]*Goal, error) {
 		return tacApply(env, g, c, false, sc)
-	case "eapply":
+	}},
+	"eapply": {NamesTarget: true, run: func(env *kernel.Env, g *Goal, c Call, sc *kernel.Scratch) ([]*Goal, error) {
 		return tacApply(env, g, c, true, sc)
-	case "constructor":
+	}},
+	"constructor": {run: func(env *kernel.Env, g *Goal, _ Call, sc *kernel.Scratch) ([]*Goal, error) {
 		return tacConstructor(env, g, false, sc)
-	case "econstructor":
+	}},
+	"econstructor": {run: func(env *kernel.Env, g *Goal, _ Call, sc *kernel.Scratch) ([]*Goal, error) {
 		return tacConstructor(env, g, true, sc)
-	case "destruct":
+	}},
+	"destruct": {NamesTarget: true, run: func(env *kernel.Env, g *Goal, c Call, _ *kernel.Scratch) ([]*Goal, error) {
 		return tacDestruct(env, g, c)
-	case "induction":
+	}},
+	"induction": {NamesTarget: true, run: func(env *kernel.Env, g *Goal, c Call, _ *kernel.Scratch) ([]*Goal, error) {
 		return tacInduction(env, g, c)
-	case "rewrite":
-		return tacRewrite(env, g, c, sc)
-	case "inversion", "inversion_clear":
+	}},
+	"rewrite": {NamesTarget: true, run: tacRewrite},
+	"inversion": {NamesTarget: true, run: func(env *kernel.Env, g *Goal, c Call, _ *kernel.Scratch) ([]*Goal, error) {
 		if len(c.Idents) != 1 {
 			return nil, errors.New("tactic: inversion expects a hypothesis name")
 		}
-		return tacInversion(env, g, c.Idents[0], c.Name == "inversion_clear")
-	case "auto":
+		return tacInversion(env, g, c.Idents[0])
+	}},
+	"auto": {SweepsHyps: true, run: func(env *kernel.Env, g *Goal, c Call, sc *kernel.Scratch) ([]*Goal, error) {
 		return tacAuto(env, g, c.Num, false, sc)
-	case "eauto":
+	}},
+	"eauto": {SweepsHyps: true, run: func(env *kernel.Env, g *Goal, c Call, sc *kernel.Scratch) ([]*Goal, error) {
 		return tacAuto(env, g, c.Num, true, sc)
-	case "trivial":
+	}},
+	"trivial": {SweepsHyps: true, run: func(env *kernel.Env, g *Goal, _ Call, sc *kernel.Scratch) ([]*Goal, error) {
 		return tacAuto(env, g, 1, false, sc)
-	case "lia", "omega":
-		return tacLia(env, g)
-	case "congruence":
-		return tacCongruence(env, g)
-	default:
-		return nil, fmt.Errorf("tactic: unknown tactic %q", c.Name)
+	}},
+	"omega":      {SweepsHyps: true, run: onGoal(tacLia)},
+	"congruence": {SweepsHyps: true, run: onGoal(tacCongruence)},
+}
+
+// Lookup returns the table entry of the tactic named name.
+func Lookup(name string) (Verb, bool) {
+	v, ok := verbs[name]
+	return v, ok
+}
+
+// Verbs lists the table's tactic names, sorted.
+func Verbs() []string {
+	names := make([]string, 0, len(verbs))
+	for name := range verbs {
+		names = append(names, name)
 	}
+	sort.Strings(names)
+	return names
+}
+
+// firstIdent is a call's first identifier argument, or "".
+func firstIdent(c Call) string {
+	if len(c.Idents) > 0 {
+		return c.Idents[0]
+	}
+	return ""
 }
 
 // ---------------------------------------------------------------------------
@@ -403,26 +433,6 @@ func tacAssumption(env *kernel.Env, g *Goal) ([]*Goal, error) {
 	return nil, errNoAssumption
 }
 
-func tacExact(env *kernel.Env, g *Goal, name string, sc *kernel.Scratch) ([]*Goal, error) {
-	if name == "I" && g.Concl.Kind == kernel.FTrue {
-		return nil, nil
-	}
-	if h, ok := g.HypNamed(name); ok {
-		if h.Form.FingerprintKey() == g.Concl.FingerprintKey() {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("tactic: hypothesis %q does not match the goal", name)
-	}
-	if l, ok := env.Lemmas[name]; ok {
-		if l.Stmt.FingerprintKey() == g.Concl.FingerprintKey() {
-			return nil, nil
-		}
-		// A lemma may match after instantiation; delegate to apply.
-		return tacApply(env, g, Call{Name: "apply", Idents: []string{name}, Num: -1}, false, sc)
-	}
-	return nil, fmt.Errorf("tactic: unknown name %q", name)
-}
-
 func tacSplit(env *kernel.Env, g *Goal) ([]*Goal, error) {
 	switch g.Concl.Kind {
 	case kernel.FAnd:
@@ -453,6 +463,12 @@ func tacLeftRight(env *kernel.Env, g *Goal, left bool) ([]*Goal, error) {
 	} else {
 		ng.Concl = g.Concl.R
 	}
+	return []*Goal{ng}, nil
+}
+
+func tacExfalso(env *kernel.Env, g *Goal) ([]*Goal, error) {
+	ng := g.Clone()
+	ng.Concl = kernel.False()
 	return []*Goal{ng}, nil
 }
 
@@ -525,41 +541,6 @@ func resolveGoalForm(env *kernel.Env, g *Goal, f *kernel.Form) (*kernel.Form, er
 // ---------------------------------------------------------------------------
 // Context management
 
-func tacClear(env *kernel.Env, g *Goal, names []string) ([]*Goal, error) {
-	if len(names) == 0 {
-		return nil, errors.New("tactic: clear expects names")
-	}
-	cur := g
-	for _, n := range names {
-		if _, ok := cur.HypNamed(n); ok {
-			cur = cur.RemoveHyp(n)
-			continue
-		}
-		if _, ok := cur.VarType(n); ok {
-			if cur.Concl.HasFreeVar(n) {
-				return nil, fmt.Errorf("tactic: cannot clear %q, used in the goal", n)
-			}
-			for _, h := range cur.Hyps {
-				if h.Form.HasFreeVar(n) {
-					return nil, fmt.Errorf("tactic: cannot clear %q, used in %s", n, h.Name)
-				}
-			}
-			ng := cur.Clone()
-			vars := ng.Vars[:0]
-			for _, v := range ng.Vars {
-				if v.Name != n {
-					vars = append(vars, v)
-				}
-			}
-			ng.Vars = vars
-			cur = ng
-			continue
-		}
-		return nil, fmt.Errorf("tactic: no hypothesis or variable %q", n)
-	}
-	return []*Goal{cur}, nil
-}
-
 func tacRevert(env *kernel.Env, g *Goal, names []string) ([]*Goal, error) {
 	if len(names) == 0 {
 		return nil, errors.New("tactic: revert expects names")
@@ -601,30 +582,6 @@ func revertOne(g *Goal, n string) (*Goal, error) {
 		return ng, nil
 	}
 	return nil, fmt.Errorf("tactic: no hypothesis or variable %q", n)
-}
-
-func tacGeneralizeDependent(env *kernel.Env, g *Goal, name string) ([]*Goal, error) {
-	if _, ok := g.VarType(name); !ok {
-		return nil, fmt.Errorf("tactic: no variable %q", name)
-	}
-	cur := g
-	// Revert dependent hypotheses last-to-first so the conclusion nests them
-	// in their original order.
-	for i := len(cur.Hyps) - 1; i >= 0; i-- {
-		h := cur.Hyps[i]
-		if h.Form.HasFreeVar(name) {
-			next, err := revertOne(cur, h.Name)
-			if err != nil {
-				return nil, err
-			}
-			cur = next
-		}
-	}
-	next, err := revertOne(cur, name)
-	if err != nil {
-		return nil, err
-	}
-	return []*Goal{next}, nil
 }
 
 func tacSubst(env *kernel.Env, g *Goal) ([]*Goal, error) {
@@ -945,37 +902,4 @@ func tacAssert(env *kernel.Env, g *Goal, raw *kernel.Form, idents []string) ([]*
 	main := g.Clone()
 	main.Hyps = append(main.Hyps, Hyp{Name: name, Form: f})
 	return []*Goal{side, main}, nil
-}
-
-func tacSpecialize(env *kernel.Env, g *Goal, hname string, args []*kernel.Term) ([]*Goal, error) {
-	h, ok := g.HypNamed(hname)
-	if !ok {
-		return nil, fmt.Errorf("tactic: no hypothesis %q", hname)
-	}
-	f := h.Form
-	for _, a := range args {
-		switch f.Kind {
-		case kernel.FForall:
-			rt, err := resolveGoalTerm(env, g, a)
-			if err != nil {
-				return nil, err
-			}
-			f = f.Body.Subst1(f.Binder, rt)
-		case kernel.FImpl:
-			if !a.IsVar() {
-				return nil, errors.New("tactic: expected a hypothesis name for an implication premise")
-			}
-			prem, ok := g.HypNamed(a.Var)
-			if !ok {
-				return nil, fmt.Errorf("tactic: no hypothesis %q", a.Var)
-			}
-			if prem.Form.FingerprintKey() != f.L.FingerprintKey() {
-				return nil, fmt.Errorf("tactic: hypothesis %q does not match the premise", a.Var)
-			}
-			f = f.R
-		default:
-			return nil, errors.New("tactic: over-applied hypothesis")
-		}
-	}
-	return []*Goal{g.ReplaceHyp(hname, f)}, nil
 }

@@ -285,7 +285,7 @@ func ruleInduction(env *kernel.Env, g *Goal, h Hyp) ([]*Goal, error) {
 			continue
 		}
 		if !feasible {
-			return nil, fmt.Errorf("tactic: cannot induct on %s: rule %s specializes a fixed index (generalize dependent first)", h.Name, r.Name)
+			return nil, fmt.Errorf("tactic: cannot induct on %s: rule %s specializes a fixed index (revert first the hypotheses that mention its indices)", h.Name, r.Name)
 		}
 		ng := &Goal{Concl: nil}
 		// Context: original vars minus generalized ones, plus unbound rule vars.

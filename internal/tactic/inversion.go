@@ -12,7 +12,7 @@ import (
 // by injectivity; impossible rules (constructor clashes) produce no subgoal.
 // For primitive connectives it behaves like destruct; for constructor
 // equalities it performs injection/discrimination.
-func tacInversion(env *kernel.Env, g *Goal, hname string, clear bool) ([]*Goal, error) {
+func tacInversion(env *kernel.Env, g *Goal, hname string) ([]*Goal, error) {
 	h, ok := g.HypNamed(hname)
 	if !ok {
 		return nil, fmt.Errorf("tactic: no hypothesis %q", hname)
@@ -23,10 +23,6 @@ func tacInversion(env *kernel.Env, g *Goal, hname string, clear bool) ([]*Goal, 
 		if !ok {
 			// Unfoldable definitions are not invertible directly.
 			return nil, fmt.Errorf("tactic: %q is not an inductive predicate; unfold it first", h.Form.Pred)
-		}
-		base := g
-		if clear {
-			base = g.RemoveHyp(hname)
 		}
 		// Inversion works up to conversion: normalize the hypothesis
 		// arguments so computed values expose their constructors.
@@ -41,11 +37,11 @@ func tacInversion(env *kernel.Env, g *Goal, hname string, clear bool) ([]*Goal, 
 		}
 		// The in-scope names are the same for every rule: compute them
 		// once and let each rule borrow them (see invertRule).
-		used := base.usedNames()
+		used := g.usedNames()
 		defer releaseNames(used)
 		var out []*Goal
 		for i := range p.Rules {
-			sub, err := invertRule(env, base, &p.Rules[i], args, used)
+			sub, err := invertRule(env, g, &p.Rules[i], args, used)
 			if err != nil {
 				return nil, err
 			}

@@ -11,16 +11,16 @@ import (
 // Shared rejections: a rejection need not allocate (see apply.go).
 var (
 	errNotLinear = errors.New("tactic: goal is not linear arithmetic")
-	errLiaFails  = errors.New("tactic: lia cannot prove the goal")
+	errLiaFails  = errors.New("tactic: omega cannot prove the goal")
 )
 
-// tacLia decides linear arithmetic over the naturals: it linearizes the
-// hypotheses and the negated goal into constraints of the form `expr >= 0`,
-// atomizing non-linear subterms, and refutes them with Fourier–Motzkin
-// elimination plus integer (gcd) tightening. Natural subtraction `a - b` is
-// approximated by an atom m with m >= a-b, m >= 0, m <= a, which is sound
-// (every provable goal stays provable) but incomplete for goals that need
-// the exact truncation case split.
+// tacLia, the omega tactic, decides linear arithmetic over the naturals: it
+// linearizes the hypotheses and the negated goal into constraints of the
+// form `expr >= 0`, atomizing non-linear subterms, and refutes them with
+// Fourier–Motzkin elimination plus integer (gcd) tightening. Natural
+// subtraction `a - b` is approximated by an atom m with m >= a-b, m >= 0,
+// m <= a, which is sound (every provable goal stays provable) but
+// incomplete for goals that need the exact truncation case split.
 func tacLia(env *kernel.Env, g *Goal) ([]*Goal, error) {
 	lz := &linearizer{env: env, atoms: map[string]int{}}
 	var base []linConstraint

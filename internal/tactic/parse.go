@@ -36,7 +36,8 @@ type Call struct {
 	Name string
 	// Idents are identifier arguments (lemma/hyp/var names).
 	Idents []string
-	// Terms are term arguments (for exists, specialize, ...).
+	// Terms are term arguments (for exists, with, a parenthesized
+	// destruct target, ...).
 	Terms []*kernel.Term
 	// Forms are formula arguments (for assert).
 	Forms []*kernel.Form
@@ -355,26 +356,6 @@ func (p *tparser) parseCall() (Expr, error) {
 			if !p.eatSym(",") {
 				break
 			}
-		}
-		return call, nil
-	}
-
-	if name == "specialize" {
-		// specialize (H t1 t2 ...)
-		if err := p.expectSym("("); err != nil {
-			return nil, err
-		}
-		id, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		call.Idents = append(call.Idents, id)
-		for !p.eatSym(")") {
-			tm, err := p.parseTermArg()
-			if err != nil {
-				return nil, err
-			}
-			call.Terms = append(call.Terms, tm)
 		}
 		return call, nil
 	}

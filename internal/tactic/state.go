@@ -1,8 +1,9 @@
 // Package tactic implements the proof-state layer and the tactic
 // interpreter: Coq-style goals (typed variable context, named hypotheses,
-// conclusion) and 30+ tactics including structural induction, inversion,
-// rewriting, auto/eauto backward chaining, lia, and congruence, plus the
-// combinators `;`, `||`, `try`, and `repeat`.
+// conclusion), one table of tactics (verbs, in engine.go) with structural
+// induction, inversion, rewriting, auto/eauto backward chaining, omega and
+// congruence among them, and the combinators `;`, `||`, `try`, and
+// `repeat`.
 package tactic
 
 import (

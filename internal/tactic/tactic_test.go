@@ -258,19 +258,20 @@ func TestInversion(t *testing.T) {
 // sees the variables or hypothesis names an earlier rule added, whether
 // that rule was impossible (twice_succ's m) or survived (twice_refl's m
 // and H0), and a rule variable substituted away leaves the scope before
-// the rule's hypotheses are named (twice_refl's H).
+// the rule's hypotheses are named (twice_refl's H). The inverted
+// hypothesis is named Ht so that H is free for the rules.
 func TestInversionRulesFreshenIndependently(t *testing.T) {
 	env := buildEnv(t)
 	st := NewState(env, stmt(t, env, "forall (k : nat), twice O -> le k k"))
-	for _, sentence := range []string{"intros.", "inversion_clear H."} {
+	for _, sentence := range []string{"intros k Ht.", "inversion Ht."} {
 		var err error
 		if st, err = ApplySentence(st, sentence); err != nil {
 			t.Fatal(err)
 		}
 	}
 	want := []string{
-		"k : nat\nm : nat\nH : le 0 0\nH0 : le 0 0\n============================\nle k k",
-		"k : nat\nm : nat\nn : nat\nH : le m n\nH0 : le n m\n============================\nle k k",
+		"k : nat\nm : nat\nHt : twice 0\nH : le 0 0\nH0 : le 0 0\n============================\nle k k",
+		"k : nat\nm : nat\nn : nat\nHt : twice 0\nH : le m n\nH0 : le n m\n============================\nle k k",
 	}
 	if len(st.Goals) != len(want) {
 		t.Fatalf("%d goals after inversion, want %d", len(st.Goals), len(want))
@@ -342,14 +343,10 @@ func TestRevertGeneralize(t *testing.T) {
 	env := buildEnv(t)
 	proves(t, env, "forall (n m : nat), n + m = m + n -> n + m = m + n",
 		"intros. revert H. intros. assumption.")
-	proves(t, env, "forall (n m : nat), n = m -> m = n",
-		"intros. generalize dependent m. intros. symmetry. assumption.")
 }
 
 func TestAssertSpecialize(t *testing.T) {
 	env := buildEnv(t)
-	proves(t, env, "forall (n : nat), (forall (m : nat), m <= S m) -> n <= S n",
-		"intros. specialize (H n). assumption.")
 	proves(t, env, "forall (n : nat), 0 + n = n",
 		"intros. assert (0 + n = n) as HA. reflexivity. assumption.")
 }
@@ -363,11 +360,26 @@ func TestCombinators(t *testing.T) {
 	proves(t, env, "True /\\ (True /\\ True)", "repeat split.")
 }
 
+// A sentence whose verb the tactic table lacks is rejected by that verb's
+// name, whatever its arguments. Besides frobnicate, the verbs below are Coq
+// tactics that no corpus proof uses and the model cannot emit.
 func TestUnknownTacticRejected(t *testing.T) {
 	env := buildEnv(t)
 	s := NewState(env, stmt(t, env, "True"))
-	if _, err := ApplySentence(s, "frobnicate."); err == nil {
-		t.Fatal("unknown tactic accepted")
+	for _, c := range []struct{ sentence, verb string }{
+		{"frobnicate.", "frobnicate"},
+		{"idtac.", "idtac"},
+		{"exact H.", "exact"},
+		{"clear H.", "clear"},
+		{"generalize dependent n.", "generalize"},
+		{"specialize (H n).", "specialize"},
+		{"inversion_clear H.", "inversion_clear"},
+		{"lia.", "lia"},
+	} {
+		want := `tactic: unknown tactic "` + c.verb + `"`
+		if _, err := ApplySentence(s, c.sentence); err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", c.sentence, err, want)
+		}
 	}
 	if _, err := ApplySentence(s, "apply NoSuchLemma."); err == nil {
 		t.Fatal("unknown lemma accepted")

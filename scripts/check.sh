@@ -1,11 +1,12 @@
 #!/bin/sh
-# Extended verification gate: everything the tier-1 gate runs, plus go vet,
-# gofmt, the race detector and the full binary sweeps. The repository's own
-# static checks need no step of their own: they run in the tier-1 and race
-# test runs below, as TestRepoLintClean (the Go analyzers of
-# internal/analysis over the type-checked module, tests included) and
-# TestEmbeddedCorpusLintClean (corpus.Corpus.Lint over the embedded corpus).
-# Lock copies are go vet's copylocks check, so the go vet step must stay.
+# Extended verification gate: everything the tier-1 gate runs, under the
+# race detector, plus the allocation tests the race run skips and the full
+# binary sweeps. The checks that need no other flags are tier-1 tests and
+# have no step of their own here: go vet ./..., gofmt and a run of every
+# examples/*/ (the root package's TestVetGofmtAndExamples), the Go
+# analyzers of internal/analysis over the type-checked module, tests
+# included (TestRepoLintClean), and corpus.Corpus.Lint over the embedded
+# corpus (TestEmbeddedCorpusLintClean).
 # Run from anywhere inside the repository.
 set -eu
 
@@ -13,17 +14,6 @@ cd "$(dirname "$0")/.."
 
 echo "==> go build ./..."
 go build ./...
-
-echo "==> go vet ./..."
-go vet ./...
-
-echo "==> gofmt -l ."
-unformatted=$(gofmt -l .)
-[ -z "$unformatted" ] || {
-	echo "check: FAIL: gofmt would reformat:" >&2
-	echo "$unformatted" >&2
-	exit 1
-}
 
 # The race run covers the load-bearing regressions, each once:
 # TestGoldenDeterminism (shared caches and the grid scheduler give a
@@ -34,9 +24,9 @@ unformatted=$(gofmt -l .)
 # step), TestBackendEquivalence (the grid over the wire) and the root
 # package's TestSweepbenchVetAndTest (sweepbench/, the benchmark of record,
 # is its own module, which ./... never compiles; that test vets and tests
-# it, so a change to an API the benchmark names fails here). They are not
-# re-run with their own -run: a new flag misses the test cache, so each
-# would execute twice.
+# it, so a change to an API the benchmark names fails here) and
+# TestVetGofmtAndExamples. They are not re-run with their own -run: a new
+# flag misses the test cache, so each would execute twice.
 echo "==> go test -race ./..."
 go test -race ./...
 
@@ -46,15 +36,6 @@ go test -race ./...
 # bound on the hinted GPT-4o grid. Run them without it.
 echo "==> go test -run '^TestAlloc' ./internal/..."
 go test -run '^TestAlloc' ./internal/...
-
-# Every example runs, and each exits nonzero when it fails: quickstart
-# unless it proves app_nil_r, and serapi (the wire's one binary-level step:
-# it starts a checkerd and proves a lemma over the protocol with Exec and
-# Cancel) on any client error or a wrong final script.
-for ex in examples/*/; do
-	echo "==> go run ./$ex"
-	go run "./$ex" >/dev/null
-done
 
 # Proof-store equivalence at full scale. The in-process schedule is held to
 # the committed seed-2025 oracle by TestExperimentsMatchOracle, which the
