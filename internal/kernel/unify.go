@@ -30,7 +30,9 @@ func Resolve(t *Term, sub Subst) *Term {
 func FullResolve(t *Term, sub Subst) *Term { return FullResolveS(t, sub, nil) }
 
 // FullResolveS is FullResolve with a scratch arena for the transient child
-// buffers (sc may be nil).
+// buffers (sc may be nil). Terms are immutable, so a node none of whose
+// children the substitution changes is returned as-is rather than rebuilt
+// (here and in FullResolveFormS), as applySubst does.
 func FullResolveS(t *Term, sub Subst, sc *Scratch) *Term {
 	if len(sub) == 0 {
 		return t
@@ -41,19 +43,35 @@ func FullResolveS(t *Term, sub Subst, sc *Scratch) *Term {
 		return t
 	case t.Match != nil:
 		cases := sc.Cases(len(t.Match.Cases))
+		changed := false
 		for i, c := range t.Match.Cases {
 			cases[i] = MatchCase{Pat: c.Pat, RHS: FullResolveS(c.RHS, sub, sc)}
+			changed = changed || cases[i].RHS != c.RHS
 		}
-		r := mkMatch(FullResolveS(t.Match.Scrut, sub, sc), cases)
+		scrut := FullResolveS(t.Match.Scrut, sub, sc)
+		r := t
+		if changed || scrut != t.Match.Scrut {
+			r = mkMatch(scrut, cases)
+		}
 		sc.PutCases(cases)
 		return r
 	default:
 		if len(t.Args) == 0 {
 			return t
 		}
-		args := sc.Args(len(t.Args))
+		var args []*Term
 		for i, a := range t.Args {
-			args[i] = FullResolveS(a, sub, sc)
+			na := FullResolveS(a, sub, sc)
+			if na != a && args == nil {
+				args = sc.Args(len(t.Args))
+				copy(args, t.Args[:i])
+			}
+			if args != nil {
+				args[i] = na
+			}
+		}
+		if args == nil {
+			return t
 		}
 		r := mkApp(t.Fun, args)
 		sc.PutArgs(args)
@@ -73,21 +91,47 @@ func FullResolveFormS(f *Form, sub Subst, sc *Scratch) *Form {
 	case FTrue, FFalse:
 		return f
 	case FEq:
-		return Eq(FullResolveS(f.T1, sub, sc), FullResolveS(f.T2, sub, sc))
+		t1, t2 := FullResolveS(f.T1, sub, sc), FullResolveS(f.T2, sub, sc)
+		if t1 == f.T1 && t2 == f.T2 {
+			return f
+		}
+		return Eq(t1, t2)
 	case FPred:
-		args := sc.Args(len(f.Args))
+		var args []*Term
 		for i, a := range f.Args {
-			args[i] = FullResolveS(a, sub, sc)
+			na := FullResolveS(a, sub, sc)
+			if na != a && args == nil {
+				args = sc.Args(len(f.Args))
+				copy(args, f.Args[:i])
+			}
+			if args != nil {
+				args[i] = na
+			}
+		}
+		if args == nil {
+			return f
 		}
 		r := mkPred(f.Pred, args)
 		sc.PutArgs(args)
 		return r
 	case FNot:
-		return Not(FullResolveFormS(f.L, sub, sc))
+		l := FullResolveFormS(f.L, sub, sc)
+		if l == f.L {
+			return f
+		}
+		return Not(l)
 	case FAnd, FOr, FImpl, FIff:
-		return mkConn(f.Kind, FullResolveFormS(f.L, sub, sc), FullResolveFormS(f.R, sub, sc))
+		l, r := FullResolveFormS(f.L, sub, sc), FullResolveFormS(f.R, sub, sc)
+		if l == f.L && r == f.R {
+			return f
+		}
+		return mkConn(f.Kind, l, r)
 	case FForall, FExists:
-		return mkQuant(f.Kind, f.Binder, f.BType, FullResolveFormS(f.Body, sub, sc))
+		body := FullResolveFormS(f.Body, sub, sc)
+		if body == f.Body {
+			return f
+		}
+		return mkQuant(f.Kind, f.Binder, f.BType, body)
 	}
 	return f
 }

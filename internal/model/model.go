@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strings"
@@ -31,9 +32,11 @@ type Candidate struct {
 // Propose names every candidate by an integer id, one per dedup key, from
 // two spaces: a key the lemma table yields keeps the table's id (below
 // nt), and any other key gets a local id, from nt up, the first time the
-// Model sees it. Dedup, the n-gram terms and the bigram bonus are then
-// loads from id-indexed state, and a text is looked up only for the
-// candidates Propose returns.
+// Model sees it. A candidate reaches its id without a text: it is a tuple
+// of a template and operand ids (see candID), and its text is rendered and
+// normalized only the first time the Model meets the tuple. Dedup, the
+// n-gram terms and the bigram bonus are then loads from id-indexed state,
+// and a text is looked up only for the candidates Propose returns.
 type Model struct {
 	Profile Profile
 	Env     *kernel.Env
@@ -45,17 +48,23 @@ type Model struct {
 	view   retrView
 
 	// The candidate vocabulary, numbered under idsOf (a rebind onto another
-	// table renumbers it; see viewFor). vocab resolves a candidate text to
+	// table renumbers it; see viewFor). tuples resolves a candidate tuple to
 	// its key's id (-1 for an empty key, which is dropped); local resolves a
-	// local key, and keys lists the local keys (id nt+i is keys[i]).
-	// textBuf renders a candidate text for a vocab lookup that allocates
-	// nothing (idOfIn).
+	// local key, and keys lists the local keys (id nt+i is keys[i]). textBuf
+	// renders a tuple's text.
 	idsOf   *LemmaTable
 	nt      int32
-	vocab   map[string]int32
+	tuples  tupleTable
 	local   map[string]int32
 	keys    []string
 	textBuf []byte
+	// The operands of a tuple other than table lemmas and junk indices, each
+	// numbered for the Model's life: names (of hypotheses, variables,
+	// binders and predicates) and stuck scrutinees (see nameID, scrutID).
+	names     map[string]int32
+	nameText  []string
+	scruts    map[*kernel.Term]int32
+	scrutText []string
 	// Per-id state, one array per id space so that each grows with the ids
 	// the Model's searches touch rather than with the table: tab is indexed
 	// by table id, loc by local id - nt.
@@ -66,19 +75,29 @@ type Model struct {
 	scoreNG  *NGram
 	scoreGen uint32
 
+	// The per-formula memo of this search (facts.go): factAt maps a formula
+	// to its facts, whose variable-length parts are spans of factInts. The
+	// fact* buffers are scratch for analyze.
+	factAt                       map[*kernel.Form]int32
+	facts                        []formFacts
+	factInts, factSyms, factRecs []int32
+	factScruts                   []*kernel.Term
+	// This query's goal, resolved by resolveGoal: the facts of the
+	// conclusion, and of each hypothesis with its name id.
+	concl int32
+	hyps  []hypRef
+
 	// Propose scratch space, reused across the queries and searches. The
 	// sweep spends most of its time in Propose, and per-query maps and
 	// slices were the dominant allocation source.
-	texts      []textCand
 	pool, uniq []scored
 	// Per-query retrieval marks, indexed by table symbol id: a symbol is in
 	// the goal (hypotheses) when goalMark (hypMark) holds the query's epoch,
-	// and hypFirst is then the first hypothesis mentioning it. hypHeads are
-	// the hypotheses' heads. See markSymbols.
-	goalMark, hypMark []uint32
-	hypFirst          []int32
-	epoch             uint32
-	hypHeads          []head
+	// and hypFirst is then the first hypothesis mentioning it. headMark and
+	// headFirst do the same for the hypotheses' heads. See markSymbols.
+	goalMark, hypMark, headMark []uint32
+	hypFirst, headFirst         []int32
+	epoch                       uint32
 	// scoreBuf packs the softmax lanes (utilities | probabilities | Gumbel
 	// keys) into one struct-of-arrays buffer: a single grow per slate size
 	// instead of three, and the lanes stay on the same cache lines.
@@ -86,6 +105,10 @@ type Model struct {
 	order    []int
 	out      []Candidate
 }
+
+// hypRef is one hypothesis of the query's goal: its name id and the index
+// of its formula's facts.
+type hypRef struct{ name, facts int32 }
 
 // idState is what a Model tracks per candidate id. Stamps replace
 // clearing: an entry's slate position is current only while seen equals
@@ -114,15 +137,17 @@ func NewWithLemmas(p Profile, env *kernel.Env, lt *LemmaTable) *Model {
 
 // Rebind readies m, which may be the zero Model, for another search: m then
 // proposes as NewWithLemmas(p, env, lt) would. It keeps the vocabulary,
-// because a text's id is a function of the lemma table alone, and the
+// because a tuple's id is a function of the lemma table alone, and the
 // per-id arrays and scratch, because the query epochs and n-gram
 // generations stamped there make earlier entries unreadable without
 // clearing. It drops the retrieval view, which depends on the prompt, the
-// n-gram and the profile. A table other than the one the vocabulary is
+// n-gram and the profile, and the per-formula memo, which depends on the
+// environment and the table. A table other than the one the vocabulary is
 // numbered under renumbers it on the next query.
 func (m *Model) Rebind(p Profile, env *kernel.Env, lt *LemmaTable) {
 	m.Profile, m.Env, m.lemmas = p, env, lt
 	m.view.prompt = nil
+	m.dropFacts()
 }
 
 // scored is an internal candidate with its utility components. It names
@@ -133,13 +158,6 @@ type scored struct {
 	r  float64 // retrieval relevance (already skill-scaled)
 	j  float64 // raw utility (noise candidates compete unscaled)
 	id int32   // candidate id; -1 (an empty key) is dropped by fold
-}
-
-// textCand is a junk candidate still named by its text, with its raw
-// utility j.
-type textCand struct {
-	text string
-	j    float64
 }
 
 // Propose generates up to MaxOutputs tactic candidates for the focused goal
@@ -165,13 +183,11 @@ func (m *Model) Propose(p *prompt.Prompt, st *tactic.State, path []string, ng *N
 	// rebind onto another lemma table, and junk draws lemmas from it.
 	m.viewFor(p, ng)
 	ep := m.nextEpoch()
+	m.resolveGoal(goal)
 
 	// The pool: the goal-shape candidates, then retrieval's.
 	uniq := m.uniq[:0]
-	m.structural(goal, func(text []byte, h float64) {
-		uniq = m.fold(uniq, ep, scored{id: m.idOfBuf(text), h: h})
-	})
-	m.pool = m.retrieval(m.pool[:0], p, goal, ng)
+	m.pool = m.retrieval(m.structural(m.pool[:0], goal))
 	for _, c := range m.pool {
 		uniq = m.fold(uniq, ep, c)
 	}
@@ -179,17 +195,20 @@ func (m *Model) Propose(p *prompt.Prompt, st *tactic.State, path []string, ng *N
 	// idiomatic continuations mined from hint proofs (prev-dependent,
 	// including two-step "a; b" compounds) and the capability noise
 	// (corrupted names and junk tactics competing with real candidates).
-	if nx := ng.nextOf(prev); nx != nil {
-		for _, cont := range nx.conts {
-			uniq = m.fold(uniq, ep, scored{id: m.idOf(cont), h: 0.9})
+	nx := ng.nextOf(prev)
+	var mined []int32
+	if nx != nil {
+		mined = m.minedIDs(nx)
+		for _, id := range mined[:len(nx.conts)] {
+			uniq = m.fold(uniq, ep, scored{id: id, h: 0.9})
 		}
-		for _, pair := range nx.pairs {
-			uniq = m.fold(uniq, ep, scored{id: m.idOf(pair.Text), h: 1.1 + 0.25*math.Log1p(pair.Count)})
+		for i, pair := range nx.pairs {
+			uniq = m.fold(uniq, ep, scored{id: mined[len(nx.conts)+i], h: 1.1 + 0.25*math.Log1p(pair.Count)})
 		}
 	}
-	m.texts = m.junk(m.texts[:0], rng)
-	for _, c := range m.texts {
-		uniq = m.fold(uniq, ep, scored{id: m.idOf(c.text), j: c.j})
+	m.pool = m.junk(m.pool[:0], rng)
+	for _, c := range m.pool {
+		uniq = m.fold(uniq, ep, c)
 	}
 	m.uniq = uniq
 	if len(uniq) == 0 {
@@ -207,7 +226,7 @@ func (m *Model) Propose(p *prompt.Prompt, st *tactic.State, path []string, ng *N
 	maxU := math.Inf(-1)
 	scoreable := ng != nil && ng.total != 0
 	if scoreable {
-		m.stampBigrams(ng, prev, ep)
+		m.stampBigrams(ng, nx, mined, ep)
 	}
 	for i, c := range uniq {
 		// Open-coded ng.Score(prev, key): the key is already
@@ -276,7 +295,7 @@ func (m *Model) Propose(p *prompt.Prompt, st *tactic.State, path []string, ng *N
 func (m *Model) resetIDs() {
 	m.idsOf = m.lemmas
 	m.nt = int32(len(m.lemmas.keys))
-	m.vocab = map[string]int32{}
+	m.tuples.reset()
 	m.local = map[string]int32{}
 	m.keys = m.keys[:0]
 	m.tab = m.tab[:0]
@@ -290,57 +309,251 @@ func (m *Model) growTab(id int32) {
 	}
 }
 
-// idOf resolves a candidate text to the id of its dedup key, numbering a
-// new local key. The memo is per text: normalization is a pure string
-// function and candidate texts repeat heavily across the queries of a
-// search.
-func (m *Model) idOf(text string) int32 {
-	if id, ok := m.vocab[text]; ok {
+// tmpl is a candidate template: the shape of a text, with up to two
+// operands. A candidate is the tuple (template, a, b).
+type tmpl uint8
+
+// The templates. The zero tmpl is none, so no tuple key is zero.
+const (
+	_ tmpl = iota
+	tIntros
+	tIntro
+	tSplit
+	tLeft
+	tRight
+	tConstructor
+	tEconstructor
+	tContradiction
+	tReflexivity
+	tSimpl
+	tSymmetry
+	tCongruence
+	tFEqual
+	tExists0
+	tExistsNil
+	tOmega
+	tAuto
+	tEauto
+	tAssumption
+	tSubst
+	tExists       // a: name
+	tUnfold       // a: name
+	tDestruct     // a: name
+	tInversion    // a: name
+	tInduction    // a: name
+	tRewrite      // a: name
+	tRewriteRev   // a: name
+	tRewriteAll   // a: name
+	tDiscriminate // a: name
+	tSimplIn      // a: name
+	tApply        // a: name
+	tEapply       // a: name
+	tUnfoldIn     // a, b: names
+	tRewriteIn    // a, b: names
+	tDestructEqn  // a: stuck scrutinee
+	tLemRewriteIn // a: table lemma, b: name
+	tLemApplyIn   // a: table lemma, b: name
+	tJunk         // a: index into junkTactics
+	tJunkHyp      // a: index into junkHypApply
+	numTemplates
+)
+
+// operand is what a template operand's id numbers.
+type operand uint8
+
+const (
+	opNone operand = iota
+	opName
+	opScrut
+	opLemma
+	opJunk
+	opJunkHyp
+)
+
+// templates renders a tuple (t, a, b) as pre, a's text, mid, b's text,
+// post.
+var templates = [numTemplates]struct {
+	pre, mid, post string
+	a, b           operand
+}{
+	tIntros:        {pre: "intros."},
+	tIntro:         {pre: "intro."},
+	tSplit:         {pre: "split."},
+	tLeft:          {pre: "left."},
+	tRight:         {pre: "right."},
+	tConstructor:   {pre: "constructor."},
+	tEconstructor:  {pre: "econstructor."},
+	tContradiction: {pre: "contradiction."},
+	tReflexivity:   {pre: "reflexivity."},
+	tSimpl:         {pre: "simpl."},
+	tSymmetry:      {pre: "symmetry."},
+	tCongruence:    {pre: "congruence."},
+	tFEqual:        {pre: "f_equal."},
+	tExists0:       {pre: "exists 0."},
+	tExistsNil:     {pre: "exists nil."},
+	tOmega:         {pre: "omega."},
+	tAuto:          {pre: "auto."},
+	tEauto:         {pre: "eauto."},
+	tAssumption:    {pre: "assumption."},
+	tSubst:         {pre: "subst."},
+	tExists:        {pre: "exists ", post: ".", a: opName},
+	tUnfold:        {pre: "unfold ", post: ".", a: opName},
+	tDestruct:      {pre: "destruct ", post: ".", a: opName},
+	tInversion:     {pre: "inversion ", post: ".", a: opName},
+	tInduction:     {pre: "induction ", post: ".", a: opName},
+	tRewrite:       {pre: "rewrite ", post: ".", a: opName},
+	tRewriteRev:    {pre: "rewrite <- ", post: ".", a: opName},
+	tRewriteAll:    {pre: "rewrite ", post: " in *.", a: opName},
+	tDiscriminate:  {pre: "discriminate ", post: ".", a: opName},
+	tSimplIn:       {pre: "simpl in ", post: ".", a: opName},
+	tApply:         {pre: "apply ", post: ".", a: opName},
+	tEapply:        {pre: "eapply ", post: ".", a: opName},
+	tUnfoldIn:      {pre: "unfold ", mid: " in ", post: ".", a: opName, b: opName},
+	tRewriteIn:     {pre: "rewrite ", mid: " in ", post: ".", a: opName, b: opName},
+	tDestructEqn:   {pre: "destruct (", post: ") eqn:He.", a: opScrut},
+	tLemRewriteIn:  {pre: "rewrite ", mid: " in ", post: ".", a: opLemma, b: opName},
+	tLemApplyIn:    {pre: "apply ", mid: " in ", post: ".", a: opLemma, b: opName},
+	tJunk:          {a: opJunk},
+	tJunkHyp:       {a: opJunkHyp},
+}
+
+// candID resolves the candidate (t, a, b) to the id of its dedup key. The
+// operands are below 1<<28, so the tuple packs into one integer key.
+func (m *Model) candID(t tmpl, a, b int32) int32 {
+	k := uint64(t)<<56 | uint64(a)<<28 | uint64(b)
+	if id, ok := m.tuples.get(k); ok {
 		return id
 	}
-	return m.addText(text)
+	id := m.addText(string(m.render(t, a, b)))
+	m.tuples.put(k, id)
+	return id
 }
 
-// idOfIn is idOf for "<verb> <lemma> in <hyp>.", retrieval's candidates
-// that target a hypothesis. It renders the text into textBuf (see idOfBuf).
-func (m *Model) idOfIn(verb, lemma, hyp string) int32 {
-	b := append(m.textBuf[:0], verb...)
-	b = append(b, ' ')
-	b = append(b, lemma...)
-	b = append(b, " in "...)
-	b = append(b, hyp...)
-	b = append(b, '.')
-	return m.idOfBuf(b)
+// tupleTable maps tuple keys, which are never zero, to ids by open
+// addressing with linear probing: a lookup is a multiply and, at under half
+// full, about one probe.
+type tupleTable struct {
+	keys  []uint64 // 0 marks a free slot
+	ids   []int32
+	n     int
+	shift uint8 // 64 - log2(len(keys)): the hash is the product's top bits
 }
 
-// idOfBuf is idOf for a text rendered in b, which becomes textBuf. Go
-// looks up vocab[string(b)] without allocating, so only a text the
-// vocabulary lacks becomes a string.
-func (m *Model) idOfBuf(b []byte) int32 {
-	m.textBuf = b
-	if id, ok := m.vocab[string(b)]; ok {
-		return id
+func (t *tupleTable) reset() {
+	clear(t.keys)
+	t.n = 0
+}
+
+func (t *tupleTable) get(k uint64) (int32, bool) {
+	if t.n == 0 {
+		return 0, false
 	}
-	return m.addText(string(b))
-}
-
-// addText numbers a text the vocabulary lacks.
-func (m *Model) addText(text string) int32 {
-	id := int32(-1)
-	if key := dedupKey(text); key != "" {
-		id = m.keyID(key)
-		switch {
-		case id < 0:
-			id = m.nt + int32(len(m.keys))
-			m.keys = append(m.keys, key)
-			m.local[key] = id
-			m.loc = append(m.loc, idState{})
-		case id < m.nt:
-			m.growTab(id)
+	mask := uint64(len(t.keys) - 1)
+	for i := k * 0x9e3779b97f4a7c15 >> t.shift; ; i = (i + 1) & mask {
+		switch t.keys[i] {
+		case k:
+			return t.ids[i], true
+		case 0:
+			return 0, false
 		}
 	}
-	m.vocab[text] = id
+}
+
+func (t *tupleTable) put(k uint64, id int32) {
+	if 2*(t.n+1) > len(t.keys) {
+		keys, ids := t.keys, t.ids
+		size := max(256, 2*len(keys))
+		t.keys, t.ids, t.n = make([]uint64, size), make([]int32, size), 0
+		t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+		for i, old := range keys {
+			if old != 0 {
+				t.put(old, ids[i])
+			}
+		}
+	}
+	mask := uint64(len(t.keys) - 1)
+	i := k * 0x9e3779b97f4a7c15 >> t.shift
+	for t.keys[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t.keys[i], t.ids[i] = k, id
+	t.n++
+}
+
+// render writes the text of (t, a, b) into textBuf.
+func (m *Model) render(t tmpl, a, b int32) []byte {
+	tp := &templates[t]
+	buf := append(m.textBuf[:0], tp.pre...)
+	if tp.a != opNone {
+		buf = append(buf, m.operandText(tp.a, a)...)
+		buf = append(buf, tp.mid...)
+	}
+	if tp.b != opNone {
+		buf = append(buf, m.operandText(tp.b, b)...)
+	}
+	buf = append(buf, tp.post...)
+	m.textBuf = buf
+	return buf
+}
+
+func (m *Model) operandText(op operand, x int32) string {
+	switch op {
+	case opName:
+		return m.nameText[x]
+	case opScrut:
+		return m.scrutText[x]
+	case opLemma:
+		return m.idsOf.lems[x].name
+	case opJunk:
+		return junkTactics[x]
+	default:
+		return junkHypApply[x]
+	}
+}
+
+// addText numbers the dedup key of a text, as a local key if the table
+// lacks it, and returns its id (-1 for an empty key).
+func (m *Model) addText(text string) int32 {
+	key := dedupKey(text)
+	if key == "" {
+		return -1
+	}
+	id := m.keyID(key)
+	switch {
+	case id < 0:
+		id = m.nt + int32(len(m.keys))
+		m.keys = append(m.keys, key)
+		m.local[key] = id
+		m.loc = append(m.loc, idState{})
+	case id < m.nt:
+		m.growTab(id)
+	}
 	return id
+}
+
+// minedIDs returns the ids of nx's continuations, then of its pairs, then
+// of its successors, which stampBigrams resolves (-1 until a candidate has
+// the key). The n-gram is the view's, so they are resolved once per search.
+func (m *Model) minedIDs(nx *nextSteps) []int32 {
+	n := len(nx.conts) + len(nx.pairs) + len(nx.succ)
+	if off, ok := m.view.minedAt[nx]; ok {
+		return m.view.mined[off : off+n]
+	}
+	if m.view.minedAt == nil {
+		m.view.minedAt = map[*nextSteps]int{}
+	}
+	off := len(m.view.mined)
+	for _, c := range nx.conts {
+		m.view.mined = append(m.view.mined, m.addText(c))
+	}
+	for _, p := range nx.pairs {
+		m.view.mined = append(m.view.mined, m.addText(p.Text))
+	}
+	for range nx.succ {
+		m.view.mined = append(m.view.mined, -1)
+	}
+	m.view.minedAt[nx] = off
+	return m.view.mined[off : off+n]
 }
 
 // keyID returns the id of a dedup key, or -1 if no candidate has had it.
@@ -407,10 +620,10 @@ func (m *Model) fold(uniq []scored, ep uint32, c scored) []scored {
 }
 
 // stampBigrams brings the n-gram terms to ng's generation and stamps, for
-// query ep, the bigram bonus of every mined successor of prev that is a
-// candidate key: one pass over a short row instead of a row lookup per
-// candidate.
-func (m *Model) stampBigrams(ng *NGram, prev string, ep uint32) {
+// query ep, the bigram bonus of every mined successor of the predecessor
+// (nx's, with minedIDs' ids in mined) that is a candidate key: one pass
+// over a short row instead of a row lookup per candidate.
+func (m *Model) stampBigrams(ng *NGram, nx *nextSteps, mined []int32, ep uint32) {
 	if m.scoreNG != ng {
 		m.scoreNG = ng
 		m.scoreGen++
@@ -420,13 +633,23 @@ func (m *Model) stampBigrams(ng *NGram, prev string, ep uint32) {
 			m.scoreGen = 1
 		}
 	}
-	for next, n := range ng.bi[prev] {
-		id := m.keyID(next)
-		if id < 0 || (id < m.nt && int(id) >= len(m.tab)) {
-			continue // no candidate has this key
+	if nx == nil {
+		return
+	}
+	ids := mined[len(nx.conts)+len(nx.pairs):]
+	for i, next := range nx.succ {
+		id := ids[i]
+		if id < 0 {
+			if id = m.keyID(next.text); id < 0 {
+				continue // no candidate has this key
+			}
+			ids[i] = id
+		}
+		if id < m.nt && int(id) >= len(m.tab) {
+			continue // nor this table key
 		}
 		s := m.state(id)
-		s.biEp, s.bi = ep, 0.6*math.Log1p(n)
+		s.biEp, s.bi = ep, next.bonus
 	}
 }
 
@@ -496,12 +719,18 @@ var (
 func gumbelTopK(order []int, lanes []float64, maxU, temp float64, k int, rng *rand.Rand) []int {
 	n := len(lanes) / 3
 	utils, probs, keys := lanes[:n:n], lanes[n:2*n:2*n], lanes[2*n:]
-	var z float64
+	// A slate repeats utilities in runs (a quarter of a sweep's candidates
+	// equal their predecessor's), and an equal exponent has an equal Exp.
+	var z, lastA, lastE float64
+	lastA = math.NaN()
 	for i, u := range utils {
 		a := (u - maxU) / temp
 		keys[i] = a
-		probs[i] = math.Exp(a)
-		z += probs[i]
+		if a != lastA {
+			lastA, lastE = a, math.Exp(a)
+		}
+		probs[i] = lastE
+		z += lastE
 	}
 	logZ := math.Log(z)
 	for i := range keys {
@@ -564,303 +793,150 @@ func resizeInt(buf *[]int, n int) []int {
 // ---------------------------------------------------------------------------
 // Goal-directed enumeration
 
-// forEachSymbol calls fn for every applied function, predicate, and
-// constructor name in f, in a deterministic walk order, repeats included.
-func forEachSymbol(f *kernel.Form, fn func(string)) {
-	if f == nil {
-		return
-	}
-	term := func(t *kernel.Term) {
-		if t == nil {
-			return
-		}
-		t.Subterms(func(u *kernel.Term) bool {
-			if u.IsApp() && u.Fun != "" {
-				fn(u.Fun)
-			}
-			return true
-		})
-	}
-	switch f.Kind {
-	case kernel.FEq:
-		term(f.T1)
-		term(f.T2)
-	case kernel.FPred:
-		fn(f.Pred)
-		for _, a := range f.Args {
-			term(a)
-		}
-	case kernel.FNot:
-		forEachSymbol(f.L, fn)
-	case kernel.FAnd, kernel.FOr, kernel.FImpl, kernel.FIff:
-		forEachSymbol(f.L, fn)
-		forEachSymbol(f.R, fn)
-	case kernel.FForall, kernel.FExists:
-		forEachSymbol(f.Body, fn)
-	}
-}
-
-// orderedSymbols returns the unique applied symbols of f in first-encounter
-// order. The lemma table stores symbol lists (a map range would sum the
-// overlap score in randomized order), so the walk order here is the
-// iteration order of the scoring loop.
-func orderedSymbols(f *kernel.Form) []string {
-	seen := map[string]bool{}
-	var out []string
-	forEachSymbol(f, func(s string) {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	})
-	return out
-}
-
-func conclHead(f *kernel.Form) string {
-	for f != nil {
-		switch f.Kind {
-		case kernel.FForall, kernel.FExists:
-			f = f.Body
-		case kernel.FImpl:
-			f = f.R
-		case kernel.FNot:
-			return "~"
-		case kernel.FPred:
-			return "P:" + f.Pred
-		case kernel.FEq:
-			return "="
-		case kernel.FAnd:
-			return "&"
-		case kernel.FOr:
-			return "|"
-		case kernel.FIff:
-			return "<>"
-		case kernel.FTrue:
-			return "T"
-		case kernel.FFalse:
-			return "F"
-		default:
-			return "?"
-		}
-	}
-	return "?"
-}
-
-func goalHead(f *kernel.Form) string {
-	switch f.Kind {
-	case kernel.FPred:
-		return "P:" + f.Pred
-	case kernel.FEq:
-		return "="
-	case kernel.FAnd:
-		return "&"
-	case kernel.FOr:
-		return "|"
-	case kernel.FIff:
-		return "<>"
-	case kernel.FNot:
-		return "~"
-	case kernel.FTrue:
-		return "T"
-	case kernel.FFalse:
-		return "F"
-	case kernel.FForall:
-		return "A"
-	case kernel.FExists:
-		return "E"
-	case kernel.FImpl:
-		return ">"
-	default:
-		return "?"
-	}
-}
-
-// looksArith reports whether a formula is plausibly linear arithmetic.
-func looksArith(f *kernel.Form) bool {
-	if f == nil {
-		return false
-	}
-	switch f.Kind {
-	case kernel.FPred:
-		return f.Pred == "le" || f.Pred == "lt"
-	case kernel.FEq:
-		arith := false
-		check := func(t *kernel.Term) {
-			t.Subterms(func(u *kernel.Term) bool {
-				if u.IsApp() && (u.Fun == "plus" || u.Fun == "minus" || u.Fun == "S" || u.Fun == "O" || u.Fun == "mult") {
-					arith = true
-					return false
-				}
-				return true
-			})
-		}
-		check(f.T1)
-		check(f.T2)
-		return arith
-	case kernel.FNot:
-		return looksArith(f.L)
-	case kernel.FFalse:
-		return true
-	}
-	return false
-}
-
-// structural emits the goal-shape candidate pool in order, each text with
-// its heuristic h: a pure function of (goal, env). A text is the
-// concatenation of its parts, rendered into the model's text buffer, which
-// emit must not retain: Propose resolves it to an id without allocating
-// (idOfBuf), so only a text the vocabulary lacks becomes a string.
-func (m *Model) structural(g *tactic.Goal, emit func(text []byte, h float64)) {
-	add := func(h float64, parts ...string) {
-		b := m.textBuf[:0]
-		for _, part := range parts {
-			b = append(b, part...)
-		}
-		m.textBuf = b
-		emit(b, h)
+// structural appends the goal-shape candidate pool in order, each with its
+// heuristic h: a pure function of (goal, env). It reads the goal's facts
+// and hypothesis names that resolveGoal looked up for this query.
+func (m *Model) structural(out []scored, g *tactic.Goal) []scored {
+	add := func(h float64, t tmpl, a, b int32) {
+		out = append(out, scored{id: m.candID(t, a, b), h: h})
 	}
 	c := g.Concl
+	cf := &m.facts[m.concl]
 
 	switch c.Kind {
 	case kernel.FForall, kernel.FImpl:
-		add(2.6, "intros.")
+		add(2.6, tIntros, 0, 0)
 	case kernel.FNot:
-		add(2.2, "intro.")
+		add(2.2, tIntro, 0, 0)
 	case kernel.FAnd:
-		add(2.5, "split.")
+		add(2.5, tSplit, 0, 0)
 	case kernel.FIff:
-		add(2.2, "split.")
+		add(2.2, tSplit, 0, 0)
 	case kernel.FOr:
-		add(1.1, "left.")
-		add(1.0, "right.")
+		add(1.1, tLeft, 0, 0)
+		add(1.0, tRight, 0, 0)
 	case kernel.FTrue:
-		add(3.0, "constructor.")
+		add(3.0, tConstructor, 0, 0)
 	case kernel.FFalse:
-		add(1.4, "contradiction.")
+		add(1.4, tContradiction, 0, 0)
 	case kernel.FEq:
-		add(2.1, "reflexivity.")
-		add(1.4, "simpl.")
-		add(0.2, "symmetry.")
-		add(0.6, "congruence.")
-		if c.T1.IsApp() && c.T2.IsApp() && c.T1.Fun == c.T2.Fun && len(c.T1.Args) == len(c.T2.Args) {
-			add(1.0, "f_equal.")
+		add(2.1, tReflexivity, 0, 0)
+		add(1.4, tSimpl, 0, 0)
+		add(0.2, tSymmetry, 0, 0)
+		add(0.6, tCongruence, 0, 0)
+		if cf.has(fEqSameFun) {
+			add(1.0, tFEqual, 0, 0)
 		}
 	case kernel.FExists:
 		for _, v := range g.Vars {
 			if c.BType == nil || v.Type == nil || v.Type.Name == c.BType.Name {
-				add(1.5, "exists ", v.Name, ".")
+				add(1.5, tExists, m.nameID(v.Name), 0)
 			}
 		}
-		add(0.6, "exists 0.")
-		add(0.5, "exists nil.")
+		add(0.6, tExists0, 0, 0)
+		add(0.5, tExistsNil, 0, 0)
 	case kernel.FPred:
-		if _, isInd := m.Env.Preds[c.Pred]; isInd {
-			add(1.7, "constructor.")
-			add(1.0, "econstructor.")
+		if cf.has(fInd) {
+			add(1.7, tConstructor, 0, 0)
+			add(1.0, tEconstructor, 0, 0)
 		}
-		if _, isDef := m.Env.Defs[c.Pred]; isDef {
-			add(1.8, "unfold ", c.Pred, ".")
+		if cf.has(fDef) {
+			add(1.8, tUnfold, cf.pred, 0)
 		}
 	}
 
 	arithHyps := false
-	for _, h := range g.Hyps {
-		if looksArith(h.Form) {
+	for _, h := range m.hyps {
+		if m.facts[h.facts].has(fArith) {
 			arithHyps = true
 			break
 		}
 	}
 	switch {
-	case looksArith(c) && arithHyps:
-		add(1.9, "omega.")
-	case looksArith(c):
-		add(1.3, "omega.")
+	case cf.has(fArith) && arithHyps:
+		add(1.9, tOmega, 0, 0)
+	case cf.has(fArith):
+		add(1.3, tOmega, 0, 0)
 	case arithHyps && (c.Kind == kernel.FEq || c.Kind == kernel.FFalse || c.Kind == kernel.FNot || c.Kind == kernel.FPred):
-		add(1.4, "omega.")
+		add(1.4, tOmega, 0, 0)
 	}
-	add(1.2, "auto.")
-	add(0.9, "eauto.")
+	add(1.2, tAuto, 0, 0)
+	add(0.9, tEauto, 0, 0)
 
 	// Hypothesis-directed moves.
 	substUseful := false
-	gh := goalHead(c)
-	var ck [2]uint64 // the conclusion's fingerprint, for assumption
-	if len(g.Hyps) > 0 {
-		ck = c.FingerprintKey()
-	}
-	for _, h := range g.Hyps {
+	for i, h := range g.Hyps {
+		hf, n := &m.facts[m.hyps[i].facts], m.hyps[i].name
 		switch h.Form.Kind {
 		case kernel.FFalse:
-			add(3.0, "contradiction.")
+			add(3.0, tContradiction, 0, 0)
 		case kernel.FAnd, kernel.FExists, kernel.FOr:
-			add(1.6, "destruct ", h.Name, ".")
-			add(0.6, "inversion ", h.Name, ".")
+			add(1.6, tDestruct, n, 0)
+			add(0.6, tInversion, n, 0)
 		case kernel.FIff:
-			add(1.2, "destruct ", h.Name, ".")
+			add(1.2, tDestruct, n, 0)
 		case kernel.FEq:
-			if h.Form.T1.IsVar() || h.Form.T2.IsVar() {
+			if hf.has(fEqVar) {
 				substUseful = true
 			}
-			add(1.1, "rewrite ", h.Name, ".")
-			add(0.5, "rewrite <- ", h.Name, ".")
-			add(0.1, "rewrite ", h.Name, " in *.") // unsupported form: realistic junk
-			if h.Form.T1.IsApp() && h.Form.T2.IsApp() && m.Env.IsConstructor(h.Form.T1.Fun) && m.Env.IsConstructor(h.Form.T2.Fun) {
-				if h.Form.T1.Fun != h.Form.T2.Fun {
-					add(2.6, "discriminate ", h.Name, ".")
-				} else {
-					add(1.6, "inversion ", h.Name, ".")
-				}
+			add(1.1, tRewrite, n, 0)
+			add(0.5, tRewriteRev, n, 0)
+			add(0.1, tRewriteAll, n, 0) // unsupported form: realistic junk
+			if hf.has(fEqCtorsDiff) {
+				add(2.6, tDiscriminate, n, 0)
+			} else if hf.has(fEqCtorsSame) {
+				add(1.6, tInversion, n, 0)
 			}
-			add(0.5, "simpl in ", h.Name, ".")
+			add(0.5, tSimplIn, n, 0)
 		case kernel.FPred:
-			if _, isInd := m.Env.Preds[h.Form.Pred]; isInd {
+			if hf.has(fInd) {
 				w := 1.0
-				for _, a := range h.Form.Args {
-					if a.IsApp() && m.Env.IsConstructor(a.Fun) {
-						w = 1.8
-						break
-					}
+				if hf.has(fCtorArg) {
+					w = 1.8
 				}
-				add(w, "inversion ", h.Name, ".")
-				add(0.8, "induction ", h.Name, ".")
+				add(w, tInversion, n, 0)
+				add(0.8, tInduction, n, 0)
 			}
-			if _, isDef := m.Env.Defs[h.Form.Pred]; isDef {
-				add(1.4, "unfold ", h.Form.Pred, " in ", h.Name, ".")
+			if hf.has(fDef) {
+				add(1.4, tUnfoldIn, hf.pred, n)
 			}
-			add(0.4, "simpl in ", h.Name, ".")
+			add(0.4, tSimplIn, n, 0)
 		case kernel.FForall, kernel.FImpl:
-			if conclHead(h.Form) == gh {
-				add(1.9, "apply ", h.Name, ".")
-				add(1.1, "eapply ", h.Name, ".")
+			if hf.chead == cf.ghead {
+				add(1.9, tApply, n, 0)
+				add(1.1, tEapply, n, 0)
 			} else {
-				add(0.5, "apply ", h.Name, ".")
+				add(0.5, tApply, n, 0)
 			}
 			// Quantified equations (induction hypotheses above all) are
 			// rewriting material.
-			if conclHead(h.Form) == "=" {
+			if hf.chead == headEq {
 				w := 1.4
 				if strings.HasPrefix(h.Name, "IH") {
 					w = 2.1
 				}
-				add(w, "rewrite ", h.Name, ".")
-				add(0.4*w, "rewrite <- ", h.Name, ".")
+				add(w, tRewrite, n, 0)
+				add(0.4*w, tRewriteRev, n, 0)
 			}
 		case kernel.FNot:
 			if c.Kind == kernel.FFalse {
-				add(2.0, "apply ", h.Name, ".")
+				add(2.0, tApply, n, 0)
 			}
 		}
-		if h.Form.FingerprintKey() == ck {
-			add(3.2, "assumption.")
+		// A hypothesis alpha-equivalent to the conclusion. The fingerprint
+		// of a formula starts with its kind, so only a hypothesis of the
+		// conclusion's kind needs the keys compared.
+		if h.Form == c || h.Form.Kind == c.Kind && m.fpkOf(m.hyps[i].facts, h.Form) == m.fpkOf(m.concl, c) {
+			add(3.2, tAssumption, 0, 0)
 		}
 	}
 	if substUseful {
-		add(1.9, "subst.")
+		add(1.9, tSubst, 0, 0)
 	}
 
 	// Variable-directed induction/destruct. A variable scrutinized by a
 	// recursive function in the goal is the prime induction candidate.
-	recArgs := m.recursiveArgVars(c)
+	recArgs := m.ints(cf.recs)
 	for _, v := range g.Vars {
 		if v.Type == nil || v.Type.TVar {
 			continue
@@ -868,205 +944,64 @@ func (m *Model) structural(g *tactic.Goal, emit func(text []byte, h float64)) {
 		if _, isData := m.Env.Datatypes[v.Type.Name]; !isData {
 			continue
 		}
+		n := m.nameID(v.Name)
 		switch {
-		case recArgs[v.Name]:
-			add(2.2, "induction ", v.Name, ".")
-			add(1.0, "destruct ", v.Name, ".")
+		case slices.Contains(recArgs, n):
+			add(2.2, tInduction, n, 0)
+			add(1.0, tDestruct, n, 0)
 		case c.HasFreeVar(v.Name):
-			add(1.1, "induction ", v.Name, ".")
-			add(0.9, "destruct ", v.Name, ".")
+			add(1.1, tInduction, n, 0)
+			add(0.9, tDestruct, n, 0)
 		default:
-			add(0.1, "destruct ", v.Name, ".")
+			add(0.1, tDestruct, n, 0)
 		}
 	}
 	// Induction on a not-yet-introduced leading binder (skipping type
 	// binders, which are not inductive).
-	if c.Kind == kernel.FForall {
-		body := c
-		seen := 0
-		for body != nil && body.Kind == kernel.FForall && seen < 3 {
-			if !body.BType.IsType() {
-				w := 1.0
-				if recArgs[body.Binder] {
-					w = 2.0
-				}
-				add(w, "induction ", body.Binder, ".")
-				seen++
-			}
-			body = body.Body
+	for _, b := range m.ints(cf.binders) {
+		w := 1.0
+		if slices.Contains(recArgs, b) {
+			w = 2.0
 		}
+		add(w, tInduction, b, 0)
 	}
 
 	// simpl when computation is visible.
-	computes := false
-	forEachSymbol(c, func(s string) {
-		if _, isFun := m.Env.Funs[s]; isFun {
-			computes = true
-		}
-	})
-	if computes {
-		add(1.3, "simpl.")
+	if cf.has(fComputes) {
+		add(1.3, tSimpl, 0, 0)
 	}
 
 	// Stuck matches invite case analysis on the scrutinee (the
-	// `destruct (eqb a n) eqn:He` idiom).
-	for _, scrut := range stuckScrutinees(c, 2) {
-		add(2.0, "destruct (", scrut, ") eqn:He.")
+	// `destruct (eqb a n) eqn:He` idiom): up to two in the goal, the first
+	// in each hypothesis.
+	for _, s := range m.ints(cf.scruts) {
+		add(2.0, tDestructEqn, s, 0)
 	}
-	for _, h := range g.Hyps {
-		for _, scrut := range stuckScrutinees(h.Form, 1) {
-			add(1.3, "destruct (", scrut, ") eqn:He.")
+	for _, h := range m.hyps {
+		if s := m.ints(m.facts[h.facts].scruts); len(s) > 0 {
+			add(1.3, tDestructEqn, s[0], 0)
 		}
 	}
 
 	// Targeted rewriting: an equation hypothesis whose left-hand side
 	// occurs in another hypothesis or in the goal.
-	for _, e := range g.Hyps {
-		if e.Form.Kind != kernel.FEq || !e.Form.T1.IsApp() || len(e.Form.T1.Args) == 0 {
+	for i, e := range g.Hyps {
+		if e.Form.Kind != kernel.FEq || !m.facts[m.hyps[i].facts].has(fEqAppLHS) {
 			continue
 		}
-		lhs := e.Form.T1
+		en, lhs := m.hyps[i].name, e.Form.T1
 		if formContainsTerm(c, lhs) {
-			add(2.0, "rewrite ", e.Name, ".")
+			add(2.0, tRewrite, en, 0)
 		}
-		for _, h := range g.Hyps {
-			if h.Name == e.Name {
+		for j, h := range g.Hyps {
+			if m.hyps[j].name == en {
 				continue
 			}
 			if formContainsTerm(h.Form, lhs) {
-				add(1.8, "rewrite ", e.Name, " in ", h.Name, ".")
+				add(1.8, tRewriteIn, en, m.hyps[j].name)
 			}
 		}
 	}
-}
-
-// stuckScrutinees collects the printable scrutinees of up to max stuck
-// matches in a formula.
-func stuckScrutinees(f *kernel.Form, max int) []string {
-	var out []string
-	var scanTerm func(t *kernel.Term)
-	scanTerm = func(t *kernel.Term) {
-		t.Subterms(func(u *kernel.Term) bool {
-			if len(out) >= max {
-				return false
-			}
-			if u.Match != nil && !u.Match.Scrut.IsVar() {
-				// Only propose scrutinees that print as plain applications.
-				if u.Match.Scrut.IsApp() {
-					out = append(out, u.Match.Scrut.String())
-				}
-			}
-			return true
-		})
-	}
-	var walk func(f *kernel.Form)
-	walk = func(f *kernel.Form) {
-		if f == nil || len(out) >= max {
-			return
-		}
-		switch f.Kind {
-		case kernel.FEq:
-			scanTerm(f.T1)
-			scanTerm(f.T2)
-		case kernel.FPred:
-			for _, a := range f.Args {
-				scanTerm(a)
-			}
-		case kernel.FNot:
-			walk(f.L)
-		case kernel.FAnd, kernel.FOr, kernel.FImpl, kernel.FIff:
-			walk(f.L)
-			walk(f.R)
-		}
-	}
-	walk(f)
-	return out
-}
-
-// formContainsTerm reports whether t occurs in any term position of f.
-func formContainsTerm(f *kernel.Form, t *kernel.Term) bool {
-	found := false
-	check := func(u *kernel.Term) {
-		if found {
-			return
-		}
-		u.Subterms(func(x *kernel.Term) bool {
-			if x.Equal(t) {
-				found = true
-				return false
-			}
-			return true
-		})
-	}
-	var walk func(f *kernel.Form)
-	walk = func(f *kernel.Form) {
-		if f == nil || found {
-			return
-		}
-		switch f.Kind {
-		case kernel.FEq:
-			check(f.T1)
-			check(f.T2)
-		case kernel.FPred:
-			for _, a := range f.Args {
-				check(a)
-			}
-		case kernel.FNot:
-			walk(f.L)
-		case kernel.FAnd, kernel.FOr, kernel.FImpl, kernel.FIff:
-			walk(f.L)
-			walk(f.R)
-		case kernel.FForall, kernel.FExists:
-			walk(f.Body)
-		}
-	}
-	walk(f)
-	return found
-}
-
-// recursiveArgVars returns the variables that occur as arguments of
-// recursive function applications anywhere in the formula — the natural
-// induction candidates.
-func (m *Model) recursiveArgVars(f *kernel.Form) map[string]bool {
-	out := map[string]bool{}
-	var scanTerm func(t *kernel.Term)
-	scanTerm = func(t *kernel.Term) {
-		t.Subterms(func(u *kernel.Term) bool {
-			if u.IsApp() {
-				if fd, ok := m.Env.Funs[u.Fun]; ok && fd.Recursive {
-					for _, a := range u.Args {
-						if a.IsVar() {
-							out[a.Var] = true
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-	var walk func(f *kernel.Form)
-	walk = func(f *kernel.Form) {
-		if f == nil {
-			return
-		}
-		switch f.Kind {
-		case kernel.FEq:
-			scanTerm(f.T1)
-			scanTerm(f.T2)
-		case kernel.FPred:
-			for _, a := range f.Args {
-				scanTerm(a)
-			}
-		case kernel.FNot:
-			walk(f.L)
-		case kernel.FAnd, kernel.FOr, kernel.FImpl, kernel.FIff:
-			walk(f.L)
-			walk(f.R)
-		case kernel.FForall, kernel.FExists:
-			walk(f.Body)
-		}
-	}
-	walk(f)
 	return out
 }
 
@@ -1093,8 +1028,9 @@ var junkHypApply = func() [9]string {
 }()
 
 // junk appends the capability noise. It draws lemmas from the view, so
-// Propose calls it after viewFor.
-func (m *Model) junk(out []textCand, rng *rand.Rand) []textCand {
+// Propose calls it after viewFor; a drawn lemma's "apply L." and
+// "rewrite L." are the view's table ids.
+func (m *Model) junk(out []scored, rng *rand.Rand) []scored {
 	prof := m.Profile
 	nJunk := int(math.Round(prof.NoiseRate * 10))
 	level := 3.4 * prof.NoiseRate
@@ -1102,30 +1038,30 @@ func (m *Model) junk(out []textCand, rng *rand.Rand) []textCand {
 		u := (0.4 + rng.Float64()) * level
 		switch rng.Intn(4) {
 		case 0:
-			out = append(out, textCand{text: junkTactics[rng.Intn(len(junkTactics))], j: u})
+			out = append(out, scored{id: m.candID(tJunk, int32(rng.Intn(len(junkTactics))), 0), j: u})
 		case 1:
 			// Apply a random visible lemma regardless of relevance.
-			if name := m.randomLemma(rng); name != "" {
-				out = append(out, textCand{text: "apply " + name + ".", j: u})
+			if lem := m.randomLemma(rng); lem != nil {
+				out = append(out, scored{id: lem.apply, j: u})
 			}
 		case 2:
-			if name := m.randomLemma(rng); name != "" {
-				out = append(out, textCand{text: "rewrite " + name + ".", j: u})
+			if lem := m.randomLemma(rng); lem != nil {
+				out = append(out, scored{id: lem.rewrite, j: u})
 			}
 		default:
 			// Reference a plausible but possibly absent hypothesis.
-			out = append(out, textCand{text: junkHypApply[rng.Intn(9)], j: u})
+			out = append(out, scored{id: m.candID(tJunkHyp, int32(rng.Intn(9)), 0), j: u})
 		}
 	}
 	return out
 }
 
-// randomLemma draws a visible lemma's name, or "" when the prompt shows
-// none. The view lists the prompt's lemma items in prompt order.
-func (m *Model) randomLemma(rng *rand.Rand) string {
+// randomLemma draws a visible lemma, or nil when the prompt shows none.
+// The view lists the prompt's lemma items in prompt order.
+func (m *Model) randomLemma(rng *rand.Rand) *lemView {
 	lems := m.view.lems
 	if len(lems) == 0 {
-		return ""
+		return nil
 	}
-	return lems[rng.Intn(len(lems))].name
+	return &lems[rng.Intn(len(lems))]
 }

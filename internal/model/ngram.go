@@ -24,9 +24,10 @@ type NGram struct {
 	// argument across the visible hint proofs (the usage-statistics signal
 	// that boosts retrieval of frequently-applied lemmas).
 	nameFreq map[string]float64
-	// next holds what Propose folds in per predecessor — its top
-	// proposeConts continuations and the two-step pairs built from them —
-	// computed once when the n-gram is mined instead of sorted per query.
+	// next holds what Propose reads per predecessor — its top proposeConts
+	// continuations and the two-step pairs built from them, which it folds
+	// in, and every successor's bigram bonus — computed once when the
+	// n-gram is mined instead of per query.
 	next map[string]*nextSteps
 }
 
@@ -34,10 +35,19 @@ type NGram struct {
 const proposeConts = 3
 
 // nextSteps is one predecessor's precomputed Continuations(prev,
-// proposeConts) and ContinuationPairs(prev, proposeConts).
+// proposeConts) and ContinuationPairs(prev, proposeConts), and its bigram
+// row, in Continuations' order.
 type nextSteps struct {
 	conts []string
 	pairs []WeightedCont
+	succ  []successor
+}
+
+// successor is a mined successor of a predecessor with Score's bonus for
+// following it: 0.6 times log1p of the bigram count.
+type successor struct {
+	text  string
+	bonus float64
 }
 
 // BuildNGram mines the hint proofs of a prompt.
@@ -105,8 +115,15 @@ func (hp *HintProofs) NGram(p *prompt.Prompt) *NGram {
 		}
 	}
 	ng.next = make(map[string]*nextSteps, len(ng.bi))
-	for prev := range ng.bi {
-		ng.next[prev] = &nextSteps{conts: ng.Continuations(prev, proposeConts)}
+	for prev, row := range ng.bi {
+		// The continuations are the first of the ranked successors.
+		ranked := ng.Continuations(prev, len(row))
+		k := min(proposeConts, len(ranked))
+		nx := &nextSteps{conts: ranked[:k:k], succ: make([]successor, len(ranked))}
+		for i, s := range ranked {
+			nx.succ[i] = successor{text: s, bonus: 0.6 * math.Log1p(row[s])}
+		}
+		ng.next[prev] = nx
 	}
 	for _, nx := range ng.next {
 		nx.pairs = ng.pairsOf(nx.conts)
@@ -247,7 +264,7 @@ func (ng *NGram) Continuations(prev string, k int) []string {
 		s string
 		n float64
 	}
-	var all []kv
+	all := make([]kv, 0, len(m))
 	for s, n := range m {
 		//lint:ignore maporder all is fully ordered by the insertion sort below
 		all = append(all, kv{s, n})

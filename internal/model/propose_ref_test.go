@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"llmfscq/internal/checker"
@@ -22,21 +24,21 @@ type refCand struct {
 	h, r, j float64
 }
 
-// refModel is Propose written directly on strings, without ids, stamps,
-// views or a key bound: every query rebuilds the pool, folds it through a
-// map keyed on dedup keys, scores it through a per-text memo, draws its
-// noise from the prompt's lemma items, computes every Gumbel key and sorts
-// them all. It is the specification the production path must reproduce bit
-// for bit. gen generates the structural candidate texts only, so its
-// vocabulary and table are never used.
+// refModel is Propose written directly on strings, without ids, tuples,
+// stamps, views, per-formula facts or a key bound: every query rebuilds the
+// pool from refStructural and refRetrieval, folds it through a map keyed on
+// dedup keys, scores it through a per-text memo, draws its noise from the
+// prompt's lemma items, computes every Gumbel key and sorts them all. It is
+// the specification the production path must reproduce bit for bit.
 type refModel struct {
-	gen     *Model
+	prof    Profile
+	env     *kernel.Env
 	scoreNG *NGram
 	parts   map[string][2]float64 // key -> 0.12*log1p(unigram), 0.05*log1p(head)
 }
 
-func newRefModel(p Profile, env *kernel.Env, lt *LemmaTable) *refModel {
-	return &refModel{gen: NewWithLemmas(p, env, lt)}
+func newRefModel(p Profile, env *kernel.Env) *refModel {
+	return &refModel{prof: p, env: env}
 }
 
 // refJunk is the capability noise drawn from the prompt's lemma items, where
@@ -91,10 +93,10 @@ func (r *refModel) propose(p *prompt.Prompt, st *tactic.State, path []string, ng
 		prev = textmetrics.NormalizeScript(path[len(path)-1])
 	}
 	var pool []refCand
-	r.gen.structural(goal, func(text []byte, h float64) {
-		pool = append(pool, refCand{text: string(text), h: h})
+	refStructural(r.env, goal, func(text string, h float64) {
+		pool = append(pool, refCand{text: text, h: h})
 	})
-	pool = append(pool, refRetrieval(r.gen, p, goal, ng)...)
+	pool = append(pool, refRetrieval(r.prof, r.env, p, goal, ng)...)
 	if nx := ng.nextOf(prev); nx != nil {
 		for _, cont := range nx.conts {
 			pool = append(pool, refCand{text: cont, h: 0.9})
@@ -103,7 +105,7 @@ func (r *refModel) propose(p *prompt.Prompt, st *tactic.State, path []string, ng
 			pool = append(pool, refCand{text: pair.Text, h: 1.1 + 0.25*math.Log1p(pair.Count)})
 		}
 	}
-	pool = append(pool, refJunk(r.gen.Profile, p, rng)...)
+	pool = append(pool, refJunk(r.prof, p, rng)...)
 
 	var uniq []refCand
 	at := map[string]int{}
@@ -126,7 +128,7 @@ func (r *refModel) propose(p *prompt.Prompt, st *tactic.State, path []string, ng
 		return nil
 	}
 
-	prof := r.gen.Profile
+	prof := r.prof
 	scoreable := ng != nil && ng.total != 0
 	var biRow map[string]float64
 	if scoreable {
@@ -226,6 +228,7 @@ type builtPrompt struct {
 // settings, under every paper profile: at the root goal three times (the
 // view built, then reused), at the goal after intros, and at each believed
 // state of a whole-proof roll-out, whose script must equal WholeProof's.
+// Then, under GPT-4o, at every state of the recorded searches.
 // Two models propose beside the reference: a fresh one per combination,
 // and one model rebound to every combination in turn, with one RNG
 // re-seeded, as a grid worker reuses them across its searches.
@@ -255,7 +258,7 @@ func TestProposeMatchesReference(t *testing.T) {
 				m := NewWithLemmas(prof, env, shared)
 				reused.Rebind(prof, env, shared)
 				rngU.Seed(11)
-				ref := newRefModel(prof, env, shared)
+				ref := newRefModel(prof, env)
 				rngM, rngR := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
 				check := func(st *tactic.State, path []string) []Candidate {
 					want := ref.propose(pr, st, path, ng, rngR)
@@ -317,10 +320,96 @@ func TestProposeMatchesReference(t *testing.T) {
 			}
 		}
 	}
+
+	// Goals no search of the test set reaches, for the paths they take: a
+	// hypothesis with a stuck match that the conclusion lacks.
+	for _, th := range ths {
+		env := c.EnvBefore(th.Name)
+		st, err := tactic.ApplySentence(tactic.NewState(env, th.Stmt), "intros.")
+		if err != nil {
+			continue
+		}
+		st, err = tactic.ApplySentence(st, "assert ((match plus 0 0 with | O => true | S k => false end) = true) as HM.")
+		if err != nil {
+			t.Fatalf("%s: %v", th.Name, err)
+		}
+		st = &tactic.State{Env: env, Goals: st.Goals[1:]}
+		m := NewWithLemmas(GPT4o, env, shared)
+		ref := newRefModel(GPT4o, env)
+		b := prompt.Builder{Corpus: c, Setting: prompt.Hint, HintSet: hints, Window: GPT4o.ContextWindow}
+		pr := b.Build(th)
+		ng := BuildNGram(pr)
+		rngM, rngR := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+		sameSlate(t, th.Name+" with HM", m.Propose(pr, st, []string{"intros."}, ng, rngM), ref.propose(pr, st, []string{"intros."}, ng, rngR))
+		queries++
+	}
+
+	// Every state a recorded best-first search queried, in the search's
+	// order: the deep goals of searches that run out of fuel, where
+	// hypotheses accumulate and the per-formula memo is reused across
+	// queries. A fresh model and the rebound one propose beside the
+	// reference, and the RNGs must agree after each query.
+	for _, s := range recordedSearches(t) {
+		m := NewWithLemmas(GPT4o, s.Env, shared)
+		reused.Rebind(GPT4o, s.Env, shared)
+		ref := newRefModel(GPT4o, s.Env)
+		rngM, rngU, rngR := rand.New(rand.NewSource(13)), rand.New(rand.NewSource(13)), rand.New(rand.NewSource(13))
+		for i, q := range s.Queries {
+			what := fmt.Sprintf("%s query %d", s.Theorem, i)
+			want := ref.propose(s.Prompt, q.State, q.Path, s.NGram, rngR)
+			sameSlate(t, what, m.Propose(s.Prompt, q.State, q.Path, s.NGram, rngM), want)
+			sameSlate(t, what+" (rebound model)", reused.Propose(s.Prompt, q.State, q.Path, s.NGram, rngU), want)
+			if r := rngR.Int63(); rngM.Int63() != r || rngU.Int63() != r {
+				t.Fatalf("%s: RNG states diverged", what)
+			}
+			queries++
+		}
+	}
 	if queries == 0 {
 		t.Fatal("no queries checked")
 	}
 	t.Logf("%d queries checked", queries)
+}
+
+// RecordedSearch is the queries of one best-first search, in order, with
+// the environment, prompt and n-gram it proposed from.
+type RecordedSearch struct {
+	Theorem string
+	Env     *kernel.Env
+	Prompt  *prompt.Prompt
+	NGram   *NGram
+	Queries []RecordedQuery
+}
+
+// RecordedQuery is one query of a recorded search: the state proposed at
+// and the path to it.
+type RecordedQuery struct {
+	State *tactic.State
+	Path  []string
+}
+
+// RecordSearches records the best-first searches of the model tests. It is
+// set by searches_test.go, in package model_test, because the search and
+// the sweep's runner import this package.
+var RecordSearches func(t testing.TB) []RecordedSearch
+
+var recorded struct {
+	once     sync.Once
+	searches []RecordedSearch
+}
+
+// recordedSearches returns RecordSearches' searches, recorded once per test
+// binary.
+func recordedSearches(t testing.TB) []RecordedSearch {
+	t.Helper()
+	if RecordSearches == nil {
+		t.Fatal("no search recorder: searches_test.go sets RecordSearches")
+	}
+	recorded.once.Do(func() { recorded.searches = RecordSearches(t) })
+	if len(recorded.searches) == 0 {
+		t.Fatal("no searches recorded")
+	}
+	return recorded.searches
 }
 
 // reversedLemmaTable analyzes env's lemmas in reverse declaration order, so
@@ -345,7 +434,7 @@ func TestProposeMatchesReferenceAcrossTables(t *testing.T) {
 	for _, setting := range []prompt.Setting{prompt.Vanilla, prompt.Hint} {
 		b := prompt.Builder{Corpus: c, Setting: setting, HintSet: hints, Window: GPT4o.ContextWindow}
 		m := NewWithLemmas(GPT4o, env, tables[0])
-		ref := newRefModel(GPT4o, env, tables[0])
+		ref := newRefModel(GPT4o, env)
 		rngM, rngR := rand.New(rand.NewSource(17)), rand.New(rand.NewSource(17))
 		for i, lt := range tables {
 			if i > 0 {
@@ -456,7 +545,17 @@ func TestGumbelTopKMatchesFullKeys(t *testing.T) {
 		cases = append(cases, slate{"subnormal band", u, 1, 8, seeded(seed)})
 	}
 	flat := make([]float64, 40)
+	// Runs of equal utilities, whose Exp is reused, beside neighbours one
+	// ulp apart, whose Exp must not be.
+	runs := make([]float64, 60)
+	for i := range runs {
+		runs[i] = -float64(i / 4)
+		if i%4 == 3 {
+			runs[i] = math.Nextafter(runs[i], math.Inf(-1))
+		}
+	}
 	cases = append(cases,
+		slate{"runs and ulp neighbours", runs, 0.7, 8, seeded(8)},
 		slate{"tied keys", flat, 0.7, 8, fixed(1 << 62)},
 		slate{"tied keys, zero draws", flat, 0.7, 8, fixed(0, 1<<62, 0, 0, 1<<61)},
 		slate{"k >= len", spread(6, 1, 5, 3), 1, 8, seeded(3)},
@@ -489,4 +588,383 @@ func TestGumbelTopKMatchesFullKeys(t *testing.T) {
 			t.Fatalf("%s: RNG states diverged", c.name)
 		}
 	}
+}
+
+// refConclHead is the head of f's conclusion, under its quantifiers and
+// premises, as a string.
+func refConclHead(f *kernel.Form) string {
+	for f != nil {
+		switch f.Kind {
+		case kernel.FForall, kernel.FExists:
+			f = f.Body
+		case kernel.FImpl:
+			f = f.R
+		case kernel.FNot:
+			return "~"
+		case kernel.FPred:
+			return "P:" + f.Pred
+		case kernel.FEq:
+			return "="
+		case kernel.FAnd:
+			return "&"
+		case kernel.FOr:
+			return "|"
+		case kernel.FIff:
+			return "<>"
+		case kernel.FTrue:
+			return "T"
+		case kernel.FFalse:
+			return "F"
+		default:
+			return "?"
+		}
+	}
+	return "?"
+}
+
+// refGoalHead is the head of a goal's conclusion, as a string.
+func refGoalHead(f *kernel.Form) string {
+	switch f.Kind {
+	case kernel.FPred:
+		return "P:" + f.Pred
+	case kernel.FEq:
+		return "="
+	case kernel.FAnd:
+		return "&"
+	case kernel.FOr:
+		return "|"
+	case kernel.FIff:
+		return "<>"
+	case kernel.FNot:
+		return "~"
+	case kernel.FTrue:
+		return "T"
+	case kernel.FFalse:
+		return "F"
+	case kernel.FForall:
+		return "A"
+	case kernel.FExists:
+		return "E"
+	case kernel.FImpl:
+		return ">"
+	default:
+		return "?"
+	}
+}
+
+// refStructural is the goal-shape candidate pool written directly on
+// strings, re-analyzing every formula of the goal per query: it emits each
+// text with its heuristic h, in order. It is the specification of
+// Model.structural, whose templates, operand ids and per-formula facts must
+// reproduce it.
+func refStructural(env *kernel.Env, g *tactic.Goal, emit func(text string, h float64)) {
+	add := func(h float64, parts ...string) { emit(strings.Join(parts, ""), h) }
+	c := g.Concl
+
+	switch c.Kind {
+	case kernel.FForall, kernel.FImpl:
+		add(2.6, "intros.")
+	case kernel.FNot:
+		add(2.2, "intro.")
+	case kernel.FAnd:
+		add(2.5, "split.")
+	case kernel.FIff:
+		add(2.2, "split.")
+	case kernel.FOr:
+		add(1.1, "left.")
+		add(1.0, "right.")
+	case kernel.FTrue:
+		add(3.0, "constructor.")
+	case kernel.FFalse:
+		add(1.4, "contradiction.")
+	case kernel.FEq:
+		add(2.1, "reflexivity.")
+		add(1.4, "simpl.")
+		add(0.2, "symmetry.")
+		add(0.6, "congruence.")
+		if c.T1.IsApp() && c.T2.IsApp() && c.T1.Fun == c.T2.Fun && len(c.T1.Args) == len(c.T2.Args) {
+			add(1.0, "f_equal.")
+		}
+	case kernel.FExists:
+		for _, v := range g.Vars {
+			if c.BType == nil || v.Type == nil || v.Type.Name == c.BType.Name {
+				add(1.5, "exists ", v.Name, ".")
+			}
+		}
+		add(0.6, "exists 0.")
+		add(0.5, "exists nil.")
+	case kernel.FPred:
+		if _, isInd := env.Preds[c.Pred]; isInd {
+			add(1.7, "constructor.")
+			add(1.0, "econstructor.")
+		}
+		if _, isDef := env.Defs[c.Pred]; isDef {
+			add(1.8, "unfold ", c.Pred, ".")
+		}
+	}
+
+	arithHyps := false
+	for _, h := range g.Hyps {
+		if looksArith(h.Form) {
+			arithHyps = true
+			break
+		}
+	}
+	switch {
+	case looksArith(c) && arithHyps:
+		add(1.9, "omega.")
+	case looksArith(c):
+		add(1.3, "omega.")
+	case arithHyps && (c.Kind == kernel.FEq || c.Kind == kernel.FFalse || c.Kind == kernel.FNot || c.Kind == kernel.FPred):
+		add(1.4, "omega.")
+	}
+	add(1.2, "auto.")
+	add(0.9, "eauto.")
+
+	// Hypothesis-directed moves.
+	substUseful := false
+	gh := refGoalHead(c)
+	var ck [2]uint64 // the conclusion's fingerprint, for assumption
+	if len(g.Hyps) > 0 {
+		ck = c.FingerprintKey()
+	}
+	for _, h := range g.Hyps {
+		switch h.Form.Kind {
+		case kernel.FFalse:
+			add(3.0, "contradiction.")
+		case kernel.FAnd, kernel.FExists, kernel.FOr:
+			add(1.6, "destruct ", h.Name, ".")
+			add(0.6, "inversion ", h.Name, ".")
+		case kernel.FIff:
+			add(1.2, "destruct ", h.Name, ".")
+		case kernel.FEq:
+			if h.Form.T1.IsVar() || h.Form.T2.IsVar() {
+				substUseful = true
+			}
+			add(1.1, "rewrite ", h.Name, ".")
+			add(0.5, "rewrite <- ", h.Name, ".")
+			add(0.1, "rewrite ", h.Name, " in *.") // unsupported form: realistic junk
+			if h.Form.T1.IsApp() && h.Form.T2.IsApp() && env.IsConstructor(h.Form.T1.Fun) && env.IsConstructor(h.Form.T2.Fun) {
+				if h.Form.T1.Fun != h.Form.T2.Fun {
+					add(2.6, "discriminate ", h.Name, ".")
+				} else {
+					add(1.6, "inversion ", h.Name, ".")
+				}
+			}
+			add(0.5, "simpl in ", h.Name, ".")
+		case kernel.FPred:
+			if _, isInd := env.Preds[h.Form.Pred]; isInd {
+				w := 1.0
+				for _, a := range h.Form.Args {
+					if a.IsApp() && env.IsConstructor(a.Fun) {
+						w = 1.8
+						break
+					}
+				}
+				add(w, "inversion ", h.Name, ".")
+				add(0.8, "induction ", h.Name, ".")
+			}
+			if _, isDef := env.Defs[h.Form.Pred]; isDef {
+				add(1.4, "unfold ", h.Form.Pred, " in ", h.Name, ".")
+			}
+			add(0.4, "simpl in ", h.Name, ".")
+		case kernel.FForall, kernel.FImpl:
+			if refConclHead(h.Form) == gh {
+				add(1.9, "apply ", h.Name, ".")
+				add(1.1, "eapply ", h.Name, ".")
+			} else {
+				add(0.5, "apply ", h.Name, ".")
+			}
+			// Quantified equations (induction hypotheses above all) are
+			// rewriting material.
+			if refConclHead(h.Form) == "=" {
+				w := 1.4
+				if strings.HasPrefix(h.Name, "IH") {
+					w = 2.1
+				}
+				add(w, "rewrite ", h.Name, ".")
+				add(0.4*w, "rewrite <- ", h.Name, ".")
+			}
+		case kernel.FNot:
+			if c.Kind == kernel.FFalse {
+				add(2.0, "apply ", h.Name, ".")
+			}
+		}
+		if h.Form.FingerprintKey() == ck {
+			add(3.2, "assumption.")
+		}
+	}
+	if substUseful {
+		add(1.9, "subst.")
+	}
+
+	// Variable-directed induction/destruct. A variable scrutinized by a
+	// recursive function in the goal is the prime induction candidate.
+	recArgs := refRecursiveArgVars(env, c)
+	for _, v := range g.Vars {
+		if v.Type == nil || v.Type.TVar {
+			continue
+		}
+		if _, isData := env.Datatypes[v.Type.Name]; !isData {
+			continue
+		}
+		switch {
+		case recArgs[v.Name]:
+			add(2.2, "induction ", v.Name, ".")
+			add(1.0, "destruct ", v.Name, ".")
+		case c.HasFreeVar(v.Name):
+			add(1.1, "induction ", v.Name, ".")
+			add(0.9, "destruct ", v.Name, ".")
+		default:
+			add(0.1, "destruct ", v.Name, ".")
+		}
+	}
+	// Induction on a not-yet-introduced leading binder (skipping type
+	// binders, which are not inductive).
+	if c.Kind == kernel.FForall {
+		body := c
+		seen := 0
+		for body != nil && body.Kind == kernel.FForall && seen < 3 {
+			if !body.BType.IsType() {
+				w := 1.0
+				if recArgs[body.Binder] {
+					w = 2.0
+				}
+				add(w, "induction ", body.Binder, ".")
+				seen++
+			}
+			body = body.Body
+		}
+	}
+
+	// simpl when computation is visible.
+	computes := false
+	forEachSymbol(c, func(s string) {
+		if _, isFun := env.Funs[s]; isFun {
+			computes = true
+		}
+	})
+	if computes {
+		add(1.3, "simpl.")
+	}
+
+	// Stuck matches invite case analysis on the scrutinee (the
+	// `destruct (eqb a n) eqn:He` idiom).
+	for _, scrut := range refStuckScrutinees(c, 2) {
+		add(2.0, "destruct (", scrut, ") eqn:He.")
+	}
+	for _, h := range g.Hyps {
+		for _, scrut := range refStuckScrutinees(h.Form, 1) {
+			add(1.3, "destruct (", scrut, ") eqn:He.")
+		}
+	}
+
+	// Targeted rewriting: an equation hypothesis whose left-hand side
+	// occurs in another hypothesis or in the goal.
+	for _, e := range g.Hyps {
+		if e.Form.Kind != kernel.FEq || !e.Form.T1.IsApp() || len(e.Form.T1.Args) == 0 {
+			continue
+		}
+		lhs := e.Form.T1
+		if formContainsTerm(c, lhs) {
+			add(2.0, "rewrite ", e.Name, ".")
+		}
+		for _, h := range g.Hyps {
+			if h.Name == e.Name {
+				continue
+			}
+			if formContainsTerm(h.Form, lhs) {
+				add(1.8, "rewrite ", e.Name, " in ", h.Name, ".")
+			}
+		}
+	}
+}
+
+// refStuckScrutinees collects the printable scrutinees of up to max stuck
+// matches in a formula.
+func refStuckScrutinees(f *kernel.Form, max int) []string {
+	var out []string
+	var scanTerm func(t *kernel.Term)
+	scanTerm = func(t *kernel.Term) {
+		t.Subterms(func(u *kernel.Term) bool {
+			if len(out) >= max {
+				return false
+			}
+			if u.Match != nil && !u.Match.Scrut.IsVar() {
+				// Only propose scrutinees that print as plain applications.
+				if u.Match.Scrut.IsApp() {
+					out = append(out, u.Match.Scrut.String())
+				}
+			}
+			return true
+		})
+	}
+	var walk func(f *kernel.Form)
+	walk = func(f *kernel.Form) {
+		if f == nil || len(out) >= max {
+			return
+		}
+		switch f.Kind {
+		case kernel.FEq:
+			scanTerm(f.T1)
+			scanTerm(f.T2)
+		case kernel.FPred:
+			for _, a := range f.Args {
+				scanTerm(a)
+			}
+		case kernel.FNot:
+			walk(f.L)
+		case kernel.FAnd, kernel.FOr, kernel.FImpl, kernel.FIff:
+			walk(f.L)
+			walk(f.R)
+		}
+	}
+	walk(f)
+	return out
+}
+
+// refRecursiveArgVars returns the variables that occur as arguments of
+// recursive function applications anywhere in the formula — the natural
+// induction candidates.
+func refRecursiveArgVars(env *kernel.Env, f *kernel.Form) map[string]bool {
+	out := map[string]bool{}
+	var scanTerm func(t *kernel.Term)
+	scanTerm = func(t *kernel.Term) {
+		t.Subterms(func(u *kernel.Term) bool {
+			if u.IsApp() {
+				if fd, ok := env.Funs[u.Fun]; ok && fd.Recursive {
+					for _, a := range u.Args {
+						if a.IsVar() {
+							out[a.Var] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	var walk func(f *kernel.Form)
+	walk = func(f *kernel.Form) {
+		if f == nil {
+			return
+		}
+		switch f.Kind {
+		case kernel.FEq:
+			scanTerm(f.T1)
+			scanTerm(f.T2)
+		case kernel.FPred:
+			for _, a := range f.Args {
+				scanTerm(a)
+			}
+		case kernel.FNot:
+			walk(f.L)
+		case kernel.FAnd, kernel.FOr, kernel.FImpl, kernel.FIff:
+			walk(f.L)
+			walk(f.R)
+		case kernel.FForall, kernel.FExists:
+			walk(f.Body)
+		}
+	}
+	walk(f)
+	return out
 }

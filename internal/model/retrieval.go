@@ -7,7 +7,6 @@ import (
 	"llmfscq/internal/corpus"
 	"llmfscq/internal/kernel"
 	"llmfscq/internal/prompt"
-	"llmfscq/internal/tactic"
 	"llmfscq/internal/textmetrics"
 )
 
@@ -21,7 +20,8 @@ import (
 //     keys): a LemmaTable, built once per corpus and shared by every search;
 //   - the prompt and n-gram (position decay, hint-proof usage): a view of
 //     the visible lemmas, built once per search and dropped by Rebind;
-//   - the goal: symbol marks and hypothesis heads, computed per query.
+//   - the goal: symbol marks, stamped per query from the facts of its
+//     formulas (facts.go), which are computed once per search.
 
 // LemmaTable is the goal-independent analysis of lemma statements: each
 // lemma's symbols as small-integer ids, its overlap normalizer, the heads
@@ -43,6 +43,7 @@ type LemmaTable struct {
 
 // lemEntry is one lemma's row of a LemmaTable.
 type lemEntry struct {
+	idx      int32 // the row's index in the table
 	name     string
 	stmt     *kernel.Form // the analyzed statement (a Model checks its env agrees)
 	syms     []int32      // unique statement symbols, deterministic walk order
@@ -58,10 +59,12 @@ type lemEntry struct {
 	rewrite, rewriteRev, apply, eapply int32
 }
 
-// head is goalHead as an integer: the connectives are small constants and
-// a predicate P is headPred + id(P), so heads compare without building
-// "P:"+pred strings. A predicate outside the table maps to headNone, which
-// no lemma's head equals — exactly as no lemma's head string would.
+// head is a formula's head as an integer: the connectives are small
+// constants and a predicate P is headPred + id(P), with id a table symbol id
+// (LemmaTable.headOf) or a name id (Model.goalHead), so heads compare
+// without building "P:"+pred strings. A table head maps a predicate outside
+// the table to headNone, which no lemma's head equals — exactly as no
+// lemma's head string would.
 type head int32
 
 const (
@@ -122,6 +125,7 @@ func (t *LemmaTable) add(lem *kernel.Lemma) {
 	prems, concl := matrix.StripImpls()
 	syms := orderedSymbols(lem.Stmt)
 	e := lemEntry{
+		idx:        int32(len(t.lems)),
 		name:       lem.Name,
 		stmt:       lem.Stmt,
 		syms:       make([]int32, len(syms)),
@@ -177,14 +181,23 @@ func (t *LemmaTable) internHead(f *kernel.Form) head {
 	return t.headOf(f)
 }
 
-// headOf mirrors goalHead.
+// headOf is the head of a goal's conclusion f, with a predicate numbered
+// by its table symbol id.
 func (t *LemmaTable) headOf(f *kernel.Form) head {
-	switch f.Kind {
-	case kernel.FPred:
-		if id, ok := t.symID[f.Pred]; ok {
+	return formHead(f, func(pred string) head {
+		if id, ok := t.symID[pred]; ok {
 			return headPred + head(id)
 		}
 		return headNone
+	})
+}
+
+// formHead is the head of a goal's conclusion f: its connective, or its
+// predicate, numbered by predHead.
+func formHead(f *kernel.Form, predHead func(string) head) head {
+	switch f.Kind {
+	case kernel.FPred:
+		return predHead(f.Pred)
 	case kernel.FEq:
 		return headEq
 	case kernel.FAnd:
@@ -215,20 +228,40 @@ func dedupKey(text string) string {
 	return strings.TrimSuffix(textmetrics.NormalizeScript(text), ".")
 }
 
-// lemView is one visible lemma as a search sees it: the table row plus the
-// weights that depend on the prompt and n-gram.
+// lemView is one visible lemma as a search sees it: a copy of the table
+// row, so a query's scan over the view reads one array, plus the weights
+// that depend on the prompt and n-gram, and the last ids of the row's two
+// candidates that name a hypothesis.
 type lemView struct {
-	*lemEntry
-	quality float64 // RetrievalSkill * position decay
-	usage   float64 // log1p(hint-proof usage count)
+	lemEntry
+	quality   float64 // RetrievalSkill * position decay
+	usage     float64 // log1p(hint-proof usage count)
+	rewriteIn lastID  // "rewrite L in H."
+	applyIn   lastID  // "apply L in H."
+}
+
+// lastID is a one-entry memo of a lemma's candidate for hypothesis name:
+// the hypothesis a lemma matches first seldom changes between queries.
+type lastID struct{ name, id int32 }
+
+// candIn is candID for the lemma candidate (t, rec, name), through last.
+func (m *Model) candIn(last *lastID, t tmpl, rec *lemView, name int32) int32 {
+	if last.name != name {
+		last.name, last.id = name, m.candID(t, rec.idx, name)
+	}
+	return last.id
 }
 
 // retrView is a Model's view of the lemmas its prompt shows. A nil prompt
-// marks no view; the next view reuses lems' backing array.
+// marks no view; the next view reuses lems' backing array. mined holds the
+// ids of the n-gram's continuations, pairs and successors, at minedAt's
+// offsets (see minedIDs).
 type retrView struct {
-	prompt *prompt.Prompt
-	ng     *NGram
-	lems   []lemView
+	prompt  *prompt.Prompt
+	ng      *NGram
+	lems    []lemView
+	mined   []int32
+	minedAt map[*nextSteps]int
 }
 
 // viewFor returns the visible lemmas of p, rebuilding the view only when
@@ -240,7 +273,9 @@ func (m *Model) viewFor(p *prompt.Prompt, ng *NGram) []lemView {
 		return m.view.lems
 	}
 	lems := m.buildView(p, ng)
-	m.view = retrView{prompt: p, ng: ng, lems: lems}
+	m.view.prompt, m.view.ng, m.view.lems = p, ng, lems
+	m.view.mined = m.view.mined[:0]
+	clear(m.view.minedAt)
 	if m.idsOf != m.lemmas {
 		m.resetIDs()
 	}
@@ -275,7 +310,7 @@ func (m *Model) buildView(p *prompt.Prompt, ng *NGram) []lemView {
 		}
 		dist := float64(n - 1 - i)
 		decay := math.Exp2(-dist / prof.DistractionHalfLife)
-		v := lemView{lemEntry: e, quality: prof.RetrievalSkill * decay}
+		v := lemView{lemEntry: *e, quality: prof.RetrievalSkill * decay, rewriteIn: lastID{name: -1}, applyIn: lastID{name: -1}}
 		// Usage statistics from hint proofs: lemmas the humans applied
 		// often are much easier for the model to surface.
 		if ng != nil {
@@ -289,48 +324,52 @@ func (m *Model) buildView(p *prompt.Prompt, ng *NGram) []lemView {
 // markSymbols stamps the table ids of the goal's symbols into goalMark and
 // of the hypotheses' symbols into hypMark, with a fresh epoch, so a lemma
 // symbol tests membership by one array load; hypFirst records the first
-// hypothesis mentioning each symbol. Returns the epoch.
-func (m *Model) markSymbols(g *tactic.Goal) uint32 {
-	t := m.lemmas
-	if n := len(t.symID); len(m.goalMark) < n {
+// hypothesis mentioning each symbol. It stamps each hypothesis head h into
+// headMark[h+1] likewise, with the first hypothesis of that head in
+// headFirst. Returns the epoch.
+func (m *Model) markSymbols() uint32 {
+	if n := len(m.lemmas.symID); len(m.goalMark) < n {
 		m.goalMark = make([]uint32, n)
 		m.hypMark = make([]uint32, n)
 		m.hypFirst = make([]int32, n)
+		m.headMark = make([]uint32, n+int(headPred)+1)
+		m.headFirst = make([]int32, n+int(headPred)+1)
 		m.epoch = 0
 	}
 	m.epoch++
 	if m.epoch == 0 {
 		clear(m.goalMark)
 		clear(m.hypMark)
+		clear(m.headMark)
 		m.epoch = 1
 	}
 	ep := m.epoch
-	forEachSymbol(g.Concl, func(s string) {
-		if id, ok := t.symID[s]; ok {
-			m.goalMark[id] = ep
-		}
-	})
-	for i, h := range g.Hyps {
-		forEachSymbol(h.Form, func(s string) {
-			if id, ok := t.symID[s]; ok && m.hypMark[id] != ep {
+	for _, id := range m.ints(m.facts[m.concl].syms) {
+		m.goalMark[id] = ep
+	}
+	for i, h := range m.hyps {
+		hf := &m.facts[h.facts]
+		for _, id := range m.ints(hf.syms) {
+			if m.hypMark[id] != ep {
 				m.hypMark[id] = ep
 				m.hypFirst[id] = int32(i)
 			}
-		})
+		}
+		if k := hf.thead + 1; m.headMark[k] != ep {
+			m.headMark[k] = ep
+			m.headFirst[k] = int32(i)
+		}
 	}
 	return ep
 }
 
-func (m *Model) retrieval(out []scored, p *prompt.Prompt, g *tactic.Goal, ng *NGram) []scored {
-	lems := m.viewFor(p, ng)
-	ep := m.markSymbols(g)
+// retrieval appends the view's lemma candidates for the goal resolveGoal
+// resolved.
+func (m *Model) retrieval(out []scored) []scored {
+	lems := m.view.lems
+	ep := m.markSymbols()
 	goalMark, hypMark := m.goalMark, m.hypMark
-	gh := m.lemmas.headOf(g.Concl)
-	hypHeads := m.hypHeads[:0]
-	for _, h := range g.Hyps {
-		hypHeads = append(hypHeads, m.lemmas.headOf(h.Form))
-	}
-	m.hypHeads = hypHeads
+	gh := m.facts[m.concl].thead
 
 	for i := range lems {
 		rec := &lems[i]
@@ -356,8 +395,8 @@ func (m *Model) retrieval(out []scored, p *prompt.Prompt, g *tactic.Goal, ng *NG
 			out = append(out, scored{id: rec.rewrite, r: w})
 			out = append(out, scored{id: rec.rewriteRev, r: 0.4 * w})
 			if rec.lhsHead >= 0 && hypMark[rec.lhsHead] == ep {
-				h := g.Hyps[m.hypFirst[rec.lhsHead]]
-				out = append(out, scored{id: m.idOfIn("rewrite", rec.name, h.Name), r: 0.8 * w})
+				h := m.hyps[m.hypFirst[rec.lhsHead]]
+				out = append(out, scored{id: m.candIn(&rec.rewriteIn, tLemRewriteIn, rec, h.name), r: 0.8 * w})
 			}
 		}
 		if rec.concl == gh {
@@ -369,14 +408,10 @@ func (m *Model) retrieval(out []scored, p *prompt.Prompt, g *tactic.Goal, ng *NG
 		} else if overlap > 0.5 {
 			out = append(out, scored{id: rec.apply, r: 0.3 * rel})
 		}
-		// Forward chaining into a matching hypothesis.
-		if rec.hasPrems && rec.premHead != headUnknown {
-			for j, hh := range hypHeads {
-				if hh == rec.premHead {
-					out = append(out, scored{id: m.idOfIn("apply", rec.name, g.Hyps[j].Name), r: 0.5 * rel})
-					break
-				}
-			}
+		// Forward chaining into the first hypothesis the premise matches.
+		if k := rec.premHead + 1; rec.hasPrems && rec.premHead != headUnknown && m.headMark[k] == ep {
+			h := m.hyps[m.headFirst[k]]
+			out = append(out, scored{id: m.candIn(&rec.applyIn, tLemApplyIn, rec, h.name), r: 0.5 * rel})
 		}
 	}
 	return out

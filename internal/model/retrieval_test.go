@@ -174,7 +174,7 @@ func TestNGramPrecomputedContinuations(t *testing.T) {
 // refRetrieval is the retrieval pass written directly from lemma
 // statements and strings, re-analyzing every visible lemma per query: the
 // specification the table, view and symbol marks must reproduce.
-func refRetrieval(m *Model, p *prompt.Prompt, g *tactic.Goal, ng *NGram) []refCand {
+func refRetrieval(prof Profile, env *kernel.Env, p *prompt.Prompt, g *tactic.Goal, ng *NGram) []refCand {
 	symsOf := func(f *kernel.Form) map[string]bool {
 		out := map[string]bool{}
 		forEachSymbol(f, func(s string) { out[s] = true })
@@ -187,18 +187,18 @@ func refRetrieval(m *Model, p *prompt.Prompt, g *tactic.Goal, ng *NGram) []refCa
 			hypSyms[s] = true
 		}
 	}
-	gh := goalHead(g.Concl)
+	gh := refGoalHead(g.Concl)
 	var out []refCand
 	n := len(p.Items)
 	for i, it := range p.Items {
 		if it.Kind != corpus.ItemLemma {
 			continue
 		}
-		lem, ok := m.Env.Lemmas[it.Name]
+		lem, ok := env.Lemmas[it.Name]
 		if !ok {
 			continue
 		}
-		quality := m.Profile.RetrievalSkill * math.Exp2(-float64(n-1-i)/m.Profile.DistractionHalfLife)
+		quality := prof.RetrievalSkill * math.Exp2(-float64(n-1-i)/prof.DistractionHalfLife)
 		usage := 0.0
 		if ng != nil {
 			usage = math.Log1p(ng.NameUsage(it.Name))
@@ -238,7 +238,7 @@ func refRetrieval(m *Model, p *prompt.Prompt, g *tactic.Goal, ng *NGram) []refCa
 				}
 			}
 		}
-		if goalHead(concl) == gh {
+		if refGoalHead(concl) == gh {
 			w := rel + 1.1*quality
 			out = append(out, refCand{text: "apply " + it.Name + ".", r: w})
 			if len(prems) > 0 {
@@ -248,9 +248,9 @@ func refRetrieval(m *Model, p *prompt.Prompt, g *tactic.Goal, ng *NGram) []refCa
 			out = append(out, refCand{text: "apply " + it.Name + ".", r: 0.3 * rel})
 		}
 		if len(prems) > 0 {
-			if ph := goalHead(stripQuant(prems[0])); ph != "?" {
+			if ph := refGoalHead(stripQuant(prems[0])); ph != "?" {
 				for _, h := range g.Hyps {
-					if goalHead(h.Form) == ph {
+					if refGoalHead(h.Form) == ph {
 						out = append(out, refCand{text: "apply " + it.Name + " in " + h.Name + ".", r: 0.5 * rel})
 						break
 					}
@@ -280,8 +280,10 @@ func TestRetrievalMatchesReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(5))
 			for step := 0; step < 12 && !st.Done(); step++ {
 				g := st.Goals[0]
-				got := m.retrieval(nil, pr, g, ng)
-				want := refRetrieval(m, pr, g, ng)
+				m.viewFor(pr, ng)
+				m.resolveGoal(g)
+				got := m.retrieval(nil)
+				want := refRetrieval(GPT4o, env, pr, g, ng)
 				if len(got) != len(want) {
 					t.Fatalf("%s/%s step %d: %d candidates, want %d", setting, th.Name, step, len(got), len(want))
 				}

@@ -53,8 +53,8 @@ type instantiated struct {
 // instantiate peels alternating forall/impl prefixes, replacing term binders
 // with metavariables. Type binders (`forall (A : Type)`) are dropped: types
 // are annotations and never occur in term positions.
-func instantiate(stmt *kernel.Form, mc *kernel.MetaCounter) instantiated {
-	inst, _ := peel(stmt, mc, false)
+func instantiate(stmt *kernel.Form, mc *kernel.MetaCounter, sc *kernel.Scratch) instantiated {
+	inst, _ := peel(stmt, mc, false, sc)
 	return inst
 }
 
@@ -62,21 +62,22 @@ func instantiate(stmt *kernel.Form, mc *kernel.MetaCounter) instantiated {
 // least stripped (whole matrix as conclusion) to fully stripped. apply tries
 // the fully stripped form first, then backs off, which lets a `~`-lemma
 // match a `~`-goal the way Coq's apply does.
-func instantiateAll(stmt *kernel.Form, mc *kernel.MetaCounter) []instantiated {
-	inst, out := peel(stmt, mc, true)
+func instantiateAll(stmt *kernel.Form, mc *kernel.MetaCounter, sc *kernel.Scratch) []instantiated {
+	inst, out := peel(stmt, mc, true, sc)
 	return append(out, inst)
 }
 
 // peel is the walk behind instantiate and instantiateAll. It returns the
 // fully stripped instantiation and, when snaps is set, one snapshot per
-// premise boundary, least stripped first.
+// premise boundary, least stripped first. sc is the substitution's scratch
+// arena (nil allocates).
 //
 // Each block of leading quantifiers is substituted in one walk of its body.
 // Metavariables are numbered in binder order, as one walk per binder would
 // number them; a name bound twice in a block maps to its inner binder's
 // metavariable, and a type binder shadows a term binder of its name, which
 // is exactly what the per-binder walks would leave.
-func peel(stmt *kernel.Form, mc *kernel.MetaCounter, snaps bool) (instantiated, []instantiated) {
+func peel(stmt *kernel.Form, mc *kernel.MetaCounter, snaps bool, sc *kernel.Scratch) (instantiated, []instantiated) {
 	var out []instantiated
 	inst := instantiated{flex: map[string]bool{}}
 	f := stmt
@@ -97,7 +98,7 @@ func peel(stmt *kernel.Form, mc *kernel.MetaCounter, snaps bool) (instantiated, 
 				}
 				block[f.Binder] = kernel.V(m)
 			}
-			f = f.SubstTerm(block)
+			f = f.SubstTermS(block, sc)
 		case kernel.FImpl, kernel.FNot:
 			if snaps {
 				snap := inst
@@ -132,13 +133,13 @@ var instMemo sync.Map // *kernel.Form -> []instantiated
 
 // instantiations is instantiateAll with a fresh MetaCounter, memoized on the
 // statement pointer (every formula is interned, so the pointer is the
-// statement's identity).
-func instantiations(stmt *kernel.Form) []instantiated {
+// statement's identity). sc serves the instantiation on a miss.
+func instantiations(stmt *kernel.Form, sc *kernel.Scratch) []instantiated {
 	if v, ok := instMemo.Load(stmt); ok {
 		return v.([]instantiated)
 	}
 	var mc kernel.MetaCounter
-	insts := instantiateAll(stmt, &mc)
+	insts := instantiateAll(stmt, &mc, sc)
 	if v, loaded := instMemo.LoadOrStore(stmt, insts); loaded {
 		return v.([]instantiated)
 	}
@@ -225,7 +226,7 @@ func tacApply(env *kernel.Env, g *Goal, c Call, eapply bool, sc *kernel.Scratch)
 	if c.InHyp != "" {
 		return applyInHyp(env, g, stmt, c.InHyp, sc)
 	}
-	candidates := instantiations(stmt)
+	candidates := instantiations(stmt, sc)
 	var inst instantiated
 	var sub kernel.Subst
 	matched := false
@@ -290,7 +291,7 @@ func applyInHyp(env *kernel.Env, g *Goal, stmt *kernel.Form, hname string, sc *k
 	if !ok {
 		return nil, fmt.Errorf("tactic: no hypothesis %q", hname)
 	}
-	candidates := instantiations(stmt)
+	candidates := instantiations(stmt, sc)
 	// Use the least-stripped instantiation with exactly one premise: H is
 	// matched against the lemma's first premise and replaced by everything
 	// after it (Coq does not unfold `~` past the first premise here).
@@ -367,7 +368,7 @@ func tacConstructor(env *kernel.Env, g *Goal, econ bool, sc *kernel.Scratch) ([]
 }
 
 func applyRule(env *kernel.Env, g *Goal, r *kernel.Rule, econ bool, sc *kernel.Scratch) ([]*Goal, error) {
-	insts := instantiations(r.Statement())
+	insts := instantiations(r.Statement(), sc)
 	inst := insts[len(insts)-1]
 	sub := sc.TrialSubst()
 	if !kernel.UnifyForms(inst.concl, g.Concl, inst.flex, sub) {

@@ -276,7 +276,7 @@ func (r *resolver) tryLemma(stmt *kernel.Form, key string, g rgoal, rest []rgoal
 	if key != "?" && key != goalKey {
 		return false
 	}
-	inst := instantiate(stmt, &r.mc)
+	inst := instantiate(stmt, &r.mc, r.sc)
 	for m := range inst.flex {
 		flex[m] = true
 	}

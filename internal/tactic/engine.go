@@ -248,7 +248,9 @@ var verbs = map[string]Verb{
 	"revert": {run: func(env *kernel.Env, g *Goal, c Call, _ *kernel.Scratch) ([]*Goal, error) {
 		return tacRevert(env, g, c.Idents)
 	}},
-	"subst": {SweepsHyps: true, run: onGoal(tacSubst)},
+	"subst": {SweepsHyps: true, run: func(env *kernel.Env, g *Goal, _ Call, sc *kernel.Scratch) ([]*Goal, error) {
+		return tacSubst(env, g, sc)
+	}},
 	"simpl": {run: func(env *kernel.Env, g *Goal, c Call, _ *kernel.Scratch) ([]*Goal, error) {
 		return tacSimpl(env, g, c.InHyp)
 	}},
@@ -283,18 +285,14 @@ var verbs = map[string]Verb{
 	"econstructor": {run: func(env *kernel.Env, g *Goal, _ Call, sc *kernel.Scratch) ([]*Goal, error) {
 		return tacConstructor(env, g, true, sc)
 	}},
-	"destruct": {NamesTarget: true, run: func(env *kernel.Env, g *Goal, c Call, _ *kernel.Scratch) ([]*Goal, error) {
-		return tacDestruct(env, g, c)
-	}},
-	"induction": {NamesTarget: true, run: func(env *kernel.Env, g *Goal, c Call, _ *kernel.Scratch) ([]*Goal, error) {
-		return tacInduction(env, g, c)
-	}},
-	"rewrite": {NamesTarget: true, run: tacRewrite},
-	"inversion": {NamesTarget: true, run: func(env *kernel.Env, g *Goal, c Call, _ *kernel.Scratch) ([]*Goal, error) {
+	"destruct":  {NamesTarget: true, run: tacDestruct},
+	"induction": {NamesTarget: true, run: tacInduction},
+	"rewrite":   {NamesTarget: true, run: tacRewrite},
+	"inversion": {NamesTarget: true, run: func(env *kernel.Env, g *Goal, c Call, sc *kernel.Scratch) ([]*Goal, error) {
 		if len(c.Idents) != 1 {
 			return nil, errors.New("tactic: inversion expects a hypothesis name")
 		}
-		return tacInversion(env, g, c.Idents[0])
+		return tacInversion(env, g, c.Idents[0], sc)
 	}},
 	"auto": {SweepsHyps: true, run: func(env *kernel.Env, g *Goal, c Call, sc *kernel.Scratch) ([]*Goal, error) {
 		return tacAuto(env, g, c.Num, false, sc)
@@ -584,7 +582,7 @@ func revertOne(g *Goal, n string) (*Goal, error) {
 	return nil, fmt.Errorf("tactic: no hypothesis or variable %q", n)
 }
 
-func tacSubst(env *kernel.Env, g *Goal) ([]*Goal, error) {
+func tacSubst(env *kernel.Env, g *Goal, sc *kernel.Scratch) ([]*Goal, error) {
 	cur := g
 	for changed := true; changed; {
 		changed = false
@@ -607,7 +605,7 @@ func tacSubst(env *kernel.Env, g *Goal) ([]*Goal, error) {
 			if x == "" {
 				continue
 			}
-			cur = cur.RemoveHyp(h.Name).SubstVar(x, t)
+			cur = cur.RemoveHyp(h.Name).substVar(x, t, 0, 0, sc)
 			changed = true
 			break
 		}

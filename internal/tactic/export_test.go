@@ -60,7 +60,7 @@ func CheckInstantiation(stmt *kernel.Form, skip int) error {
 		one.Fresh("z")
 		ref.Fresh("z")
 	}
-	got, want := instantiateAll(stmt, &mc), refInstantiateAll(stmt, &ref)
+	got, want := instantiateAll(stmt, &mc, new(kernel.Scratch)), refInstantiateAll(stmt, &ref)
 	if len(got) != len(want) {
 		return fmt.Errorf("%d instantiations, want %d", len(got), len(want))
 	}
@@ -69,7 +69,7 @@ func CheckInstantiation(stmt *kernel.Form, skip int) error {
 			return fmt.Errorf("instantiation %d: %v", i, err)
 		}
 	}
-	if err := sameInstantiation(instantiate(stmt, &one), want[len(want)-1]); err != nil {
+	if err := sameInstantiation(instantiate(stmt, &one, nil), want[len(want)-1]); err != nil {
 		return fmt.Errorf("instantiate: %v", err)
 	}
 	fw := ref.Fresh("z")

@@ -65,7 +65,7 @@ func caseNames(g *Goal, argTypes []*kernel.Type, alt []*IntroPattern, free strin
 
 // dataCaseSplit performs destruct/induction on a context variable of an
 // inductive datatype. withIH controls IH generation.
-func dataCaseSplit(env *kernel.Env, g *Goal, x string, withIH bool, pat *IntroPattern) ([]*Goal, error) {
+func dataCaseSplit(env *kernel.Env, g *Goal, x string, withIH bool, pat *IntroPattern, sc *kernel.Scratch) ([]*Goal, error) {
 	ty, ok := g.VarType(x)
 	if !ok {
 		return nil, fmt.Errorf("tactic: no variable %q in context", x)
@@ -108,7 +108,7 @@ func dataCaseSplit(env *kernel.Env, g *Goal, x string, withIH bool, pat *IntroPa
 				}
 			}
 		}
-		ng := g.substVar(x, pattern, len(names), ihs)
+		ng := g.substVar(x, pattern, len(names), ihs, sc)
 		// Insert the new variables.
 		for i, n := range names {
 			ng.Vars = append(ng.Vars, kernel.TypedVar{Name: n, Type: argTypes[i]})
@@ -172,7 +172,7 @@ func introUpTo(env *kernel.Env, g *Goal, x string) (*Goal, error) {
 	}
 }
 
-func tacInduction(env *kernel.Env, g *Goal, c Call) ([]*Goal, error) {
+func tacInduction(env *kernel.Env, g *Goal, c Call, sc *kernel.Scratch) ([]*Goal, error) {
 	if len(c.Idents) != 1 {
 		return nil, errors.New("tactic: induction expects one variable")
 	}
@@ -188,7 +188,7 @@ func tacInduction(env *kernel.Env, g *Goal, c Call) ([]*Goal, error) {
 		}
 		cur = ng
 	}
-	return dataCaseSplit(env, cur, x, true, c.Pattern)
+	return dataCaseSplit(env, cur, x, true, c.Pattern, sc)
 }
 
 // ruleInduction is induction on a derivation: a hypothesis H : P t1..tk of
@@ -337,7 +337,7 @@ func ruleInduction(env *kernel.Env, g *Goal, h Hyp) ([]*Goal, error) {
 	return out, nil
 }
 
-func tacDestruct(env *kernel.Env, g *Goal, c Call) ([]*Goal, error) {
+func tacDestruct(env *kernel.Env, g *Goal, c Call, sc *kernel.Scratch) ([]*Goal, error) {
 	if len(c.Terms) == 1 && len(c.Idents) == 0 {
 		t, err := resolveGoalTerm(env, g, c.Terms[0])
 		if err != nil {
@@ -364,7 +364,7 @@ func tacDestruct(env *kernel.Env, g *Goal, c Call) ([]*Goal, error) {
 		}
 		cur = ng
 	}
-	return dataCaseSplit(env, cur, name, false, c.Pattern)
+	return dataCaseSplit(env, cur, name, false, c.Pattern, sc)
 }
 
 // inferType infers the type of a term from context variables, function

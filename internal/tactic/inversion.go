@@ -12,7 +12,7 @@ import (
 // by injectivity; impossible rules (constructor clashes) produce no subgoal.
 // For primitive connectives it behaves like destruct; for constructor
 // equalities it performs injection/discrimination.
-func tacInversion(env *kernel.Env, g *Goal, hname string) ([]*Goal, error) {
+func tacInversion(env *kernel.Env, g *Goal, hname string, sc *kernel.Scratch) ([]*Goal, error) {
 	h, ok := g.HypNamed(hname)
 	if !ok {
 		return nil, fmt.Errorf("tactic: no hypothesis %q", hname)
@@ -41,7 +41,7 @@ func tacInversion(env *kernel.Env, g *Goal, hname string) ([]*Goal, error) {
 		defer releaseNames(used)
 		var out []*Goal
 		for i := range p.Rules {
-			sub, err := invertRule(env, g, &p.Rules[i], args, used)
+			sub, err := invertRule(env, g, &p.Rules[i], args, used, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -71,8 +71,9 @@ type invEq struct{ lhs, rhs *kernel.Term }
 // used is g's in-scope name set (g.usedNames()), shared by all the rules of
 // one inversion. A rule overlays the names it adds — its fresh variables,
 // then its hypotheses' names — and removes them again before returning, so
-// every rule sees exactly g's names and none copies the set.
-func invertRule(env *kernel.Env, g *Goal, r *kernel.Rule, hypArgs []*kernel.Term, used map[string]bool) (*Goal, error) {
+// every rule sees exactly g's names and none copies the set. sc is the
+// substitutions' scratch arena (nil allocates).
+func invertRule(env *kernel.Env, g *Goal, r *kernel.Rule, hypArgs []*kernel.Term, used map[string]bool, sc *kernel.Scratch) (*Goal, error) {
 	if len(r.ConclArgs) != len(hypArgs) {
 		return nil, fmt.Errorf("tactic: arity mismatch inverting rule %s", r.Name)
 	}
@@ -129,7 +130,7 @@ func invertRule(env *kernel.Env, g *Goal, r *kernel.Rule, hypArgs []*kernel.Term
 	}
 
 	for i := range hypArgs {
-		decompose(r.ConclArgs[i].ApplySubst(renSub), hypArgs[i])
+		decompose(r.ConclArgs[i].ApplySubstS(renSub, sc), hypArgs[i])
 		if impossible {
 			forgetVars(used, flex)
 			return nil, nil
@@ -155,12 +156,12 @@ func invertRule(env *kernel.Env, g *Goal, r *kernel.Rule, hypArgs []*kernel.Term
 	}
 	firstNew := len(ng.Hyps)
 	for _, prem := range r.Prems {
-		f := kernel.FullResolveForm(prem.SubstTerm(renSub), sub)
+		f := kernel.FullResolveFormS(prem.SubstTermS(renSub, sc), sub, sc)
 		ng.Hyps = append(ng.Hyps, Hyp{Name: ng.FreshHypName(used), Form: f})
 	}
 	for _, eq := range leftovers {
-		l := kernel.FullResolve(eq.lhs, sub)
-		rr := kernel.FullResolve(eq.rhs, sub)
+		l := kernel.FullResolveS(eq.lhs, sub, sc)
+		rr := kernel.FullResolveS(eq.rhs, sub, sc)
 		if l.Equal(rr) {
 			continue
 		}

@@ -47,7 +47,7 @@ func rewriteOne(env *kernel.Env, g *Goal, name string, rev bool, in string, sc *
 	if err != nil {
 		return nil, nil, err
 	}
-	insts := instantiations(stmt)
+	insts := instantiations(stmt, sc)
 	inst := insts[len(insts)-1]
 	if inst.concl.Kind != kernel.FEq {
 		return nil, nil, fmt.Errorf("tactic: %q is not an equation", name)

@@ -217,19 +217,17 @@ func (g *Goal) FreshHypName(used map[string]bool) string {
 	}
 }
 
-// SubstVar substitutes a context variable by a term everywhere in the goal
-// (hyps and conclusion), and drops the variable from the context.
-func (g *Goal) SubstVar(x string, t *kernel.Term) *Goal { return g.substVar(x, t, 0, 0) }
-
-// substVar is SubstVar leaving room for extraVars more variables and
-// extraHyps more hypotheses (see cloneRoom). One substitution serves the
-// conclusion and every hypothesis.
-func (g *Goal) substVar(x string, t *kernel.Term, extraVars, extraHyps int) *Goal {
+// substVar substitutes a context variable by a term everywhere in the goal
+// (hyps and conclusion), and drops the variable from the context, leaving
+// room for extraVars more variables and extraHyps more hypotheses (see
+// cloneRoom). One substitution serves the conclusion and every hypothesis;
+// sc is its scratch arena (nil allocates).
+func (g *Goal) substVar(x string, t *kernel.Term, extraVars, extraHyps int, sc *kernel.Scratch) *Goal {
 	s := kernel.Subst{x: t}
 	ng := &Goal{
 		Vars:  make([]kernel.TypedVar, 0, len(g.Vars)+extraVars),
 		Hyps:  make([]Hyp, len(g.Hyps), len(g.Hyps)+extraHyps),
-		Concl: g.Concl.SubstTerm(s),
+		Concl: g.Concl.SubstTermS(s, sc),
 	}
 	for _, v := range g.Vars {
 		if v.Name != x {
@@ -237,7 +235,7 @@ func (g *Goal) substVar(x string, t *kernel.Term, extraVars, extraHyps int) *Goa
 		}
 	}
 	for i, h := range g.Hyps {
-		ng.Hyps[i] = Hyp{Name: h.Name, Form: h.Form.SubstTerm(s)}
+		ng.Hyps[i] = Hyp{Name: h.Name, Form: h.Form.SubstTermS(s, sc)}
 	}
 	return ng
 }

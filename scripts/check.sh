@@ -32,8 +32,9 @@ go test -race ./...
 
 # The race run skips the //go:build !race files, whose tests measure
 # allocation and would count the race instrumentation's own: the
-# AllocsPerRun zero-allocation tests in internal/kernel and internal/eval's
-# bound on the hinted GPT-4o grid. Run them without it.
+# AllocsPerRun zero-allocation tests in internal/kernel and internal/model
+# (a warm Propose) and internal/eval's bound on the hinted GPT-4o grid. Run
+# them without it.
 echo "==> go test -run '^TestAlloc' ./internal/..."
 go test -run '^TestAlloc' ./internal/...
 
