@@ -66,12 +66,13 @@ func (m *Model) dropFacts() {
 }
 
 // resolveGoal looks up, for this query, the facts of g's conclusion and of
-// each hypothesis, with the hypothesis's name id.
+// each hypothesis, with the hypothesis's name id and table head.
 func (m *Model) resolveGoal(g *tactic.Goal) {
 	m.concl = m.factsOf(g.Concl)
 	hyps := m.hyps[:0]
 	for _, h := range g.Hyps {
-		hyps = append(hyps, hypRef{name: m.nameID(h.Name), facts: m.factsOf(h.Form)})
+		i := m.factsOf(h.Form)
+		hyps = append(hyps, hypRef{name: m.nameID(h.Name), facts: i, head: m.facts[i].thead})
 	}
 	m.hyps = hyps
 }

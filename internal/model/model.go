@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"slices"
 	"strings"
@@ -54,7 +53,7 @@ type Model struct {
 	// renders a tuple's text.
 	idsOf   *LemmaTable
 	nt      int32
-	tuples  tupleTable
+	tuples  map[uint64]int32
 	local   map[string]int32
 	keys    []string
 	textBuf []byte
@@ -93,11 +92,11 @@ type Model struct {
 	pool, uniq []scored
 	// Per-query retrieval marks, indexed by table symbol id: a symbol is in
 	// the goal (hypotheses) when goalMark (hypMark) holds the query's epoch,
-	// and hypFirst is then the first hypothesis mentioning it. headMark and
-	// headFirst do the same for the hypotheses' heads. See markSymbols.
-	goalMark, hypMark, headMark []uint32
-	hypFirst, headFirst         []int32
-	epoch                       uint32
+	// and hypFirst is then the first hypothesis mentioning it. See
+	// markSymbols.
+	goalMark, hypMark []uint32
+	hypFirst          []int32
+	epoch             uint32
 	// scoreBuf packs the softmax lanes (utilities | probabilities | Gumbel
 	// keys) into one struct-of-arrays buffer: a single grow per slate size
 	// instead of three, and the lanes stay on the same cache lines.
@@ -106,9 +105,13 @@ type Model struct {
 	out      []Candidate
 }
 
-// hypRef is one hypothesis of the query's goal: its name id and the index
-// of its formula's facts.
-type hypRef struct{ name, facts int32 }
+// hypRef is one hypothesis of the query's goal: its name id, the index of
+// its formula's facts, and its lemma-table head (the facts' thead), which
+// retrieval's forward chaining compares with every premise head.
+type hypRef struct {
+	name, facts int32
+	head        head
+}
 
 // idState is what a Model tracks per candidate id. Stamps replace
 // clearing: an entry's slate position is current only while seen equals
@@ -295,7 +298,7 @@ func (m *Model) Propose(p *prompt.Prompt, st *tactic.State, path []string, ng *N
 func (m *Model) resetIDs() {
 	m.idsOf = m.lemmas
 	m.nt = int32(len(m.lemmas.keys))
-	m.tuples.reset()
+	m.tuples = map[uint64]int32{}
 	m.local = map[string]int32{}
 	m.keys = m.keys[:0]
 	m.tab = m.tab[:0]
@@ -313,7 +316,7 @@ func (m *Model) growTab(id int32) {
 // operands. A candidate is the tuple (template, a, b).
 type tmpl uint8
 
-// The templates. The zero tmpl is none, so no tuple key is zero.
+// The templates. The zero tmpl is none.
 const (
 	_ tmpl = iota
 	tIntros
@@ -421,63 +424,12 @@ var templates = [numTemplates]struct {
 // operands are below 1<<28, so the tuple packs into one integer key.
 func (m *Model) candID(t tmpl, a, b int32) int32 {
 	k := uint64(t)<<56 | uint64(a)<<28 | uint64(b)
-	if id, ok := m.tuples.get(k); ok {
+	if id, ok := m.tuples[k]; ok {
 		return id
 	}
 	id := m.addText(string(m.render(t, a, b)))
-	m.tuples.put(k, id)
+	m.tuples[k] = id
 	return id
-}
-
-// tupleTable maps tuple keys, which are never zero, to ids by open
-// addressing with linear probing: a lookup is a multiply and, at under half
-// full, about one probe.
-type tupleTable struct {
-	keys  []uint64 // 0 marks a free slot
-	ids   []int32
-	n     int
-	shift uint8 // 64 - log2(len(keys)): the hash is the product's top bits
-}
-
-func (t *tupleTable) reset() {
-	clear(t.keys)
-	t.n = 0
-}
-
-func (t *tupleTable) get(k uint64) (int32, bool) {
-	if t.n == 0 {
-		return 0, false
-	}
-	mask := uint64(len(t.keys) - 1)
-	for i := k * 0x9e3779b97f4a7c15 >> t.shift; ; i = (i + 1) & mask {
-		switch t.keys[i] {
-		case k:
-			return t.ids[i], true
-		case 0:
-			return 0, false
-		}
-	}
-}
-
-func (t *tupleTable) put(k uint64, id int32) {
-	if 2*(t.n+1) > len(t.keys) {
-		keys, ids := t.keys, t.ids
-		size := max(256, 2*len(keys))
-		t.keys, t.ids, t.n = make([]uint64, size), make([]int32, size), 0
-		t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
-		for i, old := range keys {
-			if old != 0 {
-				t.put(old, ids[i])
-			}
-		}
-	}
-	mask := uint64(len(t.keys) - 1)
-	i := k * 0x9e3779b97f4a7c15 >> t.shift
-	for t.keys[i] != 0 {
-		i = (i + 1) & mask
-	}
-	t.keys[i], t.ids[i] = k, id
-	t.n++
 }
 
 // render writes the text of (t, a, b) into textBuf.

@@ -322,26 +322,34 @@ func TestProposeMatchesReference(t *testing.T) {
 	}
 
 	// Goals no search of the test set reaches, for the paths they take: a
-	// hypothesis with a stuck match that the conclusion lacks.
-	for _, th := range ths {
+	// hypothesis with a stuck match that the conclusion lacks. They are
+	// proposed at under the shared table and under the theorem's own, which
+	// for the corpus's first lemma holds no lemma and numbers no symbol.
+	first, ok := c.TheoremNamed(c.Env.LemmaOrder[0])
+	if !ok {
+		t.Fatalf("no theorem %s", c.Env.LemmaOrder[0])
+	}
+	for _, th := range append([]*corpus.Theorem{first}, ths...) {
 		env := c.EnvBefore(th.Name)
 		st, err := tactic.ApplySentence(tactic.NewState(env, th.Stmt), "intros.")
 		if err != nil {
-			continue
+			st = tactic.NewState(env, th.Stmt)
 		}
 		st, err = tactic.ApplySentence(st, "assert ((match plus 0 0 with | O => true | S k => false end) = true) as HM.")
 		if err != nil {
 			t.Fatalf("%s: %v", th.Name, err)
 		}
 		st = &tactic.State{Env: env, Goals: st.Goals[1:]}
-		m := NewWithLemmas(GPT4o, env, shared)
-		ref := newRefModel(GPT4o, env)
 		b := prompt.Builder{Corpus: c, Setting: prompt.Hint, HintSet: hints, Window: GPT4o.ContextWindow}
 		pr := b.Build(th)
 		ng := BuildNGram(pr)
-		rngM, rngR := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
-		sameSlate(t, th.Name+" with HM", m.Propose(pr, st, []string{"intros."}, ng, rngM), ref.propose(pr, st, []string{"intros."}, ng, rngR))
-		queries++
+		for _, lt := range []*LemmaTable{shared, NewLemmaTable(env)} {
+			m := NewWithLemmas(GPT4o, env, lt)
+			ref := newRefModel(GPT4o, env)
+			rngM, rngR := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+			sameSlate(t, th.Name+" with HM", m.Propose(pr, st, []string{"intros."}, ng, rngM), ref.propose(pr, st, []string{"intros."}, ng, rngR))
+			queries++
+		}
 	}
 
 	// Every state a recorded best-first search queried, in the search's

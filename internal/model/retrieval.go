@@ -228,28 +228,12 @@ func dedupKey(text string) string {
 	return strings.TrimSuffix(textmetrics.NormalizeScript(text), ".")
 }
 
-// lemView is one visible lemma as a search sees it: a copy of the table
-// row, so a query's scan over the view reads one array, plus the weights
-// that depend on the prompt and n-gram, and the last ids of the row's two
-// candidates that name a hypothesis.
+// lemView is one visible lemma as a search sees it: the table row plus the
+// weights that depend on the prompt and n-gram.
 type lemView struct {
-	lemEntry
-	quality   float64 // RetrievalSkill * position decay
-	usage     float64 // log1p(hint-proof usage count)
-	rewriteIn lastID  // "rewrite L in H."
-	applyIn   lastID  // "apply L in H."
-}
-
-// lastID is a one-entry memo of a lemma's candidate for hypothesis name:
-// the hypothesis a lemma matches first seldom changes between queries.
-type lastID struct{ name, id int32 }
-
-// candIn is candID for the lemma candidate (t, rec, name), through last.
-func (m *Model) candIn(last *lastID, t tmpl, rec *lemView, name int32) int32 {
-	if last.name != name {
-		last.name, last.id = name, m.candID(t, rec.idx, name)
-	}
-	return last.id
+	*lemEntry
+	quality float64 // RetrievalSkill * position decay
+	usage   float64 // log1p(hint-proof usage count)
 }
 
 // retrView is a Model's view of the lemmas its prompt shows. A nil prompt
@@ -310,7 +294,7 @@ func (m *Model) buildView(p *prompt.Prompt, ng *NGram) []lemView {
 		}
 		dist := float64(n - 1 - i)
 		decay := math.Exp2(-dist / prof.DistractionHalfLife)
-		v := lemView{lemEntry: *e, quality: prof.RetrievalSkill * decay, rewriteIn: lastID{name: -1}, applyIn: lastID{name: -1}}
+		v := lemView{lemEntry: e, quality: prof.RetrievalSkill * decay}
 		// Usage statistics from hint proofs: lemmas the humans applied
 		// often are much easier for the model to surface.
 		if ng != nil {
@@ -324,23 +308,18 @@ func (m *Model) buildView(p *prompt.Prompt, ng *NGram) []lemView {
 // markSymbols stamps the table ids of the goal's symbols into goalMark and
 // of the hypotheses' symbols into hypMark, with a fresh epoch, so a lemma
 // symbol tests membership by one array load; hypFirst records the first
-// hypothesis mentioning each symbol. It stamps each hypothesis head h into
-// headMark[h+1] likewise, with the first hypothesis of that head in
-// headFirst. Returns the epoch.
+// hypothesis mentioning each symbol. Returns the epoch.
 func (m *Model) markSymbols() uint32 {
 	if n := len(m.lemmas.symID); len(m.goalMark) < n {
 		m.goalMark = make([]uint32, n)
 		m.hypMark = make([]uint32, n)
 		m.hypFirst = make([]int32, n)
-		m.headMark = make([]uint32, n+int(headPred)+1)
-		m.headFirst = make([]int32, n+int(headPred)+1)
 		m.epoch = 0
 	}
 	m.epoch++
 	if m.epoch == 0 {
 		clear(m.goalMark)
 		clear(m.hypMark)
-		clear(m.headMark)
 		m.epoch = 1
 	}
 	ep := m.epoch
@@ -348,16 +327,11 @@ func (m *Model) markSymbols() uint32 {
 		m.goalMark[id] = ep
 	}
 	for i, h := range m.hyps {
-		hf := &m.facts[h.facts]
-		for _, id := range m.ints(hf.syms) {
+		for _, id := range m.ints(m.facts[h.facts].syms) {
 			if m.hypMark[id] != ep {
 				m.hypMark[id] = ep
 				m.hypFirst[id] = int32(i)
 			}
-		}
-		if k := hf.thead + 1; m.headMark[k] != ep {
-			m.headMark[k] = ep
-			m.headFirst[k] = int32(i)
 		}
 	}
 	return ep
@@ -396,7 +370,7 @@ func (m *Model) retrieval(out []scored) []scored {
 			out = append(out, scored{id: rec.rewriteRev, r: 0.4 * w})
 			if rec.lhsHead >= 0 && hypMark[rec.lhsHead] == ep {
 				h := m.hyps[m.hypFirst[rec.lhsHead]]
-				out = append(out, scored{id: m.candIn(&rec.rewriteIn, tLemRewriteIn, rec, h.name), r: 0.8 * w})
+				out = append(out, scored{id: m.candID(tLemRewriteIn, rec.idx, h.name), r: 0.8 * w})
 			}
 		}
 		if rec.concl == gh {
@@ -409,9 +383,13 @@ func (m *Model) retrieval(out []scored) []scored {
 			out = append(out, scored{id: rec.apply, r: 0.3 * rel})
 		}
 		// Forward chaining into the first hypothesis the premise matches.
-		if k := rec.premHead + 1; rec.hasPrems && rec.premHead != headUnknown && m.headMark[k] == ep {
-			h := m.hyps[m.headFirst[k]]
-			out = append(out, scored{id: m.candIn(&rec.applyIn, tLemApplyIn, rec, h.name), r: 0.5 * rel})
+		if rec.hasPrems && rec.premHead != headUnknown {
+			for _, h := range m.hyps {
+				if h.head == rec.premHead {
+					out = append(out, scored{id: m.candID(tLemApplyIn, rec.idx, h.name), r: 0.5 * rel})
+					break
+				}
+			}
 		}
 	}
 	return out

@@ -11,19 +11,21 @@ import (
 
 // TestTacticTableMatchesCallers holds the tactic table to the verbs that
 // reach it: the verbs of the corpus proofs and the verbs the model can
-// emit, which are its candidate templates (structural's and retrieval's),
-// retrieval's table candidates rewrite, apply and eapply, and the junk list.
-// (The n-gram part only copies hint proofs, which are corpus proofs.) The
-// table must hold exactly these, so a verb nothing sends cannot linger in
-// it and a verb a caller sends cannot go missing. Junk must stay junk,
-// except for two sentences that are real tactics and are pinned here:
-// "trivial." is auto at depth 1, and "simpl in *." is a form simpl
-// implements.
+// emit, which are structural's candidates over every goal reached while
+// replaying each corpus proof (read back as text through their ids),
+// retrieval's rewrite, apply and eapply, and the junk list. (The n-gram
+// part only copies hint proofs, which are corpus proofs.) The table must
+// hold exactly these, so a verb nothing sends cannot linger in it and a
+// verb a caller sends cannot go missing. Junk must stay junk, except for
+// two sentences that are real tactics and are pinned here: "trivial." is
+// auto at depth 1, and "simpl in *." is a form simpl implements.
 func TestTacticTableMatchesCallers(t *testing.T) {
 	c, err := corpus.Default()
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := NewWithLemmas(GPT4o, c.Env, NewLemmaTable(c.Env))
+	m.resetIDs()
 	sent := map[string]bool{}
 	send := func(verb string) { sent[verb] = true }
 	for _, file := range c.Files {
@@ -35,24 +37,20 @@ func TestTacticTableMatchesCallers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", it.Name, err)
 			}
+			st := tactic.NewState(c.EnvBefore(it.Name), it.Stmt)
 			for _, e := range script {
 				exprVerbs(e, send)
+				for _, g := range st.Goals {
+					m.resolveGoal(g)
+					for _, sc := range m.structural(nil, g) {
+						sentenceVerbs(t, m.keyText(sc.id)+".", send)
+					}
+				}
+				if st, err = tactic.Apply(st, e); err != nil {
+					t.Fatalf("%s: replaying %s: %v", it.Name, tactic.ExprString(e), err)
+				}
 			}
 		}
-	}
-	for tm := tmpl(1); tm < numTemplates; tm++ {
-		tp := templates[tm]
-		if tp.a == opJunk || tp.a == opJunkHyp {
-			continue
-		}
-		text := tp.pre
-		if tp.a != opNone {
-			text += "x" + tp.mid
-		}
-		if tp.b != opNone {
-			text += "y"
-		}
-		sentenceVerbs(t, text+tp.post, send)
 	}
 	for _, text := range []string{"rewrite L.", "apply L.", "eapply L."} {
 		sentenceVerbs(t, text, send)
