@@ -16,6 +16,7 @@ package core
 import (
 	"container/heap"
 	"slices"
+	"sync"
 
 	"llmfscq/internal/checker"
 	"llmfscq/internal/kernel"
@@ -126,21 +127,12 @@ func (n *node) path() []string {
 	return out
 }
 
-// newSeen pre-sizes the duplicate-state set for a handful of full-width
-// expansions — the common case; most searches resolve in far fewer queries
-// than the limit, so sizing for the worst case (QueryLimit*Width entries)
-// wastes more allocation per search than rehashing ever costs on the rare
-// deep one. The set keys on the 128-bit alpha-insensitive FingerprintKey:
-// fixed-size keys combined from precomputed node hashes, no rendering.
-func newSeen(cfg Config, root *node) map[[2]uint64]bool {
-	size := 8 * cfg.Width
-	if size < 16 {
-		size = 16
-	}
-	seen := make(map[[2]uint64]bool, size)
-	seen[root.state.FingerprintKey()] = true
-	return seen
-}
+// seenPool recycles the duplicate-state sets of finished searches: a
+// cleared map keeps its room, so a search grows its set only past what an
+// earlier search on the same worker already grew. The set keys on the
+// 128-bit alpha-insensitive FingerprintKey: fixed-size keys combined from
+// precomputed node hashes, no rendering.
+var seenPool = sync.Pool{New: func() any { return map[[2]uint64]bool{} }}
 
 // nodeHeap is a max-heap on cumulative log-probability.
 type nodeHeap []*node
@@ -209,8 +201,17 @@ func newSearch(cfg Config) (*search, *node) {
 		s.st, s.sc = st, &kernel.Scratch{}
 	}
 	root := &node{state: s.doc.Root()}
-	s.seen = newSeen(s.cfg, root)
+	s.seen = seenPool.Get().(map[[2]uint64]bool)
+	s.seen[root.state.FingerprintKey()] = true
 	return s, root
+}
+
+// close closes the document and hands the cleared seen set back.
+func (s *search) close() {
+	s.doc.Close()
+	clear(s.seen)
+	seenPool.Put(s.seen)
+	s.seen = nil
 }
 
 // query spends one model query on n and returns its candidates, truncated
@@ -274,7 +275,7 @@ func (s *search) child(n *node, path []string, cand model.Candidate) (c *node, p
 //	predicted tactic as a child.
 func BestFirst(cfg Config) Result {
 	s, root := newSearch(cfg)
-	defer s.doc.Close()
+	defer s.close()
 	open := &nodeHeap{root}
 	seq := 0
 	for open.Len() > 0 {
@@ -304,7 +305,7 @@ func BestFirst(cfg Config) Result {
 // backtrack to the most recent state with untried candidates.
 func Linear(cfg Config) Result {
 	s, root := newSearch(cfg)
-	defer s.doc.Close()
+	defer s.close()
 	// A frame keeps the untried candidates of one node.
 	type frame struct {
 		n     *node
@@ -348,7 +349,7 @@ func Linear(cfg Config) Result {
 // valid candidate.
 func Greedy(cfg Config) Result {
 	s, cur := newSearch(cfg)
-	defer s.doc.Close()
+	defer s.close()
 	for cur != nil {
 		cands, path, ok := s.query(cur)
 		if !ok {

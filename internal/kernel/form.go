@@ -480,7 +480,9 @@ func (f *Form) fingerprint(b *fpHash, ren map[string]string, ctr *int) {
 }
 
 // fingerprintTerm hashes a term canonically: match-pattern binders are
-// renamed positionally so alpha-variant stuck matches coincide.
+// renamed positionally so alpha-variant stuck matches coincide. A nullary
+// constant is written after a quote, which no name starts with, so it never
+// writes the bytes of a variable of its name.
 func fingerprintTerm(t *Term, b *fpHash, ren map[string]string, ctr *int) {
 	switch {
 	case t == nil:
@@ -513,6 +515,7 @@ func fingerprintTerm(t *Term, b *fpHash, ren map[string]string, ctr *int) {
 		b.WriteByte(')')
 	default:
 		if len(t.Args) == 0 {
+			b.WriteByte('\'')
 			b.WriteString(t.Fun)
 			return
 		}

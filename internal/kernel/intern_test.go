@@ -233,7 +233,8 @@ func TestInternConcurrent(t *testing.T) {
 // TestFingerprintKeyMatchesTextual pins the byte stream the key walk
 // hashes: for one formula per branch of the walk, the key is the hash of
 // the canonical text spelled out here. A change to the walk that changes
-// any key (and with it every duplicate-state decision) fails here.
+// any key (and with it every duplicate-state decision) fails here. A
+// nullary constant is quoted, so it and a variable of its name differ.
 func TestFingerprintKeyMatchesTextual(t *testing.T) {
 	cases := []struct {
 		f    *Form
@@ -241,8 +242,9 @@ func TestFingerprintKeyMatchesTextual(t *testing.T) {
 	}{
 		{True(), "T"},
 		{False(), "F"},
-		{Eq(V("x"), A("O")), "(= x O)"},
-		{Pred("le", V("n"), A("S", A("O"))), "(P le n (S O))"},
+		{Eq(V("x"), A("O")), "(= x 'O)"},
+		{Eq(V("c"), A("c")), "(= c 'c)"}, // a variable and a constant of one name
+		{Pred("le", V("n"), A("S", A("O"))), "(P le n (S 'O))"},
 		{Not(True()), "(~ T)"},
 		{And(True(), False()), "(& T F)"},
 		{Or(True(), False()), "(| T F)"},
@@ -252,7 +254,7 @@ func TestFingerprintKeyMatchesTextual(t *testing.T) {
 		{Eq(NewMatch(V("l"), []MatchCase{
 			{Pat: A("nil"), RHS: A("O")},
 			{Pat: A("cons", V("x"), V("t")), RHS: A("S", V("x"))},
-		}), A("O")), "(= (m l [nil O] [(cons mb1 mb2) (S mb1)]) O)"},
+		}), A("O")), "(= (m l ['nil 'O] [(cons mb1 mb2) (S mb1)]) 'O)"},
 	}
 	for _, tc := range cases {
 		h := newFPHash()
@@ -260,6 +262,9 @@ func TestFingerprintKeyMatchesTextual(t *testing.T) {
 		if got := tc.f.FingerprintKey(); got != [2]uint64{h.a, h.b} {
 			t.Errorf("%s: key %x is not the hash of %q", tc.f, got, tc.text)
 		}
+	}
+	if Eq(V("c"), A("O")).FingerprintKey() == Eq(A("c"), A("O")).FingerprintKey() {
+		t.Errorf("a variable and a nullary constant of one name share a key")
 	}
 }
 

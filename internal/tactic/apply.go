@@ -3,6 +3,7 @@ package tactic
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"llmfscq/internal/kernel"
@@ -52,9 +53,12 @@ type instantiated struct {
 
 // instantiate peels alternating forall/impl prefixes, replacing term binders
 // with metavariables. Type binders (`forall (A : Type)`) are dropped: types
-// are annotations and never occur in term positions.
-func instantiate(stmt *kernel.Form, mc *kernel.MetaCounter, sc *kernel.Scratch) instantiated {
-	inst, _ := peel(stmt, mc, false, sc)
+// are annotations and never occur in term positions. The metavariables go
+// straight into flex, which becomes the instantiation's flex set, and the
+// metas and premises are appended to buf's slices from their start, so a
+// caller done with one instantiation hands its slices back as the next buf.
+func instantiate(stmt *kernel.Form, mc *kernel.MetaCounter, sc *kernel.Scratch, flex map[string]bool, buf instantiated) instantiated {
+	inst, _ := peel(stmt, mc, false, sc, instantiated{flex: flex, metas: buf.metas[:0], prems: buf.prems[:0]})
 	return inst
 }
 
@@ -63,23 +67,22 @@ func instantiate(stmt *kernel.Form, mc *kernel.MetaCounter, sc *kernel.Scratch) 
 // the fully stripped form first, then backs off, which lets a `~`-lemma
 // match a `~`-goal the way Coq's apply does.
 func instantiateAll(stmt *kernel.Form, mc *kernel.MetaCounter, sc *kernel.Scratch) []instantiated {
-	inst, out := peel(stmt, mc, true, sc)
+	inst, out := peel(stmt, mc, true, sc, instantiated{flex: map[string]bool{}})
 	return append(out, inst)
 }
 
 // peel is the walk behind instantiate and instantiateAll. It returns the
 // fully stripped instantiation and, when snaps is set, one snapshot per
 // premise boundary, least stripped first. sc is the substitution's scratch
-// arena (nil allocates).
+// arena (nil allocates). inst brings the flex set and the slices to fill.
 //
 // Each block of leading quantifiers is substituted in one walk of its body.
 // Metavariables are numbered in binder order, as one walk per binder would
 // number them; a name bound twice in a block maps to its inner binder's
 // metavariable, and a type binder shadows a term binder of its name, which
 // is exactly what the per-binder walks would leave.
-func peel(stmt *kernel.Form, mc *kernel.MetaCounter, snaps bool, sc *kernel.Scratch) (instantiated, []instantiated) {
+func peel(stmt *kernel.Form, mc *kernel.MetaCounter, snaps bool, sc *kernel.Scratch, inst instantiated) (instantiated, []instantiated) {
 	var out []instantiated
-	inst := instantiated{flex: map[string]bool{}}
 	f := stmt
 	for {
 		switch f.Kind {
@@ -94,11 +97,12 @@ func peel(stmt *kernel.Form, mc *kernel.MetaCounter, snaps bool, sc *kernel.Scra
 				inst.flex[m] = true
 				inst.metas = append(inst.metas, m)
 				if block == nil {
-					block = kernel.Subst{}
+					block = sc.TrialSubst()
 				}
 				block[f.Binder] = kernel.V(m)
 			}
 			f = f.SubstTermS(block, sc)
+			sc.PutSubst(block)
 		case kernel.FImpl, kernel.FNot:
 			if snaps {
 				snap := inst
@@ -160,16 +164,18 @@ func lookupStmt(env *kernel.Env, g *Goal, name string) (*kernel.Form, error) {
 	return nil, fmt.Errorf("tactic: unknown hypothesis or lemma %q", name)
 }
 
-// metasResolved checks that every meta resolves to a meta-free term.
+// metasResolved checks that every meta resolves to a term free of the
+// instantiation's metas. (Its flex set may hold more: auto's gathers a whole
+// resolution's, and a premise boundary's has the later boundaries'.)
 func metasResolved(inst instantiated, sub kernel.Subst, sc *kernel.Scratch) bool {
 	for _, m := range inst.metas {
 		t := kernel.FullResolveS(kernel.V(m), sub, sc)
-		if t.IsVar() && inst.flex[t.Var] {
+		if t.IsVar() && slices.Contains(inst.metas, t.Var) {
 			return false
 		}
 		unresolved := false
 		t.Subterms(func(u *kernel.Term) bool {
-			if u.IsVar() && inst.flex[u.Var] {
+			if u.IsVar() && slices.Contains(inst.metas, u.Var) {
 				unresolved = true
 				return false
 			}

@@ -56,6 +56,7 @@ type resolver struct {
 	ev    *kernel.Evaluator
 	hints []hintEntry     // the hint database, resolved once per auto call
 	sc    *kernel.Scratch // trial-substitution recycling (nil ok)
+	buf   instantiated    // tryLemma's last metas and premises, dead once its goals are built
 }
 
 // cloneTrial takes a recycled trial substitution seeded with sub's bindings.
@@ -276,10 +277,8 @@ func (r *resolver) tryLemma(stmt *kernel.Form, key string, g rgoal, rest []rgoal
 	if key != "?" && key != goalKey {
 		return false
 	}
-	inst := instantiate(stmt, &r.mc, r.sc)
-	for m := range inst.flex {
-		flex[m] = true
-	}
+	inst := instantiate(stmt, &r.mc, r.sc, flex, r.buf)
+	r.buf = inst
 	trial := r.cloneTrial(sub)
 	if !kernel.UnifyForms(inst.concl, concl, flex, trial) {
 		r.sc.PutSubst(trial)

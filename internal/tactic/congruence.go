@@ -80,7 +80,7 @@ func tacCongruence(env *kernel.Env, g *Goal) ([]*Goal, error) {
 // injectivity/discrimination.
 type congruence struct {
 	env    *kernel.Env
-	ids    map[string]int
+	ids    map[*kernel.Term]int // interned, so one pointer per structure
 	terms  []*kernel.Term
 	parent []int
 	clash  bool
@@ -89,16 +89,15 @@ type congruence struct {
 }
 
 func newCongruence(env *kernel.Env) *congruence {
-	return &congruence{env: env, ids: map[string]int{}}
+	return &congruence{env: env, ids: map[*kernel.Term]int{}}
 }
 
 func (c *congruence) id(t *kernel.Term) int {
-	key := t.String()
-	if id, ok := c.ids[key]; ok {
+	if id, ok := c.ids[t]; ok {
 		return id
 	}
 	id := len(c.terms)
-	c.ids[key] = id
+	c.ids[t] = id
 	c.terms = append(c.terms, t)
 	c.parent = append(c.parent, id)
 	return id

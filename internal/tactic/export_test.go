@@ -69,7 +69,7 @@ func CheckInstantiation(stmt *kernel.Form, skip int) error {
 			return fmt.Errorf("instantiation %d: %v", i, err)
 		}
 	}
-	if err := sameInstantiation(instantiate(stmt, &one, nil), want[len(want)-1]); err != nil {
+	if err := sameInstantiation(instantiate(stmt, &one, nil, map[string]bool{}, instantiated{}), want[len(want)-1]); err != nil {
 		return fmt.Errorf("instantiate: %v", err)
 	}
 	fw := ref.Fresh("z")
@@ -94,4 +94,29 @@ func sameInstantiation(g, w instantiated) error {
 		return fmt.Errorf("premises %v, want %v", g.prems, w.prems)
 	}
 	return nil
+}
+
+// CheckLia runs omega and its reference, refLia, on g and returns the
+// reference's outcome class ("proved", "not linear" or "fails"), with an
+// error when omega's class differs.
+func CheckLia(g *Goal) (string, error) {
+	_, err := tacLia(nil, g)
+	_, ref := refLia(nil, g)
+	got, want := liaClass(err), liaClass(ref)
+	if got != want {
+		return want, fmt.Errorf("omega: %s, reference: %s", got, want)
+	}
+	return want, nil
+}
+
+func liaClass(err error) string {
+	switch err {
+	case nil:
+		return "proved"
+	case errNotLinear:
+		return "not linear"
+	case errLiaFails:
+		return "fails"
+	}
+	return err.Error()
 }

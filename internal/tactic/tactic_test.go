@@ -539,3 +539,26 @@ func TestStrayIdentifierTextIsStable(t *testing.T) {
 		}
 	}
 }
+
+// TestNoTacticIdentifiesVariableWithConstant: with a constant c := O in
+// scope, a hypothesis about a context variable named c says nothing about
+// the constant, so the false goal c = 1 on the constant must not follow
+// from c = 1 on the variable. The two render alike; omega's atoms,
+// congruence's terms and assumption's fingerprint keys once confused them.
+func TestNoTacticIdentifiesVariableWithConstant(t *testing.T) {
+	env := buildEnv(t)
+	if err := env.AddFun(&kernel.FunDef{Name: "c", RetType: kernel.Ty("nat"), Body: kernel.A("O")}); err != nil {
+		t.Fatal(err)
+	}
+	one := kernel.NatLit(1)
+	g := &Goal{
+		Vars:  []kernel.TypedVar{{Name: "c", Type: kernel.Ty("nat")}},
+		Hyps:  []Hyp{{Name: "H", Form: kernel.Eq(kernel.V("c"), one)}},
+		Concl: kernel.Eq(kernel.A("c"), one),
+	}
+	for _, tac := range []string{"omega.", "congruence.", "assumption."} {
+		if _, err := ApplySentence(&State{Env: env, Goals: []*Goal{g}}, tac); err == nil {
+			t.Errorf("UNSOUND: %s proved c = 1 for the constant c := O from c = 1 for a variable", tac)
+		}
+	}
+}
