@@ -263,9 +263,6 @@ func TestFingerprintKeyMatchesTextual(t *testing.T) {
 			t.Errorf("%s: key %x is not the hash of %q", tc.f, got, tc.text)
 		}
 	}
-	if Eq(V("c"), A("O")).FingerprintKey() == Eq(A("c"), A("O")).FingerprintKey() {
-		t.Errorf("a variable and a nullary constant of one name share a key")
-	}
 }
 
 // TestFingerprintKeySeeded: seeding the walk's renaming map is equivalent
