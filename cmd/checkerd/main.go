@@ -12,9 +12,8 @@
 //	(Quit)
 //
 // checkerd has no shutdown protocol: a signal ends it through Go's default
-// exit, and its open sessions end with it. A client sees that as a lost
-// wire: the remote backend runs its open documents on the local mirror
-// alone, so results do not change.
+// exit, and its open sessions end with it; a client's next request then
+// fails with a transport error.
 package main
 
 import (

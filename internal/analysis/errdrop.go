@@ -1,13 +1,12 @@
 package analysis
 
 // errdrop: discarded error returns on the wire and persistence paths.
-// internal/protocol, internal/remote, and internal/checker sit on the wire
-// path, where a missed request deadline, a transport error or a malformed
-// answer surfaces as an error value, and the remote backend drops that
-// document's session and counts one failure on it; a call whose error is
-// dropped on the floor lets a broken session pass as a clean one. internal/store
-// is in scope for the same reason with different stakes: a dropped fsync,
-// close, or rename error on the proof-cache persistence path silently turns
+// internal/protocol and internal/checker sit on the wire path, where a
+// missed request deadline, a transport error or a malformed answer
+// surfaces as an error value; a call whose error is dropped on the floor
+// lets a broken session pass as a clean one. internal/store is in scope
+// for the same reason with different stakes: a dropped fsync, close, or
+// rename error on the proof-cache persistence path silently turns
 // "crash-safe" into "usually fine". Deferred calls are exempt: `defer
 // c.Close()` on an already-failed path is the accepted teardown idiom, and
 // flagging it would bury the real findings.
@@ -21,23 +20,22 @@ import (
 // a wire failure or a persistence failure.
 var errDropScope = []string{
 	"internal/protocol",
-	"internal/remote",
 	"internal/checker",
 	"internal/store",
 }
 
 var analyzerErrDrop = &Analyzer{
 	Name: "errdrop",
-	Doc: "discarded error returns in internal/{protocol,remote,checker,store}: " +
+	Doc: "discarded error returns in internal/{protocol,checker,store}: " +
 		"calls used as statements whose results include an error, and error " +
 		"results assigned to _ — a dropped error lets a broken wire session " +
-		"pass uncounted, or voids the proof store's crash-safety " +
+		"pass as a clean one, or voids the proof store's crash-safety " +
 		"(deferred Close calls exempt)",
 	Go: runErrDrop,
 }
 
 // errDropCost ends both findings: what the dropped error would have told.
-const errDropCost = "; a lost wire session would pass uncounted, or a store write or " +
+const errDropCost = "; a lost wire session would pass as a clean one, or a store write or " +
 	"fsync failure go unseen — handle it or suppress with a reason"
 
 func runErrDrop(m *Module) []Finding {

@@ -488,7 +488,7 @@ func f() {}
 // only where it stands.
 func TestTypedSuppression(t *testing.T) {
 	got := runFixture(t, analyzerErrDrop, map[string]string{
-		"internal/remote/r.go": `package remote
+		"internal/protocol/r.go": `package protocol
 
 import "errors"
 

@@ -84,8 +84,8 @@ func copyRepo(t *testing.T, root string) string {
 // The repository itself is clean (TestRepoLintClean), so every finding is
 // a plant's: each planted file must have at least one finding, all from
 // its leg's analyzer, and no other file may have any. The
-// directive-removed legs delete one of the repository's two //lint:ignore
-// directives, so they also show that each still suppresses a real
+// directive-removed leg deletes the repository's one //lint:ignore
+// directive, so it also shows that the directive still suppresses a real
 // finding.
 func TestRepoCatchesPlantedViolations(t *testing.T) {
 	root := repoRoot(t)
@@ -109,8 +109,8 @@ func TestRepoCatchesPlantedViolations(t *testing.T) {
 		{"maporder directive removed", "internal/model/ngram.go", func(src string) string {
 			return strings.Replace(src, "//lint:ignore maporder", "//", 1)
 		}, "maporder"},
-		{"errdrop directive removed", "internal/remote/backend.go", func(src string) string {
-			return strings.Replace(src, "//lint:ignore errdrop", "//", 1)
+		{"dropped close error in protocol", "internal/protocol/client.go", func(src string) string {
+			return src + "\nfunc (c *Client) lintDrop() { c.Close() }\n"
 		}, "errdrop"},
 		{"rand draw in map range", "internal/fs/disk/disk.go", func(src string) string {
 			return src + "\nfunc lintCrash(dirty map[int]bool, rng *rand.Rand) (n int) {\n\tfor range dirty {\n\t\tn += rng.Intn(2)\n\t}\n\treturn n\n}\n"

@@ -11,8 +11,8 @@ import (
 type Doc interface {
 	// Try applies sentence to the proof state reached by path (the tactic
 	// sentences from the root), where parent is the search's structural
-	// state at that node. Implementations may use parent directly
-	// (in-process) or replay path on a wire session (remote).
+	// state at that node. The in-process document uses parent directly;
+	// path names the same state for a wrapper that wants it.
 	Try(parent *tactic.State, path []string, sentence string) Step
 	// Root returns the initial proof state of the document.
 	Root() *tactic.State
@@ -22,10 +22,9 @@ type Doc interface {
 
 // ScratchTryer is implemented by documents that can execute a Try with a
 // caller-supplied kernel.Scratch — the per-search buffer arena of the
-// allocation-free search inner loop. Only the in-process document implements
-// it (remote documents execute across a wire, where a local scratch has
-// nothing to recycle); the search engine type-asserts and falls back to
-// plain Try.
+// allocation-free search inner loop. The in-process document implements it;
+// the search engine type-asserts and falls back to plain Try for a document
+// that does not.
 type ScratchTryer interface {
 	// TryScratch is Try threading sc through the tactic interpreter.
 	// sc must not be shared between concurrent calls.
@@ -46,11 +45,12 @@ type BatchDoc interface {
 }
 
 // Backend creates proof documents. The zero value of InProcess is the
-// default backend; internal/remote provides one backed by checkerd.
+// default backend, and the only one outside tests; the benchmark harness in
+// sweepbench/ wraps it to time each Try.
 type Backend interface {
 	// NewDoc opens a proof of stmt in env. lemma is the corpus name of the
-	// statement when it has one ("" otherwise); backends that restrict the
-	// environment server-side key on it.
+	// statement when it has one ("" otherwise), for a wrapper that reports
+	// per unit.
 	NewDoc(env *kernel.Env, stmt *kernel.Form, lemma string) (Doc, error)
 }
 

@@ -40,15 +40,12 @@ func (s Status) String() string {
 }
 
 // Step is the outcome of executing one tactic sentence: from TryTactic, a
-// Session, or a backend's Doc. Backends never surface transport errors
-// here: a remote backend takes every verdict from its local mirror and
-// only counts what the wire does, so a Step always reflects a checker
-// verdict.
+// Session, or a backend's Doc. It always reflects a checker verdict; a
+// Doc has no transport to fail.
 type Step struct {
 	Status Status
-	// State is the successor proof state when Status == Applied. Backends
-	// always populate it: those that execute remotely keep a local mirror
-	// precisely so the search can keep expanding structurally.
+	// State is the successor proof state when Status == Applied, so the
+	// search can keep expanding structurally.
 	State *tactic.State
 	// NumGoals is the number of open goals after application.
 	NumGoals int

@@ -6,11 +6,7 @@ import (
 	"reflect"
 	"testing"
 
-	"llmfscq/internal/checker"
-	"llmfscq/internal/corpus"
 	"llmfscq/internal/model"
-	"llmfscq/internal/protocol"
-	"llmfscq/internal/remote"
 	"llmfscq/internal/tactic"
 )
 
@@ -46,32 +42,15 @@ func pseudoProposer(seed uint64, width int) Proposer {
 	}
 }
 
-// startRemoteBackend runs an in-process checkerd on a loopback port and
-// returns a remote backend over it.
-func startRemoteBackend(t *testing.T) *remote.Backend {
-	t.Helper()
-	c, err := corpus.Default()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := protocol.NewServer(c)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-	t.Cleanup(func() { srv.Close() })
-	return remote.New(addr, protocol.DefaultTimeout)
-}
-
-// TestSearchModeEquivalence is the determinism property test: across
-// randomized proposers, theorems, widths, and algorithms, a search over
-// the wire (one sentence per round trip, cross-checked against the local
-// mirror) must produce Result structs identical to the in-process search.
-// Run under -race this also exercises the remote backend for data races.
+// TestSearchModeEquivalence is the determinism property test of
+// search.child's two branches: across randomized proposers, theorems,
+// widths, and algorithms, a search through a document that offers only
+// Try (no checker.ScratchTryer, so every candidate takes the plain-Try
+// branch) must produce Result structs identical to the default search,
+// which runs every candidate through TryScratch and the search's arena.
 func TestSearchModeEquivalence(t *testing.T) {
 	env, c := loadEnv(t)
-	be := startRemoteBackend(t)
+	be := &countingBackend{}
 
 	theorems := []string{"plus_O_n", "plus_comm", "app_nil_r", "andb_comm", "negb_involutive", "plus_n_O"}
 	algos := []struct {
@@ -93,26 +72,22 @@ func TestSearchModeEquivalence(t *testing.T) {
 				base := Config{
 					Env:        env,
 					Stmt:       th.Stmt,
-					Lemma:      name,
 					Propose:    pseudoProposer(seed*1000+uint64(ti), width),
 					Width:      width,
 					QueryLimit: 16,
 				}
 				want := alg.search(base)
-				remote := base
-				remote.Backend = be
-				if got := alg.search(remote); !reflect.DeepEqual(got, want) {
-					t.Errorf("seed=%d %s/%s/remote diverged:\n got %+v\nwant %+v",
+				tryOnly := base
+				tryOnly.Backend = be
+				if got := alg.search(tryOnly); !reflect.DeepEqual(got, want) {
+					t.Errorf("seed=%d %s/%s/try-only diverged:\n got %+v\nwant %+v",
 						seed, name, alg.name, got, want)
 				}
 			}
 		}
 	}
-	// The remote leg masks wire trouble by design; the equivalence above is
-	// vacuous for it unless wire cross-checks actually happened.
-	checks, mm, failed := be.Stats.WireChecks.Load(), be.Stats.Mismatches.Load(), be.Stats.Failures.Load()
-	if checks == 0 || mm != 0 || failed != 0 {
-		t.Fatalf("remote leg: %d wire checks, %d mismatches, %d failures", checks, mm, failed)
+	// The equivalence above is vacuous unless the plain-Try branch ran.
+	if be.tries == 0 {
+		t.Fatal("try-only leg executed no candidate")
 	}
-	var _ checker.Backend = be // the remote leg really went through the Backend interface
 }

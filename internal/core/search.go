@@ -73,16 +73,17 @@ type Config struct {
 	// the search did not run out of fuel and used at most L queries, and is
 	// Fuelout with L queries otherwise.
 	QueryLimit int
-	// Backend executes tactics (nil: in-process). Backends mask their own
-	// failures, so the search logic is backend-agnostic.
+	// Backend executes tactics (nil: in-process). A caller sets it only to
+	// wrap the in-process backend, as sweepbench's tracer does to time each
+	// Try.
 	Backend checker.Backend
-	// Lemma is the corpus name of Stmt when it has one; remote backends
-	// key the server-side environment restriction on it.
+	// Lemma is the corpus name of Stmt when it has one. It only names the
+	// unit for a caller such as sweepbench's tracer; no search reads it.
 	Lemma string
 }
 
-// open creates the proof document for this search. Backend failures never
-// stop a search: the in-process document is the universal fallback.
+// open creates the proof document for this search. A backend failure never
+// stops a search: the in-process document is the fallback.
 func (c Config) open() checker.Doc {
 	be := c.Backend
 	if be == nil {

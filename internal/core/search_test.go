@@ -140,7 +140,9 @@ func TestDuplicateStatesPruned(t *testing.T) {
 }
 
 // countingBackend is the in-process backend, counting the sentences its
-// documents execute.
+// documents execute. Its documents offer only Try, not
+// checker.ScratchTryer, so a search through it takes search.child's
+// plain-Try branch.
 type countingBackend struct{ tries int }
 
 func (b *countingBackend) NewDoc(env *kernel.Env, stmt *kernel.Form, lemma string) (checker.Doc, error) {

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 
-	"llmfscq/internal/checker"
 	"llmfscq/internal/core"
 	"llmfscq/internal/corpus"
 	"llmfscq/internal/kernel"
@@ -54,10 +53,6 @@ type Runner struct {
 	Parallelism int
 	// Search selects the algorithm (default core.BestFirst).
 	Search func(core.Config) core.Result
-	// Backend selects the tactic execution backend (nil = in-process).
-	// A remote backend's local mirror decides every step, so result tables
-	// are identical across backends; see internal/remote.
-	Backend checker.Backend
 	// ProofStore, when non-nil, persists per-theorem search outcomes across
 	// processes (internal/store): a warm re-sweep at the same
 	// corpus/seed/hyperparameters skips whole searches. Results are
@@ -287,7 +282,6 @@ func (r *Runner) liveSearch(prof model.Profile, setting prompt.Setting, th *corp
 		},
 		Width:      r.Width,
 		QueryLimit: r.QueryLimit,
-		Backend:    r.Backend,
 		Lemma:      th.Name,
 	}
 	search := r.Search

@@ -43,7 +43,7 @@ func Dial(addr string) (*Client, error) {
 }
 
 // NewClient wraps an established connection. No deadline is set; the caller
-// sets Timeout (the remote backend sets its per-request deadline).
+// sets Timeout.
 func NewClient(conn net.Conn) *Client {
 	return &Client{conn: conn, r: bufio.NewReader(conn)}
 }
@@ -104,9 +104,8 @@ func (c *Client) roundTrip(req *sexp.Node) (*sexp.Node, error) {
 	return payload, nil
 }
 
-// atomArg returns the atom argument of a (Head "atom" ...) payload. It
-// returns the bare errMalformed, unformatted: the decode sites sit on the
-// search's hot path, and the remote backend only counts the error.
+// atomArg returns the atom argument of a (Head "atom" ...) payload, or the
+// bare errMalformed when the payload lacks it.
 func atomArg(p *sexp.Node) (string, error) {
 	arg := p.Nth(1)
 	if arg == nil || arg.IsList {
@@ -142,7 +141,8 @@ type ExecResult struct {
 	Proved   bool
 	Message  string
 	// Key is the state's FingerprintKey after an Applied or Proved answer,
-	// carried inline so mirror cross-checks need no second round trip.
+	// carried inline so a comparison with a local state needs no second
+	// round trip.
 	Key [2]uint64
 }
 

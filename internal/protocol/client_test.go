@@ -47,9 +47,8 @@ var clientCalls = map[string]func(*Client) error{
 }
 
 // Well-framed answers that lack the field a decode site reads are
-// malformed-answer errors, which cost the remote backend its session like
-// any wire fault, not nil dereferences that take the whole client process
-// down.
+// malformed-answer errors, which the caller handles like any wire fault,
+// not nil dereferences that take the whole client process down.
 func TestClientRejectsShortAnswers(t *testing.T) {
 	cases := []struct {
 		call   string

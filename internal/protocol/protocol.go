@@ -35,8 +35,8 @@
 //
 // Applied/Proved answers carry the state's 128-bit FingerprintKey (see
 // internal/tactic) as key, 32 lowercase hex digits with the high word
-// first, so a client can cross-check a remote execution against a local
-// mirror in one round trip; see internal/remote.
+// first, so a client can compare a wire execution with checker.TryTactic's
+// state in the same round trip (TestWireMatchesTryTactic).
 package protocol
 
 import (
@@ -55,7 +55,7 @@ const MaxLineBytes = 1 << 20
 
 // ErrBadMessage marks a line that was read but does not parse as an
 // S-expression. The server answers (Error ...) and keeps the session; the
-// resilient client treats it as answer corruption.
+// client treats it as answer corruption.
 var ErrBadMessage = errors.New("protocol: bad message")
 
 // ErrLineTooLong marks a line exceeding MaxLineBytes. The oversized line is

@@ -145,6 +145,22 @@ func (e dependsError) Error() string {
 	return "tactic: cannot perform induction on " + strconv.Quote(e.x) + ": hypothesis " + e.hyp + " depends on it (revert it first)"
 }
 
+// notPredError and fixedIndexError reject a rule induction: on a
+// hypothesis that is not an inductive predicate application, and on one
+// where a rule specializes an index the induction keeps fixed. They too
+// render only when asked.
+type notPredError struct{ h Hyp }
+
+func (e notPredError) Error() string {
+	return "tactic: cannot induct on " + e.h.Name + " : " + e.h.Form.String()
+}
+
+type fixedIndexError struct{ hyp, rule string }
+
+func (e fixedIndexError) Error() string {
+	return "tactic: cannot induct on " + e.hyp + ": rule " + e.rule + " specializes a fixed index (revert first the hypotheses that mention its indices)"
+}
+
 // introUpTo introduces leading binders until variable x is in context
 // (supports `induction x` on a not-yet-introduced variable).
 func introUpTo(env *kernel.Env, g *Goal, x string) (*Goal, error) {
@@ -199,7 +215,7 @@ func tacInduction(env *kernel.Env, g *Goal, c Call, sc *kernel.Scratch) ([]*Goal
 // like the first argument of `le`).
 func ruleInduction(env *kernel.Env, g *Goal, h Hyp) ([]*Goal, error) {
 	if h.Form.Kind != kernel.FPred {
-		return nil, fmt.Errorf("tactic: cannot induct on %s : %s", h.Name, h.Form)
+		return nil, notPredError{h}
 	}
 	p, ok := env.Preds[h.Form.Pred]
 	if !ok {
@@ -285,7 +301,7 @@ func ruleInduction(env *kernel.Env, g *Goal, h Hyp) ([]*Goal, error) {
 			continue
 		}
 		if !feasible {
-			return nil, fmt.Errorf("tactic: cannot induct on %s: rule %s specializes a fixed index (revert first the hypotheses that mention its indices)", h.Name, r.Name)
+			return nil, fixedIndexError{h.Name, r.Name}
 		}
 		ng := &Goal{Concl: nil}
 		// Context: original vars minus generalized ones, plus unbound rule vars.

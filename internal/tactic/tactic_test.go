@@ -505,6 +505,10 @@ func TestRejectionTexts(t *testing.T) {
 		{rejection("le 1 0", "constructor."), "tactic: constructor le_n does not match"},
 		{rejection("forall (n : nat), n = 0 -> n = n", "intros n H.", "induction n."),
 			`tactic: cannot perform induction on "n": hypothesis H depends on it (revert it first)`},
+		{rejection("forall (n : nat), n = 0 -> n = n", "intros n H.", "induction H."),
+			"tactic: cannot induct on H : n = 0"},
+		{rejection("forall (n : nat), le O (plus n n) -> n = n", "intros n H.", "induction H."),
+			"tactic: cannot induct on H: rule le_n specializes a fixed index (revert first the hypotheses that mention its indices)"},
 	} {
 		if c.got != c.want {
 			t.Errorf("rejection %q, want %q", c.got, c.want)

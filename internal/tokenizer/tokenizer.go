@@ -76,30 +76,3 @@ func Tokens(text string) []string {
 	}
 	return out
 }
-
-// TruncateFront removes tokens from the front of the text until it fits
-// within window tokens, cutting at whitespace boundaries. This implements
-// the paper's rule: "when the prompt exceeds the model's context window, we
-// retain the portions closer to the next tactic."
-func TruncateFront(text string, window int) string {
-	if Count(text) <= window {
-		return text
-	}
-	runes := []rune(text)
-	// Binary search the smallest suffix start that fits.
-	lo, hi := 0, len(runes)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if Count(string(runes[mid:])) <= window {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	// Snap forward to the next whitespace boundary for cleanliness.
-	start := lo
-	for start < len(runes) && !unicode.IsSpace(runes[start]) && start > 0 {
-		start++
-	}
-	return string(runes[start:])
-}

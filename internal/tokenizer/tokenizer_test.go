@@ -1,7 +1,6 @@
 package tokenizer
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -36,32 +35,6 @@ func TestTokensMatchCount(t *testing.T) {
 func TestCountMonotoneUnderConcat(t *testing.T) {
 	f := func(a, b string) bool {
 		return Count(a+" "+b) == Count(a)+Count(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTruncateFront(t *testing.T) {
-	text := strings.Repeat("word ", 100) // 100 tokens
-	out := TruncateFront(text, 10)
-	if got := Count(out); got > 10 {
-		t.Fatalf("truncated to %d tokens", got)
-	}
-	if !strings.HasSuffix(strings.TrimSpace(out), "word") {
-		t.Fatalf("suffix lost: %q", out)
-	}
-	// Under the window: unchanged.
-	if TruncateFront("a b c", 10) != "a b c" {
-		t.Fatal("needless truncation")
-	}
-}
-
-func TestTruncateFrontProperty(t *testing.T) {
-	f := func(s string, w uint8) bool {
-		window := int(w%50) + 1
-		out := TruncateFront(s, window)
-		return Count(out) <= window && strings.HasSuffix(s, out)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

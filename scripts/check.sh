@@ -17,15 +17,15 @@ go build ./...
 
 # The race run covers the load-bearing regressions, each once:
 # TestGoldenDeterminism (shared caches and the grid scheduler give a
-# schedule-independent sweep), TestSearchModeEquivalence (a remote search,
-# one sentence per round trip, returns the in-process Result), the
-# conformance tests of internal/remote (mirror-first cross-checks agree on
-# a clean wire; a lost wire counts one failure per document and changes no
-# step), TestBackendEquivalence (the grid over the wire) and the root
-# package's TestSweepbenchVetAndTest (sweepbench/, the benchmark of record,
-# is its own module, which ./... never compiles; that test vets and tests
-# it, so a change to an API the benchmark names fails here) and
-# TestVetGofmtAndExamples. They are not re-run with their own -run: a new
+# schedule-independent sweep), TestSearchModeEquivalence (a search through
+# a document that offers only Try returns the default search's Result),
+# internal/protocol's TestWireMatchesTryTactic (recorded Try calls replayed
+# on checkerd sessions, one sentence per round trip, answer what
+# checker.TryTactic answers; a proxy lagging each Applied key is caught)
+# and the root package's TestSweepbenchVetAndTest (sweepbench/, the
+# benchmark of record, is its own module, which ./... never compiles; that
+# test vets and tests it, so a change to an API the benchmark names fails
+# here) and TestVetGofmtAndExamples. They are not re-run with their own -run: a new
 # flag misses the test cache, so each would execute twice.
 echo "==> go test -race ./..."
 go test -race ./...
