@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -17,29 +18,39 @@ import (
 const oracleDir = "../../sweepbench/testdata"
 
 // TestExperimentsMatchOracle runs the whole paper schedule at seed 2025
-// through the worker pool and holds it to the committed oracle: the tables
-// byte for byte, the verdicts by digest, and every proof by a kernel
-// replay, the way PALM and CoqPilot count a proof. The outcome tier's
+// and holds it to the committed oracle (checkOracle). The outcome tier's
 // counts are pinned too: a tier that stopped answering would still print
-// the right tables.
+// the right tables. The other seeds of golden.json are checked outside
+// -race (TestExperimentsMatchOracleSeeds).
 func TestExperimentsMatchOracle(t *testing.T) {
-	want, err := os.ReadFile(oracleDir + "/tables-seed2025.txt")
+	r, proved := checkOracle(t, 2025)
+	if proved != 875 {
+		t.Errorf("%d proved verdicts, want 875", proved)
+	}
+	const stats = `{"event":"cache-stats","outcomes":{"exact":472,"derived":372,"misses":2016}}`
+	if got := r.CacheStatsJSON(); got != stats {
+		t.Errorf("outcome tier: %s, want %s", got, stats)
+	}
+}
+
+// checkOracle runs the whole paper schedule at a sampling seed through the
+// worker pool and holds it to the committed oracle: the tables byte for
+// byte (tables-seedN.txt), the verdicts by golden.json's digest, and every
+// proof by a kernel replay, the way PALM and CoqPilot count a proof. It
+// returns the runner and the number of proofs replayed.
+func checkOracle(t *testing.T, seed int64) (*Runner, int) {
+	t.Helper()
+	want, err := os.ReadFile(fmt.Sprintf("%s/tables-seed%d.txt", oracleDir, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(oracleDir + "/golden.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var golden map[string]struct {
-		Digest string `json:"digest"`
-		Units  int    `json:"units"`
-	}
-	if err := json.Unmarshal(raw, &golden); err != nil {
-		t.Fatal(err)
+	g, ok := readGolden(t)[strconv.FormatInt(seed, 10)]
+	if !ok {
+		t.Fatalf("golden.json has no seed %d", seed)
 	}
 
 	r, c := runner(t)
+	r.Seed = seed
 	tables, verdicts := r.Experiments()
 	if tables != string(want) {
 		got, exp := strings.Split(tables, "\n"), strings.Split(string(want), "\n")
@@ -47,14 +58,13 @@ func TestExperimentsMatchOracle(t *testing.T) {
 		for i < len(got) && i < len(exp) && got[i] == exp[i] {
 			i++
 		}
-		t.Errorf("tables differ from tables-seed2025.txt at line %d (%d vs %d lines)", i+1, len(got), len(exp))
+		t.Errorf("tables differ from tables-seed%d.txt at line %d (%d vs %d lines)", seed, i+1, len(got), len(exp))
 	}
 
 	h := sha256.New()
 	for _, v := range verdicts {
 		fmt.Fprintf(h, "%s\t%s\t%s\t%s\t%s\t%d\t%s\n", v.Theorem, v.Model, v.Setting, v.Variant, v.Status, v.Queries, v.Proof)
 	}
-	g := golden["2025"]
 	if digest := hex.EncodeToString(h.Sum(nil)); len(verdicts) != g.Units || digest != g.Digest {
 		t.Errorf("verdicts: %d units, digest %s; golden.json: %d units, digest %s", len(verdicts), digest, g.Units, g.Digest)
 	}
@@ -74,12 +84,25 @@ func TestExperimentsMatchOracle(t *testing.T) {
 			t.Errorf("%s (%s, %s, %s): proof does not replay: %v", v.Theorem, v.Model, v.Setting, v.Variant, err)
 		}
 	}
-	if proved != 875 {
-		t.Errorf("%d proved verdicts, want 875", proved)
-	}
+	return r, proved
+}
 
-	const stats = `{"event":"cache-stats","outcomes":{"exact":472,"derived":372,"misses":2016}}`
-	if got := r.CacheStatsJSON(); got != stats {
-		t.Errorf("outcome tier: %s, want %s", got, stats)
+// golden is one seed's entry in golden.json.
+type golden struct {
+	Digest string `json:"digest"`
+	Units  int    `json:"units"`
+}
+
+// readGolden reads golden.json, keyed by sampling seed.
+func readGolden(t *testing.T) map[string]golden {
+	t.Helper()
+	raw, err := os.ReadFile(oracleDir + "/golden.json")
+	if err != nil {
+		t.Fatal(err)
 	}
+	var seeds map[string]golden
+	if err := json.Unmarshal(raw, &seeds); err != nil {
+		t.Fatal(err)
+	}
+	return seeds
 }

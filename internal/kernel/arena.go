@@ -19,9 +19,9 @@ import "strconv"
 // after the constructor consuming it has returned.
 //
 // A Scratch is not safe for concurrent use. All methods are nil-receiver
-// safe and fall back to plain allocation, so code threads a *Scratch
-// unconditionally and callers outside the search (CheckProof, for one)
-// pass nil.
+// safe and fall back to plain, exact-length allocation, so code threads a
+// *Scratch unconditionally and callers outside the search (CheckProof, for
+// one) pass nil.
 type Scratch struct {
 	argBufs  [][]*Term
 	substs   []Subst
@@ -35,16 +35,17 @@ const maxFree = 64
 // Args returns a length-n child-pointer buffer. Contents are unspecified;
 // callers overwrite every slot.
 func (sc *Scratch) Args(n int) []*Term {
-	if sc != nil {
-		for i := len(sc.argBufs) - 1; i >= 0 && i >= len(sc.argBufs)-8; i-- {
-			if cap(sc.argBufs[i]) >= n {
-				b := sc.argBufs[i][:n]
-				last := len(sc.argBufs) - 1
-				sc.argBufs[i] = sc.argBufs[last]
-				sc.argBufs[last] = nil
-				sc.argBufs = sc.argBufs[:last]
-				return b
-			}
+	if sc == nil {
+		return make([]*Term, n)
+	}
+	for i := len(sc.argBufs) - 1; i >= 0 && i >= len(sc.argBufs)-8; i-- {
+		if cap(sc.argBufs[i]) >= n {
+			b := sc.argBufs[i][:n]
+			last := len(sc.argBufs) - 1
+			sc.argBufs[i] = sc.argBufs[last]
+			sc.argBufs[last] = nil
+			sc.argBufs = sc.argBufs[:last]
+			return b
 		}
 	}
 	c := n
@@ -70,16 +71,17 @@ func (sc *Scratch) PutArgs(b []*Term) {
 
 // Cases returns a length-n match-case buffer (same contract as Args).
 func (sc *Scratch) Cases(n int) []MatchCase {
-	if sc != nil {
-		for i := len(sc.caseBufs) - 1; i >= 0 && i >= len(sc.caseBufs)-8; i-- {
-			if cap(sc.caseBufs[i]) >= n {
-				b := sc.caseBufs[i][:n]
-				last := len(sc.caseBufs) - 1
-				sc.caseBufs[i] = sc.caseBufs[last]
-				sc.caseBufs[last] = nil
-				sc.caseBufs = sc.caseBufs[:last]
-				return b
-			}
+	if sc == nil {
+		return make([]MatchCase, n)
+	}
+	for i := len(sc.caseBufs) - 1; i >= 0 && i >= len(sc.caseBufs)-8; i-- {
+		if cap(sc.caseBufs[i]) >= n {
+			b := sc.caseBufs[i][:n]
+			last := len(sc.caseBufs) - 1
+			sc.caseBufs[i] = sc.caseBufs[last]
+			sc.caseBufs[last] = nil
+			sc.caseBufs = sc.caseBufs[:last]
+			return b
 		}
 	}
 	c := n

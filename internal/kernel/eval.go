@@ -265,78 +265,32 @@ func matchPatternInto(pat, t *Term, sub Subst) bool {
 	}
 }
 
+// normForm normalizes each term of f, stopping at the first error: the
+// terms after it are returned as they are, unnormalized. A node Map
+// rebuilds around the ones before it is dropped with the rest.
 func (ev *Evaluator) normForm(f *Form, depth int) (*Form, error) {
-	if f == nil {
-		return nil, nil
+	var err error
+	out := f.Map(func(t *Term) *Term {
+		if err == nil {
+			var r *Term
+			if r, err = ev.norm(t, depth); err == nil {
+				return r
+			}
+		}
+		return t
+	}, func(g *Form) *Form {
+		if err == nil {
+			var r *Form
+			if r, err = ev.normForm(g, depth); err == nil {
+				return r
+			}
+		}
+		return g
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
-	switch f.Kind {
-	case FTrue, FFalse:
-		return f, nil
-	case FEq:
-		t1, err := ev.norm(f.T1, depth)
-		if err != nil {
-			return nil, err
-		}
-		t2, err := ev.norm(f.T2, depth)
-		if err != nil {
-			return nil, err
-		}
-		if t1 == f.T1 && t2 == f.T2 {
-			return f, nil
-		}
-		return Eq(t1, t2), nil
-	case FPred:
-		var nargs []*Term
-		for i, a := range f.Args {
-			na, err := ev.norm(a, depth)
-			if err != nil {
-				return nil, err
-			}
-			if na != a && nargs == nil {
-				nargs = make([]*Term, len(f.Args))
-				copy(nargs, f.Args[:i])
-			}
-			if nargs != nil {
-				nargs[i] = na
-			}
-		}
-		if nargs == nil {
-			return f, nil
-		}
-		return mkPred(f.Pred, nargs), nil
-	case FNot:
-		l, err := ev.normForm(f.L, depth)
-		if err != nil {
-			return nil, err
-		}
-		if l == f.L {
-			return f, nil
-		}
-		return Not(l), nil
-	case FAnd, FOr, FImpl, FIff:
-		l, err := ev.normForm(f.L, depth)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ev.normForm(f.R, depth)
-		if err != nil {
-			return nil, err
-		}
-		if l == f.L && r == f.R {
-			return f, nil
-		}
-		return mkConn(f.Kind, l, r), nil
-	case FForall, FExists:
-		body, err := ev.normForm(f.Body, depth)
-		if err != nil {
-			return nil, err
-		}
-		if body == f.Body {
-			return f, nil
-		}
-		return mkQuant(f.Kind, f.Binder, f.BType, body), nil
-	}
-	return f, nil
+	return out, nil
 }
 
 // UnfoldDef replaces applications of the named definition in a formula by
@@ -369,39 +323,16 @@ func (ev *Evaluator) UnfoldDef(name string, f *Form) (*Form, bool) {
 	}
 	var walk func(f *Form) *Form
 	walk = func(f *Form) *Form {
-		if f == nil {
-			return nil
+		g := f.Map(walkTerm, walk, nil)
+		if g == nil || g.Kind != FPred || g.Pred != name {
+			return g
 		}
-		switch f.Kind {
-		case FTrue, FFalse:
-			return f
-		case FEq:
-			return Eq(walkTerm(f.T1), walkTerm(f.T2))
-		case FPred:
-			args := make([]*Term, len(f.Args))
-			for i, a := range f.Args {
-				args[i] = walkTerm(a)
-			}
-			if f.Pred == name {
-				if def, ok := ev.Env.Defs[name]; ok && len(args) == len(def.Params) {
-					sub := make(Subst, len(def.Params))
-					for i, p := range def.Params {
-						sub[p.Name] = args[i]
-					}
-					changed = true
-					return def.Body.SubstTerm(sub)
-				}
-			}
-			return mkPred(f.Pred, args)
-		case FNot:
-			return Not(walk(f.L))
-		case FAnd, FOr, FImpl, FIff:
-			return mkConn(f.Kind, walk(f.L), walk(f.R))
-		case FForall, FExists:
-			return mkQuant(f.Kind, f.Binder, f.BType, walk(f.Body))
+		def, ok := ev.Env.Defs[name]
+		if !ok || len(g.Args) != len(def.Params) {
+			return g
 		}
-		return f
+		changed = true
+		return def.Body.SubstTerm(paramSubst(def.Params, g.Args))
 	}
-	out := walk(f)
-	return out, changed
+	return walk(f), changed
 }

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -160,7 +161,8 @@ func TestFindInstanceForm(t *testing.T) {
 	// Find plus ?a O inside a formula and confirm the matched subterm.
 	flex := map[string]bool{"?a": true}
 	f := Eq(A("S", A("plus", V("k"), A("O"))), V("k"))
-	inst, sub, ok := FindInstanceForm(A("plus", V("?a"), A("O")), f, flex, Subst{})
+	pat := A("plus", V("?a"), A("O"))
+	inst, sub, ok := FindInstanceFormS(pat, f, flex, Subst{}, nil)
 	if !ok {
 		t.Fatal("instance not found")
 	}
@@ -169,6 +171,66 @@ func TestFindInstanceForm(t *testing.T) {
 	}
 	if !FullResolve(V("?a"), sub).Equal(V("k")) {
 		t.Fatalf("?a = %s", FullResolve(V("?a"), sub))
+	}
+
+	// It never looks under a quantifier: the leftmost instance, inside the
+	// forall, is passed over for the one to its right, and a formula whose
+	// only instance is quantified has none.
+	q := Forall("k", Ty("nat"), Eq(A("plus", V("k"), A("O")), V("k")))
+	inst, _, ok = FindInstanceFormS(pat, And(q, Pred("P", A("plus", V("j"), A("O")))), flex, Subst{}, nil)
+	if !ok || inst != A("plus", V("j"), A("O")) {
+		t.Fatalf("instance beside a quantifier = %v (%v)", inst, ok)
+	}
+	for _, g := range []*Form{q, Not(Exists("j", Ty("nat"), Pred("P", A("plus", V("j"), A("O")))))} {
+		if inst, _, ok := FindInstanceFormS(pat, g, flex, Subst{}, nil); ok {
+			t.Fatalf("instance %s found under the binder of %s", inst, g)
+		}
+	}
+
+	// The walk underneath, EachAtom, visits atoms left to right, stops at
+	// the first false, and enters quantifier bodies only when asked.
+	eq, p, r, tr := Eq(V("a"), V("b")), Pred("Q", V("c")), Pred("R"), True()
+	h := Impl(eq, Or(Forall("c", Ty("nat"), p), Not(And(r, tr))))
+	for _, c := range []struct {
+		quantified bool
+		stop       *Form
+		want       []*Form
+	}{
+		{false, nil, []*Form{eq, r, tr}},
+		{true, nil, []*Form{eq, p, r, tr}},
+		{true, p, []*Form{eq, p}},
+		{false, r, []*Form{eq, r}},
+	} {
+		var seen []*Form
+		all := h.EachAtom(c.quantified, func(a *Form) bool {
+			seen = append(seen, a)
+			return a != c.stop
+		})
+		if !slices.Equal(seen, c.want) || all != (c.stop == nil) {
+			t.Errorf("EachAtom(%v) stopping at %v visited %v (all %v), want %v", c.quantified, c.stop, seen, all, c.want)
+		}
+	}
+}
+
+// NormalizeForm stops at the first term that runs out of fuel and returns
+// no formula: the terms after it are not normalized.
+func TestNormalizeFormFuel(t *testing.T) {
+	env := testEnv(t)
+	f := And(Eq(A("plus", NatLit(2), V("n")), V("n")), Pred("P", A("plus", NatLit(30), NatLit(30))))
+	ev := NewEvaluator(env)
+	out, err := ev.NormalizeForm(f)
+	want := And(Eq(A("S", A("S", V("n"))), V("n")), Pred("P", NatLit(60)))
+	if err != nil || out != want {
+		t.Fatalf("NormalizeForm = %v, %v; want %s", out, err, want)
+	}
+	for _, fuel := range []int{1, 10, ev.spent - 1} {
+		short := &Evaluator{Env: env, Fuel: fuel}
+		if out, err := short.NormalizeForm(f); out != nil || err != ErrFuel {
+			t.Errorf("fuel %d: NormalizeForm = %v, %v; want nil, ErrFuel", fuel, out, err)
+		}
+		if short.spent != fuel+1 {
+			t.Errorf("fuel %d: %d steps taken, want %d (none after the first error)", fuel, short.spent, fuel+1)
+		}
 	}
 }
 

@@ -144,87 +144,149 @@ func (f *Form) substTerm(s Subst, sig uint64, sc *Scratch) *Form {
 		// signature covers bound names too), so this is the identity.
 		return f
 	}
-	switch f.Kind {
-	case FTrue, FFalse:
+	if f.Kind != FForall && f.Kind != FExists {
+		return f.Map(func(t *Term) *Term { return t.applySubst(s, sig, sc) },
+			func(g *Form) *Form { return g.substTerm(s, sig, sc) }, sc)
+	}
+	inner := s
+	innerSig := sig
+	binder := f.Binder
+	// Binder shadows any substitution for its own name.
+	if _, shadows := s[binder]; shadows {
+		inner = s.Clone()
+		delete(inner, binder)
+		innerSig = inner.sig()
+	}
+	// Capture check: if any substituted term mentions the binder, rename
+	// the binder first.
+	captured := false
+	for _, t := range inner {
+		if t.HasVar(binder) {
+			captured = true
+			break
+		}
+	}
+	if captured {
+		used := map[string]bool{}
+		for _, v := range f.Body.FreeNames() {
+			used[v] = true
+		}
+		for _, t := range inner {
+			for v := range t.Vars() {
+				used[v] = true
+			}
+		}
+		fresh := FreshName(binder, used)
+		renamed := f.Body.SubstTerm(Subst{binder: V(fresh)})
+		return mkQuant(f.Kind, fresh, f.BType, renamed.SubstTermS(inner, sc))
+	}
+	body := f.Body.substTerm(inner, innerSig, sc)
+	if body == f.Body {
 		return f
+	}
+	return mkQuant(f.Kind, binder, f.BType, body)
+}
+
+// Map rebuilds f with term applied at each of its own term positions (an
+// equation's sides, a predicate's arguments) and form applied to each
+// immediate subformula (a connective's operands, a quantifier's body under
+// the same binder). Forms are immutable, so Map is copy-on-write: when every
+// call returns its argument, f itself is returned rather than rebuilt. sc
+// (may be nil) lends the predicate case its argument buffer.
+//
+// Map is the copy-on-write rebuild every formula walk shares: a walk
+// recurses by calling Map again from form, and keeps only its own special
+// case (a quantifier it handles or skips, an atom it replaces).
+func (f *Form) Map(term func(*Term) *Term, form func(*Form) *Form, sc *Scratch) *Form {
+	if f == nil {
+		return nil
+	}
+	switch f.Kind {
 	case FEq:
-		// Forms are immutable: subtrees the substitution does not touch are
-		// returned as-is rather than rebuilt (likewise in every case below).
-		t1, t2 := f.T1.applySubst(s, sig, sc), f.T2.applySubst(s, sig, sc)
+		t1, t2 := term(f.T1), term(f.T2)
 		if t1 == f.T1 && t2 == f.T2 {
 			return f
 		}
 		return Eq(t1, t2)
 	case FPred:
-		var nargs []*Term
-		for i, a := range f.Args {
-			na := a.applySubst(s, sig, sc)
-			if na != a && nargs == nil {
-				nargs = sc.Args(len(f.Args))
-				copy(nargs, f.Args[:i])
-			}
-			if nargs != nil {
-				nargs[i] = na
-			}
-		}
-		if nargs == nil {
+		args := mapTerms(f.Args, term, sc)
+		if args == nil {
 			return f
 		}
-		r := mkPred(f.Pred, nargs)
-		sc.PutArgs(nargs)
+		r := mkPred(f.Pred, args)
+		sc.PutArgs(args)
 		return r
-	case FNot:
-		l := f.L.substTerm(s, sig, sc)
-		if l == f.L {
-			return f
+	case FNot, FAnd, FOr, FImpl, FIff:
+		l, r := form(f.L), f.R
+		if r != nil {
+			r = form(r)
 		}
-		return Not(l)
-	case FAnd, FOr, FImpl, FIff:
-		l, r := f.L.substTerm(s, sig, sc), f.R.substTerm(s, sig, sc)
 		if l == f.L && r == f.R {
 			return f
 		}
 		return mkConn(f.Kind, l, r)
 	case FForall, FExists:
-		inner := s
-		innerSig := sig
-		binder := f.Binder
-		// Binder shadows any substitution for its own name.
-		if _, shadows := s[binder]; shadows {
-			inner = s.Clone()
-			delete(inner, binder)
-			innerSig = inner.sig()
-		}
-		// Capture check: if any substituted term mentions the binder, rename
-		// the binder first.
-		captured := false
-		for _, t := range inner {
-			if t.HasVar(binder) {
-				captured = true
-				break
-			}
-		}
-		if captured {
-			used := map[string]bool{}
-			for _, v := range f.Body.FreeNames() {
-				used[v] = true
-			}
-			for _, t := range inner {
-				for v := range t.Vars() {
-					used[v] = true
-				}
-			}
-			fresh := FreshName(binder, used)
-			renamed := f.Body.SubstTerm(Subst{binder: V(fresh)})
-			return mkQuant(f.Kind, fresh, f.BType, renamed.SubstTermS(inner, sc))
-		}
-		body := f.Body.substTerm(inner, innerSig, sc)
+		body := form(f.Body)
 		if body == f.Body {
 			return f
 		}
-		return mkQuant(f.Kind, binder, f.BType, body)
+		return mkQuant(f.Kind, f.Binder, f.BType, body)
 	}
 	return f
+}
+
+// mapTerms applies fn to each of ts, copy-on-write: it returns nil when
+// every call returned its argument, and otherwise a buffer from sc (may be
+// nil) holding the results, which the caller hands back with sc.PutArgs
+// once the interning constructor has copied it.
+func mapTerms(ts []*Term, fn func(*Term) *Term, sc *Scratch) []*Term {
+	var out []*Term
+	for i, t := range ts {
+		nt := fn(t)
+		if nt != t && out == nil {
+			out = sc.Args(len(ts))
+			copy(out, ts[:i])
+		}
+		if out != nil {
+			out[i] = nt
+		}
+	}
+	return out
+}
+
+// EachAtom calls fn on each atom of f (True, False, an equation or a
+// predicate), left to right, until fn returns false. It enters quantifier
+// bodies only when quantified is set. It reports whether every call
+// returned true.
+func (f *Form) EachAtom(quantified bool, fn func(*Form) bool) bool {
+	if f == nil {
+		return true
+	}
+	switch f.Kind {
+	case FNot, FAnd, FOr, FImpl, FIff:
+		return f.L.EachAtom(quantified, fn) && f.R.EachAtom(quantified, fn)
+	case FForall, FExists:
+		return !quantified || f.Body.EachAtom(quantified, fn)
+	}
+	return fn(f)
+}
+
+// EachTerm calls fn on each term position of f's atoms (an equation's two
+// sides, a predicate's arguments), left to right, until fn returns false.
+// It enters quantifier bodies only when quantified is set, and reports
+// whether every call returned true.
+func (f *Form) EachTerm(quantified bool, fn func(*Term) bool) bool {
+	return f.EachAtom(quantified, func(a *Form) bool {
+		if a.Kind == FEq {
+			return fn(a.T1) && fn(a.T2)
+		}
+		for _, t := range a.Args {
+			if !fn(t) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // Subst1 substitutes a single variable.

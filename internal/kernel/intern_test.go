@@ -311,6 +311,26 @@ func TestSubstFastPathIdentity(t *testing.T) {
 	if f := Pred("P", V("a")); f.SubstTerm(Subst{}) != f {
 		t.Fatalf("empty substitution did not return the same formula pointer")
 	}
+
+	// Form.Map is copy-on-write: when no callback changes its argument it
+	// returns f itself and calls no constructor, so the arena's counters
+	// stay put (an interned rebuild would also return f, but as a hit).
+	same := func(t *Term) *Term { return t }
+	var walk func(*Form) *Form
+	walk = func(g *Form) *Form { return g.Map(same, walk, nil) }
+	forms := []*Form{Iff(Or(Pred("P", V("a"), V("b")), False()), Exists("y", Ty("nat"), Not(Eq(V("y"), V("a")))))}
+	for seed := int64(0); seed < 40; seed++ {
+		forms = append(forms, internGenForm(rand.New(rand.NewSource(seed)), 4))
+	}
+	for i, f := range forms {
+		hits, misses := InternStats()
+		if walk(f) != f {
+			t.Fatalf("form %d: identity Map did not return the same pointer", i)
+		}
+		if h, m := InternStats(); h != hits || m != misses {
+			t.Fatalf("form %d: identity Map called a constructor", i)
+		}
+	}
 }
 
 // FuzzIntern feeds arbitrary name/shape choices through the interning

@@ -309,20 +309,7 @@ func (t *Term) applySubst(s Subst, sig uint64, sc *Scratch) *Term {
 		sc.PutCases(cases)
 		return r
 	default:
-		if len(t.Args) == 0 {
-			return t
-		}
-		var args []*Term
-		for i, a := range t.Args {
-			na := a.applySubst(s, sig, sc)
-			if na != a && args == nil {
-				args = sc.Args(len(t.Args))
-				copy(args, t.Args[:i])
-			}
-			if args != nil {
-				args[i] = na
-			}
-		}
+		args := mapTerms(t.Args, func(a *Term) *Term { return a.applySubst(s, sig, sc) }, sc)
 		if args == nil {
 			return t
 		}

@@ -100,6 +100,22 @@ func TestReplaceAllCount(t *testing.T) {
 	if out.HasVar("x") {
 		t.Fatal("x survived ReplaceAll")
 	}
+
+	// ReplaceAllForm replaces outside binders only: the quantified x stays,
+	// a quantified formula comes back as itself with a count of 0, and so
+	// does a formula without the term.
+	q := Forall("z", Ty("nat"), Eq(V("x"), V("z")))
+	f := And(Pred("P", V("x"), V("x")), Impl(Not(Eq(V("x"), V("y"))), q))
+	want := And(Pred("P", A("O"), A("O")), Impl(Not(Eq(A("O"), V("y"))), q))
+	if got, n := ReplaceAllForm(f, V("x"), A("O")); n != 3 || got != want {
+		t.Fatalf("ReplaceAllForm = %s (%d replacements), want %s (3)", got, n, want)
+	}
+	if got, n := ReplaceAllForm(q, V("x"), A("O")); n != 0 || got != q {
+		t.Fatalf("ReplaceAllForm under a binder = %s (%d replacements)", got, n)
+	}
+	if got, n := ReplaceAllForm(f, V("w"), A("O")); n != 0 || got != f {
+		t.Fatalf("ReplaceAllForm of an absent term = %s (%d replacements)", got, n)
+	}
 }
 
 func TestMatchCaptureAvoidance(t *testing.T) {

@@ -56,20 +56,7 @@ func FullResolveS(t *Term, sub Subst, sc *Scratch) *Term {
 		sc.PutCases(cases)
 		return r
 	default:
-		if len(t.Args) == 0 {
-			return t
-		}
-		var args []*Term
-		for i, a := range t.Args {
-			na := FullResolveS(a, sub, sc)
-			if na != a && args == nil {
-				args = sc.Args(len(t.Args))
-				copy(args, t.Args[:i])
-			}
-			if args != nil {
-				args[i] = na
-			}
-		}
+		args := mapTerms(t.Args, func(a *Term) *Term { return FullResolveS(a, sub, sc) }, sc)
 		if args == nil {
 			return t
 		}
@@ -87,53 +74,8 @@ func FullResolveFormS(f *Form, sub Subst, sc *Scratch) *Form {
 	if f == nil || len(sub) == 0 {
 		return f
 	}
-	switch f.Kind {
-	case FTrue, FFalse:
-		return f
-	case FEq:
-		t1, t2 := FullResolveS(f.T1, sub, sc), FullResolveS(f.T2, sub, sc)
-		if t1 == f.T1 && t2 == f.T2 {
-			return f
-		}
-		return Eq(t1, t2)
-	case FPred:
-		var args []*Term
-		for i, a := range f.Args {
-			na := FullResolveS(a, sub, sc)
-			if na != a && args == nil {
-				args = sc.Args(len(f.Args))
-				copy(args, f.Args[:i])
-			}
-			if args != nil {
-				args[i] = na
-			}
-		}
-		if args == nil {
-			return f
-		}
-		r := mkPred(f.Pred, args)
-		sc.PutArgs(args)
-		return r
-	case FNot:
-		l := FullResolveFormS(f.L, sub, sc)
-		if l == f.L {
-			return f
-		}
-		return Not(l)
-	case FAnd, FOr, FImpl, FIff:
-		l, r := FullResolveFormS(f.L, sub, sc), FullResolveFormS(f.R, sub, sc)
-		if l == f.L && r == f.R {
-			return f
-		}
-		return mkConn(f.Kind, l, r)
-	case FForall, FExists:
-		body := FullResolveFormS(f.Body, sub, sc)
-		if body == f.Body {
-			return f
-		}
-		return mkQuant(f.Kind, f.Binder, f.BType, body)
-	}
-	return f
+	return f.Map(func(t *Term) *Term { return FullResolveS(t, sub, sc) },
+		func(g *Form) *Form { return FullResolveFormS(g, sub, sc) }, sc)
 }
 
 func occurs(v string, t *Term, sub Subst) bool {
@@ -305,99 +247,36 @@ func FindInstanceS(pat *Term, t *Term, flex map[string]bool, sub Subst, sc *Scra
 	return found, foundSub, true
 }
 
-// FindInstanceForm searches all terms of a formula for an instance of pat.
-func FindInstanceForm(pat *Term, f *Form, flex map[string]bool, sub Subst) (*Term, Subst, bool) {
-	return FindInstanceFormS(pat, f, flex, sub, nil)
-}
-
-// FindInstanceFormS is FindInstanceForm with a scratch arena.
+// FindInstanceFormS searches the terms of a formula, left to right, for an
+// instance of pat as FindInstanceS does. It does not look under binders:
+// instances there may capture.
 func FindInstanceFormS(pat *Term, f *Form, flex map[string]bool, sub Subst, sc *Scratch) (*Term, Subst, bool) {
 	var found *Term
 	var foundSub Subst
-	var walk func(f *Form) bool
-	walk = func(f *Form) bool {
-		if f == nil {
-			return true
-		}
-		tryTerm := func(t *Term) bool {
-			u, s, ok := FindInstanceS(pat, t, flex, sub, sc)
-			if ok {
-				found, foundSub = u, s
-				return false
-			}
-			return true
-		}
-		switch f.Kind {
-		case FEq:
-			return tryTerm(f.T1) && tryTerm(f.T2)
-		case FPred:
-			for _, a := range f.Args {
-				if !tryTerm(a) {
-					return false
-				}
-			}
-			return true
-		case FNot:
-			return walk(f.L)
-		case FAnd, FOr, FImpl, FIff:
-			return walk(f.L) && walk(f.R)
-		case FForall, FExists:
-			// Do not rewrite under binders: instances there may capture.
-			return true
-		}
-		return true
-	}
-	walk(f)
-	if found == nil {
-		return nil, nil, false
-	}
-	return found, foundSub, true
+	ok := false
+	f.EachTerm(false, func(t *Term) bool {
+		found, foundSub, ok = FindInstanceS(pat, t, flex, sub, sc)
+		return !ok
+	})
+	return found, foundSub, ok
 }
 
 // ReplaceAllForm replaces every occurrence of old in the formula's terms
 // (outside binders) with new.
 func ReplaceAllForm(f *Form, old, new *Term) (*Form, int) {
-	if f == nil {
-		return nil, 0
-	}
-	switch f.Kind {
-	case FTrue, FFalse:
-		return f, 0
-	case FEq:
-		t1, n1 := f.T1.ReplaceAll(old, new)
-		t2, n2 := f.T2.ReplaceAll(old, new)
-		if n1+n2 == 0 {
-			return f, 0
-		}
-		return Eq(t1, t2), n1 + n2
-	case FPred:
-		total := 0
-		args := make([]*Term, len(f.Args))
-		for i, a := range f.Args {
-			na, n := a.ReplaceAll(old, new)
-			args[i] = na
-			total += n
-		}
-		if total == 0 {
-			return f, 0
-		}
-		return mkPred(f.Pred, args), total
-	case FNot:
-		l, n := ReplaceAllForm(f.L, old, new)
-		if n == 0 {
-			return f, 0
-		}
-		return Not(l), n
-	case FAnd, FOr, FImpl, FIff:
-		l, n1 := ReplaceAllForm(f.L, old, new)
-		r, n2 := ReplaceAllForm(f.R, old, new)
-		if n1+n2 == 0 {
-			return f, 0
-		}
-		return mkConn(f.Kind, l, r), n1 + n2
-	case FForall, FExists:
+	if f == nil || f.Kind == FForall || f.Kind == FExists {
 		// Conservative: no rewriting under binders.
 		return f, 0
 	}
-	return f, 0
+	total := 0
+	out := f.Map(func(t *Term) *Term {
+		r, n := t.ReplaceAll(old, new)
+		total += n
+		return r
+	}, func(g *Form) *Form {
+		r, n := ReplaceAllForm(g, old, new)
+		total += n
+		return r
+	}, nil)
+	return out, total
 }

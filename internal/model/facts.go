@@ -238,34 +238,18 @@ func (m *Model) scrutID(t *kernel.Term) int32 {
 // constructor of f, as forEachSymbol does, with the application's
 // arguments (a predicate's are its own).
 func forEachApp(f *kernel.Form, fn func(sym string, args []*kernel.Term)) {
-	if f == nil {
-		return
-	}
-	term := func(t *kernel.Term) {
-		t.Subterms(func(u *kernel.Term) bool {
-			if u.IsApp() && u.Fun != "" {
-				fn(u.Fun, u.Args)
-			}
-			return true
-		})
-	}
-	switch f.Kind {
-	case kernel.FEq:
-		term(f.T1)
-		term(f.T2)
-	case kernel.FPred:
-		fn(f.Pred, nil)
-		for _, a := range f.Args {
-			term(a)
+	app := func(u *kernel.Term) bool {
+		if u.IsApp() && u.Fun != "" {
+			fn(u.Fun, u.Args)
 		}
-	case kernel.FNot:
-		forEachApp(f.L, fn)
-	case kernel.FAnd, kernel.FOr, kernel.FImpl, kernel.FIff:
-		forEachApp(f.L, fn)
-		forEachApp(f.R, fn)
-	case kernel.FForall, kernel.FExists:
-		forEachApp(f.Body, fn)
+		return true
 	}
+	f.EachAtom(true, func(a *kernel.Form) bool {
+		if a.Kind == kernel.FPred {
+			fn(a.Pred, nil)
+		}
+		return a.EachTerm(false, func(t *kernel.Term) bool { return t.Subterms(app) })
+	})
 }
 
 // forEachSymbol calls fn for every applied function, predicate, and
@@ -347,7 +331,7 @@ func looksArith(f *kernel.Form) bool {
 // in f, outside quantifiers, that are applications (they print as plain
 // terms).
 func appendStuckScrutinees(out []*kernel.Term, f *kernel.Form, max int) []*kernel.Term {
-	scanTerm := func(t *kernel.Term) {
+	f.EachTerm(false, func(t *kernel.Term) bool {
 		t.Subterms(func(u *kernel.Term) bool {
 			if len(out) >= max {
 				return false
@@ -357,68 +341,14 @@ func appendStuckScrutinees(out []*kernel.Term, f *kernel.Form, max int) []*kerne
 			}
 			return true
 		})
-	}
-	var walk func(f *kernel.Form)
-	walk = func(f *kernel.Form) {
-		if f == nil || len(out) >= max {
-			return
-		}
-		switch f.Kind {
-		case kernel.FEq:
-			scanTerm(f.T1)
-			scanTerm(f.T2)
-		case kernel.FPred:
-			for _, a := range f.Args {
-				scanTerm(a)
-			}
-		case kernel.FNot:
-			walk(f.L)
-		case kernel.FAnd, kernel.FOr, kernel.FImpl, kernel.FIff:
-			walk(f.L)
-			walk(f.R)
-		}
-	}
-	walk(f)
+		return len(out) < max
+	})
 	return out
 }
 
 // formContainsTerm reports whether t occurs in any term position of f.
 func formContainsTerm(f *kernel.Form, t *kernel.Term) bool {
-	found := false
-	check := func(u *kernel.Term) {
-		if found {
-			return
-		}
-		u.Subterms(func(x *kernel.Term) bool {
-			if x.Equal(t) {
-				found = true
-				return false
-			}
-			return true
-		})
-	}
-	var walk func(f *kernel.Form)
-	walk = func(f *kernel.Form) {
-		if f == nil || found {
-			return
-		}
-		switch f.Kind {
-		case kernel.FEq:
-			check(f.T1)
-			check(f.T2)
-		case kernel.FPred:
-			for _, a := range f.Args {
-				check(a)
-			}
-		case kernel.FNot:
-			walk(f.L)
-		case kernel.FAnd, kernel.FOr, kernel.FImpl, kernel.FIff:
-			walk(f.L)
-			walk(f.R)
-		case kernel.FForall, kernel.FExists:
-			walk(f.Body)
-		}
-	}
-	walk(f)
-	return found
+	return !f.EachTerm(true, func(u *kernel.Term) bool {
+		return u.Subterms(func(x *kernel.Term) bool { return !x.Equal(t) })
+	})
 }

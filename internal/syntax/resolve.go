@@ -108,65 +108,47 @@ func resolvePattern(env *kernel.Env, pat *kernel.Term) (*kernel.Term, []string, 
 	return out, binders, nil
 }
 
-// ResolveForm resolves identifiers in a parsed formula against env.
+// ResolveForm resolves identifiers in a parsed formula against env. It
+// reports the first error in walk order, left to right: an unknown
+// predicate before any bad argument of its own or to its right.
 func ResolveForm(env *kernel.Env, f *kernel.Form, bound map[string]bool) (*kernel.Form, error) {
 	if f == nil {
 		return nil, nil
 	}
 	switch f.Kind {
-	case kernel.FTrue, kernel.FFalse:
-		return f, nil
-	case kernel.FEq:
-		t1, err := ResolveTerm(env, f.T1, bound)
-		if err != nil {
-			return nil, err
-		}
-		t2, err := ResolveTerm(env, f.T2, bound)
-		if err != nil {
-			return nil, err
-		}
-		return kernel.Eq(t1, t2), nil
 	case kernel.FPred:
-		if _, isPred := env.Preds[f.Pred]; !isPred {
-			if _, isDef := env.Defs[f.Pred]; !isDef {
-				return nil, fmt.Errorf("syntax: unknown predicate %q", f.Pred)
-			}
+		_, isPred := env.Preds[f.Pred]
+		_, isDef := env.Defs[f.Pred]
+		if !isPred && !isDef {
+			return nil, fmt.Errorf("syntax: unknown predicate %q", f.Pred)
 		}
-		args := make([]*kernel.Term, len(f.Args))
-		for i, a := range f.Args {
-			ra, err := ResolveTerm(env, a, bound)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = ra
-		}
-		return kernel.Pred(f.Pred, args...), nil
-	case kernel.FNot:
-		l, err := ResolveForm(env, f.L, bound)
-		if err != nil {
-			return nil, err
-		}
-		return kernel.Not(l), nil
-	case kernel.FAnd, kernel.FOr, kernel.FImpl, kernel.FIff:
-		l, err := ResolveForm(env, f.L, bound)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ResolveForm(env, f.R, bound)
-		if err != nil {
-			return nil, err
-		}
-		return kernel.Conn(f.Kind, l, r), nil
 	case kernel.FForall, kernel.FExists:
 		inner := cloneSet(bound)
 		inner[f.Binder] = true
-		body, err := ResolveForm(env, f.Body, inner)
-		if err != nil {
-			return nil, err
-		}
-		return kernel.Quant(f.Kind, f.Binder, f.BType, body), nil
+		bound = inner
 	}
-	return f, nil
+	var err error
+	out := f.Map(func(t *kernel.Term) *kernel.Term {
+		if err == nil {
+			var r *kernel.Term
+			if r, err = ResolveTerm(env, t, bound); err == nil {
+				return r
+			}
+		}
+		return t
+	}, func(g *kernel.Form) *kernel.Form {
+		if err == nil {
+			var r *kernel.Form
+			if r, err = ResolveForm(env, g, bound); err == nil {
+				return r
+			}
+		}
+		return g
+	}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func cloneSet(s map[string]bool) map[string]bool {

@@ -200,4 +200,23 @@ func TestResolveTerm(t *testing.T) {
 	if _, err := ResolveForm(env, f, bound); err == nil {
 		t.Fatal("unknown predicate accepted")
 	}
+	// ResolveForm reports the first error in walk order: an unknown
+	// predicate before a bad argument of its own or to its right, a bad
+	// argument before an unknown predicate to its right.
+	const (
+		unknownPred = `syntax: unknown predicate "Frob"`
+		badPattern  = `syntax: pattern head "f" is not a constructor`
+	)
+	for src, want := range map[string]string{
+		"Frob (match x with | f y => y end)":                             unknownPred,
+		"Frob x /\\ (match x with | f y => y end) = x":                   unknownPred,
+		"~ (Frob x \\/ (match x with | f y => y end) = x)":               unknownPred,
+		"(match x with | f y => y end) = x -> Frob x":                    badPattern,
+		"x = (match x with | f y => y end) <-> Frob x":                   badPattern,
+		"forall (y : nat), Frob y /\\ (match y with | f z => z end) = y": unknownPred,
+	} {
+		if out, err := ResolveForm(env, parseForm(t, src), bound); err == nil || err.Error() != want || out != nil {
+			t.Errorf("%s: got (%v, %v), want error %q", src, out, err, want)
+		}
+	}
 }

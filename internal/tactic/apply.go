@@ -161,7 +161,16 @@ func lookupStmt(env *kernel.Env, g *Goal, name string) (*kernel.Form, error) {
 	if _, r := env.RuleNamed(name); r != nil {
 		return r.Statement(), nil
 	}
-	return nil, fmt.Errorf("tactic: unknown hypothesis or lemma %q", name)
+	return nil, unknownNameError{name}
+}
+
+// unknownNameError rejects a name that is neither a hypothesis, a lemma
+// nor a rule. The search reads only the status, so the quoted text is
+// rendered when asked for.
+type unknownNameError struct{ name string }
+
+func (e unknownNameError) Error() string {
+	return fmt.Sprintf("tactic: unknown hypothesis or lemma %q", e.name)
 }
 
 // metasResolved checks that every meta resolves to a term free of the

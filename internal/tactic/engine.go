@@ -114,9 +114,19 @@ func CheckProof(env *kernel.Env, stmt *kernel.Form, script string) error {
 		return err
 	}
 	if !s.Done() {
-		return fmt.Errorf("tactic: proof incomplete, %d goal(s) remain; focused:\n%s", len(s.Goals), s.Goals[0])
+		return incompleteError{s}
 	}
 	return nil
+}
+
+// incompleteError rejects a script that leaves goals open. A whole-proof
+// check reads only whether there was an error, so the focused goal is
+// rendered when the text is asked for: a single-pointer struct goes into an
+// interface without allocating, and the state it holds is immutable.
+type incompleteError struct{ s *State }
+
+func (e incompleteError) Error() string {
+	return fmt.Sprintf("tactic: proof incomplete, %d goal(s) remain; focused:\n%s", len(e.s.Goals), e.s.Goals[0])
 }
 
 func applyExpr(env *kernel.Env, g *Goal, e Expr, sc *kernel.Scratch) ([]*Goal, error) {

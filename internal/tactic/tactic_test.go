@@ -509,6 +509,8 @@ func TestRejectionTexts(t *testing.T) {
 			"tactic: cannot induct on H : n = 0"},
 		{rejection("forall (n : nat), le O (plus n n) -> n = n", "intros n H.", "induction H."),
 			"tactic: cannot induct on H: rule le_n specializes a fixed index (revert first the hypotheses that mention its indices)"},
+		{rejection("le 1 0", "apply le_nope."), `tactic: unknown hypothesis or lemma "le_nope"`},
+		{rejection("le 1 0", "rewrite <- nope."), `tactic: unknown hypothesis or lemma "nope"`},
 	} {
 		if c.got != c.want {
 			t.Errorf("rejection %q, want %q", c.got, c.want)
@@ -519,6 +521,10 @@ func TestRejectionTexts(t *testing.T) {
 	if _, err := applyRule(env, g, &p.Rules[1], false, nil); err == nil ||
 		err.Error() != "tactic: constructor twice_refl leaves undetermined instances" {
 		t.Errorf("undetermined rule: got %v", err)
+	}
+	if err := CheckProof(env, stmt(t, env, "forall (n m : nat), le n (plus n m) /\\ n = n"), "intros n m. split."); err == nil ||
+		err.Error() != "tactic: proof incomplete, 2 goal(s) remain; focused:\nn : nat\nm : nat\n============================\nle n (n + m)" {
+		t.Errorf("incomplete proof: got %v", err)
 	}
 }
 

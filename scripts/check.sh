@@ -34,7 +34,9 @@ go test -race ./...
 # allocation and would count the race instrumentation's own: the
 # AllocsPerRun zero-allocation tests in internal/kernel and internal/model
 # (a warm Propose) and internal/eval's bound on the hinted GPT-4o grid. Run
-# them without it.
+# them without it. It also skips internal/eval's
+# TestExperimentsMatchOracleSeeds (seeds 5, 6 and 10), so the race run
+# holds one schedule to the oracle; tier-1's go test ./... runs all four.
 echo "==> go test -run '^TestAlloc' ./internal/..."
 go test -run '^TestAlloc' ./internal/...
 
